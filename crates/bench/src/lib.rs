@@ -1,8 +1,9 @@
-//! # ss-bench — shared harness code for the figure-regenerating benchmarks
+//! # ss-bench — shared harness code for the paper's figures
 //!
-//! Criterion benches (one per table/figure of the paper) and the runnable
-//! examples share the helpers in this crate: converting the kernel catalogue
-//! into study inputs, and the Figure 10 speedup sweep.
+//! The integration tests and the runnable examples share the helpers in
+//! this crate: converting the kernel catalogue into study inputs, and the
+//! Figure 10 speedup sweep.  Measurement itself lives in one place, the
+//! `ssbench` harness (`crates/benchmark`).
 
 use ss_npb::{run_cg_with, scaled_params, CgParams, Class};
 use ss_parallelizer::{run_study, StudyInput, StudyTable};

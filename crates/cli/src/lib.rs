@@ -15,7 +15,6 @@
 //! sspar engines                   # list the registered execution engines
 //! sspar analyze --kernel fig9_csr_product   # analyze a catalogue kernel
 //! sspar tune --kernel sptrsv_levels         # search + persist the best policy
-//! sspar bench --out BENCH_interp.json       # per-engine medians snapshot
 //! ```
 //!
 //! The CLI is a thin shell over the library API: every command drives one
@@ -34,9 +33,9 @@
 
 use ss_aggregation::analyze_program;
 use ss_interp::{
-    analysis_json, json, registry_json, reset_pair_counts, set_pair_profiling,
-    top_instruction_pairs, ExecMode, ExecutionMode, OptLevel, RunPolicy, RunRequest,
-    ScheduleChoice, Session, SsError, TunerConfig, ValidationMode,
+    analysis_json, registry_json, reset_pair_counts, set_pair_profiling, top_instruction_pairs,
+    ExecMode, ExecutionMode, OptLevel, RunPolicy, RunRequest, ScheduleChoice, Session, SsError,
+    TunerConfig, ValidationMode,
 };
 use ss_ir::{parse_program, LoopId};
 use ss_parallelizer::{run_study, StudyInput, VerdictKind};
@@ -62,7 +61,6 @@ pub fn usage() -> String {
      \u{20}   sspar run     --kernel <name> [run options]\n\
      \u{20}   sspar tune    <file.c> [tune options]\n\
      \u{20}   sspar tune    --kernel <name> [tune options]\n\
-     \u{20}   sspar bench   [bench options]\n\
      \u{20}   sspar study\n\
      \u{20}   sspar kernels\n\
      \u{20}   sspar engines [--format text|json]\n\
@@ -80,9 +78,6 @@ pub fn usage() -> String {
      \u{20}             schedule x chunk x threads) with measured trials, print\n\
      \u{20}             the search table, and persist the winner per\n\
      \u{20}             (program, input shape) — `run --policy tuned` reapplies it\n\
-     \u{20}   bench     execute one catalogue kernel serially under every\n\
-     \u{20}             engine/opt-level and emit the machine-readable medians\n\
-     \u{20}             snapshot (BENCH_interp.json)\n\
      \u{20}   study     run the Figure-1 study over the built-in catalogue\n\
      \u{20}   kernels   list the built-in catalogue kernels\n\
      \u{20}   engines   list the registered execution engines and their\n\
@@ -137,13 +132,7 @@ pub fn usage() -> String {
      \u{20}   --n <SIZE>              input scale (default 256)\n\
      \u{20}   --seed <S>              input data seed (default 1)\n\
      \u{20}   --trial-seed <S>        deterministic trial-order seed (default 0)\n\
-     \u{20}   --format <text|json>    print the search table or the stable JSON outcome\n\
-     \n\
-     BENCH OPTIONS:\n\
-     \u{20}   --kernel <name>         catalogue kernel to measure (default fig9_csr_product)\n\
-     \u{20}   --n <SIZE>              input scale (default 256)\n\
-     \u{20}   --repeats <N>           timed repeats per engine leg, median kept (default 3)\n\
-     \u{20}   --out <PATH>            also write the JSON snapshot to this file\n"
+     \u{20}   --format <text|json>    print the search table or the stable JSON outcome\n"
         .to_string()
 }
 
@@ -217,11 +206,6 @@ pub enum Command {
         input: Input,
         /// Tuner options.
         options: TuneOptions,
-    },
-    /// `sspar bench` — serial per-engine/opt-level medians as stable JSON.
-    Bench {
-        /// Bench options.
-        options: BenchOptions,
     },
     /// `sspar study`
     Study,
@@ -318,30 +302,6 @@ impl Default for TuneOptions {
             seed: 1,
             trial_seed: 0,
             format: OutputFormat::Text,
-        }
-    }
-}
-
-/// Options of `sspar bench`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BenchOptions {
-    /// Catalogue kernel to measure.
-    pub kernel: String,
-    /// Input scale (`--n`).
-    pub scale: i64,
-    /// Timed repeats per engine leg; the median is kept.
-    pub repeats: usize,
-    /// Also write the JSON snapshot to this path.
-    pub out: Option<String>,
-}
-
-impl Default for BenchOptions {
-    fn default() -> BenchOptions {
-        BenchOptions {
-            kernel: "fig9_csr_product".to_string(),
-            scale: 256,
-            repeats: 3,
-            out: None,
         }
     }
 }
@@ -656,44 +616,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, SsError> {
             let input = input.ok_or_else(usage_err)?;
             Ok(Command::Tune { input, options })
         }
-        "bench" => {
-            let rest: Vec<&str> = it.collect();
-            let mut options = BenchOptions::default();
-            let parse_val = |rest: &[&str], i: usize| -> Result<String, SsError> {
-                rest.get(i + 1).map(|s| s.to_string()).ok_or_else(usage_err)
-            };
-            let mut i = 0;
-            while i < rest.len() {
-                match rest[i] {
-                    "--kernel" => {
-                        options.kernel = parse_val(&rest, i)?;
-                        i += 2;
-                    }
-                    "--n" => {
-                        let v: i64 = parse_val(&rest, i)?.parse().map_err(|_| usage_err())?;
-                        if v < 1 {
-                            return Err(usage_err());
-                        }
-                        options.scale = v;
-                        i += 2;
-                    }
-                    "--repeats" => {
-                        let v: usize = parse_val(&rest, i)?.parse().map_err(|_| usage_err())?;
-                        if v < 1 {
-                            return Err(usage_err());
-                        }
-                        options.repeats = v;
-                        i += 2;
-                    }
-                    "--out" => {
-                        options.out = Some(parse_val(&rest, i)?);
-                        i += 2;
-                    }
-                    _ => return Err(usage_err()),
-                }
-            }
-            Ok(Command::Bench { options })
-        }
         "analyze" | "trace" => {
             let rest: Vec<&str> = it.collect();
             let mut input: Option<Input> = None;
@@ -810,7 +732,6 @@ pub fn execute(cmd: &Command, reader: &dyn SourceReader) -> Result<String, SsErr
             let (name, source) = resolve_input(input, reader)?;
             tune_text(&name, &source, options)
         }
-        Command::Bench { options } => bench_text(options, reader),
         Command::Serve { options } => serve_text(options),
         Command::Request { line, addr } => request_text(line, addr),
     }
@@ -1108,51 +1029,6 @@ fn tune_text(name: &str, source: &str, options: &TuneOptions) -> Result<String, 
     Ok(out)
 }
 
-/// Executes one catalogue kernel serially under every engine and
-/// opt-level it supports and emits the per-leg medians as stable JSON —
-/// the machine-readable counterpart of the `interp_exec` bench.
-fn bench_text(options: &BenchOptions, reader: &dyn SourceReader) -> Result<String, SsError> {
-    let (name, source) = resolve_input(&Input::Catalogue(options.kernel.clone()), reader)?;
-    let mut entries = Vec::new();
-    for engine in session().registry().iter() {
-        for &level in engine.caps().opt_levels {
-            let mut samples = Vec::new();
-            for _ in 0..options.repeats.max(1) {
-                let outcome = session().run(
-                    &RunRequest::new(&name, &source)
-                        .engine(engine.name())
-                        .opt_level(level)
-                        .scale(options.scale)
-                        .mode(ExecutionMode::Serial),
-                )?;
-                let stats = outcome.serial.as_ref().expect("serial mode runs serially");
-                samples.push(stats.total_seconds);
-            }
-            samples.sort_by(|a, b| a.partial_cmp(b).expect("times are finite"));
-            entries.push(json::object([
-                ("engine", json::string(engine.name())),
-                ("opt_level", json::string(&level.to_string())),
-                ("median_seconds", json::number(samples[samples.len() / 2])),
-            ]));
-        }
-    }
-    let mut out = json::object([
-        ("bench", json::string("interp_exec")),
-        ("kernel", json::string(&name)),
-        ("scale", json::number(options.scale as f64)),
-        ("repeats", json::number(options.repeats as f64)),
-        ("entries", json::array(entries)),
-    ]);
-    out.push('\n');
-    if let Some(path) = &options.out {
-        std::fs::write(path, &out).map_err(|e| SsError::Io {
-            path: path.clone(),
-            message: e.to_string(),
-        })?;
-    }
-    Ok(out)
-}
-
 fn run_text(name: &str, source: &str, options: &RunOptions) -> Result<String, SsError> {
     // One session request runs the whole differential matrix off one
     // (cached) pipeline invocation — nothing below recompiles.
@@ -1331,6 +1207,9 @@ fn engines_text(format: OutputFormat) -> String {
         }
         if caps.persistent_team {
             flags.push("persistent-team".to_string());
+        }
+        if caps.level_sets {
+            flags.push("level-sets".to_string());
         }
         flags.push(format!(
             "opt-levels:{}",
@@ -1864,7 +1743,7 @@ mod tests {
     }
 
     #[test]
-    fn parse_args_recognizes_tune_and_bench() {
+    fn parse_args_recognizes_tune() {
         assert_eq!(
             parse_args(&args(&["tune", "--kernel", "sptrsv_levels"])).unwrap(),
             Command::Tune {
@@ -1905,43 +1784,13 @@ mod tests {
                 },
             }
         );
-        assert_eq!(
-            parse_args(&args(&["bench"])).unwrap(),
-            Command::Bench {
-                options: BenchOptions::default()
-            }
-        );
-        assert_eq!(
-            parse_args(&args(&[
-                "bench",
-                "--kernel",
-                "fig2_ua_transfer",
-                "--n",
-                "32",
-                "--repeats",
-                "1",
-                "--out",
-                "BENCH_interp.json"
-            ]))
-            .unwrap(),
-            Command::Bench {
-                options: BenchOptions {
-                    kernel: "fig2_ua_transfer".into(),
-                    scale: 32,
-                    repeats: 1,
-                    out: Some("BENCH_interp.json".into()),
-                }
-            }
-        );
         for bad in [
             vec!["tune"],
             vec!["tune", "k.c", "--budget-trials", "0"],
             vec!["tune", "k.c", "--repeats", "x"],
             vec!["tune", "k.c", "--format", "xml"],
             vec!["tune", "k.c", "--bogus"],
-            vec!["bench", "--n", "0"],
-            vec!["bench", "--out"],
-            vec!["bench", "--bogus"],
+            vec!["bench"],
         ] {
             assert!(
                 matches!(parse_args(&args(&bad)), Err(SsError::Usage(_))),
@@ -2028,42 +1877,6 @@ mod tests {
             assert!(out.contains(key), "missing {key} in {out}");
         }
         assert!(out.ends_with('\n'));
-    }
-
-    #[test]
-    fn bench_emits_per_engine_medians() {
-        let reader = MapReader(HashMap::new());
-        let out = run(
-            &args(&[
-                "bench",
-                "--kernel",
-                "fig2_ua_transfer",
-                "--n",
-                "32",
-                "--repeats",
-                "1",
-            ]),
-            &reader,
-        )
-        .unwrap();
-        for key in [
-            "\"bench\":\"interp_exec\"",
-            "\"kernel\":\"fig2_ua_transfer\"",
-            "\"entries\":[",
-            "\"engine\":\"bytecode\"",
-            "\"opt_level\":\"O0\"",
-            "\"opt_level\":\"O1\"",
-            "\"median_seconds\":",
-        ] {
-            assert!(out.contains(key), "missing {key} in {out}");
-        }
-        // Every registered engine contributes at least one leg.
-        for e in session().registry().iter() {
-            assert!(
-                out.contains(&format!("\"engine\":\"{}\"", e.name())),
-                "{out}"
-            );
-        }
     }
 
     #[test]

@@ -1,42 +1,33 @@
-//! The bytecode engines: flat register-machine execution (the default).
+//! The bytecode executor: flat register-machine execution (the default).
 //!
 //! [`ss_ir::bytecode`] flattens the slot pass's expression trees into a
-//! linear instruction stream; these engines execute that stream over a
-//! dense register file whose low registers alias the scalar slots — per
+//! linear instruction stream; this executor runs that stream over a dense
+//! register file whose low registers alias the scalar slots — per
 //! iteration the hot path is one `match` per *instruction*, with no
 //! recursion and no `Box` chasing per expression node.
 //!
-//! Array state lives exactly where the compiled engine keeps it: dense
-//! per-slot frames on the spine, shared raw views plus worker-private
-//! local storage inside dispatched workers (`super::compiled::SharedSlots`
-//! and `super::compiled::ChunkAcc` are reused verbatim, so the two
-//! parallel engines cannot drift apart in their merge semantics).  The
-//! parallel dispatcher accepts the same verdict classes as the compiled
-//! one — independent loops, reduction loops, loops with body-local array
-//! declarations — but runs its workers on a **persistent, process-wide**
-//! [`ss_runtime::ThreadTeam`] (`ss_runtime::with_shared_team`): the team
-//! is spawned at the first dispatched loop of the first run and every
-//! subsequent region — of that run or of any later run in the same
-//! process — reuses it, so repeated `sspar run` invocations in-process pay
-//! exactly one spawn per thread count, ever.
+//! Array state lives in the stores of `engine::shared`: dense per-slot
+//! frames on the spine, shared raw views plus worker-private local storage
+//! inside dispatched workers.  How a loop's iterations reach the thread
+//! team is not this module's business either: at each `for` the spine asks
+//! the run's `Dispatcher` for a strategy, evaluates the loop header once
+//! and hands its state to the shared recipe, which calls back into
+//! `BcBody` to run iterations on worker-private register files.
 //!
 //! Semantics mirror the tree walker operation for operation (evaluation
 //! order, wrapping arithmetic, error points, undefined-value handling), so
-//! final heaps are bit-identical across all three engines — `validate` and
-//! the generative fuzz harness (`tests/engine_fuzz.rs`) assert exactly
-//! that.
+//! final heaps are bit-identical across all executors — `validate` and the
+//! generative fuzz harness (`tests/engine_fuzz.rs`) assert exactly that.
 
-use super::compiled::{ChunkAcc, SharedSlots, NOT_WRITTEN};
 use super::serial::{apply_assign, apply_binop, compare};
-use super::store::elem_at;
+use super::shared::{
+    load_scalars, store_scalars, ArrayStore, Dispatcher, LoopShape, RegionBody, Spine, SpineArrays,
+    NOT_WRITTEN,
+};
 use super::{ExecEnvTiming, ExecError, ExecMode, ExecOptions, ExecOutcome, ExecStats};
-use crate::heap::{ArrayVal, Heap};
+use crate::heap::Heap;
 use ss_ir::bytecode::{BcExpr, BcFor, BytecodeProgram, HeaderFast, Instr, Reg};
-use ss_ir::slots::{ArraySlot, SlotMap};
 use ss_ir::LoopId;
-use ss_parallelizer::{ParallelizationReport, ReductionInfo};
-use ss_runtime::{team_parallel_reduce, with_shared_team_in, Schedule};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -122,33 +113,31 @@ pub fn top_instruction_pairs(n: usize) -> Vec<(&'static str, &'static str, u64)>
 }
 
 // ---------------------------------------------------------------------------
-// The register machine and its array stores.
+// The register machine.
 // ---------------------------------------------------------------------------
 
 /// The register file: scalars in the low registers, expression temporaries
 /// above, plus the bookkeeping both the serial spine and the workers need
 /// (defined-ness for heap write-back, last-write iterations for the
-/// parallel scalar merge).  `pub(super)` so the threaded tier can hand its
-/// own register state to [`try_dispatch_parallel`].
+/// parallel scalar merge).
 pub(super) struct Machine<'a> {
-    pub(super) regs: Vec<i64>,
-    pub(super) defined: Vec<bool>,
-    pub(super) write_iter: Vec<usize>,
-    pub(super) current_iter: usize,
-    pub(super) nscalars: usize,
-    pub(super) consts: &'a [i64],
+    regs: Vec<i64>,
+    defined: Vec<bool>,
+    write_iter: Vec<usize>,
+    current_iter: usize,
+    nscalars: usize,
+    consts: &'a [i64],
 }
 
 impl<'a> Machine<'a> {
-    pub(super) fn new(bc: &'a BytecodeProgram) -> Machine<'a> {
-        let nscalars = bc.slots.scalar_count();
+    fn new(regs: Vec<i64>, nscalars: usize, consts: &'a [i64]) -> Machine<'a> {
         Machine {
-            regs: vec![0; bc.nregs],
+            regs,
             defined: vec![false; nscalars],
             write_iter: vec![NOT_WRITTEN; nscalars],
             current_iter: 0,
             nscalars,
-            consts: &bc.consts,
+            consts,
         }
     }
 
@@ -158,7 +147,7 @@ impl<'a> Machine<'a> {
     }
 
     #[inline]
-    pub(super) fn set(&mut self, r: Reg, v: i64) {
+    fn set(&mut self, r: Reg, v: i64) {
         let i = r.index();
         self.regs[i] = v;
         if i < self.nscalars {
@@ -166,150 +155,17 @@ impl<'a> Machine<'a> {
             self.write_iter[i] = self.current_iter;
         }
     }
-
-    /// Loads the heap's scalars into the register file.
-    pub(super) fn load_scalars(&mut self, heap: &Heap, slots: &SlotMap) {
-        for (i, name) in slots.scalar_names().iter().enumerate() {
-            if let Some(&v) = heap.scalars.get(name) {
-                self.regs[i] = v;
-                self.defined[i] = true;
-            }
-        }
-    }
-
-    /// Writes defined scalars back into the heap.
-    pub(super) fn store_scalars(&self, heap: &mut Heap, slots: &SlotMap) {
-        for (i, name) in slots.scalar_names().iter().enumerate() {
-            if self.defined[i] {
-                heap.scalars.insert(name.clone(), self.regs[i]);
-            }
-        }
-    }
-}
-
-/// Where the machine's array traffic lands.
-pub(super) trait BcArrays {
-    fn read(&mut self, a: ArraySlot, indices: &[i64]) -> Result<i64, ExecError>;
-    fn write(&mut self, a: ArraySlot, indices: &[i64], v: i64) -> Result<(), ExecError>;
-    fn declare(&mut self, a: ArraySlot, dims: Vec<usize>);
-}
-
-/// The spine's array store: one dense `Option<ArrayVal>` per slot, moved
-/// out of (and back into) the heap — the array half of the compiled
-/// engine's `Frame`.  `pub(super)` for the same reason as [`Machine`].
-pub(super) struct SpineArrays<'m> {
-    pub(super) slots: &'m SlotMap,
-    pub(super) arrays: Vec<Option<ArrayVal>>,
-}
-
-impl<'m> SpineArrays<'m> {
-    pub(super) fn from_heap(heap: &mut Heap, slots: &'m SlotMap) -> SpineArrays<'m> {
-        let arrays = slots
-            .array_names()
-            .iter()
-            .map(|name| heap.arrays.remove(name))
-            .collect();
-        SpineArrays { slots, arrays }
-    }
-
-    pub(super) fn into_heap(self, heap: &mut Heap) {
-        for (i, arr) in self.arrays.into_iter().enumerate() {
-            if let Some(a) = arr {
-                heap.arrays.insert(self.slots.array_names()[i].clone(), a);
-            }
-        }
-    }
-}
-
-impl BcArrays for SpineArrays<'_> {
-    fn read(&mut self, a: ArraySlot, indices: &[i64]) -> Result<i64, ExecError> {
-        let name = self.slots.array_name(a);
-        let arr = self.arrays[a.index()]
-            .as_ref()
-            .ok_or_else(|| ExecError::UndefinedArray(name.to_string()))?;
-        elem_at(name, arr, indices).map(|flat| arr.data[flat])
-    }
-
-    fn write(&mut self, a: ArraySlot, indices: &[i64], v: i64) -> Result<(), ExecError> {
-        let name = self.slots.array_name(a);
-        let arr = self.arrays[a.index()]
-            .as_mut()
-            .ok_or_else(|| ExecError::UndefinedArray(name.to_string()))?;
-        let flat = elem_at(name, arr, indices)?;
-        arr.data[flat] = v;
-        Ok(())
-    }
-
-    fn declare(&mut self, a: ArraySlot, dims: Vec<usize>) {
-        self.arrays[a.index()] = Some(ArrayVal::zeros(dims));
-    }
-}
-
-/// A worker's array store: shared raw views for the heap arrays, private
-/// storage for the dispatched loop's local arrays — the array half of the
-/// compiled engine's worker.
-pub(super) struct WorkerArrays<'s> {
-    pub(super) slots: &'s SlotMap,
-    pub(super) shared: &'s SharedSlots,
-    pub(super) local: &'s [bool],
-    pub(super) locals: Vec<Option<ArrayVal>>,
-    pub(super) local_write_iter: Vec<usize>,
-    pub(super) current_iter: usize,
-}
-
-impl BcArrays for WorkerArrays<'_> {
-    fn read(&mut self, a: ArraySlot, indices: &[i64]) -> Result<i64, ExecError> {
-        let i = a.index();
-        if self.local[i] {
-            let name = self.slots.array_name(a);
-            let arr = self.locals[i]
-                .as_ref()
-                .ok_or_else(|| ExecError::UndefinedArray(name.to_string()))?;
-            return elem_at(name, arr, indices).map(|flat| arr.data[flat]);
-        }
-        let (ptr, flat) = self.shared.flat(self.slots, a, indices)?;
-        // SAFETY: flat is bounds-checked; disjointness across workers is
-        // the dispatched loop's proven property.
-        Ok(unsafe { *(ptr as *const i64).add(flat) })
-    }
-
-    fn write(&mut self, a: ArraySlot, indices: &[i64], v: i64) -> Result<(), ExecError> {
-        let i = a.index();
-        if self.local[i] {
-            let name = self.slots.array_name(a);
-            let arr = self.locals[i]
-                .as_mut()
-                .ok_or_else(|| ExecError::UndefinedArray(name.to_string()))?;
-            let flat = elem_at(name, arr, indices)?;
-            arr.data[flat] = v;
-            self.local_write_iter[i] = self.current_iter;
-            return Ok(());
-        }
-        let (ptr, flat) = self.shared.flat(self.slots, a, indices)?;
-        // SAFETY: as above.
-        unsafe {
-            *(ptr as *mut i64).add(flat) = v;
-        }
-        Ok(())
-    }
-
-    fn declare(&mut self, a: ArraySlot, dims: Vec<usize>) {
-        // Declarations inside a dispatched body always target local slots
-        // (that is how `local_arrays` is computed).
-        let i = a.index();
-        self.locals[i] = Some(ArrayVal::zeros(dims));
-        self.local_write_iter[i] = self.current_iter;
-    }
 }
 
 // ---------------------------------------------------------------------------
 // The instruction interpreter.
 // ---------------------------------------------------------------------------
 
-/// Decides what happens when the interpreter reaches a `For` instruction.
-pub(super) trait BcPolicy<A: BcArrays> {
+/// Decides what happens when the interpreter reaches a `For` instruction:
+/// the run's [`Dispatcher`] on the spine, [`NoDispatch`] everywhere else.
+trait BcPolicy<A: ArrayStore> {
     fn try_dispatch(
-        &mut self,
+        &self,
         m: &mut Machine<'_>,
         arrays: &mut A,
         f: &BcFor,
@@ -317,12 +173,12 @@ pub(super) trait BcPolicy<A: BcArrays> {
     ) -> Result<bool, ExecError>;
 }
 
-/// Policy that never dispatches (serial engine, workers).
-pub(super) struct NoDispatchB;
+/// Policy that never dispatches (serial runs, workers, inspection).
+struct NoDispatch;
 
-impl<A: BcArrays> BcPolicy<A> for NoDispatchB {
+impl<A: ArrayStore> BcPolicy<A> for NoDispatch {
     fn try_dispatch(
-        &mut self,
+        &self,
         _m: &mut Machine<'_>,
         _arrays: &mut A,
         _f: &BcFor,
@@ -341,7 +197,7 @@ struct WhileGuard {
 }
 
 /// Runs a flat expression block and returns its value.
-pub(super) fn eval_block<A: BcArrays>(
+fn eval_block<A: ArrayStore>(
     m: &mut Machine<'_>,
     arrays: &mut A,
     e: &BcExpr,
@@ -349,7 +205,7 @@ pub(super) fn eval_block<A: BcArrays>(
 ) -> Result<i64, ExecError> {
     // Expression blocks contain no loops, so the no-dispatch policy is
     // exact, not an approximation.
-    exec_code(m, arrays, &e.code, &mut NoDispatchB, env)?;
+    exec_code(m, arrays, &e.code, &NoDispatch, env)?;
     Ok(m.get(e.result))
 }
 
@@ -362,7 +218,7 @@ pub(super) fn eval_block<A: BcArrays>(
 /// the block (same program point, same value, same error as `Eval` would)
 /// and every later iteration reuses the value.
 #[inline]
-fn header_value<A: BcArrays>(
+fn header_value<A: ArrayStore>(
     m: &mut Machine<'_>,
     arrays: &mut A,
     block: &BcExpr,
@@ -385,11 +241,11 @@ fn header_value<A: BcArrays>(
     }
 }
 
-pub(super) fn exec_code<A: BcArrays, P: BcPolicy<A>>(
+fn exec_code<A: ArrayStore, P: BcPolicy<A>>(
     m: &mut Machine<'_>,
     arrays: &mut A,
     code: &[Instr],
-    pol: &mut P,
+    pol: &P,
     env: &mut ExecEnvTiming<'_>,
 ) -> Result<(), ExecError> {
     let mut guards: Vec<WhileGuard> = Vec::new();
@@ -557,11 +413,15 @@ fn with_indices<R>(m: &Machine<'_>, first: Reg, rank: u8, f: impl FnOnce(&[i64])
     }
 }
 
-fn exec_for<A: BcArrays, P: BcPolicy<A>>(
+// Never inlined: loop entry (the dispatch offer, header blocks, timing) is
+// cold next to the instruction loop, and folding it into `exec_code` made
+// that loop's codegen — and speed — vary with the policy type.
+#[inline(never)]
+fn exec_for<A: ArrayStore, P: BcPolicy<A>>(
     m: &mut Machine<'_>,
     arrays: &mut A,
     f: &BcFor,
-    pol: &mut P,
+    pol: &P,
     env: &mut ExecEnvTiming<'_>,
 ) -> Result<(), ExecError> {
     if pol.try_dispatch(m, arrays, f, env)? {
@@ -601,304 +461,134 @@ fn exec_for<A: BcArrays, P: BcPolicy<A>>(
 }
 
 // ---------------------------------------------------------------------------
-// The parallel dispatch policy.
+// Dispatch: the executor's side of the shared recipe.
 // ---------------------------------------------------------------------------
 
-struct BcDispatch<'r> {
-    /// Outermost dispatchable loops with their (possibly empty) reductions.
-    dispatchable: &'r HashMap<LoopId, Vec<ReductionInfo>>,
-    opts: &'r ExecOptions,
+/// The dispatch facts of a bytecode loop.
+pub(super) fn loop_shape(f: &BcFor) -> LoopShape<'_> {
+    LoopShape {
+        id: f.id,
+        var: f.var.index(),
+        cond_op: f.cond_op,
+        local_arrays: &f.local_arrays,
+        locals_dominated: f.locals_dominated,
+        skewed: f.skewed,
+    }
 }
 
-/// The outermost proven-parallel loops of a report, keyed for O(1) lookup
-/// at each `For` instruction, with their (possibly empty) reduction lists.
-/// Shared by every engine that funnels into [`try_dispatch_parallel`].
-pub(super) fn dispatchable_map(
-    report: &ParallelizationReport,
-) -> HashMap<LoopId, Vec<ReductionInfo>> {
-    report
-        .outermost_parallel_loops()
-        .into_iter()
-        .map(|id| {
-            (
-                id,
-                report
-                    .loop_report(id)
-                    .map(|l| l.reductions.clone())
-                    .unwrap_or_default(),
-            )
-        })
-        .collect()
+/// A bytecode loop body as the recipe runs it: each worker interprets the
+/// body stream over a private register file.  Also what the threaded tier
+/// dispatches, so its workers execute the exact stream the verdicts were
+/// proven against.
+pub(super) struct BcBody<'a> {
+    pub(super) f: &'a BcFor,
+    pub(super) consts: &'a [i64],
+    pub(super) nscalars: usize,
+    pub(super) while_cap: u64,
 }
 
-impl BcPolicy<SpineArrays<'_>> for BcDispatch<'_> {
+pub(super) struct BcWorker<'a> {
+    m: Machine<'a>,
+    /// Loops inside a dispatched body are accounted to the dispatched
+    /// ancestor; their own records land here and are dropped.
+    scratch: ExecStats,
+}
+
+impl<'a> RegionBody for BcBody<'a> {
+    type Worker = BcWorker<'a>;
+
+    fn worker(&self, regs: Vec<i64>) -> BcWorker<'a> {
+        BcWorker {
+            m: Machine::new(regs, self.nscalars, self.consts),
+            scratch: ExecStats::default(),
+        }
+    }
+
+    fn run_iteration<A: ArrayStore>(
+        &self,
+        w: &mut BcWorker<'a>,
+        arrays: &mut A,
+        k: usize,
+        value: i64,
+    ) -> Result<(), ExecError> {
+        w.m.current_iter = k;
+        w.m.set(self.f.var, value);
+        let mut env = ExecEnvTiming {
+            stats: &mut w.scratch,
+            timing: false,
+            while_cap: self.while_cap,
+        };
+        exec_code(&mut w.m, arrays, &self.f.body, &NoDispatch, &mut env)
+    }
+
+    fn scalars<'w>(w: &'w BcWorker<'a>) -> (&'w [i64], &'w [usize]) {
+        (&w.m.regs, &w.m.write_iter)
+    }
+}
+
+impl BcPolicy<SpineArrays<'_>> for Dispatcher<'_> {
     fn try_dispatch(
-        &mut self,
+        &self,
         m: &mut Machine<'_>,
         arrays: &mut SpineArrays<'_>,
         f: &BcFor,
         env: &mut ExecEnvTiming<'_>,
     ) -> Result<bool, ExecError> {
-        try_dispatch_parallel(self.dispatchable, self.opts, m, arrays, f, env)
-    }
-}
-
-/// Attempts to run one proven loop in parallel over the persistent team:
-/// the whole dispatch recipe (gating, header evaluation, iteration-space
-/// materialization, worker fan-out over [`SharedSlots`]/[`ChunkAcc`], and
-/// the last-writer/combiner merge-back).  Returns `Ok(false)` when the
-/// loop must run serially instead.  Shared between the bytecode engine's
-/// policy above and the threaded tier, whose workers execute the original
-/// bytecode body — the two parallel paths cannot drift apart.
-pub(super) fn try_dispatch_parallel(
-    dispatchable: &HashMap<LoopId, Vec<ReductionInfo>>,
-    opts: &ExecOptions,
-    m: &mut Machine<'_>,
-    arrays: &mut SpineArrays<'_>,
-    f: &BcFor,
-    env: &mut ExecEnvTiming<'_>,
-) -> Result<bool, ExecError> {
-    {
-        let Some(reductions) = dispatchable.get(&f.id) else {
+        let lp = loop_shape(f);
+        let Some(strategy) = self.strategy(&lp, &m.defined) else {
             return Ok(false);
         };
-        if opts.threads <= 1 {
-            return Ok(false);
-        }
-        if reductions.iter().any(|r| !m.defined[r.slot.index()]) {
-            // Same rule as the compiled engine: an uninitialized
-            // accumulator must stay absent from the final heap when the
-            // loop never writes it, which a combiner merge cannot
-            // reproduce.
-            return Ok(false);
-        }
-        if !f.local_arrays.is_empty() && !f.locals_dominated {
-            return Ok(false);
-        }
-        let v0 = eval_block(m, arrays, &f.init, env)?;
-        let bound = eval_block(m, arrays, &f.bound, env)?;
-        let step = eval_block(m, arrays, &f.step, env)?;
-        let (values, exit_value) =
-            super::materialize_iteration_space(v0, bound, step, f.cond_op, f.id, env.while_cap)?;
-        let n = values.len();
-        if n < opts.min_parallel_trip {
-            return Ok(false);
-        }
-
-        let start = Instant::now();
-        let threads = opts.threads;
-        let schedule = super::choose_schedule(opts.schedule, f.skewed, n, threads, opts.chunk);
-        let dynamic = matches!(schedule, Schedule::Dynamic { .. });
-
-        let nscalars = m.nscalars;
-        let narrays = arrays.arrays.len();
-        let mut local = vec![false; narrays];
-        for a in &f.local_arrays {
-            local[a.index()] = true;
-        }
-        // Worker register files start from a snapshot of the spine's; the
-        // accumulator registers are re-seeded with the operator identity so
-        // partials merge exactly.
-        let mut snapshot = m.regs.clone();
-        for r in reductions {
-            snapshot[r.slot.index()] = r.op.identity();
-        }
-        let mut is_reduction = vec![false; nscalars];
-        for r in reductions {
-            is_reduction[r.slot.index()] = true;
-        }
-        let shared = SharedSlots::capture(&mut arrays.arrays, &local);
-        let slots = arrays.slots;
-        let consts = m.consts;
-        let nregs = m.regs.len();
-        let while_cap = env.while_cap;
-        let values = &values;
-        let local_ref = &local;
-        let snapshot_ref = &snapshot;
-        let is_reduction_ref = &is_reduction;
-
-        // The process-wide team of this run's group: spawned by the first
-        // dispatched region of the first run in the group, reused by every
-        // region of every later run.  Servers assign one group per shard.
-        let acc = with_shared_team_in(opts.team_group, threads, |team| {
-            team_parallel_reduce(
-                team,
-                n,
-                schedule,
-                ChunkAcc::identity(nscalars, reductions, f.local_arrays.len()),
-                |range, mut acc| {
-                    if acc.err.is_some() {
-                        return acc;
-                    }
-                    let mut wm = Machine {
-                        regs: snapshot_ref.clone(),
-                        defined: vec![false; nscalars],
-                        write_iter: vec![NOT_WRITTEN; nscalars],
-                        current_iter: 0,
-                        nscalars,
-                        consts,
-                    };
-                    debug_assert_eq!(wm.regs.len(), nregs);
-                    let mut wa = WorkerArrays {
-                        slots,
-                        shared: &shared,
-                        local: local_ref,
-                        locals: vec![None; narrays],
-                        local_write_iter: vec![NOT_WRITTEN; narrays],
-                        current_iter: 0,
-                    };
-                    let mut scratch_stats = ExecStats::default();
-                    let mut wenv = ExecEnvTiming {
-                        stats: &mut scratch_stats,
-                        timing: false,
-                        while_cap,
-                    };
-                    for k in range {
-                        wm.current_iter = k;
-                        wa.current_iter = k;
-                        wm.set(f.var, values[k]);
-                        if let Err(e) =
-                            exec_code(&mut wm, &mut wa, &f.body, &mut NoDispatchB, &mut wenv)
-                        {
-                            acc.err = Some(e);
-                            break;
-                        }
-                    }
-                    for (slot, &iter) in wm.write_iter.iter().enumerate() {
-                        if iter == NOT_WRITTEN || is_reduction_ref[slot] {
-                            continue;
-                        }
-                        match acc.scalar_writes[slot] {
-                            Some((best, _)) if best >= iter => {}
-                            _ => acc.scalar_writes[slot] = Some((iter, wm.regs[slot])),
-                        }
-                    }
-                    for (i, r) in reductions.iter().enumerate() {
-                        acc.partials[i] = r.op.combine(acc.partials[i], wm.regs[r.slot.index()]);
-                    }
-                    for (i, a) in f.local_arrays.iter().enumerate() {
-                        let iter = wa.local_write_iter[a.index()];
-                        if iter == NOT_WRITTEN {
-                            continue;
-                        }
-                        if let Some(arr) = wa.locals[a.index()].take() {
-                            match &acc.locals[i] {
-                                Some((best, _)) if *best >= iter => {}
-                                _ => acc.locals[i] = Some((iter, arr)),
-                            }
-                        }
-                    }
-                    acc
-                },
-                |a, b| a.combine(b, reductions),
-            )
-        });
-
-        let ChunkAcc {
-            err,
-            scalar_writes,
-            partials,
-            locals,
-        } = acc;
-        if let Some(e) = err {
-            return Err(e);
-        }
-        // Merge back exactly like the compiled dispatcher: last-writing
-        // iteration for ordinary scalars, combiner against the pre-loop
-        // value for accumulators, globally last iteration's storage for
-        // loop-local arrays.
-        for (slot, w) in scalar_writes.into_iter().enumerate() {
-            if let Some((_, value)) = w {
-                m.regs[slot] = value;
-                m.defined[slot] = true;
-            }
-        }
-        for (r, partial) in reductions.iter().zip(partials) {
-            let merged = r.op.combine(m.regs[r.slot.index()], partial);
-            m.set(Reg(r.slot.0), merged);
-        }
-        for (a, entry) in f.local_arrays.iter().zip(locals) {
-            if let Some((_, arr)) = entry {
-                arrays.arrays[a.index()] = Some(arr);
-            }
-        }
-        m.set(f.var, exit_value);
-
-        env.stats.record(
-            f.id,
-            n as u64,
-            start.elapsed().as_secs_f64(),
-            ExecMode::Parallel { threads, dynamic },
+        let header = (
+            eval_block(m, arrays, &f.init, env)?,
+            eval_block(m, arrays, &f.bound, env)?,
+            eval_block(m, arrays, &f.step, env)?,
         );
-        Ok(true)
+        let body = BcBody {
+            f,
+            consts: m.consts,
+            nscalars: m.nscalars,
+            while_cap: env.while_cap,
+        };
+        let spine = Spine {
+            regs: &mut m.regs,
+            defined: &mut m.defined,
+            arrays: &mut arrays.arrays,
+            slots: arrays.slots,
+        };
+        self.run(strategy, &lp, header, spine, &body, env)
     }
 }
 
 // ---------------------------------------------------------------------------
-// Engines.
+// The spine runner.
 // ---------------------------------------------------------------------------
 
-/// The serial bytecode engine.  `bc` comes precompiled from the pipeline
-/// ([`ss_parallelizer::Artifacts`]); this function never compiles.
-pub(crate) fn run_serial_bytecode(
+/// Runs `bc` — precompiled by the pipeline ([`ss_parallelizer::Artifacts`]);
+/// this function never compiles — on the spine, handing loops to
+/// `dispatch` when there is one (`None` = serial).
+pub(super) fn run_bytecode(
     bc: &BytecodeProgram,
     mut heap: Heap,
     opts: &ExecOptions,
+    dispatch: Option<&Dispatcher<'_>>,
 ) -> Result<ExecOutcome, ExecError> {
     let mut stats = ExecStats::default();
     let start = Instant::now();
-    let mut machine = Machine::new(bc);
-    machine.load_scalars(&heap, &bc.slots);
-    let mut arrays = SpineArrays::from_heap(&mut heap, &bc.slots);
-    {
-        let mut env = ExecEnvTiming {
-            stats: &mut stats,
-            timing: true,
-            while_cap: opts.while_cap,
-        };
-        exec_code(
-            &mut machine,
-            &mut arrays,
-            &bc.main,
-            &mut NoDispatchB,
-            &mut env,
-        )?;
-    }
+    let slots = &bc.slots;
+    let mut m = Machine::new(vec![0; bc.nregs], slots.scalar_count(), &bc.consts);
+    load_scalars(&heap, slots, &mut m.regs, &mut m.defined);
+    let mut arrays = SpineArrays::from_heap(&mut heap, slots);
+    let mut env = ExecEnvTiming {
+        stats: &mut stats,
+        timing: true,
+        while_cap: opts.while_cap,
+    };
+    match dispatch {
+        Some(d) => exec_code(&mut m, &mut arrays, &bc.main, d, &mut env),
+        None => exec_code(&mut m, &mut arrays, &bc.main, &NoDispatch, &mut env),
+    }?;
     arrays.into_heap(&mut heap);
-    machine.store_scalars(&mut heap, &bc.slots);
-    stats.total_seconds = start.elapsed().as_secs_f64();
-    Ok(ExecOutcome { heap, stats })
-}
-
-/// The parallel bytecode engine: same dispatch classes as the compiled
-/// engine, executed as bytecode on a persistent worker team.  `bc` comes
-/// precompiled from the pipeline.
-pub(crate) fn run_parallel_bytecode(
-    bc: &BytecodeProgram,
-    report: &ParallelizationReport,
-    mut heap: Heap,
-    opts: &ExecOptions,
-) -> Result<ExecOutcome, ExecError> {
-    let dispatchable = dispatchable_map(report);
-    let mut stats = ExecStats::default();
-    let start = Instant::now();
-    let mut machine = Machine::new(bc);
-    machine.load_scalars(&heap, &bc.slots);
-    let mut arrays = SpineArrays::from_heap(&mut heap, &bc.slots);
-    {
-        let mut policy = BcDispatch {
-            dispatchable: &dispatchable,
-            opts,
-        };
-        let mut env = ExecEnvTiming {
-            stats: &mut stats,
-            timing: true,
-            while_cap: opts.while_cap,
-        };
-        exec_code(&mut machine, &mut arrays, &bc.main, &mut policy, &mut env)?;
-    }
-    arrays.into_heap(&mut heap);
-    machine.store_scalars(&mut heap, &bc.slots);
+    store_scalars(&mut heap, slots, &m.regs, &m.defined);
     stats.total_seconds = start.elapsed().as_secs_f64();
     Ok(ExecOutcome { heap, stats })
 }

@@ -1,23 +1,18 @@
-//! The compiled engines: slot-addressed execution over dense frames.
+//! The compiled executor: slot-addressed op trees over dense frames.
 //!
-//! [`ss_ir::slots`] resolves every name once, at compile time; these
-//! engines then execute [`CompiledBody`] op sequences against a `Frame`
+//! [`ss_ir::slots`] resolves every name once, at compile time; this
+//! executor then runs [`CompiledBody`] op sequences against a `Frame`
 //! whose scalars are a plain `Vec<i64>` — no hashing, no per-loop
-//! free-variable analysis, no per-iteration snapshot construction.  The
-//! parallel engine dispatches every outermost loop the report licenses:
+//! free-variable analysis, no per-iteration snapshot construction — but
+//! expressions are still walked as (slot-addressed) trees.  Kept as the
+//! mid-level differential stage between the tree walker and the bytecode
+//! stream.
 //!
-//! * **independent** loops run exactly like the AST engine's dispatch
-//!   (shared arrays, private scalar frames, last-writing-iteration merge),
-//!   but the scalar snapshot is a dense `Vec` clone and the merge a dense
-//!   scan;
-//! * **reduction** loops run with per-worker partial accumulators started
-//!   at the operator's identity and merged by the combiner
-//!   ([`ss_runtime::parallel_reduce`]) — integer `+`/`min`/`max` are
-//!   associative and commutative, so the merged result is bit-identical to
-//!   the serial one;
-//! * loops whose bodies **declare arrays** give those arrays worker-private
-//!   storage, re-zeroed per iteration exactly like the serial engines, and
-//!   merge back the storage of the globally last iteration.
+//! Array stores, worker-private storage and the whole dispatch recipe are
+//! `engine::shared`'s: at each `for` the spine asks the run's
+//! `Dispatcher` for a strategy, evaluates the header once and lends its
+//! frame to the recipe, which runs iterations through the `RegionBody`
+//! adapter at the bottom of this file.
 //!
 //! Semantics mirror the tree walker operation for operation (same
 //! evaluation order, same wrapping arithmetic, same error points), so final
@@ -25,29 +20,26 @@
 //! that.
 
 use super::serial::{apply_assign, apply_binop, compare};
-use super::store::elem_at;
-use super::{ExecEnvTiming, ExecError, ExecMode, ExecOptions, ExecOutcome, ExecStats};
-use crate::heap::{row_major_flat, ArrayVal, Heap};
-use ss_ir::ast::{AssignOp, BinOp, LoopId, UnOp};
-use ss_ir::slots::{
-    ArraySlot, CExpr, CompiledBody, CompiledFor, CompiledProgram, Op, ScalarSlot, SlotMap,
+use super::shared::{
+    load_scalars, store_scalars, ArrayStore, Dispatcher, LoopShape, RegionBody, Spine, SpineArrays,
+    NOT_WRITTEN,
 };
-use ss_parallelizer::{ParallelizationReport, ReductionInfo};
-use ss_runtime::{parallel_reduce, Schedule};
-use std::collections::HashMap;
+use super::{ExecEnvTiming, ExecError, ExecMode, ExecOptions, ExecOutcome, ExecStats};
+use crate::heap::Heap;
+use ss_ir::ast::{AssignOp, BinOp, UnOp};
+use ss_ir::slots::{CExpr, CompiledBody, CompiledFor, CompiledProgram, Op, ScalarSlot};
 use std::time::Instant;
 
 // ---------------------------------------------------------------------------
 // Slot stores.
 // ---------------------------------------------------------------------------
 
-/// Where slot-addressed accesses land.
+/// Where slot-addressed accesses land: a scalar frame plus an array store.
 trait SlotStore {
+    type Arrays: ArrayStore;
     fn scalar(&self, s: ScalarSlot) -> i64;
     fn set_scalar(&mut self, s: ScalarSlot, v: i64);
-    fn read_elem(&mut self, a: ArraySlot, indices: &[i64]) -> Result<i64, ExecError>;
-    fn write_elem(&mut self, a: ArraySlot, indices: &[i64], v: i64) -> Result<(), ExecError>;
-    fn declare_array(&mut self, a: ArraySlot, dims: Vec<usize>);
+    fn arrays(&mut self) -> &mut Self::Arrays;
 }
 
 /// The spine store: dense scalar and array slots, materialized from (and
@@ -55,53 +47,14 @@ trait SlotStore {
 /// actually wrote (or the initial heap supplied) so the final heap contains
 /// exactly the names the tree walker would produce.
 struct Frame<'m> {
-    slots: &'m SlotMap,
     scalars: Vec<i64>,
     defined: Vec<bool>,
-    arrays: Vec<Option<ArrayVal>>,
+    arrays: SpineArrays<'m>,
 }
 
-impl<'m> Frame<'m> {
-    /// Moves the slotted portion of `heap` into a dense frame (arrays are
-    /// taken, not cloned; unslotted heap entries stay in `heap`).
-    fn from_heap(heap: &mut Heap, slots: &'m SlotMap) -> Frame<'m> {
-        let mut scalars = vec![0i64; slots.scalar_count()];
-        let mut defined = vec![false; slots.scalar_count()];
-        for (i, name) in slots.scalar_names().iter().enumerate() {
-            if let Some(&v) = heap.scalars.get(name) {
-                scalars[i] = v;
-                defined[i] = true;
-            }
-        }
-        let arrays = slots
-            .array_names()
-            .iter()
-            .map(|name| heap.arrays.remove(name))
-            .collect();
-        Frame {
-            slots,
-            scalars,
-            defined,
-            arrays,
-        }
-    }
+impl<'m> SlotStore for Frame<'m> {
+    type Arrays = SpineArrays<'m>;
 
-    /// Writes defined scalars and live arrays back into `heap`.
-    fn into_heap(self, heap: &mut Heap) {
-        for (i, name) in self.slots.scalar_names().iter().enumerate() {
-            if self.defined[i] {
-                heap.scalars.insert(name.clone(), self.scalars[i]);
-            }
-        }
-        for (i, arr) in self.arrays.into_iter().enumerate() {
-            if let Some(a) = arr {
-                heap.arrays.insert(self.slots.array_names()[i].clone(), a);
-            }
-        }
-    }
-}
-
-impl SlotStore for Frame<'_> {
     #[inline]
     fn scalar(&self, s: ScalarSlot) -> i64 {
         self.scalars[s.index()]
@@ -113,169 +66,9 @@ impl SlotStore for Frame<'_> {
         self.defined[s.index()] = true;
     }
 
-    fn read_elem(&mut self, a: ArraySlot, indices: &[i64]) -> Result<i64, ExecError> {
-        let name = self.slots.array_name(a);
-        let arr = self.arrays[a.index()]
-            .as_ref()
-            .ok_or_else(|| ExecError::UndefinedArray(name.to_string()))?;
-        elem_at(name, arr, indices).map(|flat| arr.data[flat])
-    }
-
-    fn write_elem(&mut self, a: ArraySlot, indices: &[i64], v: i64) -> Result<(), ExecError> {
-        let name = self.slots.array_name(a);
-        let arr = self.arrays[a.index()]
-            .as_mut()
-            .ok_or_else(|| ExecError::UndefinedArray(name.to_string()))?;
-        let flat = elem_at(name, arr, indices)?;
-        arr.data[flat] = v;
-        Ok(())
-    }
-
-    fn declare_array(&mut self, a: ArraySlot, dims: Vec<usize>) {
-        self.arrays[a.index()] = Some(ArrayVal::zeros(dims));
-    }
-}
-
-/// Raw views of the frame's shared arrays, one per array slot (`None` for
-/// worker-private or absent slots).  Shared with the bytecode engine, whose
-/// workers need exactly the same views.
-pub(super) struct SharedSlots {
-    arrs: Vec<Option<SharedSlotArray>>,
-}
-
-struct SharedSlotArray {
-    /// `*mut i64` smuggled as usize for `Send`.
-    ptr: usize,
-    dims: Vec<usize>,
-    len: usize,
-}
-
-// SAFETY: workers only access disjoint elements (the dispatched loop's
-// proven property); the Vec storage is neither grown nor freed while
-// workers run.
-unsafe impl Sync for SharedSlots {}
-
-impl SharedSlots {
-    pub(super) fn capture(arrays: &mut [Option<ArrayVal>], local: &[bool]) -> SharedSlots {
-        let arrs = arrays
-            .iter_mut()
-            .enumerate()
-            .map(|(i, a)| match a {
-                Some(arr) if !local[i] => Some(SharedSlotArray {
-                    ptr: arr.data.as_mut_ptr() as usize,
-                    dims: arr.dims.clone(),
-                    len: arr.data.len(),
-                }),
-                _ => None,
-            })
-            .collect();
-        SharedSlots { arrs }
-    }
-
-    /// Bounds-checked flat offset into the shared view of `a`, plus the raw
-    /// storage pointer (as usize).  Same error points as the heap path.
-    pub(super) fn flat(
-        &self,
-        slots: &SlotMap,
-        a: ArraySlot,
-        indices: &[i64],
-    ) -> Result<(usize, usize), ExecError> {
-        let name = || slots.array_name(a).to_string();
-        let Some(arr) = &self.arrs[a.index()] else {
-            return Err(ExecError::UndefinedArray(name()));
-        };
-        if indices.len() != arr.dims.len() {
-            return Err(ExecError::ArityMismatch {
-                array: name(),
-                expected: arr.dims.len(),
-                got: indices.len(),
-            });
-        }
-        let flat = row_major_flat(&arr.dims, indices).ok_or_else(|| ExecError::OutOfBounds {
-            array: name(),
-            indices: indices.to_vec(),
-            dims: arr.dims.clone(),
-        })?;
-        debug_assert!(flat < arr.len);
-        Ok((arr.ptr, flat))
-    }
-}
-
-pub(super) const NOT_WRITTEN: usize = usize::MAX;
-
-/// Per-worker store of the compiled parallel engine: shared raw-pointer
-/// array views, a private dense scalar frame with last-write iterations,
-/// and private storage for loop-local arrays.
-struct CompiledWorker<'s> {
-    slots: &'s SlotMap,
-    shared: &'s SharedSlots,
-    local: &'s [bool],
-    scalars: Vec<i64>,
-    write_iter: Vec<usize>,
-    locals: Vec<Option<ArrayVal>>,
-    local_write_iter: Vec<usize>,
-    current_iter: usize,
-}
-
-impl SlotStore for CompiledWorker<'_> {
     #[inline]
-    fn scalar(&self, s: ScalarSlot) -> i64 {
-        self.scalars[s.index()]
-    }
-
-    #[inline]
-    fn set_scalar(&mut self, s: ScalarSlot, v: i64) {
-        self.scalars[s.index()] = v;
-        self.write_iter[s.index()] = self.current_iter;
-    }
-
-    fn read_elem(&mut self, a: ArraySlot, indices: &[i64]) -> Result<i64, ExecError> {
-        let i = a.index();
-        if self.local[i] {
-            let name = self.slots.array_name(a);
-            let arr = self.locals[i]
-                .as_ref()
-                .ok_or_else(|| ExecError::UndefinedArray(name.to_string()))?;
-            return elem_at(name, arr, indices).map(|flat| arr.data[flat]);
-        }
-        let (ptr, flat) = self.shared_flat(a, indices)?;
-        // SAFETY: flat is bounds-checked; disjointness across workers is
-        // the dispatched loop's proven property.
-        Ok(unsafe { *(ptr as *const i64).add(flat) })
-    }
-
-    fn write_elem(&mut self, a: ArraySlot, indices: &[i64], v: i64) -> Result<(), ExecError> {
-        let i = a.index();
-        if self.local[i] {
-            let name = self.slots.array_name(a);
-            let arr = self.locals[i]
-                .as_mut()
-                .ok_or_else(|| ExecError::UndefinedArray(name.to_string()))?;
-            let flat = elem_at(name, arr, indices)?;
-            arr.data[flat] = v;
-            self.local_write_iter[i] = self.current_iter;
-            return Ok(());
-        }
-        let (ptr, flat) = self.shared_flat(a, indices)?;
-        // SAFETY: as above.
-        unsafe {
-            *(ptr as *mut i64).add(flat) = v;
-        }
-        Ok(())
-    }
-
-    fn declare_array(&mut self, a: ArraySlot, dims: Vec<usize>) {
-        // Every declaration inside a dispatched body targets a local slot
-        // (that is how `local_arrays` is computed).
-        let i = a.index();
-        self.locals[i] = Some(ArrayVal::zeros(dims));
-        self.local_write_iter[i] = self.current_iter;
-    }
-}
-
-impl CompiledWorker<'_> {
-    fn shared_flat(&self, a: ArraySlot, indices: &[i64]) -> Result<(usize, usize), ExecError> {
-        self.shared.flat(self.slots, a, indices)
+    fn arrays(&mut self) -> &mut SpineArrays<'m> {
+        &mut self.arrays
     }
 }
 
@@ -291,13 +84,13 @@ fn eval<S: SlotStore>(st: &mut S, e: &CExpr) -> Result<i64, ExecError> {
             // Rank-1 fast path: no index vector allocation.
             if let [ie] = indices.as_ref() {
                 let idx = [eval(st, ie)?];
-                return st.read_elem(*array, &idx);
+                return st.arrays().read(*array, &idx);
             }
             let mut idxs = Vec::with_capacity(indices.len());
             for ie in indices.iter() {
                 idxs.push(eval(st, ie)?);
             }
-            st.read_elem(*array, &idxs)
+            st.arrays().read(*array, &idxs)
         }
         CExpr::Binary(op, a, b) => {
             match op {
@@ -331,22 +124,23 @@ fn eval<S: SlotStore>(st: &mut S, e: &CExpr) -> Result<i64, ExecError> {
     }
 }
 
-/// Decides what happens when the executor reaches a compiled `for` loop.
+/// Decides what happens when the executor reaches a compiled `for` loop:
+/// the run's [`Dispatcher`] on the spine, [`NoDispatch`] everywhere else.
 trait CompiledPolicy<S: SlotStore> {
     fn try_dispatch(
-        &mut self,
+        &self,
         st: &mut S,
         f: &CompiledFor,
         env: &mut ExecEnvTiming<'_>,
     ) -> Result<bool, ExecError>;
 }
 
-/// Policy that never dispatches (serial engine, workers).
-struct NoDispatchC;
+/// Policy that never dispatches (serial runs, workers).
+struct NoDispatch;
 
-impl<S: SlotStore> CompiledPolicy<S> for NoDispatchC {
+impl<S: SlotStore> CompiledPolicy<S> for NoDispatch {
     fn try_dispatch(
-        &mut self,
+        &self,
         _st: &mut S,
         _f: &CompiledFor,
         _env: &mut ExecEnvTiming<'_>,
@@ -358,7 +152,7 @@ impl<S: SlotStore> CompiledPolicy<S> for NoDispatchC {
 fn exec_body<S: SlotStore, P: CompiledPolicy<S>>(
     st: &mut S,
     body: &CompiledBody,
-    pol: &mut P,
+    pol: &P,
     env: &mut ExecEnvTiming<'_>,
 ) -> Result<(), ExecError> {
     let ops = &body.ops;
@@ -386,9 +180,9 @@ fn exec_body<S: SlotStore, P: CompiledPolicy<S>>(
                     let idx = [eval(st, ie)?];
                     let v = match op {
                         AssignOp::Assign => rhs,
-                        _ => apply_assign(*op, st.read_elem(*array, &idx)?, rhs),
+                        _ => apply_assign(*op, st.arrays().read(*array, &idx)?, rhs),
                     };
-                    st.write_elem(*array, &idx, v)?;
+                    st.arrays().write(*array, &idx, v)?;
                 } else {
                     let mut idxs = Vec::with_capacity(indices.len());
                     for ie in indices.iter() {
@@ -396,9 +190,9 @@ fn exec_body<S: SlotStore, P: CompiledPolicy<S>>(
                     }
                     let v = match op {
                         AssignOp::Assign => rhs,
-                        _ => apply_assign(*op, st.read_elem(*array, &idxs)?, rhs),
+                        _ => apply_assign(*op, st.arrays().read(*array, &idxs)?, rhs),
                     };
-                    st.write_elem(*array, &idxs, v)?;
+                    st.arrays().write(*array, &idxs, v)?;
                 }
             }
             Op::DeclArray { array, dims } => {
@@ -406,7 +200,7 @@ fn exec_body<S: SlotStore, P: CompiledPolicy<S>>(
                 for d in dims.iter() {
                     extents.push(eval(st, d)?.max(0) as usize);
                 }
-                st.declare_array(*array, extents);
+                st.arrays().declare(*array, extents);
             }
             Op::BranchIfZero { cond, target } => {
                 if eval(st, cond)? == 0 {
@@ -446,7 +240,7 @@ fn exec_body<S: SlotStore, P: CompiledPolicy<S>>(
 fn exec_for<S: SlotStore, P: CompiledPolicy<S>>(
     st: &mut S,
     f: &CompiledFor,
-    pol: &mut P,
+    pol: &P,
     env: &mut ExecEnvTiming<'_>,
 ) -> Result<(), ExecError> {
     if pol.try_dispatch(st, f, env)? {
@@ -482,309 +276,161 @@ fn exec_for<S: SlotStore, P: CompiledPolicy<S>>(
 }
 
 // ---------------------------------------------------------------------------
-// The parallel dispatch policy.
+// Dispatch: the executor's side of the shared recipe.
 // ---------------------------------------------------------------------------
 
-/// One worker chunk's contribution, folded over the chunks a worker steals
-/// and merged across workers by [`ChunkAcc::combine`].  The merge is
-/// engine-agnostic (slot indices, iteration numbers, array values), so the
-/// bytecode dispatcher reuses it as-is.
-#[derive(Clone)]
-pub(super) struct ChunkAcc {
-    pub(super) err: Option<ExecError>,
-    /// Last write per scalar slot: `(iteration, value)`.
-    pub(super) scalar_writes: Vec<Option<(usize, i64)>>,
-    /// Reduction partials, aligned with the loop's `ReductionInfo` list.
-    pub(super) partials: Vec<i64>,
-    /// Loop-local array state of the latest iteration seen, aligned with
-    /// `CompiledFor::local_arrays`.
-    pub(super) locals: Vec<Option<(usize, ArrayVal)>>,
+/// A worker's scalar frame with last-write iterations; the op executor
+/// sees it joined with the recipe's array store as a [`WorkerStore`].
+struct WorkerFrame {
+    scalars: Vec<i64>,
+    write_iter: Vec<usize>,
+    current_iter: usize,
 }
 
-impl ChunkAcc {
-    pub(super) fn identity(
-        nscalars: usize,
-        reductions: &[ReductionInfo],
-        nlocals: usize,
-    ) -> ChunkAcc {
-        ChunkAcc {
-            err: None,
-            scalar_writes: vec![None; nscalars],
-            partials: reductions.iter().map(|r| r.op.identity()).collect(),
-            locals: vec![None; nlocals],
-        }
+struct CompiledWorker {
+    frame: WorkerFrame,
+    /// Loops inside a dispatched body are accounted to the dispatched
+    /// ancestor; their own records land here and are dropped.
+    scratch: ExecStats,
+}
+
+struct WorkerStore<'w, A> {
+    frame: &'w mut WorkerFrame,
+    arrays: &'w mut A,
+}
+
+impl<A: ArrayStore> SlotStore for WorkerStore<'_, A> {
+    type Arrays = A;
+
+    #[inline]
+    fn scalar(&self, s: ScalarSlot) -> i64 {
+        self.frame.scalars[s.index()]
     }
 
-    pub(super) fn combine(mut self, other: ChunkAcc, reductions: &[ReductionInfo]) -> ChunkAcc {
-        if self.err.is_none() {
-            self.err = other.err;
-        }
-        for (mine, theirs) in self.scalar_writes.iter_mut().zip(other.scalar_writes) {
-            match (&mine, &theirs) {
-                (Some((a, _)), Some((b, _))) if *a >= *b => {}
-                (_, Some(_)) => *mine = theirs,
-                _ => {}
-            }
-        }
-        for ((mine, theirs), r) in self.partials.iter_mut().zip(other.partials).zip(reductions) {
-            *mine = r.op.combine(*mine, theirs);
-        }
-        for (mine, theirs) in self.locals.iter_mut().zip(other.locals) {
-            match (&mine, &theirs) {
-                (Some((a, _)), Some((b, _))) if *a >= *b => {}
-                (_, Some(_)) => *mine = theirs,
-                _ => {}
-            }
-        }
-        self
+    #[inline]
+    fn set_scalar(&mut self, s: ScalarSlot, v: i64) {
+        self.frame.scalars[s.index()] = v;
+        self.frame.write_iter[s.index()] = self.frame.current_iter;
+    }
+
+    #[inline]
+    fn arrays(&mut self) -> &mut A {
+        self.arrays
     }
 }
 
-struct CompiledDispatch<'r> {
-    /// Outermost dispatchable loops with their (possibly empty) reductions.
-    dispatchable: &'r HashMap<LoopId, Vec<ReductionInfo>>,
-    opts: &'r ExecOptions,
+/// A compiled loop body as the recipe runs it.
+struct CompiledRegion<'a> {
+    f: &'a CompiledFor,
+    while_cap: u64,
 }
 
-impl CompiledPolicy<Frame<'_>> for CompiledDispatch<'_> {
+impl RegionBody for CompiledRegion<'_> {
+    type Worker = CompiledWorker;
+
+    fn worker(&self, scalars: Vec<i64>) -> CompiledWorker {
+        CompiledWorker {
+            frame: WorkerFrame {
+                write_iter: vec![NOT_WRITTEN; scalars.len()],
+                scalars,
+                current_iter: 0,
+            },
+            scratch: ExecStats::default(),
+        }
+    }
+
+    fn run_iteration<A: ArrayStore>(
+        &self,
+        w: &mut CompiledWorker,
+        arrays: &mut A,
+        k: usize,
+        value: i64,
+    ) -> Result<(), ExecError> {
+        w.frame.current_iter = k;
+        let mut st = WorkerStore {
+            frame: &mut w.frame,
+            arrays,
+        };
+        st.set_scalar(self.f.var, value);
+        let mut env = ExecEnvTiming {
+            stats: &mut w.scratch,
+            timing: false,
+            while_cap: self.while_cap,
+        };
+        exec_body(&mut st, &self.f.body, &NoDispatch, &mut env)
+    }
+
+    fn scalars(w: &CompiledWorker) -> (&[i64], &[usize]) {
+        (&w.frame.scalars, &w.frame.write_iter)
+    }
+}
+
+impl CompiledPolicy<Frame<'_>> for Dispatcher<'_> {
     fn try_dispatch(
-        &mut self,
+        &self,
         st: &mut Frame<'_>,
         f: &CompiledFor,
         env: &mut ExecEnvTiming<'_>,
     ) -> Result<bool, ExecError> {
-        let Some(reductions) = self.dispatchable.get(&f.id) else {
+        let lp = LoopShape {
+            id: f.id,
+            var: f.var.index(),
+            cond_op: f.cond_op,
+            local_arrays: &f.local_arrays,
+            locals_dominated: f.locals_dominated,
+            skewed: f.skewed,
+        };
+        let Some(strategy) = self.strategy(&lp, &st.defined) else {
             return Ok(false);
         };
-        if self.opts.threads <= 1 {
-            return Ok(false);
-        }
-        if reductions.iter().any(|r| !st.defined[r.slot.index()]) {
-            // An accumulator nobody initialized: the serial run may never
-            // write it at all (a guarded min/max whose guard never fires
-            // against the implicit 0), so its name must stay absent from
-            // the final heap — something a combiner merge-back cannot
-            // reproduce.  Run such loops serially; every real reduction
-            // initializes its accumulator (and synthesized inputs bind all
-            // free scalars).
-            return Ok(false);
-        }
-        if !f.local_arrays.is_empty() && !f.locals_dominated {
-            // A worker could observe pre-declaration storage the serial
-            // execution would not; keep such loops serial.
-            return Ok(false);
-        }
-        // Materialize the iteration space (bound and step of a dispatchable
-        // loop are invariant under its body).
-        let v0 = eval(st, &f.init)?;
-        let bound = eval(st, &f.bound)?;
-        let step = eval(st, &f.step)?;
-        let (values, exit_value) =
-            super::materialize_iteration_space(v0, bound, step, f.cond_op, f.id, env.while_cap)?;
-        let n = values.len();
-        if n < self.opts.min_parallel_trip {
-            return Ok(false);
-        }
-
-        let start = Instant::now();
-        let threads = self.opts.threads;
-        let schedule =
-            super::choose_schedule(self.opts.schedule, f.skewed, n, threads, self.opts.chunk);
-        let dynamic = matches!(schedule, Schedule::Dynamic { .. });
-
-        let nscalars = st.scalars.len();
-        let narrays = st.arrays.len();
-        let mut local = vec![false; narrays];
-        for a in &f.local_arrays {
-            local[a.index()] = true;
-        }
-        // The one resolved slot table serves every iteration of every
-        // invocation: the per-dispatch setup is a dense clone, not a
-        // name-keyed snapshot rebuilt from free variables.
-        let mut snapshot = st.scalars.clone();
-        for r in reductions {
-            snapshot[r.slot.index()] = r.op.identity();
-        }
-        let mut is_reduction = vec![false; nscalars];
-        for r in reductions {
-            is_reduction[r.slot.index()] = true;
-        }
-        let shared = SharedSlots::capture(&mut st.arrays, &local);
-        let slots = st.slots;
-        let while_cap = env.while_cap;
-        let values = &values;
-        let local_ref = &local;
-        let snapshot_ref = &snapshot;
-        let is_reduction_ref = &is_reduction;
-
-        let acc = parallel_reduce(
-            threads,
-            n,
-            schedule,
-            ChunkAcc::identity(nscalars, reductions, f.local_arrays.len()),
-            |range, mut acc| {
-                if acc.err.is_some() {
-                    return acc;
-                }
-                let mut ws = CompiledWorker {
-                    slots,
-                    shared: &shared,
-                    local: local_ref,
-                    scalars: snapshot_ref.clone(),
-                    write_iter: vec![NOT_WRITTEN; nscalars],
-                    locals: vec![None; narrays],
-                    local_write_iter: vec![NOT_WRITTEN; narrays],
-                    current_iter: 0,
-                };
-                let mut scratch_stats = ExecStats::default();
-                let mut wenv = ExecEnvTiming {
-                    stats: &mut scratch_stats,
-                    timing: false,
-                    while_cap,
-                };
-                for k in range {
-                    ws.current_iter = k;
-                    ws.set_scalar(f.var, values[k]);
-                    if let Err(e) = exec_body(&mut ws, &f.body, &mut NoDispatchC, &mut wenv) {
-                        acc.err = Some(e);
-                        break;
-                    }
-                }
-                // Fold the worker's state into the accumulator.
-                for (slot, &iter) in ws.write_iter.iter().enumerate() {
-                    if iter == NOT_WRITTEN || is_reduction_ref[slot] {
-                        continue;
-                    }
-                    match acc.scalar_writes[slot] {
-                        Some((best, _)) if best >= iter => {}
-                        _ => acc.scalar_writes[slot] = Some((iter, ws.scalars[slot])),
-                    }
-                }
-                for (i, r) in reductions.iter().enumerate() {
-                    acc.partials[i] = r.op.combine(acc.partials[i], ws.scalars[r.slot.index()]);
-                }
-                for (i, a) in f.local_arrays.iter().enumerate() {
-                    let iter = ws.local_write_iter[a.index()];
-                    if iter == NOT_WRITTEN {
-                        continue;
-                    }
-                    if let Some(arr) = ws.locals[a.index()].take() {
-                        match &acc.locals[i] {
-                            Some((best, _)) if *best >= iter => {}
-                            _ => acc.locals[i] = Some((iter, arr)),
-                        }
-                    }
-                }
-                acc
-            },
-            |a, b| a.combine(b, reductions),
-        );
-
-        let ChunkAcc {
-            err,
-            scalar_writes,
-            partials,
-            locals,
-        } = acc;
-        if let Some(e) = err {
-            return Err(e);
-        }
-        // Merge back: last-writing iteration for ordinary scalars, combiner
-        // against the pre-loop value for reduction accumulators, the
-        // globally last iteration's storage for loop-local arrays.
-        for (slot, w) in scalar_writes.into_iter().enumerate() {
-            if let Some((_, value)) = w {
-                st.scalars[slot] = value;
-                st.defined[slot] = true;
-            }
-        }
-        for (r, partial) in reductions.iter().zip(partials) {
-            let merged = r.op.combine(st.scalars[r.slot.index()], partial);
-            st.set_scalar(r.slot, merged);
-        }
-        for (a, entry) in f.local_arrays.iter().zip(locals) {
-            if let Some((_, arr)) = entry {
-                st.arrays[a.index()] = Some(arr);
-            }
-        }
-        st.set_scalar(f.var, exit_value);
-
-        env.stats.record(
-            f.id,
-            n as u64,
-            start.elapsed().as_secs_f64(),
-            ExecMode::Parallel { threads, dynamic },
-        );
-        Ok(true)
+        let header = (eval(st, &f.init)?, eval(st, &f.bound)?, eval(st, &f.step)?);
+        let body = CompiledRegion {
+            f,
+            while_cap: env.while_cap,
+        };
+        let spine = Spine {
+            regs: &mut st.scalars,
+            defined: &mut st.defined,
+            arrays: &mut st.arrays.arrays,
+            slots: st.arrays.slots,
+        };
+        self.run(strategy, &lp, header, spine, &body, env)
     }
 }
 
 // ---------------------------------------------------------------------------
-// Engines.
+// The spine runner.
 // ---------------------------------------------------------------------------
 
-/// The compiled serial engine.  `compiled` comes precompiled from the
-/// pipeline ([`ss_parallelizer::Artifacts`]); this function never compiles.
-pub(crate) fn run_serial_compiled(
+/// Runs `compiled` — precompiled by the pipeline
+/// ([`ss_parallelizer::Artifacts`]); this function never compiles — on the
+/// spine, handing loops to `dispatch` when there is one (`None` = serial).
+pub(super) fn run_compiled(
     compiled: &CompiledProgram,
     mut heap: Heap,
     opts: &ExecOptions,
+    dispatch: Option<&Dispatcher<'_>>,
 ) -> Result<ExecOutcome, ExecError> {
     let mut stats = ExecStats::default();
     let start = Instant::now();
-    let mut frame = Frame::from_heap(&mut heap, &compiled.slots);
-    {
-        let mut env = ExecEnvTiming {
-            stats: &mut stats,
-            timing: true,
-            while_cap: opts.while_cap,
-        };
-        exec_body(&mut frame, &compiled.body, &mut NoDispatchC, &mut env)?;
-    }
-    frame.into_heap(&mut heap);
-    stats.total_seconds = start.elapsed().as_secs_f64();
-    Ok(ExecOutcome { heap, stats })
-}
-
-/// The compiled parallel engine: dispatches every outermost parallelizable
-/// loop of `report` — independent loops, reduction loops (with combiner
-/// merge) and loops with body-local array declarations (with per-worker
-/// private storage).  `compiled` comes precompiled from the pipeline.
-pub(crate) fn run_parallel_compiled(
-    compiled: &CompiledProgram,
-    report: &ParallelizationReport,
-    mut heap: Heap,
-    opts: &ExecOptions,
-) -> Result<ExecOutcome, ExecError> {
-    let dispatchable: HashMap<LoopId, Vec<ReductionInfo>> = report
-        .outermost_parallel_loops()
-        .into_iter()
-        .map(|id| {
-            (
-                id,
-                report
-                    .loop_report(id)
-                    .map(|l| l.reductions.clone())
-                    .unwrap_or_default(),
-            )
-        })
-        .collect();
-    let mut stats = ExecStats::default();
-    let start = Instant::now();
-    let mut frame = Frame::from_heap(&mut heap, &compiled.slots);
-    {
-        let mut policy = CompiledDispatch {
-            dispatchable: &dispatchable,
-            opts,
-        };
-        let mut env = ExecEnvTiming {
-            stats: &mut stats,
-            timing: true,
-            while_cap: opts.while_cap,
-        };
-        exec_body(&mut frame, &compiled.body, &mut policy, &mut env)?;
-    }
-    frame.into_heap(&mut heap);
+    let slots = &compiled.slots;
+    let mut frame = Frame {
+        scalars: vec![0; slots.scalar_count()],
+        defined: vec![false; slots.scalar_count()],
+        arrays: SpineArrays::from_heap(&mut heap, slots),
+    };
+    load_scalars(&heap, slots, &mut frame.scalars, &mut frame.defined);
+    let mut env = ExecEnvTiming {
+        stats: &mut stats,
+        timing: true,
+        while_cap: opts.while_cap,
+    };
+    match dispatch {
+        Some(d) => exec_body(&mut frame, &compiled.body, d, &mut env),
+        None => exec_body(&mut frame, &compiled.body, &NoDispatch, &mut env),
+    }?;
+    frame.arrays.into_heap(&mut heap);
+    store_scalars(&mut heap, slots, &frame.scalars, &frame.defined);
     stats.total_seconds = start.elapsed().as_secs_f64();
     Ok(ExecOutcome { heap, stats })
 }

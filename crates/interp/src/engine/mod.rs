@@ -1,54 +1,60 @@
-//! The execution engines.
+//! The execution engines: executors × dispatch strategies.
 //!
-//! Four execution strategies share one set of verdicts, each behind the
-//! object-safe [`Engine`] trait and enumerable through the
-//! [`EngineRegistry`] (consumers resolve engines by name or capability,
-//! never by pattern-matching):
+//! Two independent questions decide how a program runs, and they are two
+//! independent pieces of this module:
 //!
-//! * the **bytecode** engine ([`bytecode`], [`registry::BytecodeEngine`])
-//!   executes the flat register-machine stream of [`ss_ir::bytecode`] — no
-//!   per-expression tree walking at all, and the parallel dispatcher runs
-//!   its workers on a persistent thread team.  This is the default;
-//! * the **threaded** engine ([`threaded`], [`registry::ThreadedEngine`])
-//!   lowers that stream once more into a direct-threaded chain of
-//!   monomorphized handler pointers with pre-decoded operands — no opcode
-//!   decode per instruction, native counted loops for invariant headers —
-//!   and hands proven-parallel loops to the bytecode dispatcher;
-//! * the **compiled** engine ([`compiled`], [`registry::CompiledEngine`])
-//!   executes the slot-resolved [`ss_ir::CompiledProgram`] over dense
-//!   frames — name resolution happens once, before the first iteration, so
-//!   the hot path pays no hashing and no per-entry free-variable analysis,
-//!   but expressions are still walked as (slot-addressed) trees.  Kept as
-//!   the mid-level differential stage;
-//! * the **tree-walking** engine ([`serial`], [`dispatch`],
-//!   [`registry::AstEngine`]) interprets the AST directly against the
-//!   name-keyed heap.  It is the semantic reference
-//!   ([`EngineCaps::reference`]).
+//! * **how a loop body is executed** — the *executor*:
+//!   * **ast** ([`serial`], [`dispatch`]): interprets the AST directly
+//!     against the name-keyed heap.  The semantic reference
+//!     ([`EngineCaps::reference`]), with its own minimal proof-only
+//!     dispatcher, so everything else is diffed against independent code;
+//!   * **compiled** ([`compiled`]): the slot-resolved
+//!     [`ss_ir::CompiledProgram`] over dense frames — names resolved once,
+//!     expressions still walked as (slot-addressed) trees.  The mid-level
+//!     differential stage;
+//!   * **bytecode** ([`bytecode`]): the flat register-machine stream of
+//!     [`ss_ir::bytecode`], O0 or O1 — no per-expression tree walking at
+//!     all.  The default;
+//!   * **threaded** ([`threaded`]): that stream lowered once more into a
+//!     direct-threaded chain of monomorphized handler pointers with
+//!     pre-decoded operands — no opcode decode per instruction, native
+//!     counted loops for invariant headers;
+//! * **how a loop's iterations reach the thread team** — the *dispatch
+//!   strategy*, chosen per loop by the one `Dispatcher` in `shared`:
+//!   * **proof-based parallel-for**: loops the compile-time analysis
+//!     proved independent (up to recognized reductions and loop-local
+//!     arrays) fan out as one region;
+//!   * **level sets** ([`wavefront`]): serial-proven carried loops whose
+//!     footprint is a function of entry state are inspected once per
+//!     input and run as dependence level sets, one region per level.
+//!
+//! `shared` holds what the slot-addressed executors have in common —
+//! array stores, worker-private storage and the dispatch recipe itself
+//! (gates, iteration space, fan-out on the persistent team, fold,
+//! last-writer / combiner / local-array merge-back), written once.  A
+//! registered [`Engine`] is a *row*: an executor plus the strategies its
+//! parallel runs may use ([`registry`]): `bytecode`, `threaded` and
+//! `compiled` are their executors with proof dispatch; `wavefront` is the
+//! bytecode executor with level sets as well; `ast` is the reference.
+//! Consumers resolve engines by name or capability through the
+//! [`EngineRegistry`], never by pattern-matching, and branch on
+//! [`EngineCaps`] flags.
 //!
 //! Cross-engine agreement is itself a validation axis, on top of
 //! serial-vs-parallel: the [`Session`](crate::Session) differential mode
-//! asserts ast ≡ compiled ≡ bytecode ≡ parallel bit-identical final heaps,
-//! and `tests/engine_fuzz.rs` asserts the same over generated programs.
-//! The bytecode and compiled engines both dispatch reduction loops
-//! (per-thread partials merged by the combiner) and loops with loop-local
-//! array declarations (per-iteration private storage); the AST engine
-//! leaves those serial — all recorded as [`EngineCaps`] flags, which is
-//! what consumers branch on.
+//! asserts bit-identical final heaps across every row × opt level ×
+//! serial/parallel, and `tests/engine_fuzz.rs` asserts the same over
+//! generated programs.
 //!
-//! Module layout: [`registry`] holds the [`Engine`] trait, the built-in
-//! implementations and the [`EngineRegistry`]; [`store`] the tree-walker's
-//! pluggable stores (whole heap, recording inspector, shared-array worker
-//! views); [`serial`] the statement walker and serial engine; [`dispatch`]
-//! the AST parallel engine; [`compiled`] the slot-addressed engines;
-//! [`bytecode`] the register-machine engines; [`threaded`] the
-//! direct-threaded tier above them; [`wavefront`] the level-set
-//! scheduler for serial-proven carried loops.
+//! The remaining modules: [`store`] holds the tree walker's pluggable
+//! stores (whole heap, recording inspector, shared-array worker views).
 
 pub mod bytecode;
 pub mod compiled;
 pub mod dispatch;
 pub mod registry;
 pub mod serial;
+mod shared;
 pub mod store;
 pub mod threaded;
 pub mod wavefront;
@@ -382,13 +388,18 @@ mod tests {
         EngineRegistry::builtin().iter().cloned().collect()
     }
 
-    /// The engines whose parallel dispatcher handles reductions and
-    /// loop-local arrays, per their own capability flags.
-    fn dispatching() -> Vec<Arc<dyn Engine>> {
-        engines()
-            .into_iter()
-            .filter(|e| e.caps().reductions && e.caps().local_arrays)
-            .collect()
+    /// The schedule legs the recipe's merge must be exact under: the
+    /// default (static here) and chunk stealing one iteration at a time,
+    /// where every last-writer decision crosses a chunk boundary.
+    fn schedule_legs(threads: usize) -> [ExecOptions; 2] {
+        [
+            opts(threads),
+            ExecOptions {
+                schedule: ScheduleChoice::Dynamic,
+                chunk: Some(1),
+                ..opts(threads)
+            },
+        ]
     }
 
     fn reference_engine() -> Arc<dyn Engine> {
@@ -561,7 +572,7 @@ mod tests {
             .unwrap();
         for engine in engines() {
             let par = engine.run_parallel(&art, heap.clone(), &opts(4)).unwrap();
-            if engine.name() == "wavefront" {
+            if engine.caps().level_sets {
                 // The compile-time analysis leaves the scatter serial, but
                 // the level-set scheduler recovers it at run time — and the
                 // result must still be bit-identical to the serial heap.
@@ -749,29 +760,56 @@ mod tests {
         assert_eq!(serial.heap.scalars["last"], 993);
         for engine in engines() {
             for threads in [2, 3, 8] {
-                let par = engine
-                    .run_parallel(&art, heap.clone(), &opts(threads))
-                    .unwrap();
-                assert_eq!(par.heap, serial.heap, "{} threads={threads}", engine.name());
+                for o in schedule_legs(threads) {
+                    let par = engine.run_parallel(&art, heap.clone(), &o).unwrap();
+                    assert_eq!(par.heap, serial.heap, "{} {o:?}", engine.name());
+                }
             }
         }
     }
 
     #[test]
-    fn worker_errors_propagate() {
-        use crate::error::SsError;
-        let art = compile("t", "for (i = 0; i < n; i++) { out[i] = i; }");
-        assert!(!art.report.outermost_parallel_loops().is_empty());
+    fn undefined_accumulators_stay_serial_on_every_row() {
+        // `best` is a recognized min-reduction accumulator nobody
+        // initialized, and no v[k] is below the implicit 0: the serial run
+        // never writes it, so its name must stay absent from the final
+        // heap — which only a serial execution reproduces.
+        let src = "for (k = 0; k < n; k++) { if (v[k] < best) { best = v[k]; } }";
+        let art = compile("umin", src);
+        assert!(art.report.outermost_parallel_loops().contains(&LoopId(0)));
+        let heap = Heap::new()
+            .with_scalar("n", 200)
+            .with_array("v", (0..200).map(|i| (i * 13) % 101).collect());
+        let serial = reference_engine()
+            .run_serial(&art, heap.clone(), &opts(1))
+            .unwrap();
+        assert!(!serial.heap.scalars.contains_key("best"));
         for engine in engines() {
-            let heap = Heap::new()
-                .with_scalar("n", 100)
-                .with_array("out", vec![0; 50]); // too small on purpose
-            let err = engine.run_parallel(&art, heap, &opts(4)).unwrap_err();
-            assert!(
-                matches!(err, SsError::Runtime(ExecError::OutOfBounds { .. })),
-                "{}",
-                engine.name()
-            );
+            let par = engine.run_parallel(&art, heap.clone(), &opts(4)).unwrap();
+            assert_eq!(par.heap, serial.heap, "{}", engine.name());
+            assert!(par.stats.parallel_loops().is_empty(), "{}", engine.name());
+        }
+    }
+
+    #[test]
+    fn worker_errors_are_the_serial_error() {
+        use crate::error::SsError;
+        // Exactly one iteration faults, so whichever worker runs it must
+        // report the very error the serial run stops at.
+        let art = compile("t", "for (i = 0; i < n; i++) { out[i] = 100 / (i - 37); }");
+        assert!(!art.report.outermost_parallel_loops().is_empty());
+        let heap = Heap::new()
+            .with_scalar("n", 100)
+            .with_array("out", vec![0; 100]);
+        let serial = reference_engine()
+            .run_serial(&art, heap.clone(), &opts(1))
+            .unwrap_err();
+        assert_eq!(serial, SsError::Runtime(ExecError::DivisionByZero));
+        for engine in engines() {
+            for o in schedule_legs(4) {
+                let err = engine.run_parallel(&art, heap.clone(), &o).unwrap_err();
+                assert_eq!(err, serial, "{} {o:?}", engine.name());
+            }
         }
     }
 
@@ -802,21 +840,20 @@ mod tests {
         let serial = reference_engine()
             .run_serial(&art, heap.clone(), &opts(1))
             .unwrap();
-        for engine in dispatching() {
+        for engine in engines() {
             for threads in [2, 3, 8] {
-                let par = engine
-                    .run_parallel(&art, heap.clone(), &opts(threads))
-                    .unwrap();
-                assert_eq!(par.heap, serial.heap, "{} threads={threads}", engine.name());
-                assert!(par.stats.parallel_loops().contains(&LoopId(0)));
+                for o in schedule_legs(threads) {
+                    let par = engine.run_parallel(&art, heap.clone(), &o).unwrap();
+                    assert_eq!(par.heap, serial.heap, "{} {o:?}", engine.name());
+                    assert_eq!(
+                        par.stats.parallel_loops().contains(&LoopId(0)),
+                        engine.caps().local_arrays,
+                        "{}",
+                        engine.name()
+                    );
+                }
             }
         }
-        // The reference engine: correct but serial.
-        let ast = reference_engine()
-            .run_parallel(&art, heap, &opts(4))
-            .unwrap();
-        assert_eq!(ast.heap, serial.heap);
-        assert!(ast.stats.parallel_loops().is_empty());
     }
 
     #[test]
@@ -843,27 +880,24 @@ mod tests {
         let serial = reference_engine()
             .run_serial(&art, heap.clone(), &opts(1))
             .unwrap();
-        for engine in dispatching() {
+        // Rows without the capability (the reference: no combiner merge)
+        // must leave the loop serial — and still compute the right answer.
+        for engine in engines() {
             for threads in [2, 3, 8] {
                 let par = engine
                     .run_parallel(&art, heap.clone(), &opts(threads))
                     .unwrap();
                 assert_eq!(par.heap, serial.heap, "{} threads={threads}", engine.name());
-                assert_eq!(
-                    par.stats.loops[&LoopId(0)].mode,
+                let expected = if engine.caps().reductions {
                     ExecMode::Parallel {
                         threads,
-                        dynamic: false
+                        dynamic: false,
                     }
-                );
+                } else {
+                    ExecMode::Serial
+                };
+                assert_eq!(par.stats.loops[&LoopId(0)].mode, expected);
             }
         }
-        // The reference engine must not dispatch a reduction loop (it has
-        // no combiner merge) — but still compute the right answer serially.
-        let ast = reference_engine()
-            .run_parallel(&art, heap, &opts(4))
-            .unwrap();
-        assert_eq!(ast.heap, serial.heap);
-        assert!(ast.stats.parallel_loops().is_empty());
     }
 }

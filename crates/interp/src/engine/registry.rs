@@ -3,11 +3,13 @@
 //! every consumer.
 //!
 //! The CLI's `--engine` flag, the differential validator, the generative
-//! fuzz harness and the benches all resolve engines through an
-//! [`EngineRegistry`]; adding an execution strategy (the planned
-//! register-allocated engine, say) means implementing [`Engine`] and
-//! registering it — no consumer changes, and surfaces like
-//! `sspar engines` can never drift from what is actually runnable.
+//! fuzz harness, the benchmark and the daemon all resolve engines through
+//! an [`EngineRegistry`]; adding an execution strategy means registering
+//! an [`Engine`] — no consumer changes, and surfaces like `sspar engines`
+//! can never drift from what is actually runnable.  The built-in engines
+//! are not code but rows of one table ([`EngineRegistry::builtin`]): an
+//! *executor* (how a loop body runs) crossed with the *dispatch
+//! strategies* its parallel runs may use.
 //!
 //! Engines execute **precompiled** [`Artifacts`] only: compilation happens
 //! once, in the pipeline, and [`Engine::prepare`] is each engine's hook to
@@ -15,9 +17,8 @@
 //! everything; a future engine with narrower capabilities refuses here
 //! instead of failing mid-run).
 
-use crate::engine::{
-    bytecode, compiled, dispatch, serial, threaded, wavefront, ExecOptions, ExecOutcome,
-};
+use crate::engine::shared::Dispatcher;
+use crate::engine::{bytecode, compiled, dispatch, serial, threaded, ExecOptions, ExecOutcome};
 use crate::error::SsError;
 use crate::heap::Heap;
 use ss_ir::opt::OptLevel;
@@ -39,6 +40,10 @@ pub struct EngineCaps {
     pub inspector_baseline: bool,
     /// Workers run on the persistent process-wide thread team.
     pub persistent_team: bool,
+    /// Parallel runs recover serial-proven carried loops at run time:
+    /// gate-approved loops are inspected into dependence level sets and
+    /// executed level by level (the serial path is the executor's own).
+    pub level_sets: bool,
     /// This engine is the semantic reference: differential validation
     /// diffs every other engine against its final heap.
     pub reference: bool,
@@ -96,253 +101,132 @@ pub trait Engine: Send + Sync + std::fmt::Debug {
 // The built-in engines.
 // ---------------------------------------------------------------------------
 
-/// The register-machine bytecode engine (default): executes the flat
-/// instruction stream of `ss_ir::bytecode`, O0 or O1 per
-/// [`ExecOptions::opt_level`]; parallel workers run on the persistent
-/// process-wide thread team.
-#[derive(Debug, Default)]
-pub struct BytecodeEngine;
-
-impl Engine for BytecodeEngine {
-    fn name(&self) -> &'static str {
-        "bytecode"
-    }
-
-    fn description(&self) -> &'static str {
-        "flat register-machine stream (O0/O1), persistent thread team"
-    }
-
-    fn caps(&self) -> EngineCaps {
-        EngineCaps {
-            reductions: true,
-            local_arrays: true,
-            inspector_baseline: false,
-            persistent_team: true,
-            reference: false,
-            opt_levels: &[OptLevel::O0, OptLevel::O1],
-        }
-    }
-
-    fn run_serial(
-        &self,
-        artifacts: &Artifacts,
-        heap: Heap,
-        opts: &ExecOptions,
-    ) -> Result<ExecOutcome, SsError> {
-        Ok(bytecode::run_serial_bytecode(
-            artifacts.bytecode_at(opts.opt_level),
-            heap,
-            opts,
-        )?)
-    }
-
-    fn run_parallel(
-        &self,
-        artifacts: &Artifacts,
-        heap: Heap,
-        opts: &ExecOptions,
-    ) -> Result<ExecOutcome, SsError> {
-        if opts.baseline_inspector {
-            return Err(self.no_inspector());
-        }
-        Ok(bytecode::run_parallel_bytecode(
-            artifacts.bytecode_at(opts.opt_level),
-            &artifacts.report,
-            heap,
-            opts,
-        )?)
-    }
+/// How a built-in engine runs a loop body.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Executor {
+    /// The tree walker over the name-keyed heap (`serial`, `dispatch`):
+    /// the semantic reference, with its own proof-only dispatcher.
+    Ast,
+    /// Slot-resolved op trees over dense frames (`compiled`).
+    Compiled,
+    /// The flat register-machine stream, O0 or O1 (`bytecode`).
+    Bytecode,
+    /// That stream lowered once into a direct-threaded handler chain
+    /// (`threaded`).
+    Threaded,
 }
 
-/// The direct-threaded engine: the bytecode stream lowered once into a
-/// pre-resolved chain of monomorphized handler pointers with pre-decoded
-/// operands (`crate::engine::threaded`), removing per-instruction opcode
-/// decode; counted loops with invariant headers run as native loops.
-/// Parallel dispatch reuses the bytecode engine's worker path on the
-/// persistent thread team.
-#[derive(Debug, Default)]
-pub struct ThreadedEngine;
-
-impl Engine for ThreadedEngine {
-    fn name(&self) -> &'static str {
-        "threaded"
-    }
-
-    fn description(&self) -> &'static str {
-        "direct-threaded handler chain lowered from bytecode (O0/O1), persistent thread team"
-    }
-
-    fn caps(&self) -> EngineCaps {
-        EngineCaps {
-            reductions: true,
-            local_arrays: true,
-            inspector_baseline: false,
-            persistent_team: true,
-            reference: false,
-            opt_levels: &[OptLevel::O0, OptLevel::O1],
-        }
-    }
-
-    fn run_serial(
-        &self,
-        artifacts: &Artifacts,
-        heap: Heap,
-        opts: &ExecOptions,
-    ) -> Result<ExecOutcome, SsError> {
-        Ok(threaded::run_serial_threaded(artifacts, heap, opts)?)
-    }
-
-    fn run_parallel(
-        &self,
-        artifacts: &Artifacts,
-        heap: Heap,
-        opts: &ExecOptions,
-    ) -> Result<ExecOutcome, SsError> {
-        if opts.baseline_inspector {
-            return Err(self.no_inspector());
-        }
-        Ok(threaded::run_parallel_threaded(artifacts, heap, opts)?)
-    }
+/// One built-in engine: a row of [`BUILTINS`].  Everything that differs
+/// between the built-ins is data here; how their parallel runs dispatch
+/// is `engine::shared`'s one recipe.
+#[derive(Debug)]
+struct Builtin {
+    name: &'static str,
+    description: &'static str,
+    executor: Executor,
+    caps: EngineCaps,
 }
 
-/// The slot-resolved compiled engine: walks slot-addressed op trees over
-/// dense frames — the mid-level differential stage between the tree
-/// walker and the bytecode stream.
-#[derive(Debug, Default)]
-pub struct CompiledEngine;
+/// What every slot-addressed executor's parallel runs can do.
+const DISPATCHING: EngineCaps = EngineCaps {
+    reductions: true,
+    local_arrays: true,
+    inspector_baseline: false,
+    persistent_team: true,
+    level_sets: false,
+    reference: false,
+    opt_levels: &[OptLevel::O0, OptLevel::O1],
+};
 
-impl Engine for CompiledEngine {
-    fn name(&self) -> &'static str {
-        "compiled"
-    }
-
-    fn description(&self) -> &'static str {
-        "slot-resolved op trees over dense frames"
-    }
-
-    fn caps(&self) -> EngineCaps {
-        EngineCaps {
-            reductions: true,
-            local_arrays: true,
-            inspector_baseline: false,
-            persistent_team: false,
-            reference: false,
+/// The built-in engines, default first.  `wavefront` is the bytecode
+/// executor with the level-set strategy switched on — the only difference
+/// between the two rows is [`EngineCaps::level_sets`].
+const BUILTINS: [Builtin; 5] = [
+    Builtin {
+        name: "bytecode",
+        description: "flat register-machine stream (O0/O1), persistent thread team",
+        executor: Executor::Bytecode,
+        caps: DISPATCHING,
+    },
+    Builtin {
+        name: "threaded",
+        description:
+            "direct-threaded handler chain lowered from bytecode (O0/O1), persistent thread team",
+        executor: Executor::Threaded,
+        caps: DISPATCHING,
+    },
+    Builtin {
+        name: "compiled",
+        description: "slot-resolved op trees over dense frames",
+        executor: Executor::Compiled,
+        caps: EngineCaps {
             opt_levels: &[OptLevel::O1],
-        }
-    }
-
-    fn run_serial(
-        &self,
-        artifacts: &Artifacts,
-        heap: Heap,
-        opts: &ExecOptions,
-    ) -> Result<ExecOutcome, SsError> {
-        Ok(compiled::run_serial_compiled(
-            &artifacts.compiled,
-            heap,
-            opts,
-        )?)
-    }
-
-    fn run_parallel(
-        &self,
-        artifacts: &Artifacts,
-        heap: Heap,
-        opts: &ExecOptions,
-    ) -> Result<ExecOutcome, SsError> {
-        if opts.baseline_inspector {
-            return Err(self.no_inspector());
-        }
-        Ok(compiled::run_parallel_compiled(
-            &artifacts.compiled,
-            &artifacts.report,
-            heap,
-            opts,
-        )?)
-    }
-}
-
-/// The wavefront engine: the bytecode engine plus a level-set scheduler
-/// for serial-proven carried loops (SpTRSV, Gauss-Seidel, scatters).
-/// Loops the analysis marked wavefront-schedulable are inspected at run
-/// time, scheduled into dependence level sets (cached on the artifacts,
-/// keyed by the entry state that determined them), and executed level by
-/// level on the persistent thread team; too-fine schedules fall back to
-/// serial execution.
-#[derive(Debug, Default)]
-pub struct WavefrontEngine;
-
-impl Engine for WavefrontEngine {
-    fn name(&self) -> &'static str {
-        "wavefront"
-    }
-
-    fn description(&self) -> &'static str {
-        "bytecode stream plus level-set scheduling of carried loops"
-    }
-
-    fn caps(&self) -> EngineCaps {
-        EngineCaps {
-            reductions: true,
-            local_arrays: true,
-            inspector_baseline: false,
-            persistent_team: true,
-            reference: false,
-            opt_levels: &[OptLevel::O0, OptLevel::O1],
-        }
-    }
-
-    fn run_serial(
-        &self,
-        artifacts: &Artifacts,
-        heap: Heap,
-        opts: &ExecOptions,
-    ) -> Result<ExecOutcome, SsError> {
-        Ok(bytecode::run_serial_bytecode(
-            artifacts.bytecode_at(opts.opt_level),
-            heap,
-            opts,
-        )?)
-    }
-
-    fn run_parallel(
-        &self,
-        artifacts: &Artifacts,
-        heap: Heap,
-        opts: &ExecOptions,
-    ) -> Result<ExecOutcome, SsError> {
-        if opts.baseline_inspector {
-            return Err(self.no_inspector());
-        }
-        Ok(wavefront::run_parallel_wavefront(artifacts, heap, opts)?)
-    }
-}
-
-/// The tree-walking reference engine: interprets the AST against the
-/// name-keyed heap.  Semantically authoritative (everything else is
-/// diffed against it) and the only engine whose recording store supports
-/// the runtime-inspector baseline.
-#[derive(Debug, Default)]
-pub struct AstEngine;
-
-impl Engine for AstEngine {
-    fn name(&self) -> &'static str {
-        "ast"
-    }
-
-    fn description(&self) -> &'static str {
-        "tree-walking reference over the name-keyed heap"
-    }
-
-    fn caps(&self) -> EngineCaps {
-        EngineCaps {
+            ..DISPATCHING
+        },
+    },
+    Builtin {
+        name: "wavefront",
+        description: "bytecode stream plus level-set scheduling of carried loops",
+        executor: Executor::Bytecode,
+        caps: EngineCaps {
+            level_sets: true,
+            ..DISPATCHING
+        },
+    },
+    Builtin {
+        name: "ast",
+        description: "tree-walking reference over the name-keyed heap",
+        executor: Executor::Ast,
+        caps: EngineCaps {
             reductions: false,
             local_arrays: false,
             inspector_baseline: true,
             persistent_team: false,
+            level_sets: false,
             reference: true,
             opt_levels: &[OptLevel::O1],
-        }
+        },
+    },
+];
+
+impl Builtin {
+    /// Runs the row's executor on the spine; `dispatch` is `None` for
+    /// serial runs.
+    fn run(
+        &self,
+        artifacts: &Artifacts,
+        heap: Heap,
+        opts: &ExecOptions,
+        dispatch: Option<&Dispatcher<'_>>,
+    ) -> Result<ExecOutcome, SsError> {
+        Ok(match self.executor {
+            Executor::Ast => match dispatch {
+                Some(_) => {
+                    dispatch::run_parallel_ast(&artifacts.program, &artifacts.report, heap, opts)
+                }
+                None => serial::run_serial_ast(&artifacts.program, heap, opts),
+            },
+            Executor::Compiled => compiled::run_compiled(&artifacts.compiled, heap, opts, dispatch),
+            Executor::Bytecode => {
+                let bc = artifacts.bytecode_at(opts.opt_level);
+                bytecode::run_bytecode(bc, heap, opts, dispatch)
+            }
+            Executor::Threaded => threaded::run_threaded(artifacts, heap, opts, dispatch),
+        }?)
+    }
+}
+
+impl Engine for Builtin {
+    fn name(&self) -> &'static str {
+        self.name
+    }
+
+    fn description(&self) -> &'static str {
+        self.description
+    }
+
+    fn caps(&self) -> EngineCaps {
+        self.caps
     }
 
     fn run_serial(
@@ -351,7 +235,7 @@ impl Engine for AstEngine {
         heap: Heap,
         opts: &ExecOptions,
     ) -> Result<ExecOutcome, SsError> {
-        Ok(serial::run_serial_ast(&artifacts.program, heap, opts)?)
+        self.run(artifacts, heap, opts, None)
     }
 
     fn run_parallel(
@@ -360,30 +244,18 @@ impl Engine for AstEngine {
         heap: Heap,
         opts: &ExecOptions,
     ) -> Result<ExecOutcome, SsError> {
-        Ok(dispatch::run_parallel_ast(
-            &artifacts.program,
-            &artifacts.report,
-            heap,
-            opts,
-        )?)
-    }
-}
-
-trait NoInspector: Engine {
-    fn no_inspector(&self) -> SsError {
-        SsError::Unsupported {
-            engine: self.name().to_string(),
-            reason: "the runtime-inspector baseline records through the tree-walking \
-                     store; use an engine with the inspector_baseline capability"
-                .to_string(),
+        if opts.baseline_inspector && !self.caps.inspector_baseline {
+            return Err(SsError::Unsupported {
+                engine: self.name.to_string(),
+                reason: "the runtime-inspector baseline records through the tree-walking \
+                         store; use an engine with the inspector_baseline capability"
+                    .to_string(),
+            });
         }
+        let dispatcher = Dispatcher::new(artifacts, opts, self.caps.level_sets);
+        self.run(artifacts, heap, opts, Some(&dispatcher))
     }
 }
-
-impl NoInspector for BytecodeEngine {}
-impl NoInspector for ThreadedEngine {}
-impl NoInspector for CompiledEngine {}
-impl NoInspector for WavefrontEngine {}
 
 // ---------------------------------------------------------------------------
 // The registry.
@@ -398,14 +270,12 @@ pub struct EngineRegistry {
 
 impl EngineRegistry {
     /// The built-in engines, default first: `bytecode`, `threaded`,
-    /// `compiled`, `ast`.
+    /// `compiled`, `wavefront`, `ast`.
     pub fn builtin() -> EngineRegistry {
         let mut r = EngineRegistry::empty();
-        r.register(Arc::new(BytecodeEngine));
-        r.register(Arc::new(ThreadedEngine));
-        r.register(Arc::new(CompiledEngine));
-        r.register(Arc::new(WavefrontEngine));
-        r.register(Arc::new(AstEngine));
+        for row in BUILTINS {
+            r.register(Arc::new(row));
+        }
         r
     }
 
@@ -534,7 +404,7 @@ mod tests {
     #[test]
     fn registering_a_same_named_engine_replaces_it_in_place() {
         #[derive(Debug)]
-        struct FakeBytecode;
+        struct FakeBytecode(Arc<dyn Engine>);
         impl Engine for FakeBytecode {
             fn name(&self) -> &'static str {
                 "bytecode"
@@ -543,7 +413,7 @@ mod tests {
                 "fake"
             }
             fn caps(&self) -> EngineCaps {
-                AstEngine.caps()
+                self.0.caps()
             }
             fn run_serial(
                 &self,
@@ -551,7 +421,7 @@ mod tests {
                 h: Heap,
                 o: &ExecOptions,
             ) -> Result<ExecOutcome, SsError> {
-                AstEngine.run_serial(a, h, o)
+                self.0.run_serial(a, h, o)
             }
             fn run_parallel(
                 &self,
@@ -559,11 +429,11 @@ mod tests {
                 h: Heap,
                 o: &ExecOptions,
             ) -> Result<ExecOutcome, SsError> {
-                AstEngine.run_parallel(a, h, o)
+                self.0.run_parallel(a, h, o)
             }
         }
         let mut r = EngineRegistry::builtin();
-        r.register(Arc::new(FakeBytecode));
+        r.register(Arc::new(FakeBytecode(r.reference().unwrap())));
         assert_eq!(r.len(), 5);
         assert_eq!(r.default_engine().name(), "bytecode");
         assert_eq!(r.default_engine().description(), "fake");

@@ -296,7 +296,7 @@ fn exec_stmt<S: Store, P: LoopPolicy<S>>(
 }
 
 /// The serial reference engine: tree-walks the whole program against the
-/// heap (what `registry::AstEngine::run_serial` executes).
+/// heap (what the `ast` registry row's `run_serial` executes).
 pub(crate) fn run_serial_ast(
     program: &Program,
     mut heap: Heap,

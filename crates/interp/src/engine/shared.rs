@@ -1,0 +1,669 @@
+//! What every dispatching executor shares: the array stores, the
+//! worker-private storage, and **the** dispatch recipe.
+//!
+//! An *executor* decides how a loop body runs (slot-addressed op trees,
+//! the register-machine stream, the direct-threaded chain); a *dispatch
+//! strategy* decides how a loop's iterations reach the thread team.  The
+//! two meet here and nowhere else:
+//!
+//! * the executor describes its loop as a [`LoopShape`], lends its state
+//!   as a [`Spine`] (scalar frame, `defined` flags, array slots) and its
+//!   body as a [`RegionBody`] (build a per-chunk worker, run iteration
+//!   `k` on it);
+//! * the [`Dispatcher`] picks the [`Strategy`] — proof-based parallel-for
+//!   first, then dependence level sets when the registry row enables them
+//!   — and [`Dispatcher::run`] does the rest: gate → materialize the
+//!   iteration space → snapshot scalars → fan out over [`SharedSlots`] →
+//!   fold [`ChunkAcc`] → last-writer / combiner / local-array merge-back.
+//!
+//! Every region of every executor runs on the persistent process-wide
+//! [`ss_runtime::ThreadTeam`] of the run's
+//! [`team_group`](ExecOptions::team_group): the team is spawned by the
+//! first dispatched region of the first run in the group and reused by
+//! every later region of every later run, so repeated runs in one process
+//! pay exactly one spawn per thread count, ever.  [`run_region`] is the
+//! only caller of `ss_runtime::team_parallel_reduce` in this crate.
+
+use super::store::elem_at;
+use super::wavefront::LevelSets;
+use super::{ExecEnvTiming, ExecError, ExecMode, ExecOptions, ExecStats};
+use crate::heap::{row_major_flat, ArrayVal, Heap};
+use ss_inspector::levelset::LevelSchedule;
+use ss_ir::ast::{BinOp, LoopId};
+use ss_ir::slots::{ArraySlot, SlotMap};
+use ss_parallelizer::{Artifacts, ReductionInfo, WavefrontFact};
+use ss_runtime::{team_parallel_reduce, with_shared_team_in, Schedule};
+use std::collections::HashMap;
+use std::time::Instant;
+
+// ---------------------------------------------------------------------------
+// Heap <-> dense frame.
+// ---------------------------------------------------------------------------
+
+/// Loads the heap's scalars into the low `scalar_count()` entries of a
+/// dense frame, marking them defined.
+pub(super) fn load_scalars(heap: &Heap, slots: &SlotMap, regs: &mut [i64], defined: &mut [bool]) {
+    for (i, name) in slots.scalar_names().iter().enumerate() {
+        if let Some(&v) = heap.scalars.get(name) {
+            regs[i] = v;
+            defined[i] = true;
+        }
+    }
+}
+
+/// Writes the defined scalars back, so the final heap contains exactly
+/// the names the tree walker would produce.
+pub(super) fn store_scalars(heap: &mut Heap, slots: &SlotMap, regs: &[i64], defined: &[bool]) {
+    for (i, name) in slots.scalar_names().iter().enumerate() {
+        if defined[i] {
+            heap.scalars.insert(name.clone(), regs[i]);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Array stores.
+// ---------------------------------------------------------------------------
+
+/// Where an executor's slot-addressed array traffic lands.
+pub(super) trait ArrayStore {
+    fn read(&mut self, a: ArraySlot, indices: &[i64]) -> Result<i64, ExecError>;
+    fn write(&mut self, a: ArraySlot, indices: &[i64], v: i64) -> Result<(), ExecError>;
+    fn declare(&mut self, a: ArraySlot, dims: Vec<usize>);
+}
+
+/// The spine's array store: one dense `Option<ArrayVal>` per slot, moved
+/// out of (and back into) the heap.
+pub(super) struct SpineArrays<'m> {
+    pub(super) slots: &'m SlotMap,
+    pub(super) arrays: Vec<Option<ArrayVal>>,
+}
+
+impl<'m> SpineArrays<'m> {
+    /// Moves the slotted arrays out of `heap` (taken, not cloned;
+    /// unslotted heap entries stay in `heap`).
+    pub(super) fn from_heap(heap: &mut Heap, slots: &'m SlotMap) -> SpineArrays<'m> {
+        let arrays = slots
+            .array_names()
+            .iter()
+            .map(|name| heap.arrays.remove(name))
+            .collect();
+        SpineArrays { slots, arrays }
+    }
+
+    pub(super) fn into_heap(self, heap: &mut Heap) {
+        for (i, arr) in self.arrays.into_iter().enumerate() {
+            if let Some(a) = arr {
+                heap.arrays.insert(self.slots.array_names()[i].clone(), a);
+            }
+        }
+    }
+}
+
+#[inline]
+fn private_read(
+    slots: &SlotMap,
+    arrays: &[Option<ArrayVal>],
+    a: ArraySlot,
+    indices: &[i64],
+) -> Result<i64, ExecError> {
+    let name = slots.array_name(a);
+    let arr = arrays[a.index()]
+        .as_ref()
+        .ok_or_else(|| ExecError::UndefinedArray(name.to_string()))?;
+    elem_at(name, arr, indices).map(|flat| arr.data[flat])
+}
+
+#[inline]
+fn private_write(
+    slots: &SlotMap,
+    arrays: &mut [Option<ArrayVal>],
+    a: ArraySlot,
+    indices: &[i64],
+    v: i64,
+) -> Result<(), ExecError> {
+    let name = slots.array_name(a);
+    let arr = arrays[a.index()]
+        .as_mut()
+        .ok_or_else(|| ExecError::UndefinedArray(name.to_string()))?;
+    let flat = elem_at(name, arr, indices)?;
+    arr.data[flat] = v;
+    Ok(())
+}
+
+impl ArrayStore for SpineArrays<'_> {
+    #[inline]
+    fn read(&mut self, a: ArraySlot, indices: &[i64]) -> Result<i64, ExecError> {
+        private_read(self.slots, &self.arrays, a, indices)
+    }
+
+    #[inline]
+    fn write(&mut self, a: ArraySlot, indices: &[i64], v: i64) -> Result<(), ExecError> {
+        private_write(self.slots, &mut self.arrays, a, indices, v)
+    }
+
+    fn declare(&mut self, a: ArraySlot, dims: Vec<usize>) {
+        self.arrays[a.index()] = Some(ArrayVal::zeros(dims));
+    }
+}
+
+/// Raw views of the spine's shared arrays, one per array slot (`None` for
+/// worker-private or absent slots).
+struct SharedSlots {
+    arrs: Vec<Option<SharedSlotArray>>,
+}
+
+struct SharedSlotArray {
+    /// `*mut i64` smuggled as usize for `Send`.
+    ptr: usize,
+    dims: Vec<usize>,
+    len: usize,
+}
+
+// SAFETY: workers only access disjoint elements (the dispatched loop's
+// proven property, or one level of a dependence level set); the Vec
+// storage is neither grown nor freed while workers run.
+unsafe impl Sync for SharedSlots {}
+
+impl SharedSlots {
+    fn capture(arrays: &mut [Option<ArrayVal>], local: &[bool]) -> SharedSlots {
+        let arrs = arrays
+            .iter_mut()
+            .enumerate()
+            .map(|(i, a)| match a {
+                Some(arr) if !local[i] => Some(SharedSlotArray {
+                    ptr: arr.data.as_mut_ptr() as usize,
+                    dims: arr.dims.clone(),
+                    len: arr.data.len(),
+                }),
+                _ => None,
+            })
+            .collect();
+        SharedSlots { arrs }
+    }
+
+    /// Bounds-checked flat offset into the shared view of `a`, plus the raw
+    /// storage pointer (as usize).  Same error points as the heap path.
+    #[inline]
+    fn flat(
+        &self,
+        slots: &SlotMap,
+        a: ArraySlot,
+        indices: &[i64],
+    ) -> Result<(usize, usize), ExecError> {
+        let name = || slots.array_name(a).to_string();
+        let Some(arr) = &self.arrs[a.index()] else {
+            return Err(ExecError::UndefinedArray(name()));
+        };
+        if indices.len() != arr.dims.len() {
+            return Err(ExecError::ArityMismatch {
+                array: name(),
+                expected: arr.dims.len(),
+                got: indices.len(),
+            });
+        }
+        let flat = row_major_flat(&arr.dims, indices).ok_or_else(|| ExecError::OutOfBounds {
+            array: name(),
+            indices: indices.to_vec(),
+            dims: arr.dims.clone(),
+        })?;
+        debug_assert!(flat < arr.len);
+        Ok((arr.ptr, flat))
+    }
+}
+
+pub(super) const NOT_WRITTEN: usize = usize::MAX;
+
+/// A worker's array store: shared raw views for the heap arrays, private
+/// storage (with last-write iterations) for the dispatched loop's local
+/// arrays.
+struct WorkerArrays<'s> {
+    slots: &'s SlotMap,
+    shared: &'s SharedSlots,
+    local: &'s [bool],
+    locals: Vec<Option<ArrayVal>>,
+    local_write_iter: Vec<usize>,
+    current_iter: usize,
+}
+
+impl ArrayStore for WorkerArrays<'_> {
+    #[inline]
+    fn read(&mut self, a: ArraySlot, indices: &[i64]) -> Result<i64, ExecError> {
+        if self.local[a.index()] {
+            return private_read(self.slots, &self.locals, a, indices);
+        }
+        let (ptr, flat) = self.shared.flat(self.slots, a, indices)?;
+        // SAFETY: flat is bounds-checked; disjointness across workers is
+        // the dispatched region's property (see `SharedSlots`).
+        Ok(unsafe { *(ptr as *const i64).add(flat) })
+    }
+
+    #[inline]
+    fn write(&mut self, a: ArraySlot, indices: &[i64], v: i64) -> Result<(), ExecError> {
+        if self.local[a.index()] {
+            private_write(self.slots, &mut self.locals, a, indices, v)?;
+            self.local_write_iter[a.index()] = self.current_iter;
+            return Ok(());
+        }
+        let (ptr, flat) = self.shared.flat(self.slots, a, indices)?;
+        // SAFETY: as above.
+        unsafe {
+            *(ptr as *mut i64).add(flat) = v;
+        }
+        Ok(())
+    }
+
+    fn declare(&mut self, a: ArraySlot, dims: Vec<usize>) {
+        // Every declaration inside a dispatched body targets a local slot
+        // (that is how `local_arrays` is computed).
+        let i = a.index();
+        self.locals[i] = Some(ArrayVal::zeros(dims));
+        self.local_write_iter[i] = self.current_iter;
+    }
+}
+
+// ---------------------------------------------------------------------------
+// What an executor hands the recipe.
+// ---------------------------------------------------------------------------
+
+/// The executor-independent dispatch facts of one `for` loop (the common
+/// part of `ss_ir::slots::CompiledFor` and `ss_ir::bytecode::BcFor`).
+pub(super) struct LoopShape<'a> {
+    pub(super) id: LoopId,
+    /// Scalar slot of the index variable.
+    pub(super) var: usize,
+    pub(super) cond_op: BinOp,
+    /// Arrays declared inside the body: workers give these private storage.
+    pub(super) local_arrays: &'a [ArraySlot],
+    pub(super) locals_dominated: bool,
+    pub(super) skewed: bool,
+}
+
+/// The dispatching executor's state, as the recipe sees it: a dense frame
+/// whose low `defined.len()` entries are the scalar slots (anything above
+/// is executor-private temporaries), and the array slots.
+pub(super) struct Spine<'a> {
+    pub(super) regs: &'a mut [i64],
+    pub(super) defined: &'a mut [bool],
+    pub(super) arrays: &'a mut [Option<ArrayVal>],
+    pub(super) slots: &'a SlotMap,
+}
+
+impl Spine<'_> {
+    fn set(&mut self, slot: usize, v: i64) {
+        self.regs[slot] = v;
+        self.defined[slot] = true;
+    }
+}
+
+/// How the dispatching executor runs its loop body off the spine.
+pub(super) trait RegionBody: Sync {
+    /// Worker-private scalar state.
+    type Worker;
+
+    /// A fresh worker over `regs`, a copy of the region's scalar snapshot.
+    fn worker(&self, regs: Vec<i64>) -> Self::Worker;
+
+    /// Runs iteration `k` — the iteration's ordinal in the whole loop, the
+    /// currency of last-writer merges — with the index variable at `value`.
+    fn run_iteration<A: ArrayStore>(
+        &self,
+        w: &mut Self::Worker,
+        arrays: &mut A,
+        k: usize,
+        value: i64,
+    ) -> Result<(), ExecError>;
+
+    /// The worker's frame and the last-writing iteration of each scalar
+    /// slot ([`NOT_WRITTEN`] when none).
+    fn scalars(w: &Self::Worker) -> (&[i64], &[usize]);
+}
+
+// ---------------------------------------------------------------------------
+// The fold.
+// ---------------------------------------------------------------------------
+
+/// One worker chunk's contribution, folded over the chunks a worker steals
+/// and merged across workers by [`ChunkAcc::combine`].  Executor-agnostic:
+/// slot indices, iteration numbers, array values.
+#[derive(Clone)]
+struct ChunkAcc {
+    err: Option<ExecError>,
+    /// Last write per scalar slot: `(iteration, value)`.
+    scalar_writes: Vec<Option<(usize, i64)>>,
+    /// Reduction partials, aligned with the loop's `ReductionInfo` list.
+    partials: Vec<i64>,
+    /// Loop-local array state of the latest iteration seen, aligned with
+    /// [`LoopShape::local_arrays`].
+    locals: Vec<Option<(usize, ArrayVal)>>,
+}
+
+/// Keeps whichever of two `(iteration, payload)` entries was written by
+/// the later iteration.
+fn keep_latest<T>(mine: &mut Option<(usize, T)>, iter: usize, theirs: impl FnOnce() -> T) {
+    if !matches!(mine, Some((best, _)) if *best >= iter) {
+        *mine = Some((iter, theirs()));
+    }
+}
+
+impl ChunkAcc {
+    fn identity(nscalars: usize, reductions: &[ReductionInfo], nlocals: usize) -> ChunkAcc {
+        ChunkAcc {
+            err: None,
+            scalar_writes: vec![None; nscalars],
+            partials: reductions.iter().map(|r| r.op.identity()).collect(),
+            locals: vec![None; nlocals],
+        }
+    }
+
+    /// Folds one finished worker into the accumulator.
+    fn absorb(
+        &mut self,
+        (regs, write_iter): (&[i64], &[usize]),
+        arrays: &mut WorkerArrays<'_>,
+        is_reduction: &[bool],
+        reductions: &[ReductionInfo],
+        local_arrays: &[ArraySlot],
+    ) {
+        for (slot, &iter) in write_iter.iter().enumerate() {
+            if iter != NOT_WRITTEN && !is_reduction[slot] {
+                keep_latest(&mut self.scalar_writes[slot], iter, || regs[slot]);
+            }
+        }
+        for (partial, r) in self.partials.iter_mut().zip(reductions) {
+            *partial = r.op.combine(*partial, regs[r.slot.index()]);
+        }
+        for (mine, a) in self.locals.iter_mut().zip(local_arrays) {
+            let iter = arrays.local_write_iter[a.index()];
+            if iter == NOT_WRITTEN {
+                continue;
+            }
+            if let Some(arr) = arrays.locals[a.index()].take() {
+                keep_latest(mine, iter, || arr);
+            }
+        }
+    }
+
+    fn combine(mut self, other: ChunkAcc, reductions: &[ReductionInfo]) -> ChunkAcc {
+        if self.err.is_none() {
+            self.err = other.err;
+        }
+        for (mine, theirs) in self.scalar_writes.iter_mut().zip(other.scalar_writes) {
+            if let Some((iter, v)) = theirs {
+                keep_latest(mine, iter, || v);
+            }
+        }
+        for ((mine, theirs), r) in self.partials.iter_mut().zip(other.partials).zip(reductions) {
+            *mine = r.op.combine(*mine, theirs);
+        }
+        for (mine, theirs) in self.locals.iter_mut().zip(other.locals) {
+            if let Some((iter, arr)) = theirs {
+                keep_latest(mine, iter, || arr);
+            }
+        }
+        self
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The dispatcher.
+// ---------------------------------------------------------------------------
+
+/// The one dispatch policy: which loops leave the spine, and how.  Built
+/// per run from the artifacts' report; `None` in an executor's runner
+/// means serial.
+pub(super) struct Dispatcher<'r> {
+    /// Outermost proven-parallel loops, keyed for O(1) lookup at each
+    /// `for`, with their (possibly empty) reductions.
+    dispatchable: HashMap<LoopId, Vec<ReductionInfo>>,
+    /// The level-set strategy, when the registry row enables it.
+    level_sets: Option<LevelSets<'r>>,
+    opts: &'r ExecOptions,
+}
+
+/// How one loop's iterations reach the team.
+pub(super) enum Strategy<'d> {
+    /// Proven independent up to the listed reductions: one region over
+    /// `0..n`.
+    Proof(&'d [ReductionInfo]),
+    /// Serial-proven but gate-approved: inspected into dependence level
+    /// sets, one region per level.
+    LevelSets(&'d LevelSets<'d>, &'d WavefrontFact),
+}
+
+impl<'r> Dispatcher<'r> {
+    pub(super) fn new(
+        artifacts: &'r Artifacts,
+        opts: &'r ExecOptions,
+        level_sets: bool,
+    ) -> Dispatcher<'r> {
+        let report = &artifacts.report;
+        let dispatchable = report
+            .outermost_parallel_loops()
+            .into_iter()
+            .map(|id| {
+                let reductions = report.loop_report(id).map(|l| l.reductions.clone());
+                (id, reductions.unwrap_or_default())
+            })
+            .collect();
+        Dispatcher {
+            dispatchable,
+            level_sets: level_sets.then(|| LevelSets::new(artifacts)),
+            opts,
+        }
+    }
+
+    /// The gates that need no header value.  `None` keeps the loop on the
+    /// spine; otherwise the executor evaluates the loop header once and
+    /// calls [`run`](Self::run).
+    pub(super) fn strategy(&self, lp: &LoopShape<'_>, defined: &[bool]) -> Option<Strategy<'_>> {
+        if self.opts.threads <= 1 {
+            return None;
+        }
+        if let Some(reductions) = self.dispatchable.get(&lp.id) {
+            if reductions.iter().any(|r| !defined[r.slot.index()]) {
+                // An accumulator nobody initialized: the serial run may
+                // never write it at all (a guarded min/max whose guard
+                // never fires against the implicit 0), so its name must
+                // stay absent from the final heap — something a combiner
+                // merge-back cannot reproduce.  Run such loops serially;
+                // every real reduction initializes its accumulator (and
+                // synthesized inputs bind all free scalars).
+                return None;
+            }
+            if !lp.local_arrays.is_empty() && !lp.locals_dominated {
+                // A worker could observe pre-declaration storage the
+                // serial execution would not; keep such loops serial.
+                return None;
+            }
+            return Some(Strategy::Proof(reductions));
+        }
+        let level_sets = self.level_sets.as_ref()?;
+        let fact = level_sets.fact(lp.id)?;
+        lp.local_arrays
+            .is_empty()
+            .then_some(Strategy::LevelSets(level_sets, fact))
+    }
+
+    /// The rest of the recipe, from the once-evaluated `header` (initial
+    /// value, bound, step — invariant under a dispatchable body) to the
+    /// merged-back spine.  `Ok(false)` means the loop must run on the
+    /// spine after all (too few iterations, no profitable schedule).
+    pub(super) fn run<B: RegionBody>(
+        &self,
+        strategy: Strategy<'_>,
+        lp: &LoopShape<'_>,
+        (v0, bound, step): (i64, i64, i64),
+        spine: Spine<'_>,
+        body: &B,
+        env: &mut ExecEnvTiming<'_>,
+    ) -> Result<bool, ExecError> {
+        let while_cap = env.while_cap;
+        let (values, exit_value) =
+            super::materialize_iteration_space(v0, bound, step, lp.cond_op, lp.id, while_cap)?;
+        if values.len() < self.opts.min_parallel_trip {
+            return Ok(false);
+        }
+        let (reductions, levels) = match strategy {
+            Strategy::Proof(reductions) => (reductions, None),
+            Strategy::LevelSets(level_sets, fact) => {
+                match level_sets.schedule(fact, lp.id, &spine, body, &values, while_cap) {
+                    Some(schedule) => (&[][..], Some(schedule)),
+                    None => return Ok(false),
+                }
+            }
+        };
+        let plan = RegionPlan {
+            lp,
+            values: &values,
+            exit_value,
+            reductions,
+            levels: levels.as_deref(),
+        };
+        run_region(self.opts, &plan, spine, body, env.stats)?;
+        Ok(true)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The region recipe.
+// ---------------------------------------------------------------------------
+
+struct RegionPlan<'a> {
+    lp: &'a LoopShape<'a>,
+    /// The index variable's value per iteration, and after the loop.
+    values: &'a [i64],
+    exit_value: i64,
+    reductions: &'a [ReductionInfo],
+    /// `None` fans `0..n` out as one region; a schedule runs its levels in
+    /// order, one region each — the region returning is the barrier.
+    levels: Option<&'a LevelSchedule>,
+}
+
+fn run_region<B: RegionBody>(
+    opts: &ExecOptions,
+    plan: &RegionPlan<'_>,
+    mut spine: Spine<'_>,
+    body: &B,
+    stats: &mut ExecStats,
+) -> Result<(), ExecError> {
+    let start = Instant::now();
+    let RegionPlan {
+        lp,
+        values,
+        reductions,
+        ..
+    } = *plan;
+    let threads = opts.threads;
+    let nscalars = spine.defined.len();
+    let narrays = spine.arrays.len();
+    let mut local = vec![false; narrays];
+    for a in lp.local_arrays {
+        local[a.index()] = true;
+    }
+    // Worker frames start from one snapshot of the spine's (a dense clone
+    // per chunk, hoisted out of any level loop); accumulators are
+    // re-seeded with the operator identity so partials merge exactly.
+    let mut snapshot = spine.regs.to_vec();
+    let mut is_reduction = vec![false; nscalars];
+    for r in reductions {
+        snapshot[r.slot.index()] = r.op.identity();
+        is_reduction[r.slot.index()] = true;
+    }
+    let shared = SharedSlots::capture(spine.arrays, &local);
+    let slots = spine.slots;
+    let identity = || ChunkAcc::identity(nscalars, reductions, lp.local_arrays.len());
+    let mut dynamic = false;
+
+    // One region on the team: `order` maps region positions to iteration
+    // ordinals (one level of a schedule); `None` is `0..n` itself.
+    let mut fan_out = |order: Option<&[u32]>, n: usize| {
+        let schedule = super::choose_schedule(opts.schedule, lp.skewed, n, threads, opts.chunk);
+        dynamic |= matches!(schedule, Schedule::Dynamic { .. });
+        with_shared_team_in(opts.team_group, threads, |team| {
+            team_parallel_reduce(
+                team,
+                n,
+                schedule,
+                identity(),
+                |range, mut acc| {
+                    if acc.err.is_some() {
+                        return acc;
+                    }
+                    let mut w = body.worker(snapshot.clone());
+                    let mut arrays = WorkerArrays {
+                        slots,
+                        shared: &shared,
+                        local: &local,
+                        locals: vec![None; narrays],
+                        local_write_iter: vec![NOT_WRITTEN; narrays],
+                        current_iter: 0,
+                    };
+                    for pos in range {
+                        let k = order.map_or(pos, |o| o[pos] as usize);
+                        arrays.current_iter = k;
+                        if let Err(e) = body.run_iteration(&mut w, &mut arrays, k, values[k]) {
+                            acc.err = Some(e);
+                            break;
+                        }
+                    }
+                    acc.absorb(
+                        B::scalars(&w),
+                        &mut arrays,
+                        &is_reduction,
+                        reductions,
+                        lp.local_arrays,
+                    );
+                    acc
+                },
+                |a, b| a.combine(b, reductions),
+            )
+        })
+    };
+    let acc = match plan.levels {
+        None => fan_out(None, values.len()),
+        Some(schedule) => {
+            let mut acc = identity();
+            for level in &schedule.by_level {
+                acc = acc.combine(fan_out(Some(level), level.len()), reductions);
+                if acc.err.is_some() {
+                    break;
+                }
+            }
+            acc
+        }
+    };
+    if let Some(e) = acc.err {
+        return Err(e);
+    }
+
+    // Merge back: last-writing iteration for ordinary scalars, combiner
+    // against the pre-loop value for reduction accumulators, the globally
+    // last iteration's storage for loop-local arrays.
+    for (slot, w) in acc.scalar_writes.into_iter().enumerate() {
+        if let Some((_, value)) = w {
+            spine.set(slot, value);
+        }
+    }
+    for (r, partial) in reductions.iter().zip(acc.partials) {
+        let slot = r.slot.index();
+        spine.set(slot, r.op.combine(spine.regs[slot], partial));
+    }
+    spine.set(lp.var, plan.exit_value);
+    for (a, entry) in lp.local_arrays.iter().zip(acc.locals) {
+        if let Some((_, arr)) = entry {
+            spine.arrays[a.index()] = Some(arr);
+        }
+    }
+
+    stats.record(
+        lp.id,
+        values.len() as u64,
+        start.elapsed().as_secs_f64(),
+        ExecMode::Parallel { threads, dynamic },
+    );
+    if let Some(schedule) = plan.levels {
+        stats.record_wavefront(lp.id, schedule.by_level.len(), schedule.avg_width());
+    }
+    Ok(())
+}

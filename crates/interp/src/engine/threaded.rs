@@ -37,17 +37,18 @@
 //! `super::bytecode` operation for operation, and the differential
 //! validator plus the generative fuzz harness assert exactly that.
 //!
-//! Parallel execution reuses the bytecode engine's dispatcher verbatim:
-//! at each lowered `For` the spine's state is handed to the bytecode
-//! engine's parallel dispatcher, whose workers execute the
-//! original bytecode body over the shared [`ss_runtime::ThreadTeam`] —
-//! the two engines cannot drift apart in merge semantics.  The lowered
-//! program itself is cached on the pipeline's [`Artifacts`] (one lowering
-//! per artifact and opt level, shared by clones and charged to the
-//! session cache through [`EngineArtifact::approx_bytes`]).
+//! Dispatch is `engine::shared`'s recipe like everywhere else: at each
+//! lowered `For` the spine asks the run's `Dispatcher` for a strategy,
+//! evaluates its lowered header once and lends its frame to the recipe —
+//! the register numbering *is* the bytecode numbering, so the workers run
+//! the original bytecode body (`BcBody`), the exact stream the verdicts
+//! were proven against.  The lowered program itself is cached on the
+//! pipeline's [`Artifacts`] (one lowering per artifact and opt level,
+//! shared by clones and charged to the session cache through
+//! [`EngineArtifact::approx_bytes`]).
 
-use super::bytecode::{dispatchable_map, try_dispatch_parallel, Machine, SpineArrays};
-use super::compiled::NOT_WRITTEN;
+use super::bytecode::{loop_shape, BcBody};
+use super::shared::{load_scalars, store_scalars, Dispatcher, Spine, SpineArrays};
 use super::store::elem_at;
 use super::{ExecEnvTiming, ExecError, ExecMode, ExecOptions, ExecOutcome, ExecStats};
 use crate::heap::{ArrayVal, Heap};
@@ -56,7 +57,7 @@ use ss_ir::bytecode::{BcExpr, BcFor, BytecodeProgram, HeaderFast, Instr, Reg};
 use ss_ir::opt::OptLevel;
 use ss_ir::slots::{ArraySlot, SlotMap};
 use ss_ir::LoopId;
-use ss_parallelizer::{Artifacts, EngineArtifact, ReductionInfo};
+use ss_parallelizer::{Artifacts, EngineArtifact};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -192,12 +193,6 @@ struct WGuard {
     start: Option<Instant>,
 }
 
-/// The parallel-dispatch hook: present only under `run_parallel`.
-pub(super) struct ThDispatch<'r> {
-    dispatchable: HashMap<LoopId, Vec<ReductionInfo>>,
-    opts: &'r ExecOptions,
-}
-
 /// The spine's execution context: the register frame (low registers alias
 /// scalar slots, exactly the bytecode numbering, so dispatched state can
 /// be handed over without translation), the dense array store, the
@@ -212,7 +207,8 @@ struct ThCtx<'p> {
     timing: bool,
     while_cap: u64,
     nscalars: usize,
-    dispatch: Option<&'p ThDispatch<'p>>,
+    /// The run's dispatch policy; `None` on serial runs.
+    dispatch: Option<&'p Dispatcher<'p>>,
 }
 
 impl ThCtx<'_> {
@@ -341,51 +337,40 @@ fn generic_loop(lp: &ThLoop, cx: &mut ThCtx<'_>) -> Result<u64, ExecError> {
     Ok(iters)
 }
 
-/// Hands one proven-parallel loop to the shared bytecode dispatcher: the
-/// spine's registers and arrays move into a [`Machine`]/[`SpineArrays`]
-/// pair (same numbering, no translation), the workers run the original
-/// bytecode body, and the merged state moves back.  Returns `Ok(false)`
-/// when the loop must run serially here instead.
+/// Offers one loop to the run's dispatcher.  Returns `Ok(false)` when the
+/// loop must run serially here instead.
 fn dispatch_loop(lp: &ThLoop, cx: &mut ThCtx<'_>) -> Result<bool, ExecError> {
     let Some(d) = cx.dispatch else {
         return Ok(false);
     };
-    // Cheap pre-checks before marshalling any state.
-    if d.opts.threads <= 1 || !d.dispatchable.contains_key(&lp.id) {
+    let shape = loop_shape(&lp.bcfor);
+    let Some(strategy) = d.strategy(&shape, &cx.defined) else {
         return Ok(false);
-    }
+    };
+    let header = (
+        header_val(&lp.init, cx, &mut None)?,
+        header_val(&lp.bound, cx, &mut None)?,
+        header_val(&lp.step, cx, &mut None)?,
+    );
     let prog = cx.prog;
-    let mut m = Machine {
-        regs: std::mem::take(&mut cx.regs),
-        defined: std::mem::take(&mut cx.defined),
-        write_iter: vec![NOT_WRITTEN; cx.nscalars],
-        current_iter: 0,
-        nscalars: cx.nscalars,
+    let body = BcBody {
+        f: &lp.bcfor,
         consts: &prog.consts,
+        nscalars: cx.nscalars,
+        while_cap: cx.while_cap,
     };
-    let mut sa = SpineArrays {
+    let spine = Spine {
+        regs: &mut cx.regs,
+        defined: &mut cx.defined,
+        arrays: &mut cx.arrays,
         slots: &prog.slots,
-        arrays: std::mem::take(&mut cx.arrays),
     };
-    let res = {
-        let mut env = ExecEnvTiming {
-            stats: &mut cx.stats,
-            timing: cx.timing,
-            while_cap: cx.while_cap,
-        };
-        try_dispatch_parallel(
-            &d.dispatchable,
-            d.opts,
-            &mut m,
-            &mut sa,
-            &lp.bcfor,
-            &mut env,
-        )
+    let mut env = ExecEnvTiming {
+        stats: &mut cx.stats,
+        timing: cx.timing,
+        while_cap: cx.while_cap,
     };
-    cx.regs = m.regs;
-    cx.defined = m.defined;
-    cx.arrays = sa.arrays;
-    res
+    d.run(strategy, &shape, header, spine, &body, &mut env)
 }
 
 // ---------------------------------------------------------------------------
@@ -1324,23 +1309,23 @@ fn th_program(arc: &Arc<dyn EngineArtifact>) -> &ThProgram {
         .expect("the threaded engine owns its artifact slots")
 }
 
-fn run_threaded<'p>(
-    prog: &'p ThProgram,
+/// Runs the lowering of `artifacts` at `opts.opt_level` (created and
+/// cached on first use) on the spine, handing loops to `dispatch` when
+/// there is one (`None` = serial).
+pub(super) fn run_threaded(
+    artifacts: &Artifacts,
     mut heap: Heap,
     opts: &ExecOptions,
-    dispatch: Option<&'p ThDispatch<'p>>,
+    dispatch: Option<&Dispatcher<'_>>,
 ) -> Result<ExecOutcome, ExecError> {
+    let arc = lowered(artifacts, opts.opt_level);
+    let prog = th_program(&arc);
     let start = Instant::now();
     let mut cx = ThCtx {
         prog,
         regs: vec![0; prog.nregs],
         defined: vec![false; prog.nscalars],
-        arrays: prog
-            .slots
-            .array_names()
-            .iter()
-            .map(|name| heap.arrays.remove(name))
-            .collect(),
+        arrays: SpineArrays::from_heap(&mut heap, &prog.slots).arrays,
         guards: Vec::new(),
         stats: ExecStats::default(),
         timing: true,
@@ -1348,53 +1333,19 @@ fn run_threaded<'p>(
         nscalars: prog.nscalars,
         dispatch,
     };
-    for (i, name) in prog.slots.scalar_names().iter().enumerate() {
-        if let Some(&v) = heap.scalars.get(name) {
-            cx.regs[i] = v;
-            cx.defined[i] = true;
-        }
-    }
+    load_scalars(&heap, &prog.slots, &mut cx.regs, &mut cx.defined);
     exec_ops(&prog.main.ops, &mut cx)?;
-    for (i, arr) in cx.arrays.into_iter().enumerate() {
-        if let Some(a) = arr {
-            heap.arrays.insert(prog.slots.array_names()[i].clone(), a);
-        }
-    }
-    for (i, name) in prog.slots.scalar_names().iter().enumerate() {
-        if cx.defined[i] {
-            heap.scalars.insert(name.clone(), cx.regs[i]);
-        }
-    }
+    let arrays = SpineArrays {
+        slots: &prog.slots,
+        arrays: cx.arrays,
+    };
+    arrays.into_heap(&mut heap);
+    store_scalars(&mut heap, &prog.slots, &cx.regs, &cx.defined);
     cx.stats.total_seconds = start.elapsed().as_secs_f64();
     Ok(ExecOutcome {
         heap,
         stats: cx.stats,
     })
-}
-
-/// Serial execution through the threaded tier.
-pub(super) fn run_serial_threaded(
-    artifacts: &Artifacts,
-    heap: Heap,
-    opts: &ExecOptions,
-) -> Result<ExecOutcome, ExecError> {
-    let arc = lowered(artifacts, opts.opt_level);
-    run_threaded(th_program(&arc), heap, opts, None)
-}
-
-/// Parallel execution: the threaded spine with proven loops handed to the
-/// shared bytecode dispatcher.
-pub(super) fn run_parallel_threaded(
-    artifacts: &Artifacts,
-    heap: Heap,
-    opts: &ExecOptions,
-) -> Result<ExecOutcome, ExecError> {
-    let d = ThDispatch {
-        dispatchable: dispatchable_map(&artifacts.report),
-        opts,
-    };
-    let arc = lowered(artifacts, opts.opt_level);
-    run_threaded(th_program(&arc), heap, opts, Some(&d))
 }
 
 #[cfg(test)]
@@ -1411,13 +1362,10 @@ mod tests {
             opt_level: level,
             ..ExecOptions::default()
         };
-        let bc = super::super::bytecode::run_serial_bytecode(
-            art.bytecode_at(level),
-            heap.clone(),
-            &opts,
-        )
-        .expect("bytecode run succeeds");
-        let th = run_serial_threaded(&art, heap.clone(), &opts).expect("threaded run succeeds");
+        let bc =
+            super::super::bytecode::run_bytecode(art.bytecode_at(level), heap.clone(), &opts, None)
+                .expect("bytecode run succeeds");
+        let th = run_threaded(&art, heap.clone(), &opts, None).expect("threaded run succeeds");
         (bc.heap, th.heap)
     }
 
@@ -1464,7 +1412,7 @@ mod tests {
         // Division by zero faults identically.
         let art = artifacts("a = 4; b = 0; c = a / b;");
         let opts = ExecOptions::default();
-        let err = run_serial_threaded(&art, Heap::new(), &opts).unwrap_err();
+        let err = run_threaded(&art, Heap::new(), &opts, None).unwrap_err();
         assert!(matches!(err, ExecError::DivisionByZero));
     }
 
@@ -1489,7 +1437,7 @@ mod tests {
         let art = artifacts("x = 1; y = x + 2;");
         let opts = ExecOptions::default();
         for _ in 0..3 {
-            run_serial_threaded(&art, Heap::new(), &opts).expect("runs");
+            run_threaded(&art, Heap::new(), &opts, None).expect("runs");
         }
         let a1 = lowered(&art, OptLevel::O1);
         let a2 = lowered(&art, OptLevel::O1);

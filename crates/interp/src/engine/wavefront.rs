@@ -1,16 +1,16 @@
-//! The wavefront execution tier: serial-proven loops executed as
+//! The level-set dispatch strategy: serial-proven loops executed as
 //! dependence level sets.
 //!
 //! The compile-time analysis concedes carried loops — SpTRSV, Gauss-
-//! Seidel sweeps, histogram scatters — to serial execution.  This tier
-//! recovers them at run time, the way sparse solver libraries do:
+//! Seidel sweeps, histogram scatters — to serial execution.  This
+//! strategy recovers them at run time, the way sparse solver libraries do:
 //!
 //! 1. **Gate** (compile time): `ss_parallelizer::wavefront` marks a
 //!    serial loop wavefront-schedulable when its memory footprint is a
 //!    pure function of loop-entry state (no written array and no scalar
 //!    tainted by one ever reaches an address position or a branch).
 //! 2. **Inspect** (first run per input): the loop body is executed
-//!    serially on a *cloned* machine with shadow copies of the written
+//!    serially on a *cloned* scalar frame with shadow copies of the written
 //!    arrays, recording each iteration's read/write addresses — the base
 //!    heap is untouched, so a failed or unprofitable inspection falls
 //!    back to plain serial execution with bit-identical behavior.
@@ -20,60 +20,87 @@
 //!    levels in execution order.  The schedule is cached on the
 //!    artifacts' engine-extension slot, keyed by the entry state that
 //!    determined it (scalars + schedule-array contents), so one
-//!    inspection serves every later run on the same input.
-//! 4. **Execute**: levels run in order on the persistent thread team,
-//!    with a barrier between levels; workers reuse the bytecode engine's
-//!    worker machinery, so merge semantics cannot drift from the proven-
-//!    parallel dispatcher.  When the schedule is too fine (average level
-//!    width below [`MIN_AVG_WIDTH`]) the loop stays serial: a pure
-//!    recurrence inspects to `n` levels of one iteration and is not worth
-//!    a barrier per iteration.
+//!    inspection serves every later run on the same input; each hit is
+//!    verified against an independent checksum of that state, so a key
+//!    collision costs a re-inspection, never a wrong schedule.
+//! 4. **Execute**: the shared recipe (`engine::shared`) runs the levels
+//!    in order on the persistent thread team, one region per level with
+//!    the region's return as the barrier — the same workers, fold and
+//!    merge-back as a proven-parallel loop.  When the schedule is too fine
+//!    (average level width below [`MIN_AVG_WIDTH`]) the loop stays serial:
+//!    a pure recurrence inspects to `n` levels of one iteration and is not
+//!    worth a barrier per iteration.
 //!
-//! Proven-parallel and reduction loops still go through the bytecode
-//! engine's shared `try_dispatch_parallel` path first — the wavefront
-//! dispatcher only sees loops every other engine runs serially.
+//! Nothing here knows which executor runs the body: inspection replays it
+//! through the same `RegionBody` the workers use.  Proven-parallel and
+//! reduction loops never get here — the `Dispatcher` tries proof-based
+//! dispatch first.
 
-use super::bytecode::{
-    dispatchable_map, eval_block, exec_code, try_dispatch_parallel, BcArrays, BcPolicy, Machine,
-    NoDispatchB, SpineArrays, WorkerArrays,
-};
-use super::compiled::{ChunkAcc, SharedSlots, NOT_WRITTEN};
+use super::shared::{ArrayStore, Dispatcher, RegionBody, Spine};
 use super::store::elem_at;
-use super::{ExecEnvTiming, ExecError, ExecMode, ExecOptions, ExecOutcome, ExecStats};
+use super::{ExecError, ExecOptions};
 use crate::heap::{ArrayVal, Heap};
 use ss_inspector::levelset::{build_level_sets, IterationAccess, LevelSchedule};
-use ss_ir::bytecode::BcFor;
 use ss_ir::slots::{ArraySlot, SlotMap};
 use ss_ir::LoopId;
 use ss_parallelizer::{Artifacts, EngineArtifact, WavefrontFact};
-use ss_runtime::{team_parallel_reduce, with_shared_team_in, Schedule};
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// Serial fallback threshold: schedules averaging fewer iterations per
 /// level than this run serially (the barrier per level would dominate).
 pub const MIN_AVG_WIDTH: f64 = 2.0;
 
+static SCHEDULE_KEY_MISMATCHES: AtomicU64 = AtomicU64::new(0);
+
+/// Process-wide count of schedule-cache hits whose verifier disagreed
+/// with the entry state (a 64-bit key collision): each one was answered
+/// by a fresh inspection instead of the cached schedule.  The companion
+/// of `ss_inspector::levelset_build_count`.
+pub fn schedule_key_mismatch_count() -> u64 {
+    SCHEDULE_KEY_MISMATCHES.load(Ordering::Relaxed)
+}
+
 // ---------------------------------------------------------------------------
 // The schedule cache (an engine artifact).
 // ---------------------------------------------------------------------------
 
+/// What a cache hit is checked against before its schedule is trusted:
+/// cheap facts of the entry state plus a second hash of the same words,
+/// independent of the key's.
+#[derive(Clone, PartialEq, Eq)]
+struct EntryCheck {
+    iterations: usize,
+    schedule_array_lens: Vec<usize>,
+    fnv: u64,
+}
+
+struct CachedSchedule {
+    schedule: Arc<LevelSchedule>,
+    check: EntryCheck,
+}
+
 /// Level-set schedules cached on the artifacts, keyed by `(loop, entry
-/// state hash)`.  One keyed extension slot is shared by both opt levels:
-/// slot numbering and flattened addresses are identical across streams,
-/// so a schedule inspected at O0 is valid at O1 and vice versa.
+/// state hash)`.  One keyed extension slot is shared by both opt levels
+/// and every executor: slot numbering and flattened addresses are
+/// identical across streams, so a schedule inspected at O0 is valid at O1
+/// and vice versa.
 #[derive(Default)]
 struct WfScheduleCache {
-    #[allow(clippy::type_complexity)]
-    map: Mutex<HashMap<(LoopId, u64), Arc<LevelSchedule>>>,
+    map: Mutex<HashMap<(LoopId, u64), CachedSchedule>>,
 }
 
 impl EngineArtifact for WfScheduleCache {
     fn approx_bytes(&self) -> usize {
         let map = self.map.lock().unwrap_or_else(|e| e.into_inner());
-        std::mem::size_of::<Self>() + map.values().map(|s| 64 + s.approx_bytes()).sum::<usize>()
+        std::mem::size_of::<Self>()
+            + map
+                .values()
+                .map(|c| 64 + c.schedule.approx_bytes())
+                .sum::<usize>()
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -89,53 +116,98 @@ fn schedule_cache(artifacts: &Artifacts) -> Arc<dyn EngineArtifact> {
 fn as_cache(arc: &Arc<dyn EngineArtifact>) -> &WfScheduleCache {
     arc.as_any()
         .downcast_ref::<WfScheduleCache>()
-        .expect("the wavefront engine owns its artifact slot")
+        .expect("the level-set strategy owns its artifact slot")
+}
+
+/// Feeds one stream of words to two hashes: the std SipHash that keys the
+/// cache, and a word-wise FNV-1a that verifies hits.
+struct EntryHasher {
+    key: DefaultHasher,
+    fnv: u64,
+}
+
+impl EntryHasher {
+    #[inline]
+    fn eat(&mut self, word: u64) {
+        self.fnv = (self.fnv ^ word).wrapping_mul(0x0100_0000_01b3);
+    }
+}
+
+impl Hasher for EntryHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        self.key.write(bytes);
+        // Word-wise, not byte-wise: index arrays arrive as one multi-
+        // megabyte slice per loop entry, and this pass must stay cheaper
+        // than the SipHash one beside it.
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.eat(u64::from_le_bytes(word.try_into().expect("8-byte chunk")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut tail = [0u8; 8];
+            tail[..rest.len()].copy_from_slice(rest);
+            self.eat(u64::from_le_bytes(tail));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.key.finish()
+    }
 }
 
 /// Hashes everything the gate proved the footprint depends on: the
-/// scalar registers at loop entry, the contents of the schedule arrays,
-/// the *shapes* of the watched arrays (their dims select flattened
-/// addresses), and the iteration cap.
-fn schedule_key(
+/// scalars at loop entry, the contents of the schedule arrays, the
+/// *shapes* of the watched arrays (their dims select flattened
+/// addresses), and the iteration cap.  Returns the cache key and the
+/// verifier a hit must reproduce.
+fn entry_state(
     fact: &WavefrontFact,
-    m: &Machine<'_>,
-    arrays: &SpineArrays<'_>,
     id: LoopId,
+    spine: &Spine<'_>,
+    iterations: usize,
     while_cap: u64,
-) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
+) -> (u64, EntryCheck) {
+    let mut h = EntryHasher {
+        key: DefaultHasher::new(),
+        fnv: 0xcbf2_9ce4_8422_2325,
+    };
     id.0.hash(&mut h);
     while_cap.hash(&mut h);
-    for i in 0..m.nscalars {
-        m.regs[i].hash(&mut h);
-        m.defined[i].hash(&mut h);
+    for (v, d) in spine.regs.iter().zip(spine.defined.iter()) {
+        v.hash(&mut h);
+        d.hash(&mut h);
     }
-    let slot_of = |name: &str| {
-        arrays
-            .slots
-            .array_names()
-            .iter()
-            .position(|n| n == name)
-            .and_then(|i| arrays.arrays[i].as_ref())
-    };
+    let array = |name: &str| array_slot(spine.slots, name).and_then(|i| spine.arrays[i].as_ref());
+    let mut schedule_array_lens = Vec::with_capacity(fact.schedule_arrays.len());
     for name in &fact.schedule_arrays {
         name.hash(&mut h);
-        match slot_of(name) {
+        match array(name) {
             Some(arr) => {
                 arr.dims.hash(&mut h);
                 arr.data.hash(&mut h);
+                schedule_array_lens.push(arr.data.len());
             }
             None => 0u8.hash(&mut h),
         }
     }
     for name in &fact.watched {
         name.hash(&mut h);
-        match slot_of(name) {
+        match array(name) {
             Some(arr) => arr.dims.hash(&mut h),
             None => 0u8.hash(&mut h),
         }
     }
-    h.finish()
+    let check = EntryCheck {
+        iterations,
+        schedule_array_lens,
+        fnv: h.fnv,
+    };
+    (h.finish(), check)
+}
+
+fn array_slot(slots: &SlotMap, name: &str) -> Option<usize> {
+    slots.array_names().iter().position(|n| n == name)
 }
 
 // ---------------------------------------------------------------------------
@@ -166,7 +238,7 @@ struct InspectArrays<'m> {
     poisoned: bool,
 }
 
-impl BcArrays for InspectArrays<'_> {
+impl ArrayStore for InspectArrays<'_> {
     fn read(&mut self, a: ArraySlot, indices: &[i64]) -> Result<i64, ExecError> {
         let i = a.index();
         let name = self.slots.array_name(a);
@@ -208,53 +280,35 @@ impl BcArrays for InspectArrays<'_> {
 /// schedule from the recorded footprints.  `None` means the replay
 /// errored or misbehaved — the caller falls back to serial execution,
 /// which reproduces the error (or the behavior) on the real state.
-fn inspect_schedule(
+fn inspect_schedule<B: RegionBody>(
     fact: &WavefrontFact,
-    m: &Machine<'_>,
-    arrays: &SpineArrays<'_>,
-    f: &BcFor,
+    spine: &Spine<'_>,
+    body: &B,
     values: &[i64],
-    while_cap: u64,
 ) -> Option<LevelSchedule> {
-    let narrays = arrays.arrays.len();
-    let mut watched = vec![false; narrays];
+    let mut watched = vec![false; spine.arrays.len()];
     for name in &fact.watched {
-        watched[arrays.slots.array_names().iter().position(|n| n == name)?] = true;
+        watched[array_slot(spine.slots, name)?] = true;
     }
-    let shadows: Vec<Option<ArrayVal>> = arrays
+    let shadows = spine
         .arrays
         .iter()
-        .enumerate()
-        .map(|(i, a)| if watched[i] { a.clone() } else { None })
+        .zip(&watched)
+        .map(|(a, &w)| if w { a.clone() } else { None })
         .collect();
     let mut ia = InspectArrays {
-        slots: arrays.slots,
-        base: &arrays.arrays,
+        slots: spine.slots,
+        base: &*spine.arrays,
         watched: &watched,
         shadows,
         reads: Vec::new(),
         writes: Vec::new(),
         poisoned: false,
     };
-    let mut im = Machine {
-        regs: m.regs.clone(),
-        defined: m.defined.clone(),
-        write_iter: m.write_iter.clone(),
-        current_iter: m.current_iter,
-        nscalars: m.nscalars,
-        consts: m.consts,
-    };
-    let mut scratch = ExecStats::default();
-    let mut env = ExecEnvTiming {
-        stats: &mut scratch,
-        timing: false,
-        while_cap,
-    };
+    let mut w = body.worker(spine.regs.to_vec());
     let mut accesses = Vec::with_capacity(values.len());
-    for &v in values {
-        im.set(f.var, v);
-        if exec_code(&mut im, &mut ia, &f.body, &mut NoDispatchB, &mut env).is_err() || ia.poisoned
-        {
+    for (k, &v) in values.iter().enumerate() {
+        if body.run_iteration(&mut w, &mut ia, k, v).is_err() || ia.poisoned {
             return None;
         }
         accesses.push(IterationAccess {
@@ -266,279 +320,95 @@ fn inspect_schedule(
 }
 
 // ---------------------------------------------------------------------------
-// Execution: level by level on the persistent team.
+// The strategy, as the dispatcher holds it.
 // ---------------------------------------------------------------------------
 
-/// Runs a scheduled loop level by level.  Workers are the bytecode
-/// dispatcher's workers (snapshot register file, shared array views);
-/// `team_parallel_reduce` returning is the barrier between levels, and
-/// scalar merge-back takes the globally last-writing iteration across all
-/// levels — exactly the serial outcome for privatizable scalars.
-#[allow(clippy::too_many_arguments)]
-fn execute_wavefront(
-    schedule: &LevelSchedule,
-    values: &[i64],
-    exit_value: i64,
-    opts: &ExecOptions,
-    m: &mut Machine<'_>,
-    arrays: &mut SpineArrays<'_>,
-    f: &BcFor,
-    env: &mut ExecEnvTiming<'_>,
-) -> Result<(), ExecError> {
-    let start = Instant::now();
-    let threads = opts.threads;
-    let nscalars = m.nscalars;
-    let narrays = arrays.arrays.len();
-    let local = vec![false; narrays];
-    let snapshot = m.regs.clone();
-    let shared = SharedSlots::capture(&mut arrays.arrays, &local);
-    let slots = arrays.slots;
-    let consts = m.consts;
-    let while_cap = env.while_cap;
-    let local_ref = &local;
-    let snapshot_ref = &snapshot;
-    let shared_ref = &shared;
-    let mut merged: Vec<Option<(usize, i64)>> = vec![None; nscalars];
-    let mut dynamic = false;
-    for level in &schedule.by_level {
-        let nl = level.len();
-        let level_schedule =
-            super::choose_schedule(opts.schedule, f.skewed, nl, threads, opts.chunk);
-        dynamic = dynamic || matches!(level_schedule, Schedule::Dynamic { .. });
-        let level_ref = &level[..];
-        let acc = with_shared_team_in(opts.team_group, threads, |team| {
-            team_parallel_reduce(
-                team,
-                nl,
-                level_schedule,
-                ChunkAcc::identity(nscalars, &[], 0),
-                |range, mut acc| {
-                    if acc.err.is_some() {
-                        return acc;
-                    }
-                    let mut wm = Machine {
-                        regs: snapshot_ref.clone(),
-                        defined: vec![false; nscalars],
-                        write_iter: vec![NOT_WRITTEN; nscalars],
-                        current_iter: 0,
-                        nscalars,
-                        consts,
-                    };
-                    let mut wa = WorkerArrays {
-                        slots,
-                        shared: shared_ref,
-                        local: local_ref,
-                        locals: vec![None; narrays],
-                        local_write_iter: vec![NOT_WRITTEN; narrays],
-                        current_iter: 0,
-                    };
-                    let mut scratch_stats = ExecStats::default();
-                    let mut wenv = ExecEnvTiming {
-                        stats: &mut scratch_stats,
-                        timing: false,
-                        while_cap,
-                    };
-                    for li in range {
-                        // The global iteration ordinal, so last-writer
-                        // scalar merges order across the whole loop, not
-                        // within one level.
-                        let k = level_ref[li] as usize;
-                        wm.current_iter = k;
-                        wa.current_iter = k;
-                        wm.set(f.var, values[k]);
-                        if let Err(e) =
-                            exec_code(&mut wm, &mut wa, &f.body, &mut NoDispatchB, &mut wenv)
-                        {
-                            acc.err = Some(e);
-                            break;
-                        }
-                    }
-                    for (slot, &iter) in wm.write_iter.iter().enumerate() {
-                        if iter == NOT_WRITTEN {
-                            continue;
-                        }
-                        match acc.scalar_writes[slot] {
-                            Some((best, _)) if best >= iter => {}
-                            _ => acc.scalar_writes[slot] = Some((iter, wm.regs[slot])),
-                        }
-                    }
-                    acc
-                },
-                |a, b| a.combine(b, &[]),
-            )
-        });
-        if let Some(e) = acc.err {
-            return Err(e);
-        }
-        for (slot, w) in acc.scalar_writes.into_iter().enumerate() {
-            if let Some((iter, value)) = w {
-                match merged[slot] {
-                    Some((best, _)) if best >= iter => {}
-                    _ => merged[slot] = Some((iter, value)),
-                }
-            }
-        }
-    }
-    for (slot, w) in merged.into_iter().enumerate() {
-        if let Some((_, value)) = w {
-            m.regs[slot] = value;
-            m.defined[slot] = true;
-        }
-    }
-    m.set(f.var, exit_value);
-    env.stats.record(
-        f.id,
-        values.len() as u64,
-        start.elapsed().as_secs_f64(),
-        ExecMode::Parallel { threads, dynamic },
-    );
-    env.stats
-        .record_wavefront(f.id, schedule.by_level.len(), schedule.avg_width());
-    Ok(())
+/// One run's view of the level-set strategy: the gate's facts per loop and
+/// the artifacts' schedule cache.
+pub(super) struct LevelSets<'r> {
+    facts: HashMap<LoopId, &'r WavefrontFact>,
+    cache: Arc<dyn EngineArtifact>,
 }
 
-/// Attempts wavefront dispatch of one gate-approved loop: materialize the
-/// iteration space, look up (or inspect and cache) the schedule, check
-/// profitability, execute level by level.  `Ok(false)` sends the loop to
-/// the serial path.
-fn try_dispatch_wavefront(
-    fact: &WavefrontFact,
-    cache: &WfScheduleCache,
-    opts: &ExecOptions,
-    m: &mut Machine<'_>,
-    arrays: &mut SpineArrays<'_>,
-    f: &BcFor,
-    env: &mut ExecEnvTiming<'_>,
-) -> Result<bool, ExecError> {
-    if opts.threads <= 1 || !f.local_arrays.is_empty() {
-        return Ok(false);
-    }
-    let v0 = eval_block(m, arrays, &f.init, env)?;
-    let bound = eval_block(m, arrays, &f.bound, env)?;
-    let step = eval_block(m, arrays, &f.step, env)?;
-    let (values, exit_value) =
-        super::materialize_iteration_space(v0, bound, step, f.cond_op, f.id, env.while_cap)?;
-    let n = values.len();
-    if n < opts.min_parallel_trip {
-        return Ok(false);
-    }
-    let key = (f.id, schedule_key(fact, m, arrays, f.id, env.while_cap));
-    let schedule = {
-        let mut map = cache.map.lock().unwrap_or_else(|e| e.into_inner());
-        match map.get(&key) {
-            Some(s) => Some(Arc::clone(s)),
-            None => inspect_schedule(fact, m, arrays, f, &values, env.while_cap).map(|s| {
-                let s = Arc::new(s);
-                map.insert(key, Arc::clone(&s));
-                s
-            }),
+impl<'r> LevelSets<'r> {
+    pub(super) fn new(artifacts: &'r Artifacts) -> LevelSets<'r> {
+        let loops = artifacts.report.loops.iter();
+        LevelSets {
+            facts: loops
+                .filter_map(|l| l.wavefront.as_ref().map(|w| (l.loop_id, w)))
+                .collect(),
+            cache: schedule_cache(artifacts),
         }
-    };
-    let Some(schedule) = schedule else {
-        return Ok(false);
-    };
-    if schedule.iterations() != n || schedule.avg_width() < MIN_AVG_WIDTH {
+    }
+
+    /// The gate's fact for loop `id`, when it is wavefront-schedulable.
+    pub(super) fn fact(&self, id: LoopId) -> Option<&'r WavefrontFact> {
+        self.facts.get(&id).copied()
+    }
+
+    /// The schedule for this entry state — cached, or inspected and cached
+    /// now — when it exists and is worth running.  `None` sends the loop
+    /// to the serial path.
+    pub(super) fn schedule<B: RegionBody>(
+        &self,
+        fact: &WavefrontFact,
+        id: LoopId,
+        spine: &Spine<'_>,
+        body: &B,
+        values: &[i64],
+        while_cap: u64,
+    ) -> Option<Arc<LevelSchedule>> {
+        let (key, check) = entry_state(fact, id, spine, values.len(), while_cap);
+        let mut map = as_cache(&self.cache)
+            .map
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        let schedule = match map.get(&(id, key)) {
+            Some(hit) if hit.check == check => Arc::clone(&hit.schedule),
+            stale => {
+                if stale.is_some() {
+                    SCHEDULE_KEY_MISMATCHES.fetch_add(1, Ordering::Relaxed);
+                }
+                let schedule = Arc::new(inspect_schedule(fact, spine, body, values)?);
+                let cached = CachedSchedule {
+                    schedule: Arc::clone(&schedule),
+                    check,
+                };
+                map.insert((id, key), cached);
+                schedule
+            }
+        };
         // Too fine (or a stale shape): the barrier per level would cost
         // more than it buys — stay serial.  The schedule stays cached, so
         // later runs skip straight to this decision.
-        return Ok(false);
-    }
-    execute_wavefront(&schedule, &values, exit_value, opts, m, arrays, f, env)?;
-    Ok(true)
-}
-
-// ---------------------------------------------------------------------------
-// The dispatch policy and entry points.
-// ---------------------------------------------------------------------------
-
-struct WfDispatch<'r> {
-    dispatchable: &'r HashMap<LoopId, Vec<ss_parallelizer::ReductionInfo>>,
-    facts: &'r HashMap<LoopId, &'r WavefrontFact>,
-    cache: &'r WfScheduleCache,
-    opts: &'r ExecOptions,
-}
-
-impl BcPolicy<SpineArrays<'_>> for WfDispatch<'_> {
-    fn try_dispatch(
-        &mut self,
-        m: &mut Machine<'_>,
-        arrays: &mut SpineArrays<'_>,
-        f: &BcFor,
-        env: &mut ExecEnvTiming<'_>,
-    ) -> Result<bool, ExecError> {
-        // Proven-parallel and reduction loops take the shared dispatcher,
-        // identically to every other parallel engine.
-        if try_dispatch_parallel(self.dispatchable, self.opts, m, arrays, f, env)? {
-            return Ok(true);
-        }
-        let Some(fact) = self.facts.get(&f.id) else {
-            return Ok(false);
-        };
-        try_dispatch_wavefront(fact, self.cache, self.opts, m, arrays, f, env)
+        (schedule.iterations() == values.len() && schedule.avg_width() >= MIN_AVG_WIDTH)
+            .then_some(schedule)
     }
 }
 
-/// Parallel execution: the bytecode spine with proven loops on the shared
-/// dispatcher and gate-approved serial loops on the wavefront scheduler.
-pub(super) fn run_parallel_wavefront(
-    artifacts: &Artifacts,
-    mut heap: Heap,
-    opts: &ExecOptions,
-) -> Result<ExecOutcome, ExecError> {
-    let bc = artifacts.bytecode_at(opts.opt_level);
-    let dispatchable = dispatchable_map(&artifacts.report);
-    let facts: HashMap<LoopId, &WavefrontFact> = artifacts
-        .report
-        .loops
-        .iter()
-        .filter_map(|l| l.wavefront.as_ref().map(|w| (l.loop_id, w)))
-        .collect();
-    let cache_arc = schedule_cache(artifacts);
-    let mut stats = ExecStats::default();
-    let start = Instant::now();
-    let mut machine = Machine::new(bc);
-    machine.load_scalars(&heap, &bc.slots);
-    let mut arrays = SpineArrays::from_heap(&mut heap, &bc.slots);
-    {
-        let mut policy = WfDispatch {
-            dispatchable: &dispatchable,
-            facts: &facts,
-            cache: as_cache(&cache_arc),
-            opts,
-        };
-        let mut env = ExecEnvTiming {
-            stats: &mut stats,
-            timing: true,
-            while_cap: opts.while_cap,
-        };
-        exec_code(&mut machine, &mut arrays, &bc.main, &mut policy, &mut env)?;
-    }
-    arrays.into_heap(&mut heap);
-    machine.store_scalars(&mut heap, &bc.slots);
-    stats.total_seconds = start.elapsed().as_secs_f64();
-    Ok(ExecOutcome { heap, stats })
-}
-
-/// Runs the whole program through the wavefront engine, then renders
-/// every level-set schedule the run built (or reused from the cache) in
-/// loop order — the surface the golden-schedule tests diff.
+/// Runs the whole program through the bytecode executor with level-set
+/// dispatch, then renders every level-set schedule the run built (or
+/// reused from the cache) in loop order — the surface the golden-schedule
+/// tests diff.
 pub fn wavefront_schedule_dump(
     artifacts: &Artifacts,
     heap: Heap,
     opts: &ExecOptions,
 ) -> Result<String, ExecError> {
-    run_parallel_wavefront(artifacts, heap, opts)?;
+    let dispatcher = Dispatcher::new(artifacts, opts, true);
+    let bc = artifacts.bytecode_at(opts.opt_level);
+    super::bytecode::run_bytecode(bc, heap, opts, Some(&dispatcher))?;
     let cache_arc = schedule_cache(artifacts);
     let map = as_cache(&cache_arc)
         .map
         .lock()
         .unwrap_or_else(|e| e.into_inner());
-    let mut entries: Vec<(&(LoopId, u64), &Arc<LevelSchedule>)> = map.iter().collect();
+    let mut entries: Vec<_> = map.iter().collect();
     entries.sort_by_key(|((id, key), _)| (*id, *key));
     let mut out = String::new();
-    for ((id, _), schedule) in entries {
+    for ((id, _), cached) in entries {
         out.push_str(&format!("{id}\n"));
-        out.push_str(&schedule.render());
+        out.push_str(&cached.schedule.render());
     }
     Ok(out)
 }
@@ -546,8 +416,16 @@ pub fn wavefront_schedule_dump(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::bytecode::run_serial_bytecode;
+    use crate::engine::bytecode::run_bytecode;
+    use crate::engine::{ExecMode, ExecOutcome};
     use ss_ir::opt::OptLevel;
+
+    /// The bytecode executor, serially or with level-set dispatch.
+    fn run(art: &Artifacts, heap: Heap, opts: &ExecOptions, level_sets: bool) -> ExecOutcome {
+        let dispatcher = level_sets.then(|| Dispatcher::new(art, opts, true));
+        let bc = art.bytecode_at(opts.opt_level);
+        run_bytecode(bc, heap, opts, dispatcher.as_ref()).unwrap()
+    }
 
     const SPTRSV: &str = r#"
         for (i = 0; i < n; i++) {
@@ -602,10 +480,8 @@ mod tests {
             .expect("the solve loop is wavefront-schedulable");
         assert_eq!(solve.wavefront.as_ref().unwrap().watched, vec!["x"]);
         for level in [OptLevel::O0, OptLevel::O1] {
-            let serial =
-                run_serial_bytecode(art.bytecode_at(level), sptrsv_heap(24), &opts(1, level))
-                    .unwrap();
-            let wf = run_parallel_wavefront(&art, sptrsv_heap(24), &opts(4, level)).unwrap();
+            let serial = run(&art, sptrsv_heap(24), &opts(1, level), false);
+            let wf = run(&art, sptrsv_heap(24), &opts(4, level), true);
             assert_eq!(serial.heap, wf.heap, "heaps diverge at {level:?}");
         }
     }
@@ -620,10 +496,8 @@ mod tests {
         let heap = Heap::new()
             .with_scalar("n", 64)
             .with_array("x", vec![0; 64]);
-        let out = run_parallel_wavefront(&art, heap.clone(), &opts(4, OptLevel::O1)).unwrap();
-        let serial =
-            run_serial_bytecode(art.bytecode_at(OptLevel::O1), heap, &opts(1, OptLevel::O1))
-                .unwrap();
+        let out = run(&art, heap.clone(), &opts(4, OptLevel::O1), true);
+        let serial = run(&art, heap, &opts(1, OptLevel::O1), false);
         assert_eq!(out.heap, serial.heap);
         let stats = &out.stats.loops[&LoopId(0)];
         assert!(matches!(stats.mode, ExecMode::Serial));
@@ -646,5 +520,56 @@ mod tests {
         assert!(d1.contains("iterations 6 levels 2"), "dump:\n{d1}");
         assert!(d1.contains("level 0: 0 1 3"), "dump:\n{d1}");
         assert!(d1.contains("level 1: 2 4 5"), "dump:\n{d1}");
+    }
+
+    #[test]
+    fn a_colliding_cache_key_is_reinspected_not_trusted() {
+        // Two inputs of one shape whose schedules differ; running B under
+        // A's levels would put B's same-slot writes in one level.
+        let src = "for (i = 0; i < n; i++) { h[idx[i]] = i; }";
+        let heap = |idx: Vec<i64>| {
+            Heap::new()
+                .with_scalar("n", 6)
+                .with_array("idx", idx)
+                .with_array("h", vec![0; 3])
+        };
+        let (a, b) = (vec![0, 1, 0, 2, 1, 2], vec![0, 0, 1, 1, 2, 2]);
+        let o = opts(2, OptLevel::O1);
+        let entries = |art: &Artifacts| {
+            let cache = schedule_cache(art);
+            let map = as_cache(&cache).map.lock().unwrap();
+            map.iter()
+                .map(|(k, c)| (*k, Arc::clone(&c.schedule), c.check.clone()))
+                .collect::<Vec<_>>()
+        };
+
+        // B's true key and schedule, from an artifact store of its own.
+        let art_b = Artifacts::compile_source("scatter", src).unwrap();
+        run(&art_b, heap(b.clone()), &o, true);
+        let (key_b, schedule_b, _) = entries(&art_b).pop().unwrap();
+
+        // Forge the collision: A's entry, filed under B's key.
+        let art = Artifacts::compile_source("scatter", src).unwrap();
+        run(&art, heap(a), &o, true);
+        let (_, schedule_a, check_a) = entries(&art).pop().unwrap();
+        assert_ne!(schedule_a.render(), schedule_b.render());
+        let cache = schedule_cache(&art);
+        as_cache(&cache).map.lock().unwrap().insert(
+            key_b,
+            CachedSchedule {
+                schedule: schedule_a,
+                check: check_a,
+            },
+        );
+
+        let before = schedule_key_mismatch_count();
+        let out = run(&art, heap(b.clone()), &o, true);
+        assert_eq!(
+            out.heap,
+            run(&art, heap(b), &opts(1, OptLevel::O1), false).heap
+        );
+        assert!(schedule_key_mismatch_count() > before);
+        let healed = entries(&art).into_iter().find(|(k, ..)| *k == key_b);
+        assert_eq!(healed.unwrap().1.render(), schedule_b.render());
     }
 }

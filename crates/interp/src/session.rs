@@ -617,6 +617,7 @@ pub fn registry_json(registry: &EngineRegistry) -> String {
                 ("local_arrays", caps.local_arrays.to_string()),
                 ("inspector_baseline", caps.inspector_baseline.to_string()),
                 ("persistent_team", caps.persistent_team.to_string()),
+                ("level_sets", caps.level_sets.to_string()),
                 (
                     "opt_levels",
                     json::array(caps.opt_levels.iter().map(|l| json::string(&l.to_string()))),
@@ -1514,7 +1515,7 @@ mod tests {
 
         #[derive(Debug)]
         struct CountingEngine {
-            inner: crate::engine::registry::BytecodeEngine,
+            inner: Arc<dyn Engine>,
             prepares: StdArc<AtomicUsize>,
         }
         impl Engine for CountingEngine {
@@ -1552,7 +1553,7 @@ mod tests {
         let prepares = StdArc::new(AtomicUsize::new(0));
         let mut session = Session::new();
         session.register_engine(Arc::new(CountingEngine {
-            inner: crate::engine::registry::BytecodeEngine,
+            inner: session.registry().default_engine(),
             prepares: StdArc::clone(&prepares),
         }));
         // A differential run executes the counting engine at both opt

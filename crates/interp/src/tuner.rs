@@ -53,8 +53,9 @@ use std::sync::{Arc, Mutex};
 
 /// The engines the tuner searches over, in enumeration order.  The
 /// `compiled` and `ast` tiers are differential references, never
-/// performance candidates; the wavefront leg is pruned per-kernel when
-/// the artifacts carry no wavefront fact.
+/// performance candidates; engines with the
+/// [`level_sets`](crate::EngineCaps::level_sets) capability are pruned
+/// per-kernel when the artifacts carry no wavefront fact.
 pub const TUNED_ENGINES: [&str; 3] = ["bytecode", "threaded", "wavefront"];
 
 /// The chunk sizes the dynamic-schedule legs sweep.
@@ -363,15 +364,17 @@ fn rank(seed: u64, label: &str) -> u64 {
 /// first; `pruned` receives one note per skipped leg class.  Pure: same
 /// artifacts, same seed, same list — the determinism tests pin this.
 pub fn enumerate_candidates(
+    registry: &EngineRegistry,
     artifacts: &Artifacts,
     base_threads: usize,
     seed: u64,
     pruned: &mut Vec<String>,
 ) -> Vec<PolicyPoint> {
     let facts = kernel_facts(artifacts);
+    let level_sets = |name: &str| registry.get(name).is_ok_and(|e| e.caps().level_sets);
     let mut engines: Vec<&str> = TUNED_ENGINES.to_vec();
     if !facts.wavefront {
-        engines.retain(|e| *e != "wavefront");
+        engines.retain(|e| !level_sets(e));
         pruned.push("wavefront legs (no wavefront-schedulable loop)".to_string());
     }
     let mut thread_legs: Vec<usize> = Vec::new();
@@ -398,9 +401,10 @@ pub fn enumerate_candidates(
     let mut candidates = Vec::new();
     for engine in &engines {
         for level in [OptLevel::O0, OptLevel::O1] {
-            // Serial legs: the wavefront engine's serial path *is* the
-            // bytecode engine, so it gets no serial candidates.
-            if *engine != "wavefront" {
+            // Serial legs: a level-set engine's serial path *is* its
+            // executor's, which has its own row, so it gets no serial
+            // candidates.
+            if !level_sets(engine) {
                 candidates.push(PolicyPoint {
                     engine: engine.to_string(),
                     opt_level: level,
@@ -452,7 +456,8 @@ pub fn search(
 ) -> Result<TunedPolicy, SsError> {
     TUNE_SEARCHES.fetch_add(1, Ordering::Relaxed);
     let mut pruned = Vec::new();
-    let candidates = enumerate_candidates(artifacts, base.threads.max(1), config.seed, &mut pruned);
+    let threads = base.threads.max(1);
+    let candidates = enumerate_candidates(registry, artifacts, threads, config.seed, &mut pruned);
     let budget = config.budget_trials.unwrap_or(usize::MAX).max(1);
     if candidates.len() > budget {
         pruned.push(format!(
@@ -525,7 +530,7 @@ mod tests {
     fn default_point_is_always_first_and_unique() {
         let art = Artifacts::compile_source("fig9", FIG9).unwrap();
         let mut pruned = Vec::new();
-        let c = enumerate_candidates(&art, 4, 7, &mut pruned);
+        let c = enumerate_candidates(&EngineRegistry::builtin(), &art, 4, 7, &mut pruned);
         assert_eq!(c[0], PolicyPoint::default_point(4));
         let labels: Vec<String> = c.iter().map(|p| p.label()).collect();
         let mut dedup = labels.clone();
@@ -542,7 +547,7 @@ mod tests {
     fn skewed_kernels_skip_static_legs() {
         let art = Artifacts::compile_source("fig9", FIG9).unwrap();
         let mut pruned = Vec::new();
-        let c = enumerate_candidates(&art, 2, 0, &mut pruned);
+        let c = enumerate_candidates(&EngineRegistry::builtin(), &art, 2, 0, &mut pruned);
         assert!(
             c.iter()
                 .all(|p| !matches!(p.schedule, ScheduleChoice::Static)),
@@ -559,8 +564,11 @@ mod tests {
         let src = "for (i = 0; i < n; i++) { out[i] = a[i] + 1; }";
         let art = Artifacts::compile_source("map", src).unwrap();
         let mut pruned = Vec::new();
-        let c = enumerate_candidates(&art, 2, 0, &mut pruned);
-        assert!(c.iter().all(|p| p.engine != "wavefront"));
+        let c = enumerate_candidates(&EngineRegistry::builtin(), &art, 2, 0, &mut pruned);
+        let registry = EngineRegistry::builtin();
+        assert!(c
+            .iter()
+            .all(|p| !registry.get(&p.engine).unwrap().caps().level_sets));
         assert!(
             pruned.iter().any(|p| p.contains("wavefront legs")),
             "{pruned:?}"
@@ -573,7 +581,7 @@ mod tests {
         let art = Artifacts::compile_source("chain", src).unwrap();
         if !kernel_facts(&art).parallel && !kernel_facts(&art).wavefront {
             let mut pruned = Vec::new();
-            let c = enumerate_candidates(&art, 4, 0, &mut pruned);
+            let c = enumerate_candidates(&EngineRegistry::builtin(), &art, 4, 0, &mut pruned);
             assert!(c.iter().all(|p| p.threads == 1), "{c:?}");
             assert!(pruned.iter().any(|p| p.contains("multi-thread")));
         }
@@ -584,7 +592,7 @@ mod tests {
         let art = Artifacts::compile_source("fig9", FIG9).unwrap();
         let order = |seed| {
             let mut pruned = Vec::new();
-            enumerate_candidates(&art, 2, seed, &mut pruned)
+            enumerate_candidates(&EngineRegistry::builtin(), &art, 2, seed, &mut pruned)
                 .iter()
                 .map(|p| p.label())
                 .collect::<Vec<_>>()

@@ -4,13 +4,13 @@
 //! Everything else in this repo tests the engines kernel by kernel; this
 //! harness *generates* SS-IR programs — random nested loops, conditionals,
 //! subscripted subscripts, compound assignments, reduction shapes (`+` and
-//! `*`), loop-local array declarations, `while` loops, deliberately unsafe
+//! `*`), loop-local array declarations, `while` loops, carried indirect
+//! read/write loops (the level-set dispatch shape), deliberately unsafe
 //! accesses — compiles each one through the staged pipeline **once** (the
 //! shared [`Session`]'s content-addressed cache), and differentially
 //! executes it under **every engine in the registry**, serially and in
-//! parallel, at every `--opt-level` the engine distinguishes (today: ast,
-//! compiled, bytecode-O0, bytecode-O1 — registering a new engine enrolls
-//! it in the hunt automatically):
+//! parallel, at every `--opt-level` the engine distinguishes (registering
+//! a new engine enrolls it in the hunt automatically):
 //!
 //! * when the reference engine succeeds, every other execution must
 //!   succeed with a **bit-identical final heap** (O0 ≡ O1 included — the
@@ -30,9 +30,10 @@
 //! straight into a regression test.
 //!
 //! Case count defaults to 256 (the CI floor) and scales with the
-//! `ENGINE_FUZZ_CASES` environment variable for long local hunts.
+//! `ENGINE_FUZZ_CASES` environment variable for long local hunts.  At or
+//! above the floor the hunt must also have *reached* every dispatch
+//! strategy: it fails if no parallel leg ran a loop as level sets.
 
-use proptest::prelude::*;
 use proptest::TestRng;
 use ss_interp::{engine_label, ExecOptions, Heap, Session};
 use std::sync::OnceLock;
@@ -120,6 +121,20 @@ enum GStmt {
         trip: i64,
         body: Vec<GStmt>,
     },
+    /// A carried indirect read/write loop with the loop that fills its
+    /// index arrays: `wp`/`wq` get `(var * mul + add) % dim`, then
+    /// `arr[wp[var]] = arr[wq[var]] + term` — serial-proven, but its
+    /// footprint is a function of entry state, so engines with the
+    /// level-set strategy inspect and schedule it.
+    Carried {
+        var: String,
+        trip: i64,
+        arr: String,
+        dim: i64,
+        p: (i64, i64),
+        q: (i64, i64),
+        term: GExpr,
+    },
 }
 
 fn render_block(stmts: &[GStmt], indent: usize, out: &mut String) {
@@ -177,6 +192,27 @@ fn render_block(stmts: &[GStmt], indent: usize, out: &mut String) {
                 out.push_str(&format!("{pad}    {var} = {var} + 1;\n"));
                 out.push_str(&format!("{pad}}}\n"));
             }
+            GStmt::Carried {
+                var,
+                trip,
+                arr,
+                dim,
+                p,
+                q,
+                term,
+            } => {
+                out.push_str(&format!(
+                    "{pad}for ({var} = 0; {var} < {trip}; {var}++) {{\n\
+                     {pad}    wp[{var}] = ({var} * {} + {}) % {dim};\n\
+                     {pad}    wq[{var}] = ({var} * {} + {}) % {dim};\n\
+                     {pad}}}\n\
+                     {pad}for ({var} = 0; {var} < {trip}; {var}++) {{\n\
+                     {pad}    {arr}[wp[{var}]] = {arr}[wq[{var}]] + ",
+                    p.0, p.1, q.0, q.1
+                ));
+                term.render(out);
+                out.push_str(&format!(";\n{pad}}}\n"));
+            }
         }
     }
 }
@@ -192,6 +228,9 @@ const UNDEFINED: [&str; 2] = ["u0", "u1"];
 
 struct Gen {
     rng: TestRng,
+    /// A second stream for the [`GStmt::Carried`] shape, so inserting one
+    /// leaves the rest of the program what `rng` alone would generate.
+    shape_rng: TestRng,
     arrays: Vec<Arr>,
     loop_vars: Vec<String>,
     next_loop_var: usize,
@@ -426,6 +465,29 @@ impl Gen {
         }
     }
 
+    fn carried(&mut self) -> GStmt {
+        let rng = &mut self.shape_rng;
+        let var = format!("i{}", self.next_loop_var);
+        self.next_loop_var += 1;
+        let (arr, dim) = [("a", 16), ("b", 16), ("out", 32)][rng.below(3)];
+        let mut map = || (1 + rng.below(7) as i64, rng.below(8) as i64);
+        let (p, q) = (map(), map());
+        let term = if rng.below(2) == 0 {
+            GExpr::Var(var.clone())
+        } else {
+            GExpr::Const(rng.below(8) as i64)
+        };
+        GStmt::Carried {
+            var,
+            trip: 8 + rng.below(9) as i64,
+            arr: arr.into(),
+            dim,
+            p,
+            q,
+            term,
+        }
+    }
+
     fn block(&mut self, nest: usize) -> Vec<GStmt> {
         let want = 1 + self.rng.below(3);
         let mut out = Vec::new();
@@ -450,6 +512,7 @@ impl GProgram {
     fn generate(seed: u64) -> GProgram {
         let mut g = Gen {
             rng: TestRng::from_seed(seed),
+            shape_rng: TestRng::from_seed(!seed),
             arrays: vec![
                 Arr {
                     name: "a".into(),
@@ -480,6 +543,10 @@ impl GProgram {
         let threads = 2 + g.rng.below(3);
         let mut body = Vec::new();
         while g.stmt_budget > 0 {
+            // Top level only, so the loop reaches the spine's dispatcher.
+            if g.shape_rng.below(100) < 12 {
+                body.push(g.carried());
+            }
             body.push(g.stmt(0));
         }
         GProgram {
@@ -497,6 +564,7 @@ impl GProgram {
         let c1 = 1 + (self.seed % 7) as i64;
         let c2 = (self.seed / 7 % 5) as i64;
         out.push_str("int a[16]; int b[16]; int idx[16]; int out[32]; int m[4][8];\n");
+        out.push_str("int wp[16]; int wq[16];\n");
         out.push_str(&format!(
             "for (p0 = 0; p0 < 16; p0++) {{\n    a[p0] = p0 * {c1} - 7;\n    b[p0] = p0 + {c2};\n    idx[p0] = (p0 * {c1} + {c2}) % 16;\n}}\n"
         ));
@@ -510,8 +578,8 @@ impl GProgram {
 
     /// Runs the full differential matrix; `Some(description)` on the first
     /// divergence.
-    fn check(&self) -> Option<String> {
-        check_source(&self.source(), self.threads)
+    fn check(&self, level_set_legs: &mut usize) -> Option<String> {
+        check_source(&self.source(), self.threads, level_set_legs)
     }
 }
 
@@ -531,8 +599,9 @@ fn opts(threads: usize, opt_level: ss_interp::OptLevel) -> ExecOptions {
 /// level it distinguishes must agree with the reference serially (heap or
 /// error), every parallel execution must reproduce the serial heap
 /// whenever the serial run succeeds — and the analysis verdicts must be
-/// monotone (baseline ⊆ extended).
-fn check_source(src: &str, threads: usize) -> Option<String> {
+/// monotone (baseline ⊆ extended).  `level_set_legs` counts the parallel
+/// legs that ran some loop as dependence level sets.
+fn check_source(src: &str, threads: usize, level_set_legs: &mut usize) -> Option<String> {
     let registry = session().registry();
     let artifacts = match session().artifacts("fuzz", src) {
         Ok(a) => a,
@@ -597,6 +666,9 @@ fn check_source(src: &str, threads: usize) -> Option<String> {
         for &level in engine.caps().opt_levels {
             let label = engine_label(engine.as_ref(), level);
             let got = engine.run_parallel(&artifacts, Heap::new(), &opts(threads, level));
+            if let Ok(g) = &got {
+                *level_set_legs += g.stats.loops.values().any(|l| l.wavefront.is_some()) as usize;
+            }
             match (&reference, &got) {
                 (Ok(r), Ok(g)) => {
                     let diffs = r.heap.diff(&g.heap);
@@ -697,7 +769,7 @@ fn shrink(program: &GProgram) -> GProgram {
                 body: remove_at(&current.body, &path),
                 ..current.clone()
             };
-            if candidate.check().is_some() {
+            if candidate.check(&mut 0).is_some() {
                 current = candidate;
                 reduced = true;
                 break;
@@ -720,24 +792,32 @@ fn fuzz_cases() -> u32 {
         .unwrap_or(256)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(fuzz_cases()))]
-
-    #[test]
-    fn all_engines_agree_on_generated_programs(seed in 0u64..u64::MAX) {
+#[test]
+fn all_engines_agree_on_generated_programs() {
+    let cases = fuzz_cases();
+    let mut rng = TestRng::from_name("all_engines_agree_on_generated_programs");
+    let mut level_set_legs = 0;
+    for case in 0..cases {
+        let seed = rng.next_u64();
         let program = GProgram::generate(seed);
-        if let Some(msg) = program.check() {
+        if let Some(msg) = program.check(&mut level_set_legs) {
             let minimal = shrink(&program);
-            let why = minimal.check().unwrap_or_else(|| msg.clone());
-            prop_assert!(
-                false,
-                "cross-engine divergence (seed {seed}, threads {}):\n{why}\n\
+            let why = minimal.check(&mut 0).unwrap_or(msg);
+            panic!(
+                "cross-engine divergence (case {}/{cases}, seed {seed}, threads {}):\n{why}\n\
                  minimal failing program:\n{}",
+                case + 1,
                 minimal.threads,
                 minimal.source()
             );
         }
     }
+    // Short local runs (below the CI floor) are exempt.
+    assert!(
+        cases < 256 || level_set_legs > 0,
+        "no parallel leg of {cases} cases ran a loop as level sets: the \
+         generator no longer reaches that dispatch strategy"
+    );
 }
 
 /// Regression seeds: shapes the generator has produced that exercise the
@@ -778,7 +858,7 @@ fn regression_shapes_stay_in_agreement() {
         "int idx[12]; int x[6];\nfor (p = 0; p < 12; p++) { idx[p] = (p * 5) % 6; }\nfor (p = 0; p < 6; p++) { x[p] = p + 1; }\nfor (i0 = 1; i0 < 6; i0++) {\n    acc = x[i0];\n    for (k = 0; k < i0; k++) {\n        if (idx[k] < i0) { acc = acc - x[idx[k]]; }\n    }\n    x[i0] = acc;\n}\n",
     ];
     for (k, src) in cases.iter().enumerate() {
-        if let Some(msg) = check_source(src, 3) {
+        if let Some(msg) = check_source(src, 3, &mut 0) {
             panic!("regression case {k} diverged:\n{msg}\nsource:\n{src}");
         }
     }
