@@ -811,6 +811,31 @@ mod tests {
                 assert_eq!(err, serial, "{} {o:?}", engine.name());
             }
         }
+        // A too-small `out`: half the iterations fault, so a worker may trip
+        // at a different index than the serial run — the kind must match.
+        // This is the bounds check guarding the shared store's raw accesses.
+        let art = compile("t", "for (i = 0; i < n; i++) { out[i] = i; }");
+        assert!(!art.report.outermost_parallel_loops().is_empty());
+        let heap = Heap::new()
+            .with_scalar("n", 100)
+            .with_array("out", vec![0; 50]);
+        let serial = reference_engine()
+            .run_serial(&art, heap.clone(), &opts(1))
+            .unwrap_err();
+        assert!(matches!(
+            serial,
+            SsError::Runtime(ExecError::OutOfBounds { .. })
+        ));
+        for engine in engines() {
+            for o in schedule_legs(4) {
+                let err = engine.run_parallel(&art, heap.clone(), &o).unwrap_err();
+                assert!(
+                    matches!(err, SsError::Runtime(ExecError::OutOfBounds { .. })),
+                    "{} {o:?}: {err:?}",
+                    engine.name()
+                );
+            }
+        }
     }
 
     #[test]

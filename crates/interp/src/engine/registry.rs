@@ -190,28 +190,33 @@ const BUILTINS: [Builtin; 5] = [
 ];
 
 impl Builtin {
-    /// Runs the row's executor on the spine; `dispatch` is `None` for
-    /// serial runs.
+    /// Runs the row's executor on the spine.  The reference walks the
+    /// tree through its own `dispatch.rs`; the slot-addressed executors
+    /// share the one [`Dispatcher`], built only for parallel runs.
     fn run(
         &self,
         artifacts: &Artifacts,
         heap: Heap,
         opts: &ExecOptions,
-        dispatch: Option<&Dispatcher<'_>>,
+        parallel: bool,
     ) -> Result<ExecOutcome, SsError> {
+        let dispatcher =
+            || parallel.then(|| Dispatcher::new(artifacts, opts, self.caps.level_sets));
         Ok(match self.executor {
-            Executor::Ast => match dispatch {
-                Some(_) => {
-                    dispatch::run_parallel_ast(&artifacts.program, &artifacts.report, heap, opts)
-                }
-                None => serial::run_serial_ast(&artifacts.program, heap, opts),
-            },
-            Executor::Compiled => compiled::run_compiled(&artifacts.compiled, heap, opts, dispatch),
+            Executor::Ast if parallel => {
+                dispatch::run_parallel_ast(&artifacts.program, &artifacts.report, heap, opts)
+            }
+            Executor::Ast => serial::run_serial_ast(&artifacts.program, heap, opts),
+            Executor::Compiled => {
+                compiled::run_compiled(&artifacts.compiled, heap, opts, dispatcher().as_ref())
+            }
             Executor::Bytecode => {
                 let bc = artifacts.bytecode_at(opts.opt_level);
-                bytecode::run_bytecode(bc, heap, opts, dispatch)
+                bytecode::run_bytecode(bc, heap, opts, dispatcher().as_ref())
             }
-            Executor::Threaded => threaded::run_threaded(artifacts, heap, opts, dispatch),
+            Executor::Threaded => {
+                threaded::run_threaded(artifacts, heap, opts, dispatcher().as_ref())
+            }
         }?)
     }
 }
@@ -235,7 +240,7 @@ impl Engine for Builtin {
         heap: Heap,
         opts: &ExecOptions,
     ) -> Result<ExecOutcome, SsError> {
-        self.run(artifacts, heap, opts, None)
+        self.run(artifacts, heap, opts, false)
     }
 
     fn run_parallel(
@@ -252,8 +257,7 @@ impl Engine for Builtin {
                     .to_string(),
             });
         }
-        let dispatcher = Dispatcher::new(artifacts, opts, self.caps.level_sets);
-        self.run(artifacts, heap, opts, Some(&dispatcher))
+        self.run(artifacts, heap, opts, true)
     }
 }
 

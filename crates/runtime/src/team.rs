@@ -342,8 +342,16 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU32;
 
+    /// Every test here spawns workers and several diff the process-wide
+    /// [`team_threads_spawned`] counter, so they take turns.
+    fn one_at_a_time() -> std::sync::MutexGuard<'static, ()> {
+        static TURN: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
     #[test]
     fn a_team_survives_back_to_back_regions_without_respawning() {
+        let _turn = one_at_a_time();
         let team = ThreadTeam::new(4);
         let spawned_after_creation = team_threads_spawned();
         let hits = AtomicU32::new(0);
@@ -362,6 +370,7 @@ mod tests {
 
     #[test]
     fn team_of_one_runs_inline_and_spawns_nothing() {
+        let _turn = one_at_a_time();
         let before = team_threads_spawned();
         let team = ThreadTeam::new(1);
         assert_eq!(team_threads_spawned(), before);
@@ -374,6 +383,7 @@ mod tests {
 
     #[test]
     fn team_reduce_matches_scoped_reduce_for_both_schedules() {
+        let _turn = one_at_a_time();
         let n = 10_000usize;
         let term = |i: usize| ((i as i64).wrapping_mul(0x9e37) % 1001) - 500;
         let expected_sum: i64 = (0..n).map(term).sum();
@@ -409,6 +419,7 @@ mod tests {
 
     #[test]
     fn dynamic_stealing_on_a_team_covers_every_iteration_exactly_once() {
+        let _turn = one_at_a_time();
         for (n, threads, chunk) in [
             (0usize, 4usize, 3usize),
             (1, 4, 3),
@@ -431,6 +442,7 @@ mod tests {
 
     #[test]
     fn chunk_stealing_and_static_agree_under_adversarial_skew() {
+        let _turn = one_at_a_time();
         // One iteration (the last) carries ~all the work; every other
         // iteration is trivial.  Whatever the schedule and whoever steals
         // what, the reduction and the element-wise results must be
@@ -465,6 +477,7 @@ mod tests {
 
     #[test]
     fn shared_teams_are_reused_across_calls_and_survive_panics() {
+        let _turn = one_at_a_time();
         // Use an unusual size so no other test in this binary registers it.
         let size = 5;
         let before = team_threads_spawned();
@@ -508,6 +521,7 @@ mod tests {
 
     #[test]
     fn distinct_groups_hold_distinct_teams_of_the_same_size() {
+        let _turn = one_at_a_time();
         // Unusual size so no other test in this binary registers it.
         let size = 6;
         let before = team_threads_spawned();
@@ -538,6 +552,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "worker thread panicked")]
     fn worker_panics_propagate_to_the_caller() {
+        let _turn = one_at_a_time();
         let team = ThreadTeam::new(2);
         team.run(&|w| {
             if w == 1 {
@@ -548,6 +563,7 @@ mod tests {
 
     #[test]
     fn a_team_still_works_after_a_panicked_region() {
+        let _turn = one_at_a_time();
         let team = ThreadTeam::new(2);
         let r = std::panic::catch_unwind(AssertUnwindSafe(|| {
             team.run(&|_| panic!("boom"));
