@@ -32,9 +32,10 @@
 #![warn(missing_docs)]
 
 use ss_aggregation::analyze_program;
+use ss_interp::request::{self, Raw, RunSpec, Surface};
 use ss_interp::{
     analysis_json, registry_json, reset_pair_counts, set_pair_profiling, top_instruction_pairs,
-    ExecMode, ExecutionMode, OptLevel, RunPolicy, RunRequest, ScheduleChoice, Session, SsError,
+    ExecMode, ExecutionMode, InputSource, InputSpec, OptLevel, RunRequest, Session, SsError,
     TunerConfig, ValidationMode,
 };
 use ss_ir::{parse_program, LoopId};
@@ -48,92 +49,73 @@ fn session() -> &'static Session {
     SESSION.get_or_init(Session::new)
 }
 
-/// The usage text.
+/// The usage text.  The RUN and TUNE OPTIONS blocks are rendered from the
+/// request-schema table ([`ss_interp::request::FIELDS`]) — flag, value
+/// shape, help and bounds of every row the verb's surface carries — so
+/// they cannot drift from what the parser accepts.
 pub fn usage() -> String {
-    "sspar — compile-time parallelization of subscripted subscript patterns\n\
-     \n\
-     USAGE:\n\
-     \u{20}   sspar analyze <file.c> [--baseline] [--no-source] [--dump-bytecode] [--opt-level 0|1] [--format text|json]\n\
-     \u{20}   sspar analyze --kernel <name>  [same options]\n\
-     \u{20}   sspar trace   <file.c>\n\
-     \u{20}   sspar trace   --kernel <name>\n\
-     \u{20}   sspar run     <file.c> [run options]\n\
-     \u{20}   sspar run     --kernel <name> [run options]\n\
-     \u{20}   sspar tune    <file.c> [tune options]\n\
-     \u{20}   sspar tune    --kernel <name> [tune options]\n\
-     \u{20}   sspar study\n\
-     \u{20}   sspar kernels\n\
-     \u{20}   sspar engines [--format text|json]\n\
-     \u{20}   sspar serve   [serve options]\n\
-     \u{20}   sspar request <json-line> [--addr <host:port>]\n\
-     \n\
-     COMMANDS:\n\
-     \u{20}   analyze   run the full pipeline and print per-loop verdicts,\n\
-     \u{20}             derived index-array facts and the annotated source\n\
-     \u{20}   trace     print the Phase 1 / Phase 2 aggregation summaries\n\
-     \u{20}             (the paper's Section 3.5 trace) for every loop\n\
-     \u{20}   run       analyze the program, synthesize inputs, execute it\n\
-     \u{20}             serially and in parallel, and print per-loop timings\n\
-     \u{20}   tune      search the execution-policy space (engine x opt level x\n\
-     \u{20}             schedule x chunk x threads) with measured trials, print\n\
-     \u{20}             the search table, and persist the winner per\n\
-     \u{20}             (program, input shape) — `run --policy tuned` reapplies it\n\
-     \u{20}   study     run the Figure-1 study over the built-in catalogue\n\
-     \u{20}   kernels   list the built-in catalogue kernels\n\
-     \u{20}   engines   list the registered execution engines and their\n\
-     \u{20}             capabilities (exactly what --engine accepts)\n\
-     \u{20}   serve     run the sspard daemon in-process (NDJSON over TCP)\n\
-     \u{20}             until a `shutdown` request drains it\n\
-     \u{20}   request   send one raw NDJSON request line to a running sspard\n\
-     \u{20}             and print the response line\n\
-     \n\
-     SERVE OPTIONS:\n\
-     \u{20}   --addr <host:port>      listen address (default 127.0.0.1:7878; :0 picks a port)\n\
-     \u{20}   --workers <N>           worker threads (default 4)\n\
-     \u{20}   --shards <N>            persistent thread-team shards (default 2)\n\
-     \u{20}   --queue <N>             bounded request-queue depth (default 64)\n\
-     \u{20}   --cache-capacity <N>    per-tenant artifact-cache entry bound (default unbounded)\n\
-     \u{20}   --cache-capacity-bytes <N>  per-tenant artifact-cache byte bound (default unbounded)\n\
-     \n\
-     OPTIONS:\n\
-     \u{20}   --kernel <name>  use a built-in catalogue kernel instead of a file\n\
-     \u{20}   --baseline       analyze: also show the property-free baseline verdicts\n\
-     \u{20}   --no-source      analyze: omit the annotated source from the output\n\
-     \u{20}   --dump-bytecode  analyze: print the register-machine bytecode listing\n\
-     \u{20}   --profile        analyze: execute the program once (bytecode engine,\n\
-     \u{20}                    serial) with instruction-pair profiling on and print\n\
-     \u{20}                    the hottest dynamically adjacent pairs — the fusion\n\
-     \u{20}                    candidates for a profile-guided superinstruction pass\n\
-     \u{20}                    (SSPAR_PROFILE=1 implies it)\n\
-     \u{20}   --opt-level <0|1>  which bytecode stream to use: the base compiler's (0)\n\
-     \u{20}                    or the optimized one (1, default — fused subscripted-\n\
-     \u{20}                    subscript loads, compare-and-branch, constant folding)\n\
-     \u{20}   --format <text|json>  analyze/engines/run: output format (default text);\n\
-     \u{20}                    JSON schemas are stable for downstream tooling\n\
-     \n\
-     RUN OPTIONS:\n\
-     \u{20}   --threads <N>           worker threads (default: all hardware threads)\n\
-     \u{20}   --n <SIZE>              input scale: loop bounds / data modulus (default 256)\n\
-     \u{20}   --seed <S>              input data seed (default 1)\n\
-     \u{20}   --validate              exit nonzero unless all engines' heaps are identical\n\
-     \u{20}   --baseline inspector    run the runtime-inspector baseline on serial loops\n\
-     \u{20}   --schedule <auto|static|dynamic>  scheduling of parallel loops (default auto)\n\
-     \u{20}   --engine <name>         execution engine, from `sspar engines`\n\
-     \u{20}                           (default: the registry default)\n\
-     \u{20}   --opt-level <0|1>       bytecode engine: run the O0 or O1 stream (default 1)\n\
-     \u{20}   --policy <default|tuned>  tuned: search-or-reapply the persisted best\n\
-     \u{20}                           policy for this (program, input shape) and run it\n\
-     \u{20}   --format <text|json>    print the structured run outcome as JSON\n\
-     \n\
-     TUNE OPTIONS:\n\
-     \u{20}   --budget-trials <N>     cap on measured trials (default: the full pruned space)\n\
-     \u{20}   --repeats <N>           timed repeats per candidate, median kept (default 3)\n\
-     \u{20}   --threads <N>           thread count the default policy is anchored to\n\
-     \u{20}   --n <SIZE>              input scale (default 256)\n\
-     \u{20}   --seed <S>              input data seed (default 1)\n\
-     \u{20}   --trial-seed <S>        deterministic trial-order seed (default 0)\n\
-     \u{20}   --format <text|json>    print the search table or the stable JSON outcome\n"
-        .to_string()
+    let options =
+        |surface: Surface| -> String { request::fields(surface).map(|f| f.usage_line()).collect() };
+    format!(
+        "sspar — compile-time parallelization of subscripted subscript patterns\n\
+         \n\
+         USAGE:\n\
+         \u{20}   sspar analyze <file.c> [--baseline] [--no-source] [--dump-bytecode] [--opt-level 0|1] [--format text|json]\n\
+         \u{20}   sspar analyze --kernel <name>  [same options]\n\
+         \u{20}   sspar trace   <file.c>\n\
+         \u{20}   sspar trace   --kernel <name>\n\
+         \u{20}   sspar run     <file.c> [run options]\n\
+         \u{20}   sspar run     --kernel <name> [run options]\n\
+         \u{20}   sspar tune    <file.c> [tune options]\n\
+         \u{20}   sspar tune    --kernel <name> [tune options]\n\
+         \u{20}   sspar study\n\
+         \u{20}   sspar kernels\n\
+         \u{20}   sspar engines [--format text|json]\n\
+         \u{20}   sspar request <json-line> [--addr <host:port>]\n\
+         \n\
+         COMMANDS:\n\
+         \u{20}   analyze   run the full pipeline and print per-loop verdicts,\n\
+         \u{20}             derived index-array facts and the annotated source\n\
+         \u{20}   trace     print the Phase 1 / Phase 2 aggregation summaries\n\
+         \u{20}             (the paper's Section 3.5 trace) for every loop\n\
+         \u{20}   run       analyze the program, synthesize inputs, execute it\n\
+         \u{20}             serially and in parallel, and print per-loop timings\n\
+         \u{20}   tune      search the execution-policy space (engine x opt level x\n\
+         \u{20}             schedule x chunk x threads) with measured trials, print\n\
+         \u{20}             the search table, and persist the winner per\n\
+         \u{20}             (program, input shape) — `run --policy tuned` reapplies it\n\
+         \u{20}   study     run the Figure-1 study over the built-in catalogue\n\
+         \u{20}   kernels   list the built-in catalogue kernels\n\
+         \u{20}   engines   list the registered execution engines and their\n\
+         \u{20}             capabilities (exactly what --engine accepts)\n\
+         \u{20}   request   send one raw NDJSON request line to a running sspard\n\
+         \u{20}             (default --addr 127.0.0.1:7878) and print the response line\n\
+         \n\
+         OPTIONS:\n\
+         \u{20}   --kernel <name>  use a built-in catalogue kernel instead of a file\n\
+         \u{20}   --baseline       analyze: also show the property-free baseline verdicts\n\
+         \u{20}   --no-source      analyze: omit the annotated source from the output\n\
+         \u{20}   --dump-bytecode  analyze: print the register-machine bytecode listing\n\
+         \u{20}   --profile        analyze: execute the program once (bytecode engine,\n\
+         \u{20}                    serial) with instruction-pair profiling on and print\n\
+         \u{20}                    the hottest dynamically adjacent pairs — the fusion\n\
+         \u{20}                    candidates for a profile-guided superinstruction pass\n\
+         \u{20}                    (SSPAR_PROFILE=1 implies it)\n\
+         \u{20}   --opt-level <0|1>  analyze: which bytecode stream --dump-bytecode prints\n\
+         \u{20}                    and --profile executes: the base compiler's (0) or the\n\
+         \u{20}                    optimized one (1, default — fused subscripted-subscript\n\
+         \u{20}                    loads, compare-and-branch, constant folding)\n\
+         \u{20}   --format <text|json>  analyze/engines/run/tune: output format (default\n\
+         \u{20}                    text); JSON schemas are stable for downstream tooling\n\
+         \n\
+         RUN OPTIONS:\n\
+         {}\
+         \n\
+         TUNE OPTIONS:\n\
+         {}",
+        options(Surface::CliRun),
+        options(Surface::CliTune),
+    )
 }
 
 fn usage_err() -> SsError {
@@ -196,16 +178,25 @@ pub enum Command {
     Run {
         /// Source of the kernel text.
         input: Input,
-        /// Execution options.
-        options: RunOptions,
+        /// The run's knobs, as the request-schema table applied the flags
+        /// (program left empty until `input` is resolved).  `--validate`
+        /// shows as [`ValidationMode::Differential`]: the command line
+        /// always runs the differential matrix, the flag decides whether
+        /// a mismatch fails the command.
+        spec: RunSpec,
+        /// Text or JSON output.
+        format: OutputFormat,
     },
     /// `sspar tune …` — search the execution-policy space and persist the
     /// winner in the session artifact cache.
     Tune {
         /// Source of the kernel text.
         input: Input,
-        /// Tuner options.
-        options: TuneOptions,
+        /// The search's knobs (request and tuner halves), as the
+        /// request-schema table applied the flags.
+        spec: RunSpec,
+        /// Text or JSON output.
+        format: OutputFormat,
     },
     /// `sspar study`
     Study,
@@ -216,11 +207,6 @@ pub enum Command {
         /// Text or JSON output.
         format: OutputFormat,
     },
-    /// `sspar serve` — run the `sspard` daemon in-process until drained.
-    Serve {
-        /// Daemon knobs.
-        options: ServeOptions,
-    },
     /// `sspar request` — one NDJSON request against a running daemon.
     Request {
         /// The raw request line (one JSON object).
@@ -228,124 +214,6 @@ pub enum Command {
         /// Daemon address.
         addr: String,
     },
-}
-
-/// Options of `sspar serve` (a subset of
-/// [`ss_daemon::DaemonConfig`](ss_daemon::server::DaemonConfig)).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ServeOptions {
-    /// Listen address.
-    pub addr: String,
-    /// Worker threads.
-    pub workers: usize,
-    /// Persistent thread-team shards.
-    pub shards: usize,
-    /// Bounded request-queue depth.
-    pub queue: usize,
-    /// Per-tenant artifact-cache entry bound.
-    pub cache_capacity: Option<usize>,
-    /// Per-tenant artifact-cache byte bound.
-    pub cache_capacity_bytes: Option<usize>,
-}
-
-impl Default for ServeOptions {
-    fn default() -> ServeOptions {
-        ServeOptions {
-            addr: "127.0.0.1:7878".to_string(),
-            workers: 4,
-            shards: 2,
-            queue: 64,
-            cache_capacity: None,
-            cache_capacity_bytes: None,
-        }
-    }
-}
-
-/// The `--policy` knob of `sspar run`: how execution options are chosen.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PolicyFlag {
-    /// The request's own engine/schedule/thread options, unmodified.
-    #[default]
-    Default,
-    /// Search-or-reapply the persisted tuned policy for this
-    /// (program, input shape) and run under it.
-    Tuned,
-}
-
-/// Options of `sspar tune`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TuneOptions {
-    /// Cap on measured trials (`None` = the full pruned space).
-    pub budget_trials: Option<usize>,
-    /// Timed repeats per candidate; the median is kept.
-    pub repeats: usize,
-    /// Thread count the default policy is anchored to (`None` = all
-    /// hardware threads).
-    pub threads: Option<usize>,
-    /// Input scale (`--n`).
-    pub scale: i64,
-    /// Input data seed.
-    pub seed: u64,
-    /// Deterministic trial-order seed.
-    pub trial_seed: u64,
-    /// Text or JSON output.
-    pub format: OutputFormat,
-}
-
-impl Default for TuneOptions {
-    fn default() -> TuneOptions {
-        TuneOptions {
-            budget_trials: None,
-            repeats: 3,
-            threads: None,
-            scale: 256,
-            seed: 1,
-            trial_seed: 0,
-            format: OutputFormat::Text,
-        }
-    }
-}
-
-/// Options of `sspar run`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RunOptions {
-    /// Worker threads (`None` = all hardware threads).
-    pub threads: Option<usize>,
-    /// Input scale (`--n`).
-    pub scale: i64,
-    /// Input seed.
-    pub seed: u64,
-    /// Exit nonzero unless all engines' final heaps are bit-identical.
-    pub validate: bool,
-    /// Run the runtime-inspector baseline on serial loops.
-    pub baseline_inspector: bool,
-    /// Scheduling of dispatched loops.
-    pub schedule: ScheduleChoice,
-    /// Execution engine by registry name (`None` = registry default).
-    pub engine: Option<String>,
-    /// Bytecode stream opt-level-sensitive engines run (`--opt-level`).
-    pub opt_level: OptLevel,
-    /// How execution options are chosen (`--policy`).
-    pub policy: PolicyFlag,
-    /// Text or JSON output.
-    pub format: OutputFormat,
-}
-
-impl Default for RunOptions {
-    fn default() -> RunOptions {
-        RunOptions {
-            threads: None,
-            scale: 256,
-            seed: 1,
-            validate: false,
-            baseline_inspector: false,
-            schedule: ScheduleChoice::Auto,
-            engine: None,
-            opt_level: OptLevel::O1,
-            policy: PolicyFlag::Default,
-            format: OutputFormat::Text,
-        }
-    }
 }
 
 /// Where the kernel text comes from.
@@ -363,6 +231,47 @@ fn parse_format(v: Option<&&str>) -> Result<OutputFormat, SsError> {
         Some(&"json") => Ok(OutputFormat::Json),
         _ => Err(usage_err()),
     }
+}
+
+/// Where the command line's knobs start: the request schema's defaults
+/// except the input scale, which `sspar` has always started at 256 while
+/// the wire and the embedding API start at `InputSpec::default()` (64).
+/// Unifying the two is a behaviour change, left to a later issue; until
+/// then the difference lives here, once.
+fn cli_spec() -> RunSpec {
+    let mut spec = RunSpec::default();
+    spec.request = spec.request.scale(256);
+    spec
+}
+
+/// The one place a request-schema flag is matched: if `rest[*i]` is a
+/// flag `surface` carries, checks and applies it (with its value, for
+/// every kind but bare flags) to `spec`, advances `*i` past it and
+/// returns `true`; `false` leaves the argument to the verb's own flags.
+fn table_flag(
+    surface: Surface,
+    rest: &[&str],
+    i: &mut usize,
+    spec: &mut RunSpec,
+) -> Result<bool, SsError> {
+    let Some(field) = request::lookup(surface, rest[*i]) else {
+        return Ok(false);
+    };
+    let raw = if field.takes_value() {
+        *i += 1;
+        // A following flag is a missing value, not a value.
+        match rest.get(*i) {
+            Some(value) if !value.starts_with("--") => Raw::Arg(value),
+            _ => return Err(usage_err()),
+        }
+    } else {
+        Raw::Bool(true)
+    };
+    field
+        .apply(spec, raw)
+        .map_err(|e| SsError::Usage(format!("{} {}\n\n{}", e.flag, e.reason, usage())))?;
+    *i += 1;
+    Ok(true)
 }
 
 /// Parses the argument vector (without the program name).
@@ -387,46 +296,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, SsError> {
             }
             Ok(Command::Engines { format })
         }
-        "serve" => {
-            let rest: Vec<&str> = it.collect();
-            let mut options = ServeOptions::default();
-            let parse_num = |rest: &[&str], i: usize| -> Result<usize, SsError> {
-                rest.get(i + 1)
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .ok_or_else(usage_err)
-            };
-            let mut i = 0;
-            while i < rest.len() {
-                match rest[i] {
-                    "--addr" => {
-                        options.addr = rest.get(i + 1).ok_or_else(usage_err)?.to_string();
-                        i += 2;
-                    }
-                    "--workers" => {
-                        options.workers = parse_num(&rest, i)?.max(1);
-                        i += 2;
-                    }
-                    "--shards" => {
-                        options.shards = parse_num(&rest, i)?.max(1);
-                        i += 2;
-                    }
-                    "--queue" => {
-                        options.queue = parse_num(&rest, i)?.max(1);
-                        i += 2;
-                    }
-                    "--cache-capacity" => {
-                        options.cache_capacity = Some(parse_num(&rest, i)?);
-                        i += 2;
-                    }
-                    "--cache-capacity-bytes" => {
-                        options.cache_capacity_bytes = Some(parse_num(&rest, i)?);
-                        i += 2;
-                    }
-                    _ => return Err(usage_err()),
-                }
-            }
-            Ok(Command::Serve { options })
-        }
         "request" => {
             let rest: Vec<&str> = it.collect();
             let mut line: Option<String> = None;
@@ -448,175 +317,17 @@ pub fn parse_args(args: &[String]) -> Result<Command, SsError> {
             let line = line.ok_or_else(usage_err)?;
             Ok(Command::Request { line, addr })
         }
-        "run" => {
-            let rest: Vec<&str> = it.collect();
-            let mut input: Option<Input> = None;
-            let mut options = RunOptions::default();
-            let mut i = 0;
-            let parse_val = |rest: &[&str], i: usize| -> Result<String, SsError> {
-                rest.get(i + 1).map(|s| s.to_string()).ok_or_else(usage_err)
+        // The verbs that take a program share one flag walk: the verb's
+        // request-schema surface first, then the program selector,
+        // `--format`, and `analyze`'s own booleans.
+        "analyze" | "trace" | "run" | "tune" => {
+            let surface = match cmd {
+                "analyze" => Some(Surface::CliAnalyze),
+                "run" => Some(Surface::CliRun),
+                "tune" => Some(Surface::CliTune),
+                _ => None,
             };
-            while i < rest.len() {
-                match rest[i] {
-                    "--kernel" => {
-                        let name = parse_val(&rest, i)?;
-                        input = Some(Input::Catalogue(name));
-                        i += 2;
-                    }
-                    "--threads" => {
-                        let v = parse_val(&rest, i)?;
-                        let threads: usize = v.parse().map_err(|_| usage_err())?;
-                        if threads < 1 {
-                            return Err(usage_err());
-                        }
-                        options.threads = Some(threads);
-                        i += 2;
-                    }
-                    "--n" => {
-                        let v = parse_val(&rest, i)?;
-                        let scale: i64 = v.parse().map_err(|_| usage_err())?;
-                        if scale < 1 {
-                            return Err(usage_err());
-                        }
-                        options.scale = scale;
-                        i += 2;
-                    }
-                    "--seed" => {
-                        let v = parse_val(&rest, i)?;
-                        options.seed = v.parse().map_err(|_| usage_err())?;
-                        i += 2;
-                    }
-                    "--validate" => {
-                        options.validate = true;
-                        i += 1;
-                    }
-                    "--baseline" => {
-                        match rest.get(i + 1) {
-                            Some(&"inspector") => options.baseline_inspector = true,
-                            _ => return Err(usage_err()),
-                        }
-                        i += 2;
-                    }
-                    "--schedule" => {
-                        options.schedule = match rest.get(i + 1) {
-                            Some(&"auto") => ScheduleChoice::Auto,
-                            Some(&"static") => ScheduleChoice::Static,
-                            Some(&"dynamic") => ScheduleChoice::Dynamic,
-                            _ => return Err(usage_err()),
-                        };
-                        i += 2;
-                    }
-                    "--engine" => {
-                        // Any name is accepted here; the registry decides at
-                        // execution time (unknown names exit with code 5 and
-                        // the list of what is registered).
-                        let name = rest.get(i + 1).ok_or_else(usage_err)?;
-                        if name.starts_with("--") {
-                            return Err(usage_err());
-                        }
-                        options.engine = Some(name.to_string());
-                        i += 2;
-                    }
-                    "--opt-level" => {
-                        options.opt_level = rest
-                            .get(i + 1)
-                            .and_then(|v| OptLevel::from_flag(v))
-                            .ok_or_else(usage_err)?;
-                        i += 2;
-                    }
-                    "--policy" => {
-                        options.policy = match rest.get(i + 1) {
-                            Some(&"default") => PolicyFlag::Default,
-                            Some(&"tuned") => PolicyFlag::Tuned,
-                            _ => return Err(usage_err()),
-                        };
-                        i += 2;
-                    }
-                    "--format" => {
-                        options.format = parse_format(rest.get(i + 1))?;
-                        i += 2;
-                    }
-                    other if !other.starts_with("--") && input.is_none() => {
-                        input = Some(Input::File(other.to_string()));
-                        i += 1;
-                    }
-                    _ => return Err(usage_err()),
-                }
-            }
-            let input = input.ok_or_else(usage_err)?;
-            Ok(Command::Run { input, options })
-        }
-        "tune" => {
-            let rest: Vec<&str> = it.collect();
-            let mut input: Option<Input> = None;
-            let mut options = TuneOptions::default();
-            let parse_val = |rest: &[&str], i: usize| -> Result<String, SsError> {
-                rest.get(i + 1).map(|s| s.to_string()).ok_or_else(usage_err)
-            };
-            let mut i = 0;
-            while i < rest.len() {
-                match rest[i] {
-                    "--kernel" => {
-                        let name = parse_val(&rest, i)?;
-                        input = Some(Input::Catalogue(name));
-                        i += 2;
-                    }
-                    "--budget-trials" => {
-                        let v: usize = parse_val(&rest, i)?.parse().map_err(|_| usage_err())?;
-                        if v < 1 {
-                            return Err(usage_err());
-                        }
-                        options.budget_trials = Some(v);
-                        i += 2;
-                    }
-                    "--repeats" => {
-                        let v: usize = parse_val(&rest, i)?.parse().map_err(|_| usage_err())?;
-                        if v < 1 {
-                            return Err(usage_err());
-                        }
-                        options.repeats = v;
-                        i += 2;
-                    }
-                    "--threads" => {
-                        let v: usize = parse_val(&rest, i)?.parse().map_err(|_| usage_err())?;
-                        if v < 1 {
-                            return Err(usage_err());
-                        }
-                        options.threads = Some(v);
-                        i += 2;
-                    }
-                    "--n" => {
-                        let v: i64 = parse_val(&rest, i)?.parse().map_err(|_| usage_err())?;
-                        if v < 1 {
-                            return Err(usage_err());
-                        }
-                        options.scale = v;
-                        i += 2;
-                    }
-                    "--seed" => {
-                        options.seed = parse_val(&rest, i)?.parse().map_err(|_| usage_err())?;
-                        i += 2;
-                    }
-                    "--trial-seed" => {
-                        options.trial_seed =
-                            parse_val(&rest, i)?.parse().map_err(|_| usage_err())?;
-                        i += 2;
-                    }
-                    "--format" => {
-                        options.format = parse_format(rest.get(i + 1))?;
-                        i += 2;
-                    }
-                    other if !other.starts_with("--") && input.is_none() => {
-                        input = Some(Input::File(other.to_string()));
-                        i += 1;
-                    }
-                    _ => return Err(usage_err()),
-                }
-            }
-            let input = input.ok_or_else(usage_err)?;
-            Ok(Command::Tune { input, options })
-        }
-        "analyze" | "trace" => {
+            let report = matches!(cmd, "analyze" | "trace");
             let rest: Vec<&str> = it.collect();
             let mut input: Option<Input> = None;
             let mut baseline = false;
@@ -626,21 +337,30 @@ pub fn parse_args(args: &[String]) -> Result<Command, SsError> {
             // vector (bench scripts, CI harnesses).
             let mut profile =
                 cmd == "analyze" && std::env::var("SSPAR_PROFILE").is_ok_and(|v| v != "0");
-            let mut opt_level = OptLevel::O1;
+            let mut spec = cli_spec();
             let mut format = OutputFormat::Text;
             let mut i = 0;
             while i < rest.len() {
+                if let Some(surface) = surface {
+                    if table_flag(surface, &rest, &mut i, &mut spec)? {
+                        continue;
+                    }
+                }
                 match rest[i] {
                     "--kernel" => {
                         let name = rest.get(i + 1).ok_or_else(usage_err)?;
                         input = Some(Input::Catalogue(name.to_string()));
                         i += 2;
                     }
-                    "--baseline" => {
+                    "--format" if cmd != "trace" => {
+                        format = parse_format(rest.get(i + 1))?;
+                        i += 2;
+                    }
+                    "--baseline" if report => {
                         baseline = true;
                         i += 1;
                     }
-                    "--no-source" => {
+                    "--no-source" if report => {
                         no_source = true;
                         i += 1;
                     }
@@ -652,17 +372,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, SsError> {
                         profile = true;
                         i += 1;
                     }
-                    "--opt-level" if cmd == "analyze" => {
-                        opt_level = rest
-                            .get(i + 1)
-                            .and_then(|v| OptLevel::from_flag(v))
-                            .ok_or_else(usage_err)?;
-                        i += 2;
-                    }
-                    "--format" if cmd == "analyze" => {
-                        format = parse_format(rest.get(i + 1))?;
-                        i += 2;
-                    }
                     other if !other.starts_with("--") && input.is_none() => {
                         input = Some(Input::File(other.to_string()));
                         i += 1;
@@ -671,19 +380,28 @@ pub fn parse_args(args: &[String]) -> Result<Command, SsError> {
                 }
             }
             let input = input.ok_or_else(usage_err)?;
-            if cmd == "analyze" {
-                Ok(Command::Analyze {
+            Ok(match cmd {
+                "analyze" => Command::Analyze {
                     input,
                     baseline,
                     no_source,
                     dump_bytecode,
                     profile,
-                    opt_level,
+                    opt_level: spec.request.opt_level,
                     format,
-                })
-            } else {
-                Ok(Command::Trace { input })
-            }
+                },
+                "trace" => Command::Trace { input },
+                "run" => Command::Run {
+                    input,
+                    spec,
+                    format,
+                },
+                _ => Command::Tune {
+                    input,
+                    spec,
+                    format,
+                },
+            })
         }
         "--help" | "-h" | "help" => Err(usage_err()),
         other => Err(SsError::Usage(format!(
@@ -724,40 +442,18 @@ pub fn execute(cmd: &Command, reader: &dyn SourceReader) -> Result<String, SsErr
             let (name, source) = resolve_input(input, reader)?;
             trace_text(&name, &source)
         }
-        Command::Run { input, options } => {
-            let (name, source) = resolve_input(input, reader)?;
-            run_text(&name, &source, options)
-        }
-        Command::Tune { input, options } => {
-            let (name, source) = resolve_input(input, reader)?;
-            tune_text(&name, &source, options)
-        }
-        Command::Serve { options } => serve_text(options),
+        Command::Run {
+            input,
+            spec,
+            format,
+        } => run_text(program_request(input, spec, reader)?, *format),
+        Command::Tune {
+            input,
+            spec,
+            format,
+        } => tune_text(program_request(input, spec, reader)?, &spec.tuner, *format),
         Command::Request { line, addr } => request_text(line, addr),
     }
-}
-
-/// Runs the daemon in-process until a `shutdown` request drains it.  The
-/// bound address goes to stderr immediately (stdout is the command's
-/// *result*, which only exists once the daemon exits).
-fn serve_text(options: &ServeOptions) -> Result<String, SsError> {
-    let config = ss_daemon::DaemonConfig {
-        addr: options.addr.clone(),
-        workers: options.workers,
-        shards: options.shards,
-        queue: options.queue,
-        cache_capacity: options.cache_capacity,
-        cache_capacity_bytes: options.cache_capacity_bytes,
-        ..ss_daemon::DaemonConfig::default()
-    };
-    let mut daemon = ss_daemon::start(config).map_err(|e| SsError::Io {
-        path: options.addr.clone(),
-        message: e.to_string(),
-    })?;
-    let addr = daemon.local_addr();
-    eprintln!("sspard: listening on {addr}");
-    daemon.join();
-    Ok(format!("sspard: drained, listener {addr} closed\n"))
 }
 
 /// Sends one raw NDJSON line to a running daemon, returning the response
@@ -796,6 +492,30 @@ fn resolve_input(input: &Input, reader: &dyn SourceReader) -> Result<(String, St
     }
 }
 
+/// The session request of a `run`/`tune`: the parsed knobs with the
+/// program `input` names filled in.
+fn program_request(
+    input: &Input,
+    spec: &RunSpec,
+    reader: &dyn SourceReader,
+) -> Result<RunRequest, SsError> {
+    let (name, source) = resolve_input(input, reader)?;
+    Ok(RunRequest {
+        name,
+        source,
+        ..spec.request.clone()
+    })
+}
+
+/// The input scale and seed of a command-line request (which only ever
+/// synthesizes its inputs).
+fn input_spec(request: &RunRequest) -> InputSpec {
+    match &request.inputs {
+        InputSource::Synthesized(spec) => *spec,
+        InputSource::Explicit(_) => unreachable!("no flag supplies an explicit heap"),
+    }
+}
+
 /// The verdict column of the text tables, derived from the report's own
 /// classification.
 fn verdict_cell(l: &ss_parallelizer::LoopReport) -> String {
@@ -825,9 +545,7 @@ fn analyze_text(
     // listing always match and nothing below recompiles.
     let artifacts = session().artifacts(name, source)?;
     if format == OutputFormat::Json {
-        let mut out = analysis_json(&artifacts);
-        out.push('\n');
-        return Ok(out);
+        return Ok(analysis_json(&artifacts) + "\n");
     }
     let report = &artifacts.report;
     let mut out = String::new();
@@ -963,30 +681,22 @@ fn trace_text(name: &str, source: &str) -> Result<String, SsError> {
 /// the winner, and leaves the winner persisted in the session cache —
 /// `sspar run --policy tuned` on the same (program, input shape)
 /// reapplies it without re-searching.
-fn tune_text(name: &str, source: &str, options: &TuneOptions) -> Result<String, SsError> {
-    let mut request = RunRequest::new(name, source)
-        .scale(options.scale)
-        .seed(options.seed);
-    if let Some(threads) = options.threads {
-        request = request.threads(threads);
+fn tune_text(
+    request: RunRequest,
+    config: &TunerConfig,
+    format: OutputFormat,
+) -> Result<String, SsError> {
+    let outcome = session().tune(&request, config)?;
+    if format == OutputFormat::Json {
+        return Ok(outcome.to_json() + "\n");
     }
-    let config = TunerConfig {
-        budget_trials: options.budget_trials,
-        repeats: options.repeats,
-        seed: options.trial_seed,
-        ..TunerConfig::default()
-    };
-    let outcome = session().tune(&request, &config)?;
-    if options.format == OutputFormat::Json {
-        let mut out = outcome.to_json();
-        out.push('\n');
-        return Ok(out);
-    }
+    let name = &request.name;
+    let inputs = input_spec(&request);
     let policy = &outcome.policy;
     let mut out = String::new();
     out.push_str(&format!(
         "== {name}: policy search at scale n={} seed={} (shape signature {:016x}) ==\n\n",
-        options.scale, options.seed, outcome.signature
+        inputs.scale, inputs.seed, outcome.signature
     ));
     out.push_str(&format!("{:<34} {:>12}\n", "policy", "median s"));
     for (i, t) in policy.trials.iter().enumerate() {
@@ -1029,40 +739,28 @@ fn tune_text(name: &str, source: &str, options: &TuneOptions) -> Result<String, 
     Ok(out)
 }
 
-fn run_text(name: &str, source: &str, options: &RunOptions) -> Result<String, SsError> {
-    // One session request runs the whole differential matrix off one
-    // (cached) pipeline invocation — nothing below recompiles.
-    let mut request = RunRequest::new(name, source)
-        .scale(options.scale)
-        .seed(options.seed)
-        .schedule(options.schedule)
-        .opt_level(options.opt_level)
-        .baseline_inspector(options.baseline_inspector)
-        .validation(ValidationMode::Differential);
-    if options.policy == PolicyFlag::Tuned {
-        request = request.policy(RunPolicy::Tuned);
-    }
-    if let Some(engine) = &options.engine {
-        request = request.engine(engine.clone());
-    }
-    if let Some(threads) = options.threads {
-        request = request.threads(threads);
-    }
+fn run_text(request: RunRequest, format: OutputFormat) -> Result<String, SsError> {
+    // `--validate` decides whether a mismatch fails the command; the
+    // differential matrix itself always runs (the table below reports
+    // both legs and the validation line), off one (cached) pipeline
+    // invocation — nothing below recompiles.
+    let enforce = request.validation == ValidationMode::Differential;
+    let request = request.validation(ValidationMode::Differential);
     let outcome = session().run(&request)?;
-    if options.validate {
+    if enforce {
         outcome.ensure_validated()?;
     }
-    if options.format == OutputFormat::Json {
-        let mut out = outcome.to_json();
-        out.push('\n');
-        return Ok(out);
+    if format == OutputFormat::Json {
+        return Ok(outcome.to_json() + "\n");
     }
+    let name = &request.name;
+    let inputs = input_spec(&request);
 
     // Report the engine that actually executed: the parallel leg is
     // redirected under the inspector baseline, and opt-level-sensitive
     // engines show which stream they ran.
     let resolved = session().registry().get(&outcome.engine)?;
-    let engine_name = if options.baseline_inspector {
+    let engine_name = if request.baseline_inspector {
         format!(
             "{} (inspector baseline)",
             outcome.parallel_engine.as_deref().unwrap_or("?")
@@ -1080,7 +778,7 @@ fn run_text(name: &str, source: &str, options: &RunOptions) -> Result<String, Ss
     let mut out = String::new();
     out.push_str(&format!(
         "== {name}: executed with scale n={} seed={} on {} thread(s), {engine_name} engine ==\n",
-        options.scale, options.seed, outcome.threads
+        inputs.scale, inputs.seed, outcome.threads
     ));
     if outcome.policy != "default" {
         out.push_str(&format!(
@@ -1181,9 +879,7 @@ fn run_text(name: &str, source: &str, options: &RunOptions) -> Result<String, Ss
 fn engines_text(format: OutputFormat) -> String {
     let registry = session().registry();
     if format == OutputFormat::Json {
-        let mut out = registry_json(registry);
-        out.push('\n');
-        return out;
+        return registry_json(registry) + "\n";
     }
     let mut out = String::new();
     out.push_str(&format!(
@@ -1266,6 +962,7 @@ fn kernels_text() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ss_interp::{RunPolicy, ScheduleChoice};
     use std::collections::HashMap;
 
     struct MapReader(HashMap<String, String>);
@@ -1383,6 +1080,58 @@ mod tests {
             parse_args(&args(&["--help"])),
             Err(SsError::Usage(_))
         ));
+        // The request schema's bounds, in their command-line spelling (the
+        // wire spellings are rows of the daemon's
+        // `malformed_requests_are_rejected_with_reasons`); the message
+        // names the flag and what it expects.
+        for (bad, needle) in [
+            (vec!["run", "k.c", "--n", "0"], "--n must be a positive"),
+            (vec!["run", "k.c", "--n", "-5"], "--n must be a positive"),
+            (vec!["tune", "k.c", "--n", "1000000"], "no larger than 2048"),
+            (
+                vec!["run", "k.c", "--threads", "40000"],
+                "--threads must be",
+            ),
+            (vec!["tune", "k.c", "--threads", "0"], "--threads must be"),
+            (
+                vec!["run", "k.c", "--seed", "-1"],
+                "--seed must be an integer no smaller than 0",
+            ),
+            (vec!["tune", "k.c", "--seed", "x"], "got 'x'"),
+        ] {
+            match parse_args(&args(&bad)) {
+                Err(SsError::Usage(message)) => {
+                    assert!(message.contains(needle), "{bad:?}: {message}")
+                }
+                other => panic!("{bad:?}: expected a usage error, got {other:?}"),
+            }
+        }
+    }
+
+    /// The help cannot drift from the parser: every flag a command-line
+    /// surface of the request schema carries is in the usage text, with
+    /// its generated line under the verb's OPTIONS block.
+    #[test]
+    fn usage_lists_every_request_schema_flag() {
+        let usage = usage();
+        let (run_block, tune_block) = usage
+            .split_once("RUN OPTIONS:")
+            .and_then(|(_, rest)| rest.split_once("TUNE OPTIONS:"))
+            .expect("both generated blocks");
+        for (surface, block) in [
+            (Surface::CliRun, run_block),
+            (Surface::CliTune, tune_block),
+            (Surface::CliAnalyze, usage.as_str()),
+        ] {
+            for field in request::fields(surface) {
+                assert!(block.contains(field.flag), "{surface:?}: {}", field.flag);
+                assert!(usage.contains(field.help), "{}", field.flag);
+            }
+        }
+        assert!(run_block.contains("--threads <1..=1024>"), "{run_block}");
+        assert!(!run_block.contains("--repeats"), "{run_block}");
+        assert!(!tune_block.contains("--schedule"), "{tune_block}");
+        assert!(!usage.contains("serve"), "{usage}");
     }
 
     #[test]
@@ -1561,41 +1310,7 @@ mod tests {
     }
 
     #[test]
-    fn parse_args_recognizes_serve_and_request() {
-        assert_eq!(
-            parse_args(&args(&["serve"])).unwrap(),
-            Command::Serve {
-                options: ServeOptions::default()
-            }
-        );
-        assert_eq!(
-            parse_args(&args(&[
-                "serve",
-                "--addr",
-                "127.0.0.1:0",
-                "--workers",
-                "2",
-                "--shards",
-                "4",
-                "--queue",
-                "8",
-                "--cache-capacity",
-                "16",
-                "--cache-capacity-bytes",
-                "1048576",
-            ]))
-            .unwrap(),
-            Command::Serve {
-                options: ServeOptions {
-                    addr: "127.0.0.1:0".into(),
-                    workers: 2,
-                    shards: 4,
-                    queue: 8,
-                    cache_capacity: Some(16),
-                    cache_capacity_bytes: Some(1048576),
-                }
-            }
-        );
+    fn parse_args_recognizes_request() {
         assert_eq!(
             parse_args(&args(&[
                 "request",
@@ -1610,12 +1325,11 @@ mod tests {
             }
         );
         for bad in [
-            vec!["serve", "--workers"],
-            vec!["serve", "--workers", "x"],
-            vec!["serve", "--bogus"],
             vec!["request"],
             vec!["request", "{}", "{}"],
             vec!["request", "{}", "--addr"],
+            // `sspard` is the one way to start the daemon.
+            vec!["serve"],
         ] {
             assert!(
                 matches!(parse_args(&args(&bad)), Err(SsError::Usage(_))),
@@ -1699,25 +1413,33 @@ mod tests {
             .unwrap(),
             Command::Run {
                 input: Input::File("k.c".into()),
-                options: RunOptions {
-                    threads: Some(4),
-                    scale: 128,
-                    seed: 9,
-                    validate: true,
-                    baseline_inspector: true,
-                    schedule: ScheduleChoice::Dynamic,
-                    engine: Some("ast".into()),
-                    opt_level: OptLevel::O0,
-                    policy: PolicyFlag::Tuned,
-                    format: OutputFormat::Json,
+                spec: RunSpec {
+                    request: RunRequest::new("", "")
+                        .threads(4)
+                        .scale(128)
+                        .seed(9)
+                        .validation(ValidationMode::Differential)
+                        .baseline_inspector(true)
+                        .schedule(ScheduleChoice::Dynamic)
+                        .engine("ast")
+                        .opt_level(OptLevel::O0)
+                        .policy(RunPolicy::Tuned),
+                    tuner: TunerConfig::default(),
                 },
+                format: OutputFormat::Json,
             }
         );
+        // No flag: the command line's starting point — the API defaults at
+        // scale 256.
         assert_eq!(
             parse_args(&args(&["run", "--kernel", "fig2_ua_transfer"])).unwrap(),
             Command::Run {
                 input: Input::Catalogue("fig2_ua_transfer".into()),
-                options: RunOptions::default(),
+                spec: RunSpec {
+                    request: RunRequest::new("", "").scale(256),
+                    tuner: TunerConfig::default(),
+                },
+                format: OutputFormat::Text,
             }
         );
         for bad in [
@@ -1734,6 +1456,9 @@ mod tests {
             vec!["run", "k.c", "--policy", "fastest"],
             vec!["run", "k.c", "--policy"],
             vec!["run", "k.c", "--format", "xml"],
+            // Flags of other surfaces: tune's, the wire's.
+            vec!["run", "k.c", "--repeats", "2"],
+            vec!["run", "k.c", "--mode", "serial"],
         ] {
             assert!(
                 matches!(parse_args(&args(&bad)), Err(SsError::Usage(_))),
@@ -1748,7 +1473,8 @@ mod tests {
             parse_args(&args(&["tune", "--kernel", "sptrsv_levels"])).unwrap(),
             Command::Tune {
                 input: Input::Catalogue("sptrsv_levels".into()),
-                options: TuneOptions::default(),
+                spec: cli_spec(),
+                format: OutputFormat::Text,
             }
         );
         assert_eq!(
@@ -1773,15 +1499,16 @@ mod tests {
             .unwrap(),
             Command::Tune {
                 input: Input::File("k.c".into()),
-                options: TuneOptions {
-                    budget_trials: Some(6),
-                    repeats: 2,
-                    threads: Some(2),
-                    scale: 64,
-                    seed: 7,
-                    trial_seed: 3,
-                    format: OutputFormat::Json,
+                spec: RunSpec {
+                    request: RunRequest::new("", "").threads(2).scale(64).seed(7),
+                    tuner: TunerConfig {
+                        budget_trials: Some(6),
+                        repeats: 2,
+                        seed: 3,
+                        ..TunerConfig::default()
+                    },
                 },
+                format: OutputFormat::Json,
             }
         );
         for bad in [
@@ -1790,6 +1517,9 @@ mod tests {
             vec!["tune", "k.c", "--repeats", "x"],
             vec!["tune", "k.c", "--format", "xml"],
             vec!["tune", "k.c", "--bogus"],
+            // Flags of `run`'s surface only.
+            vec!["tune", "k.c", "--schedule", "static"],
+            vec!["tune", "k.c", "--validate"],
             vec!["bench"],
         ] {
             assert!(

@@ -10,9 +10,11 @@
 //! The pieces:
 //!
 //! * [`protocol`] — the newline-delimited JSON wire format: `analyze`,
-//!   `run`, `engines`, `stats`, `shutdown` requests; `{"ok":…}` response
-//!   envelopes whose payloads are the *same* stable JSON schemas the CLI
-//!   prints (one serializer path, `ss_interp::json`);
+//!   `run`, `tune`, `engines`, `stats`, `shutdown` requests, whose
+//!   `run`/`tune` knobs are the rows of the one request-schema table
+//!   (`ss_interp::request`) the CLI's flags come from too; `{"ok":…}`
+//!   response envelopes whose payloads are the *same* stable JSON schemas
+//!   the CLI prints (one serializer path, `ss_interp::json`);
 //! * [`jsonin`] — the matching minimal JSON parser (the vendored `serde`
 //!   is a no-op stub);
 //! * [`service`] — multi-tenant dispatch: one [`Session`] per tenant,
@@ -23,11 +25,10 @@
 //!   a bounded worker queue whose overflow answers a structured
 //!   `overloaded` error, and graceful drain on `shutdown`;
 //! * [`stats`] — per-endpoint request counts and latency percentiles,
-//!   served by the `stats` op;
-//! * [`load`] — the `sspar-load` closed-loop load generator (catalogue ×
-//!   engines × opt levels at configurable concurrency).
+//!   served by the `stats` op.
 //!
-//! Binaries: `sspard` (the server) and `sspar-load` (the load client).
+//! Binary: `sspard` (the server).  Load is measured by `ssbench`'s
+//! `daemon_mix` workload, through the [`Client`] this crate ships.
 //!
 //! ```
 //! use ss_daemon::server::{self, DaemonConfig};
@@ -49,13 +50,11 @@
 #![warn(missing_docs)]
 
 pub mod jsonin;
-pub mod load;
 pub mod protocol;
 pub mod server;
 pub mod service;
 pub mod stats;
 
-pub use load::{run_load, LoadConfig, LoadReport, LoadRow};
 pub use protocol::{Op, Request, WireError};
 pub use server::{request, start, Client, DaemonConfig, DaemonHandle};
 pub use service::{Service, ServiceConfig};

@@ -14,7 +14,8 @@
 
 use crate::jsonin::{self, Value};
 use ss_interp::json;
-use ss_interp::{ExecutionMode, OptLevel, RunPolicy, SsError, ValidationMode};
+use ss_interp::request::{self, Raw, RunSpec, Surface};
+use ss_interp::SsError;
 
 /// The operations a request line can name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,27 +68,13 @@ pub struct Request {
     pub name: Option<String>,
     /// Inline mini-C source — exclusive with `kernel`.
     pub source: Option<String>,
-    /// Engine name (registry default when absent).
-    pub engine: Option<String>,
-    /// Optimization level (default `O1`).
-    pub opt_level: OptLevel,
-    /// Worker threads for the parallel leg (engine default when absent).
-    pub threads: Option<usize>,
-    /// Input synthesis scale (session default when absent).
-    pub scale: Option<i64>,
-    /// Input synthesis seed (session default when absent).
-    pub seed: Option<u64>,
-    /// Run every engine and diff final heaps (differential validation).
-    pub validate: bool,
     /// Embed the final heap in the `run` response.
     pub include_heap: bool,
-    /// Execution mode: `"both"` (default), `"serial"`, `"parallel"`.
-    pub mode: ExecutionMode,
-    /// How `run` picks execution options: `"default"` (the request's own
-    /// knobs) or `"tuned"` (search-or-reapply the persisted best policy).
-    pub policy: RunPolicy,
-    /// `tune`: cap on measured trials (`None` = the full pruned space).
-    pub budget_trials: Option<usize>,
+    /// The knobs of a `run` or `tune` — every key the
+    /// [`ss_interp::request`] table carries on the op's wire surface,
+    /// applied over the wire's starting point (program left empty until
+    /// the service resolves `kernel`/`source`).
+    pub spec: RunSpec,
 }
 
 /// A structured wire failure: a stable machine-readable `class`, a human
@@ -206,7 +193,7 @@ pub fn error_response(id: Option<&str>, error: &WireError) -> String {
 /// program selectors are [`WireError::malformed`].
 pub fn parse_request(line: &str) -> Result<Request, WireError> {
     let value = jsonin::parse(line).map_err(|e| WireError::malformed(format!("bad JSON: {e}")))?;
-    let Value::Obj(_) = &value else {
+    let Value::Obj(entries) = &value else {
         return Err(WireError::malformed("request must be a JSON object"));
     };
 
@@ -243,22 +230,11 @@ pub fn parse_request(line: &str) -> Result<Request, WireError> {
             Some(_) => Err(WireError::malformed(format!("'{key}' must be a string"))),
         }
     };
-    let int_field = |key: &str| -> Result<Option<i64>, WireError> {
-        match value.get(key) {
-            None | Some(Value::Null) => Ok(None),
-            Some(v) => v
-                .as_i64()
-                .map(Some)
-                .ok_or_else(|| WireError::malformed(format!("'{key}' must be an integer"))),
-        }
-    };
-    let bool_field = |key: &str| -> Result<bool, WireError> {
-        match value.get(key) {
-            None | Some(Value::Null) => Ok(false),
-            Some(v) => v
-                .as_bool()
-                .ok_or_else(|| WireError::malformed(format!("'{key}' must be a boolean"))),
-        }
+    let include_heap = match value.get("include_heap") {
+        None | Some(Value::Null) => false,
+        Some(v) => v
+            .as_bool()
+            .ok_or_else(|| WireError::malformed("'include_heap' must be a boolean"))?,
     };
 
     let kernel = str_field("kernel")?;
@@ -280,47 +256,33 @@ pub fn parse_request(line: &str) -> Result<Request, WireError> {
         }
     }
 
-    let opt_level = match int_field("opt_level")? {
-        None => OptLevel::default(),
-        Some(0) => OptLevel::O0,
-        Some(1) => OptLevel::O1,
-        Some(other) => {
-            return Err(WireError::malformed(format!(
-                "'opt_level' must be 0 or 1, got {other}"
-            )))
-        }
+    // The knobs: every key of the op's surface in the request-schema
+    // table is checked (kind, bounds) and applied; every other key is
+    // ignored (forward compatibility).  The wire starts from the
+    // embedding API's defaults — `InputSpec::default()`, scale 64 — where
+    // the command line starts from scale 256.
+    let mut spec = RunSpec::default();
+    let surface = match op {
+        Op::Run => Some(Surface::WireRun),
+        Op::Tune => Some(Surface::WireTune),
+        _ => None,
     };
-
-    let mode = match str_field("mode")?.as_deref() {
-        None | Some("both") => ExecutionMode::Both,
-        Some("serial") => ExecutionMode::Serial,
-        Some("parallel") => ExecutionMode::Parallel,
-        Some(other) => {
-            return Err(WireError::malformed(format!(
-                "'mode' must be both|serial|parallel, got '{other}'"
-            )))
+    if let Some(surface) = surface {
+        for (key, v) in entries {
+            let raw = match v {
+                Value::Null => continue,
+                Value::Bool(b) => Raw::Bool(*b),
+                Value::Str(s) => Raw::Str(s),
+                Value::Num(_) => v.as_i64().map_or(Raw::Other, Raw::Int),
+                Value::Arr(_) | Value::Obj(_) => Raw::Other,
+            };
+            if let Some(field) = request::lookup(surface, key) {
+                field
+                    .apply(&mut spec, raw)
+                    .map_err(|e| WireError::malformed(format!("'{}' {}", e.key, e.reason)))?;
+            }
         }
-    };
-
-    let policy = match str_field("policy")?.as_deref() {
-        None | Some("default") => RunPolicy::Default,
-        Some("tuned") => RunPolicy::Tuned,
-        Some(other) => {
-            return Err(WireError::malformed(format!(
-                "'policy' must be default|tuned, got '{other}'"
-            )))
-        }
-    };
-
-    let positive = |key: &str, v: Option<i64>| -> Result<Option<usize>, WireError> {
-        match v {
-            None => Ok(None),
-            Some(n) if n > 0 => Ok(Some(n as usize)),
-            Some(n) => Err(WireError::malformed(format!(
-                "'{key}' must be positive, got {n}"
-            ))),
-        }
-    };
+    }
 
     Ok(Request {
         op,
@@ -329,33 +291,24 @@ pub fn parse_request(line: &str) -> Result<Request, WireError> {
         kernel,
         name: str_field("name")?,
         source,
-        engine: str_field("engine")?,
-        opt_level,
-        threads: positive("threads", int_field("threads")?)?,
-        scale: int_field("scale")?,
-        seed: int_field("seed")?.map(|s| s as u64),
-        validate: bool_field("validate")?,
-        include_heap: bool_field("include_heap")?,
-        mode,
-        policy,
-        budget_trials: positive("budget_trials", int_field("budget_trials")?)?,
+        include_heap,
+        spec,
     })
-}
-
-impl Request {
-    /// The validation mode the request asked for.
-    pub fn validation(&self) -> ValidationMode {
-        if self.validate {
-            ValidationMode::Differential
-        } else {
-            ValidationMode::None
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ss_interp::{
+        ExecutionMode, InputSource, InputSpec, OptLevel, RunPolicy, RunRequest, ValidationMode,
+    };
+
+    fn input_spec(request: &RunRequest) -> InputSpec {
+        match &request.inputs {
+            InputSource::Synthesized(spec) => *spec,
+            InputSource::Explicit(_) => panic!("wire requests synthesize their inputs"),
+        }
+    }
 
     #[test]
     fn minimal_requests_parse_with_defaults() {
@@ -363,10 +316,15 @@ mod tests {
         assert_eq!(r.op, Op::Run);
         assert_eq!(r.tenant, "default");
         assert_eq!(r.kernel.as_deref(), Some("fig2_ua_transfer"));
-        assert_eq!(r.opt_level, OptLevel::O1);
-        assert!(!r.validate && !r.include_heap);
-        assert_eq!(r.mode, ExecutionMode::Both);
+        assert!(!r.include_heap);
         assert!(r.id.is_none());
+        // No knob given: the wire's starting point, which is the embedding
+        // API's (scale 64, not the command line's 256).
+        assert_eq!(r.spec, RunSpec::default());
+        assert_eq!(r.spec.request.opt_level, OptLevel::O1);
+        assert_eq!(r.spec.request.validation, ValidationMode::None);
+        assert_eq!(r.spec.request.mode, ExecutionMode::Both);
+        assert_eq!(input_spec(&r.spec.request).scale, 64);
 
         let r = parse_request(r#"{"op":"engines"}"#).unwrap();
         assert_eq!(r.op, Op::Engines);
@@ -382,14 +340,27 @@ mod tests {
         .unwrap();
         assert_eq!(r.id.as_deref(), Some("7"));
         assert_eq!(r.tenant, "t1");
-        assert_eq!(r.opt_level, OptLevel::O0);
-        assert_eq!((r.threads, r.scale, r.seed), (Some(2), Some(64), Some(9)));
-        assert!(r.validate && r.include_heap);
-        assert_eq!(r.mode, ExecutionMode::Serial);
-        assert_eq!(r.validation(), ValidationMode::Differential);
+        assert!(r.include_heap);
+        let run = &r.spec.request;
+        assert_eq!(run.engine.as_deref(), Some("bytecode"));
+        assert_eq!(run.opt_level, OptLevel::O0);
+        assert_eq!(run.threads, Some(2));
+        assert_eq!(input_spec(run), InputSpec { scale: 64, seed: 9 });
+        assert_eq!(run.mode, ExecutionMode::Serial);
+        assert_eq!(run.validation, ValidationMode::Differential);
 
         let r = parse_request(r#"{"op":"stats","id":"abc"}"#).unwrap();
         assert_eq!(r.id.as_deref(), Some("\"abc\""));
+
+        // Keys outside the op's surface are unknown keys, and unknown keys
+        // are ignored: `schedule` is command-line only, `budget_trials`
+        // belongs to `tune`, `frobnicate` to nobody.
+        let r = parse_request(
+            r#"{"op":"run","kernel":"k","schedule":"dynamic","budget_trials":3,
+               "frobnicate":[1],"threads":null}"#,
+        )
+        .unwrap();
+        assert_eq!(r.spec, RunSpec::default());
     }
 
     #[test]
@@ -397,11 +368,11 @@ mod tests {
         let r =
             parse_request(r#"{"op":"tune","kernel":"sptrsv_levels","budget_trials":6}"#).unwrap();
         assert_eq!(r.op, Op::Tune);
-        assert_eq!(r.budget_trials, Some(6));
-        assert!(matches!(r.policy, RunPolicy::Default));
+        assert_eq!(r.spec.tuner.budget_trials, Some(6));
+        assert_eq!(r.spec.request.policy, RunPolicy::Default);
 
         let r = parse_request(r#"{"op":"run","kernel":"k","policy":"tuned"}"#).unwrap();
-        assert!(matches!(r.policy, RunPolicy::Tuned));
+        assert_eq!(r.spec.request.policy, RunPolicy::Tuned);
 
         for (line, needle) in [
             (r#"{"op":"tune"}"#, "needs a program"),
@@ -433,6 +404,23 @@ mod tests {
             (r#"{"op":"run","kernel":"k","threads":0}"#, "positive"),
             (r#"{"op":"run","kernel":"k","mode":"warp"}"#, "mode"),
             (r#"{"op":"run","kernel":"k","id":[1]}"#, "'id'"),
+            // Out-of-range knobs name the key.  All five answered
+            // `"ok":true` before the bounds moved into the schema table
+            // (`threads:40000` after aborting the daemon process).
+            (r#"{"op":"run","kernel":"k","scale":0}"#, "'scale'"),
+            (r#"{"op":"run","kernel":"k","scale":-5}"#, "'scale'"),
+            (r#"{"op":"run","kernel":"k","seed":-1}"#, "'seed'"),
+            (r#"{"op":"run","kernel":"k","threads":40000}"#, "'threads'"),
+            (r#"{"op":"tune","kernel":"k","scale":1000000}"#, "'scale'"),
+            (r#"{"op":"run","kernel":"k","threads":2.5}"#, "'threads'"),
+            (
+                r#"{"op":"run","kernel":"k","validate":"yes"}"#,
+                "'validate'",
+            ),
+            (
+                r#"{"op":"run","kernel":"k","include_heap":1}"#,
+                "'include_heap'",
+            ),
         ] {
             let err = parse_request(line).unwrap_err();
             assert_eq!(err.class, "malformed", "{line}");

@@ -16,7 +16,7 @@
 
 use crate::protocol::{Op, Request, WireError};
 use crate::stats::StatsRegistry;
-use ss_interp::{analysis_json, json, registry_json, RunRequest, Session, TunerConfig};
+use ss_interp::{analysis_json, json, registry_json, Session};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
@@ -139,27 +139,21 @@ impl Service {
                     .map_err(|e| WireError::from(&e))?;
                 Ok(analysis_json(&artifacts))
             }
-            Op::Run => {
+            Op::Run | Op::Tune => {
+                // The request schema already applied every knob; what is
+                // left is the service's own: the program and the shard's
+                // thread team.
                 let (name, source) = self.resolve_program(req)?;
                 let session = self.session(&req.tenant);
-                let shard = self.shard(&req.tenant, &name);
-                let mut run = RunRequest::new(&name, &source)
-                    .opt_level(req.opt_level)
-                    .mode(req.mode)
-                    .validation(req.validation())
-                    .policy(req.policy.clone())
-                    .team_group(shard + 1);
-                if let Some(engine) = &req.engine {
-                    run = run.engine(engine);
-                }
-                if let Some(threads) = req.threads {
-                    run = run.threads(threads);
-                }
-                if let Some(scale) = req.scale {
-                    run = run.scale(scale);
-                }
-                if let Some(seed) = req.seed {
-                    run = run.seed(seed);
+                let mut run = req.spec.request.clone();
+                run.team_group = self.shard(&req.tenant, &name) + 1;
+                run.name = name;
+                run.source = source;
+                if req.op == Op::Tune {
+                    let outcome = session
+                        .tune(&run, &req.spec.tuner)
+                        .map_err(|e| WireError::from(&e))?;
+                    return Ok(outcome.to_json());
                 }
                 let outcome = session.run(&run).map_err(|e| WireError::from(&e))?;
                 Ok(if req.include_heap {
@@ -167,29 +161,6 @@ impl Service {
                 } else {
                     outcome.to_json()
                 })
-            }
-            Op::Tune => {
-                let (name, source) = self.resolve_program(req)?;
-                let session = self.session(&req.tenant);
-                let shard = self.shard(&req.tenant, &name);
-                let mut run = RunRequest::new(&name, &source).team_group(shard + 1);
-                if let Some(threads) = req.threads {
-                    run = run.threads(threads);
-                }
-                if let Some(scale) = req.scale {
-                    run = run.scale(scale);
-                }
-                if let Some(seed) = req.seed {
-                    run = run.seed(seed);
-                }
-                let config = TunerConfig {
-                    budget_trials: req.budget_trials,
-                    ..TunerConfig::default()
-                };
-                let outcome = session
-                    .tune(&run, &config)
-                    .map_err(|e| WireError::from(&e))?;
-                Ok(outcome.to_json())
             }
         }
     }

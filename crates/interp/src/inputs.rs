@@ -29,7 +29,7 @@ use ss_ir::{free_scalars, Program};
 use std::collections::HashMap;
 
 /// Parameters of input synthesis.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InputSpec {
     /// Value given to every free scalar (loop bounds etc.), and the modulus
     /// of generated array data — so synthesized index values always lie in

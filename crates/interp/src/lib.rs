@@ -21,6 +21,10 @@
 //!   over dense frames, and the **tree-walking** reference engine.  All
 //!   consume precompiled [`Artifacts`](ss_parallelizer::Artifacts) and
 //!   dispatch every proven-parallel loop onto `ss_runtime` worker threads;
+//! * [`request`] — the run/tune request schema, declared once: one table
+//!   row per knob (wire key, CLI flag, type and bounds, surfaces, help)
+//!   that the `sspar` flag parser, its `--help` and the `sspard` wire
+//!   parser all walk;
 //! * [`error`] — [`SsError`], the unified error spanning parse, analysis,
 //!   compilation, execution and validation, with stable
 //!   [`exit_code`](SsError::exit_code)s;
@@ -71,6 +75,7 @@ pub mod error;
 pub mod heap;
 pub mod inputs;
 pub mod json;
+pub mod request;
 pub mod session;
 pub mod tuner;
 

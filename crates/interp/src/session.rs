@@ -70,7 +70,7 @@ use std::sync::{Arc, Mutex};
 // ---------------------------------------------------------------------------
 
 /// Where a run's initial heap comes from.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum InputSource {
     /// Synthesize inputs from the program itself (discovery pass; see
     /// [`crate::inputs`]).
@@ -94,7 +94,7 @@ pub enum ValidationMode {
 
 /// How a run picks its execution policy (engine, opt level, schedule,
 /// chunk, threads).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum RunPolicy {
     /// The request's own knobs, verbatim (engine default, `O1`, auto
     /// schedule unless overridden).
@@ -124,7 +124,7 @@ pub enum ExecutionMode {
 /// schedule, opt level, inputs and validation mode.  Construct with
 /// [`RunRequest::new`], refine with the chained setters, hand to
 /// [`Session::run`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunRequest {
     /// Program name (used in reports and error messages).
     pub name: String,
@@ -208,25 +208,29 @@ impl RunRequest {
         self
     }
 
+    /// The synthesis parameters, for in-place edits.  Resets explicit
+    /// inputs back to synthesis (at the default scale and seed).
+    pub(crate) fn input_spec_mut(&mut self) -> &mut InputSpec {
+        if let InputSource::Explicit(_) = self.inputs {
+            self.inputs = InputSource::Synthesized(InputSpec::default());
+        }
+        match &mut self.inputs {
+            InputSource::Synthesized(spec) => spec,
+            InputSource::Explicit(_) => unreachable!("explicit inputs were just reset"),
+        }
+    }
+
     /// Input scale for synthesized inputs (loop bounds / data modulus).
     /// Resets explicit inputs back to synthesis.
     pub fn scale(mut self, scale: i64) -> RunRequest {
-        let seed = match &self.inputs {
-            InputSource::Synthesized(spec) => spec.seed,
-            InputSource::Explicit(_) => InputSpec::default().seed,
-        };
-        self.inputs = InputSource::Synthesized(InputSpec { scale, seed });
+        self.input_spec_mut().scale = scale;
         self
     }
 
     /// Input data seed for synthesized inputs.  Resets explicit inputs
     /// back to synthesis.
     pub fn seed(mut self, seed: u64) -> RunRequest {
-        let scale = match &self.inputs {
-            InputSource::Synthesized(spec) => spec.scale,
-            InputSource::Explicit(_) => InputSpec::default().scale,
-        };
-        self.inputs = InputSource::Synthesized(InputSpec { scale, seed });
+        self.input_spec_mut().seed = seed;
         self
     }
 

@@ -293,7 +293,7 @@ pub fn input_signature(heap: &Heap) -> u64 {
 // ---------------------------------------------------------------------------
 
 /// Knobs of one tuning search.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TunerConfig {
     /// Maximum number of candidates measured (the default policy is always
     /// measured and does not count against the budget); `None` measures

@@ -52,15 +52,6 @@ pub enum OptLevel {
 }
 
 impl OptLevel {
-    /// Parses a `--opt-level` flag value (`"0"` or `"1"`).
-    pub fn from_flag(s: &str) -> Option<OptLevel> {
-        match s {
-            "0" => Some(OptLevel::O0),
-            "1" => Some(OptLevel::O1),
-            _ => None,
-        }
-    }
-
     /// `"O0"` / `"O1"`.
     pub fn label(self) -> &'static str {
         match self {
@@ -1337,10 +1328,7 @@ mod tests {
     }
 
     #[test]
-    fn opt_level_parses_and_prints() {
-        assert_eq!(OptLevel::from_flag("0"), Some(OptLevel::O0));
-        assert_eq!(OptLevel::from_flag("1"), Some(OptLevel::O1));
-        assert_eq!(OptLevel::from_flag("2"), None);
+    fn opt_level_defaults_and_prints() {
         assert_eq!(OptLevel::default(), OptLevel::O1);
         assert_eq!(OptLevel::O0.to_string(), "O0");
         assert_eq!(OptLevel::O1.label(), "O1");
