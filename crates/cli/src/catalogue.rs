@@ -1,0 +1,126 @@
+//! `sspar study` / `sspar kernels` / `sspar engines`: the built-in
+//! catalogue and the engine registry.
+
+use crate::{session, OutputFormat};
+use ss_interp::registry_json;
+use ss_parallelizer::{run_study, StudyInput};
+
+pub(crate) fn engines_text(format: OutputFormat) -> String {
+    let registry = session().registry();
+    if format == OutputFormat::Json {
+        return registry_json(registry) + "\n";
+    }
+    let mut out = String::new();
+    out.push_str(&format!(
+        "{:<10} {:<8} {:<55} capabilities\n",
+        "engine", "default", "description"
+    ));
+    for (i, e) in registry.iter().enumerate() {
+        let caps = e.caps();
+        let mut flags = Vec::new();
+        if caps.reference {
+            flags.push("reference".to_string());
+        }
+        if caps.reductions {
+            flags.push("reductions".to_string());
+        }
+        if caps.local_arrays {
+            flags.push("local-arrays".to_string());
+        }
+        if caps.inspector_baseline {
+            flags.push("inspector-baseline".to_string());
+        }
+        if caps.persistent_team {
+            flags.push("persistent-team".to_string());
+        }
+        if caps.level_sets {
+            flags.push("level-sets".to_string());
+        }
+        flags.push(format!(
+            "opt-levels:{}",
+            caps.opt_levels
+                .iter()
+                .map(|l| l.to_string())
+                .collect::<Vec<_>>()
+                .join("/")
+        ));
+        out.push_str(&format!(
+            "{:<10} {:<8} {:<55} {}\n",
+            e.name(),
+            if i == 0 { "*" } else { "" },
+            e.description(),
+            flags.join(", ")
+        ));
+    }
+    out
+}
+
+pub(crate) fn study_text() -> String {
+    let inputs: Vec<StudyInput> = ss_npb::study_kernels()
+        .into_iter()
+        .map(|k| StudyInput {
+            name: k.name.to_string(),
+            program: k.program.to_string(),
+            suite: format!("{:?}", k.suite),
+            pattern: k.class.label().to_string(),
+            source: k.source.to_string(),
+            target_loop: k.target_loop,
+        })
+        .collect();
+    run_study(&inputs).render()
+}
+
+pub(crate) fn kernels_text() -> String {
+    let mut out = String::new();
+    out.push_str(&format!(
+        "{:<24} {:<26} {:<30} {:>11}\n",
+        "kernel", "program", "pattern", "target loop"
+    ));
+    for k in ss_npb::study_kernels() {
+        out.push_str(&format!(
+            "{:<24} {:<26} {:<30} {:>11}\n",
+            k.name,
+            k.program,
+            k.class.label(),
+            k.target_loop
+        ));
+    }
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::tests::{args, MapReader};
+    use crate::{run, session};
+    use std::collections::HashMap;
+
+    #[test]
+    fn engines_lists_the_registry_with_capabilities() {
+        let reader = MapReader(HashMap::new());
+        let out = run(&args(&["engines"]), &reader).unwrap();
+        // Every registered engine appears, flagged from its own caps —
+        // the list cannot drift from what --engine accepts.
+        for e in session().registry().iter() {
+            assert!(out.contains(e.name()), "{out}");
+            assert!(out.contains(e.description()), "{out}");
+        }
+        assert!(out.contains("reference"));
+        assert!(out.contains("persistent-team"));
+        assert!(out.contains("opt-levels:O0/O1"));
+        let json = run(&args(&["engines", "--format", "json"]), &reader).unwrap();
+        assert!(json.contains("\"engines\":["), "{json}");
+        assert!(json.contains("\"default\":true"), "{json}");
+        assert!(json.contains("\"opt_levels\":[\"O0\",\"O1\"]"), "{json}");
+    }
+
+    #[test]
+    fn study_and_kernels_render_the_catalogue() {
+        let reader = MapReader(HashMap::new());
+        let study = run(&args(&["study"]), &reader).unwrap();
+        assert!(study.contains("fig2_ua_transfer"));
+        assert!(study.contains("parallelized by the extended analysis"));
+        let kernels = run(&args(&["kernels"]), &reader).unwrap();
+        assert!(kernels.contains("csparse_ipvec"));
+        assert!(kernels.contains("is_bucket_traversal"));
+    }
+}

@@ -27,24 +27,28 @@
 //!
 //! The command logic lives in [`run`], which is a pure function from
 //! arguments (plus an abstract file reader) to output text, so the whole
-//! CLI is unit-testable without touching the file system.
+//! CLI is unit-testable without touching the file system.  This file
+//! holds the command line itself ([`Command`], [`parse_args`], [`usage`],
+//! [`execute`]); each verb's renderer lives in its own module.
 
 #![warn(missing_docs)]
 
-use ss_aggregation::analyze_program;
+mod analyze;
+mod catalogue;
+mod run;
+mod tune;
+
+use analyze::{analyze_text, trace_text};
+use catalogue::{engines_text, kernels_text, study_text};
+use run::run_text;
 use ss_interp::request::{self, Raw, RunSpec, Surface};
-use ss_interp::{
-    analysis_json, registry_json, reset_pair_counts, set_pair_profiling, top_instruction_pairs,
-    ExecMode, ExecutionMode, InputSource, InputSpec, OptLevel, RunRequest, Session, SsError,
-    TunerConfig, ValidationMode,
-};
-use ss_ir::{parse_program, LoopId};
-use ss_parallelizer::{run_study, StudyInput, VerdictKind};
+use ss_interp::{InputSource, InputSpec, OptLevel, RunRequest, Session, SsError};
 use std::sync::OnceLock;
+use tune::tune_text;
 
 /// The process-wide session: one artifact cache and one engine registry
 /// serve every command of every in-process invocation.
-fn session() -> &'static Session {
+pub(crate) fn session() -> &'static Session {
     static SESSION: OnceLock<Session> = OnceLock::new();
     SESSION.get_or_init(Session::new)
 }
@@ -180,7 +184,7 @@ pub enum Command {
         input: Input,
         /// The run's knobs, as the request-schema table applied the flags
         /// (program left empty until `input` is resolved).  `--validate`
-        /// shows as [`ValidationMode::Differential`]: the command line
+        /// shows as [`ss_interp::ValidationMode::Differential`]: the command line
         /// always runs the differential matrix, the flag decides whether
         /// a mismatch fails the command.
         spec: RunSpec,
@@ -509,463 +513,20 @@ fn program_request(
 
 /// The input scale and seed of a command-line request (which only ever
 /// synthesizes its inputs).
-fn input_spec(request: &RunRequest) -> InputSpec {
+pub(crate) fn input_spec(request: &RunRequest) -> InputSpec {
     match &request.inputs {
         InputSource::Synthesized(spec) => *spec,
         InputSource::Explicit(_) => unreachable!("no flag supplies an explicit heap"),
     }
 }
 
-/// The verdict column of the text tables, derived from the report's own
-/// classification.
-fn verdict_cell(l: &ss_parallelizer::LoopReport) -> String {
-    match l.verdict() {
-        VerdictKind::Parallel => "PARALLEL".to_string(),
-        VerdictKind::Reduction => {
-            format!("PARALLEL (reduction {})", l.reduction_clause())
-        }
-        VerdictKind::Serial => "serial".to_string(),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn analyze_text(
-    name: &str,
-    source: &str,
-    baseline: bool,
-    no_source: bool,
-    dump_bytecode: bool,
-    profile: bool,
-    opt_level: OptLevel,
-    format: OutputFormat,
-) -> Result<String, SsError> {
-    // One pipeline invocation — served from the session cache when this
-    // process has compiled the identical source before — feeds the verdict
-    // table, the facts and the bytecode dump, so the L<n> loop ids in the
-    // listing always match and nothing below recompiles.
-    let artifacts = session().artifacts(name, source)?;
-    if format == OutputFormat::Json {
-        return Ok(analysis_json(&artifacts) + "\n");
-    }
-    let report = &artifacts.report;
-    let mut out = String::new();
-    out.push_str(&format!("== {name}: per-loop verdicts ==\n"));
-    for l in &report.loops {
-        out.push_str(&format!(
-            "loop {:<3} (depth {}, index '{}'): {}\n",
-            l.loop_id.0,
-            l.depth,
-            l.index_var,
-            verdict_cell(l)
-        ));
-        if baseline {
-            out.push_str(&format!(
-                "    baseline (no index-array properties): {}\n",
-                if l.baseline_parallel {
-                    "parallel"
-                } else {
-                    "serial"
-                }
-            ));
-        }
-        for r in &l.reasons {
-            out.push_str(&format!("    + {r}\n"));
-        }
-        for b in &l.blockers {
-            out.push_str(&format!("    - {b}\n"));
-        }
-    }
-    out.push_str("\n== derived index-array facts ==\n");
-    out.push_str(&format!("{}\n", report.final_db));
-    out.push_str(&format!(
-        "\n== pipeline stages (analyze -> slots -> bytecode -> opt) ==\n{}\n",
-        artifacts.stage_summary()
-    ));
-    if !no_source {
-        out.push_str("\n== annotated source ==\n");
-        out.push_str(&report.annotated_source);
-        if !report.annotated_source.ends_with('\n') {
-            out.push('\n');
-        }
-    }
-    if dump_bytecode {
-        out.push_str(&format!(
-            "\n== register-machine bytecode ({opt_level}) ==\n"
-        ));
-        out.push_str(&artifacts.bytecode_at(opt_level).disassemble());
-    }
-    if profile {
-        out.push_str(&profile_text(name, source, opt_level)?);
-    }
-    Ok(out)
-}
-
-/// Executes the program once (bytecode engine, serial, synthesized
-/// inputs) with instruction-pair profiling on and renders the hottest
-/// dynamically adjacent pairs — the fusion candidates a profile-guided
-/// superinstruction pass would consider next.
-fn profile_text(name: &str, source: &str, opt_level: OptLevel) -> Result<String, SsError> {
-    const PROFILE_SCALE: i64 = 64;
-    const TOP_PAIRS: usize = 12;
-    reset_pair_counts();
-    set_pair_profiling(true);
-    let result = session().run(
-        &RunRequest::new(name, source)
-            .engine("bytecode")
-            .opt_level(opt_level)
-            .scale(PROFILE_SCALE)
-            .mode(ExecutionMode::Serial),
-    );
-    set_pair_profiling(false);
-    result?;
-    let mut out = String::new();
-    out.push_str(&format!(
-        "\n== hottest instruction pairs ({opt_level}, dynamic order, n={PROFILE_SCALE}) ==\n"
-    ));
-    let pairs = top_instruction_pairs(TOP_PAIRS);
-    if pairs.is_empty() {
-        out.push_str("(no instruction pairs executed)\n");
-    }
-    for (prev, next, count) in pairs {
-        out.push_str(&format!("{count:>12}  {prev} -> {next}\n"));
-    }
-    Ok(out)
-}
-
-fn trace_text(name: &str, source: &str) -> Result<String, SsError> {
-    let program = parse_program(name, source)?;
-    let analysis = analyze_program(&program);
-    let mut out = String::new();
-    out.push_str(&format!("== {name}: Phase 1 / Phase 2 trace ==\n"));
-    let mut ids: Vec<LoopId> = analysis.collapsed.keys().copied().collect();
-    ids.sort_by_key(|id| id.0);
-    for id in ids {
-        let collapsed = &analysis.collapsed[&id];
-        out.push_str(&format!(
-            "\nloop {} (index '{}'):\n",
-            id.0, collapsed.index_var
-        ));
-        if let Some(p1) = analysis.phase1.get(&id) {
-            out.push_str("  phase 1 (one iteration):\n");
-            let mut scalars: Vec<_> = p1.scalars.iter().collect();
-            scalars.sort_by(|a, b| a.0.cmp(b.0));
-            for (name, range) in scalars {
-                out.push_str(&format!("    {name}: {range}\n"));
-            }
-            for w in &p1.writes {
-                out.push_str(&format!("    {}[{}] = {}\n", w.array, w.subscript, w.value));
-            }
-        }
-        out.push_str("  phase 2 (whole loop):\n");
-        let mut scalars: Vec<_> = collapsed.scalar_exit.iter().collect();
-        scalars.sort_by(|a, b| a.0.cmp(b.0));
-        for (name, range) in scalars {
-            out.push_str(&format!("    {name}: {range}\n"));
-        }
-        for fact in &collapsed.array_facts {
-            out.push_str(&format!("    {fact}\n"));
-        }
-        for a in &collapsed.clobbered_arrays {
-            out.push_str(&format!("    {a}: ⊥ (clobbered)\n"));
-        }
-        for s in &collapsed.clobbered_scalars {
-            out.push_str(&format!("    {s}: ⊥ (clobbered)\n"));
-        }
-    }
-    out.push_str("\n== facts at end of program ==\n");
-    out.push_str(&format!("{}\n", analysis.db));
-    Ok(out)
-}
-
-/// Searches the policy space for one kernel, prints the trial table and
-/// the winner, and leaves the winner persisted in the session cache —
-/// `sspar run --policy tuned` on the same (program, input shape)
-/// reapplies it without re-searching.
-fn tune_text(
-    request: RunRequest,
-    config: &TunerConfig,
-    format: OutputFormat,
-) -> Result<String, SsError> {
-    let outcome = session().tune(&request, config)?;
-    if format == OutputFormat::Json {
-        return Ok(outcome.to_json() + "\n");
-    }
-    let name = &request.name;
-    let inputs = input_spec(&request);
-    let policy = &outcome.policy;
-    let mut out = String::new();
-    out.push_str(&format!(
-        "== {name}: policy search at scale n={} seed={} (shape signature {:016x}) ==\n\n",
-        inputs.scale, inputs.seed, outcome.signature
-    ));
-    out.push_str(&format!("{:<34} {:>12}\n", "policy", "median s"));
-    for (i, t) in policy.trials.iter().enumerate() {
-        let mut notes = Vec::new();
-        if i == 0 {
-            notes.push("default");
-        }
-        if t.point == policy.point {
-            notes.push("winner");
-        }
-        out.push_str(&format!(
-            "{:<34} {:>12.6}{}\n",
-            t.point.label(),
-            t.median_seconds,
-            if notes.is_empty() {
-                String::new()
-            } else {
-                format!("   <- {}", notes.join(", "))
-            }
-        ));
-    }
-    for p in &policy.pruned {
-        out.push_str(&format!("pruned: {p}\n"));
-    }
-    out.push_str(&format!(
-        "\nwinner: {} (median {:.6}s, {:.2}x vs default {:.6}s)\n",
-        policy.point.label(),
-        policy.median_seconds,
-        policy.speedup_vs_default(),
-        policy.default_median_seconds
-    ));
-    out.push_str(&format!(
-        "provenance: {}\n",
-        if outcome.cache_hit {
-            "tuned-cache (persisted policy reapplied, no re-search)"
-        } else {
-            "tuned-search (fresh search, winner persisted)"
-        }
-    ));
-    Ok(out)
-}
-
-fn run_text(request: RunRequest, format: OutputFormat) -> Result<String, SsError> {
-    // `--validate` decides whether a mismatch fails the command; the
-    // differential matrix itself always runs (the table below reports
-    // both legs and the validation line), off one (cached) pipeline
-    // invocation — nothing below recompiles.
-    let enforce = request.validation == ValidationMode::Differential;
-    let request = request.validation(ValidationMode::Differential);
-    let outcome = session().run(&request)?;
-    if enforce {
-        outcome.ensure_validated()?;
-    }
-    if format == OutputFormat::Json {
-        return Ok(outcome.to_json() + "\n");
-    }
-    let name = &request.name;
-    let inputs = input_spec(&request);
-
-    // Report the engine that actually executed: the parallel leg is
-    // redirected under the inspector baseline, and opt-level-sensitive
-    // engines show which stream they ran.
-    let resolved = session().registry().get(&outcome.engine)?;
-    let engine_name = if request.baseline_inspector {
-        format!(
-            "{} (inspector baseline)",
-            outcome.parallel_engine.as_deref().unwrap_or("?")
-        )
-    } else if resolved.caps().opt_levels.len() > 1 {
-        format!("{} ({})", outcome.engine, outcome.opt_level)
-    } else {
-        outcome.engine.clone()
-    };
-    let serial_stats = outcome.serial.as_ref().expect("differential runs serially");
-    let parallel_stats = outcome
-        .parallel
-        .as_ref()
-        .expect("differential runs in parallel");
-    let mut out = String::new();
-    out.push_str(&format!(
-        "== {name}: executed with scale n={} seed={} on {} thread(s), {engine_name} engine ==\n",
-        inputs.scale, inputs.seed, outcome.threads
-    ));
-    if outcome.policy != "default" {
-        out.push_str(&format!(
-            "policy: {} ({})\n",
-            outcome.policy,
-            outcome.policy_provenance.as_deref().unwrap_or("-")
-        ));
-    }
-    out.push('\n');
-    out.push_str(&format!(
-        "{:<6} {:<7} {:<10} {:<18} {:>12} {:>12} {:>9}\n",
-        "loop", "index", "verdict", "execution", "serial s", "parallel s", "speedup"
-    ));
-    for v in &outcome.verdicts {
-        let verdict = match v.verdict {
-            VerdictKind::Parallel => "PARALLEL",
-            VerdictKind::Reduction => "REDUCTION",
-            VerdictKind::Serial => "serial",
-        };
-        let (mode, inspected) = match parallel_stats.loops.get(&v.loop_id) {
-            Some(s) => (
-                match s.mode {
-                    ExecMode::Serial => "serial".to_string(),
-                    ExecMode::Parallel { threads, dynamic } => format!(
-                        "{} x{threads} threads",
-                        if dynamic { "dynamic" } else { "static" }
-                    ),
-                },
-                s.inspector_conflict_free,
-            ),
-            // Inner loops of dispatched bodies are accounted to their
-            // dispatched ancestor.
-            None => ("(inside parallel)".to_string(), None),
-        };
-        let serial_s = serial_stats
-            .loops
-            .get(&v.loop_id)
-            .map(|s| s.seconds)
-            .unwrap_or(0.0);
-        let parallel_s = parallel_stats
-            .loops
-            .get(&v.loop_id)
-            .map(|s| s.seconds)
-            .unwrap_or(0.0);
-        let speedup = if parallel_s > 0.0 && parallel_stats.loops.contains_key(&v.loop_id) {
-            format!("{:.2}x", serial_s / parallel_s)
-        } else {
-            "-".to_string()
-        };
-        out.push_str(&format!(
-            "L{:<5} {:<7} {:<10} {:<18} {:>12.6} {:>12.6} {:>9}\n",
-            v.loop_id.0, v.index_var, verdict, mode, serial_s, parallel_s, speedup
-        ));
-        if let Some((levels, avg_width)) = parallel_stats
-            .loops
-            .get(&v.loop_id)
-            .and_then(|s| s.wavefront)
-        {
-            out.push_str(&format!(
-                "       wavefront: {levels} level(s), avg width {avg_width:.1}\n"
-            ));
-        }
-        if let Some(cf) = inspected {
-            out.push_str(&format!(
-                "       runtime inspector baseline: {}\n",
-                if cf {
-                    "would parallelize (conflict-free at runtime)"
-                } else {
-                    "refuses (cross-iteration conflicts observed)"
-                }
-            ));
-        }
-    }
-    out.push_str(&format!(
-        "\ntotal: serial {:.6}s, parallel {:.6}s, speedup {:.2}x\n",
-        serial_stats.total_seconds,
-        parallel_stats.total_seconds,
-        outcome.speedup().unwrap_or(0.0)
-    ));
-    if let Some(v) = &outcome.validation {
-        if v.heaps_match {
-            out.push_str(&format!(
-                "validation: PASS (reference and {} final heaps are bit-identical)\n",
-                v.compared.join(", ")
-            ));
-        } else {
-            out.push_str(
-                "validation: FAIL (heaps diverge; rerun with --validate to exit nonzero)\n",
-            );
-            for m in &v.mismatches {
-                out.push_str(&format!("  {m}\n"));
-            }
-        }
-    }
-    Ok(out)
-}
-
-fn engines_text(format: OutputFormat) -> String {
-    let registry = session().registry();
-    if format == OutputFormat::Json {
-        return registry_json(registry) + "\n";
-    }
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<10} {:<8} {:<55} capabilities\n",
-        "engine", "default", "description"
-    ));
-    for (i, e) in registry.iter().enumerate() {
-        let caps = e.caps();
-        let mut flags = Vec::new();
-        if caps.reference {
-            flags.push("reference".to_string());
-        }
-        if caps.reductions {
-            flags.push("reductions".to_string());
-        }
-        if caps.local_arrays {
-            flags.push("local-arrays".to_string());
-        }
-        if caps.inspector_baseline {
-            flags.push("inspector-baseline".to_string());
-        }
-        if caps.persistent_team {
-            flags.push("persistent-team".to_string());
-        }
-        if caps.level_sets {
-            flags.push("level-sets".to_string());
-        }
-        flags.push(format!(
-            "opt-levels:{}",
-            caps.opt_levels
-                .iter()
-                .map(|l| l.to_string())
-                .collect::<Vec<_>>()
-                .join("/")
-        ));
-        out.push_str(&format!(
-            "{:<10} {:<8} {:<55} {}\n",
-            e.name(),
-            if i == 0 { "*" } else { "" },
-            e.description(),
-            flags.join(", ")
-        ));
-    }
-    out
-}
-
-fn study_text() -> String {
-    let inputs: Vec<StudyInput> = ss_npb::study_kernels()
-        .into_iter()
-        .map(|k| StudyInput {
-            name: k.name.to_string(),
-            program: k.program.to_string(),
-            suite: format!("{:?}", k.suite),
-            pattern: k.class.label().to_string(),
-            source: k.source.to_string(),
-            target_loop: k.target_loop,
-        })
-        .collect();
-    run_study(&inputs).render()
-}
-
-fn kernels_text() -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<24} {:<26} {:<30} {:>11}\n",
-        "kernel", "program", "pattern", "target loop"
-    ));
-    for k in ss_npb::study_kernels() {
-        out.push_str(&format!(
-            "{:<24} {:<26} {:<30} {:>11}\n",
-            k.name,
-            k.program,
-            k.class.label(),
-            k.target_loop
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ss_interp::{RunPolicy, ScheduleChoice};
+    use ss_interp::{RunPolicy, ScheduleChoice, TunerConfig, ValidationMode};
     use std::collections::HashMap;
 
-    struct MapReader(HashMap<String, String>);
+    pub(crate) struct MapReader(pub(crate) HashMap<String, String>);
 
     impl SourceReader for MapReader {
         fn read(&self, path: &str) -> Result<String, String> {
@@ -976,11 +537,11 @@ mod tests {
         }
     }
 
-    fn args(v: &[&str]) -> Vec<String> {
+    pub(crate) fn args(v: &[&str]) -> Vec<String> {
         v.iter().map(|s| s.to_string()).collect()
     }
 
-    const FIG2: &str = r#"
+    pub(crate) const FIG2: &str = r#"
         for (e = 0; e < nelt; e++) { mt_to_id[e] = e; }
         for (miel = 0; miel < nelt; miel++) {
             iel = mt_to_id[miel];
@@ -1132,181 +693,6 @@ mod tests {
         assert!(!run_block.contains("--repeats"), "{run_block}");
         assert!(!tune_block.contains("--schedule"), "{tune_block}");
         assert!(!usage.contains("serve"), "{usage}");
-    }
-
-    #[test]
-    fn analyze_reports_the_figure2_verdict() {
-        let reader = MapReader(HashMap::from([("fig2.c".to_string(), FIG2.to_string())]));
-        let out = run(&args(&["analyze", "fig2.c", "--baseline"]), &reader).unwrap();
-        assert!(out.contains("loop 1"));
-        assert!(out.contains("PARALLEL"));
-        assert!(out.contains("baseline (no index-array properties): serial"));
-        assert!(out.contains("#pragma omp parallel for"));
-        assert!(out.contains("mt_to_id"));
-    }
-
-    #[test]
-    fn analyze_format_json_emits_the_stable_schema() {
-        let reader = MapReader(HashMap::from([("fig2.c".to_string(), FIG2.to_string())]));
-        let out = run(&args(&["analyze", "fig2.c", "--format", "json"]), &reader).unwrap();
-        for key in [
-            "\"program\":\"fig2.c\"",
-            "\"verdicts\":[",
-            "\"verdict\":\"parallel\"",
-            "\"newly_enabled\":true",
-            "\"stages\":[{\"stage\":\"analyze\"",
-            "\"annotated_source\":",
-            "#pragma omp parallel for",
-        ] {
-            assert!(out.contains(key), "missing {key} in {out}");
-        }
-        assert!(out.ends_with('\n'));
-        // No text-table artifacts in the JSON output.
-        assert!(!out.contains("== "));
-    }
-
-    #[test]
-    fn engines_lists_the_registry_with_capabilities() {
-        let reader = MapReader(HashMap::new());
-        let out = run(&args(&["engines"]), &reader).unwrap();
-        // Every registered engine appears, flagged from its own caps —
-        // the list cannot drift from what --engine accepts.
-        for e in session().registry().iter() {
-            assert!(out.contains(e.name()), "{out}");
-            assert!(out.contains(e.description()), "{out}");
-        }
-        assert!(out.contains("reference"));
-        assert!(out.contains("persistent-team"));
-        assert!(out.contains("opt-levels:O0/O1"));
-        let json = run(&args(&["engines", "--format", "json"]), &reader).unwrap();
-        assert!(json.contains("\"engines\":["), "{json}");
-        assert!(json.contains("\"default\":true"), "{json}");
-        assert!(json.contains("\"opt_levels\":[\"O0\",\"O1\"]"), "{json}");
-    }
-
-    #[test]
-    fn no_source_suppresses_the_annotated_listing() {
-        let reader = MapReader(HashMap::from([("fig2.c".to_string(), FIG2.to_string())]));
-        let out = run(&args(&["analyze", "fig2.c", "--no-source"]), &reader).unwrap();
-        assert!(!out.contains("annotated source"));
-        assert!(!out.contains("#pragma"));
-    }
-
-    #[test]
-    fn analyze_by_catalogue_name_works_and_unknown_names_fail() {
-        let reader = MapReader(HashMap::new());
-        let out = run(&args(&["analyze", "--kernel", "fig9_csr_product"]), &reader).unwrap();
-        assert!(out.contains("rowptr"));
-        assert!(out.contains("PARALLEL"));
-        let err = run(&args(&["analyze", "--kernel", "not_a_kernel"]), &reader).unwrap_err();
-        assert!(matches!(err, SsError::UnknownKernel(_)));
-    }
-
-    #[test]
-    fn dump_bytecode_prints_the_register_machine_listing() {
-        let reader = MapReader(HashMap::new());
-        let out = run(
-            &args(&[
-                "analyze",
-                "--kernel",
-                "fig9_csr_product",
-                "--no-source",
-                "--dump-bytecode",
-            ]),
-            &reader,
-        )
-        .unwrap();
-        assert!(
-            out.contains("== register-machine bytecode (O1) =="),
-            "{out}"
-        );
-        assert!(out.contains("const["), "{out}");
-        assert!(out.contains("for      L"), "{out}");
-        // The default (O1) listing carries the fused superinstructions; the
-        // O0 listing carries none.
-        assert!(out.contains("cmpbr"), "{out}");
-        let o0 = run(
-            &args(&[
-                "analyze",
-                "--kernel",
-                "fig9_csr_product",
-                "--no-source",
-                "--dump-bytecode",
-                "--opt-level",
-                "0",
-            ]),
-            &reader,
-        )
-        .unwrap();
-        assert!(o0.contains("== register-machine bytecode (O0) =="), "{o0}");
-        assert!(!o0.contains("cmpbr"), "{o0}");
-        assert!(!o0.contains("load2"), "{o0}");
-        // trace does not accept the flags
-        for flag in ["--dump-bytecode", "--opt-level", "--profile"] {
-            assert!(matches!(
-                run(
-                    &args(&["trace", "--kernel", "fig9_csr_product", flag]),
-                    &reader
-                ),
-                Err(SsError::Usage(_))
-            ));
-        }
-    }
-
-    #[test]
-    fn profile_prints_the_hottest_instruction_pairs() {
-        let reader = MapReader(HashMap::new());
-        let out = run(
-            &args(&[
-                "analyze",
-                "--kernel",
-                "fig9_csr_product",
-                "--no-source",
-                "--profile",
-            ]),
-            &reader,
-        )
-        .unwrap();
-        assert!(out.contains("== hottest instruction pairs (O1"), "{out}");
-        // A counted loop's hot path necessarily executes adjacent pairs;
-        // at least one `prev -> next` line with a count must appear.
-        // (Counts are process-wide, so only presence is asserted.)
-        assert!(out.contains(" -> "), "{out}");
-    }
-
-    #[test]
-    fn analyze_prints_the_pipeline_stage_trace() {
-        let reader = MapReader(HashMap::new());
-        let out = run(
-            &args(&["analyze", "--kernel", "fig9_csr_product", "--no-source"]),
-            &reader,
-        )
-        .unwrap();
-        assert!(out.contains("== pipeline stages"), "{out}");
-        for stage in ["analyze", "slots", "bytecode", "opt"] {
-            assert!(out.contains(stage), "{out}");
-        }
-    }
-
-    #[test]
-    fn trace_shows_the_section_3_5_derivation() {
-        let reader = MapReader(HashMap::new());
-        let out = run(&args(&["trace", "--kernel", "fig9_csr_product"]), &reader).unwrap();
-        assert!(out.contains("phase 1 (one iteration)"));
-        assert!(out.contains("phase 2 (whole loop)"));
-        assert!(out.contains("Monotonic_inc"));
-        assert!(out.contains("count"));
-    }
-
-    #[test]
-    fn study_and_kernels_render_the_catalogue() {
-        let reader = MapReader(HashMap::new());
-        let study = run(&args(&["study"]), &reader).unwrap();
-        assert!(study.contains("fig2_ua_transfer"));
-        assert!(study.contains("parallelized by the extended analysis"));
-        let kernels = run(&args(&["kernels"]), &reader).unwrap();
-        assert!(kernels.contains("csparse_ipvec"));
-        assert!(kernels.contains("is_bucket_traversal"));
     }
 
     #[test]
@@ -1527,262 +913,6 @@ mod tests {
                 "{bad:?}"
             );
         }
-    }
-
-    #[test]
-    fn tune_searches_then_tuned_runs_reapply_the_persisted_policy() {
-        let reader = MapReader(HashMap::new());
-        let tune_args = args(&[
-            "tune",
-            "--kernel",
-            "fig2_ua_transfer",
-            "--n",
-            "48",
-            "--threads",
-            "2",
-            "--repeats",
-            "1",
-            "--budget-trials",
-            "4",
-        ]);
-        let first = run(&tune_args, &reader).unwrap();
-        assert!(first.contains("policy search"), "{first}");
-        assert!(first.contains("<- default"), "{first}");
-        assert!(first.contains("winner:"), "{first}");
-        // The same (program, input shape) reapplies the persisted winner
-        // without re-searching.
-        let second = run(&tune_args, &reader).unwrap();
-        assert!(second.contains("tuned-cache"), "{second}");
-        // `run --policy tuned` applies it and reports the provenance.
-        let run_out = run(
-            &args(&[
-                "run",
-                "--kernel",
-                "fig2_ua_transfer",
-                "--n",
-                "48",
-                "--threads",
-                "2",
-                "--policy",
-                "tuned",
-                "--validate",
-            ]),
-            &reader,
-        )
-        .unwrap();
-        assert!(run_out.contains("policy: tuned (tuned-cache)"), "{run_out}");
-        assert!(run_out.contains("validation: PASS"), "{run_out}");
-    }
-
-    #[test]
-    fn tune_format_json_emits_the_stable_outcome() {
-        let reader = MapReader(HashMap::new());
-        let out = run(
-            &args(&[
-                "tune",
-                "--kernel",
-                "csparse_ipvec",
-                "--n",
-                "40",
-                "--repeats",
-                "1",
-                "--budget-trials",
-                "3",
-                "--format",
-                "json",
-            ]),
-            &reader,
-        )
-        .unwrap();
-        for key in [
-            "\"program\":\"csparse_ipvec\"",
-            "\"signature\":\"",
-            "\"provenance\":\"tuned-",
-            "\"winner\":{",
-            "\"default_median_seconds\":",
-            "\"speedup_vs_default\":",
-            "\"trials\":[",
-            "\"pruned\":[",
-        ] {
-            assert!(out.contains(key), "missing {key} in {out}");
-        }
-        assert!(out.ends_with('\n'));
-    }
-
-    #[test]
-    fn run_executes_and_validates_the_figure2_kernel() {
-        let reader = MapReader(HashMap::new());
-        let out = run(
-            &args(&[
-                "run",
-                "--kernel",
-                "fig2_ua_transfer",
-                "--threads",
-                "2",
-                "--n",
-                "200",
-                "--validate",
-            ]),
-            &reader,
-        )
-        .unwrap();
-        assert!(out.contains("PARALLEL"));
-        assert!(out.contains("threads"));
-        assert!(out.contains("validation: PASS"));
-        assert!(out.contains("speedup"));
-    }
-
-    #[test]
-    fn run_validates_under_every_engine_and_opt_level() {
-        let reader = MapReader(HashMap::new());
-        for (engine_args, shown) in [
-            (vec!["--engine", "bytecode"], "bytecode (O1) engine"),
-            (
-                vec!["--engine", "bytecode", "--opt-level", "0"],
-                "bytecode (O0) engine",
-            ),
-            (vec!["--engine", "threaded"], "threaded (O1) engine"),
-            (
-                vec!["--engine", "threaded", "--opt-level", "0"],
-                "threaded (O0) engine",
-            ),
-            (vec!["--engine", "compiled"], "compiled engine"),
-            (vec!["--engine", "ast"], "ast engine"),
-        ] {
-            let mut a = vec![
-                "run",
-                "--kernel",
-                "fig9_csr_product",
-                "--threads",
-                "2",
-                "--n",
-                "120",
-                "--validate",
-            ];
-            a.extend(engine_args);
-            let out = run(&args(&a), &reader).unwrap();
-            assert!(out.contains(shown), "{out}");
-            assert!(out.contains("validation: PASS"), "{shown}: {out}");
-        }
-    }
-
-    #[test]
-    fn run_rejects_unknown_engines_with_the_registered_list() {
-        let reader = MapReader(HashMap::new());
-        let err = run(
-            &args(&["run", "--kernel", "fig2_ua_transfer", "--engine", "jit"]),
-            &reader,
-        )
-        .unwrap_err();
-        match &err {
-            SsError::UnknownEngine { name, available } => {
-                assert_eq!(name, "jit");
-                assert_eq!(
-                    available,
-                    &session()
-                        .registry()
-                        .names()
-                        .iter()
-                        .map(|n| n.to_string())
-                        .collect::<Vec<_>>()
-                );
-            }
-            other => panic!("expected UnknownEngine, got {other:?}"),
-        }
-        assert_eq!(err.exit_code(), 5);
-    }
-
-    #[test]
-    fn run_format_json_emits_the_run_outcome() {
-        let reader = MapReader(HashMap::new());
-        let out = run(
-            &args(&[
-                "run",
-                "--kernel",
-                "fig2_ua_transfer",
-                "--threads",
-                "2",
-                "--n",
-                "64",
-                "--format",
-                "json",
-            ]),
-            &reader,
-        )
-        .unwrap();
-        for key in [
-            "\"program\":\"fig2_ua_transfer\"",
-            "\"engine\":\"bytecode\"",
-            "\"validation\":{\"heaps_match\":true",
-            "\"dispatched\":[",
-        ] {
-            assert!(out.contains(key), "missing {key} in {out}");
-        }
-    }
-
-    #[test]
-    fn analyze_and_run_report_reduction_verdicts() {
-        let reader = MapReader(HashMap::new());
-        let out = run(
-            &args(&["analyze", "--kernel", "cg_norm_reduction"]),
-            &reader,
-        )
-        .unwrap();
-        assert!(out.contains("PARALLEL (reduction +:total)"), "{out}");
-        assert!(out.contains("#pragma omp parallel for reduction(+:total)"));
-
-        let out = run(
-            &args(&[
-                "run",
-                "--kernel",
-                "cg_norm_reduction",
-                "--threads",
-                "2",
-                "--n",
-                "100",
-                "--validate",
-            ]),
-            &reader,
-        )
-        .unwrap();
-        assert!(out.contains("REDUCTION"), "{out}");
-        assert!(out.contains("validation: PASS"));
-    }
-
-    #[test]
-    fn run_reports_inspector_baseline_on_serial_loops() {
-        let reader = MapReader(HashMap::from([(
-            "hist.c".to_string(),
-            "for (i = 0; i < n; i++) { h[idx[i]] = i; }".to_string(),
-        )]));
-        let out = run(
-            &args(&[
-                "run",
-                "hist.c",
-                "--baseline",
-                "inspector",
-                "--n",
-                "64",
-                "--validate",
-            ]),
-            &reader,
-        )
-        .unwrap();
-        assert!(out.contains("runtime inspector baseline"));
-        assert!(out.contains("(inspector baseline)"));
-        assert!(out.contains("validation: PASS"));
-    }
-
-    #[test]
-    fn run_surfaces_execution_errors() {
-        let reader = MapReader(HashMap::from([(
-            "oob.c".to_string(),
-            "x = a[0 - 5];".to_string(),
-        )]));
-        assert!(matches!(
-            run(&args(&["run", "oob.c"]), &reader),
-            Err(SsError::Runtime(_))
-        ));
     }
 
     #[test]
