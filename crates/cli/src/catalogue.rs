@@ -3,7 +3,6 @@
 
 use crate::{session, OutputFormat};
 use ss_interp::registry_json;
-use ss_parallelizer::{run_study, StudyInput};
 
 pub(crate) fn engines_text(format: OutputFormat) -> String {
     let registry = session().registry();
@@ -30,9 +29,6 @@ pub(crate) fn engines_text(format: OutputFormat) -> String {
         if caps.inspector_baseline {
             flags.push("inspector-baseline".to_string());
         }
-        if caps.persistent_team {
-            flags.push("persistent-team".to_string());
-        }
         if caps.level_sets {
             flags.push("level-sets".to_string());
         }
@@ -56,18 +52,7 @@ pub(crate) fn engines_text(format: OutputFormat) -> String {
 }
 
 pub(crate) fn study_text() -> String {
-    let inputs: Vec<StudyInput> = ss_npb::study_kernels()
-        .into_iter()
-        .map(|k| StudyInput {
-            name: k.name.to_string(),
-            program: k.program.to_string(),
-            suite: format!("{:?}", k.suite),
-            pattern: k.class.label().to_string(),
-            source: k.source.to_string(),
-            target_loop: k.target_loop,
-        })
-        .collect();
-    run_study(&inputs).render()
+    ss_npb::run_catalogue_study().render()
 }
 
 pub(crate) fn kernels_text() -> String {
@@ -105,7 +90,7 @@ mod tests {
             assert!(out.contains(e.description()), "{out}");
         }
         assert!(out.contains("reference"));
-        assert!(out.contains("persistent-team"));
+        assert!(out.contains("level-sets"));
         assert!(out.contains("opt-levels:O0/O1"));
         let json = run(&args(&["engines", "--format", "json"]), &reader).unwrap();
         assert!(json.contains("\"engines\":["), "{json}");

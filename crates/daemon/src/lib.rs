@@ -23,7 +23,8 @@
 //! * [`server`] — the std-thread TCP server: nonblocking acceptor,
 //!   per-connection readers with byte-capped framing and idle timeouts,
 //!   a bounded worker queue whose overflow answers a structured
-//!   `overloaded` error, and graceful drain on `shutdown`;
+//!   `overloaded` error, workers that answer `internal` instead of dying
+//!   when a request's handler panics, and graceful drain on `shutdown`;
 //! * [`stats`] — per-endpoint request counts and latency percentiles,
 //!   served by the `stats` op.
 //!

@@ -83,7 +83,7 @@ pub struct Request {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireError {
     /// Stable class label: `malformed`, `oversized`, `timeout`,
-    /// `overloaded`, `shutting_down`, or an execution class (`parse`,
+    /// `overloaded`, `shutting_down`, `internal`, or an execution class (`parse`,
     /// `unknown_kernel`, `unknown_engine`, `unsupported`, `runtime`,
     /// `validation`, `usage`, `io`).
     pub class: &'static str,
@@ -136,6 +136,16 @@ impl WireError {
             class: "shutting_down",
             message: "daemon is draining; no new requests admitted".to_string(),
             exit_code: 2,
+        }
+    }
+
+    /// Serving the request panicked — a bug in the daemon or an engine,
+    /// not in the request.  101 is the exit code of a panicking `sspar`.
+    pub fn internal(panic_message: &str) -> WireError {
+        WireError {
+            class: "internal",
+            message: format!("request handler panicked: {panic_message}"),
+            exit_code: 101,
         }
     }
 }

@@ -22,8 +22,10 @@
 
 use crate::protocol::{self, Op, WireError};
 use crate::service::{Service, ServiceConfig};
+use crate::stats::StatsRegistry;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Mutex};
@@ -199,10 +201,26 @@ fn worker_loop(shared: &Arc<Shared>, queue_rx: &Mutex<Receiver<Job>>) {
             Ok(job) => job,
             Err(_) => return, // all senders gone: drain complete
         };
-        let response = serve_line(shared, &job.line);
+        let response = answer_or_internal(&shared.service.stats, || serve_line(shared, &job.line));
         // A vanished reader (client hung up mid-request) is fine.
         let _ = job.respond.send(response);
     }
+}
+
+/// Runs `serve` for one request line.  A panic out of it — an engine bug:
+/// `ThreadTeam::run` re-raises worker panics in the requesting thread — is
+/// counted and answered as `internal`, so neither this worker nor its
+/// client is lost to one bad request.
+fn answer_or_internal(stats: &StatsRegistry, serve: impl FnOnce() -> String) -> String {
+    catch_unwind(AssertUnwindSafe(serve)).unwrap_or_else(|payload| {
+        stats.count_internal();
+        let message = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("non-string panic payload");
+        protocol::error_response(None, &WireError::internal(message))
+    })
 }
 
 /// Parses and dispatches one request line, returning the response line.
@@ -395,4 +413,33 @@ impl Client {
 /// One-shot convenience: connect, send `line`, return the response line.
 pub fn request(addr: &str, line: &str) -> std::io::Result<String> {
     Client::connect(addr)?.call(line)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::jsonin;
+
+    #[test]
+    fn a_panicking_handler_is_answered_as_internal_and_counted() {
+        let stats = StatsRegistry::new();
+        assert_eq!(answer_or_internal(&stats, || "fine".to_string()), "fine");
+        let internal_message = |serve: fn() -> String| {
+            let reply = jsonin::parse(&answer_or_internal(&stats, serve)).unwrap();
+            assert_eq!(reply.get("ok").and_then(|v| v.as_bool()), Some(false));
+            let error = reply.get("error").unwrap();
+            assert_eq!(
+                error.get("class").and_then(|c| c.as_str()),
+                Some("internal")
+            );
+            error.get("message").unwrap().as_str().unwrap().to_string()
+        };
+        let literal = internal_message(|| panic!("worker thread panicked"));
+        assert!(literal.ends_with("worker thread panicked"), "{literal}");
+        let formatted = internal_message(|| panic!("{} exploded", "engine"));
+        assert!(formatted.ends_with("engine exploded"), "{formatted}");
+        let counted = jsonin::parse(&stats.to_json()).unwrap();
+        let internal = counted.get("rejected").and_then(|r| r.get("internal"));
+        assert_eq!(internal.and_then(|n| n.as_i64()), Some(2));
+    }
 }

@@ -63,6 +63,7 @@ pub struct StatsRegistry {
     rejected_malformed: AtomicU64,
     rejected_oversized: AtomicU64,
     timeouts: AtomicU64,
+    internal: AtomicU64,
 }
 
 impl StatsRegistry {
@@ -100,6 +101,11 @@ impl StatsRegistry {
     /// Counts an idle-connection timeout.
     pub fn count_timeout(&self) {
         self.timeouts.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts a request whose handler panicked.
+    pub fn count_internal(&self) {
+        self.internal.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Total queue-full rejections so far.
@@ -155,6 +161,10 @@ impl StatsRegistry {
                     (
                         "timeouts",
                         self.timeouts.load(Ordering::Relaxed).to_string(),
+                    ),
+                    (
+                        "internal",
+                        self.internal.load(Ordering::Relaxed).to_string(),
                     ),
                 ]),
             ),

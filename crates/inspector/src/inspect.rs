@@ -13,7 +13,7 @@
 //! compared head-to-head on identical inputs.
 
 use ss_properties::{ArrayProperty, PropertySet};
-use ss_runtime::{chunk_ranges, time_it};
+use ss_runtime::{team_parallel_reduce, time_it, with_shared_team, Schedule};
 use std::collections::HashSet;
 
 /// How an inspection is carried out.
@@ -193,6 +193,7 @@ pub fn inspect_write_conflicts(index: &[i64], guard: impl Fn(usize) -> bool) -> 
 }
 
 /// Partial order facts gathered by a single (possibly parallel) scan.
+#[derive(Clone, Copy)]
 struct OrderScan {
     non_decreasing: bool,
     non_increasing: bool,
@@ -202,55 +203,10 @@ struct OrderScan {
     identity: bool,
 }
 
-fn scan_order(a: &[i64], threads: usize) -> OrderScan {
-    if a.len() <= 1 {
-        return OrderScan {
-            non_decreasing: true,
-            non_increasing: true,
-            strictly_increasing: true,
-            strictly_decreasing: true,
-            non_negative: a.iter().all(|&v| v >= 0),
-            identity: a.iter().enumerate().all(|(i, &v)| v == i as i64),
-        };
-    }
-    // Each chunk scans its own adjacent pairs plus the pair straddling its
-    // left boundary, so the union of chunks covers every adjacent pair
-    // exactly once and the scan parallelizes without synchronization.
-    let chunk_results: Vec<OrderScan> = if threads <= 1 {
-        vec![scan_chunk(a, 0..a.len())]
-    } else {
-        let ranges = chunk_ranges(a.len(), threads);
-        crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = ranges
-                .into_iter()
-                .map(|r| scope.spawn(move |_| scan_chunk(a, r)))
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        })
-        .expect("inspector thread panicked")
-    };
-    chunk_results.into_iter().fold(
-        OrderScan {
-            non_decreasing: true,
-            non_increasing: true,
-            strictly_increasing: true,
-            strictly_decreasing: true,
-            non_negative: true,
-            identity: true,
-        },
-        |acc, c| OrderScan {
-            non_decreasing: acc.non_decreasing && c.non_decreasing,
-            non_increasing: acc.non_increasing && c.non_increasing,
-            strictly_increasing: acc.strictly_increasing && c.strictly_increasing,
-            strictly_decreasing: acc.strictly_decreasing && c.strictly_decreasing,
-            non_negative: acc.non_negative && c.non_negative,
-            identity: acc.identity && c.identity,
-        },
-    )
-}
-
-fn scan_chunk(a: &[i64], r: std::ops::Range<usize>) -> OrderScan {
-    let mut s = OrderScan {
+impl OrderScan {
+    /// What holds of an empty scan; every element and adjacent pair seen
+    /// can only clear facts.
+    const VACUOUS: OrderScan = OrderScan {
         non_decreasing: true,
         non_increasing: true,
         strictly_increasing: true,
@@ -258,6 +214,39 @@ fn scan_chunk(a: &[i64], r: std::ops::Range<usize>) -> OrderScan {
         non_negative: true,
         identity: true,
     };
+
+    fn and(self, c: OrderScan) -> OrderScan {
+        OrderScan {
+            non_decreasing: self.non_decreasing && c.non_decreasing,
+            non_increasing: self.non_increasing && c.non_increasing,
+            strictly_increasing: self.strictly_increasing && c.strictly_increasing,
+            strictly_decreasing: self.strictly_decreasing && c.strictly_decreasing,
+            non_negative: self.non_negative && c.non_negative,
+            identity: self.identity && c.identity,
+        }
+    }
+}
+
+fn scan_order(a: &[i64], threads: usize) -> OrderScan {
+    // Each chunk scans its own adjacent pairs plus the pair straddling its
+    // left boundary, so the union of chunks covers every adjacent pair
+    // exactly once and the scan parallelizes without synchronization.
+    if threads <= 1 || a.len() <= 1 {
+        return scan_chunk(a, 0..a.len(), OrderScan::VACUOUS);
+    }
+    with_shared_team(threads, |team| {
+        team_parallel_reduce(
+            team,
+            a.len(),
+            Schedule::Static,
+            OrderScan::VACUOUS,
+            |r, seen| scan_chunk(a, r, seen),
+            OrderScan::and,
+        )
+    })
+}
+
+fn scan_chunk(a: &[i64], r: std::ops::Range<usize>, mut s: OrderScan) -> OrderScan {
     for i in r {
         let v = a[i];
         s.non_negative &= v >= 0;
@@ -300,38 +289,31 @@ fn is_injective_runtime(a: &[i64], threads: usize) -> bool {
         let mut seen = HashSet::with_capacity(a.len());
         a.iter().all(|&v| seen.insert(v))
     } else {
-        // Parallel hash-based check: each thread builds the set for its
-        // chunk, then the per-chunk sets are merged.  (Merging is serial but
-        // touches each value once more at most.)
-        let ranges = chunk_ranges(a.len(), threads);
-        let sets: Vec<Option<HashSet<i64>>> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = ranges
-                .into_iter()
-                .map(|r| {
-                    scope.spawn(move |_| {
-                        let mut s = HashSet::with_capacity(r.len());
-                        for &v in &a[r] {
-                            if !s.insert(v) {
-                                return None;
-                            }
-                        }
-                        Some(s)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        // Parallel hash-based check: each worker builds the set for its
+        // chunk (`None` once it has seen a duplicate), then the per-chunk
+        // sets are merged.  (Merging is serial but touches each value once
+        // more at most.)
+        with_shared_team(threads, |team| {
+            team_parallel_reduce(
+                team,
+                a.len(),
+                Schedule::Static,
+                Some(HashSet::new()),
+                |r, seen| {
+                    let mut seen = seen?;
+                    seen.reserve(r.len());
+                    a[r].iter().all(|&v| seen.insert(v)).then_some(seen)
+                },
+                |merged, chunk| {
+                    let mut merged = merged?;
+                    chunk?
+                        .into_iter()
+                        .all(|v| merged.insert(v))
+                        .then_some(merged)
+                },
+            )
         })
-        .expect("inspector thread panicked");
-        let mut merged = HashSet::with_capacity(a.len());
-        for s in sets {
-            let Some(s) = s else { return false };
-            for v in s {
-                if !merged.insert(v) {
-                    return false;
-                }
-            }
-        }
-        true
+        .is_some()
     }
 }
 

@@ -22,7 +22,7 @@
 //! invocation, and pays double (speculative run + serial re-run) when
 //! speculation fails, whereas the compile-time result is free at run time.
 
-use ss_runtime::{chunk_ranges, time_it};
+use ss_runtime::{parallel_for, time_it};
 use std::sync::atomic::{AtomicI64, AtomicU32, Ordering};
 
 /// The result of one speculative execution.
@@ -81,26 +81,16 @@ where
     let speculative: Vec<AtomicI64> = target.iter().map(|&v| AtomicI64::new(v)).collect();
 
     let (_, speculative_seconds) = time_it(|| {
-        let ranges = chunk_ranges(n, threads);
-        crossbeam::thread::scope(|scope| {
-            for r in ranges {
-                let shadow = &shadow;
-                let speculative = &speculative;
-                let value = &value;
-                let guard = &guard;
-                scope.spawn(move |_| {
-                    for i in r {
-                        if !guard(i) {
-                            continue;
-                        }
-                        let slot = usize::try_from(index[i]).expect("negative subscript");
-                        shadow[slot].fetch_add(1, Ordering::Relaxed);
-                        speculative[slot].store(value(i), Ordering::Relaxed);
-                    }
-                });
+        parallel_for(threads, n, |r| {
+            for i in r {
+                if !guard(i) {
+                    continue;
+                }
+                let slot = usize::try_from(index[i]).expect("negative subscript");
+                shadow[slot].fetch_add(1, Ordering::Relaxed);
+                speculative[slot].store(value(i), Ordering::Relaxed);
             }
-        })
-        .expect("speculative worker panicked");
+        });
     });
 
     let (conflicting_elements, analysis_seconds) = time_it(|| {

@@ -16,7 +16,7 @@ use crate::heap::Heap;
 use ss_ir::ast::{LoopId, Stmt};
 use ss_ir::Program;
 use ss_parallelizer::ParallelizationReport;
-use ss_runtime::{parallel_for_schedule, Schedule};
+use ss_runtime::{team_parallel_for_schedule, with_shared_team_in, Schedule};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -79,33 +79,35 @@ impl LoopPolicy<HeapStore<'_>> for ParallelDispatch<'_> {
         type ChunkResult = (Result<(), ExecError>, HashMap<String, (usize, i64)>);
         let results: Mutex<Vec<ChunkResult>> = Mutex::new(Vec::new());
 
-        parallel_for_schedule(threads, n, schedule, |range| {
-            let mut ws = WorkerStore {
-                shared: &shared,
-                scalars: snapshot.clone(),
-                current_iter: 0,
-            };
-            let mut scratch_stats = ExecStats::default();
-            let mut wenv = ExecEnv {
-                stats: &mut scratch_stats,
-                timing: false,
-                while_cap,
-            };
-            let mut res = Ok(());
-            for k in range {
-                ws.current_iter = k;
-                ws.set_scalar(f.var, values[k]);
-                if let Err(e) = exec_stmts(&mut ws, f.body, &mut NoDispatch, &mut wenv) {
-                    res = Err(e);
-                    break;
+        with_shared_team_in(self.opts.team_group, threads, |team| {
+            team_parallel_for_schedule(team, n, schedule, |range| {
+                let mut ws = WorkerStore {
+                    shared: &shared,
+                    scalars: snapshot.clone(),
+                    current_iter: 0,
+                };
+                let mut scratch_stats = ExecStats::default();
+                let mut wenv = ExecEnv {
+                    stats: &mut scratch_stats,
+                    timing: false,
+                    while_cap,
+                };
+                let mut res = Ok(());
+                for k in range {
+                    ws.current_iter = k;
+                    ws.set_scalar(f.var, values[k]);
+                    if let Err(e) = exec_stmts(&mut ws, f.body, &mut NoDispatch, &mut wenv) {
+                        res = Err(e);
+                        break;
+                    }
                 }
-            }
-            let merged: HashMap<String, (usize, i64)> = ws
-                .scalars
-                .into_iter()
-                .filter_map(|(name, (value, iter))| iter.map(|it| (name, (it, value))))
-                .collect();
-            results.lock().unwrap().push((res, merged));
+                let merged: HashMap<String, (usize, i64)> = ws
+                    .scalars
+                    .into_iter()
+                    .filter_map(|(name, (value, iter))| iter.map(|it| (name, (it, value))))
+                    .collect();
+                results.lock().unwrap().push((res, merged));
+            })
         });
 
         let chunks = results.into_inner().unwrap();

@@ -347,7 +347,6 @@ pub struct ExecOptions {
     /// is the team every one-shot consumer shares; a server that shards
     /// requests across independent teams assigns one group per shard so
     /// concurrent runs never serialize on a single team's region mutex.
-    /// Only engines with [`EngineCaps::persistent_team`] consult this.
     pub team_group: usize,
 }
 

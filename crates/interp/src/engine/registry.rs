@@ -38,8 +38,6 @@ pub struct EngineCaps {
     /// Parallel runs can record the runtime-inspector baseline on loops
     /// the compile-time analysis left serial.
     pub inspector_baseline: bool,
-    /// Workers run on the persistent process-wide thread team.
-    pub persistent_team: bool,
     /// Parallel runs recover serial-proven carried loops at run time:
     /// gate-approved loops are inspected into dependence level sets and
     /// executed level by level (the serial path is the executor's own).
@@ -132,7 +130,6 @@ const DISPATCHING: EngineCaps = EngineCaps {
     reductions: true,
     local_arrays: true,
     inspector_baseline: false,
-    persistent_team: true,
     level_sets: false,
     reference: false,
     opt_levels: &[OptLevel::O0, OptLevel::O1],
@@ -181,7 +178,6 @@ const BUILTINS: [Builtin; 5] = [
             reductions: false,
             local_arrays: false,
             inspector_baseline: true,
-            persistent_team: false,
             level_sets: false,
             reference: true,
             opt_levels: &[OptLevel::O1],
@@ -448,15 +444,14 @@ mod tests {
         let r = EngineRegistry::builtin();
         let bc = r.get("bytecode").unwrap();
         assert!(bc.caps().reductions && bc.caps().local_arrays);
-        assert!(bc.caps().persistent_team);
         assert_eq!(bc.caps().opt_levels, &[OptLevel::O0, OptLevel::O1]);
         let th = r.get("threaded").unwrap();
         assert!(th.caps().reductions && th.caps().local_arrays);
-        assert!(th.caps().persistent_team && !th.caps().reference);
+        assert!(!th.caps().reference);
         assert_eq!(th.caps().opt_levels, &[OptLevel::O0, OptLevel::O1]);
         let wf = r.get("wavefront").unwrap();
         assert!(wf.caps().reductions && wf.caps().local_arrays);
-        assert!(wf.caps().persistent_team && !wf.caps().reference);
+        assert!(!wf.caps().reference);
         assert!(!wf.caps().inspector_baseline);
         assert_eq!(wf.caps().opt_levels, &[OptLevel::O0, OptLevel::O1]);
         let ast = r.get("ast").unwrap();

@@ -620,7 +620,6 @@ pub fn registry_json(registry: &EngineRegistry) -> String {
                 ("reductions", caps.reductions.to_string()),
                 ("local_arrays", caps.local_arrays.to_string()),
                 ("inspector_baseline", caps.inspector_baseline.to_string()),
-                ("persistent_team", caps.persistent_team.to_string()),
                 ("level_sets", caps.level_sets.to_string()),
                 (
                     "opt_levels",

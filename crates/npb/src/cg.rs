@@ -312,9 +312,82 @@ pub fn scaled_params(class: Class, fraction: f64) -> CgParams {
     }
 }
 
+/// One measured point of the Figure 10 sweep.
+#[derive(Debug, Clone)]
+pub struct SpeedupPoint {
+    /// NPB class.
+    pub class: Class,
+    /// Threads used for the subscripted-subscript loops.
+    pub threads: usize,
+    /// Wall-clock seconds of the timed section.
+    pub seconds: f64,
+    /// Speedup relative to the serial run of the same class.
+    pub speedup: f64,
+}
+
+/// Runs the Figure 10 sweep: serial plus the given thread counts, for each
+/// class, using problem sizes scaled by `fraction` (1.0 = official class
+/// sizes).
+pub fn figure10_sweep(classes: &[Class], threads: &[usize], fraction: f64) -> Vec<SpeedupPoint> {
+    let mut out = Vec::new();
+    for &class in classes {
+        let params: CgParams = scaled_params(class, fraction);
+        let serial = run_cg_with(&params, 1, 42);
+        out.push(SpeedupPoint {
+            class,
+            threads: 1,
+            seconds: serial.seconds,
+            speedup: 1.0,
+        });
+        for &t in threads {
+            if t <= 1 {
+                continue;
+            }
+            let r = run_cg_with(&params, t, 42);
+            out.push(SpeedupPoint {
+                class,
+                threads: t,
+                seconds: r.seconds,
+                speedup: serial.seconds / r.seconds.max(1e-12),
+            });
+        }
+    }
+    out
+}
+
+/// Renders the sweep as the Figure 10 table (classes × thread counts).
+pub fn render_figure10(points: &[SpeedupPoint]) -> String {
+    let mut out = String::new();
+    out.push_str(&format!(
+        "{:<8} {:>8} {:>12} {:>10}\n",
+        "class", "threads", "seconds", "speedup"
+    ));
+    for p in points {
+        out.push_str(&format!(
+            "{:<8} {:>8} {:>12.4} {:>10.2}\n",
+            p.class.name(),
+            p.threads,
+            p.seconds,
+            p.speedup
+        ));
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn tiny_figure10_sweep_produces_sane_numbers() {
+        let points = figure10_sweep(&[Class::S], &[2], 0.2);
+        assert_eq!(points.len(), 2);
+        assert!(points.iter().all(|p| p.seconds > 0.0));
+        assert!(points.iter().all(|p| p.speedup > 0.0));
+        let txt = render_figure10(&points);
+        assert!(txt.contains("class"));
+        assert!(txt.contains('S'));
+    }
 
     #[test]
     fn class_parameters_match_the_npb_tables() {

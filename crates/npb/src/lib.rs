@@ -15,5 +15,10 @@ pub mod cg;
 pub mod ir_kernels;
 pub mod kernels;
 
-pub use cg::{conj_grad, makea, run_cg, run_cg_with, scaled_params, CgParams, CgResult, Class};
-pub use ir_kernels::{study_kernels, PatternClass, StudyKernel, Suite};
+pub use cg::{
+    conj_grad, figure10_sweep, makea, render_figure10, run_cg, run_cg_with, scaled_params,
+    CgParams, CgResult, Class, SpeedupPoint,
+};
+pub use ir_kernels::{
+    catalogue_inputs, run_catalogue_study, study_kernels, PatternClass, StudyKernel, Suite,
+};

@@ -1,9 +1,10 @@
 //! # ss-runtime — parallel loop runtime and sparse-matrix substrate
 //!
-//! The execution substrate for the paper's evaluation: an OpenMP-style
-//! `parallel for` built on crossbeam scoped threads ([`pool`]), CSR sparse
-//! matrices with the subscripted-subscript kernels ([`sparse`]), and wall
-//! clock timing helpers ([`timer`]).
+//! The execution substrate for the paper's evaluation: one persistent
+//! worker-thread team per size ([`team`]) — the only code that creates
+//! compute threads — the OpenMP-style `parallel for` entry points that run
+//! on it ([`pool`]), CSR sparse matrices with the subscripted-subscript
+//! kernels ([`sparse`]), and wall clock timing helpers ([`timer`]).
 
 pub mod pool;
 pub mod sparse;
@@ -11,8 +12,7 @@ pub mod team;
 pub mod timer;
 
 pub use pool::{
-    chunk_ranges, hardware_threads, parallel_for, parallel_for_mut, parallel_for_schedule,
-    parallel_reduce, parallel_sum, Schedule,
+    chunk_ranges, hardware_threads, parallel_for, parallel_for_mut, parallel_sum, Schedule,
 };
 pub use sparse::CsrMatrix;
 pub use team::{

@@ -1,21 +1,29 @@
-//! Parallel loop execution.
+//! Parallel loop entry points.
 //!
 //! The paper evaluates its analysis by compiling the parallelized loops with
 //! OpenMP (`#pragma omp parallel for`, static scheduling) and sweeping the
-//! thread count.  This module is the equivalent substrate: [`parallel_for`]
-//! splits an iteration space into contiguous chunks and runs them on scoped
-//! threads (crossbeam), and [`parallel_for_mut`] does the same while handing
-//! each thread a disjoint slice of the output vector.
+//! thread count.  This module is the equivalent surface: [`parallel_for`]
+//! splits an iteration space into contiguous chunks, [`parallel_for_mut`]
+//! does the same while handing each worker a disjoint slice of the output
+//! vector, and [`parallel_sum`] folds per-worker partials in worker order.
+//! All three take a plain thread count and run on the process-wide
+//! persistent team of that size ([`with_shared_team`]) — no region spawns a
+//! thread — and with `threads <= 1` they run inline without touching the
+//! team registry.
 //!
-//! [`parallel_for_schedule`] additionally offers OpenMP's `schedule(dynamic)`
-//! counterpart: workers steal fixed-size chunks off a shared atomic counter,
-//! which keeps threads busy when per-iteration work is skewed (e.g. CSR rows
-//! of wildly different lengths, the common case for subscripted-subscript
-//! loops over `rowptr[i] .. rowptr[i+1]`).
+//! [`Schedule`] names OpenMP's two assignments: `schedule(static)` and
+//! `schedule(dynamic, chunk)`, where workers steal fixed-size chunks off a
+//! shared atomic counter, which keeps them busy when per-iteration work is
+//! skewed (e.g. CSR rows of wildly different lengths, the common case for
+//! subscripted-subscript loops over `rowptr[i] .. rowptr[i+1]`).
+//!
+//! A region requested from inside a team worker runs inline on that worker
+//! (OpenMP's default for nested regions).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use crate::team::{team_parallel_for_schedule, team_parallel_reduce, with_shared_team};
+use std::sync::Mutex;
 
-/// How [`parallel_for_schedule`] assigns iterations to worker threads.
+/// How a parallel region assigns iterations to the team's workers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Schedule {
     /// One contiguous, nearly equal range per thread (OpenMP
@@ -59,7 +67,7 @@ pub fn chunk_ranges(n: usize, chunks: usize) -> Vec<std::ops::Range<usize>> {
 }
 
 /// Runs `body(range)` for a static partition of `0..n` over `threads`
-/// threads. With `threads <= 1` the body runs inline (the serial baseline).
+/// workers. With `threads <= 1` the body runs inline (the serial baseline).
 pub fn parallel_for<F>(threads: usize, n: usize, body: F)
 where
     F: Fn(std::ops::Range<usize>) + Sync,
@@ -68,56 +76,15 @@ where
         body(0..n);
         return;
     }
-    let ranges = chunk_ranges(n, threads);
-    crossbeam::thread::scope(|scope| {
-        for r in ranges {
-            let body = &body;
-            scope.spawn(move |_| body(r));
-        }
-    })
-    .expect("worker thread panicked");
-}
-
-/// Runs `body(range)` over `0..n` on `threads` threads under the given
-/// [`Schedule`].  `Schedule::Static` is exactly [`parallel_for`];
-/// `Schedule::Dynamic` lets idle workers steal the next chunk, so skewed
-/// iteration spaces finish in (roughly) the time of the heaviest single
-/// chunk rather than the heaviest precomputed partition.
-pub fn parallel_for_schedule<F>(threads: usize, n: usize, schedule: Schedule, body: F)
-where
-    F: Fn(std::ops::Range<usize>) + Sync,
-{
-    match schedule {
-        Schedule::Static => parallel_for(threads, n, body),
-        Schedule::Dynamic { chunk } => {
-            if threads <= 1 || n == 0 {
-                body(0..n);
-                return;
-            }
-            let chunk = chunk.max(1);
-            let next = AtomicUsize::new(0);
-            crossbeam::thread::scope(|scope| {
-                for _ in 0..threads {
-                    let body = &body;
-                    let next = &next;
-                    scope.spawn(move |_| loop {
-                        let start = next.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= n {
-                            break;
-                        }
-                        body(start..(start + chunk).min(n));
-                    });
-                }
-            })
-            .expect("worker thread panicked");
-        }
-    }
+    with_shared_team(threads, |team| {
+        team_parallel_for_schedule(team, n, Schedule::Static, body)
+    });
 }
 
 /// Runs `body(start_index, chunk)` where `chunk` is a disjoint mutable
-/// sub-slice of `data`, partitioned statically over `threads` threads.
+/// sub-slice of `data`, partitioned statically over `threads` workers.
 /// This is the shape of an OpenMP `parallel for` writing `data[i]` — each
-/// thread owns a contiguous block, which is exactly what the dependence
+/// worker owns a contiguous block, which is exactly what the dependence
 /// analysis licensed.
 pub fn parallel_for_mut<T, F>(threads: usize, data: &mut [T], body: F)
 where
@@ -129,104 +96,31 @@ where
         body(0, data);
         return;
     }
-    let ranges = chunk_ranges(n, threads);
-    crossbeam::thread::scope(|scope| {
+    with_shared_team(threads, |team| {
+        // One slot per worker holding its block, taken by that worker alone.
         let mut rest = data;
-        let mut consumed = 0;
-        for r in ranges {
-            let len = r.len();
-            let (head, tail) = rest.split_at_mut(len);
-            rest = tail;
-            let body = &body;
-            let start = consumed;
-            scope.spawn(move |_| body(start, head));
-            consumed += len;
-        }
-    })
-    .expect("worker thread panicked");
+        let slots: Vec<_> = chunk_ranges(n, team.size())
+            .into_iter()
+            .map(|r| {
+                let (head, tail) = std::mem::take(&mut rest).split_at_mut(r.len());
+                rest = tail;
+                Mutex::new(Some((r.start, head)))
+            })
+            .collect();
+        team.run(&|w| {
+            let taken = slots[w]
+                .lock()
+                .expect("no holder of a slot lock panics")
+                .take();
+            let (start, chunk) = taken.expect("one block per worker");
+            body(start, chunk);
+        });
+    });
 }
 
-/// A general parallel reduction over `0..n` under the given [`Schedule`]:
-/// every worker folds the ranges it executes into a private partial
-/// accumulator starting from `identity`, and the partials are merged with
-/// `combine` once all workers have joined.
-///
-/// `body(range, acc)` must fold every iteration of `range` into `acc` and
-/// return the updated accumulator.  For the merge to reproduce the serial
-/// result exactly, `combine` must be associative and commutative over the
-/// values `body` produces — integer wrapping `+`, `min` and `max` qualify,
-/// which is precisely the set of scalar reductions the compile-time
-/// analysis licenses for dispatch.
-///
-/// Under `Schedule::Static` each thread folds one contiguous range; under
-/// `Schedule::Dynamic` idle workers steal fixed-size chunks, and each
-/// worker still maintains a single private partial across all the chunks
-/// it steals (one `combine` per worker, not per chunk).
-pub fn parallel_reduce<T, F, C>(
-    threads: usize,
-    n: usize,
-    schedule: Schedule,
-    identity: T,
-    body: F,
-    combine: C,
-) -> T
-where
-    T: Clone + Send,
-    F: Fn(std::ops::Range<usize>, T) -> T + Sync,
-    C: Fn(T, T) -> T,
-{
-    if threads <= 1 || n == 0 {
-        return body(0..n, identity);
-    }
-    let partials: Vec<T> = match schedule {
-        Schedule::Static => {
-            let ranges = chunk_ranges(n, threads);
-            crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = ranges
-                    .into_iter()
-                    .map(|r| {
-                        let body = &body;
-                        let id = identity.clone();
-                        scope.spawn(move |_| body(r, id))
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).collect()
-            })
-            .expect("worker thread panicked")
-        }
-        Schedule::Dynamic { chunk } => {
-            let chunk = chunk.max(1);
-            let next = AtomicUsize::new(0);
-            crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|_| {
-                        let body = &body;
-                        let next = &next;
-                        let id = identity.clone();
-                        scope.spawn(move |_| {
-                            let mut acc = id;
-                            loop {
-                                let start = next.fetch_add(chunk, Ordering::Relaxed);
-                                if start >= n {
-                                    break;
-                                }
-                                acc = body(start..(start + chunk).min(n), acc);
-                            }
-                            acc
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).collect()
-            })
-            .expect("worker thread panicked")
-        }
-    };
-    let mut it = partials.into_iter();
-    let first = it.next().expect("at least one worker");
-    it.fold(first, combine)
-}
-
-/// A parallel sum reduction over `0..n`.
+/// A parallel sum reduction over `0..n`: one partial per worker over a
+/// static partition, added up in worker order, so the result depends on
+/// `threads` but never on timing.
 pub fn parallel_sum<F>(threads: usize, n: usize, term: F) -> f64
 where
     F: Fn(usize) -> f64 + Sync,
@@ -234,19 +128,16 @@ where
     if threads <= 1 || n == 0 {
         return (0..n).map(&term).sum();
     }
-    let ranges = chunk_ranges(n, threads);
-    let partials: Vec<f64> = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .into_iter()
-            .map(|r| {
-                let term = &term;
-                scope.spawn(move |_| r.map(term).sum::<f64>())
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    with_shared_team(threads, |team| {
+        team_parallel_reduce(
+            team,
+            n,
+            Schedule::Static,
+            0.0,
+            |r, acc| acc + r.map(&term).sum::<f64>(),
+            |a, b| a + b,
+        )
     })
-    .expect("worker thread panicked");
-    partials.into_iter().sum()
 }
 
 /// The number of hardware threads available (used to annotate reports).
@@ -256,23 +147,10 @@ pub fn hardware_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// A tiny helper for verifying that work really ran on multiple threads in
-/// tests.
-pub fn count_invocations<F>(threads: usize, n: usize, body: F) -> usize
-where
-    F: Fn(std::ops::Range<usize>) + Sync,
-{
-    let counter = AtomicUsize::new(0);
-    parallel_for(threads, n, |r| {
-        counter.fetch_add(1, Ordering::Relaxed);
-        body(r);
-    });
-    counter.load(Ordering::Relaxed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
     #[test]
     fn chunks_cover_the_range_exactly() {
@@ -295,21 +173,20 @@ mod tests {
 
     #[test]
     fn parallel_for_mut_matches_serial() {
-        let n = 10_000;
-        let mut serial = vec![0u64; n];
-        parallel_for_mut(1, &mut serial, |start, chunk| {
-            for (k, v) in chunk.iter_mut().enumerate() {
-                *v = ((start + k) as u64) * 3 + 1;
-            }
-        });
-        for threads in [2, 3, 8] {
-            let mut par = vec![0u64; n];
-            parallel_for_mut(threads, &mut par, |start, chunk| {
+        // 2 < 3 leaves one worker an empty block.
+        for n in [10_000, 2] {
+            let fill = |start: usize, chunk: &mut [u64]| {
                 for (k, v) in chunk.iter_mut().enumerate() {
                     *v = ((start + k) as u64) * 3 + 1;
                 }
-            });
-            assert_eq!(par, serial);
+            };
+            let mut serial = vec![0u64; n];
+            parallel_for_mut(1, &mut serial, fill);
+            for threads in [2, 3, 8] {
+                let mut par = vec![0u64; n];
+                parallel_for_mut(threads, &mut par, fill);
+                assert_eq!(par, serial);
+            }
         }
     }
 
@@ -324,126 +201,68 @@ mod tests {
     }
 
     #[test]
-    fn work_is_split_across_chunks() {
-        assert_eq!(count_invocations(4, 100, |_| {}), 4);
-        assert_eq!(count_invocations(1, 100, |_| {}), 1);
-        // zero-length loops still work
-        assert_eq!(count_invocations(4, 0, |_| {}), 1);
-    }
-
-    #[test]
-    fn hardware_threads_is_positive() {
-        assert!(hardware_threads() >= 1);
-    }
-
-    #[test]
-    fn parallel_reduce_matches_serial_for_sum_min_and_max() {
-        let n = 10_000usize;
-        let term = |i: usize| ((i as i64).wrapping_mul(0x9e37) % 1001) - 500;
-        let expected_sum: i64 = (0..n).map(term).sum();
-        let expected_min: i64 = (0..n).map(term).min().unwrap();
-        let expected_max: i64 = (0..n).map(term).max().unwrap();
-        for threads in [1usize, 2, 3, 8] {
-            for schedule in [
-                Schedule::Static,
-                Schedule::Dynamic { chunk: 7 },
-                Schedule::dynamic_for(n, threads),
-            ] {
-                let sum = parallel_reduce(
-                    threads,
-                    n,
-                    schedule,
-                    0i64,
-                    |r, acc| r.fold(acc, |a, i| a.wrapping_add(term(i))),
-                    |a, b| a.wrapping_add(b),
-                );
-                assert_eq!(sum, expected_sum, "threads={threads} {schedule:?}");
-                let min = parallel_reduce(
-                    threads,
-                    n,
-                    schedule,
-                    i64::MAX,
-                    |r, acc| r.fold(acc, |a, i| a.min(term(i))),
-                    |a: i64, b| a.min(b),
-                );
-                assert_eq!(min, expected_min);
-                let max = parallel_reduce(
-                    threads,
-                    n,
-                    schedule,
-                    i64::MIN,
-                    |r, acc| r.fold(acc, |a, i| a.max(term(i))),
-                    |a: i64, b| a.max(b),
-                );
-                assert_eq!(max, expected_max);
+    fn parallel_sum_adds_static_partials_in_worker_order() {
+        // Terms of wildly different magnitude: any other association of the
+        // additions rounds differently.
+        let term = |i: usize| [1e9, 1.0, 1e-9][i % 3] / (1.0 + i as f64).powi(3);
+        let n = 4_099;
+        for threads in [2usize, 3, 4] {
+            let expected: f64 = chunk_ranges(n, threads)
+                .into_iter()
+                .map(|r| r.map(term).sum::<f64>())
+                .sum();
+            for _ in 0..20 {
+                let got = parallel_sum(threads, n, term);
+                assert_eq!(got.to_bits(), expected.to_bits(), "threads={threads}");
             }
         }
     }
 
     #[test]
-    fn parallel_reduce_handles_empty_and_degenerate_spaces() {
-        assert_eq!(
-            parallel_reduce(4, 0, Schedule::Static, 42i64, |_, acc| acc, |a, b| a + b),
-            42
-        );
-        assert_eq!(
-            parallel_reduce(
-                4,
-                1,
-                Schedule::Dynamic { chunk: 16 },
-                0i64,
-                |r, acc| acc + r.len() as i64,
-                |a, b| a + b
-            ),
-            1
-        );
+    fn work_is_split_across_chunks() {
+        let invocations = |threads, n| {
+            let counter = AtomicUsize::new(0);
+            parallel_for(threads, n, |_| {
+                counter.fetch_add(1, Ordering::Relaxed);
+            });
+            counter.load(Ordering::Relaxed)
+        };
+        assert_eq!(invocations(4, 100), 4);
+        assert_eq!(invocations(1, 100), 1);
+        // zero-length loops still work
+        assert_eq!(invocations(4, 0), 1);
     }
 
     #[test]
-    fn dynamic_schedule_covers_every_iteration_exactly_once() {
-        use std::sync::atomic::AtomicU32;
-        for (n, threads, chunk) in [
-            (0usize, 4usize, 3usize),
-            (1, 4, 3),
-            (97, 3, 5),
-            (1000, 8, 1),
-            (64, 2, 64),
-        ] {
-            let hits: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-            parallel_for_schedule(threads, n, Schedule::Dynamic { chunk }, |r| {
-                for i in r {
-                    hits[i].fetch_add(1, Ordering::Relaxed);
-                }
-            });
-            assert!(
-                hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
-                "n={n} threads={threads} chunk={chunk}"
-            );
-        }
+    fn a_region_requested_from_inside_a_worker_runs_inline() {
+        // Without the inline rule the inner call waits forever for the
+        // 2-team its own caller is holding.
+        let hits: Vec<AtomicU32> = (0..16).map(|_| AtomicU32::new(0)).collect();
+        parallel_for(2, 4, |outer| {
+            for o in outer {
+                let worker = std::thread::current().id();
+                parallel_for(2, 4, |inner| {
+                    assert_eq!(std::thread::current().id(), worker);
+                    for i in inner {
+                        hits[o * 4 + i].fetch_add(1, Ordering::Relaxed);
+                    }
+                });
+                let mut block = [0u32; 4];
+                parallel_for_mut(2, &mut block, |start, chunk| {
+                    for (k, v) in chunk.iter_mut().enumerate() {
+                        *v = (start + k) as u32;
+                    }
+                });
+                assert_eq!(block, [0, 1, 2, 3]);
+                assert_eq!(parallel_sum(2, 4, |i| i as f64), 6.0);
+            }
+        });
+        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }
 
     #[test]
-    fn dynamic_schedule_matches_static_results() {
-        let n = 4096;
-        let expected: Vec<u64> = (0..n)
-            .map(|i| (i as u64).wrapping_mul(0x9e3779b9))
-            .collect();
-        for schedule in [
-            Schedule::Static,
-            Schedule::Dynamic { chunk: 7 },
-            Schedule::dynamic_for(n, 4),
-        ] {
-            let out: Vec<std::sync::atomic::AtomicU64> = (0..n)
-                .map(|_| std::sync::atomic::AtomicU64::new(0))
-                .collect();
-            parallel_for_schedule(4, n, schedule, |r| {
-                for i in r {
-                    out[i].store((i as u64).wrapping_mul(0x9e3779b9), Ordering::Relaxed);
-                }
-            });
-            let got: Vec<u64> = out.iter().map(|v| v.load(Ordering::Relaxed)).collect();
-            assert_eq!(got, expected, "{schedule:?}");
-        }
+    fn hardware_threads_is_positive() {
+        assert!(hardware_threads() >= 1);
     }
 
     #[test]

@@ -1,33 +1,46 @@
-//! A persistent worker-thread team.
+//! The persistent worker-thread team — the one place this workspace's
+//! compute layers create threads.
 //!
-//! The scoped-thread helpers in [`crate::pool`] spawn and join fresh OS
-//! threads for every parallel region.  That is fine for one long loop, but
-//! an interpreted program often dispatches *adjacent* parallel loops — a
-//! fill loop, a prefix sum, a traversal — and paying a spawn/join cycle per
-//! region puts thread creation on the critical path (OpenMP keeps one team
-//! alive across `parallel` regions for the same reason).
+//! An interpreted program dispatches *adjacent* parallel loops — a fill
+//! loop, a prefix sum, a traversal — and native CG opens six regions per
+//! inner iteration; paying a spawn/join cycle per region would put thread
+//! creation on the critical path (OpenMP keeps one team alive across
+//! `parallel` regions for the same reason).
 //!
 //! [`ThreadTeam`] spawns its workers once and parks them on a condition
 //! variable between regions.  [`ThreadTeam::run`] hands every worker the
-//! same borrowed closure and blocks until all of them finish, so the
-//! closure may freely borrow stack data — the borrow provably outlives the
-//! workers' use of it.  [`team_parallel_for_schedule`] and
-//! [`team_parallel_reduce`] mirror the scoped-thread API on top of a team,
-//! including chunk-stealing dynamic scheduling.
+//! same borrowed closure, runs worker 0's share on the requesting thread
+//! itself (OpenMP's master thread: it is already running on a CPU, so only
+//! `size - 1` wake-ups stand between a region and full width, and the
+//! scheduler never has to place a woken worker next to a waker that is
+//! about to sleep) and blocks until all of them finish, so the closure may
+//! freely borrow stack data — the borrow provably outlives the workers'
+//! use of it.  [`team_parallel_for_schedule`] and
+//! [`team_parallel_reduce`] run a loop or a reduction on a team, including
+//! chunk-stealing dynamic scheduling; [`with_shared_team`] lends out the
+//! process-wide team of a given size, which is what the `threads: usize`
+//! entry points in [`crate::pool`] run on.
 //!
 //! [`team_threads_spawned`] counts every worker ever spawned process-wide,
-//! so tests can assert that back-to-back regions reuse one pool instead of
+//! so tests can assert that back-to-back regions reuse one team instead of
 //! respawning.
 
 use crate::pool::{chunk_ranges, Schedule};
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::ops::Range;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
 static TEAM_THREADS_SPAWNED: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// Set while this thread executes its share of a team region (always,
+    /// on a spawned worker); see [`with_shared_team_in`].
+    static ON_TEAM: Cell<bool> = const { Cell::new(false) };
+}
 
 /// Process-wide count of worker threads ever spawned by [`ThreadTeam`]s.
 /// Tests diff this around adjacent parallel regions to assert the team is
@@ -59,7 +72,8 @@ struct TeamShared {
     done: Condvar,
 }
 
-/// A fixed-size team of persistent worker threads.
+/// A fixed-size team: the requesting thread plus `size - 1` persistent
+/// worker threads.
 ///
 /// Workers are spawned in [`ThreadTeam::new`] and live until the team is
 /// dropped; each [`run`](ThreadTeam::run) wakes all of them for one region.
@@ -71,7 +85,9 @@ pub struct ThreadTeam {
 }
 
 impl ThreadTeam {
-    /// Spawns a team of `size` workers (`size <= 1` spawns none).
+    /// Builds a team that splits regions `size` ways: the thread that
+    /// requests a region is its worker 0, so `size - 1` threads are
+    /// spawned (`size <= 1` spawns none).
     pub fn new(size: usize) -> ThreadTeam {
         let size = size.max(1);
         let shared = Arc::new(TeamShared {
@@ -85,14 +101,13 @@ impl ThreadTeam {
             work: Condvar::new(),
             done: Condvar::new(),
         });
-        let mut handles = Vec::new();
-        if size > 1 {
-            for index in 0..size {
+        let handles = (1..size)
+            .map(|index| {
                 let shared = Arc::clone(&shared);
                 TEAM_THREADS_SPAWNED.fetch_add(1, Ordering::Relaxed);
-                handles.push(std::thread::spawn(move || worker_loop(&shared, index)));
-            }
-        }
+                std::thread::spawn(move || worker_loop(&shared, index))
+            })
+            .collect();
         ThreadTeam {
             shared,
             handles,
@@ -105,36 +120,48 @@ impl ThreadTeam {
         self.size
     }
 
-    /// Runs one parallel region: every worker executes `f(worker_index)`
-    /// once, and `run` returns when all of them have finished.  Panics in a
-    /// worker are re-raised here after the region completes.
+    /// Runs one parallel region: the caller executes `f(0)`, every spawned
+    /// worker `f(worker_index)`, once each, and `run` returns when all of
+    /// them have finished.  A panic in any of them is re-raised here after
+    /// the region completes.
     pub fn run(&self, f: &(dyn Fn(usize) + Sync)) {
         if self.handles.is_empty() {
             f(0);
             return;
         }
+        {
+            let mut st = self.shared.state.lock().unwrap();
+            // A real assert, not a debug one: the 'static transmute below
+            // is only sound while regions never overlap, so the invariant
+            // must hold in release builds too.
+            assert!(st.job.is_none(), "overlapping team regions");
+            // The transmute erases the borrow's lifetime; `run` blocks
+            // below until `remaining == 0`, i.e. until every worker has
+            // returned from `f`, so the pointee outlives all uses.
+            let erased: &'static (dyn Fn(usize) + Sync) = unsafe {
+                std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(f)
+            };
+            st.job = Some(Job(erased as *const (dyn Fn(usize) + Sync)));
+            st.epoch += 1;
+            st.remaining = self.handles.len();
+            st.panicked = false;
+            self.shared.work.notify_all();
+        }
+        // The caller's share.  A panic in it must not unwind past the wait
+        // below — the workers still hold the borrow of `f`.
+        let was_on_team = ON_TEAM.replace(true);
+        let own = catch_unwind(AssertUnwindSafe(|| f(0)));
+        ON_TEAM.set(was_on_team);
         let mut st = self.shared.state.lock().unwrap();
-        // A real assert, not a debug one: the 'static transmute below is
-        // only sound while regions never overlap, so the invariant must
-        // hold in release builds too.
-        assert!(st.job.is_none(), "overlapping team regions");
-        // The transmute erases the borrow's lifetime; `run` blocks below
-        // until `remaining == 0`, i.e. until every worker has returned from
-        // `f`, so the pointee outlives all uses.
-        let erased: &'static (dyn Fn(usize) + Sync) = unsafe {
-            std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(f)
-        };
-        st.job = Some(Job(erased as *const (dyn Fn(usize) + Sync)));
-        st.epoch += 1;
-        st.remaining = self.handles.len();
-        st.panicked = false;
-        self.shared.work.notify_all();
         while st.remaining > 0 {
             st = self.shared.done.wait(st).unwrap();
         }
         st.job = None;
         let panicked = st.panicked;
         drop(st);
+        if let Err(payload) = own {
+            resume_unwind(payload);
+        }
         if panicked {
             panic!("worker thread panicked");
         }
@@ -155,6 +182,7 @@ impl Drop for ThreadTeam {
 }
 
 fn worker_loop(shared: &TeamShared, index: usize) {
+    ON_TEAM.set(true);
     let mut seen_epoch = 0u64;
     loop {
         let job = {
@@ -222,7 +250,15 @@ pub fn with_shared_team<R>(size: usize, f: impl FnOnce(&ThreadTeam) -> R) -> R {
 /// semantics are exactly [`with_shared_team`]: spawn on first use, park
 /// between regions, survive panicked regions, live for the process
 /// lifetime.
+///
+/// Called from inside a team worker, `f` gets an inline team of one
+/// instead: the team a nested region asks for may be the very one whose
+/// region the caller is part of, and waiting for it would never end.
+/// Nested regions serialise, as under OpenMP's default.
 pub fn with_shared_team_in<R>(group: usize, size: usize, f: impl FnOnce(&ThreadTeam) -> R) -> R {
+    if ON_TEAM.get() {
+        return f(&ThreadTeam::new(1));
+    }
     let registry = SHARED_TEAMS.get_or_init(|| Mutex::new(HashMap::new()));
     let team = {
         let mut map = registry.lock().unwrap_or_else(|e| e.into_inner());
@@ -245,9 +281,10 @@ pub fn shared_team_count() -> usize {
         .unwrap_or(0)
 }
 
-/// [`crate::pool::parallel_for_schedule`] on a persistent team: runs
-/// `body(range)` over `0..n` under `schedule`, splitting the space
-/// `team.size()` ways (static) or letting workers steal chunks (dynamic).
+/// Runs `body(range)` over `0..n` on `team` under `schedule`, splitting the
+/// space `team.size()` ways (static) or letting workers steal chunks
+/// (dynamic), so skewed iteration spaces finish in roughly the time of the
+/// heaviest single chunk rather than the heaviest precomputed partition.
 pub fn team_parallel_for_schedule<F>(team: &ThreadTeam, n: usize, schedule: Schedule, body: F)
 where
     F: Fn(Range<usize>) + Sync,
@@ -280,12 +317,18 @@ where
     }
 }
 
-/// [`crate::pool::parallel_reduce`] on a persistent team: every worker
-/// folds the ranges it executes into a private partial starting from
-/// `identity`; partials are merged with `combine` in worker order once the
-/// region completes.  `combine` must be associative and commutative for
-/// the merge to reproduce the serial result — the same contract as the
-/// scoped-thread version.
+/// A general parallel reduction over `0..n` on `team` under `schedule`:
+/// every worker folds the ranges it executes into a private partial
+/// starting from `identity` (one partial per worker, not per chunk), and
+/// the partials are merged with `combine` in worker order once the region
+/// completes.
+///
+/// `body(range, acc)` must fold every iteration of `range` into `acc` and
+/// return the updated accumulator.  For the merge to reproduce the serial
+/// result exactly, `combine` must be associative and commutative over the
+/// values `body` produces — integer wrapping `+`, `min` and `max` qualify,
+/// which is precisely the set of scalar reductions the compile-time
+/// analysis licenses for dispatch.
 pub fn team_parallel_reduce<T, F, C>(
     team: &ThreadTeam,
     n: usize,
@@ -340,41 +383,46 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use std::sync::atomic::AtomicU32;
+    use std::thread::ThreadId;
 
-    /// Every test here spawns workers and several diff the process-wide
-    /// [`team_threads_spawned`] counter, so they take turns.
-    fn one_at_a_time() -> std::sync::MutexGuard<'static, ()> {
-        static TURN: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    /// The threads one region of `team` runs on.  Sibling tests spawn
+    /// shared teams at any moment, so reuse is asserted on worker identity,
+    /// never on a diff of the process-wide [`team_threads_spawned`].
+    fn worker_ids(team: &ThreadTeam) -> HashSet<ThreadId> {
+        let ids = Mutex::new(HashSet::new());
+        team.run(&|_| {
+            ids.lock().unwrap().insert(std::thread::current().id());
+        });
+        ids.into_inner().unwrap()
     }
 
     #[test]
     fn a_team_survives_back_to_back_regions_without_respawning() {
-        let _turn = one_at_a_time();
         let team = ThreadTeam::new(4);
-        let spawned_after_creation = team_threads_spawned();
+        let workers = worker_ids(&team);
+        assert_eq!(workers.len(), 4);
+        assert!(workers.contains(&std::thread::current().id()));
         let hits = AtomicU32::new(0);
         for _ in 0..50 {
             team_parallel_for_schedule(&team, 100, Schedule::Static, |r| {
+                assert!(workers.contains(&std::thread::current().id()));
                 hits.fetch_add(r.len() as u32, Ordering::Relaxed);
             });
         }
         assert_eq!(hits.load(Ordering::Relaxed), 50 * 100);
-        assert_eq!(
-            team_threads_spawned(),
-            spawned_after_creation,
-            "50 adjacent regions must not spawn a single extra thread"
-        );
+        assert_eq!(worker_ids(&team), workers);
     }
 
     #[test]
     fn team_of_one_runs_inline_and_spawns_nothing() {
-        let _turn = one_at_a_time();
-        let before = team_threads_spawned();
         let team = ThreadTeam::new(1);
-        assert_eq!(team_threads_spawned(), before);
-        let sum = std::sync::Mutex::new(0u64);
+        assert_eq!(
+            worker_ids(&team),
+            HashSet::from([std::thread::current().id()])
+        );
+        let sum = Mutex::new(0u64);
         team_parallel_for_schedule(&team, 10, Schedule::Static, |r| {
             *sum.lock().unwrap() += r.len() as u64;
         });
@@ -382,12 +430,12 @@ mod tests {
     }
 
     #[test]
-    fn team_reduce_matches_scoped_reduce_for_both_schedules() {
-        let _turn = one_at_a_time();
+    fn team_reduce_matches_the_serial_fold_for_both_schedules() {
         let n = 10_000usize;
         let term = |i: usize| ((i as i64).wrapping_mul(0x9e37) % 1001) - 500;
         let expected_sum: i64 = (0..n).map(term).sum();
         let expected_min: i64 = (0..n).map(term).min().unwrap();
+        let expected_max: i64 = (0..n).map(term).max().unwrap();
         for threads in [1usize, 2, 3, 8] {
             let team = ThreadTeam::new(threads);
             for schedule in [
@@ -413,18 +461,54 @@ mod tests {
                     |a: i64, b| a.min(b),
                 );
                 assert_eq!(min, expected_min);
+                let max = team_parallel_reduce(
+                    &team,
+                    n,
+                    schedule,
+                    i64::MIN,
+                    |r, acc| r.fold(acc, |a, i| a.max(term(i))),
+                    |a: i64, b| a.max(b),
+                );
+                assert_eq!(max, expected_max);
             }
         }
     }
 
     #[test]
+    fn team_reduce_handles_empty_and_degenerate_spaces() {
+        let team = ThreadTeam::new(4);
+        assert_eq!(
+            team_parallel_reduce(
+                &team,
+                0,
+                Schedule::Static,
+                42i64,
+                |_, acc| acc,
+                |a, b| a + b
+            ),
+            42
+        );
+        assert_eq!(
+            team_parallel_reduce(
+                &team,
+                1,
+                Schedule::Dynamic { chunk: 16 },
+                0i64,
+                |r, acc| acc + r.len() as i64,
+                |a, b| a + b
+            ),
+            1
+        );
+    }
+
+    #[test]
     fn dynamic_stealing_on_a_team_covers_every_iteration_exactly_once() {
-        let _turn = one_at_a_time();
         for (n, threads, chunk) in [
             (0usize, 4usize, 3usize),
             (1, 4, 3),
             (97, 3, 5),
-            (1000, 4, 1),
+            (1000, 8, 1),
+            (64, 2, 64),
         ] {
             let team = ThreadTeam::new(threads);
             let hits: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
@@ -441,8 +525,30 @@ mod tests {
     }
 
     #[test]
+    fn dynamic_schedule_matches_static_results() {
+        let n = 4096;
+        let expected: Vec<u64> = (0..n)
+            .map(|i| (i as u64).wrapping_mul(0x9e3779b9))
+            .collect();
+        let team = ThreadTeam::new(4);
+        for schedule in [
+            Schedule::Static,
+            Schedule::Dynamic { chunk: 7 },
+            Schedule::dynamic_for(n, 4),
+        ] {
+            let out: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
+            team_parallel_for_schedule(&team, n, schedule, |r| {
+                for i in r {
+                    out[i].store((i as u64).wrapping_mul(0x9e3779b9), Ordering::Relaxed);
+                }
+            });
+            let got: Vec<u64> = out.iter().map(|v| v.load(Ordering::Relaxed)).collect();
+            assert_eq!(got, expected, "{schedule:?}");
+        }
+    }
+
+    #[test]
     fn chunk_stealing_and_static_agree_under_adversarial_skew() {
-        let _turn = one_at_a_time();
         // One iteration (the last) carries ~all the work; every other
         // iteration is trivial.  Whatever the schedule and whoever steals
         // what, the reduction and the element-wise results must be
@@ -477,15 +583,12 @@ mod tests {
 
     #[test]
     fn shared_teams_are_reused_across_calls_and_survive_panics() {
-        let _turn = one_at_a_time();
-        // Use an unusual size so no other test in this binary registers it.
         let size = 5;
-        let before = team_threads_spawned();
-        let first = with_shared_team(size, |t| {
+        let workers = with_shared_team(size, |t| {
             assert_eq!(t.size(), size);
-            team_threads_spawned()
+            worker_ids(t)
         });
-        assert_eq!(first, before + size as u64, "first caller spawns the team");
+        assert_eq!(workers.len(), size);
         for _ in 0..10 {
             let sum = with_shared_team(size, |t| {
                 team_parallel_reduce(
@@ -493,66 +596,45 @@ mod tests {
                     1000,
                     Schedule::Static,
                     0i64,
-                    |r, acc| r.fold(acc, |a, i| a + i as i64),
+                    |r, acc| {
+                        assert!(workers.contains(&std::thread::current().id()));
+                        r.fold(acc, |a, i| a + i as i64)
+                    },
                     |a, b| a + b,
                 )
             });
             assert_eq!(sum, (0..1000i64).sum::<i64>());
         }
-        assert_eq!(
-            team_threads_spawned(),
-            first,
-            "every later caller reuses the registered team"
-        );
         // A panicked region must not wedge the registry or the team.
         let r = std::panic::catch_unwind(|| {
             with_shared_team(size, |t| t.run(&|_| panic!("boom")));
         });
         assert!(r.is_err());
-        let hits = AtomicU32::new(0);
-        with_shared_team(size, |t| {
-            t.run(&|_| {
-                hits.fetch_add(1, Ordering::Relaxed);
-            })
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), size as u32);
-        assert_eq!(team_threads_spawned(), first);
+        assert_eq!(
+            with_shared_team(size, worker_ids),
+            workers,
+            "every later caller reuses the registered team"
+        );
     }
 
     #[test]
     fn distinct_groups_hold_distinct_teams_of_the_same_size() {
-        let _turn = one_at_a_time();
-        // Unusual size so no other test in this binary registers it.
         let size = 6;
-        let before = team_threads_spawned();
-        with_shared_team_in(100, size, |t| assert_eq!(t.size(), size));
-        let after_first = team_threads_spawned();
-        assert_eq!(after_first, before + size as u64);
-        // A different group at the same size spawns its own team…
-        with_shared_team_in(101, size, |t| assert_eq!(t.size(), size));
-        assert_eq!(team_threads_spawned(), after_first + size as u64);
-        // …and both are reused thereafter.
-        for group in [100, 101] {
-            let sum = with_shared_team_in(group, size, |t| {
-                team_parallel_reduce(
-                    t,
-                    500,
-                    Schedule::Static,
-                    0i64,
-                    |r, acc| r.fold(acc, |a, i| a + i as i64),
-                    |a, b| a + b,
-                )
-            });
-            assert_eq!(sum, (0..500i64).sum::<i64>());
-        }
-        assert_eq!(team_threads_spawned(), after_first + size as u64);
+        let first = with_shared_team_in(100, size, worker_ids);
+        let second = with_shared_team_in(101, size, worker_ids);
+        assert_eq!((first.len(), second.len()), (size, size));
+        // Only this thread, worker 0 of both regions, is on both teams.
+        let me = HashSet::from([std::thread::current().id()]);
+        assert_eq!(&first & &second, me);
+        // Both are reused thereafter.
+        assert_eq!(with_shared_team_in(100, size, worker_ids), first);
+        assert_eq!(with_shared_team_in(101, size, worker_ids), second);
         assert!(shared_team_count() >= 2);
     }
 
     #[test]
     #[should_panic(expected = "worker thread panicked")]
     fn worker_panics_propagate_to_the_caller() {
-        let _turn = one_at_a_time();
         let team = ThreadTeam::new(2);
         team.run(&|w| {
             if w == 1 {
@@ -563,16 +645,11 @@ mod tests {
 
     #[test]
     fn a_team_still_works_after_a_panicked_region() {
-        let _turn = one_at_a_time();
         let team = ThreadTeam::new(2);
         let r = std::panic::catch_unwind(AssertUnwindSafe(|| {
             team.run(&|_| panic!("boom"));
         }));
         assert!(r.is_err());
-        let hits = AtomicU32::new(0);
-        team.run(&|_| {
-            hits.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 2);
+        assert_eq!(worker_ids(&team).len(), 2);
     }
 }

@@ -729,17 +729,6 @@ mod tests {
     }
 
     #[test]
-    fn compilation_counter_increments_once_per_compile() {
-        let p = parse_program("t", "for (i = 0; i < n; i++) { x[i] = i; }").unwrap();
-        let before = compilation_count();
-        let _ = compile_program(&p);
-        assert_eq!(compilation_count(), before + 1);
-        // SlotMap::build is not a compilation.
-        let _ = SlotMap::build(&p);
-        assert_eq!(compilation_count(), before + 1);
-    }
-
-    #[test]
     fn compound_stores_keep_their_operator() {
         let p = parse_program("t", "h[k[i]] += 1; s -= 2;").unwrap();
         let c = compile_program(&p);

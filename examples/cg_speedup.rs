@@ -7,8 +7,7 @@
 //!
 //! `cargo run --release --example cg_speedup -- [--full] [--classes A,B,C]`
 
-use ss_bench::{figure10_sweep, render_figure10};
-use ss_npb::Class;
+use ss_npb::{figure10_sweep, render_figure10, Class};
 use ss_runtime::hardware_threads;
 
 fn parse_classes(arg: &str) -> Vec<Class> {

@@ -4,7 +4,7 @@
 //!
 //! `cargo run --release --example pattern_study`
 
-use ss_bench::run_catalogue_study;
+use ss_npb::run_catalogue_study;
 
 fn main() {
     let table = run_catalogue_study();

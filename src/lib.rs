@@ -15,7 +15,6 @@ pub use ss_interp::{
 };
 
 pub use ss_aggregation as aggregation;
-pub use ss_bench as bench;
 pub use ss_cli as cli;
 pub use ss_daemon as daemon;
 pub use ss_deptest as deptest;

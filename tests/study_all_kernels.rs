@@ -3,8 +3,8 @@
 //! rejected by the property-free baseline, and the derived properties must
 //! hold on concrete data produced by the runnable kernels.
 
-use ss_bench::run_catalogue_study;
 use ss_npb::kernels::{fig2, fig5, fig6};
+use ss_npb::run_catalogue_study;
 use ss_properties::concrete;
 
 #[test]
