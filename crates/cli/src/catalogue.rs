@@ -26,9 +26,6 @@ pub(crate) fn engines_text(format: OutputFormat) -> String {
         if caps.local_arrays {
             flags.push("local-arrays".to_string());
         }
-        if caps.inspector_baseline {
-            flags.push("inspector-baseline".to_string());
-        }
         if caps.level_sets {
             flags.push("level-sets".to_string());
         }

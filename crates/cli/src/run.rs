@@ -21,20 +21,17 @@ pub(crate) fn run_text(request: RunRequest, format: OutputFormat) -> Result<Stri
     let name = &request.name;
     let inputs = input_spec(&request);
 
-    // Report the engine that actually executed: the parallel leg is
-    // redirected under the inspector baseline, and opt-level-sensitive
-    // engines show which stream they ran.
+    // Opt-level-sensitive engines show which stream they ran.
     let resolved = session().registry().get(&outcome.engine)?;
-    let engine_name = if request.baseline_inspector {
-        format!(
-            "{} (inspector baseline)",
-            outcome.parallel_engine.as_deref().unwrap_or("?")
-        )
-    } else if resolved.caps().opt_levels.len() > 1 {
+    let mut engine_name = if resolved.caps().opt_levels.len() > 1 {
         format!("{} ({})", outcome.engine, outcome.opt_level)
     } else {
         outcome.engine.clone()
     };
+    engine_name.push_str(" engine");
+    if request.baseline_inspector {
+        engine_name.push_str(" + inspector baseline");
+    }
     let serial_stats = outcome.serial.as_ref().expect("differential runs serially");
     let parallel_stats = outcome
         .parallel
@@ -42,7 +39,7 @@ pub(crate) fn run_text(request: RunRequest, format: OutputFormat) -> Result<Stri
         .expect("differential runs in parallel");
     let mut out = String::new();
     out.push_str(&format!(
-        "== {name}: executed with scale n={} seed={} on {} thread(s), {engine_name} engine ==\n",
+        "== {name}: executed with scale n={} seed={} on {} thread(s), {engine_name} ==\n",
         inputs.scale, inputs.seed, outcome.threads
     ));
     if outcome.policy != "default" {
@@ -270,6 +267,8 @@ mod tests {
                 "hist.c",
                 "--baseline",
                 "inspector",
+                "--threads",
+                "2",
                 "--n",
                 "64",
                 "--validate",
@@ -277,8 +276,14 @@ mod tests {
             &reader,
         )
         .unwrap();
-        assert!(out.contains("runtime inspector baseline"));
-        assert!(out.contains("(inspector baseline)"));
+        // The requested (default) engine ran the parallel leg itself and
+        // produced the verdict: 64 random indices below 64 collide.
+        assert!(
+            out.contains("bytecode (O1) engine + inspector baseline =="),
+            "{out}"
+        );
+        assert!(out.contains("runtime inspector baseline: refuses"), "{out}");
+        assert!(out.contains("parallel bytecode"), "{out}");
         assert!(out.contains("validation: PASS"));
     }
 

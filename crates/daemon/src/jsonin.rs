@@ -4,7 +4,7 @@
 //! path of the whole system); this module is its inverse, just big enough
 //! to read one request object per line: RFC 8259 values, string escapes
 //! including `\uXXXX` (with surrogate pairs), and numbers via `f64`.
-//! The vendored `serde` is a no-op stand-in, hence hand-rolled.
+//! Hand-rolled because the workspace builds offline and std-only.
 
 /// A parsed JSON value.  Object fields keep their source order; lookups
 /// go through [`Value::get`].

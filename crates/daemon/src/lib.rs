@@ -15,8 +15,8 @@
 //!   (`ss_interp::request`) the CLI's flags come from too; `{"ok":…}`
 //!   response envelopes whose payloads are the *same* stable JSON schemas
 //!   the CLI prints (one serializer path, `ss_interp::json`);
-//! * [`jsonin`] — the matching minimal JSON parser (the vendored `serde`
-//!   is a no-op stub);
+//! * [`jsonin`] — the matching minimal JSON parser (hand-rolled: the
+//!   workspace builds offline and std-only);
 //! * [`service`] — multi-tenant dispatch: one [`Session`] per tenant,
 //!   requests hashed onto persistent thread-team **shards**
 //!   (`ss_runtime::with_shared_team_in` groups);

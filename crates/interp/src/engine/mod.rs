@@ -4,10 +4,11 @@
 //! independent pieces of this module:
 //!
 //! * **how a loop body is executed** — the *executor*:
-//!   * **ast** ([`serial`], [`dispatch`]): interprets the AST directly
-//!     against the name-keyed heap.  The semantic reference
-//!     ([`EngineCaps::reference`]), with its own minimal proof-only
-//!     dispatcher, so everything else is diffed against independent code;
+//!   * **ast** ([`serial`]): interprets the AST directly against the
+//!     name-keyed heap.  The semantic reference
+//!     ([`EngineCaps::reference`]): serial only — it never dispatches, so
+//!     every other row, leg and strategy is diffed against code that
+//!     shares nothing with the dispatcher;
 //!   * **compiled** ([`compiled`]): the slot-resolved
 //!     [`ss_ir::CompiledProgram`] over dense frames — names resolved once,
 //!     expressions still walked as (slot-addressed) trees.  The mid-level
@@ -26,19 +27,23 @@
 //!     arrays) fan out as one region;
 //!   * **level sets** ([`wavefront`]): serial-proven carried loops whose
 //!     footprint is a function of entry state are inspected once per
-//!     input and run as dependence level sets, one region per level.
+//!     input and run as dependence level sets, one region per level.  The
+//!     same inspection is the run-time-inspector baseline
+//!     ([`ExecOptions::baseline_inspector`]): one level means an
+//!     inspector/executor scheme would have run the loop in parallel.
 //!
-//! `shared` holds what the slot-addressed executors have in common —
-//! array stores, worker-private storage and the dispatch recipe itself
-//! (gates, iteration space, fan-out on the persistent team, fold,
-//! last-writer / combiner / local-array merge-back), written once.  A
-//! registered [`Engine`] is a *row*: an executor plus the strategies its
-//! parallel runs may use ([`registry`]): `bytecode`, `threaded` and
-//! `compiled` are their executors with proof dispatch; `wavefront` is the
-//! bytecode executor with level sets as well; `ast` is the reference.
-//! Consumers resolve engines by name or capability through the
-//! [`EngineRegistry`], never by pattern-matching, and branch on
-//! [`EngineCaps`] flags.
+//! `shared` holds what the dispatching executors have in common — array
+//! stores, worker-private storage and the dispatch recipe itself (gates,
+//! iteration space, fan-out on the persistent team, fold, last-writer /
+//! combiner / local-array merge-back), written once: it is the only file
+//! of this crate that enters a team region and the only one with
+//! `unsafe`.  A registered [`Engine`] is a *row*: an executor plus the
+//! strategies its parallel runs may use ([`registry`]): `bytecode`,
+//! `threaded` and `compiled` are their executors with proof dispatch;
+//! `wavefront` is the bytecode executor with level sets as well; `ast` is
+//! the reference and runs serially whichever leg asks.  Consumers resolve
+//! engines by name or capability through the [`EngineRegistry`], never by
+//! pattern-matching, and branch on [`EngineCaps`] flags.
 //!
 //! Cross-engine agreement is itself a validation axis, on top of
 //! serial-vs-parallel: the [`Session`](crate::Session) differential mode
@@ -46,12 +51,11 @@
 //! serial/parallel, and `tests/engine_fuzz.rs` asserts the same over
 //! generated programs.
 //!
-//! The remaining modules: [`store`] holds the tree walker's pluggable
-//! stores (whole heap, recording inspector, shared-array worker views).
+//! The remaining modules: [`store`] holds the tree walker's two pluggable
+//! stores (whole heap, input discovery).
 
 pub mod bytecode;
 pub mod compiled;
-pub mod dispatch;
 pub mod registry;
 pub mod serial;
 mod shared;
@@ -98,10 +102,6 @@ pub enum ExecError {
         /// The cap it exceeded.
         cap: u64,
     },
-    /// An array was declared inside a parallel worker of the tree-walking
-    /// engine (the compiled engine gives such arrays private storage; the
-    /// AST engine leaves such loops serial).
-    ArrayDeclInWorker(String),
 }
 
 impl std::fmt::Display for ExecError {
@@ -127,9 +127,6 @@ impl std::fmt::Display for ExecError {
             ExecError::DivisionByZero => write!(f, "division by zero"),
             ExecError::NonTerminating { loop_id, cap } => {
                 write!(f, "loop {loop_id} exceeded {cap} iterations")
-            }
-            ExecError::ArrayDeclInWorker(a) => {
-                write!(f, "array '{a}' declared inside a parallel loop body")
             }
         }
     }
@@ -163,9 +160,16 @@ pub struct LoopStats {
     pub seconds: f64,
     /// How the loop ran (last invocation).
     pub mode: ExecMode,
-    /// For serial loops run under the inspector baseline: whether a runtime
-    /// inspector would have licensed parallel execution (AND over
-    /// invocations); `None` when not inspected.
+    /// Under [`ExecOptions::baseline_inspector`], for loops the
+    /// compile-time analysis left serial: whether a run-time inspector
+    /// would have licensed parallel execution — the level-set inspection
+    /// found a single level (AND over invocations).  `None` when there is
+    /// no verdict: the knob is off, the run is serial or single-threaded,
+    /// the loop was proven parallel (or sits inside a dispatched body), it
+    /// had fewer than two iterations, the inspection replay failed, or the
+    /// footprint gate rejected it — addresses or control flow depend on
+    /// values the loop itself writes, where no inspector/executor scheme
+    /// is sound.
     pub inspector_conflict_free: Option<bool>,
     /// For loops the wavefront engine executed as dependence level sets:
     /// `(level count, average level width)` of the schedule that ran (last
@@ -223,70 +227,6 @@ pub(crate) struct ExecEnvTiming<'a> {
     pub while_cap: u64,
 }
 
-/// Materializes the iteration values of a dispatchable loop from its
-/// once-evaluated header (initial value, bound, step): the per-iteration
-/// index values plus the index variable's exit value.  Shared by both
-/// parallel dispatchers so the termination rules (iteration cap, zero
-/// step) cannot diverge between engines.
-pub(crate) fn materialize_iteration_space(
-    v0: i64,
-    bound: i64,
-    step: i64,
-    cond_op: ss_ir::ast::BinOp,
-    loop_id: LoopId,
-    while_cap: u64,
-) -> Result<(Vec<i64>, i64), ExecError> {
-    let mut values = Vec::new();
-    let mut v = v0;
-    while serial::compare(cond_op, v, bound) {
-        if values.len() as u64 >= while_cap {
-            return Err(ExecError::NonTerminating {
-                loop_id,
-                cap: while_cap,
-            });
-        }
-        values.push(v);
-        v = v.wrapping_add(step);
-        if step == 0 {
-            return Err(ExecError::NonTerminating {
-                loop_id,
-                cap: while_cap,
-            });
-        }
-    }
-    Ok((values, v))
-}
-
-/// Maps the user's schedule choice (plus the loop's skew fact) onto a
-/// concrete runtime schedule — the other half of dispatch both engines
-/// must agree on.  `chunk` overrides the auto-derived dynamic chunk size
-/// (the tuner's chunk axis); `None` keeps
-/// [`Schedule::dynamic_for`](ss_runtime::Schedule::dynamic_for)'s derivation.
-pub(crate) fn choose_schedule(
-    choice: ScheduleChoice,
-    skewed: bool,
-    n: usize,
-    threads: usize,
-    chunk: Option<usize>,
-) -> ss_runtime::Schedule {
-    use ss_runtime::Schedule;
-    let dynamic = || match chunk {
-        Some(c) => Schedule::Dynamic { chunk: c.max(1) },
-        None => Schedule::dynamic_for(n, threads),
-    };
-    match choice {
-        ScheduleChoice::Static => Schedule::Static,
-        ScheduleChoice::Dynamic => dynamic(),
-        ScheduleChoice::Auto => {
-            if skewed {
-                dynamic()
-            } else {
-                Schedule::Static
-            }
-        }
-    }
-}
-
 /// Result of an engine run: the final heap plus statistics.
 #[derive(Debug, Clone)]
 pub struct ExecOutcome {
@@ -333,13 +273,11 @@ pub struct ExecOptions {
     /// Run the runtime-inspector baseline on loops the compile-time analysis
     /// left serial, recording whether an inspector/executor scheme would
     /// have parallelized them (see [`LoopStats::inspector_conflict_free`]).
-    /// Only engines with [`EngineCaps::inspector_baseline`] accept this for
-    /// parallel runs; others refuse with
-    /// [`SsError::Unsupported`](crate::SsError::Unsupported).
+    /// The verdict is read off the level-set strategy's (cached, verified)
+    /// inspection, so every dispatching row's parallel run answers; the
+    /// loop itself still runs as levels only on rows with
+    /// [`EngineCaps::level_sets`].
     pub baseline_inspector: bool,
-    /// Loops with fewer iterations than this run serially (dispatch would
-    /// cost more than it buys).
-    pub min_parallel_trip: usize,
     /// Iteration cap per loop invocation, against runaway `while` loops.
     pub while_cap: u64,
     /// Which process-wide persistent-team group dispatched loops run in
@@ -358,7 +296,6 @@ impl Default for ExecOptions {
             chunk: None,
             opt_level: OptLevel::O1,
             baseline_inspector: false,
-            min_parallel_trip: 2,
             while_cap: 100_000_000,
             team_group: 0,
         }
@@ -547,13 +484,15 @@ mod tests {
                     .run_parallel(&art, heap.clone(), &opts(threads))
                     .unwrap();
                 assert_eq!(par.heap, serial.heap, "{} threads={threads}", engine.name());
-                assert_eq!(
-                    par.stats.loops[&LoopId(1)].mode,
+                let expected = if engine.caps().reference {
+                    ExecMode::Serial
+                } else {
                     ExecMode::Parallel {
                         threads,
-                        dynamic: false
+                        dynamic: false,
                     }
-                );
+                };
+                assert_eq!(par.stats.loops[&LoopId(1)].mode, expected);
             }
         }
     }
@@ -587,73 +526,74 @@ mod tests {
         }
     }
 
-    #[test]
-    fn inspector_baseline_judges_serial_loops() {
-        let inspector = EngineRegistry::builtin().inspector_capable().unwrap();
-        // Histogram (conflicting): inspector must refuse it.
-        let art = compile("hist", "for (i = 0; i < n; i++) { h[idx[i]] = i; }");
-        let heap = Heap::new()
-            .with_scalar("n", 100)
-            .with_array("idx", (0..100).map(|i| i % 7).collect())
-            .with_array("h", vec![-1; 7]);
-        let o = ExecOptions {
-            baseline_inspector: true,
-            ..opts(4)
-        };
-        let out = inspector.run_parallel(&art, heap, &o).unwrap();
-        assert_eq!(
-            out.stats.loops[&LoopId(0)].inspector_conflict_free,
-            Some(false)
-        );
-
-        // Permutation scatter via an opaque input array: the compile-time
-        // analysis cannot prove it, but this input is injective so the
-        // runtime inspector licenses it.
-        let art = compile("scatter", "for (i = 0; i < n; i++) { x[p[i]] = i; }");
-        assert!(art.report.outermost_parallel_loops().is_empty());
-        let n = 50i64;
-        let heap = Heap::new()
-            .with_scalar("n", n)
-            .with_array("p", (0..n).rev().collect())
-            .with_array("x", vec![0; n as usize]);
-        let out = inspector.run_parallel(&art, heap, &o).unwrap();
-        assert_eq!(
-            out.stats.loops[&LoopId(0)].inspector_conflict_free,
-            Some(true)
-        );
+    /// Every dispatching row at every opt level it distinguishes, with the
+    /// inspector baseline on.
+    fn inspector_legs(threads: usize) -> Vec<(Arc<dyn Engine>, ExecOptions)> {
+        let rows = engines().into_iter().filter(|e| !e.caps().reference);
+        rows.flat_map(|e| {
+            let levels = e.caps().opt_levels;
+            levels.iter().map(move |&opt_level| {
+                let o = ExecOptions {
+                    baseline_inspector: true,
+                    opt_level,
+                    ..opts(threads)
+                };
+                (Arc::clone(&e), o)
+            })
+        })
+        .collect()
     }
 
     #[test]
-    fn engines_without_the_capability_refuse_the_inspector_baseline() {
-        use crate::error::SsError;
-        let art = compile("t", "for (i = 0; i < n; i++) { out[i] = i; }");
-        let heap = Heap::new()
-            .with_scalar("n", 8)
-            .with_array("out", vec![0; 8]);
-        let o = ExecOptions {
-            baseline_inspector: true,
-            ..opts(2)
-        };
-        for engine in engines() {
-            let got = engine.run_parallel(&art, heap.clone(), &o);
-            if engine.caps().inspector_baseline {
-                assert!(got.is_ok(), "{}", engine.name());
-            } else {
-                assert!(
-                    matches!(got, Err(SsError::Unsupported { .. })),
-                    "{} must refuse the inspector baseline",
-                    engine.name()
+    fn inspector_baseline_judges_serial_loops() {
+        // Histogram (conflicting): a runtime inspector must refuse it.
+        let hist = compile("hist", "for (i = 0; i < n; i++) { h[idx[i]] = i; }");
+        let hist_heap = Heap::new()
+            .with_scalar("n", 100)
+            .with_array("idx", (0..100).map(|i| i % 7).collect())
+            .with_array("h", vec![-1; 7]);
+        // Permutation scatter via an opaque input array: the compile-time
+        // analysis cannot prove it, but this input is injective so the
+        // runtime inspector licenses it.
+        let scatter = compile("scatter", "for (i = 0; i < n; i++) { x[p[i]] = i; }");
+        assert!(scatter.report.outermost_parallel_loops().is_empty());
+        let n = 50i64;
+        let scatter_heap = Heap::new()
+            .with_scalar("n", n)
+            .with_array("p", (0..n).rev().collect())
+            .with_array("x", vec![0; n as usize]);
+        for (art, heap, verdict) in [
+            (&hist, &hist_heap, Some(false)),
+            (&scatter, &scatter_heap, Some(true)),
+        ] {
+            let serial = reference_engine()
+                .run_serial(art, heap.clone(), &opts(1))
+                .unwrap();
+            for (engine, o) in inspector_legs(4) {
+                let out = engine.run_parallel(art, heap.clone(), &o).unwrap();
+                let label = format!("{} {:?} on {}", engine.name(), o.opt_level, art.report.name);
+                assert_eq!(
+                    out.stats.loops[&LoopId(0)].inspector_conflict_free,
+                    verdict,
+                    "{label}"
                 );
+                assert_eq!(out.heap, serial.heap, "{label}");
+                // Judging a loop does not license running it: only rows
+                // with the level-set strategy leave the spine.
+                if !engine.caps().level_sets {
+                    assert!(out.stats.parallel_loops().is_empty(), "{label}");
+                }
             }
         }
     }
 
     #[test]
-    fn inspector_gives_no_verdict_for_loops_containing_dispatched_work() {
+    fn inspector_never_licenses_a_loop_rewritten_by_dispatched_work() {
         // The outer serial loop rewrites the same x[] elements every
-        // iteration, but the writes happen inside the dispatched inner
-        // loop, invisible to the recording — the inspector must answer
-        // "uninspected" (None), never "conflict-free".
+        // iteration through a proven-parallel inner loop.  The inspection
+        // replays whole iterations, inner loop included, so it sees the
+        // rewrites: the outer loop is never "conflict-free", and judging
+        // it does not stop the inner loop from being dispatched.
         let src = r#"
             for (t = 0; t < reps; t++) {
                 for (i = 0; i < n; i++) {
@@ -668,20 +608,68 @@ mod tests {
             .with_scalar("reps", 3)
             .with_scalar("n", 100)
             .with_array("x", vec![0; 100]);
-        let o = ExecOptions {
-            baseline_inspector: true,
-            ..opts(4)
-        };
-        let inspector = EngineRegistry::builtin().inspector_capable().unwrap();
-        let out = inspector.run_parallel(&art, heap.clone(), &o).unwrap();
-        assert!(out.stats.parallel_loops().contains(&LoopId(1)));
-        assert_eq!(
-            out.stats.loops[&LoopId(0)].inspector_conflict_free,
-            None,
-            "a frame blind to worker accesses must not claim conflict-freedom"
-        );
-        let serial = reference_engine().run_serial(&art, heap, &opts(1)).unwrap();
-        assert_eq!(out.heap, serial.heap);
+        let serial = reference_engine()
+            .run_serial(&art, heap.clone(), &opts(1))
+            .unwrap();
+        for (engine, o) in inspector_legs(4) {
+            let out = engine.run_parallel(&art, heap.clone(), &o).unwrap();
+            let label = format!("{} {:?}", engine.name(), o.opt_level);
+            assert_ne!(
+                out.stats.loops[&LoopId(0)].inspector_conflict_free,
+                Some(true),
+                "{label}"
+            );
+            assert!(out.stats.parallel_loops().contains(&LoopId(1)), "{label}");
+            assert_eq!(out.heap, serial.heap, "{label}");
+        }
+    }
+
+    #[test]
+    fn inspector_gives_no_verdict_where_no_inspector_scheme_is_sound() {
+        // x is both written and a subscript: which elements an iteration
+        // touches depends on values earlier iterations wrote, so a
+        // footprint recorded up front says nothing about the real run —
+        // the gate rejects the loop and the baseline stays silent.
+        let art = compile("chase", "for (i = 0; i < n; i++) { x[x[i]] = i; }");
+        let lr = art.report.loop_report(LoopId(0)).unwrap();
+        assert!(!lr.parallel && lr.wavefront.is_none());
+        let n = 40i64;
+        let heap = Heap::new()
+            .with_scalar("n", n)
+            .with_array("x", (0..n).rev().collect());
+        let serial = reference_engine()
+            .run_serial(&art, heap.clone(), &opts(1))
+            .unwrap();
+        for (engine, o) in inspector_legs(4) {
+            let out = engine.run_parallel(&art, heap.clone(), &o).unwrap();
+            let stats = &out.stats.loops[&LoopId(0)];
+            assert_eq!(stats.inspector_conflict_free, None, "{}", engine.name());
+            assert_eq!(stats.mode, ExecMode::Serial);
+            assert_eq!(out.heap, serial.heap, "{}", engine.name());
+        }
+
+        // One thread: nothing is dispatched, so nothing is inspected —
+        // even on a loop the gate approves.
+        let art = compile("hist", "for (i = 0; i < n; i++) { h[idx[i]] = i; }");
+        assert!(art
+            .report
+            .loop_report(LoopId(0))
+            .unwrap()
+            .wavefront
+            .is_some());
+        let heap = Heap::new()
+            .with_scalar("n", 20)
+            .with_array("idx", (0..20).map(|i| i % 7).collect())
+            .with_array("h", vec![-1; 7]);
+        for (engine, o) in inspector_legs(1) {
+            let out = engine.run_parallel(&art, heap.clone(), &o).unwrap();
+            assert_eq!(
+                out.stats.loops[&LoopId(0)].inspector_conflict_free,
+                None,
+                "{}",
+                engine.name()
+            );
+        }
     }
 
     #[test]
@@ -723,13 +711,15 @@ mod tests {
             assert_eq!(par.heap, serial.heap, "{}", engine.name());
             // Auto picks dynamic scheduling because the dispatched loop's
             // inner bounds go through the rowptr index array.
-            assert_eq!(
-                par.stats.loops[&LoopId(3)].mode,
+            let expected = if engine.caps().reference {
+                ExecMode::Serial
+            } else {
                 ExecMode::Parallel {
                     threads: 4,
-                    dynamic: true
+                    dynamic: true,
                 }
-            );
+            };
+            assert_eq!(par.stats.loops[&LoopId(3)].mode, expected);
         }
     }
 

@@ -18,7 +18,7 @@
 //! instead of failing mid-run).
 
 use crate::engine::shared::Dispatcher;
-use crate::engine::{bytecode, compiled, dispatch, serial, threaded, ExecOptions, ExecOutcome};
+use crate::engine::{bytecode, compiled, serial, threaded, ExecOptions, ExecOutcome};
 use crate::error::SsError;
 use crate::heap::Heap;
 use ss_ir::opt::OptLevel;
@@ -35,9 +35,6 @@ pub struct EngineCaps {
     /// The parallel dispatcher gives loop-local array declarations
     /// worker-private storage.
     pub local_arrays: bool,
-    /// Parallel runs can record the runtime-inspector baseline on loops
-    /// the compile-time analysis left serial.
-    pub inspector_baseline: bool,
     /// Parallel runs recover serial-proven carried loops at run time:
     /// gate-approved loops are inspected into dependence level sets and
     /// executed level by level (the serial path is the executor's own).
@@ -85,8 +82,14 @@ pub trait Engine: Send + Sync + std::fmt::Debug {
         opts: &ExecOptions,
     ) -> Result<ExecOutcome, SsError>;
 
-    /// Executes the program with proven-parallelizable loops dispatched
-    /// onto worker threads (per the artifacts' own analysis report).
+    /// Executes the program with the loops this engine's dispatch
+    /// strategies cover sent to worker threads: proven-parallelizable
+    /// loops per the artifacts' own analysis report, plus level-set
+    /// scheduled ones under [`EngineCaps::level_sets`].  An engine without
+    /// a dispatcher (the reference) runs serially and reports every loop
+    /// [`ExecMode::Serial`](crate::ExecMode::Serial).  Under
+    /// [`ExecOptions::baseline_inspector`] dispatching engines also record
+    /// the run-time inspector's verdict on the loops left serial.
     fn run_parallel(
         &self,
         artifacts: &Artifacts,
@@ -102,8 +105,8 @@ pub trait Engine: Send + Sync + std::fmt::Debug {
 /// How a built-in engine runs a loop body.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Executor {
-    /// The tree walker over the name-keyed heap (`serial`, `dispatch`):
-    /// the semantic reference, with its own proof-only dispatcher.
+    /// The tree walker over the name-keyed heap (`serial`): the semantic
+    /// reference, serial on every leg.
     Ast,
     /// Slot-resolved op trees over dense frames (`compiled`).
     Compiled,
@@ -129,7 +132,6 @@ struct Builtin {
 const DISPATCHING: EngineCaps = EngineCaps {
     reductions: true,
     local_arrays: true,
-    inspector_baseline: false,
     level_sets: false,
     reference: false,
     opt_levels: &[OptLevel::O0, OptLevel::O1],
@@ -172,12 +174,11 @@ const BUILTINS: [Builtin; 5] = [
     },
     Builtin {
         name: "ast",
-        description: "tree-walking reference over the name-keyed heap",
+        description: "tree-walking serial reference over the name-keyed heap",
         executor: Executor::Ast,
         caps: EngineCaps {
             reductions: false,
             local_arrays: false,
-            inspector_baseline: true,
             level_sets: false,
             reference: true,
             opt_levels: &[OptLevel::O1],
@@ -187,7 +188,7 @@ const BUILTINS: [Builtin; 5] = [
 
 impl Builtin {
     /// Runs the row's executor on the spine.  The reference walks the
-    /// tree through its own `dispatch.rs`; the slot-addressed executors
+    /// tree serially whichever leg asks; the slot-addressed executors
     /// share the one [`Dispatcher`], built only for parallel runs.
     fn run(
         &self,
@@ -199,9 +200,6 @@ impl Builtin {
         let dispatcher =
             || parallel.then(|| Dispatcher::new(artifacts, opts, self.caps.level_sets));
         Ok(match self.executor {
-            Executor::Ast if parallel => {
-                dispatch::run_parallel_ast(&artifacts.program, &artifacts.report, heap, opts)
-            }
             Executor::Ast => serial::run_serial_ast(&artifacts.program, heap, opts),
             Executor::Compiled => {
                 compiled::run_compiled(&artifacts.compiled, heap, opts, dispatcher().as_ref())
@@ -245,14 +243,6 @@ impl Engine for Builtin {
         heap: Heap,
         opts: &ExecOptions,
     ) -> Result<ExecOutcome, SsError> {
-        if opts.baseline_inspector && !self.caps.inspector_baseline {
-            return Err(SsError::Unsupported {
-                engine: self.name.to_string(),
-                reason: "the runtime-inspector baseline records through the tree-walking \
-                         store; use an engine with the inspector_baseline capability"
-                    .to_string(),
-            });
-        }
         self.run(artifacts, heap, opts, true)
     }
 }
@@ -325,14 +315,6 @@ impl EngineRegistry {
         self.engines.iter().find(|e| e.caps().reference).cloned()
     }
 
-    /// The first engine able to record the runtime-inspector baseline.
-    pub fn inspector_capable(&self) -> Option<Arc<dyn Engine>> {
-        self.engines
-            .iter()
-            .find(|e| e.caps().inspector_baseline)
-            .cloned()
-    }
-
     /// Engines in registration order.
     pub fn iter(&self) -> impl Iterator<Item = &Arc<dyn Engine>> {
         self.engines.iter()
@@ -381,7 +363,6 @@ mod tests {
         );
         assert_eq!(r.default_engine().name(), "bytecode");
         assert_eq!(r.reference().unwrap().name(), "ast");
-        assert_eq!(r.inspector_capable().unwrap().name(), "ast");
         assert_eq!(r.len(), 5);
         assert!(!r.is_empty());
     }
@@ -452,10 +433,9 @@ mod tests {
         let wf = r.get("wavefront").unwrap();
         assert!(wf.caps().reductions && wf.caps().local_arrays);
         assert!(!wf.caps().reference);
-        assert!(!wf.caps().inspector_baseline);
         assert_eq!(wf.caps().opt_levels, &[OptLevel::O0, OptLevel::O1]);
         let ast = r.get("ast").unwrap();
-        assert!(ast.caps().reference && ast.caps().inspector_baseline);
+        assert!(ast.caps().reference);
         assert!(!ast.caps().reductions);
         assert_eq!(ast.caps().opt_levels.len(), 1);
     }

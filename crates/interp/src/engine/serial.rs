@@ -1,15 +1,14 @@
 //! The tree-walking statement walker and the serial reference engine.
 //!
 //! Evaluation and statement execution are written once, generic over a
-//! `Store` (where accesses land) and a `LoopPolicy` (what happens when a
-//! `for` loop is reached).  The serial engine, the AST parallel workers and
-//! the input-discovery pass all instantiate this walker; the AST parallel
-//! spine adds a dispatching policy in [`super::dispatch`].
+//! `Store` (where accesses land).  The serial reference and the
+//! input-discovery pass instantiate this walker; it never dispatches —
+//! every parallel region of this crate is entered by `engine::shared`.
 
 use super::store::{HeapStore, Store};
 use super::{ExecEnvTiming, ExecError, ExecMode, ExecOptions, ExecOutcome, ExecStats};
 use crate::heap::Heap;
-use ss_ir::ast::{AExpr, AssignOp, BinOp, LoopId, Stmt, UnOp};
+use ss_ir::ast::{AExpr, AssignOp, BinOp, Stmt, UnOp};
 use ss_ir::Program;
 use std::time::Instant;
 
@@ -109,64 +108,21 @@ pub(crate) fn apply_assign(op: AssignOp, current: i64, rhs: i64) -> i64 {
 // The statement walker.
 // ---------------------------------------------------------------------------
 
-/// Borrowed view of a `Stmt::For`'s parts, handed to loop policies.
-pub(crate) struct ForLoop<'p> {
-    pub id: LoopId,
-    pub var: &'p str,
-    pub init: &'p AExpr,
-    pub cond_op: BinOp,
-    pub bound: &'p AExpr,
-    pub step: &'p AExpr,
-    pub body: &'p [Stmt],
-}
-
-/// Decides what happens when the walker reaches a `for` loop.
-pub(crate) trait LoopPolicy<S: Store> {
-    /// Returns `Ok(true)` if the loop was fully executed by the policy
-    /// (e.g. dispatched in parallel); `Ok(false)` to run it serially.
-    fn try_dispatch(
-        &mut self,
-        st: &mut S,
-        f: &ForLoop<'_>,
-        env: &mut ExecEnv<'_>,
-    ) -> Result<bool, ExecError>;
-}
-
-/// Policy that never dispatches (serial engine, workers, discovery).
-pub(crate) struct NoDispatch;
-
-impl<S: Store> LoopPolicy<S> for NoDispatch {
-    fn try_dispatch(
-        &mut self,
-        _st: &mut S,
-        _f: &ForLoop<'_>,
-        _env: &mut ExecEnv<'_>,
-    ) -> Result<bool, ExecError> {
-        Ok(false)
-    }
-}
-
 /// Walker state shared down the recursion.
 pub(crate) type ExecEnv<'a> = ExecEnvTiming<'a>;
 
-pub(crate) fn exec_stmts<S: Store, P: LoopPolicy<S>>(
+pub(crate) fn exec_stmts<S: Store>(
     st: &mut S,
     stmts: &[Stmt],
-    pol: &mut P,
     env: &mut ExecEnv<'_>,
 ) -> Result<(), ExecError> {
     for s in stmts {
-        exec_stmt(st, s, pol, env)?;
+        exec_stmt(st, s, env)?;
     }
     Ok(())
 }
 
-fn exec_stmt<S: Store, P: LoopPolicy<S>>(
-    st: &mut S,
-    s: &Stmt,
-    pol: &mut P,
-    env: &mut ExecEnv<'_>,
-) -> Result<(), ExecError> {
+fn exec_stmt<S: Store>(st: &mut S, s: &Stmt, env: &mut ExecEnv<'_>) -> Result<(), ExecError> {
     match s {
         Stmt::Decl { name, dims, init } => {
             if dims.is_empty() {
@@ -181,7 +137,7 @@ fn exec_stmt<S: Store, P: LoopPolicy<S>>(
                     let v = eval(st, d)?;
                     extents.push(v.max(0) as usize);
                 }
-                st.declare_array(name, extents)?;
+                st.declare_array(name, extents);
             }
             Ok(())
         }
@@ -212,9 +168,9 @@ fn exec_stmt<S: Store, P: LoopPolicy<S>>(
             else_branch,
         } => {
             if eval(st, cond)? != 0 {
-                exec_stmts(st, then_branch, pol, env)
+                exec_stmts(st, then_branch, env)
             } else {
-                exec_stmts(st, else_branch, pol, env)
+                exec_stmts(st, else_branch, env)
             }
         }
         Stmt::For {
@@ -227,20 +183,7 @@ fn exec_stmt<S: Store, P: LoopPolicy<S>>(
             body,
             ..
         } => {
-            let f = ForLoop {
-                id: *id,
-                var,
-                init,
-                cond_op: *cond_op,
-                bound,
-                step,
-                body,
-            };
-            if pol.try_dispatch(st, &f, env)? {
-                return Ok(());
-            }
             let start = env.timing.then(Instant::now);
-            st.loop_enter(*id);
             let v0 = eval(st, init)?;
             st.set_scalar(var, v0);
             let mut iter: u64 = 0;
@@ -256,20 +199,15 @@ fn exec_stmt<S: Store, P: LoopPolicy<S>>(
                         cap: env.while_cap,
                     });
                 }
-                st.loop_iter(*id, iter as usize);
-                exec_stmts(st, body, pol, env)?;
+                exec_stmts(st, body, env)?;
                 let sv = eval(st, step)?;
                 let cur = st.scalar(var);
                 st.set_scalar(var, cur.wrapping_add(sv));
                 iter += 1;
             }
-            let verdict = st.loop_exit(*id);
-            let seconds = start.map(|t| t.elapsed().as_secs_f64()).unwrap_or(0.0);
-            if env.timing {
-                env.stats.record(*id, iter, seconds, ExecMode::Serial);
-            }
-            if let Some(conflict_free) = verdict {
-                env.stats.record_inspection(*id, conflict_free);
+            if let Some(t) = start {
+                env.stats
+                    .record(*id, iter, t.elapsed().as_secs_f64(), ExecMode::Serial);
             }
             Ok(())
         }
@@ -283,7 +221,7 @@ fn exec_stmt<S: Store, P: LoopPolicy<S>>(
                         cap: env.while_cap,
                     });
                 }
-                exec_stmts(st, body, pol, env)?;
+                exec_stmts(st, body, env)?;
                 iter += 1;
             }
             if let Some(t) = start {
@@ -296,7 +234,7 @@ fn exec_stmt<S: Store, P: LoopPolicy<S>>(
 }
 
 /// The serial reference engine: tree-walks the whole program against the
-/// heap (what the `ast` registry row's `run_serial` executes).
+/// heap (what the `ast` registry row executes, whichever leg asks).
 pub(crate) fn run_serial_ast(
     program: &Program,
     mut heap: Heap,
@@ -305,15 +243,13 @@ pub(crate) fn run_serial_ast(
     let mut stats = ExecStats::default();
     let start = Instant::now();
     {
-        // Record under the same baseline flag as the parallel engine so
-        // that per-loop timings of the two runs are like-for-like.
-        let mut store = HeapStore::new(&mut heap, opts.baseline_inspector);
+        let mut store = HeapStore { heap: &mut heap };
         let mut env = ExecEnv {
             stats: &mut stats,
             timing: true,
             while_cap: opts.while_cap,
         };
-        exec_stmts(&mut store, &program.body, &mut NoDispatch, &mut env)?;
+        exec_stmts(&mut store, &program.body, &mut env)?;
     }
     stats.total_seconds = start.elapsed().as_secs_f64();
     Ok(ExecOutcome { heap, stats })

@@ -12,9 +12,11 @@
 //!   `k` on it);
 //! * the [`Dispatcher`] picks the [`Strategy`] — proof-based parallel-for
 //!   first, then dependence level sets when the registry row enables them
-//!   — and [`Dispatcher::run`] does the rest: gate → materialize the
-//!   iteration space → snapshot scalars → fan out over [`SharedSlots`] →
-//!   fold [`ChunkAcc`] → last-writer / combiner / local-array merge-back.
+//!   (or the run asks for the run-time-inspector baseline, which reads its
+//!   verdict off the same inspection) — and [`Dispatcher::run`] does the
+//!   rest: gate → materialize the iteration space → snapshot scalars →
+//!   fan out over [`SharedSlots`] → fold [`ChunkAcc`] → last-writer /
+//!   combiner / local-array merge-back.
 //!
 //! Every region of every executor runs on the persistent process-wide
 //! [`ss_runtime::ThreadTeam`] of the run's
@@ -22,11 +24,12 @@
 //! first dispatched region of the first run in the group and reused by
 //! every later region of every later run, so repeated runs in one process
 //! pay exactly one spawn per thread count, ever.  [`run_region`] is the
-//! only caller of `ss_runtime::team_parallel_reduce` in this crate.
+//! only place in this crate that enters a team region, and this file the
+//! only one with `unsafe` (CI greps for both).
 
 use super::store::elem_at;
-use super::wavefront::LevelSets;
-use super::{ExecEnvTiming, ExecError, ExecMode, ExecOptions, ExecStats};
+use super::wavefront::{LevelSets, MIN_AVG_WIDTH};
+use super::{ExecEnvTiming, ExecError, ExecMode, ExecOptions, ExecStats, ScheduleChoice};
 use crate::heap::{row_major_flat, ArrayVal, Heap};
 use ss_inspector::levelset::LevelSchedule;
 use ss_ir::ast::{BinOp, LoopId};
@@ -416,10 +419,17 @@ pub(super) struct Dispatcher<'r> {
     /// Outermost proven-parallel loops, keyed for O(1) lookup at each
     /// `for`, with their (possibly empty) reductions.
     dispatchable: HashMap<LoopId, Vec<ReductionInfo>>,
-    /// The level-set strategy, when the registry row enables it.
+    /// The level-set inspection: present when the registry row runs
+    /// level sets or the run records the inspector baseline.
     level_sets: Option<LevelSets<'r>>,
+    /// Whether the registry row may *run* a loop as level sets.
+    run_levels: bool,
     opts: &'r ExecOptions,
 }
+
+/// Loops with fewer iterations than this stay on the spine (dispatch would
+/// cost more than it buys).
+const MIN_PARALLEL_TRIP: usize = 2;
 
 /// How one loop's iterations reach the team.
 pub(super) enum Strategy<'d> {
@@ -427,7 +437,9 @@ pub(super) enum Strategy<'d> {
     /// `0..n`.
     Proof(&'d [ReductionInfo]),
     /// Serial-proven but gate-approved: inspected into dependence level
-    /// sets, one region per level.
+    /// sets — the inspector baseline's verdict — and, on rows with
+    /// [`EngineCaps::level_sets`](super::EngineCaps::level_sets), run one
+    /// region per level.
     LevelSets(&'d LevelSets<'d>, &'d WavefrontFact),
 }
 
@@ -448,7 +460,8 @@ impl<'r> Dispatcher<'r> {
             .collect();
         Dispatcher {
             dispatchable,
-            level_sets: level_sets.then(|| LevelSets::new(artifacts)),
+            level_sets: (level_sets || opts.baseline_inspector).then(|| LevelSets::new(artifacts)),
+            run_levels: level_sets,
             opts,
         }
     }
@@ -488,7 +501,8 @@ impl<'r> Dispatcher<'r> {
     /// The rest of the recipe, from the once-evaluated `header` (initial
     /// value, bound, step — invariant under a dispatchable body) to the
     /// merged-back spine.  `Ok(false)` means the loop must run on the
-    /// spine after all (too few iterations, no profitable schedule).
+    /// spine after all (too few iterations, no profitable schedule, a row
+    /// that only inspects).
     pub(super) fn run<B: RegionBody>(
         &self,
         strategy: Strategy<'_>,
@@ -500,17 +514,31 @@ impl<'r> Dispatcher<'r> {
     ) -> Result<bool, ExecError> {
         let while_cap = env.while_cap;
         let (values, exit_value) =
-            super::materialize_iteration_space(v0, bound, step, lp.cond_op, lp.id, while_cap)?;
-        if values.len() < self.opts.min_parallel_trip {
+            materialize_iteration_space(v0, bound, step, lp.cond_op, lp.id, while_cap)?;
+        if values.len() < MIN_PARALLEL_TRIP {
             return Ok(false);
         }
         let (reductions, levels) = match strategy {
             Strategy::Proof(reductions) => (reductions, None),
             Strategy::LevelSets(level_sets, fact) => {
-                match level_sets.schedule(fact, lp.id, &spine, body, &values, while_cap) {
-                    Some(schedule) => (&[][..], Some(schedule)),
-                    None => return Ok(false),
+                let Some(schedule) =
+                    level_sets.schedule(fact, lp.id, &spine, body, &values, while_cap)
+                else {
+                    return Ok(false);
+                };
+                if self.opts.baseline_inspector {
+                    // One level: no element is shared by two iterations
+                    // with a write among them — what a run-time inspector
+                    // checks before licensing a parallel executor.
+                    env.stats.record_inspection(lp.id, schedule.nlevels() <= 1);
                 }
+                // Too fine, and the barrier per level would cost more
+                // than it buys — stay serial.  The schedule stays cached,
+                // so later runs skip straight to this decision.
+                if !(self.run_levels && schedule.avg_width() >= MIN_AVG_WIDTH) {
+                    return Ok(false);
+                }
+                (&[][..], Some(schedule))
             }
         };
         let plan = RegionPlan {
@@ -528,6 +556,67 @@ impl<'r> Dispatcher<'r> {
 // ---------------------------------------------------------------------------
 // The region recipe.
 // ---------------------------------------------------------------------------
+
+/// Materializes the iteration values of a dispatchable loop from its
+/// once-evaluated header (initial value, bound, step): the per-iteration
+/// index values plus the index variable's exit value, under the serial
+/// loop's termination rules (iteration cap, zero step).
+fn materialize_iteration_space(
+    v0: i64,
+    bound: i64,
+    step: i64,
+    cond_op: BinOp,
+    loop_id: LoopId,
+    while_cap: u64,
+) -> Result<(Vec<i64>, i64), ExecError> {
+    let mut values = Vec::new();
+    let mut v = v0;
+    while super::serial::compare(cond_op, v, bound) {
+        if values.len() as u64 >= while_cap {
+            return Err(ExecError::NonTerminating {
+                loop_id,
+                cap: while_cap,
+            });
+        }
+        values.push(v);
+        v = v.wrapping_add(step);
+        if step == 0 {
+            return Err(ExecError::NonTerminating {
+                loop_id,
+                cap: while_cap,
+            });
+        }
+    }
+    Ok((values, v))
+}
+
+/// Maps the user's schedule choice (plus the loop's skew fact) onto a
+/// concrete runtime schedule.  `chunk` overrides the auto-derived dynamic
+/// chunk size (the tuner's chunk axis); `None` keeps
+/// [`Schedule::dynamic_for`]'s derivation.
+fn choose_schedule(
+    choice: ScheduleChoice,
+    skewed: bool,
+    n: usize,
+    threads: usize,
+    chunk: Option<usize>,
+) -> Schedule {
+    let dynamic = || match chunk {
+        Some(c) => Schedule::Dynamic { chunk: c.max(1) },
+        None => Schedule::dynamic_for(n, threads),
+    };
+    match choice {
+        ScheduleChoice::Static => Schedule::Static,
+        ScheduleChoice::Dynamic => dynamic(),
+        ScheduleChoice::Auto => {
+            if skewed {
+                dynamic()
+            } else {
+                Schedule::Static
+            }
+        }
+    }
+}
 
 struct RegionPlan<'a> {
     lp: &'a LoopShape<'a>,
@@ -578,7 +667,7 @@ fn run_region<B: RegionBody>(
     // One region on the team: `order` maps region positions to iteration
     // ordinals (one level of a schedule); `None` is `0..n` itself.
     let mut fan_out = |order: Option<&[u32]>, n: usize| {
-        let schedule = super::choose_schedule(opts.schedule, lp.skewed, n, threads, opts.chunk);
+        let schedule = choose_schedule(opts.schedule, lp.skewed, n, threads, opts.chunk);
         dynamic |= matches!(schedule, Schedule::Dynamic { .. });
         with_shared_team_in(opts.team_group, threads, |team| {
             team_parallel_reduce(

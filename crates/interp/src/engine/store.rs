@@ -1,21 +1,18 @@
-//! The tree-walking engines' pluggable stores: where scalar and array
-//! accesses land during AST execution.
+//! The tree walker's pluggable stores: where scalar and array accesses
+//! land during AST execution.
 //!
-//! | store           | used by                       | backing            |
-//! |-----------------|-------------------------------|--------------------|
-//! | `HeapStore`   | serial engine, parallel spine | whole heap (+ inspector recording) |
-//! | `WorkerStore` | AST parallel workers          | shared arrays + private scalars |
-//! | discovery store | input synthesis               | growable recording heap (in `inputs`) |
+//! | store           | used by              | backing                               |
+//! |-----------------|----------------------|---------------------------------------|
+//! | `HeapStore`     | the serial reference | whole heap                            |
+//! | discovery store | input synthesis      | growable recording heap (in `inputs`) |
 
 use super::ExecError;
 use crate::heap::{ArrayVal, Heap};
-use ss_ir::ast::LoopId;
-use std::collections::HashMap;
 
 /// Where scalar and array accesses land during AST execution.
 pub(crate) trait Store {
     /// Reads a scalar; undefined scalars read as 0 (C-style zero init, and
-    /// it keeps discovery, serial and worker behavior identical).
+    /// it keeps discovery and serial behavior identical).
     fn scalar(&mut self, name: &str) -> i64;
     /// Writes a scalar, creating it if needed.
     fn set_scalar(&mut self, name: &str, v: i64);
@@ -24,99 +21,12 @@ pub(crate) trait Store {
     /// Writes one array element.
     fn write_elem(&mut self, array: &str, indices: &[i64], v: i64) -> Result<(), ExecError>;
     /// Declares an array with the given extents (zero-filled).
-    fn declare_array(&mut self, name: &str, dims: Vec<usize>) -> Result<(), ExecError>;
-    /// Called when a serially executed `for` loop is entered.
-    fn loop_enter(&mut self, _id: LoopId) {}
-    /// Called before each iteration of a serially executed `for` loop.
-    fn loop_iter(&mut self, _id: LoopId, _iter: usize) {}
-    /// Called when the loop exits; an inspecting store returns whether the
-    /// observed accesses were free of cross-iteration conflicts.
-    fn loop_exit(&mut self, _id: LoopId) -> Option<bool> {
-        None
-    }
+    fn declare_array(&mut self, name: &str, dims: Vec<usize>);
 }
 
-/// Store over the whole heap, optionally recording accesses for the
-/// inspector baseline.
+/// Store over the whole heap.
 pub(crate) struct HeapStore<'h> {
     pub heap: &'h mut Heap,
-    inspector: Option<InspectorRec>,
-}
-
-impl<'h> HeapStore<'h> {
-    pub fn new(heap: &'h mut Heap, inspect: bool) -> HeapStore<'h> {
-        HeapStore {
-            heap,
-            inspector: inspect.then(InspectorRec::default),
-        }
-    }
-
-    fn note(&mut self, array: &str, indices: &[i64], write: bool) {
-        if let Some(rec) = &mut self.inspector {
-            rec.note(array, indices, write);
-        }
-    }
-
-    /// Marks every active inspector frame blind: a loop is about to run on
-    /// worker threads whose array accesses the recording cannot see.
-    pub(crate) fn mark_frames_blind(&mut self) {
-        if let Some(rec) = &mut self.inspector {
-            for frame in &mut rec.frames {
-                frame.blind = true;
-            }
-        }
-    }
-}
-
-/// Cross-iteration conflict recording: what a runtime inspector would see.
-/// One frame per (nested) serially-executed loop; a frame flags a conflict
-/// when an element is touched from two different iterations and at least one
-/// touch is a write.
-#[derive(Default)]
-struct InspectorRec {
-    frames: Vec<InspectorFrame>,
-}
-
-struct InspectorFrame {
-    id: LoopId,
-    iter: usize,
-    seen: HashMap<(String, Vec<i64>), (usize, bool)>,
-    conflict: bool,
-    overflow: bool,
-    /// A parallel loop was dispatched while this frame was active: worker
-    /// array accesses bypass the recording, so no verdict can be given.
-    blind: bool,
-}
-
-/// Above this many distinct elements per loop invocation the recording stops
-/// and the verdict becomes "not licensed" (an unbounded inspector would be
-/// unrealistic anyway).
-const INSPECTOR_ELEMENT_CAP: usize = 1 << 21;
-
-impl InspectorRec {
-    fn note(&mut self, array: &str, indices: &[i64], write: bool) {
-        for frame in &mut self.frames {
-            if frame.conflict || frame.overflow || frame.blind {
-                continue;
-            }
-            if frame.seen.len() >= INSPECTOR_ELEMENT_CAP {
-                frame.overflow = true;
-                continue;
-            }
-            let key = (array.to_string(), indices.to_vec());
-            match frame.seen.get_mut(&key) {
-                Some((first_iter, wrote)) => {
-                    if *first_iter != frame.iter && (write || *wrote) {
-                        frame.conflict = true;
-                    }
-                    *wrote = *wrote || write;
-                }
-                None => {
-                    frame.seen.insert(key, (frame.iter, write));
-                }
-            }
-        }
-    }
 }
 
 impl Store for HeapStore<'_> {
@@ -136,7 +46,6 @@ impl Store for HeapStore<'_> {
     }
 
     fn read_elem(&mut self, array: &str, indices: &[i64]) -> Result<i64, ExecError> {
-        self.note(array, indices, false);
         let a = self
             .heap
             .arrays
@@ -146,7 +55,6 @@ impl Store for HeapStore<'_> {
     }
 
     fn write_elem(&mut self, array: &str, indices: &[i64], v: i64) -> Result<(), ExecError> {
-        self.note(array, indices, true);
         let a = self
             .heap
             .arrays
@@ -157,43 +65,10 @@ impl Store for HeapStore<'_> {
         Ok(())
     }
 
-    fn declare_array(&mut self, name: &str, dims: Vec<usize>) -> Result<(), ExecError> {
+    fn declare_array(&mut self, name: &str, dims: Vec<usize>) {
         self.heap
             .arrays
             .insert(name.to_string(), ArrayVal::zeros(dims));
-        Ok(())
-    }
-
-    fn loop_enter(&mut self, id: LoopId) {
-        if let Some(rec) = &mut self.inspector {
-            rec.frames.push(InspectorFrame {
-                id,
-                iter: 0,
-                seen: HashMap::new(),
-                conflict: false,
-                overflow: false,
-                blind: false,
-            });
-        }
-    }
-
-    fn loop_iter(&mut self, id: LoopId, iter: usize) {
-        if let Some(rec) = &mut self.inspector {
-            if let Some(frame) = rec.frames.last_mut() {
-                debug_assert_eq!(frame.id, id);
-                frame.iter = iter;
-            }
-        }
-    }
-
-    fn loop_exit(&mut self, id: LoopId) -> Option<bool> {
-        let rec = self.inspector.as_mut()?;
-        let frame = rec.frames.pop()?;
-        debug_assert_eq!(frame.id, id);
-        if frame.blind {
-            return None;
-        }
-        Some(!frame.conflict && !frame.overflow)
     }
 }
 
@@ -210,110 +85,4 @@ pub(crate) fn elem_at(name: &str, a: &ArrayVal, indices: &[i64]) -> Result<usize
         indices: indices.to_vec(),
         dims: a.dims.clone(),
     })
-}
-
-/// Raw views of every heap array, shareable across worker threads.
-pub(crate) struct SharedArrays {
-    map: HashMap<String, SharedArray>,
-}
-
-struct SharedArray {
-    /// `*mut i64` of the array's storage, smuggled as usize for `Send`.
-    ptr: usize,
-    dims: Vec<usize>,
-    len: usize,
-}
-
-// SAFETY: workers only access disjoint elements (the property the
-// compile-time analysis proved before the loop was dispatched); the Vec
-// storage itself is neither grown nor freed while workers run.
-unsafe impl Sync for SharedArrays {}
-
-impl SharedArrays {
-    pub fn capture(heap: &mut Heap) -> SharedArrays {
-        let map = heap
-            .arrays
-            .iter_mut()
-            .map(|(name, a)| {
-                (
-                    name.clone(),
-                    SharedArray {
-                        ptr: a.data.as_mut_ptr() as usize,
-                        dims: a.dims.clone(),
-                        len: a.data.len(),
-                    },
-                )
-            })
-            .collect();
-        SharedArrays { map }
-    }
-
-    fn flat(&self, array: &str, indices: &[i64]) -> Result<(usize, usize), ExecError> {
-        let a = self
-            .map
-            .get(array)
-            .ok_or_else(|| ExecError::UndefinedArray(array.to_string()))?;
-        if indices.len() != a.dims.len() {
-            return Err(ExecError::ArityMismatch {
-                array: array.to_string(),
-                expected: a.dims.len(),
-                got: indices.len(),
-            });
-        }
-        let flat = crate::heap::row_major_flat(&a.dims, indices).ok_or_else(|| {
-            ExecError::OutOfBounds {
-                array: array.to_string(),
-                indices: indices.to_vec(),
-                dims: a.dims.clone(),
-            }
-        })?;
-        debug_assert!(flat < a.len);
-        Ok((a.ptr, flat))
-    }
-}
-
-/// Per-worker store of the AST parallel engine: shared arrays, private
-/// scalar environment.  Each scalar entry carries the (global) iteration of
-/// its last write — or `None` for snapshot values never written by this
-/// worker — so the spine can merge the serially-last value back.
-pub(crate) struct WorkerStore<'s> {
-    pub shared: &'s SharedArrays,
-    pub scalars: HashMap<String, (i64, Option<usize>)>,
-    pub current_iter: usize,
-}
-
-impl Store for WorkerStore<'_> {
-    fn scalar(&mut self, name: &str) -> i64 {
-        self.scalars.get(name).map(|&(v, _)| v).unwrap_or(0)
-    }
-
-    fn set_scalar(&mut self, name: &str, v: i64) {
-        let iter = self.current_iter;
-        match self.scalars.get_mut(name) {
-            Some(slot) => *slot = (v, Some(iter)),
-            None => {
-                self.scalars.insert(name.to_string(), (v, Some(iter)));
-            }
-        }
-    }
-
-    fn read_elem(&mut self, array: &str, indices: &[i64]) -> Result<i64, ExecError> {
-        let (ptr, flat) = self.shared.flat(array, indices)?;
-        // SAFETY: flat is bounds-checked above; disjointness across workers
-        // is the dispatched loop's proven property.
-        Ok(unsafe { *(ptr as *const i64).add(flat) })
-    }
-
-    fn write_elem(&mut self, array: &str, indices: &[i64], v: i64) -> Result<(), ExecError> {
-        let (ptr, flat) = self.shared.flat(array, indices)?;
-        // SAFETY: as above.
-        unsafe {
-            *(ptr as *mut i64).add(flat) = v;
-        }
-        Ok(())
-    }
-
-    fn declare_array(&mut self, name: &str, _dims: Vec<usize>) -> Result<(), ExecError> {
-        Err(ExecError::ArrayDeclInWorker(name.to_string()))
-    }
 }

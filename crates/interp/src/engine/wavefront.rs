@@ -35,10 +35,17 @@
 //! through the same `RegionBody` the workers use.  Proven-parallel and
 //! reduction loops never get here — the `Dispatcher` tries proof-based
 //! dispatch first.
+//!
+//! Steps 1–3 are also the run-time-inspector baseline
+//! (`ExecOptions::baseline_inspector`): on every dispatching row the
+//! `Dispatcher` reads "one level" off the schedule as "an inspector would
+//! have licensed a parallel executor"; step 4 stays reserved to rows with
+//! `EngineCaps::level_sets`.
 
 use super::shared::{ArrayStore, Dispatcher, RegionBody, Spine};
 use super::store::elem_at;
 use super::{ExecError, ExecOptions};
+use crate::fnv::Fnv1a;
 use crate::heap::{ArrayVal, Heap};
 use ss_inspector::levelset::{build_level_sets, IterationAccess, LevelSchedule};
 use ss_ir::slots::{ArraySlot, SlotMap};
@@ -120,35 +127,16 @@ fn as_cache(arc: &Arc<dyn EngineArtifact>) -> &WfScheduleCache {
 }
 
 /// Feeds one stream of words to two hashes: the std SipHash that keys the
-/// cache, and a word-wise FNV-1a that verifies hits.
+/// cache, and the word-wise FNV-1a that verifies hits.
 struct EntryHasher {
     key: DefaultHasher,
-    fnv: u64,
-}
-
-impl EntryHasher {
-    #[inline]
-    fn eat(&mut self, word: u64) {
-        self.fnv = (self.fnv ^ word).wrapping_mul(0x0100_0000_01b3);
-    }
+    fnv: Fnv1a,
 }
 
 impl Hasher for EntryHasher {
     fn write(&mut self, bytes: &[u8]) {
         self.key.write(bytes);
-        // Word-wise, not byte-wise: index arrays arrive as one multi-
-        // megabyte slice per loop entry, and this pass must stay cheaper
-        // than the SipHash one beside it.
-        let mut words = bytes.chunks_exact(8);
-        for word in &mut words {
-            self.eat(u64::from_le_bytes(word.try_into().expect("8-byte chunk")));
-        }
-        let rest = words.remainder();
-        if !rest.is_empty() {
-            let mut tail = [0u8; 8];
-            tail[..rest.len()].copy_from_slice(rest);
-            self.eat(u64::from_le_bytes(tail));
-        }
+        self.fnv.write(bytes);
     }
 
     fn finish(&self) -> u64 {
@@ -170,7 +158,7 @@ fn entry_state(
 ) -> (u64, EntryCheck) {
     let mut h = EntryHasher {
         key: DefaultHasher::new(),
-        fnv: 0xcbf2_9ce4_8422_2325,
+        fnv: Fnv1a::new(),
     };
     id.0.hash(&mut h);
     while_cap.hash(&mut h);
@@ -201,7 +189,7 @@ fn entry_state(
     let check = EntryCheck {
         iterations,
         schedule_array_lens,
-        fnv: h.fnv,
+        fnv: h.fnv.0,
     };
     (h.finish(), check)
 }
@@ -346,9 +334,9 @@ impl<'r> LevelSets<'r> {
         self.facts.get(&id).copied()
     }
 
-    /// The schedule for this entry state — cached, or inspected and cached
-    /// now — when it exists and is worth running.  `None` sends the loop
-    /// to the serial path.
+    /// The schedule for this entry state — cached (and verified), or
+    /// inspected and cached now.  `None` means the replay failed: the loop
+    /// goes to the serial path, which reproduces the failure on real state.
     pub(super) fn schedule<B: RegionBody>(
         &self,
         fact: &WavefrontFact,
@@ -378,11 +366,7 @@ impl<'r> LevelSets<'r> {
                 schedule
             }
         };
-        // Too fine (or a stale shape): the barrier per level would cost
-        // more than it buys — stay serial.  The schedule stays cached, so
-        // later runs skip straight to this decision.
-        (schedule.iterations() == values.len() && schedule.avg_width() >= MIN_AVG_WIDTH)
-            .then_some(schedule)
+        (schedule.iterations() == values.len()).then_some(schedule)
     }
 }
 

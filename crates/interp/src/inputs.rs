@@ -21,7 +21,7 @@
 //! discovery did, with no out-of-bounds surprises and no second source of
 //! randomness.
 
-use crate::engine::serial::{exec_stmts, ExecEnv, NoDispatch};
+use crate::engine::serial::{exec_stmts, ExecEnv};
 use crate::engine::store::Store;
 use crate::engine::{ExecError, ExecOptions, ExecStats};
 use crate::heap::{ArrayVal, Heap};
@@ -137,12 +137,11 @@ impl Store for DiscoveryStore {
         Ok(())
     }
 
-    fn declare_array(&mut self, name: &str, dims: Vec<usize>) -> Result<(), ExecError> {
+    fn declare_array(&mut self, name: &str, dims: Vec<usize>) {
         let a = self.arrays.entry(name.to_string()).or_default();
         a.max_index = dims.iter().map(|&d| d as i64 - 1).collect();
         a.declared = Some(dims);
         a.written.clear();
-        Ok(())
     }
 }
 
@@ -166,7 +165,7 @@ pub fn synthesize_inputs(program: &Program, spec: &InputSpec) -> Result<Heap, Ex
         timing: false,
         while_cap: ExecOptions::default().while_cap,
     };
-    exec_stmts(&mut store, &program.body, &mut NoDispatch, &mut env)?;
+    exec_stmts(&mut store, &program.body, &mut env)?;
 
     let mut heap = Heap::new();
     for name in free_scalars(program) {

@@ -1,4 +1,4 @@
-//! Minimal JSON emission (the vendored `serde` is a no-op stand-in, so
+//! Minimal JSON emission (the workspace builds offline and std-only, so
 //! machine-readable output is rendered by hand here).
 //!
 //! This is the **single serializer path** for every machine-readable

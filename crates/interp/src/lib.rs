@@ -19,8 +19,9 @@
 //!   register-machine stream of `ss_ir::bytecode` on a persistent thread
 //!   team, the **compiled** engine executing slot-resolved op sequences
 //!   over dense frames, and the **tree-walking** reference engine.  All
-//!   consume precompiled [`Artifacts`](ss_parallelizer::Artifacts) and
-//!   dispatch every proven-parallel loop onto `ss_runtime` worker threads;
+//!   consume precompiled [`Artifacts`](ss_parallelizer::Artifacts); all
+//!   but the reference (serial on every leg) dispatch every
+//!   proven-parallel loop onto `ss_runtime` worker threads;
 //! * [`request`] — the run/tune request schema, declared once: one table
 //!   row per knob (wire key, CLI flag, type and bounds, surfaces, help)
 //!   that the `sspar` flag parser, its `--help` and the `sspard` wire
@@ -72,6 +73,7 @@
 
 pub mod engine;
 pub mod error;
+mod fnv;
 pub mod heap;
 pub mod inputs;
 pub mod json;

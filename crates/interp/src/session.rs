@@ -5,8 +5,10 @@
 //! drives instead of reaching into crate internals:
 //!
 //! * it owns a **content-addressed artifact cache**: compiling a source is
-//!   keyed by a hash of `(name, source)`, so compile-once — a pipeline
-//!   invariant within one run since PR 4 — becomes
+//!   keyed by a hash of `(name, source)` — each hit verified against
+//!   lengths and a second, independent hash, so a key collision costs a
+//!   recompilation, never another program's artifacts — so compile-once,
+//!   a pipeline invariant within one run since PR 4, becomes
 //!   compile-once-*per-program-per-process*, with hit/miss/eviction
 //!   counters ([`Session::cache_stats`]);
 //! * it owns the **engine registry** ([`EngineRegistry`]): requests select
@@ -52,6 +54,7 @@
 
 use crate::engine::{Engine, EngineRegistry, ExecOptions, ExecStats, ScheduleChoice};
 use crate::error::SsError;
+use crate::fnv::Fnv1a;
 use crate::heap::Heap;
 use crate::inputs::{synthesize_inputs, InputSpec};
 use crate::json;
@@ -145,8 +148,11 @@ pub struct RunRequest {
     pub validation: ValidationMode,
     /// Which executions a [`ValidationMode::None`] run performs.
     pub mode: ExecutionMode,
-    /// Record the runtime-inspector baseline on compile-time-serial loops
-    /// (parallel legs run on an inspector-capable engine).
+    /// Record the runtime-inspector baseline on compile-time-serial loops:
+    /// the parallel leg's per-loop
+    /// [`inspector_conflict_free`](crate::LoopStats::inspector_conflict_free)
+    /// verdicts, read off the level-set inspection by every dispatching
+    /// engine.
     pub baseline_inspector: bool,
     /// Iteration cap per loop invocation (`None` = engine default).
     pub while_cap: Option<u64>,
@@ -294,7 +300,6 @@ impl RunRequest {
             baseline_inspector: self.baseline_inspector,
             while_cap: self.while_cap.unwrap_or(defaults.while_cap),
             team_group: self.team_group,
-            ..defaults
         }
     }
 }
@@ -371,12 +376,8 @@ pub struct ValidationSummary {
 pub struct RunOutcome {
     /// Program name.
     pub program: String,
-    /// The engine that ran the requested execution.
+    /// The engine that ran the requested execution, every leg of it.
     pub engine: String,
-    /// The engine that ran the parallel leg (differs from
-    /// [`engine`](Self::engine) when the inspector baseline redirected it
-    /// to an inspector-capable engine); `None` when no parallel leg ran.
-    pub parallel_engine: Option<String>,
     /// Opt level the request asked for.
     pub opt_level: OptLevel,
     /// Worker threads the parallel leg used.
@@ -473,8 +474,8 @@ impl RunOutcome {
             ("engine", json::string(&self.engine)),
             (
                 "parallel_engine",
-                match &self.parallel_engine {
-                    Some(e) => json::string(e),
+                match &self.parallel {
+                    Some(_) => json::string(&self.engine),
                     None => "null".to_string(),
                 },
             ),
@@ -619,7 +620,6 @@ pub fn registry_json(registry: &EngineRegistry) -> String {
                 ("reference", caps.reference.to_string()),
                 ("reductions", caps.reductions.to_string()),
                 ("local_arrays", caps.local_arrays.to_string()),
-                ("inspector_baseline", caps.inspector_baseline.to_string()),
                 ("level_sets", caps.level_sets.to_string()),
                 (
                     "opt_levels",
@@ -658,9 +658,39 @@ pub struct CacheStats {
     pub policy: &'static str,
 }
 
+/// What a cache hit is checked against before its artifacts are trusted:
+/// cheap facts of `(name, source)` plus a second hash of the same bytes,
+/// independent of the key's (the shape of the schedule cache's verifier in
+/// `engine::wavefront`).
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct SourceCheck {
+    name_len: usize,
+    source_len: usize,
+    fnv: u64,
+}
+
+impl SourceCheck {
+    fn of(name: &str, source: &str) -> SourceCheck {
+        let mut fnv = Fnv1a::new();
+        fnv.write(name.as_bytes());
+        fnv.write(source.as_bytes());
+        SourceCheck {
+            name_len: name.len(),
+            source_len: source.len(),
+            fnv: fnv.0,
+        }
+    }
+}
+
+struct CacheEntry {
+    artifacts: Arc<Artifacts>,
+    /// Approximate byte charge, refreshed on every hit.
+    charge: usize,
+    check: SourceCheck,
+}
+
 struct CacheState {
-    /// Cached artifacts plus each entry's approximate byte charge.
-    map: HashMap<u128, (Arc<Artifacts>, usize)>,
+    map: HashMap<u128, CacheEntry>,
     /// Recency order (front = least recently used): hits move an entry to
     /// the back, eviction under the capacity bounds pops the front.
     order: VecDeque<u128>,
@@ -801,8 +831,8 @@ impl Session {
         };
         while state.map.len() > 1 && over(state) {
             if let Some(old) = state.order.pop_front() {
-                if let Some((_, freed)) = state.map.remove(&old) {
-                    state.bytes -= freed;
+                if let Some(evicted) = state.map.remove(&old) {
+                    state.bytes -= evicted.charge;
                 }
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
@@ -817,9 +847,22 @@ impl Session {
         source: &str,
     ) -> Result<(Arc<Artifacts>, bool), SsError> {
         let key = content_key(name, source);
+        let check = SourceCheck::of(name, source);
         {
             let mut state = self.cache.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some((found, old_charge)) = state.map.get(&key).map(|(a, c)| (Arc::clone(a), *c))
+            // Another program's artifacts under this key (a 128-bit
+            // collision) are a miss: drop the entry so the compilation
+            // below replaces it.
+            if state.map.get(&key).is_some_and(|e| e.check != check) {
+                if let Some(stale) = state.map.remove(&key) {
+                    state.bytes -= stale.charge;
+                }
+                state.order.retain(|k| *k != key);
+            }
+            if let Some((found, old_charge)) = state
+                .map
+                .get(&key)
+                .map(|e| (Arc::clone(&e.artifacts), e.charge))
             {
                 // LRU: a hit moves the entry to the back of the recency
                 // order, and re-charges it — engine lowerings attach to
@@ -833,7 +876,7 @@ impl Session {
                 if new_charge != old_charge {
                     state.bytes = state.bytes + new_charge - old_charge;
                     if let Some(entry) = state.map.get_mut(&key) {
-                        entry.1 = new_charge;
+                        entry.charge = new_charge;
                     }
                     // The refreshed charge can push the account over the
                     // byte bound; re-run eviction so the invariant
@@ -854,7 +897,11 @@ impl Session {
         let charge = compiled.approx_bytes();
         let mut state = self.cache.lock().unwrap_or_else(|e| e.into_inner());
         if let std::collections::hash_map::Entry::Vacant(slot) = state.map.entry(key) {
-            slot.insert((Arc::clone(&compiled), charge));
+            slot.insert(CacheEntry {
+                artifacts: Arc::clone(&compiled),
+                charge,
+                check,
+            });
             state.order.push_back(key);
             state.bytes += charge;
             // Evict least-recently-used entries under either bound; the
@@ -970,27 +1017,10 @@ impl Session {
                 Ok(())
             };
         prepare_once(&engine, &mut prepared)?;
-        // The inspector baseline records through the tree-walker's store:
-        // redirect the parallel leg to an inspector-capable engine, the
-        // way `--baseline inspector` always has.
-        let parallel_engine = if opts.baseline_inspector && !engine.caps().inspector_baseline {
-            self.registry
-                .inspector_capable()
-                .ok_or_else(|| SsError::Unsupported {
-                    engine: engine.name().to_string(),
-                    reason: "the inspector baseline needs an engine with the \
-                             inspector_baseline capability, and none is registered"
-                        .to_string(),
-                })?
-        } else {
-            Arc::clone(&engine)
-        };
-        prepare_once(&parallel_engine, &mut prepared)?;
 
         let mut serial: Option<ExecStats> = None;
         let mut parallel: Option<ExecStats> = None;
         let mut validation: Option<ValidationSummary> = None;
-        let mut parallel_engine_used: Option<String> = None;
         let heap;
 
         match request.validation {
@@ -1038,12 +1068,11 @@ impl Session {
                     // The requested engine is the reference itself.
                     serial = Some(ref_out.stats.clone());
                 }
-                let par_out = parallel_engine.run_parallel(&artifacts, initial.clone(), &opts)?;
+                let par_out = engine.run_parallel(&artifacts, initial.clone(), &opts)?;
                 for m in ref_out.heap.diff(&par_out.heap) {
                     mismatches.push(format!("serial vs parallel: {m}"));
                 }
-                compared.push(format!("parallel {}", parallel_engine.name()));
-                parallel_engine_used = Some(parallel_engine.name().to_string());
+                compared.push(format!("parallel {}", engine.name()));
                 validation = Some(ValidationSummary {
                     compared,
                     heaps_match: mismatches.is_empty(),
@@ -1064,9 +1093,8 @@ impl Session {
                     last_heap = Some(out.heap);
                 }
                 if run_parallel_leg {
-                    let out = parallel_engine.run_parallel(&artifacts, initial.clone(), &opts)?;
+                    let out = engine.run_parallel(&artifacts, initial.clone(), &opts)?;
                     parallel = Some(out.stats);
-                    parallel_engine_used = Some(parallel_engine.name().to_string());
                     last_heap = Some(out.heap);
                 }
                 heap = last_heap.expect("ExecutionMode always runs at least one leg");
@@ -1080,7 +1108,6 @@ impl Session {
         Ok(RunOutcome {
             program: artifacts.report.name.clone(),
             engine: engine.name().to_string(),
-            parallel_engine: parallel_engine_used,
             opt_level: opts.opt_level,
             threads: opts.threads,
             cache_hit,
@@ -1235,7 +1262,6 @@ mod tests {
         assert_eq!(outcome.proven_parallel, vec![LoopId(0), LoopId(1)]);
         assert_eq!(outcome.dispatched, vec![LoopId(0), LoopId(1)]);
         assert_eq!(outcome.engine, "bytecode");
-        assert_eq!(outcome.parallel_engine.as_deref(), Some("bytecode"));
         assert!(outcome.serial.is_some() && outcome.parallel.is_some());
         assert!(outcome.speedup().unwrap() > 0.0);
         let v = outcome.validation.as_ref().unwrap();
@@ -1372,6 +1398,41 @@ mod tests {
     }
 
     #[test]
+    fn a_colliding_cache_key_is_recompiled_not_trusted() {
+        let (src_a, src_b) = ("x = 1;", "y = 2;");
+        let session = Session::new();
+        let a = session.artifacts("a", src_a).unwrap();
+        // Forge the collision: A's entry, filed under B's key.
+        let key_b = content_key("b", src_b);
+        {
+            let mut state = session.cache.lock().unwrap();
+            let charge = a.approx_bytes();
+            state.map.insert(
+                key_b,
+                CacheEntry {
+                    artifacts: Arc::clone(&a),
+                    charge,
+                    check: SourceCheck::of("a", src_a),
+                },
+            );
+            state.order.push_back(key_b);
+            state.bytes += charge;
+        }
+        let (b, hit) = session.artifacts_traced("b", src_b).unwrap();
+        assert!(!hit, "another program's entry must not be served");
+        assert_eq!(b.report.name, "b");
+        assert!(!Arc::ptr_eq(&a, &b));
+        // The entry healed: B now hits its own artifacts, A still its own,
+        // and the byte account holds exactly the two of them.
+        let (again, hit) = session.artifacts_traced("b", src_b).unwrap();
+        assert!(hit && Arc::ptr_eq(&again, &b));
+        assert!(Arc::ptr_eq(&session.artifacts("a", src_a).unwrap(), &a));
+        let stats = session.cache_stats();
+        assert_eq!((stats.entries, stats.misses, stats.hits), (2, 2, 2));
+        assert_eq!(stats.bytes, a.approx_bytes() + b.approx_bytes());
+    }
+
+    #[test]
     fn generous_byte_budget_keeps_everything() {
         let session = Session::new().with_cache_capacity_bytes(64 << 20);
         for (i, src) in ["x = 1;", "x = 2;", "x = 3;"].iter().enumerate() {
@@ -1451,7 +1512,7 @@ mod tests {
     }
 
     #[test]
-    fn inspector_requests_redirect_the_parallel_leg() {
+    fn inspector_requests_are_answered_by_the_requested_engine() {
         let session = Session::new();
         let outcome = session
             .run(
@@ -1464,9 +1525,15 @@ mod tests {
             .unwrap();
         assert!(outcome.heaps_match());
         assert_eq!(outcome.engine, "bytecode");
-        assert_eq!(outcome.parallel_engine.as_deref(), Some("ast"));
+        let v = outcome.validation.as_ref().unwrap();
+        assert_eq!(v.compared.last().unwrap(), "parallel bytecode");
+        assert!(outcome
+            .to_json()
+            .contains("\"parallel_engine\":\"bytecode\""));
+        // 64 writes through indices below 64 drawn at random: some slot is
+        // hit twice, so a run-time inspector refuses the loop.
         let stats = outcome.parallel.as_ref().unwrap();
-        assert!(stats.loops[&LoopId(0)].inspector_conflict_free.is_some());
+        assert_eq!(stats.loops[&LoopId(0)].inspector_conflict_free, Some(false));
     }
 
     #[test]

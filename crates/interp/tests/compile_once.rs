@@ -120,8 +120,9 @@ fn bytecode_engine_compiles_once_and_runs_on_the_shared_team() {
 fn one_team_serves_repeated_runs_in_process() {
     // Repeated `sspar run`-style invocations in one process share the
     // process-wide team.  Whatever the first run had to spawn, the runs
-    // after it — of any registry row, the `ast` reference included: every
-    // parallel region runs on the persistent team — spawn *nothing*.
+    // after it — of any registry row: every parallel region runs on the
+    // persistent team, and the `ast` reference opens none — spawn
+    // *nothing*.
     let _guard = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let artifacts = Artifacts::compile_source("reuse", SRC).unwrap();
     let threads = 3;

@@ -7,14 +7,13 @@
 //! parallel).
 
 use crate::property::{ArrayProperty, PropertySet};
-use serde::{Deserialize, Serialize};
 use ss_symbolic::{Expr, SymRange};
 use std::collections::HashMap;
 use std::fmt;
 
 /// A comparison selecting a subset of an array's elements by value,
 /// e.g. "the elements with value `>= 0`" (Figure 5).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ValueFilter {
     /// Comparison operator (only ordering comparisons are meaningful here).
     pub op: FilterOp,
@@ -23,7 +22,7 @@ pub struct ValueFilter {
 }
 
 /// Operators usable in a [`ValueFilter`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FilterOp {
     /// value `>=` bound
     Ge,
@@ -69,7 +68,7 @@ impl fmt::Display for ValueFilter {
 }
 
 /// Properties that hold only for a value-filtered subset of the elements.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GuardedFact {
     /// Which elements the fact applies to.
     pub filter: ValueFilter,
@@ -78,7 +77,7 @@ pub struct GuardedFact {
 }
 
 /// Everything known about one array at the program point of interest.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArrayFact {
     /// Array name.
     pub array: String,
@@ -167,7 +166,7 @@ impl fmt::Display for ArrayFact {
 
 /// A relational fact between two arrays: the paper's "monotonic difference"
 /// (Figure 4), e.g. `rowstr[i+1] - nzloc[i]` is non-decreasing in `i`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PairFact {
     /// The minuend array.
     pub minuend: String,
@@ -180,7 +179,7 @@ pub struct PairFact {
 }
 
 /// The complete set of facts available at a program point.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PropertyDatabase {
     facts: HashMap<String, ArrayFact>,
     pair_facts: Vec<PairFact>,

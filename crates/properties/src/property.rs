@@ -6,12 +6,11 @@
 //! those properties, their implication ordering (e.g. strict monotonicity
 //! implies injectivity), and sets of properties closed under implication.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
 /// A property of (a section of) an integer array.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ArrayProperty {
     /// `a[i] <= a[j]` for all `i < j` (non-strict).
     MonotonicInc,
@@ -82,7 +81,7 @@ impl fmt::Display for ArrayProperty {
 }
 
 /// A set of array properties, automatically closed under implication.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PropertySet {
     props: BTreeSet<ArrayProperty>,
 }

@@ -5,11 +5,10 @@
 //! [`LoopId`] assigned by the parser / builder; analysis results are keyed by
 //! those ids.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Unique identifier of a loop within a [`Program`], in program (pre-)order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LoopId(pub u32);
 
 impl fmt::Display for LoopId {
@@ -19,7 +18,7 @@ impl fmt::Display for LoopId {
 }
 
 /// Binary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BinOp {
     /// `+`
     Add,
@@ -87,7 +86,7 @@ impl BinOp {
 }
 
 /// Unary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UnOp {
     /// Arithmetic negation.
     Neg,
@@ -96,7 +95,7 @@ pub enum UnOp {
 }
 
 /// Expressions.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum AExpr {
     /// Integer literal.
     IntLit(i64),
@@ -223,7 +222,7 @@ impl AExpr {
 }
 
 /// The target of an assignment: a scalar or an array element.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct LValue {
     /// Variable or array name.
     pub name: String,
@@ -256,7 +255,7 @@ impl LValue {
 
 /// Assignment operators (compound assignments keep their operator so that the
 /// analysis sees `x += e` as `x = x + e`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AssignOp {
     /// `=`
     Assign,
@@ -269,7 +268,7 @@ pub enum AssignOp {
 }
 
 /// Statements.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Stmt {
     /// Declaration of an integer scalar (`int x;` / `int x = e;`) or array
     /// (`int a[n];`). Array declarations carry their symbolic extents.
@@ -360,7 +359,7 @@ impl Stmt {
 /// Scalars and arrays do not have to be declared; any name used only on the
 /// right-hand side (or only as an array) is treated as a symbolic input, just
 /// as in the paper's figures.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Program {
     /// Program (kernel) name, used in reports.
     pub name: String,

@@ -17,11 +17,10 @@
 //! brings them into a canonical sum-of-products form so that structurally
 //! different but equal expressions compare equal.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A symbolic integer expression.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Expr {
     /// Integer literal.
     Int(i64),

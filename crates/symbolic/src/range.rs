@@ -8,7 +8,6 @@
 
 use crate::expr::Expr;
 use crate::simplify::{simplify, simplify_diff};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A symbolic inclusive range `[lo : hi]`.
@@ -16,7 +15,7 @@ use std::fmt;
 /// Either bound may be `⊥` (unknown). An *empty* range is never constructed
 /// explicitly; clients that need emptiness reasoning compare bounds through
 /// [`crate::relation`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SymRange {
     /// Lower bound (inclusive).
     pub lo: Expr,

@@ -32,10 +32,11 @@
 //! Case count defaults to 256 (the CI floor) and scales with the
 //! `ENGINE_FUZZ_CASES` environment variable for long local hunts.  At or
 //! above the floor the hunt must also have *reached* every dispatch
-//! strategy: it fails if no parallel leg ran a loop as level sets.
+//! strategy: it fails if no parallel leg ran a loop as level sets, or if
+//! no run-time-inspector-baseline leg produced a verdict.
 
 use proptest::TestRng;
-use ss_interp::{engine_label, ExecOptions, Heap, Session};
+use ss_interp::{engine_label, ExecOptions, ExecOutcome, Heap, Session, SsError};
 use std::sync::OnceLock;
 
 /// One session for the whole hunt: every generated program compiles once
@@ -578,9 +579,18 @@ impl GProgram {
 
     /// Runs the full differential matrix; `Some(description)` on the first
     /// divergence.
-    fn check(&self, level_set_legs: &mut usize) -> Option<String> {
-        check_source(&self.source(), self.threads, level_set_legs)
+    fn check(&self, reach: &mut Reach) -> Option<String> {
+        check_source(&self.source(), self.threads, reach)
     }
+}
+
+/// How far into the dispatcher a hunt got.
+#[derive(Default)]
+struct Reach {
+    /// Parallel legs that ran some loop as dependence level sets.
+    level_set_legs: usize,
+    /// Inspector-baseline legs that judged some loop.
+    inspector_legs: usize,
 }
 
 fn opts(threads: usize, opt_level: ss_interp::OptLevel) -> ExecOptions {
@@ -599,9 +609,11 @@ fn opts(threads: usize, opt_level: ss_interp::OptLevel) -> ExecOptions {
 /// level it distinguishes must agree with the reference serially (heap or
 /// error), every parallel execution must reproduce the serial heap
 /// whenever the serial run succeeds — and the analysis verdicts must be
-/// monotone (baseline ⊆ extended).  `level_set_legs` counts the parallel
-/// legs that ran some loop as dependence level sets.
-fn check_source(src: &str, threads: usize, level_set_legs: &mut usize) -> Option<String> {
+/// monotone (baseline ⊆ extended).  One more parallel leg runs the default
+/// row under the run-time-inspector baseline: same heap, and its verdicts
+/// must be the level counts the level-set legs ran.  `reach` counts the
+/// legs that got that far.
+fn check_source(src: &str, threads: usize, reach: &mut Reach) -> Option<String> {
     let registry = session().registry();
     let artifacts = match session().artifacts("fuzz", src) {
         Ok(a) => a,
@@ -662,36 +674,85 @@ fn check_source(src: &str, threads: usize, level_set_legs: &mut usize) -> Option
         }
     }
 
+    // Workers may hit a different failing iteration first, so only the
+    // failure itself must agree for parallel runs.
+    let parallel_agrees = |label: &str, got: &Result<ExecOutcome, SsError>| match (&reference, got)
+    {
+        (Ok(r), Ok(g)) => {
+            let diffs = r.heap.diff(&g.heap);
+            (!diffs.is_empty()).then(|| {
+                format!(
+                    "parallel {label} (threads={threads}) heap diverges from serial:\n  {}",
+                    diffs.join("\n  ")
+                )
+            })
+        }
+        (Err(_), Err(_)) => None,
+        (Ok(_), Err(ge)) => Some(format!(
+            "parallel {label} failed ({ge:?}) where serial succeeded"
+        )),
+        (Err(re), Ok(_)) => Some(format!(
+            "parallel {label} succeeded where serial failed ({re:?})"
+        )),
+    };
+
+    // Per level-set leg: the loops it ran as levels, with the level count
+    // and how often the loop was entered.
+    let mut level_legs = Vec::new();
     for engine in registry.iter() {
         for &level in engine.caps().opt_levels {
             let label = engine_label(engine.as_ref(), level);
             let got = engine.run_parallel(&artifacts, Heap::new(), &opts(threads, level));
-            if let Ok(g) = &got {
-                *level_set_legs += g.stats.loops.values().any(|l| l.wavefront.is_some()) as usize;
+            if let Some(msg) = parallel_agrees(&label, &got) {
+                return Some(msg);
             }
-            match (&reference, &got) {
-                (Ok(r), Ok(g)) => {
-                    let diffs = r.heap.diff(&g.heap);
-                    if !diffs.is_empty() {
-                        return Some(format!(
-                            "parallel {label} (threads={threads}) heap diverges from serial:\n  {}",
-                            diffs.join("\n  ")
-                        ));
-                    }
-                }
-                // Workers may hit a different failing iteration first, so
-                // only the failure itself must agree for parallel runs.
-                (Err(_), Err(_)) => {}
-                (Ok(_), Err(ge)) => {
-                    return Some(format!(
-                        "parallel {label} failed ({ge:?}) where serial succeeded"
-                    ));
-                }
-                (Err(re), Ok(_)) => {
-                    return Some(format!(
-                        "parallel {label} succeeded where serial failed ({re:?})"
-                    ));
-                }
+            let Ok(g) = got else { continue };
+            let ran: Vec<_> = g
+                .stats
+                .loops
+                .iter()
+                .filter_map(|(id, l)| l.wavefront.map(|(levels, _)| (*id, levels, l.invocations)))
+                .collect();
+            if !ran.is_empty() {
+                reach.level_set_legs += 1;
+                level_legs.push((label, ran));
+            }
+        }
+    }
+
+    let label = format!("{} + inspector baseline", registry.default_engine().name());
+    let inspecting = ExecOptions {
+        baseline_inspector: true,
+        ..opts(threads, ExecOptions::default().opt_level)
+    };
+    let got = registry
+        .default_engine()
+        .run_parallel(&artifacts, Heap::new(), &inspecting);
+    if let Some(msg) = parallel_agrees(&label, &got) {
+        return Some(msg);
+    }
+    let Ok(g) = got else { return None };
+    let loops = &g.stats.loops;
+    reach.inspector_legs += loops.values().any(|l| l.inspector_conflict_free.is_some()) as usize;
+    let verdict = |id| loops.get(id).and_then(|l| l.inspector_conflict_free);
+    for (leg, ran) in &level_legs {
+        for (id, levels, invocations) in ran {
+            // The verdict ANDs over invocations, the level count is the
+            // last invocation's: exact for loops entered once, one-sided
+            // otherwise.
+            let one_level = *levels == 1;
+            let consistent = match verdict(id) {
+                Some(free) if *invocations == 1 => free == one_level,
+                Some(free) => !free || one_level,
+                None => false,
+            };
+            if !consistent {
+                return Some(format!(
+                    "{label} judged loop {} {:?}, but {leg} ran it as {levels} level(s) \
+                     (entered {invocations}x)",
+                    id.0,
+                    verdict(id)
+                ));
             }
         }
     }
@@ -769,7 +830,7 @@ fn shrink(program: &GProgram) -> GProgram {
                 body: remove_at(&current.body, &path),
                 ..current.clone()
             };
-            if candidate.check(&mut 0).is_some() {
+            if candidate.check(&mut Reach::default()).is_some() {
                 current = candidate;
                 reduced = true;
                 break;
@@ -796,13 +857,13 @@ fn fuzz_cases() -> u32 {
 fn all_engines_agree_on_generated_programs() {
     let cases = fuzz_cases();
     let mut rng = TestRng::from_name("all_engines_agree_on_generated_programs");
-    let mut level_set_legs = 0;
+    let mut reach = Reach::default();
     for case in 0..cases {
         let seed = rng.next_u64();
         let program = GProgram::generate(seed);
-        if let Some(msg) = program.check(&mut level_set_legs) {
+        if let Some(msg) = program.check(&mut reach) {
             let minimal = shrink(&program);
-            let why = minimal.check(&mut 0).unwrap_or(msg);
+            let why = minimal.check(&mut Reach::default()).unwrap_or(msg);
             panic!(
                 "cross-engine divergence (case {}/{cases}, seed {seed}, threads {}):\n{why}\n\
                  minimal failing program:\n{}",
@@ -812,11 +873,20 @@ fn all_engines_agree_on_generated_programs() {
             );
         }
     }
+    eprintln!(
+        "engine_fuzz: {cases} cases, {} level-set leg(s), {} inspector-verdict leg(s)",
+        reach.level_set_legs, reach.inspector_legs
+    );
     // Short local runs (below the CI floor) are exempt.
     assert!(
-        cases < 256 || level_set_legs > 0,
+        cases < 256 || reach.level_set_legs > 0,
         "no parallel leg of {cases} cases ran a loop as level sets: the \
          generator no longer reaches that dispatch strategy"
+    );
+    assert!(
+        cases < 256 || reach.inspector_legs > 0,
+        "no inspector-baseline leg of {cases} cases judged a loop: the \
+         generator no longer reaches the run-time-inspector verdict"
     );
 }
 
@@ -858,7 +928,7 @@ fn regression_shapes_stay_in_agreement() {
         "int idx[12]; int x[6];\nfor (p = 0; p < 12; p++) { idx[p] = (p * 5) % 6; }\nfor (p = 0; p < 6; p++) { x[p] = p + 1; }\nfor (i0 = 1; i0 < 6; i0++) {\n    acc = x[i0];\n    for (k = 0; k < i0; k++) {\n        if (idx[k] < i0) { acc = acc - x[idx[k]]; }\n    }\n    x[i0] = acc;\n}\n",
     ];
     for (k, src) in cases.iter().enumerate() {
-        if let Some(msg) = check_source(src, 3, &mut 0) {
+        if let Some(msg) = check_source(src, 3, &mut Reach::default()) {
             panic!("regression case {k} diverged:\n{msg}\nsource:\n{src}");
         }
     }

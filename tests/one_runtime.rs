@@ -96,7 +96,12 @@ fn one_pass(artifacts: &Artifacts) -> (HashSet<ThreadId>, CgResult) {
     for engine in ["ast", "bytecode"] {
         let run = registry.get(engine).unwrap();
         let outcome = run.run_parallel(artifacts, heap(), &opts).unwrap();
-        assert!(!outcome.stats.parallel_loops().is_empty(), "{engine}");
+        // The reference is serial on every leg; it opens no region.
+        assert_eq!(
+            outcome.stats.parallel_loops().is_empty(),
+            run.caps().reference,
+            "{engine}"
+        );
         heaps.push(outcome.heap);
     }
     assert_eq!(heaps[0], heaps[1]);

@@ -242,8 +242,8 @@ fn uninitialized_accumulator_declines_dispatch_and_stays_bit_identical() {
     );
 }
 
-/// The reference engine is valid for reduction programs too: it refuses to
-/// dispatch them (no combiner capability) but computes identical heaps.
+/// The reference engine is valid for reduction programs too: it dispatches
+/// nothing (serial on every leg) but computes identical heaps.
 #[test]
 fn reference_engine_runs_reduction_programs_serially_and_identically() {
     let reference = session().registry().reference().unwrap();
