@@ -201,53 +201,57 @@ fn worker_loop(shared: &Arc<Shared>, queue_rx: &Mutex<Receiver<Job>>) {
             Ok(job) => job,
             Err(_) => return, // all senders gone: drain complete
         };
-        let response = answer_or_internal(&shared.service.stats, || serve_line(shared, &job.line));
+        let response = serve_line(shared, &job.line);
         // A vanished reader (client hung up mid-request) is fine.
         let _ = job.respond.send(response);
     }
 }
 
-/// Runs `serve` for one request line.  A panic out of it — an engine bug:
-/// `ThreadTeam::run` re-raises worker panics in the requesting thread — is
-/// counted and answered as `internal`, so neither this worker nor its
-/// client is lost to one bad request.
-fn answer_or_internal(stats: &StatsRegistry, serve: impl FnOnce() -> String) -> String {
-    catch_unwind(AssertUnwindSafe(serve)).unwrap_or_else(|payload| {
-        stats.count_internal();
-        let message = payload
-            .downcast_ref::<&str>()
-            .copied()
-            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-            .unwrap_or("non-string panic payload");
-        protocol::error_response(None, &WireError::internal(message))
-    })
-}
-
 /// Parses and dispatches one request line, returning the response line.
 fn serve_line(shared: &Arc<Shared>, line: &str) -> String {
     let started = Instant::now();
+    let stats = &shared.service.stats;
     let req = match protocol::parse_request(line) {
         Ok(req) => req,
         Err(e) => {
-            shared.service.stats.count_malformed();
+            stats.count_malformed();
             return protocol::error_response(None, &e);
         }
     };
     if req.op == Op::Shutdown {
         shared.draining.store(true, Ordering::SeqCst);
     }
-    let (response, ok) = match shared.service.dispatch(&req) {
-        Ok(result) => (
-            protocol::ok_response(req.id.as_deref(), req.op, result),
-            true,
-        ),
-        Err(e) => (protocol::error_response(req.id.as_deref(), &e), false),
-    };
-    shared
-        .service
-        .stats
-        .record(req.op.name(), started.elapsed(), ok);
-    response
+    answer(stats, &req, started, || shared.service.dispatch(&req))
+}
+
+/// Runs `dispatch` for the parsed request `req`, received at `started`,
+/// and renders its response line.  A panic out of it — an engine bug: the
+/// thread team re-raises a member's panic in the requesting thread — is
+/// counted and answered as `internal` under the request's own `id`, and
+/// the op is recorded like any other failure, so neither this worker nor
+/// its client (nor the client's correlation of replies) is lost to one bad
+/// request.
+fn answer(
+    stats: &StatsRegistry,
+    req: &protocol::Request,
+    started: Instant,
+    dispatch: impl FnOnce() -> Result<String, WireError>,
+) -> String {
+    let outcome = catch_unwind(AssertUnwindSafe(dispatch)).unwrap_or_else(|payload| {
+        stats.count_internal();
+        let message = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("non-string panic payload");
+        Err(WireError::internal(message))
+    });
+    stats.record(req.op.name(), started.elapsed(), outcome.is_ok());
+    let id = req.id.as_deref();
+    match outcome {
+        Ok(result) => protocol::ok_response(id, req.op, result),
+        Err(e) => protocol::error_response(id, &e),
+    }
 }
 
 /// Per-connection reader: frames request lines by hand, enforcing the
@@ -423,10 +427,17 @@ mod tests {
     #[test]
     fn a_panicking_handler_is_answered_as_internal_and_counted() {
         let stats = StatsRegistry::new();
-        assert_eq!(answer_or_internal(&stats, || "fine".to_string()), "fine");
-        let internal_message = |serve: fn() -> String| {
-            let reply = jsonin::parse(&answer_or_internal(&stats, serve)).unwrap();
+        let req = protocol::parse_request(r#"{"op":"engines","id":"r-7"}"#).unwrap();
+        let fine = jsonin::parse(&answer(&stats, &req, Instant::now(), || {
+            Ok("[]".to_string())
+        }))
+        .unwrap();
+        assert_eq!(fine.get("ok").and_then(|v| v.as_bool()), Some(true));
+        let internal_message = |dispatch: fn() -> Result<String, WireError>| {
+            let reply = jsonin::parse(&answer(&stats, &req, Instant::now(), dispatch)).unwrap();
             assert_eq!(reply.get("ok").and_then(|v| v.as_bool()), Some(false));
+            // The reply still correlates: it echoes the request's id.
+            assert_eq!(reply.get("id").and_then(|v| v.as_str()), Some("r-7"));
             let error = reply.get("error").unwrap();
             assert_eq!(
                 error.get("class").and_then(|c| c.as_str()),
@@ -441,5 +452,9 @@ mod tests {
         let counted = jsonin::parse(&stats.to_json()).unwrap();
         let internal = counted.get("rejected").and_then(|r| r.get("internal"));
         assert_eq!(internal.and_then(|n| n.as_i64()), Some(2));
+        // ... and the op is on the books, failures included.
+        let engines = counted.get("endpoints").and_then(|e| e.get("engines"));
+        let field = |name: &str| engines.and_then(|e| e.get(name)).and_then(|n| n.as_i64());
+        assert_eq!((field("count"), field("errors")), (Some(3), Some(2)));
     }
 }

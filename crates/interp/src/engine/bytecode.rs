@@ -521,8 +521,8 @@ impl<'a> RegionBody for BcBody<'a> {
         exec_code(&mut w.m, arrays, &self.f.body, &NoDispatch, &mut env)
     }
 
-    fn scalars<'w>(w: &'w BcWorker<'a>) -> (&'w [i64], &'w [usize]) {
-        (&w.m.regs, &w.m.write_iter)
+    fn scalars<'w>(w: &'w mut BcWorker<'a>) -> (&'w mut [i64], &'w mut [usize]) {
+        (&mut w.m.regs, &mut w.m.write_iter)
     }
 }
 

@@ -360,8 +360,8 @@ impl RegionBody for CompiledRegion<'_> {
         exec_body(&mut st, &self.f.body, &NoDispatch, &mut env)
     }
 
-    fn scalars(w: &CompiledWorker) -> (&[i64], &[usize]) {
-        (&w.frame.scalars, &w.frame.write_iter)
+    fn scalars(w: &mut CompiledWorker) -> (&mut [i64], &mut [usize]) {
+        (&mut w.frame.scalars, &mut w.frame.write_iter)
     }
 }
 

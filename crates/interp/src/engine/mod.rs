@@ -27,15 +27,16 @@
 //!     arrays) fan out as one region;
 //!   * **level sets** ([`wavefront`]): serial-proven carried loops whose
 //!     footprint is a function of entry state are inspected once per
-//!     input and run as dependence level sets, one region per level.  The
+//!     input and run as dependence level sets — one region, with a phase
+//!     per level and the team's barrier between levels.  The
 //!     same inspection is the run-time-inspector baseline
 //!     ([`ExecOptions::baseline_inspector`]): one level means an
 //!     inspector/executor scheme would have run the loop in parallel.
 //!
 //! `shared` holds what the dispatching executors have in common — array
 //! stores, worker-private storage and the dispatch recipe itself (gates,
-//! iteration space, fan-out on the persistent team, fold, last-writer /
-//! combiner / local-array merge-back), written once: it is the only file
+//! iteration space, one phased region on the persistent team, fold,
+//! last-writer / combiner / local-array merge-back), written once: it is the only file
 //! of this crate that enters a team region and the only one with
 //! `unsafe`.  A registered [`Engine`] is a *row*: an executor plus the
 //! strategies its parallel runs may use ([`registry`]): `bytecode`,
@@ -240,7 +241,8 @@ pub struct ExecOutcome {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ScheduleChoice {
     /// Static for uniform iteration spaces, dynamic for skewed ones (loops
-    /// whose nested bounds go through an index array, the CSR row shape).
+    /// whose nested bounds go through an index array — the CSR row shape —
+    /// or mention the loop's own index — a triangular nest).
     #[default]
     Auto,
     /// Always static chunking.
@@ -752,6 +754,58 @@ mod tests {
                 for o in schedule_legs(threads) {
                     let par = engine.run_parallel(&art, heap.clone(), &o).unwrap();
                     assert_eq!(par.heap, serial.heap, "{} {o:?}", engine.name());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn level_set_merge_back_keeps_the_latest_iteration_across_levels() {
+        // Iterations 2, 4, 10 and 12 read what their predecessor wrote, so
+        // they form level 1 and the other sixty level 0.  On two workers
+        // under the static split, worker 1 runs iteration 50 in level 0 and
+        // then iteration 10 in level 1 — both write `last`.  Unless the
+        // frame is folded at the end of every level, the earlier iteration's
+        // later write wins the merge; the serial answer is 50.
+        let src = r#"
+            for (i = 0; i < n; i++) {
+                x[i] = x[src[i]] + 1;
+                if (mark[i] != 0) {
+                    last = i;
+                }
+            }
+        "#;
+        let art = compile("t", src);
+        assert!(art.report.loops[0].wavefront.is_some());
+        let n = 64usize;
+        let mut from: Vec<i64> = (0..n as i64).collect();
+        let mut mark = vec![0i64; n];
+        for i in [2usize, 4, 10, 12] {
+            from[i] = i as i64 - 1;
+        }
+        mark[50] = 1;
+        mark[10] = 1;
+        let heap = Heap::new()
+            .with_scalar("n", n as i64)
+            .with_array("x", vec![0; n])
+            .with_array("src", from)
+            .with_array("mark", mark);
+        let serial = reference_engine()
+            .run_serial(&art, heap.clone(), &opts(1))
+            .unwrap();
+        assert_eq!(serial.heap.scalars["last"], 50);
+        for engine in engines() {
+            for level in [OptLevel::O0, OptLevel::O1] {
+                for o in schedule_legs(2) {
+                    let o = ExecOptions {
+                        opt_level: level,
+                        ..o
+                    };
+                    let par = engine.run_parallel(&art, heap.clone(), &o).unwrap();
+                    assert_eq!(par.heap, serial.heap, "{} {o:?}", engine.name());
+                    let levels = par.stats.loops[&LoopId(0)].wavefront.map(|(l, _)| l);
+                    let expected = engine.caps().level_sets.then_some(2);
+                    assert_eq!(levels, expected, "{} {o:?}", engine.name());
                 }
             }
         }

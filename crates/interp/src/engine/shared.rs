@@ -15,8 +15,15 @@
 //!   (or the run asks for the run-time-inspector baseline, which reads its
 //!   verdict off the same inspection) — and [`Dispatcher::run`] does the
 //!   rest: gate → materialize the iteration space → snapshot scalars →
-//!   fan out over [`SharedSlots`] → fold [`ChunkAcc`] → last-writer /
-//!   combiner / local-array merge-back.
+//!   one team region over [`SharedSlots`], one *phase* per level → fold
+//!   [`ChunkAcc`] → last-writer / combiner / local-array merge-back.
+//!
+//! A dispatched loop is **one** region, whatever its strategy: each team
+//! member builds one frame, runs its share of phase 0, crosses the team's
+//! in-region barrier, runs its share of phase 1, … — a proven-parallel
+//! loop is the one-phase case, a level-set loop has a phase per level.
+//! Nothing forks or joins between levels; the barrier is also what makes
+//! one level's stores visible to the next level's loads on another thread.
 //!
 //! Every region of every executor runs on the persistent process-wide
 //! [`ss_runtime::ThreadTeam`] of the run's
@@ -35,8 +42,10 @@ use ss_inspector::levelset::LevelSchedule;
 use ss_ir::ast::{BinOp, LoopId};
 use ss_ir::slots::{ArraySlot, SlotMap};
 use ss_parallelizer::{Artifacts, ReductionInfo, WavefrontFact};
-use ss_runtime::{team_parallel_reduce, with_shared_team_in, Schedule};
+use ss_runtime::{chunk_range, with_shared_team_in, Schedule};
 use std::collections::HashMap;
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 // ---------------------------------------------------------------------------
@@ -163,9 +172,13 @@ struct SharedSlotArray {
     len: usize,
 }
 
-// SAFETY: workers only access disjoint elements (the dispatched loop's
-// proven property, or one level of a dependence level set); the Vec
-// storage is neither grown nor freed while workers run.
+// SAFETY: between two team barriers, workers only access disjoint
+// elements (the dispatched loop's proven property, or one level of a
+// dependence level set), and an element one level writes is read or
+// rewritten by another worker only in a later level, i.e. after a
+// `Member::barrier` — whose Release-on-arrive / Acquire-on-leave ordering
+// makes that write happen-before the access.  The Vec storage is neither
+// grown nor freed while workers run.
 unsafe impl Sync for SharedSlots {}
 
 impl SharedSlots {
@@ -318,17 +331,18 @@ pub(super) trait RegionBody: Sync {
     ) -> Result<(), ExecError>;
 
     /// The worker's frame and the last-writing iteration of each scalar
-    /// slot ([`NOT_WRITTEN`] when none).
-    fn scalars(w: &Self::Worker) -> (&[i64], &[usize]);
+    /// slot ([`NOT_WRITTEN`] when none); mutable so the recipe can fold a
+    /// finished phase out of the frame and re-arm it for the next.
+    fn scalars(w: &mut Self::Worker) -> (&mut [i64], &mut [usize]);
 }
 
 // ---------------------------------------------------------------------------
 // The fold.
 // ---------------------------------------------------------------------------
 
-/// One worker chunk's contribution, folded over the chunks a worker steals
-/// and merged across workers by [`ChunkAcc::combine`].  Executor-agnostic:
-/// slot indices, iteration numbers, array values.
+/// One worker's contribution, folded over the phases it takes part in and
+/// merged across workers by [`ChunkAcc::combine`].  Executor-agnostic: slot
+/// indices, iteration numbers, array values.
 #[derive(Clone)]
 struct ChunkAcc {
     err: Option<ExecError>,
@@ -359,25 +373,33 @@ impl ChunkAcc {
         }
     }
 
-    /// Folds one finished worker into the accumulator.
+    /// Folds the phase a worker just finished into the accumulator and
+    /// re-arms the worker for its next one: last-write marks cleared,
+    /// reduction registers back at the operator identity.  Iteration
+    /// ordinals are not monotone across levels, so a frame carried into
+    /// the next level unfolded would let an *earlier* iteration there
+    /// overwrite the value (and the mark) of the later one here.
     fn absorb(
         &mut self,
-        (regs, write_iter): (&[i64], &[usize]),
+        (regs, write_iter): (&mut [i64], &mut [usize]),
         arrays: &mut WorkerArrays<'_>,
         is_reduction: &[bool],
         reductions: &[ReductionInfo],
         local_arrays: &[ArraySlot],
     ) {
-        for (slot, &iter) in write_iter.iter().enumerate() {
+        for (slot, iter) in write_iter.iter_mut().enumerate() {
+            let iter = std::mem::replace(iter, NOT_WRITTEN);
             if iter != NOT_WRITTEN && !is_reduction[slot] {
                 keep_latest(&mut self.scalar_writes[slot], iter, || regs[slot]);
             }
         }
         for (partial, r) in self.partials.iter_mut().zip(reductions) {
-            *partial = r.op.combine(*partial, regs[r.slot.index()]);
+            let reg = &mut regs[r.slot.index()];
+            *partial =
+                r.op.combine(*partial, std::mem::replace(reg, r.op.identity()));
         }
         for (mine, a) in self.locals.iter_mut().zip(local_arrays) {
-            let iter = arrays.local_write_iter[a.index()];
+            let iter = std::mem::replace(&mut arrays.local_write_iter[a.index()], NOT_WRITTEN);
             if iter == NOT_WRITTEN {
                 continue;
             }
@@ -433,13 +455,13 @@ const MIN_PARALLEL_TRIP: usize = 2;
 
 /// How one loop's iterations reach the team.
 pub(super) enum Strategy<'d> {
-    /// Proven independent up to the listed reductions: one region over
-    /// `0..n`.
+    /// Proven independent up to the listed reductions: a region of one
+    /// phase over `0..n`.
     Proof(&'d [ReductionInfo]),
     /// Serial-proven but gate-approved: inspected into dependence level
     /// sets — the inspector baseline's verdict — and, on rows with
-    /// [`EngineCaps::level_sets`](super::EngineCaps::level_sets), run one
-    /// region per level.
+    /// [`EngineCaps::level_sets`](super::EngineCaps::level_sets), run as
+    /// one region with a phase per level.
     LevelSets(&'d LevelSets<'d>, &'d WavefrontFact),
 }
 
@@ -533,7 +555,7 @@ impl<'r> Dispatcher<'r> {
                     env.stats.record_inspection(lp.id, schedule.nlevels() <= 1);
                 }
                 // Too fine, and the barrier per level would cost more
-                // than it buys — stay serial.  The schedule stays cached,
+                // than the level's width buys — stay serial.  The schedule stays cached,
                 // so later runs skip straight to this decision.
                 if !(self.run_levels && schedule.avg_width() >= MIN_AVG_WIDTH) {
                     return Ok(false);
@@ -624,9 +646,21 @@ struct RegionPlan<'a> {
     values: &'a [i64],
     exit_value: i64,
     reductions: &'a [ReductionInfo],
-    /// `None` fans `0..n` out as one region; a schedule runs its levels in
-    /// order, one region each — the region returning is the barrier.
+    /// `None` runs `0..n` as the region's only phase; a schedule runs its
+    /// levels in order, one phase each, with the team's barrier between.
     levels: Option<&'a LevelSchedule>,
+}
+
+/// One phase of a region: the iterations it covers and how the members
+/// share them.
+struct Phase<'a> {
+    /// Maps phase positions to iteration ordinals (one level of a
+    /// schedule); `None` is `0..n` itself.
+    order: Option<&'a [u32]>,
+    n: usize,
+    schedule: Schedule,
+    /// The chunk-stealing cursor of a dynamic phase.
+    next: AtomicUsize,
 }
 
 fn run_region<B: RegionBody>(
@@ -651,8 +685,8 @@ fn run_region<B: RegionBody>(
         local[a.index()] = true;
     }
     // Worker frames start from one snapshot of the spine's (a dense clone
-    // per chunk, hoisted out of any level loop); accumulators are
-    // re-seeded with the operator identity so partials merge exactly.
+    // per member); accumulators are re-seeded with the operator identity
+    // so partials merge exactly.
     let mut snapshot = spine.regs.to_vec();
     let mut is_reduction = vec![false; nscalars];
     for r in reductions {
@@ -661,67 +695,86 @@ fn run_region<B: RegionBody>(
     }
     let shared = SharedSlots::capture(spine.arrays, &local);
     let slots = spine.slots;
-    let identity = || ChunkAcc::identity(nscalars, reductions, lp.local_arrays.len());
-    let mut dynamic = false;
-
-    // One region on the team: `order` maps region positions to iteration
-    // ordinals (one level of a schedule); `None` is `0..n` itself.
-    let mut fan_out = |order: Option<&[u32]>, n: usize| {
-        let schedule = choose_schedule(opts.schedule, lp.skewed, n, threads, opts.chunk);
-        dynamic |= matches!(schedule, Schedule::Dynamic { .. });
-        with_shared_team_in(opts.team_group, threads, |team| {
-            team_parallel_reduce(
-                team,
-                n,
-                schedule,
-                identity(),
-                |range, mut acc| {
-                    if acc.err.is_some() {
-                        return acc;
-                    }
-                    let mut w = body.worker(snapshot.clone());
-                    let mut arrays = WorkerArrays {
-                        slots,
-                        shared: &shared,
-                        local: &local,
-                        locals: vec![None; narrays],
-                        local_write_iter: vec![NOT_WRITTEN; narrays],
-                        current_iter: 0,
-                    };
-                    for pos in range {
-                        let k = order.map_or(pos, |o| o[pos] as usize);
-                        arrays.current_iter = k;
-                        if let Err(e) = body.run_iteration(&mut w, &mut arrays, k, values[k]) {
-                            acc.err = Some(e);
-                            break;
-                        }
-                    }
-                    acc.absorb(
-                        B::scalars(&w),
-                        &mut arrays,
-                        &is_reduction,
-                        reductions,
-                        lp.local_arrays,
-                    );
-                    acc
-                },
-                |a, b| a.combine(b, reductions),
-            )
-        })
+    let orders: Vec<Option<&[u32]>> = match plan.levels {
+        None => vec![None],
+        Some(schedule) => schedule.by_level.iter().map(|l| Some(&l[..])).collect(),
     };
-    let acc = match plan.levels {
-        None => fan_out(None, values.len()),
-        Some(schedule) => {
-            let mut acc = identity();
-            for level in &schedule.by_level {
-                acc = acc.combine(fan_out(Some(level), level.len()), reductions);
-                if acc.err.is_some() {
+    let phases: Vec<Phase<'_>> = (orders.into_iter())
+        .map(|order| {
+            let n = order.map_or(values.len(), <[u32]>::len);
+            Phase {
+                order,
+                n,
+                schedule: choose_schedule(opts.schedule, lp.skewed, n, threads, opts.chunk),
+                next: AtomicUsize::new(0),
+            }
+        })
+        .collect();
+    let dynamic = phases
+        .iter()
+        .any(|p| matches!(p.schedule, Schedule::Dynamic { .. }));
+
+    // The region: every member carries one frame through all the phases.
+    let member_accs = with_shared_team_in(opts.team_group, threads, |team| {
+        team.region(|m| {
+            let mut acc = ChunkAcc::identity(nscalars, reductions, lp.local_arrays.len());
+            let mut w = body.worker(snapshot.clone());
+            let mut arrays = WorkerArrays {
+                slots,
+                shared: &shared,
+                local: &local,
+                locals: vec![None; narrays],
+                local_write_iter: vec![NOT_WRITTEN; narrays],
+                current_iter: 0,
+            };
+            for (level, phase) in phases.iter().enumerate() {
+                // The previous level must be complete, everywhere, before
+                // any iteration of this one starts.
+                if level > 0 && m.barrier().is_err() {
+                    break;
+                }
+                let mut run = |positions: Range<usize>| {
+                    for pos in positions {
+                        let k = phase.order.map_or(pos, |o| o[pos] as usize);
+                        arrays.current_iter = k;
+                        body.run_iteration(&mut w, &mut arrays, k, values[k])?;
+                    }
+                    Ok(())
+                };
+                let outcome = match phase.schedule {
+                    Schedule::Static => run(chunk_range(phase.n, m.size(), m.index())),
+                    Schedule::Dynamic { chunk } => loop {
+                        let start = phase.next.fetch_add(chunk, Ordering::Relaxed);
+                        if start >= phase.n {
+                            break Ok(());
+                        }
+                        if let Err(e) = run(start..(start + chunk).min(phase.n)) {
+                            break Err(e);
+                        }
+                    },
+                };
+                acc.absorb(
+                    B::scalars(&mut w),
+                    &mut arrays,
+                    &is_reduction,
+                    reductions,
+                    lp.local_arrays,
+                );
+                if let Err(e) = outcome {
+                    // The others finish their share of this level and
+                    // leave at its barrier: no later level runs.
+                    acc.err = Some(e);
+                    m.abort();
                     break;
                 }
             }
             acc
-        }
-    };
+        })
+    });
+    let acc = member_accs
+        .into_iter()
+        .reduce(|a, b| a.combine(b, reductions))
+        .expect("a team has at least one member");
     if let Some(e) = acc.err {
         return Err(e);
     }
@@ -755,4 +808,112 @@ fn run_region<B: RegionBody>(
         stats.record_wavefront(lp.id, schedule.by_level.len(), schedule.avg_width());
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Mutex;
+
+    /// A loop body that records which iterations ran and faults at one.
+    struct Recording {
+        ran: Mutex<Vec<usize>>,
+        fault_at: usize,
+    }
+
+    impl RegionBody for Recording {
+        type Worker = (Vec<i64>, Vec<usize>);
+
+        fn worker(&self, regs: Vec<i64>) -> Self::Worker {
+            let marks = vec![NOT_WRITTEN; regs.len()];
+            (regs, marks)
+        }
+
+        fn run_iteration<A: ArrayStore>(
+            &self,
+            _w: &mut Self::Worker,
+            _arrays: &mut A,
+            k: usize,
+            _value: i64,
+        ) -> Result<(), ExecError> {
+            self.ran.lock().unwrap().push(k);
+            if k == self.fault_at {
+                return Err(ExecError::DivisionByZero);
+            }
+            Ok(())
+        }
+
+        fn scalars(w: &mut Self::Worker) -> (&mut [i64], &mut [usize]) {
+            (&mut w.0, &mut w.1)
+        }
+    }
+
+    #[test]
+    fn an_error_in_a_level_ends_the_region_at_that_levels_barrier() {
+        // Three levels of eight iterations; iteration 11 (level 1) faults.
+        // A real level-set loop cannot fault here — its inspection replay
+        // would have faulted first and kept the loop serial — unless a
+        // value-only operand changed under a cached schedule, so the
+        // recipe is driven directly.
+        let schedule = LevelSchedule {
+            levels: (0..24).map(|k| k / 8).collect(),
+            by_level: (0..3).map(|l| (8 * l..8 * l + 8).collect()).collect(),
+        };
+        let values: Vec<i64> = (0..24).collect();
+        let lp = LoopShape {
+            id: LoopId(0),
+            var: 0,
+            cond_op: BinOp::Lt,
+            local_arrays: &[],
+            locals_dominated: true,
+            skewed: false,
+        };
+        let plan = RegionPlan {
+            lp: &lp,
+            values: &values,
+            exit_value: 24,
+            reductions: &[],
+            levels: Some(&schedule),
+        };
+        for threads in [2, 3] {
+            for (schedule, chunk) in [
+                (ScheduleChoice::Static, None),
+                (ScheduleChoice::Dynamic, Some(1)),
+            ] {
+                let opts = ExecOptions {
+                    threads,
+                    schedule,
+                    chunk,
+                    ..ExecOptions::default()
+                };
+                let body = Recording {
+                    ran: Mutex::new(Vec::new()),
+                    fault_at: 11,
+                };
+                let (mut regs, mut defined) = (vec![7i64], vec![false]);
+                let slots = SlotMap::default();
+                let spine = Spine {
+                    regs: &mut regs,
+                    defined: &mut defined,
+                    arrays: &mut [],
+                    slots: &slots,
+                };
+                let mut stats = ExecStats::default();
+                let err = run_region(&opts, &plan, spine, &body, &mut stats).unwrap_err();
+                assert_eq!(err, ExecError::DivisionByZero, "{opts:?}");
+                let mut ran = body.ran.into_inner().unwrap();
+                ran.sort_unstable();
+                // Level 0 ran whole, level 1 up to the fault at least, and
+                // nobody started level 2.
+                assert_eq!(ran[..8], [0, 1, 2, 3, 4, 5, 6, 7], "{opts:?}");
+                assert!(
+                    ran.contains(&11) && ran.iter().all(|&k| k < 16),
+                    "{ran:?} {opts:?}"
+                );
+                // No merge-back, no record: the spine is as it was.
+                assert_eq!((regs, defined), (vec![7], vec![false]));
+                assert!(stats.loops.is_empty());
+            }
+        }
+    }
 }

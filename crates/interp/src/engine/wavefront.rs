@@ -23,13 +23,15 @@
 //!    inspection serves every later run on the same input; each hit is
 //!    verified against an independent checksum of that state, so a key
 //!    collision costs a re-inspection, never a wrong schedule.
-//! 4. **Execute**: the shared recipe (`engine::shared`) runs the levels
-//!    in order on the persistent thread team, one region per level with
-//!    the region's return as the barrier — the same workers, fold and
-//!    merge-back as a proven-parallel loop.  When the schedule is too fine
-//!    (average level width below [`MIN_AVG_WIDTH`]) the loop stays serial:
-//!    a pure recurrence inspects to `n` levels of one iteration and is not
-//!    worth a barrier per iteration.
+//! 4. **Execute**: the shared recipe (`engine::shared`) enters the
+//!    persistent thread team once and runs the levels as the phases of
+//!    that one region, each member crossing the team's in-region barrier
+//!    between its share of one level and its share of the next — the same
+//!    workers, fold and merge-back as a proven-parallel loop, which is the
+//!    one-phase case.  When the schedule is too fine (average level width
+//!    below [`MIN_AVG_WIDTH`]) the loop stays serial: a pure recurrence
+//!    inspects to `n` levels of one iteration and is not worth a barrier
+//!    per iteration.
 //!
 //! Nothing here knows which executor runs the body: inspection replays it
 //! through the same `RegionBody` the workers use.  Proven-parallel and

@@ -321,7 +321,8 @@ impl Default for TunerConfig {
 
 /// The compile-time facts the pruner consults.
 struct KernelFacts {
-    /// Any loop in the O1 stream is skewed (CSR-shaped inner bounds).
+    /// Any loop in the O1 stream is skewed (CSR-shaped or triangular
+    /// inner bounds).
     skewed: bool,
     /// Any loop carries a wavefront fact.
     wavefront: bool,

@@ -11,6 +11,17 @@
 //! parallelized — everything else stays serial — so the measured speedup is
 //! attributable to the subscripted-subscript analysis, as in the paper.
 //!
+//! One inner solve is **one team region** (`solve`), the shape of NPB's
+//! OpenMP version: every member owns a contiguous block of rows — its
+//! blocks of `q` and `r` are locals on its stack, its blocks of `p` and `z`
+//! live in vectors the row sweeps of the other members read whole — and
+//! the 25 iterations cross three in-region barriers each instead of
+//! opening six regions each.  A dot product is "store my block's partial,
+//! barrier, add everybody's partials in worker order", so the sums
+//! associate exactly as [`ss_runtime::parallel_sum`] associates them and
+//! `zeta`/`rnorm` depend on the thread count but never on timing.  One
+//! thread runs the same closure inline on a team of one.
+//!
 //! The NPB class parameters (`na`, `nonzer`, `niter`, `shift`) are the
 //! official ones; the random matrix generator is a simplified but
 //! structurally equivalent substitute for NPB's `makea` (documented in
@@ -19,7 +30,12 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use ss_runtime::{parallel_for_mut, parallel_sum, time_it, CsrMatrix};
+use ss_runtime::{
+    chunk_range, time_it, with_shared_team, BlockedVec, CsrMatrix, Member, RegionAborted,
+    ThreadTeam,
+};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// NPB problem classes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -215,51 +231,128 @@ pub struct CgResult {
 /// Returns the residual norm.  The row-sweep loops (SpMV) are the
 /// subscripted-subscript loops parallelized according to the analysis.
 pub fn conj_grad(a: &CsrMatrix, x: &[f64], z: &mut [f64], threads: usize) -> f64 {
-    let n = a.nrows;
-    let mut r = x.to_vec();
-    let mut p = r.clone();
-    let mut q = vec![0.0; n];
-    for zi in z.iter_mut() {
-        *zi = 0.0;
+    solve(a, x, z, threads).rnorm
+}
+
+/// What one inner solve hands the outer iteration.
+#[derive(Clone, Copy)]
+struct Solve {
+    /// `||x - A z||`.
+    rnorm: f64,
+    /// `x · z`.
+    xz: f64,
+    /// `z · z`.
+    zz: f64,
+}
+
+/// Blockwise sums across the members of one region: each member stores its
+/// block's partial, crosses the barrier, and adds all partials in worker
+/// order.  Two slots per member, used in turn: a member may already be
+/// storing its next partial while a slower one still adds up these.
+struct Dots<'r> {
+    slots: &'r [[AtomicU64; 2]],
+    member: &'r Member<'r>,
+    turn: Cell<usize>,
+}
+
+impl Dots<'_> {
+    fn sum(&self, partial: f64) -> Result<f64, RegionAborted> {
+        let turn = self.turn.replace(self.turn.get() ^ 1);
+        // Relaxed: the barrier orders the store before every load below.
+        self.slots[self.member.index()][turn].store(partial.to_bits(), Ordering::Relaxed);
+        self.member.barrier()?;
+        let partials = (self.slots.iter()).map(|s| f64::from_bits(s[turn].load(Ordering::Relaxed)));
+        Ok(partials
+            .reduce(|a, b| a + b)
+            .expect("a team has at least one member"))
     }
-    let mut rho: f64 = parallel_sum(threads, n, |i| r[i] * r[i]);
+}
+
+/// One inner solve as one region on the shared team of `threads` (inline
+/// on a team of one for `threads <= 1`).
+fn solve(a: &CsrMatrix, x: &[f64], z: &mut [f64], threads: usize) -> Solve {
+    let mut p = x.to_vec();
+    let (p, z) = (BlockedVec::new(&mut p), BlockedVec::new(z));
+    let region = |team: &ThreadTeam| {
+        let slots: Vec<[AtomicU64; 2]> = (0..team.size()).map(|_| Default::default()).collect();
+        let solves = team.region(|m| solve_member(a, x, &p, &z, &slots, m));
+        solves[0].expect("no member of a CG region aborts")
+    };
+    if threads <= 1 {
+        region(&ThreadTeam::new(1))
+    } else {
+        with_shared_team(threads, region)
+    }
+}
+
+/// One member's share of [`solve`]: rows `chunk_range(n, size)[index]` of
+/// every vector.  `p` arrives holding `x`.
+fn solve_member(
+    a: &CsrMatrix,
+    x: &[f64],
+    p: &BlockedVec<'_>,
+    z: &BlockedVec<'_>,
+    slots: &[[AtomicU64; 2]],
+    m: &Member<'_>,
+) -> Result<Solve, RegionAborted> {
+    let rows = chunk_range(a.nrows, m.size(), m.index());
+    let dots = Dots {
+        slots,
+        member: m,
+        turn: Cell::new(0),
+    };
+    let x_blk = &x[rows.clone()];
+    let mut r = x_blk.to_vec();
+    let mut q = vec![0.0; rows.len()];
+    // SAFETY: this member's block; nobody reads `z` whole before the
+    // barriers of the last iteration.
+    unsafe { z.block_mut(rows.clone()) }.fill(0.0);
+    let mut rho = dots.sum(r.iter().map(|ri| ri * ri).sum())?;
     const CGITMAX: usize = 25;
     for _ in 0..CGITMAX {
-        // q = A p   — the Figure 3/9 row sweep (parallelized).
-        a.spmv(threads, &p, &mut q);
-        let d = parallel_sum(threads, n, |i| p[i] * q[i]);
+        // q = A p   — the Figure 3/9 row sweep, on this member's rows.
+        // SAFETY: `p` was last written before the barrier that ended the
+        // previous iteration (or by the caller) and is next written after
+        // the second barrier from here: read-only in between.
+        let p_all = unsafe { p.whole() };
+        a.spmv_rows(rows.clone(), p_all, &mut q);
+        let p_blk = &p_all[rows.clone()];
+        let d = dots.sum(p_blk.iter().zip(&q).map(|(pi, qi)| pi * qi).sum())?;
         let alpha = rho / d;
-        {
-            let p_ref = &p;
-            let q_ref = &q;
-            parallel_for_mut(threads, z, |start, chunk| {
-                for (k, zi) in chunk.iter_mut().enumerate() {
-                    *zi += alpha * p_ref[start + k];
-                }
-            });
-            parallel_for_mut(threads, &mut r, |start, chunk| {
-                for (k, ri) in chunk.iter_mut().enumerate() {
-                    *ri -= alpha * q_ref[start + k];
-                }
-            });
+        // SAFETY: this member's block of `z`, which nobody reads whole
+        // before the barriers of the last iteration.
+        for (zi, pi) in unsafe { z.block_mut(rows.clone()) }.iter_mut().zip(p_blk) {
+            *zi += alpha * pi;
         }
-        let rho_new = parallel_sum(threads, n, |i| r[i] * r[i]);
+        for (ri, qi) in r.iter_mut().zip(&q) {
+            *ri -= alpha * qi;
+        }
+        let rho_new = dots.sum(r.iter().map(|ri| ri * ri).sum())?;
         let beta = rho_new / rho;
         rho = rho_new;
-        let r_ref = &r;
-        parallel_for_mut(threads, &mut p, |start, chunk| {
-            for (k, pi) in chunk.iter_mut().enumerate() {
-                *pi = r_ref[start + k] + beta * *pi;
-            }
-        });
+        // SAFETY: this member's block of `p`; every member finished its row
+        // sweep over the whole of `p` two barriers ago, and the next sweep
+        // starts after the barrier below.
+        for (pi, ri) in unsafe { p.block_mut(rows.clone()) }.iter_mut().zip(&r) {
+            *pi = ri + beta * *pi;
+        }
+        m.barrier()?;
     }
-    // ||x - A z||
-    a.spmv(threads, z, &mut q);
-    let sum = parallel_sum(threads, n, |i| {
-        let d = x[i] - q[i];
+    // ||x - A z||, and the two sums the outer iteration needs of `z`.
+    // SAFETY: `z` was last written two barriers ago and is not written
+    // again inside the region.
+    let z_all = unsafe { z.whole() };
+    a.spmv_rows(rows.clone(), z_all, &mut q);
+    let z_blk = &z_all[rows];
+    let residual = x_blk.iter().zip(&q).map(|(xi, qi)| {
+        let d = xi - qi;
         d * d
     });
-    sum.sqrt()
+    Ok(Solve {
+        rnorm: dots.sum(residual.sum())?.sqrt(),
+        xz: dots.sum(x_blk.iter().zip(z_blk).map(|(xi, zi)| xi * zi).sum())?,
+        zz: dots.sum(z_blk.iter().map(|zi| zi * zi).sum())?,
+    })
 }
 
 /// Runs the full CG benchmark for a class with the given thread count.
@@ -280,11 +373,10 @@ pub fn run_cg_with(params: &CgParams, threads: usize, seed: u64) -> CgResult {
     let mut rnorm = 0.0;
     let (_, seconds) = time_it(|| {
         for _ in 0..params.niter {
-            rnorm = conj_grad(&a, &x, &mut z, threads);
-            let xz = parallel_sum(threads, n, |i| x[i] * z[i]);
-            let zz = parallel_sum(threads, n, |i| z[i] * z[i]);
-            zeta = params.shift + 1.0 / xz.max(f64::MIN_POSITIVE);
-            let norm = 1.0 / zz.sqrt();
+            let s = solve(&a, &x, &mut z, threads);
+            rnorm = s.rnorm;
+            zeta = params.shift + 1.0 / s.xz.max(f64::MIN_POSITIVE);
+            let norm = 1.0 / s.zz.sqrt();
             for i in 0..n {
                 x[i] = norm * z[i];
             }
@@ -463,6 +555,28 @@ mod tests {
                 "zeta mismatch at {threads} threads: {} vs {}",
                 par.zeta,
                 serial.zeta
+            );
+        }
+    }
+
+    #[test]
+    fn phased_cg_is_bit_identical_to_the_blockwise_sums() {
+        // Class S, seed 1, as computed at the parent commit — where every
+        // dot product was its own `parallel_sum` region: one partial per
+        // static block, added in worker order.
+        for (threads, zeta, rnorm) in [
+            (1usize, 0x4026795982fa8030u64, 0x3cb4fd522d0ffcceu64),
+            (2, 0x4026795982fa8032, 0x3cb56edd7adbd9ad),
+            (3, 0x4026795982fa8032, 0x3cb4d8c006fc07d0),
+            (4, 0x4026795982fa8032, 0x3cb563525cc44ce3),
+        ] {
+            let r = run_cg(Class::S, threads, 1);
+            assert_eq!(
+                (r.zeta.to_bits(), r.rnorm.to_bits()),
+                (zeta, rnorm),
+                "{threads} threads: zeta {:e} rnorm {:e}",
+                r.zeta,
+                r.rnorm
             );
         }
     }

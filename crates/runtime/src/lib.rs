@@ -2,8 +2,8 @@
 //!
 //! The execution substrate for the paper's evaluation: one persistent
 //! worker-thread team per size ([`team`]) — the only code that creates
-//! compute threads — the OpenMP-style `parallel for` entry points that run
-//! on it ([`pool`]), CSR sparse matrices with the subscripted-subscript
+//! compute threads, with an in-region barrier for phased work — the
+//! OpenMP-style `parallel for` entry points that run on it ([`pool`]), CSR sparse matrices with the subscripted-subscript
 //! kernels ([`sparse`]), and wall clock timing helpers ([`timer`]).
 
 pub mod pool;
@@ -12,11 +12,12 @@ pub mod team;
 pub mod timer;
 
 pub use pool::{
-    chunk_ranges, hardware_threads, parallel_for, parallel_for_mut, parallel_sum, Schedule,
+    chunk_range, chunk_ranges, hardware_threads, parallel_for, parallel_for_mut, parallel_sum,
+    Schedule,
 };
-pub use sparse::CsrMatrix;
+pub use sparse::{BlockedVec, CsrMatrix};
 pub use team::{
     shared_team_count, team_parallel_for_schedule, team_parallel_reduce, team_threads_spawned,
-    with_shared_team, with_shared_team_in, ThreadTeam,
+    with_shared_team, with_shared_team_in, Member, RegionAborted, ThreadTeam,
 };
 pub use timer::{time_it, Timer};

@@ -18,7 +18,10 @@
 //! subscripted-subscript loops over `rowptr[i] .. rowptr[i+1]`).
 //!
 //! A region requested from inside a team worker runs inline on that worker
-//! (OpenMP's default for nested regions).
+//! (OpenMP's default for nested regions).  Work that is a *sequence* of
+//! dependent loops over the same data should not call these once per step:
+//! it enters the team once ([`ThreadTeam::region`](crate::ThreadTeam::region))
+//! and separates the steps with [`Member::barrier`](crate::Member::barrier).
 
 use crate::team::{team_parallel_for_schedule, team_parallel_reduce, with_shared_team};
 use std::sync::Mutex;
@@ -51,19 +54,18 @@ impl Schedule {
     }
 }
 
+/// Range `c` of `0..n` split into `chunks` contiguous, nearly equal ranges
+/// (the first `n % chunks` are one longer).
+pub fn chunk_range(n: usize, chunks: usize, c: usize) -> std::ops::Range<usize> {
+    let (base, rem) = (n / chunks, n % chunks);
+    let start = c * base + c.min(rem);
+    start..start + base + usize::from(c < rem)
+}
+
 /// Splits `0..n` into `chunks` contiguous, nearly equal ranges.
 pub fn chunk_ranges(n: usize, chunks: usize) -> Vec<std::ops::Range<usize>> {
     let chunks = chunks.max(1);
-    let base = n / chunks;
-    let rem = n % chunks;
-    let mut out = Vec::with_capacity(chunks);
-    let mut start = 0;
-    for c in 0..chunks {
-        let len = base + usize::from(c < rem);
-        out.push(start..start + len);
-        start += len;
-    }
-    out
+    (0..chunks).map(|c| chunk_range(n, chunks, c)).collect()
 }
 
 /// Runs `body(range)` for a static partition of `0..n` over `threads`

@@ -7,6 +7,8 @@
 //! `rowptr[i] .. rowptr[i+1]`.
 
 use crate::pool::{parallel_for, parallel_for_mut, parallel_sum};
+use std::marker::PhantomData;
+use std::ops::Range;
 
 /// A CSR matrix with `f64` values.
 #[derive(Debug, Clone, PartialEq)]
@@ -110,21 +112,25 @@ impl CsrMatrix {
     /// touches `colidx[rowstr[j] .. rowstr[j+1]]`; its parallelization is
     /// licensed by `rowptr`'s monotonicity.
     pub fn spmv(&self, threads: usize, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.ncols);
         assert_eq!(y.len(), self.nrows);
-        let rowptr = &self.rowptr;
-        let colidx = &self.colidx;
-        let values = &self.values;
         parallel_for_mut(threads, y, |start, chunk| {
-            for (k, out) in chunk.iter_mut().enumerate() {
-                let row = start + k;
-                let mut sum = 0.0;
-                for idx in rowptr[row]..rowptr[row + 1] {
-                    sum += values[idx] * x[colidx[idx]];
-                }
-                *out = sum;
-            }
+            self.spmv_rows(start..start + chunk.len(), x, chunk)
         });
+    }
+
+    /// The row sweep of [`spmv`](Self::spmv) over one block of rows:
+    /// `y_block[k] = (A x)[rows.start + k]`.  What a member of a team
+    /// region calls on the rows it owns.
+    pub fn spmv_rows(&self, rows: Range<usize>, x: &[f64], y_block: &mut [f64]) {
+        assert_eq!(x.len(), self.ncols);
+        assert_eq!(y_block.len(), rows.len());
+        for (out, row) in y_block.iter_mut().zip(rows) {
+            let mut sum = 0.0;
+            for idx in self.rowptr[row]..self.rowptr[row + 1] {
+                sum += self.values[idx] * x[self.colidx[idx]];
+            }
+            *out = sum;
+        }
     }
 
     /// The Figure 3 kernel: shift every stored column index by `-firstcol`,
@@ -162,6 +168,61 @@ impl CsrMatrix {
     pub fn spmv_and_dot(&self, threads: usize, x: &[f64], y: &mut [f64]) -> f64 {
         self.spmv(threads, x, y);
         parallel_sum(threads, self.nrows, |i| x[i] * y[i])
+    }
+}
+
+/// A vector the members of one team region share *by phases*: in some
+/// phases each member writes the block it owns, in others every member
+/// reads the whole vector, and a [`Member::barrier`](crate::Member::barrier)
+/// separates the two kinds.  Rust cannot see that discipline through
+/// `&mut [f64]`, so — like [`CsrMatrix::shift_column_indices`] — the view
+/// goes through a raw pointer and each access states what it relies on.
+pub struct BlockedVec<'a> {
+    ptr: *mut f64,
+    len: usize,
+    _borrow: PhantomData<&'a mut [f64]>,
+}
+
+// SAFETY: the view owns the exclusive borrow of the slice for `'a`, and
+// every access through `&BlockedVec` is an `unsafe fn` whose caller vouches
+// that no other thread touches the same elements concurrently.
+unsafe impl Sync for BlockedVec<'_> {}
+
+impl<'a> BlockedVec<'a> {
+    /// Takes over `data` for the lifetime of the view.
+    pub fn new(data: &'a mut [f64]) -> BlockedVec<'a> {
+        BlockedVec {
+            ptr: data.as_mut_ptr(),
+            len: data.len(),
+            _borrow: PhantomData,
+        }
+    }
+
+    /// The caller's block, writable.
+    ///
+    /// # Safety
+    /// From the barrier before this call to the barrier after the returned
+    /// slice is last used, no other thread may read or write any element of
+    /// `rows` (blocks of distinct members must be disjoint, and no member
+    /// may hold a [`whole`](Self::whole) view in that phase).
+    ///
+    /// # Panics
+    /// If `rows` does not lie inside the vector.
+    #[allow(clippy::mut_from_ref)] // disjoint blocks of one shared vector
+    pub unsafe fn block_mut(&self, rows: Range<usize>) -> &mut [f64] {
+        assert!(rows.start <= rows.end && rows.end <= self.len);
+        // SAFETY: in bounds (asserted); exclusive by the caller's contract.
+        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(rows.start), rows.len()) }
+    }
+
+    /// The whole vector, read-only.
+    ///
+    /// # Safety
+    /// From the barrier before this call to the barrier after the returned
+    /// slice is last used, no thread may write any element.
+    pub unsafe fn whole(&self) -> &[f64] {
+        // SAFETY: the view's own extent; unwritten by the caller's contract.
+        unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
     }
 }
 

@@ -1,25 +1,61 @@
 //! The persistent worker-thread team — the one place this workspace's
-//! compute layers create threads.
+//! compute layers create threads, and the one place that busy-waits.
 //!
 //! An interpreted program dispatches *adjacent* parallel loops — a fill
-//! loop, a prefix sum, a traversal — and native CG opens six regions per
-//! inner iteration; paying a spawn/join cycle per region would put thread
-//! creation on the critical path (OpenMP keeps one team alive across
-//! `parallel` regions for the same reason).
+//! loop, a prefix sum, a traversal — and a wavefront loop or a CG solve is
+//! a *sequence of dependent parallel phases*; paying a spawn/join cycle per
+//! loop would put thread creation on the critical path, and paying a
+//! fork/join per phase puts two condvar round trips there (OpenMP keeps one
+//! team alive across `parallel` regions, and runs SpTRSV as one region with
+//! a `barrier` per level, for the same reasons).
 //!
-//! [`ThreadTeam`] spawns its workers once and parks them on a condition
-//! variable between regions.  [`ThreadTeam::run`] hands every worker the
-//! same borrowed closure, runs worker 0's share on the requesting thread
-//! itself (OpenMP's master thread: it is already running on a CPU, so only
-//! `size - 1` wake-ups stand between a region and full width, and the
-//! scheduler never has to place a woken worker next to a waker that is
-//! about to sleep) and blocks until all of them finish, so the closure may
-//! freely borrow stack data — the borrow provably outlives the workers'
-//! use of it.  [`team_parallel_for_schedule`] and
-//! [`team_parallel_reduce`] run a loop or a reduction on a team, including
-//! chunk-stealing dynamic scheduling; [`with_shared_team`] lends out the
-//! process-wide team of a given size, which is what the `threads: usize`
-//! entry points in [`crate::pool`] run on.
+//! **Regions.**  [`ThreadTeam`] spawns its workers once and parks them on a
+//! condition variable between regions.  [`ThreadTeam::region`] hands every
+//! worker the same borrowed closure, runs worker 0's share on the
+//! requesting thread itself (OpenMP's master thread: it is already running
+//! on a CPU, so only `size - 1` wake-ups stand between a region and full
+//! width) and blocks until all of them have returned, so the closure may
+//! freely borrow stack data — the borrow provably outlives the workers' use
+//! of it.  It hands back one result per member, in worker order.
+//! [`ThreadTeam::run`] is the same entry for closures that want only their
+//! worker index.
+//!
+//! **Members.**  The closure receives a [`Member`]: its worker index, the
+//! team size and [`Member::barrier`].  State a member carries from phase to
+//! phase is just locals on its stack.
+//!
+//! **The barrier** is sense-reversing over atomics: arriving is a `Release`
+//! decrement of the phase's pending count, the last arrival re-arms the
+//! count and flips the team's sense, and leaving is an `Acquire` load of
+//! the flipped sense — so everything any member wrote before the barrier is
+//! visible to every member after it.  A waiter polls the sense for a
+//! bounded number of [`spin_loop`](std::hint::spin_loop) iterations
+//! (`BARRIER_SPINS`: the few microseconds by which balanced members on
+//! their own CPUs miss each other), then for a bounded number of
+//! [`yield_now`](std::thread::yield_now) calls (`BARRIER_YIELDS`: when the
+//! member it waits for is runnable on *this* CPU — a team wider than the
+//! machine, a vCPU the host took away — the yield is what lets it run, and
+//! the barrier costs a context switch instead of a spin budget plus a
+//! sleep), and only then parks on the team's mutex.
+//!
+//! **Departure.**  A member whose closure returns (or unwinds) while others
+//! still have phases to run *departs*: it counts as arrived at the phase it
+//! left in and the barrier stops waiting for it from then on (C++'s
+//! `std::barrier::arrive_and_drop`).  Since every member departs sooner or
+//! later, every phase completes and no waiter is ever stranded.
+//!
+//! **Abort.**  [`Member::abort`] — and a panic in any member — marks the
+//! region aborted *before* that member arrives or departs, so every
+//! [`barrier`](Member::barrier) that completes afterwards returns
+//! [`RegionAborted`] and the members drain out instead of running a phase
+//! whose predecessor did not finish.  A panic is re-raised by the region
+//! entry once the region has drained; the team is reusable afterwards.
+//!
+//! [`team_parallel_for_schedule`] and [`team_parallel_reduce`] run a loop
+//! or a reduction as a one-phase region, including chunk-stealing dynamic
+//! scheduling; [`with_shared_team`] lends out the process-wide team of a
+//! given size, which is what the `threads: usize` entry points in
+//! [`crate::pool`] run on.
 //!
 //! [`team_threads_spawned`] counts every worker ever spawned process-wide,
 //! so tests can assert that back-to-back regions reuse one team instead of
@@ -30,11 +66,21 @@ use std::cell::Cell;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 
 static TEAM_THREADS_SPAWNED: AtomicU64 = AtomicU64::new(0);
+
+/// How long a barrier waiter polls the sense flag before it starts
+/// yielding, and how often it yields before it parks.  Constants, not
+/// knobs: the spin (~3 µs) covers members of a balanced phase on their own
+/// CPUs; the yields hand the CPU to a straggler that shares it, and — each
+/// returning at once when nothing else is runnable here — stretch the
+/// polling to the tens of microseconds a futex sleep and wake-up would
+/// cost anyway.
+const BARRIER_SPINS: u32 = 200;
+const BARRIER_YIELDS: u32 = 50;
 
 thread_local! {
     /// Set while this thread executes its share of a team region (always,
@@ -49,13 +95,16 @@ pub fn team_threads_spawned() -> u64 {
     TEAM_THREADS_SPAWNED.load(Ordering::Relaxed)
 }
 
-/// The closure every worker of one region runs; raw pointer so the borrow
-/// can cross the (pre-spawned) thread boundary.  Safety argument in
-/// [`ThreadTeam::run`].
-struct Job(*const (dyn Fn(usize) + Sync));
+/// What every member of one region runs.
+type RegionFn<'a> = dyn for<'m> Fn(&Member<'m>) + Sync + 'a;
 
-// SAFETY: the pointee is Sync and `run` keeps the borrow alive until every
-// worker has finished with it.
+/// The closure of the region in flight; raw pointer so the borrow can cross
+/// the (pre-spawned) thread boundary.  Safety argument in
+/// [`ThreadTeam::enter`].
+struct Job(*const RegionFn<'static>);
+
+// SAFETY: the pointee is Sync and `enter` keeps the borrow alive until
+// every worker has finished with it.
 unsafe impl Send for Job {}
 
 struct TeamState {
@@ -64,20 +113,193 @@ struct TeamState {
     remaining: usize,
     panicked: bool,
     shutdown: bool,
+    /// Members asleep in [`TeamShared::wait`]; the thread that opens a
+    /// phase notifies only when there are any.
+    parked: usize,
 }
 
 struct TeamShared {
     state: Mutex<TeamState>,
     work: Condvar,
     done: Condvar,
+    /// Where barrier waiters park once their spin budget is spent.
+    phase: Condvar,
+    /// Members of the region in flight that have not departed.
+    members: AtomicUsize,
+    /// Members the current phase still waits for.
+    pending: AtomicUsize,
+    /// What the last arrival of every phase publishes: the flipped
+    /// [`SENSE`] bit, plus [`ABORTED`] when the region was aborted by then —
+    /// one word, so every leaver of a phase gets the same answer.
+    sense: AtomicU8,
+    /// Sticky for the region once a member aborted or panicked.
+    aborted: AtomicBool,
+}
+
+const SENSE: u8 = 1;
+const ABORTED: u8 = 2;
+
+impl TeamShared {
+    fn lock(&self) -> MutexGuard<'_, TeamState> {
+        // No holder of the state lock runs caller code, so it cannot be
+        // poisoned by a panicking region.
+        self.state
+            .lock()
+            .expect("team state is never locked across caller code")
+    }
+
+    /// Counts one arrival at the current phase.  The last one re-arms the
+    /// count for the members still on the team, publishes the flipped sense
+    /// word (returned) and wakes the parked; every other arrival gets
+    /// `None` and, unless it is departing, [`wait`](Self::wait)s.
+    fn arrive(&self) -> Option<u8> {
+        // Release: this member's writes are published to whoever opens the
+        // phase; Acquire: the opener has seen every earlier arrival's.
+        if self.pending.fetch_sub(1, Ordering::AcqRel) != 1 {
+            return None;
+        }
+        // Nobody else touches the counters now: every member has arrived
+        // or departed, and none can leave before the store below.
+        self.pending
+            .store(self.members.load(Ordering::Relaxed), Ordering::Relaxed);
+        let mut word = !self.sense.load(Ordering::Relaxed) & SENSE;
+        // An aborting member set the flag before it arrived or departed.
+        if self.aborted.load(Ordering::Relaxed) {
+            word |= ABORTED;
+        }
+        self.sense.store(word, Ordering::Release);
+        // A waiter re-checks the sense under this lock before it sleeps, so
+        // it either sees the flip or is counted in `parked` by now.
+        if self.lock().parked > 0 {
+            self.phase.notify_all();
+        }
+        Some(word)
+    }
+
+    /// Blocks until the team's sense bit equals `sense` and returns the
+    /// word that opened the phase: a bounded spin, a bounded run of
+    /// yields, then a park on the team's mutex.
+    fn wait(&self, sense: u8) -> u8 {
+        let opened = || Some(self.sense.load(Ordering::Acquire)).filter(|w| w & SENSE == sense);
+        for _ in 0..BARRIER_SPINS {
+            if let Some(word) = opened() {
+                return word;
+            }
+            std::hint::spin_loop();
+        }
+        for _ in 0..BARRIER_YIELDS {
+            if let Some(word) = opened() {
+                return word;
+            }
+            std::thread::yield_now();
+        }
+        let mut st = self.lock();
+        st.parked += 1;
+        let word = loop {
+            if let Some(word) = opened() {
+                break word;
+            }
+            st = self
+                .phase
+                .wait(st)
+                .expect("team state is never locked across caller code");
+        };
+        st.parked -= 1;
+        word
+    }
+}
+
+/// Returned by [`Member::barrier`] once the region has been aborted: the
+/// phase before the barrier did not complete everywhere, so the member
+/// must not start the next one — return from the region closure instead.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RegionAborted;
+
+/// One member's handle on the region it is executing: who it is, how wide
+/// the team is, and the barrier between the region's phases.
+pub struct Member<'t> {
+    shared: &'t TeamShared,
+    index: usize,
+    size: usize,
+    /// The team's sense bit as of the last phase this member completed.
+    sense: Cell<u8>,
+}
+
+impl Member<'_> {
+    /// This member's worker index, `0..size`; 0 is the requesting thread.
+    pub fn index(&self) -> usize {
+        self.index
+    }
+
+    /// Number of members the region started with.
+    pub fn size(&self) -> usize {
+        self.size
+    }
+
+    /// Waits until every member still on the team has arrived, then lets
+    /// all of them go: whatever any member wrote before its `barrier()` is
+    /// visible to every member after it.  On a team of one it is a no-op.
+    ///
+    /// `Err(RegionAborted)` means a member aborted or panicked before it
+    /// reached this barrier (or an earlier one): the caller must return
+    /// instead of starting its next phase.  All members leaving the same
+    /// barrier get the same answer.
+    pub fn barrier(&self) -> Result<(), RegionAborted> {
+        let aborted = if self.size > 1 {
+            let sense = !self.sense.get() & SENSE;
+            self.sense.set(sense);
+            let word = self.shared.arrive();
+            word.unwrap_or_else(|| self.shared.wait(sense)) & ABORTED != 0
+        } else {
+            self.shared.aborted.load(Ordering::Relaxed)
+        };
+        if aborted {
+            return Err(RegionAborted);
+        }
+        Ok(())
+    }
+
+    /// Aborts the region: the barrier ending the phase this member is in,
+    /// and every later one, returns [`RegionAborted`] to all its members.
+    /// The caller should return right after.
+    pub fn abort(&self) {
+        // Published by this member's next arrival (or its departure).
+        self.shared.aborted.store(true, Ordering::Relaxed);
+    }
+}
+
+/// Runs member `index`'s share of a region: the closure, then the
+/// departure that lets the remaining members' barriers complete without it.
+/// A panic marks the region aborted first and is handed back.
+fn run_member(
+    shared: &TeamShared,
+    index: usize,
+    size: usize,
+    f: &RegionFn<'_>,
+) -> std::thread::Result<()> {
+    let member = Member {
+        shared,
+        index,
+        size,
+        sense: Cell::new(shared.sense.load(Ordering::Relaxed) & SENSE),
+    };
+    let result = catch_unwind(AssertUnwindSafe(|| f(&member)));
+    if result.is_err() {
+        member.abort();
+    }
+    if size > 1 {
+        shared.members.fetch_sub(1, Ordering::Relaxed);
+        shared.arrive();
+    }
+    result
 }
 
 /// A fixed-size team: the requesting thread plus `size - 1` persistent
 /// worker threads.
 ///
 /// Workers are spawned in [`ThreadTeam::new`] and live until the team is
-/// dropped; each [`run`](ThreadTeam::run) wakes all of them for one region.
-/// A team of size ≤ 1 spawns no threads and runs regions inline.
+/// dropped; each region wakes all of them once.  A team of size ≤ 1 spawns
+/// no threads and runs regions inline.
 pub struct ThreadTeam {
     shared: Arc<TeamShared>,
     handles: Vec<JoinHandle<()>>,
@@ -97,15 +319,21 @@ impl ThreadTeam {
                 remaining: 0,
                 panicked: false,
                 shutdown: false,
+                parked: 0,
             }),
             work: Condvar::new(),
             done: Condvar::new(),
+            phase: Condvar::new(),
+            members: AtomicUsize::new(0),
+            pending: AtomicUsize::new(0),
+            sense: AtomicU8::new(0),
+            aborted: AtomicBool::new(false),
         });
         let handles = (1..size)
             .map(|index| {
                 let shared = Arc::clone(&shared);
                 TEAM_THREADS_SPAWNED.fetch_add(1, Ordering::Relaxed);
-                std::thread::spawn(move || worker_loop(&shared, index))
+                std::thread::spawn(move || worker_loop(&shared, index, size))
             })
             .collect();
         ThreadTeam {
@@ -120,41 +348,79 @@ impl ThreadTeam {
         self.size
     }
 
-    /// Runs one parallel region: the caller executes `f(0)`, every spawned
-    /// worker `f(worker_index)`, once each, and `run` returns when all of
-    /// them have finished.  A panic in any of them is re-raised here after
-    /// the region completes.
+    /// Runs one parallel region: the caller executes `f` as member 0, every
+    /// spawned worker as member `worker_index`, once each, and `region`
+    /// returns their results in worker order when all of them have
+    /// finished.  Members may synchronise any number of times in between
+    /// through [`Member::barrier`].  A panic in any of them is re-raised
+    /// here after the region has drained.
+    pub fn region<R, F>(&self, f: F) -> Vec<R>
+    where
+        R: Send,
+        F: Fn(&Member<'_>) -> R + Sync,
+    {
+        // One slot per member, written by that member alone.
+        let slots: Vec<Mutex<Option<R>>> = (0..self.size).map(|_| Mutex::new(None)).collect();
+        self.enter(&|m| {
+            let result = f(m);
+            *slots[m.index()].lock().expect("no slot holder panics") = Some(result);
+        });
+        let filled = slots.into_iter().map(|s| s.into_inner().ok().flatten());
+        filled
+            .map(|r| r.expect("every member of a drained region returned"))
+            .collect()
+    }
+
+    /// Runs a region whose members need only their worker index: the
+    /// caller executes `f(0)`, every spawned worker `f(worker_index)`.
     pub fn run(&self, f: &(dyn Fn(usize) + Sync)) {
+        self.enter(&|m| f(m.index()));
+    }
+
+    /// The one region entry: publishes `f` as the team's job, runs member
+    /// 0's share, and waits for every worker to finish theirs.
+    fn enter(&self, f: &RegionFn<'_>) {
+        let shared = &*self.shared;
         if self.handles.is_empty() {
-            f(0);
+            // A team of one: the region is the closure, called inline.
+            shared.aborted.store(false, Ordering::Relaxed);
+            if let Err(payload) = run_member(shared, 0, 1, f) {
+                resume_unwind(payload);
+            }
             return;
         }
         {
-            let mut st = self.shared.state.lock().unwrap();
+            let mut st = shared.lock();
             // A real assert, not a debug one: the 'static transmute below
             // is only sound while regions never overlap, so the invariant
             // must hold in release builds too.
             assert!(st.job.is_none(), "overlapping team regions");
-            // The transmute erases the borrow's lifetime; `run` blocks
+            // The transmute erases the borrow's lifetime; `enter` blocks
             // below until `remaining == 0`, i.e. until every worker has
             // returned from `f`, so the pointee outlives all uses.
-            let erased: &'static (dyn Fn(usize) + Sync) = unsafe {
-                std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(f)
-            };
-            st.job = Some(Job(erased as *const (dyn Fn(usize) + Sync)));
+            let erased: &'static RegionFn<'static> =
+                unsafe { std::mem::transmute::<&RegionFn<'_>, &'static RegionFn<'static>>(f) };
+            st.job = Some(Job(erased as *const RegionFn<'static>));
             st.epoch += 1;
             st.remaining = self.handles.len();
             st.panicked = false;
-            self.shared.work.notify_all();
+            // Published to the workers by the lock they take to read `job`.
+            shared.members.store(self.size, Ordering::Relaxed);
+            shared.pending.store(self.size, Ordering::Relaxed);
+            shared.aborted.store(false, Ordering::Relaxed);
+            shared.work.notify_all();
         }
         // The caller's share.  A panic in it must not unwind past the wait
         // below — the workers still hold the borrow of `f`.
         let was_on_team = ON_TEAM.replace(true);
-        let own = catch_unwind(AssertUnwindSafe(|| f(0)));
+        let own = run_member(shared, 0, self.size, f);
         ON_TEAM.set(was_on_team);
-        let mut st = self.shared.state.lock().unwrap();
+        let mut st = shared.lock();
         while st.remaining > 0 {
-            st = self.shared.done.wait(st).unwrap();
+            st = shared
+                .done
+                .wait(st)
+                .expect("team state is never locked across caller code");
         }
         st.job = None;
         let panicked = st.panicked;
@@ -171,7 +437,7 @@ impl ThreadTeam {
 impl Drop for ThreadTeam {
     fn drop(&mut self) {
         {
-            let mut st = self.shared.state.lock().unwrap();
+            let mut st = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
             st.shutdown = true;
             self.shared.work.notify_all();
         }
@@ -181,12 +447,12 @@ impl Drop for ThreadTeam {
     }
 }
 
-fn worker_loop(shared: &TeamShared, index: usize) {
+fn worker_loop(shared: &TeamShared, index: usize, size: usize) {
     ON_TEAM.set(true);
     let mut seen_epoch = 0u64;
     loop {
         let job = {
-            let mut st = shared.state.lock().unwrap();
+            let mut st = shared.lock();
             loop {
                 if st.shutdown {
                     return;
@@ -195,13 +461,16 @@ fn worker_loop(shared: &TeamShared, index: usize) {
                     seen_epoch = st.epoch;
                     break st.job.as_ref().expect("epoch advanced without a job").0;
                 }
-                st = shared.work.wait(st).unwrap();
+                st = shared
+                    .work
+                    .wait(st)
+                    .expect("team state is never locked across caller code");
             }
         };
-        // SAFETY: `run` keeps the closure alive until this worker (and all
-        // others) decrement `remaining` below.
-        let result = catch_unwind(AssertUnwindSafe(|| unsafe { (*job)(index) }));
-        let mut st = shared.state.lock().unwrap();
+        // SAFETY: `enter` keeps the closure alive until this worker (and
+        // all others) decrement `remaining` below.
+        let result = run_member(shared, index, size, unsafe { &*job });
+        let mut st = shared.lock();
         if result.is_err() {
             st.panicked = true;
         }
@@ -319,9 +588,9 @@ where
 
 /// A general parallel reduction over `0..n` on `team` under `schedule`:
 /// every worker folds the ranges it executes into a private partial
-/// starting from `identity` (one partial per worker, not per chunk), and
-/// the partials are merged with `combine` in worker order once the region
-/// completes.
+/// starting from a clone of `identity` (one partial per worker, not per
+/// chunk), and the partials the region hands back are merged with `combine`
+/// in worker order.
 ///
 /// `body(range, acc)` must fold every iteration of `range` into `acc` and
 /// return the updated accumulator.  For the merge to reproduce the serial
@@ -338,46 +607,37 @@ pub fn team_parallel_reduce<T, F, C>(
     combine: C,
 ) -> T
 where
-    T: Clone + Send,
+    T: Clone + Send + Sync,
     F: Fn(Range<usize>, T) -> T + Sync,
     C: Fn(T, T) -> T,
 {
     if team.size() <= 1 || n == 0 {
         return body(0..n, identity);
     }
-    // Each worker's slot is pre-seeded with its own identity clone (taken
-    // and put back by that worker alone), so `T` needs only `Send`.
-    let slots: Vec<Mutex<Option<T>>> = (0..team.size())
-        .map(|_| Mutex::new(Some(identity.clone())))
-        .collect();
-    match schedule {
+    let partials = match schedule {
         Schedule::Static => {
             let ranges = chunk_ranges(n, team.size());
-            team.run(&|w| {
-                let id = slots[w].lock().unwrap().take().expect("seeded identity");
-                let acc = body(ranges[w].clone(), id);
-                *slots[w].lock().unwrap() = Some(acc);
-            });
+            team.region(|m| body(ranges[m.index()].clone(), identity.clone()))
         }
         Schedule::Dynamic { chunk } => {
             let chunk = chunk.max(1);
             let next = AtomicUsize::new(0);
-            team.run(&|w| {
-                let mut acc = slots[w].lock().unwrap().take().expect("seeded identity");
+            team.region(|_| {
+                let mut acc = identity.clone();
                 loop {
                     let start = next.fetch_add(chunk, Ordering::Relaxed);
                     if start >= n {
-                        break;
+                        break acc;
                     }
                     acc = body(start..(start + chunk).min(n), acc);
                 }
-                *slots[w].lock().unwrap() = Some(acc);
-            });
+            })
         }
-    }
-    let mut it = slots.into_iter().filter_map(|s| s.into_inner().unwrap());
-    let first = it.next().expect("at least one worker partial");
-    it.fold(first, combine)
+    };
+    partials
+        .into_iter()
+        .reduce(combine)
+        .expect("a team has at least one member")
 }
 
 #[cfg(test)]
@@ -413,6 +673,122 @@ mod tests {
         }
         assert_eq!(hits.load(Ordering::Relaxed), 50 * 100);
         assert_eq!(worker_ids(&team), workers);
+    }
+
+    #[test]
+    fn a_write_before_a_barrier_is_read_after_it_for_ten_thousand_phases() {
+        // Sizes 3 and 8 oversubscribe a small host: only a bounded spin
+        // that falls back to yielding and parking gets through this in
+        // seconds.
+        const PHASES: u64 = 10_000;
+        for size in [2usize, 3, 8] {
+            let team = ThreadTeam::new(size);
+            // Double-buffered by phase parity: a slow reader of phase `p`
+            // is two barriers ahead of the writer that reuses its cell.
+            let cells: Vec<[AtomicU64; 2]> = (0..size).map(|_| Default::default()).collect();
+            let read = team.region(|m| {
+                let (w, next) = (m.index(), (m.index() + 1) % size);
+                let mut read = 0;
+                for phase in 0..PHASES {
+                    let buf = (phase % 2) as usize;
+                    cells[w][buf].store(phase * 8 + w as u64, Ordering::Relaxed);
+                    m.barrier().expect("nobody aborts");
+                    assert_eq!(
+                        cells[next][buf].load(Ordering::Relaxed),
+                        phase * 8 + next as u64
+                    );
+                    read += 1;
+                }
+                read
+            });
+            assert_eq!(read, vec![PHASES; size]);
+        }
+    }
+
+    #[test]
+    fn a_member_that_returns_early_does_not_strand_the_others() {
+        let team = ThreadTeam::new(4);
+        let phases = team.region(|m| {
+            let mine = if m.index() == 1 { 3 } else { 200 };
+            for _ in 0..mine {
+                m.barrier().expect("a departure is not an abort");
+            }
+            mine
+        });
+        assert_eq!(phases, vec![200, 3, 200, 200]);
+    }
+
+    #[test]
+    fn a_panic_in_one_phase_releases_the_rest_and_the_team_survives() {
+        let team = ThreadTeam::new(3);
+        let stopped_at: Vec<AtomicU32> = (0..3).map(|_| AtomicU32::new(u32::MAX)).collect();
+        let r = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            team.region(|m| {
+                for phase in 0..1000u32 {
+                    if m.index() == 2 && phase == 5 {
+                        panic!("boom in phase 5");
+                    }
+                    if m.barrier().is_err() {
+                        stopped_at[m.index()].store(phase, Ordering::Relaxed);
+                        return;
+                    }
+                }
+            })
+        }));
+        assert!(r.is_err(), "the region entry re-raises the member's panic");
+        // The panicking member never arrived at barrier 5, so that is the
+        // barrier that released the others — not an earlier or later one.
+        let stopped: Vec<u32> = stopped_at
+            .iter()
+            .map(|s| s.load(Ordering::Relaxed))
+            .collect();
+        assert_eq!(stopped, vec![5, 5, u32::MAX]);
+        assert_eq!(team.region(|m| m.index()), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn an_abort_fails_the_barrier_of_the_phase_it_happened_in() {
+        let team = ThreadTeam::new(3);
+        let completed = team.region(|m| {
+            let mut completed = 0;
+            loop {
+                if m.index() == 0 && completed == 2 {
+                    m.abort();
+                    return completed;
+                }
+                if m.barrier().is_err() {
+                    return completed;
+                }
+                completed += 1;
+            }
+        });
+        assert_eq!(completed, vec![2, 2, 2]);
+        // The flag is per region.
+        assert_eq!(team.region(|m| m.barrier()), vec![Ok(()); 3]);
+    }
+
+    #[test]
+    fn a_region_requested_from_inside_a_member_runs_inline_on_a_team_of_one() {
+        let team = ThreadTeam::new(2);
+        let nested = team.region(|_| {
+            with_shared_team(4, |inner| {
+                let sizes = inner.region(|m| {
+                    m.barrier().expect("a team of one has a no-op barrier");
+                    (m.index(), m.size())
+                });
+                (inner.size(), sizes)
+            })
+        });
+        assert_eq!(nested, vec![(1, vec![(0, 1)]); 2]);
+    }
+
+    #[test]
+    fn region_results_come_back_in_worker_order() {
+        for size in [1usize, 2, 5] {
+            let team = ThreadTeam::new(size);
+            let expected: Vec<usize> = (0..size).map(|w| w * 10).collect();
+            assert_eq!(team.region(|m| m.index() * 10), expected);
+        }
     }
 
     #[test]

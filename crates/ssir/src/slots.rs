@@ -243,8 +243,8 @@ pub struct CompiledFor {
     /// proven them parallel anyway unless the array is never written).
     pub locals_dominated: bool,
     /// True when a nested loop's init or bound reads an array (the CSR row
-    /// shape): per-iteration work is data-dependent, so `Auto` scheduling
-    /// picks chunk stealing.
+    /// shape) or this loop's own index (a triangular nest): per-iteration
+    /// work varies, so `Auto` scheduling picks chunk stealing.
     pub skewed: bool,
 }
 
@@ -406,6 +406,7 @@ fn compile_stmt(s: &Stmt, slots: &mut SlotMap, ops: &mut Vec<Op>) {
             body,
             ..
         } => {
+            let skewed = body_is_skewed(var, body);
             let init = compile_expr(init, slots);
             let var = slots.intern_scalar(var);
             let bound = compile_expr(bound, slots);
@@ -423,7 +424,7 @@ fn compile_stmt(s: &Stmt, slots: &mut SlotMap, ops: &mut Vec<Op>) {
                 body: compiled_body,
                 locals_dominated: local_decls_dominate(body),
                 local_arrays,
-                skewed: body_is_skewed(body),
+                skewed,
             })));
         }
         Stmt::While { id, cond, body } => {
@@ -567,19 +568,22 @@ fn local_decls_dominate(body: &[Stmt]) -> bool {
     declared.iter().all(|d| dominated.contains(d))
 }
 
-/// Skew heuristic shared with the dispatchers: a nested loop whose init or
-/// bound reads an array (`for (k = rowstr[j]; k < rowstr[j+1]; …)`) has
-/// per-iteration work proportional to data, not code.
-pub fn body_is_skewed(body: &[Stmt]) -> bool {
-    fn has_array_ref(e: &AExpr) -> bool {
+/// Skew heuristic shared with the dispatchers: per-iteration work of the
+/// loop over `var` varies when a nested loop's init or bound reads an array
+/// (`for (k = rowstr[j]; k < rowstr[j+1]; …)`: work proportional to data,
+/// not code) or mentions `var` itself (`for (t = 0; t < i; t++)`: a
+/// triangular nest, where a static split hands the last worker most of the
+/// work).
+pub fn body_is_skewed(var: &str, body: &[Stmt]) -> bool {
+    let varies = |e: &AExpr| {
         let mut found = false;
-        e.for_each(&mut |x| {
-            if matches!(x, AExpr::Index(_, _)) {
-                found = true;
-            }
+        e.for_each(&mut |x| match x {
+            AExpr::Index(_, _) => found = true,
+            AExpr::Var(name) if name == var => found = true,
+            _ => {}
         });
         found
-    }
+    };
     let mut skewed = false;
     fn walk(stmts: &[Stmt], f: &mut impl FnMut(&Stmt)) {
         for s in stmts {
@@ -591,7 +595,7 @@ pub fn body_is_skewed(body: &[Stmt]) -> bool {
     }
     walk(body, &mut |s| {
         if let Stmt::For { init, bound, .. } = s {
-            if has_array_ref(init) || has_array_ref(bound) {
+            if varies(init) || varies(bound) {
                 skewed = true;
             }
         }
@@ -677,6 +681,14 @@ mod tests {
             for (j = 0; j < n; j++) {
                 for (k = r[j]; k < r[j+1]; k++) { v[k] = j; }
             }
+            for (a = 0; a < n; a++) {
+                for (b = 0; b < a; b++) { tri[a * n + b] = 1; }
+            }
+            for (c = 0; c < n; c++) {
+                for (d = 0; d < n; d++) {
+                    for (e = d; e < n; e++) { cube[c * n + d] = e; }
+                }
+            }
         "#,
         )
         .unwrap();
@@ -690,6 +702,11 @@ mod tests {
         assert!(inner.local_arrays.is_empty());
         let csr = c.find_loop(LoopId(2)).unwrap();
         assert!(csr.skewed, "index-array bounds in a nested loop mean skew");
+        let triangular = c.find_loop(LoopId(4)).unwrap();
+        assert!(triangular.skewed, "a bound on the loop's own index is skew");
+        // Every `c` iteration does the same work: the triangle is over `d`.
+        assert!(!c.find_loop(LoopId(6)).unwrap().skewed);
+        assert!(c.find_loop(LoopId(7)).unwrap().skewed);
         assert!(c.find_loop(LoopId(9)).is_none());
     }
 
