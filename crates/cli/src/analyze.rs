@@ -1,13 +1,9 @@
 //! `sspar analyze` / `sspar trace`: verdicts, facts, annotated source,
-//! bytecode listing, instruction-pair profile, and the Phase 1 / Phase 2
-//! trace.
+//! bytecode listing, and the Phase 1 / Phase 2 trace.
 
 use crate::{session, OutputFormat};
 use ss_aggregation::analyze_program;
-use ss_interp::{
-    analysis_json, reset_pair_counts, set_pair_profiling, top_instruction_pairs, ExecutionMode,
-    OptLevel, RunRequest, SsError,
-};
+use ss_interp::{analysis_json, OptLevel, SsError};
 use ss_ir::{parse_program, LoopId};
 use ss_parallelizer::VerdictKind;
 
@@ -23,14 +19,12 @@ fn verdict_cell(l: &ss_parallelizer::LoopReport) -> String {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn analyze_text(
     name: &str,
     source: &str,
     baseline: bool,
     no_source: bool,
     dump_bytecode: bool,
-    profile: bool,
     opt_level: OptLevel,
     format: OutputFormat,
 ) -> Result<String, SsError> {
@@ -88,41 +82,6 @@ pub(crate) fn analyze_text(
             "\n== register-machine bytecode ({opt_level}) ==\n"
         ));
         out.push_str(&artifacts.bytecode_at(opt_level).disassemble());
-    }
-    if profile {
-        out.push_str(&profile_text(name, source, opt_level)?);
-    }
-    Ok(out)
-}
-
-/// Executes the program once (bytecode engine, serial, synthesized
-/// inputs) with instruction-pair profiling on and renders the hottest
-/// dynamically adjacent pairs — the fusion candidates a profile-guided
-/// superinstruction pass would consider next.
-fn profile_text(name: &str, source: &str, opt_level: OptLevel) -> Result<String, SsError> {
-    const PROFILE_SCALE: i64 = 64;
-    const TOP_PAIRS: usize = 12;
-    reset_pair_counts();
-    set_pair_profiling(true);
-    let result = session().run(
-        &RunRequest::new(name, source)
-            .engine("bytecode")
-            .opt_level(opt_level)
-            .scale(PROFILE_SCALE)
-            .mode(ExecutionMode::Serial),
-    );
-    set_pair_profiling(false);
-    result?;
-    let mut out = String::new();
-    out.push_str(&format!(
-        "\n== hottest instruction pairs ({opt_level}, dynamic order, n={PROFILE_SCALE}) ==\n"
-    ));
-    let pairs = top_instruction_pairs(TOP_PAIRS);
-    if pairs.is_empty() {
-        out.push_str("(no instruction pairs executed)\n");
-    }
-    for (prev, next, count) in pairs {
-        out.push_str(&format!("{count:>12}  {prev} -> {next}\n"));
     }
     Ok(out)
 }
@@ -267,7 +226,7 @@ mod tests {
         assert!(!o0.contains("cmpbr"), "{o0}");
         assert!(!o0.contains("load2"), "{o0}");
         // trace does not accept the flags
-        for flag in ["--dump-bytecode", "--opt-level", "--profile"] {
+        for flag in ["--dump-bytecode", "--opt-level"] {
             assert!(matches!(
                 run(
                     &args(&["trace", "--kernel", "fig9_csr_product", flag]),
@@ -276,27 +235,6 @@ mod tests {
                 Err(SsError::Usage(_))
             ));
         }
-    }
-
-    #[test]
-    fn profile_prints_the_hottest_instruction_pairs() {
-        let reader = MapReader(HashMap::new());
-        let out = run(
-            &args(&[
-                "analyze",
-                "--kernel",
-                "fig9_csr_product",
-                "--no-source",
-                "--profile",
-            ]),
-            &reader,
-        )
-        .unwrap();
-        assert!(out.contains("== hottest instruction pairs (O1"), "{out}");
-        // A counted loop's hot path necessarily executes adjacent pairs;
-        // at least one `prev -> next` line with a count must appear.
-        // (Counts are process-wide, so only presence is asserted.)
-        assert!(out.contains(" -> "), "{out}");
     }
 
     #[test]

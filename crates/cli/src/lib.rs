@@ -100,15 +100,10 @@ pub fn usage() -> String {
          \u{20}   --baseline       analyze: also show the property-free baseline verdicts\n\
          \u{20}   --no-source      analyze: omit the annotated source from the output\n\
          \u{20}   --dump-bytecode  analyze: print the register-machine bytecode listing\n\
-         \u{20}   --profile        analyze: execute the program once (bytecode engine,\n\
-         \u{20}                    serial) with instruction-pair profiling on and print\n\
-         \u{20}                    the hottest dynamically adjacent pairs — the fusion\n\
-         \u{20}                    candidates for a profile-guided superinstruction pass\n\
-         \u{20}                    (SSPAR_PROFILE=1 implies it)\n\
-         \u{20}   --opt-level <0|1>  analyze: which bytecode stream --dump-bytecode prints\n\
-         \u{20}                    and --profile executes: the base compiler's (0) or the\n\
-         \u{20}                    optimized one (1, default — fused subscripted-subscript\n\
-         \u{20}                    loads, compare-and-branch, constant folding)\n\
+         \u{20}   --opt-level <0|1>  analyze: which bytecode stream --dump-bytecode prints:\n\
+         \u{20}                    the base compiler's (0) or the optimized one (1,\n\
+         \u{20}                    default — fused subscripted-subscript loads,\n\
+         \u{20}                    compare-and-branch, constant folding)\n\
          \u{20}   --format <text|json>  analyze/engines/run/tune: output format (default\n\
          \u{20}                    text); JSON schemas are stable for downstream tooling\n\
          \n\
@@ -164,11 +159,7 @@ pub enum Command {
         no_source: bool,
         /// Print the register-machine bytecode listing.
         dump_bytecode: bool,
-        /// Execute once with instruction-pair profiling and print the
-        /// hottest pairs.
-        profile: bool,
-        /// Which bytecode stream `--dump-bytecode` prints (and
-        /// `--profile` executes).
+        /// Which bytecode stream `--dump-bytecode` prints.
         opt_level: OptLevel,
         /// Text or JSON output.
         format: OutputFormat,
@@ -337,10 +328,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, SsError> {
             let mut baseline = false;
             let mut no_source = false;
             let mut dump_bytecode = false;
-            // The env flag serves wrappers that cannot edit the argument
-            // vector (bench scripts, CI harnesses).
-            let mut profile =
-                cmd == "analyze" && std::env::var("SSPAR_PROFILE").is_ok_and(|v| v != "0");
             let mut spec = cli_spec();
             let mut format = OutputFormat::Text;
             let mut i = 0;
@@ -372,10 +359,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, SsError> {
                         dump_bytecode = true;
                         i += 1;
                     }
-                    "--profile" if cmd == "analyze" => {
-                        profile = true;
-                        i += 1;
-                    }
                     other if !other.starts_with("--") && input.is_none() => {
                         input = Some(Input::File(other.to_string()));
                         i += 1;
@@ -390,7 +373,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, SsError> {
                     baseline,
                     no_source,
                     dump_bytecode,
-                    profile,
                     opt_level: spec.request.opt_level,
                     format,
                 },
@@ -426,7 +408,6 @@ pub fn execute(cmd: &Command, reader: &dyn SourceReader) -> Result<String, SsErr
             baseline,
             no_source,
             dump_bytecode,
-            profile,
             opt_level,
             format,
         } => {
@@ -437,7 +418,6 @@ pub fn execute(cmd: &Command, reader: &dyn SourceReader) -> Result<String, SsErr
                 *baseline,
                 *no_source,
                 *dump_bytecode,
-                *profile,
                 *opt_level,
                 *format,
             )
@@ -572,7 +552,6 @@ mod tests {
                 baseline: false,
                 no_source: false,
                 dump_bytecode: false,
-                profile: false,
                 opt_level: OptLevel::O1,
                 format: OutputFormat::Text,
             }
@@ -585,7 +564,6 @@ mod tests {
                 "--baseline",
                 "--no-source",
                 "--dump-bytecode",
-                "--profile",
                 "--opt-level",
                 "0",
                 "--format",
@@ -597,7 +575,6 @@ mod tests {
                 baseline: true,
                 no_source: true,
                 dump_bytecode: true,
-                profile: true,
                 opt_level: OptLevel::O0,
                 format: OutputFormat::Json,
             }

@@ -123,7 +123,8 @@ pub(crate) fn run_text(request: RunRequest, format: OutputFormat) -> Result<Stri
     if let Some(v) = &outcome.validation {
         if v.heaps_match {
             out.push_str(&format!(
-                "validation: PASS (reference and {} final heaps are bit-identical)\n",
+                "validation: PASS (the reference and {} legs have bit-identical final heaps: {})\n",
+                v.compared.len(),
                 v.compared.join(", ")
             ));
         } else {

@@ -28,89 +28,7 @@ use super::{ExecEnvTiming, ExecError, ExecMode, ExecOptions, ExecOutcome, ExecSt
 use crate::heap::Heap;
 use ss_ir::bytecode::{BcExpr, BcFor, BytecodeProgram, HeaderFast, Instr, Reg};
 use ss_ir::LoopId;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
-
-// ---------------------------------------------------------------------------
-// Opt-in instruction-pair hotness profiling.
-// ---------------------------------------------------------------------------
-
-/// Number of instruction kinds in the profiling matrix.
-const NKINDS: usize = 20;
-
-/// Kind names, indexed like [`instr_kind`]'s return value.
-const KIND_NAMES: [&str; NKINDS] = [
-    "const", "copy", "bin", "accum", "neg", "not", "load", "store", "decl", "jz", "jnz", "jump",
-    "for", "wenter", "witer", "wexit", "ldld", "cmpbr", "ld2", "st2",
-];
-
-/// Whether the bytecode loop records executed-instruction pairs.
-static PROFILING: AtomicBool = AtomicBool::new(false);
-
-/// The `NKINDS x NKINDS` pair matrix (`prev * NKINDS + next`).
-static PAIR_COUNTS: [AtomicU64; NKINDS * NKINDS] = {
-    #[allow(clippy::declare_interior_mutable_const)]
-    const ZERO: AtomicU64 = AtomicU64::new(0);
-    [ZERO; NKINDS * NKINDS]
-};
-
-fn instr_kind(i: &Instr) -> usize {
-    match i {
-        Instr::Const { .. } => 0,
-        Instr::Copy { .. } => 1,
-        Instr::Bin { .. } => 2,
-        Instr::Accum { .. } => 3,
-        Instr::Neg { .. } => 4,
-        Instr::Not { .. } => 5,
-        Instr::Load { .. } => 6,
-        Instr::Store { .. } => 7,
-        Instr::DeclArray { .. } => 8,
-        Instr::Jz { .. } => 9,
-        Instr::Jnz { .. } => 10,
-        Instr::Jump { .. } => 11,
-        Instr::For(_) => 12,
-        Instr::WhileEnter { .. } => 13,
-        Instr::WhileIter { .. } => 14,
-        Instr::WhileExit { .. } => 15,
-        Instr::LoadLoad { .. } => 16,
-        Instr::CmpBranch { .. } => 17,
-        Instr::Load2 { .. } => 18,
-        Instr::Store2 { .. } => 19,
-    }
-}
-
-/// Turns instruction-pair hotness profiling on or off (process-wide).
-/// While on, the bytecode interpreter counts every *executed* adjacent
-/// instruction pair — in dynamic order, so a pair spanning a taken branch
-/// counts the branch's actual successor.  The single flag load per block
-/// execution keeps the cost of the `off` state at zero.
-pub fn set_pair_profiling(on: bool) {
-    PROFILING.store(on, Ordering::SeqCst);
-}
-
-/// Resets all pair counters to zero.
-pub fn reset_pair_counts() {
-    for c in PAIR_COUNTS.iter() {
-        c.store(0, Ordering::Relaxed);
-    }
-}
-
-/// The hottest executed instruction pairs, descending, at most `n` —
-/// `(previous kind, next kind, count)`.  These are the fusion candidates a
-/// profile-guided superinstruction pass would consider next.
-pub fn top_instruction_pairs(n: usize) -> Vec<(&'static str, &'static str, u64)> {
-    let mut pairs: Vec<(&'static str, &'static str, u64)> = PAIR_COUNTS
-        .iter()
-        .enumerate()
-        .filter_map(|(k, c)| {
-            let count = c.load(Ordering::Relaxed);
-            (count > 0).then(|| (KIND_NAMES[k / NKINDS], KIND_NAMES[k % NKINDS], count))
-        })
-        .collect();
-    pairs.sort_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(b.0)).then(a.1.cmp(b.1)));
-    pairs.truncate(n);
-    pairs
-}
 
 // ---------------------------------------------------------------------------
 // The register machine.
@@ -249,19 +167,8 @@ fn exec_code<A: ArrayStore, P: BcPolicy<A>>(
     env: &mut ExecEnvTiming<'_>,
 ) -> Result<(), ExecError> {
     let mut guards: Vec<WhileGuard> = Vec::new();
-    // One flag load per block execution: the hot path pays nothing while
-    // profiling is off.
-    let profiling = PROFILING.load(Ordering::Relaxed);
-    let mut prev_kind = NKINDS;
     let mut pc = 0usize;
     while pc < code.len() {
-        if profiling {
-            let kind = instr_kind(&code[pc]);
-            if prev_kind < NKINDS {
-                PAIR_COUNTS[prev_kind * NKINDS + kind].fetch_add(1, Ordering::Relaxed);
-            }
-            prev_kind = kind;
-        }
         match &code[pc] {
             Instr::Const { dst, pool } => {
                 let v = m.consts[*pool as usize];

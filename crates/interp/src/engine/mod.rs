@@ -531,19 +531,17 @@ mod tests {
     /// Every dispatching row at every opt level it distinguishes, with the
     /// inspector baseline on.
     fn inspector_legs(threads: usize) -> Vec<(Arc<dyn Engine>, ExecOptions)> {
-        let rows = engines().into_iter().filter(|e| !e.caps().reference);
-        rows.flat_map(|e| {
-            let levels = e.caps().opt_levels;
-            levels.iter().map(move |&opt_level| {
+        let registry = EngineRegistry::builtin();
+        crate::matrix::rows(&registry)
+            .map(|(e, opt_level)| {
                 let o = ExecOptions {
                     baseline_inspector: true,
                     opt_level,
                     ..opts(threads)
                 };
-                (Arc::clone(&e), o)
+                (Arc::clone(e), o)
             })
-        })
-        .collect()
+            .collect()
     }
 
     #[test]

@@ -108,13 +108,10 @@ pub(crate) fn apply_assign(op: AssignOp, current: i64, rhs: i64) -> i64 {
 // The statement walker.
 // ---------------------------------------------------------------------------
 
-/// Walker state shared down the recursion.
-pub(crate) type ExecEnv<'a> = ExecEnvTiming<'a>;
-
 pub(crate) fn exec_stmts<S: Store>(
     st: &mut S,
     stmts: &[Stmt],
-    env: &mut ExecEnv<'_>,
+    env: &mut ExecEnvTiming<'_>,
 ) -> Result<(), ExecError> {
     for s in stmts {
         exec_stmt(st, s, env)?;
@@ -122,7 +119,7 @@ pub(crate) fn exec_stmts<S: Store>(
     Ok(())
 }
 
-fn exec_stmt<S: Store>(st: &mut S, s: &Stmt, env: &mut ExecEnv<'_>) -> Result<(), ExecError> {
+fn exec_stmt<S: Store>(st: &mut S, s: &Stmt, env: &mut ExecEnvTiming<'_>) -> Result<(), ExecError> {
     match s {
         Stmt::Decl { name, dims, init } => {
             if dims.is_empty() {
@@ -244,7 +241,7 @@ pub(crate) fn run_serial_ast(
     let start = Instant::now();
     {
         let mut store = HeapStore { heap: &mut heap };
-        let mut env = ExecEnv {
+        let mut env = ExecEnvTiming {
             stats: &mut stats,
             timing: true,
             while_cap: opts.while_cap,

@@ -21,9 +21,9 @@
 //! discovery did, with no out-of-bounds surprises and no second source of
 //! randomness.
 
-use crate::engine::serial::{exec_stmts, ExecEnv};
+use crate::engine::serial::exec_stmts;
 use crate::engine::store::Store;
-use crate::engine::{ExecError, ExecOptions, ExecStats};
+use crate::engine::{ExecEnvTiming, ExecError, ExecOptions, ExecStats};
 use crate::heap::{ArrayVal, Heap};
 use ss_ir::{free_scalars, Program};
 use std::collections::HashMap;
@@ -160,7 +160,7 @@ pub fn synthesize_inputs(program: &Program, spec: &InputSpec) -> Result<Heap, Ex
         spec: *spec,
     };
     let mut stats = ExecStats::default();
-    let mut env = ExecEnv {
+    let mut env = ExecEnvTiming {
         stats: &mut stats,
         timing: false,
         while_cap: ExecOptions::default().while_cap,

@@ -13,6 +13,9 @@
 //!   (final heap, stage timings, verdict summary, stable JSON), and the
 //!   differential validation mode asserting every engine produces
 //!   bit-identical final heaps;
+//! * [`matrix`] — the legs that validation mode runs (every row × opt
+//!   level × serial/parallel, plus an inspector-baseline leg) and the rule
+//!   they must agree by, in one place;
 //! * [`engine`] — the [`Engine`] trait and [`EngineRegistry`]: execution
 //!   strategies as pluggable trait objects with capability flags.  Built
 //!   in: the **bytecode** engine (default) executing the flat
@@ -77,11 +80,11 @@ mod fnv;
 pub mod heap;
 pub mod inputs;
 pub mod json;
+pub mod matrix;
 pub mod request;
 pub mod session;
 pub mod tuner;
 
-pub use engine::bytecode::{reset_pair_counts, set_pair_profiling, top_instruction_pairs};
 pub use engine::{
     Engine, EngineCaps, EngineRegistry, ExecError, ExecMode, ExecOptions, ExecOutcome, ExecStats,
     LoopStats, ScheduleChoice,
@@ -90,10 +93,11 @@ pub use error::SsError;
 pub use heap::{ArrayVal, Heap};
 pub use inputs::{input_value, synthesize_inputs, InputSpec};
 pub use json::heap_json;
+pub use matrix::{LegKind, Matrix};
 pub use session::{
-    analysis_json, engine_label, registry_json, verdict_summary, CacheStats, ExecutionMode,
-    InputSource, LoopVerdictSummary, RunOutcome, RunPolicy, RunRequest, Session, TuneOutcome,
-    TunerStats, ValidationMode, ValidationSummary,
+    analysis_json, registry_json, verdict_summary, CacheStats, ExecutionMode, InputSource,
+    LoopVerdictSummary, RunOutcome, RunPolicy, RunRequest, Session, TuneOutcome, TunerStats,
+    ValidationMode, ValidationSummary,
 };
 pub use ss_ir::opt::OptLevel;
 pub use tuner::{tune_search_count, PolicyPoint, TunedPolicy, TunerConfig};

@@ -353,8 +353,8 @@ pub const FIELDS: &[Field] = &[
             }
         }),
         on: &[CliRun, WireRun],
-        help:
-            "diff every engine's final heap against the reference's; here, a mismatch exits nonzero",
+        help: "diff the reference's final heap against every row x opt level, serial and \
+               parallel, plus an inspector leg (16 executions); here, a mismatch exits nonzero",
     },
     Field {
         key: "budget_trials",

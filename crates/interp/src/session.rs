@@ -20,7 +20,7 @@
 //!   verdict summaries, per-loop execution statistics, the engine that
 //!   actually ran, cache provenance, and — in
 //!   [`ValidationMode::Differential`] — the full cross-engine
-//!   bit-identical-heap comparison;
+//!   bit-identical-heap comparison of the [`crate::matrix`];
 //! * every failure is one [`SsError`] with a stable
 //!   [`exit_code`](SsError::exit_code).
 //!
@@ -58,6 +58,7 @@ use crate::fnv::Fnv1a;
 use crate::heap::Heap;
 use crate::inputs::{synthesize_inputs, InputSpec};
 use crate::json;
+use crate::matrix::{LegKind, Matrix};
 use crate::tuner::{self, PolicyPoint, TunedPolicy, TunerConfig};
 use ss_ir::opt::OptLevel;
 use ss_ir::LoopId;
@@ -88,10 +89,12 @@ pub enum ValidationMode {
     /// Execute only what [`ExecutionMode`] asks for.
     #[default]
     None,
-    /// Execute the full differential matrix — the reference engine plus
-    /// every registered engine at every level it distinguishes, serially,
-    /// and the requested engine in parallel — and diff all final heaps bit
-    /// for bit ([`RunOutcome::validation`]).
+    /// Execute the full differential [`Matrix`] — the reference engine
+    /// serially, every other registered engine at every level it
+    /// distinguishes serially *and* in parallel, and the requested engine
+    /// under the inspector baseline (16 executions on the built-in
+    /// registry) — and diff all final heaps bit for bit
+    /// ([`RunOutcome::validation`]).
     Differential,
 }
 
@@ -360,9 +363,8 @@ pub fn verdict_summary(
 /// The cross-engine comparison of a [`ValidationMode::Differential`] run.
 #[derive(Debug, Clone)]
 pub struct ValidationSummary {
-    /// Labels of every execution that was diffed against the reference
-    /// (engine name, `@O<n>`-suffixed where the engine distinguishes
-    /// levels, and the parallel leg).
+    /// Labels of every leg that was diffed against the reference, in
+    /// execution order ([`Leg::label`](crate::matrix::Leg::label)).
     pub compared: Vec<String>,
     /// True when every final heap was bit-identical to the reference.
     pub heaps_match: bool,
@@ -1004,20 +1006,6 @@ impl Session {
             Some(name) => self.registry.get(name)?,
             None => self.registry.default_engine(),
         };
-        // Every engine this run will execute gets exactly one prepare()
-        // call (its chance to veto the artifact store) before its first
-        // execution, the requested one included.
-        let mut prepared: Vec<&'static str> = Vec::new();
-        let prepare_once =
-            |e: &Arc<dyn Engine>, prepared: &mut Vec<&'static str>| -> Result<(), SsError> {
-                if !prepared.contains(&e.name()) {
-                    e.prepare(&artifacts)?;
-                    prepared.push(e.name());
-                }
-                Ok(())
-            };
-        prepare_once(&engine, &mut prepared)?;
-
         let mut serial: Option<ExecStats> = None;
         let mut parallel: Option<ExecStats> = None;
         let mut validation: Option<ValidationSummary> = None;
@@ -1025,63 +1013,33 @@ impl Session {
 
         match request.validation {
             ValidationMode::Differential => {
-                let reference = self
-                    .registry
-                    .reference()
-                    .ok_or_else(|| SsError::Unsupported {
-                        engine: engine.name().to_string(),
-                        reason: "differential validation needs a reference engine, \
-                                     and none is registered"
-                            .to_string(),
-                    })?;
-                prepare_once(&reference, &mut prepared)?;
-                let ref_out = reference.run_serial(&artifacts, initial.clone(), &opts)?;
-                let mut compared = Vec::new();
-                let mut mismatches = Vec::new();
-                for other in self.registry.iter() {
-                    if other.name() == reference.name() {
-                        continue; // the reference run itself
-                    }
-                    prepare_once(other, &mut prepared)?;
-                    for &level in other.caps().opt_levels {
-                        let label = engine_label(other.as_ref(), level);
-                        let level_opts = ExecOptions {
-                            opt_level: level,
-                            ..opts.clone()
-                        };
-                        let out = other.run_serial(&artifacts, initial.clone(), &level_opts)?;
-                        for m in ref_out.heap.diff(&out.heap) {
-                            mismatches.push(format!(
-                                "serial {} vs serial {label}: {m}",
-                                reference.name()
-                            ));
-                        }
-                        if other.name() == engine.name()
-                            && (level == opts.opt_level || other.caps().opt_levels.len() == 1)
-                        {
-                            serial = Some(out.stats);
-                        }
-                        compared.push(label);
-                    }
-                }
-                if serial.is_none() {
-                    // The requested engine is the reference itself.
-                    serial = Some(ref_out.stats.clone());
-                }
-                let par_out = engine.run_parallel(&artifacts, initial.clone(), &opts)?;
-                for m in ref_out.heap.diff(&par_out.heap) {
-                    mismatches.push(format!("serial vs parallel: {m}"));
-                }
-                compared.push(format!("parallel {}", engine.name()));
+                let matrix =
+                    Matrix::run(&self.registry, engine.as_ref(), &artifacts, &initial, &opts)?;
+                let reference = matrix.reference?;
                 validation = Some(ValidationSummary {
-                    compared,
-                    heaps_match: mismatches.is_empty(),
-                    mismatches,
+                    compared: matrix.legs.iter().map(|l| l.label.clone()).collect(),
+                    heaps_match: matrix.mismatches.is_empty(),
+                    mismatches: matrix.mismatches,
                 });
-                parallel = Some(par_out.stats);
-                heap = ref_out.heap;
+                // The requested row's legs (the inspector leg is its
+                // parallel one when the request asked for the baseline, or
+                // when the requested row is the reference); a requested leg
+                // that failed where the reference did not is the run's error.
+                for leg in matrix.legs.into_iter().filter(|l| l.requested) {
+                    match leg.kind {
+                        LegKind::Serial => serial = Some(leg.outcome?),
+                        LegKind::Parallel if !opts.baseline_inspector => {
+                            parallel = Some(leg.outcome?)
+                        }
+                        LegKind::Inspector if parallel.is_none() => parallel = Some(leg.outcome?),
+                        _ => {}
+                    }
+                }
+                serial.get_or_insert(reference.stats);
+                heap = reference.heap;
             }
             ValidationMode::None => {
+                engine.prepare(&artifacts)?;
                 let run_serial_leg =
                     matches!(request.mode, ExecutionMode::Serial | ExecutionMode::Both);
                 let run_parallel_leg =
@@ -1210,16 +1168,6 @@ impl TuneOutcome {
     }
 }
 
-/// `name` for single-level engines, `name@O<n>` for opt-level-sensitive
-/// ones — the labels the differential matrix and the fuzz harness report.
-pub fn engine_label(engine: &dyn Engine, level: OptLevel) -> String {
-    if engine.caps().opt_levels.len() > 1 {
-        format!("{}@{level}", engine.name())
-    } else {
-        engine.name().to_string()
-    }
-}
-
 /// The cache key: a 128-bit content hash of `(name, source)`.
 fn content_key(name: &str, source: &str) -> u128 {
     let mut lo = DefaultHasher::new();
@@ -1265,15 +1213,22 @@ mod tests {
         assert!(outcome.serial.is_some() && outcome.parallel.is_some());
         assert!(outcome.speedup().unwrap() > 0.0);
         let v = outcome.validation.as_ref().unwrap();
-        // compiled + bytecode/threaded/wavefront @O0/O1 serial legs, one
-        // parallel leg.
-        assert_eq!(v.compared.len(), 8, "{:?}", v.compared);
-        assert!(v.compared.contains(&"bytecode@O0".to_string()));
-        assert!(v.compared.contains(&"threaded@O0".to_string()));
-        assert!(v.compared.contains(&"threaded@O1".to_string()));
-        assert!(v.compared.contains(&"wavefront@O0".to_string()));
-        assert!(v.compared.contains(&"wavefront@O1".to_string()));
-        assert!(v.compared.contains(&"compiled".to_string()));
+        // compiled + bytecode/threaded/wavefront @O0/O1, serially and in
+        // parallel, then the inspector leg.
+        assert_eq!(v.compared.len(), 15, "{:?}", v.compared);
+        for label in [
+            "bytecode@O0",
+            "threaded@O1",
+            "wavefront@O0",
+            "compiled",
+            "parallel bytecode@O0",
+            "parallel threaded@O1",
+            "parallel wavefront@O0",
+            "parallel compiled",
+            "parallel bytecode@O1 + inspector",
+        ] {
+            assert!(v.compared.iter().any(|c| c == label), "{label}");
+        }
     }
 
     #[test]
@@ -1526,7 +1481,10 @@ mod tests {
         assert!(outcome.heaps_match());
         assert_eq!(outcome.engine, "bytecode");
         let v = outcome.validation.as_ref().unwrap();
-        assert_eq!(v.compared.last().unwrap(), "parallel bytecode");
+        assert_eq!(
+            v.compared.last().unwrap(),
+            "parallel bytecode@O1 + inspector"
+        );
         assert!(outcome
             .to_json()
             .contains("\"parallel_engine\":\"bytecode\""));

@@ -2,17 +2,18 @@
 //! execution-policy space, with winners persisted on the compiled
 //! artifacts.
 //!
-//! The engine ladder gives every kernel a real policy space — engine
-//! {bytecode, threaded, wavefront} × opt level {O0, O1} × schedule
-//! {static, dynamic} × dynamic chunk size {1, 4, 16, 64} × thread count —
-//! and the right point depends on the kernel *and* its input shape (a
-//! skewed CSR matrix wants dynamic scheduling; a pure recurrence wants to
-//! stay serial).  Instead of hand-picking, [`search`] measures: every
-//! candidate runs `warmup` untimed repetitions followed by `repeats`
-//! timed ones, and the candidate with the smallest median wall-clock
-//! wins.  The default policy (bytecode @ O1, auto schedule) is always
-//! candidate #0, so the winner's median is ≤ the default's **by
-//! construction** on the measuring host.
+//! The engine ladder gives every kernel a real policy space — every
+//! non-reference registry row × the opt levels it distinguishes (the rows
+//! the differential [`matrix`] runs) × schedule {static, dynamic} ×
+//! dynamic chunk size {1, 4, 16, 64} × thread count — and the right point
+//! depends on the kernel *and* its input shape (a skewed CSR matrix wants
+//! dynamic scheduling; a pure recurrence wants to stay serial).  Instead
+//! of hand-picking, [`search`] measures: every candidate runs `warmup`
+//! untimed repetitions followed by `repeats` timed ones, and the candidate
+//! with the smallest median wall-clock wins.  The default policy (the
+//! registry default @ O1, auto schedule) is always candidate #0, so the
+//! winner's median is ≤ the default's **by construction** on the
+//! measuring host.
 //!
 //! The search is deterministic: candidates are enumerated in a fixed
 //! order, shuffled only by the explicit [`TunerConfig::seed`] (a stable
@@ -24,8 +25,9 @@
 //! * kernels whose loops carry no skew fact and no wavefront fact keep
 //!   every leg; **skewed** kernels skip the static-only legs (dynamic
 //!   scheduling dominates on skewed iteration spaces);
-//! * kernels with **no wavefront-schedulable loop** skip the wavefront
-//!   engine entirely (its serial path *is* the bytecode engine);
+//! * kernels with **no wavefront-schedulable loop** skip the rows with
+//!   the level-set strategy entirely (their serial path *is* their
+//!   executor's own row);
 //! * kernels with **no dispatchable loop at all** (nothing proven
 //!   parallel, nothing wavefront-schedulable) skip every multi-thread
 //!   leg.
@@ -44,19 +46,13 @@
 use crate::engine::{EngineRegistry, ExecOptions, ScheduleChoice};
 use crate::error::SsError;
 use crate::heap::Heap;
+use crate::matrix;
 use ss_ir::bytecode::{BcFor, Instr};
 use ss_ir::opt::OptLevel;
 use ss_parallelizer::{Artifacts, EngineArtifact};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// The engines the tuner searches over, in enumeration order.  The
-/// `compiled` and `ast` tiers are differential references, never
-/// performance candidates; engines with the
-/// [`level_sets`](crate::EngineCaps::level_sets) capability are pruned
-/// per-kernel when the artifacts carry no wavefront fact.
-pub const TUNED_ENGINES: [&str; 3] = ["bytecode", "threaded", "wavefront"];
 
 /// The chunk sizes the dynamic-schedule legs sweep.
 pub const CHUNK_SIZES: [usize; 4] = [1, 4, 16, 64];
@@ -95,12 +91,12 @@ pub struct PolicyPoint {
 
 impl PolicyPoint {
     /// The default policy every consumer gets without tuning: the
-    /// registry-default bytecode engine at O1, auto schedule, `threads`
-    /// workers.  Always measured as candidate #0, so a tuned winner can
-    /// never be slower than it on the measuring host.
-    pub fn default_point(threads: usize) -> PolicyPoint {
+    /// registry's default engine at O1, auto schedule, `threads` workers.
+    /// Always measured as candidate #0, so a tuned winner can never be
+    /// slower than it on the measuring host.
+    pub fn default_point(registry: &EngineRegistry, threads: usize) -> PolicyPoint {
         PolicyPoint {
-            engine: "bytecode".to_string(),
+            engine: registry.default_engine().name().to_string(),
             opt_level: OptLevel::O1,
             schedule: ScheduleChoice::Auto,
             chunk: None,
@@ -372,10 +368,7 @@ pub fn enumerate_candidates(
     pruned: &mut Vec<String>,
 ) -> Vec<PolicyPoint> {
     let facts = kernel_facts(artifacts);
-    let level_sets = |name: &str| registry.get(name).is_ok_and(|e| e.caps().level_sets);
-    let mut engines: Vec<&str> = TUNED_ENGINES.to_vec();
     if !facts.wavefront {
-        engines.retain(|e| !level_sets(e));
         pruned.push("wavefront legs (no wavefront-schedulable loop)".to_string());
     }
     let mut thread_legs: Vec<usize> = Vec::new();
@@ -400,30 +393,26 @@ pub fn enumerate_candidates(
     }
 
     let mut candidates = Vec::new();
-    for engine in &engines {
-        for level in [OptLevel::O0, OptLevel::O1] {
-            // Serial legs: a level-set engine's serial path *is* its
-            // executor's, which has its own row, so it gets no serial
-            // candidates.
-            if !level_sets(engine) {
-                candidates.push(PolicyPoint {
-                    engine: engine.to_string(),
-                    opt_level: level,
-                    schedule: ScheduleChoice::Auto,
-                    chunk: None,
-                    threads: 1,
-                });
-            }
-            for &threads in &thread_legs {
-                for &(schedule, chunk) in &schedules {
-                    candidates.push(PolicyPoint {
-                        engine: engine.to_string(),
-                        opt_level: level,
-                        schedule,
-                        chunk,
-                        threads,
-                    });
-                }
+    for (row, level) in matrix::rows(registry) {
+        let level_sets = row.caps().level_sets;
+        if level_sets && !facts.wavefront {
+            continue;
+        }
+        let point = |threads, (schedule, chunk)| PolicyPoint {
+            engine: row.name().to_string(),
+            opt_level: level,
+            schedule,
+            chunk,
+            threads,
+        };
+        // Serial legs: a level-set row's serial path *is* its executor's,
+        // which has its own row, so it gets no serial candidates.
+        if !level_sets {
+            candidates.push(point(1, (ScheduleChoice::Auto, None)));
+        }
+        for &threads in &thread_legs {
+            for &sched in &schedules {
+                candidates.push(point(threads, sched));
             }
         }
     }
@@ -435,7 +424,7 @@ pub fn enumerate_candidates(
     } else {
         1
     };
-    let default = PolicyPoint::default_point(default_threads);
+    let default = PolicyPoint::default_point(registry, default_threads);
     candidates.retain(|p| *p != default);
     candidates.sort_by_key(|p| rank(seed, &p.label()));
     candidates.insert(0, default);
@@ -532,7 +521,10 @@ mod tests {
         let art = Artifacts::compile_source("fig9", FIG9).unwrap();
         let mut pruned = Vec::new();
         let c = enumerate_candidates(&EngineRegistry::builtin(), &art, 4, 7, &mut pruned);
-        assert_eq!(c[0], PolicyPoint::default_point(4));
+        assert_eq!(
+            c[0],
+            PolicyPoint::default_point(&EngineRegistry::builtin(), 4)
+        );
         let labels: Vec<String> = c.iter().map(|p| p.label()).collect();
         let mut dedup = labels.clone();
         dedup.sort();

@@ -11,7 +11,9 @@
 //! unit-test binary any concurrently running engine test would perturb the
 //! counts.
 
-use ss_interp::{EngineRegistry, ExecOptions, Heap, OptLevel, RunRequest, Session, ValidationMode};
+use ss_interp::{
+    EngineRegistry, ExecOptions, Heap, Matrix, OptLevel, RunRequest, Session, ValidationMode,
+};
 use ss_parallelizer::Artifacts;
 use std::sync::Mutex;
 
@@ -168,28 +170,14 @@ fn session_cache_makes_compilation_once_per_program_per_process() {
     assert_eq!(ss_ir::slots::compilation_count(), slots_before + 1);
     assert_eq!(ss_ir::bytecode::bytecode_compilation_count(), bc_before + 1);
 
-    // 4 engines × 2 opt levels × differential validation: many executions,
-    // zero compilations.
-    for engine in ["bytecode", "threaded", "compiled", "ast"] {
-        for level in [OptLevel::O0, OptLevel::O1] {
-            let out = session
-                .run(
-                    &base
-                        .clone()
-                        .engine(engine)
-                        .opt_level(level)
-                        .validation(ValidationMode::Differential),
-                )
-                .unwrap();
-            assert!(out.cache_hit, "{engine} {level}");
-            assert!(
-                out.heaps_match(),
-                "{engine} {level}: {:?}",
-                out.mismatches()
-            );
-            assert_eq!(out.heap, first.heap);
-        }
-    }
+    // The differential matrix — every engine × opt level, serial and
+    // parallel: many executions, zero compilations.
+    let out = session
+        .run(&base.clone().validation(ValidationMode::Differential))
+        .unwrap();
+    assert!(out.cache_hit);
+    assert!(out.heaps_match(), "{:?}", out.mismatches());
+    assert_eq!(out.heap, first.heap);
     assert_eq!(
         ss_ir::slots::compilation_count(),
         slots_before + 1,
@@ -201,9 +189,7 @@ fn session_cache_makes_compilation_once_per_program_per_process() {
         "cache hits must not recompile the bytecode pass"
     );
     let stats = session.cache_stats();
-    assert_eq!(stats.misses, 1);
-    assert_eq!(stats.hits, 8);
-    assert_eq!(stats.entries, 1);
+    assert_eq!((stats.misses, stats.hits, stats.entries), (1, 1, 1));
 }
 
 #[test]
@@ -304,33 +290,26 @@ fn one_pipeline_invocation_feeds_every_engine_without_recompiling() {
     // level it distinguishes) executes with the counters frozen.
     let _guard = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let registry = EngineRegistry::builtin();
-    let reference = registry.reference().unwrap();
     let slots_before = ss_ir::slots::compilation_count();
     let bc_before = ss_ir::bytecode::bytecode_compilation_count();
     let artifacts = Artifacts::compile_source("pipeline", SRC).unwrap();
     assert_eq!(ss_ir::slots::compilation_count(), slots_before + 1);
     assert_eq!(ss_ir::bytecode::bytecode_compilation_count(), bc_before + 1);
 
-    let expected = reference.run_serial(&artifacts, heap(6), &opts(1)).unwrap();
-    let mut executions = 0;
-    for engine in registry.iter() {
-        for &level in engine.caps().opt_levels {
-            let o = ExecOptions {
-                opt_level: level,
-                ..opts(1)
-            };
-            let serial = engine.run_serial(&artifacts, heap(6), &o).unwrap();
-            assert_eq!(serial.heap, expected.heap);
-            let par_opts = ExecOptions {
-                opt_level: level,
-                ..opts(4)
-            };
-            let par = engine.run_parallel(&artifacts, heap(6), &par_opts).unwrap();
-            assert_eq!(par.heap, expected.heap);
-            executions += 2;
-        }
-    }
-    assert!(executions >= 12, "matrix covered {executions} executions");
+    let matrix = Matrix::run(
+        &registry,
+        registry.default_engine().as_ref(),
+        &artifacts,
+        &heap(6),
+        &opts(4),
+    )
+    .unwrap();
+    assert!(matrix.mismatches.is_empty(), "{:?}", matrix.mismatches);
+    assert!(
+        matrix.legs.len() >= 12,
+        "matrix covered {} legs",
+        matrix.legs.len()
+    );
     assert_eq!(
         ss_ir::slots::compilation_count(),
         slots_before + 1,

@@ -1,13 +1,13 @@
 //! Runs every catalogue kernel through the full analyze → prove → compile →
-//! execute → validate loop, under **every registered execution engine**,
-//! and prints one line per (kernel, engine): which loops were dispatched,
-//! whether all heaps agreed (the Session's differential mode diffs the
-//! reference against every engine at every opt level, plus the parallel
-//! leg), and the measured speedup.  Exits nonzero on any validation
-//! failure, so CI can gate on it.
+//! execute → validate loop and prints one line per kernel: which loops the
+//! default engine dispatched, its serial and parallel times, and whether
+//! the Session's differential matrix agreed — the reference against every
+//! registered engine at every opt level it distinguishes, serially and in
+//! parallel, plus an inspector-baseline leg.  Exits nonzero on any
+//! validation failure, so CI can gate on it.
 //!
-//! Each kernel compiles **once** for the whole engine sweep — the session's
-//! content-addressed artifact cache serves every run after the first.
+//! Each kernel compiles **once** for its whole matrix — the session's
+//! content-addressed artifact cache serves every leg.
 //!
 //! ```text
 //! cargo run --release --example run_interpreter [-- <scale> [threads]]
@@ -26,52 +26,41 @@ fn main() {
 
     println!("interpreting the kernel catalogue: scale n={scale}, {threads} thread(s)\n");
     println!(
-        "{:<24} {:<8} {:>10} {:>12} {:>12} {:>9}  validation",
-        "kernel", "engine", "dispatched", "serial s", "parallel s", "speedup"
+        "{:<24} {:>10} {:>12} {:>12} {:>9}  validation",
+        "kernel", "dispatched", "serial s", "parallel s", "speedup"
     );
     let session = Session::new();
-    let engines = session.registry().names();
     let mut failures = 0usize;
-    for engine_name in engines {
-        for kernel in ss_npb::study_kernels() {
-            let request = RunRequest::new(kernel.name, kernel.source)
-                .engine(engine_name)
-                .threads(threads)
-                .scale(scale)
-                .seed(42)
-                .validation(ValidationMode::Differential);
-            match session.run(&request) {
-                Ok(out) => {
-                    let dispatched: Vec<String> =
-                        out.dispatched.iter().map(|l| l.to_string()).collect();
-                    println!(
-                        "{:<24} {:<8} {:>10} {:>12.6} {:>12.6} {:>8.2}x  {}",
-                        kernel.name,
-                        engine_name,
-                        dispatched.join(","),
-                        out.serial.as_ref().map(|s| s.total_seconds).unwrap_or(0.0),
-                        out.parallel
-                            .as_ref()
-                            .map(|s| s.total_seconds)
-                            .unwrap_or(0.0),
-                        out.speedup().unwrap_or(0.0),
-                        if out.heaps_match() {
-                            "PASS (reference == every engine == parallel)"
-                        } else {
-                            "FAIL"
-                        }
-                    );
-                    if !out.heaps_match() {
-                        failures += 1;
-                        for m in out.mismatches().iter().take(5) {
-                            println!("    {m}");
-                        }
+    for kernel in ss_npb::study_kernels() {
+        let request = RunRequest::new(kernel.name, kernel.source)
+            .threads(threads)
+            .scale(scale)
+            .seed(42)
+            .validation(ValidationMode::Differential);
+        match session.run(&request) {
+            Ok(out) => {
+                let dispatched: Vec<String> =
+                    out.dispatched.iter().map(|l| l.to_string()).collect();
+                let legs = out.validation.as_ref().map_or(0, |v| v.compared.len());
+                println!(
+                    "{:<24} {:>10} {:>12.6} {:>12.6} {:>8.2}x  {} ({legs} legs)",
+                    kernel.name,
+                    dispatched.join(","),
+                    out.serial.as_ref().map_or(0.0, |s| s.total_seconds),
+                    out.parallel.as_ref().map_or(0.0, |s| s.total_seconds),
+                    out.speedup().unwrap_or(0.0),
+                    if out.heaps_match() { "PASS" } else { "FAIL" }
+                );
+                if !out.heaps_match() {
+                    failures += 1;
+                    for m in out.mismatches().iter().take(5) {
+                        println!("    {m}");
                     }
                 }
-                Err(e) => {
-                    failures += 1;
-                    println!("{:<24} {:<8} error: {e}", kernel.name, engine_name);
-                }
+            }
+            Err(e) => {
+                failures += 1;
+                println!("{:<24} error: {e}", kernel.name);
             }
         }
     }
@@ -81,7 +70,7 @@ fn main() {
         stats.misses, stats.hits
     );
     if failures > 0 {
-        eprintln!("\n{failures} kernel/engine combination(s) FAILED validation");
+        eprintln!("\n{failures} kernel(s) FAILED validation");
         std::process::exit(1);
     }
 }

@@ -7,18 +7,19 @@
 //! `*`), loop-local array declarations, `while` loops, carried indirect
 //! read/write loops (the level-set dispatch shape), deliberately unsafe
 //! accesses — compiles each one through the staged pipeline **once** (the
-//! shared [`Session`]'s content-addressed cache), and differentially
-//! executes it under **every engine in the registry**, serially and in
-//! parallel, at every `--opt-level` the engine distinguishes (registering
-//! a new engine enrolls it in the hunt automatically):
+//! shared [`Session`]'s content-addressed cache), and runs it through the
+//! differential [`Matrix`]: **every engine in the registry**, serially and
+//! in parallel, at every `--opt-level` the engine distinguishes, plus an
+//! inspector-baseline leg (registering a new engine enrolls it in the hunt
+//! automatically):
 //!
 //! * when the reference engine succeeds, every other execution must
 //!   succeed with a **bit-identical final heap** (O0 ≡ O1 included — the
 //!   optimizer is on trial here too);
-//! * when the reference fails, the other serial engines must fail with the
-//!   **identical error**, and the parallel engines must fail too (workers
-//!   may observe a different failing iteration first, so only the error
-//!   *kind-agnostic* fact is asserted for them);
+//! * when the reference fails, the serial legs must fail with the
+//!   **identical error**, and the parallel legs must fail too (workers may
+//!   observe a different failing iteration first, so only the failure
+//!   itself is asserted for them);
 //! * the analysis itself is fuzzed for monotonicity: every loop the
 //!   property-free **baseline** proves parallel must also be proven by the
 //!   **extended** test (index-array properties only ever add facts —
@@ -36,7 +37,7 @@
 //! no run-time-inspector-baseline leg produced a verdict.
 
 use proptest::TestRng;
-use ss_interp::{engine_label, ExecOptions, ExecOutcome, Heap, Session, SsError};
+use ss_interp::{ExecOptions, Heap, LegKind, Matrix, Session};
 use std::sync::OnceLock;
 
 /// One session for the whole hunt: every generated program compiles once
@@ -593,26 +594,13 @@ struct Reach {
     inspector_legs: usize,
 }
 
-fn opts(threads: usize, opt_level: ss_interp::OptLevel) -> ExecOptions {
-    ExecOptions {
-        threads,
-        opt_level,
-        // Small cap so generated runaway loops fail fast — and all engines
-        // must agree on the NonTerminating verdict.
-        while_cap: 5_000,
-        ..ExecOptions::default()
-    }
-}
-
 /// The differential matrix for one source program, off **one** pipeline
-/// invocation (the session cache): every registry engine at every opt
-/// level it distinguishes must agree with the reference serially (heap or
-/// error), every parallel execution must reproduce the serial heap
-/// whenever the serial run succeeds — and the analysis verdicts must be
-/// monotone (baseline ⊆ extended).  One more parallel leg runs the default
-/// row under the run-time-inspector baseline: same heap, and its verdicts
-/// must be the level counts the level-set legs ran.  `reach` counts the
-/// legs that got that far.
+/// invocation (the session cache): [`Matrix::run`] holds every registry
+/// row at every opt level, serially and in parallel, and the default row's
+/// inspector-baseline leg to the reference's heap or error — and the
+/// analysis verdicts must be monotone (baseline ⊆ extended).  On top of
+/// the matrix: the inspector leg's verdicts must be the level counts the
+/// level-set legs ran.  `reach` counts the legs that got that far.
 fn check_source(src: &str, threads: usize, reach: &mut Reach) -> Option<String> {
     let registry = session().registry();
     let artifacts = match session().artifacts("fuzz", src) {
@@ -631,108 +619,44 @@ fn check_source(src: &str, threads: usize, reach: &mut Reach) -> Option<String> 
             ));
         }
     }
-    let reference_engine = registry.reference().expect("a reference engine");
-    let ref_level = reference_engine.caps().opt_levels[0];
-    let reference = reference_engine.run_serial(&artifacts, Heap::new(), &opts(1, ref_level));
-    let ref_name = reference_engine.name();
-
-    for engine in registry.iter() {
-        for &level in engine.caps().opt_levels {
-            if engine.name() == ref_name {
-                continue;
-            }
-            let label = engine_label(engine.as_ref(), level);
-            let got = engine.run_serial(&artifacts, Heap::new(), &opts(1, level));
-            match (&reference, &got) {
-                (Ok(r), Ok(g)) => {
-                    let diffs = r.heap.diff(&g.heap);
-                    if !diffs.is_empty() {
-                        return Some(format!(
-                            "serial {label} heap diverges from serial {ref_name}:\n  {}",
-                            diffs.join("\n  ")
-                        ));
-                    }
-                }
-                (Err(re), Err(ge)) => {
-                    if re != ge {
-                        return Some(format!(
-                            "serial {label} error {ge:?} != serial {ref_name} error {re:?}"
-                        ));
-                    }
-                }
-                (Ok(_), Err(ge)) => {
-                    return Some(format!(
-                        "serial {label} failed ({ge:?}) where serial {ref_name} succeeded"
-                    ));
-                }
-                (Err(re), Ok(_)) => {
-                    return Some(format!(
-                        "serial {label} succeeded where serial {ref_name} failed ({re:?})"
-                    ));
-                }
-            }
-        }
-    }
-
-    // Workers may hit a different failing iteration first, so only the
-    // failure itself must agree for parallel runs.
-    let parallel_agrees = |label: &str, got: &Result<ExecOutcome, SsError>| match (&reference, got)
-    {
-        (Ok(r), Ok(g)) => {
-            let diffs = r.heap.diff(&g.heap);
-            (!diffs.is_empty()).then(|| {
-                format!(
-                    "parallel {label} (threads={threads}) heap diverges from serial:\n  {}",
-                    diffs.join("\n  ")
-                )
-            })
-        }
-        (Err(_), Err(_)) => None,
-        (Ok(_), Err(ge)) => Some(format!(
-            "parallel {label} failed ({ge:?}) where serial succeeded"
-        )),
-        (Err(re), Ok(_)) => Some(format!(
-            "parallel {label} succeeded where serial failed ({re:?})"
-        )),
+    let opts = ExecOptions {
+        threads,
+        // Small cap so generated runaway loops fail fast — and all engines
+        // must agree on the NonTerminating verdict.
+        while_cap: 5_000,
+        ..ExecOptions::default()
     };
+    let default = registry.default_engine();
+    let matrix = match Matrix::run(registry, default.as_ref(), &artifacts, &Heap::new(), &opts) {
+        Ok(m) => m,
+        Err(e) => return Some(format!("the matrix did not run: {e}")),
+    };
+    if !matrix.mismatches.is_empty() {
+        return Some(format!(
+            "(threads={threads})\n  {}",
+            matrix.mismatches.join("\n  ")
+        ));
+    }
 
     // Per level-set leg: the loops it ran as levels, with the level count
     // and how often the loop was entered.
-    let mut level_legs = Vec::new();
-    for engine in registry.iter() {
-        for &level in engine.caps().opt_levels {
-            let label = engine_label(engine.as_ref(), level);
-            let got = engine.run_parallel(&artifacts, Heap::new(), &opts(threads, level));
-            if let Some(msg) = parallel_agrees(&label, &got) {
-                return Some(msg);
-            }
-            let Ok(g) = got else { continue };
-            let ran: Vec<_> = g
-                .stats
-                .loops
-                .iter()
+    let level_legs: Vec<_> = matrix
+        .legs
+        .iter()
+        .filter(|leg| leg.kind == LegKind::Parallel)
+        .filter_map(|leg| {
+            let ran: Vec<_> = (leg.outcome.as_ref().ok()?.loops.iter())
                 .filter_map(|(id, l)| l.wavefront.map(|(levels, _)| (*id, levels, l.invocations)))
                 .collect();
-            if !ran.is_empty() {
-                reach.level_set_legs += 1;
-                level_legs.push((label, ran));
-            }
-        }
-    }
-
-    let label = format!("{} + inspector baseline", registry.default_engine().name());
-    let inspecting = ExecOptions {
-        baseline_inspector: true,
-        ..opts(threads, ExecOptions::default().opt_level)
+            (!ran.is_empty()).then_some((&leg.label, ran))
+        })
+        .collect();
+    reach.level_set_legs += level_legs.len();
+    let inspector = matrix.legs.last().expect("the inspector leg runs last");
+    let Ok(stats) = &inspector.outcome else {
+        return None;
     };
-    let got = registry
-        .default_engine()
-        .run_parallel(&artifacts, Heap::new(), &inspecting);
-    if let Some(msg) = parallel_agrees(&label, &got) {
-        return Some(msg);
-    }
-    let Ok(g) = got else { return None };
-    let loops = &g.stats.loops;
+    let loops = &stats.loops;
     reach.inspector_legs += loops.values().any(|l| l.inspector_conflict_free.is_some()) as usize;
     let verdict = |id| loops.get(id).and_then(|l| l.inspector_conflict_free);
     for (leg, ran) in &level_legs {
@@ -748,8 +672,9 @@ fn check_source(src: &str, threads: usize, reach: &mut Reach) -> Option<String> 
             };
             if !consistent {
                 return Some(format!(
-                    "{label} judged loop {} {:?}, but {leg} ran it as {levels} level(s) \
+                    "{} judged loop {} {:?}, but {leg} ran it as {levels} level(s) \
                      (entered {invocations}x)",
+                    inspector.label,
                     id.0,
                     verdict(id)
                 ));

@@ -1,88 +1,29 @@
 //! API-level integration suite for the embeddable [`Session`] surface: the
-//! whole kernel catalogue through `Session::run` across **every registered
-//! engine × every opt level it distinguishes**, asserting bit-identical
-//! final heaps — plus the cache contract (a second run of the same source
-//! must not recompile), the registry contract (capabilities, default,
-//! unknown names) and the stability of the JSON output.
+//! whole kernel catalogue through `Session::run`'s differential matrix —
+//! the reference against every non-reference row × every opt level it
+//! distinguishes, serially and in parallel, plus an inspector-baseline leg
+//! — asserting bit-identical final heaps; plus the cache contract (a
+//! second run of the same source must not recompile), the registry
+//! contract (custom registries, a corrupted row is caught, unknown names)
+//! and the stability of the JSON output.
 
 use ss_interp::{
-    engine_label, EngineRegistry, ExecutionMode, Heap, OptLevel, RunRequest, Session, SsError,
+    Engine, EngineRegistry, ExecOptions, ExecOutcome, Heap, OptLevel, RunRequest, Session, SsError,
     ValidationMode,
 };
-use ss_parallelizer::VerdictKind;
+use ss_parallelizer::{Artifacts, VerdictKind};
+use std::sync::Arc;
 
-/// Every catalogue kernel × every registered engine × every opt level:
-/// serial heaps are bit-identical to the reference engine's, through the
-/// public Session API only.
-#[test]
-fn catalogue_heaps_are_bit_identical_across_every_engine_and_level() {
-    let session = Session::new();
-    let engines: Vec<_> = session.registry().iter().cloned().collect();
-    for kernel in ss_npb::study_kernels() {
-        let reference = session
-            .run(
-                &RunRequest::new(kernel.name, kernel.source)
-                    .scale(40)
-                    .seed(17)
-                    .engine(session.registry().reference().unwrap().name())
-                    .mode(ExecutionMode::Serial),
-            )
-            .unwrap_or_else(|e| panic!("{}: {e}", kernel.name));
-        for engine in &engines {
-            for &level in engine.caps().opt_levels {
-                let label = engine_label(engine.as_ref(), level);
-                // Serial leg.
-                let serial = session
-                    .run(
-                        &RunRequest::new(kernel.name, kernel.source)
-                            .scale(40)
-                            .seed(17)
-                            .engine(engine.name())
-                            .opt_level(level)
-                            .mode(ExecutionMode::Serial),
-                    )
-                    .unwrap_or_else(|e| panic!("{}/{label}: {e}", kernel.name));
-                assert!(
-                    serial.cache_hit,
-                    "{}/{label} must reuse artifacts",
-                    kernel.name
-                );
-                assert_eq!(
-                    serial.heap, reference.heap,
-                    "{}/{label}: serial heap diverges",
-                    kernel.name
-                );
-                // Parallel leg.
-                let parallel = session
-                    .run(
-                        &RunRequest::new(kernel.name, kernel.source)
-                            .scale(40)
-                            .seed(17)
-                            .engine(engine.name())
-                            .opt_level(level)
-                            .threads(3)
-                            .mode(ExecutionMode::Parallel),
-                    )
-                    .unwrap_or_else(|e| panic!("{}/{label}: {e}", kernel.name));
-                assert_eq!(
-                    parallel.heap, reference.heap,
-                    "{}/{label}: parallel heap diverges",
-                    kernel.name
-                );
-            }
-        }
-    }
-    // One compilation per kernel for the entire matrix.
-    let stats = session.cache_stats();
-    assert_eq!(
-        stats.misses as usize,
-        ss_npb::study_kernels().len(),
-        "every kernel compiles exactly once across the whole sweep"
-    );
-    assert!(
-        stats.hits > stats.misses * 4,
-        "the matrix runs off cache hits"
-    );
+/// The matrix's size, read off the registry: every non-reference row at
+/// every opt level it distinguishes, serially and in parallel, plus the
+/// inspector-baseline leg.
+fn expected_legs(registry: &EngineRegistry) -> usize {
+    let rows: usize = registry
+        .iter()
+        .filter(|e| !e.caps().reference)
+        .map(|e| e.caps().opt_levels.len())
+        .sum();
+    2 * rows + 1
 }
 
 /// The cache satellite pinned end-to-end: a second run of the same source
@@ -122,34 +63,27 @@ fn second_run_of_the_same_source_does_not_recompile() {
     assert_eq!(session.cache_stats().entries, 2);
 }
 
-/// Differential validation over the catalogue through the Session API: the
-/// matrix labels cover every non-reference engine × level plus the
-/// parallel leg, and all heaps match.
+/// Differential validation over the whole catalogue through the Session
+/// API: every leg of the matrix is compared, all heaps match, and each
+/// kernel compiles exactly once for its whole matrix.
 #[test]
 fn differential_mode_compares_the_whole_registry() {
     let session = Session::new();
-    let expected_comparisons: usize = session
-        .registry()
-        .iter()
-        .map(|e| {
-            if e.caps().reference {
-                0
-            } else {
-                e.caps().opt_levels.len()
-            }
-        })
-        .sum::<usize>()
-        + 1; // the parallel leg
-    for kernel in ss_npb::study_kernels().into_iter().take(4) {
+    let expected = expected_legs(session.registry());
+    assert_eq!(
+        expected, 15,
+        "7 serial + 7 parallel legs + the inspector leg"
+    );
+    for kernel in ss_npb::study_kernels() {
         let outcome = session
             .run(
                 &RunRequest::new(kernel.name, kernel.source)
-                    .scale(32)
-                    .seed(5)
-                    .threads(2)
+                    .scale(40)
+                    .seed(17)
+                    .threads(3)
                     .validation(ValidationMode::Differential),
             )
-            .unwrap();
+            .unwrap_or_else(|e| panic!("{}: {e}", kernel.name));
         assert!(
             outcome.heaps_match(),
             "{}: {:?}",
@@ -159,18 +93,88 @@ fn differential_mode_compares_the_whole_registry() {
         let v = outcome.validation.as_ref().unwrap();
         assert_eq!(
             v.compared.len(),
-            expected_comparisons,
+            expected,
             "{}: {:?}",
             kernel.name,
             v.compared
         );
         assert!(outcome.ensure_validated().is_ok());
     }
+    assert_eq!(
+        session.cache_stats().misses as usize,
+        ss_npb::study_kernels().len(),
+        "every kernel compiles exactly once across the whole sweep"
+    );
+}
+
+/// A row the request did not ask for is still on trial: `threaded`'s
+/// parallel runs corrupt one element, and a differential run of the
+/// default row must name those legs — and only those.
+#[test]
+fn a_corrupt_non_requested_row_fails_the_default_rows_validation() {
+    #[derive(Debug)]
+    struct CorruptParallel(Arc<dyn Engine>);
+    impl Engine for CorruptParallel {
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+        fn description(&self) -> &'static str {
+            "threaded, but its parallel runs flip one element"
+        }
+        fn caps(&self) -> ss_interp::EngineCaps {
+            self.0.caps()
+        }
+        fn run_serial(
+            &self,
+            a: &Artifacts,
+            h: Heap,
+            o: &ExecOptions,
+        ) -> Result<ExecOutcome, SsError> {
+            self.0.run_serial(a, h, o)
+        }
+        fn run_parallel(
+            &self,
+            a: &Artifacts,
+            h: Heap,
+            o: &ExecOptions,
+        ) -> Result<ExecOutcome, SsError> {
+            let mut out = self.0.run_parallel(a, h, o)?;
+            out.heap.arrays.get_mut("out").unwrap().data[3] += 1;
+            Ok(out)
+        }
+    }
+    let mut registry = EngineRegistry::builtin();
+    registry.register(Arc::new(CorruptParallel(registry.get("threaded").unwrap())));
+    let session = Session::with_registry(registry);
+    let outcome = session
+        .run(
+            &RunRequest::new("map", "for (i = 0; i < n; i++) { out[i] = i * 3; }")
+                .scale(32)
+                .threads(2)
+                .validation(ValidationMode::Differential),
+        )
+        .unwrap();
+    assert_eq!(outcome.engine, "bytecode");
+    assert!(!outcome.heaps_match());
+    let mismatches = outcome.mismatches();
+    for leg in ["parallel threaded@O0", "parallel threaded@O1"] {
+        assert!(
+            mismatches
+                .iter()
+                .any(|m| m.contains(&format!("vs {leg}: array out[3]"))),
+            "{leg} not named: {mismatches:?}"
+        );
+    }
+    assert_eq!(mismatches.len(), 2, "{mismatches:?}");
+    assert!(matches!(
+        outcome.ensure_validated(),
+        Err(SsError::Validation { .. })
+    ));
 }
 
 /// Custom registries plug straight into a session: a registry restricted
-/// to the reference engine still validates (the matrix degenerates to
-/// reference + parallel), and an engine-free registry is unusable in a
+/// to the reference engine still validates (the matrix degenerates to the
+/// reference and its inspector leg), and unknown engine names fail in a
 /// controlled way.
 #[test]
 fn custom_registries_drive_sessions() {
@@ -188,7 +192,10 @@ fn custom_registries_drive_sessions() {
         )
         .unwrap();
     assert!(outcome.heaps_match());
-    assert_eq!(outcome.validation.as_ref().unwrap().compared.len(), 1);
+    assert_eq!(
+        outcome.validation.as_ref().unwrap().compared.len(),
+        expected_legs(session.registry())
+    );
     // Unknown engine names name what exists.
     let err = session
         .run(&RunRequest::new("t", "x = 1;").engine("bytecode"))
