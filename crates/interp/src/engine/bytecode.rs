@@ -6,13 +6,14 @@
 //! iteration the hot path is one `match` per *instruction*, with no
 //! recursion and no `Box` chasing per expression node.
 //!
-//! Array state lives in the stores of `engine::shared`: dense per-slot
-//! frames on the spine, shared raw views plus worker-private local storage
-//! inside dispatched workers.  How a loop's iterations reach the thread
-//! team is not this module's business either: at each `for` the spine asks
-//! the run's `Dispatcher` for a strategy, evaluates the loop header once
-//! and hands its state to the shared recipe, which calls back into
-//! `BcBody` to run iterations on worker-private register files.
+//! This interpreter runs spines only.  Array state lives in the dense
+//! per-slot store of `engine::shared`, and how a loop's iterations reach
+//! the thread team is not this module's business: at each `for` the spine
+//! asks the run's `Dispatcher` for a strategy, evaluates the loop header
+//! once and hands its frame, unchanged, to the shared recipe — whose
+//! workers (and level-set inspection replay) run the loop's body as the
+//! lowered direct-threaded chain of `engine::threaded`, which keeps this
+//! stream's register numbering.
 //!
 //! Semantics mirror the tree walker operation for operation (evaluation
 //! order, wrapping arithmetic, error points, undefined-value handling), so
@@ -21,8 +22,7 @@
 
 use super::serial::{apply_assign, apply_binop, compare};
 use super::shared::{
-    load_scalars, store_scalars, ArrayStore, Dispatcher, LoopShape, RegionBody, Spine, SpineArrays,
-    NOT_WRITTEN,
+    load_scalars, store_scalars, ArrayStore, Dispatcher, LoopShape, Spine, SpineArrays,
 };
 use super::{ExecEnvTiming, ExecError, ExecMode, ExecOptions, ExecOutcome, ExecStats};
 use crate::heap::Heap;
@@ -35,14 +35,10 @@ use std::time::Instant;
 // ---------------------------------------------------------------------------
 
 /// The register file: scalars in the low registers, expression temporaries
-/// above, plus the bookkeeping both the serial spine and the workers need
-/// (defined-ness for heap write-back, last-write iterations for the
-/// parallel scalar merge).
-pub(super) struct Machine<'a> {
+/// above, plus the scalars' defined-ness for heap write-back.
+struct Machine<'a> {
     regs: Vec<i64>,
     defined: Vec<bool>,
-    write_iter: Vec<usize>,
-    current_iter: usize,
     nscalars: usize,
     consts: &'a [i64],
 }
@@ -52,8 +48,6 @@ impl<'a> Machine<'a> {
         Machine {
             regs,
             defined: vec![false; nscalars],
-            write_iter: vec![NOT_WRITTEN; nscalars],
-            current_iter: 0,
             nscalars,
             consts,
         }
@@ -70,7 +64,6 @@ impl<'a> Machine<'a> {
         self.regs[i] = v;
         if i < self.nscalars {
             self.defined[i] = true;
-            self.write_iter[i] = self.current_iter;
         }
     }
 }
@@ -80,25 +73,26 @@ impl<'a> Machine<'a> {
 // ---------------------------------------------------------------------------
 
 /// Decides what happens when the interpreter reaches a `For` instruction:
-/// the run's [`Dispatcher`] on the spine, [`NoDispatch`] everywhere else.
-trait BcPolicy<A: ArrayStore> {
+/// the run's [`Dispatcher`] on a parallel run's spine, [`NoDispatch`]
+/// otherwise.
+trait BcPolicy {
     fn try_dispatch(
         &self,
         m: &mut Machine<'_>,
-        arrays: &mut A,
+        arrays: &mut SpineArrays<'_>,
         f: &BcFor,
         env: &mut ExecEnvTiming<'_>,
     ) -> Result<bool, ExecError>;
 }
 
-/// Policy that never dispatches (serial runs, workers, inspection).
+/// Policy that never dispatches (serial runs, expression blocks).
 struct NoDispatch;
 
-impl<A: ArrayStore> BcPolicy<A> for NoDispatch {
+impl BcPolicy for NoDispatch {
     fn try_dispatch(
         &self,
         _m: &mut Machine<'_>,
-        _arrays: &mut A,
+        _arrays: &mut SpineArrays<'_>,
         _f: &BcFor,
         _env: &mut ExecEnvTiming<'_>,
     ) -> Result<bool, ExecError> {
@@ -115,9 +109,9 @@ struct WhileGuard {
 }
 
 /// Runs a flat expression block and returns its value.
-fn eval_block<A: ArrayStore>(
+fn eval_block(
     m: &mut Machine<'_>,
-    arrays: &mut A,
+    arrays: &mut SpineArrays<'_>,
     e: &BcExpr,
     env: &mut ExecEnvTiming<'_>,
 ) -> Result<i64, ExecError> {
@@ -136,9 +130,9 @@ fn eval_block<A: ArrayStore>(
 /// the block (same program point, same value, same error as `Eval` would)
 /// and every later iteration reuses the value.
 #[inline]
-fn header_value<A: ArrayStore>(
+fn header_value(
     m: &mut Machine<'_>,
-    arrays: &mut A,
+    arrays: &mut SpineArrays<'_>,
     block: &BcExpr,
     fast: HeaderFast,
     cache: &mut Option<i64>,
@@ -159,9 +153,9 @@ fn header_value<A: ArrayStore>(
     }
 }
 
-fn exec_code<A: ArrayStore, P: BcPolicy<A>>(
+fn exec_code<P: BcPolicy>(
     m: &mut Machine<'_>,
-    arrays: &mut A,
+    arrays: &mut SpineArrays<'_>,
     code: &[Instr],
     pol: &P,
     env: &mut ExecEnvTiming<'_>,
@@ -324,9 +318,9 @@ fn with_indices<R>(m: &Machine<'_>, first: Reg, rank: u8, f: impl FnOnce(&[i64])
 // cold next to the instruction loop, and folding it into `exec_code` made
 // that loop's codegen — and speed — vary with the policy type.
 #[inline(never)]
-fn exec_for<A: ArrayStore, P: BcPolicy<A>>(
+fn exec_for<P: BcPolicy>(
     m: &mut Machine<'_>,
-    arrays: &mut A,
+    arrays: &mut SpineArrays<'_>,
     f: &BcFor,
     pol: &P,
     env: &mut ExecEnvTiming<'_>,
@@ -372,7 +366,7 @@ fn exec_for<A: ArrayStore, P: BcPolicy<A>>(
 // ---------------------------------------------------------------------------
 
 /// The dispatch facts of a bytecode loop.
-pub(super) fn loop_shape(f: &BcFor) -> LoopShape<'_> {
+fn loop_shape(f: &BcFor) -> LoopShape<'_> {
     LoopShape {
         id: f.id,
         var: f.var.index(),
@@ -383,57 +377,7 @@ pub(super) fn loop_shape(f: &BcFor) -> LoopShape<'_> {
     }
 }
 
-/// A bytecode loop body as the recipe runs it: each worker interprets the
-/// body stream over a private register file.  Also what the threaded tier
-/// dispatches, so its workers execute the exact stream the verdicts were
-/// proven against.
-pub(super) struct BcBody<'a> {
-    pub(super) f: &'a BcFor,
-    pub(super) consts: &'a [i64],
-    pub(super) nscalars: usize,
-    pub(super) while_cap: u64,
-}
-
-pub(super) struct BcWorker<'a> {
-    m: Machine<'a>,
-    /// Loops inside a dispatched body are accounted to the dispatched
-    /// ancestor; their own records land here and are dropped.
-    scratch: ExecStats,
-}
-
-impl<'a> RegionBody for BcBody<'a> {
-    type Worker = BcWorker<'a>;
-
-    fn worker(&self, regs: Vec<i64>) -> BcWorker<'a> {
-        BcWorker {
-            m: Machine::new(regs, self.nscalars, self.consts),
-            scratch: ExecStats::default(),
-        }
-    }
-
-    fn run_iteration<A: ArrayStore>(
-        &self,
-        w: &mut BcWorker<'a>,
-        arrays: &mut A,
-        k: usize,
-        value: i64,
-    ) -> Result<(), ExecError> {
-        w.m.current_iter = k;
-        w.m.set(self.f.var, value);
-        let mut env = ExecEnvTiming {
-            stats: &mut w.scratch,
-            timing: false,
-            while_cap: self.while_cap,
-        };
-        exec_code(&mut w.m, arrays, &self.f.body, &NoDispatch, &mut env)
-    }
-
-    fn scalars<'w>(w: &'w mut BcWorker<'a>) -> (&'w mut [i64], &'w mut [usize]) {
-        (&mut w.m.regs, &mut w.m.write_iter)
-    }
-}
-
-impl BcPolicy<SpineArrays<'_>> for Dispatcher<'_> {
+impl BcPolicy for Dispatcher<'_> {
     fn try_dispatch(
         &self,
         m: &mut Machine<'_>,
@@ -450,19 +394,13 @@ impl BcPolicy<SpineArrays<'_>> for Dispatcher<'_> {
             eval_block(m, arrays, &f.bound, env)?,
             eval_block(m, arrays, &f.step, env)?,
         );
-        let body = BcBody {
-            f,
-            consts: m.consts,
-            nscalars: m.nscalars,
-            while_cap: env.while_cap,
-        };
         let spine = Spine {
             regs: &mut m.regs,
             defined: &mut m.defined,
             arrays: &mut arrays.arrays,
             slots: arrays.slots,
         };
-        self.run(strategy, &lp, header, spine, &body, env)
+        self.run_lowered(strategy, &lp, header, spine, env)
     }
 }
 

@@ -22,7 +22,7 @@
 use super::serial::{apply_assign, apply_binop, compare};
 use super::shared::{
     load_scalars, store_scalars, ArrayStore, Dispatcher, LoopShape, RegionBody, Spine, SpineArrays,
-    NOT_WRITTEN,
+    StoreKind,
 };
 use super::{ExecEnvTiming, ExecError, ExecMode, ExecOptions, ExecOutcome, ExecStats};
 use crate::heap::Heap;
@@ -279,23 +279,18 @@ fn exec_for<S: SlotStore, P: CompiledPolicy<S>>(
 // Dispatch: the executor's side of the shared recipe.
 // ---------------------------------------------------------------------------
 
-/// A worker's scalar frame with last-write iterations; the op executor
-/// sees it joined with the recipe's array store as a [`WorkerStore`].
-struct WorkerFrame {
+struct CompiledWorker<'s, K: StoreKind> {
     scalars: Vec<i64>,
-    write_iter: Vec<usize>,
-    current_iter: usize,
-}
-
-struct CompiledWorker {
-    frame: WorkerFrame,
+    arrays: K::Arrays<'s>,
     /// Loops inside a dispatched body are accounted to the dispatched
     /// ancestor; their own records land here and are dropped.
     scratch: ExecStats,
 }
 
+/// A worker's scalar frame joined with its array store, as the op
+/// executor sees it.
 struct WorkerStore<'w, A> {
-    frame: &'w mut WorkerFrame,
+    scalars: &'w mut [i64],
     arrays: &'w mut A,
 }
 
@@ -304,13 +299,13 @@ impl<A: ArrayStore> SlotStore for WorkerStore<'_, A> {
 
     #[inline]
     fn scalar(&self, s: ScalarSlot) -> i64 {
-        self.frame.scalars[s.index()]
+        self.scalars[s.index()]
     }
 
     #[inline]
     fn set_scalar(&mut self, s: ScalarSlot, v: i64) {
-        self.frame.scalars[s.index()] = v;
-        self.frame.write_iter[s.index()] = self.frame.current_iter;
+        self.scalars[s.index()] = v;
+        self.arrays.note_scalar_write(s.index());
     }
 
     #[inline]
@@ -326,30 +321,31 @@ struct CompiledRegion<'a> {
 }
 
 impl RegionBody for CompiledRegion<'_> {
-    type Worker = CompiledWorker;
+    type Worker<'s, K: StoreKind>
+        = CompiledWorker<'s, K>
+    where
+        Self: 's;
 
-    fn worker(&self, scalars: Vec<i64>) -> CompiledWorker {
+    fn worker<'s, K: StoreKind>(
+        &'s self,
+        scalars: Vec<i64>,
+        arrays: K::Arrays<'s>,
+    ) -> CompiledWorker<'s, K> {
         CompiledWorker {
-            frame: WorkerFrame {
-                write_iter: vec![NOT_WRITTEN; scalars.len()],
-                scalars,
-                current_iter: 0,
-            },
+            scalars,
+            arrays,
             scratch: ExecStats::default(),
         }
     }
 
-    fn run_iteration<A: ArrayStore>(
-        &self,
-        w: &mut CompiledWorker,
-        arrays: &mut A,
-        k: usize,
+    fn run_iteration<'s, K: StoreKind>(
+        &'s self,
+        w: &mut CompiledWorker<'s, K>,
         value: i64,
     ) -> Result<(), ExecError> {
-        w.frame.current_iter = k;
         let mut st = WorkerStore {
-            frame: &mut w.frame,
-            arrays,
+            scalars: &mut w.scalars,
+            arrays: &mut w.arrays,
         };
         st.set_scalar(self.f.var, value);
         let mut env = ExecEnvTiming {
@@ -360,8 +356,13 @@ impl RegionBody for CompiledRegion<'_> {
         exec_body(&mut st, &self.f.body, &NoDispatch, &mut env)
     }
 
-    fn scalars(w: &mut CompiledWorker) -> (&mut [i64], &mut [usize]) {
-        (&mut w.frame.scalars, &mut w.frame.write_iter)
+    fn frame<'w, 's, K: StoreKind>(
+        w: &'w mut CompiledWorker<'s, K>,
+    ) -> (&'w mut [i64], &'w mut K::Arrays<'s>)
+    where
+        Self: 's,
+    {
+        (&mut w.scalars, &mut w.arrays)
     }
 }
 

@@ -41,8 +41,11 @@
 //! `unsafe`.  A registered [`Engine`] is a *row*: an executor plus the
 //! strategies its parallel runs may use ([`registry`]): `bytecode`,
 //! `threaded` and `compiled` are their executors with proof dispatch;
-//! `wavefront` is the bytecode executor with level sets as well; `ast` is
-//! the reference and runs serially whichever leg asks.  Consumers resolve
+//! `wavefront` is the threaded executor with level sets as well; `ast` is
+//! the reference and runs serially whichever leg asks.  The executor is
+//! the *spine*'s: every row that executes the bytecode stream dispatches
+//! the same region body, the loop's lowered threaded chain, so the
+//! bytecode interpreter runs spines only.  Consumers resolve
 //! engines by name or capability through the [`EngineRegistry`], never by
 //! pattern-matching, and branch on [`EngineCaps`] flags.
 //!
@@ -915,6 +918,61 @@ mod tests {
                         par.stats.parallel_loops().contains(&LoopId(0)),
                         engine.caps().local_arrays,
                         "{}",
+                        engine.name()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rank3_accesses_and_loop_local_declarations_run_on_worker_stores() {
+        // The dispatched body declares a rank-3 loop-local array, stores
+        // into it and loads from it and from a shared rank-3 input, so the
+        // workers run the lowered chain's `th_decl`, `th_store_n` and
+        // `th_load_n` over their private storage and shared views.  (The
+        // analysis proves no shared multi-dimensional write, so `out` is
+        // rank 1.)
+        let src = r#"
+            for (i = 0; i < n; i++) {
+                int tmp[2][2][3];
+                for (t = 0; t < 12; t++) {
+                    tmp[t / 6][(t / 3) % 2][t % 3] = cube[i][t % 2][t % 3] * 3 + t;
+                }
+                for (a = 0; a < 2; a++) {
+                    out[i * 2 + a] = tmp[a][1][2] - tmp[1 - a][i % 2][i % 3];
+                }
+            }
+        "#;
+        let art = compile("rank3", src);
+        assert!(art.report.outermost_parallel_loops().contains(&LoopId(0)));
+        let n = 40usize;
+        let mut heap = Heap::new().with_scalar("n", n as i64);
+        heap.arrays.insert(
+            "cube".into(),
+            crate::heap::ArrayVal {
+                dims: vec![n, 2, 3],
+                data: (0..6 * n as i64).map(|v| (v * 7) % 23 - 11).collect(),
+            },
+        );
+        let heap = heap.with_array("out", vec![0; 2 * n]);
+        let serial = reference_engine()
+            .run_serial(&art, heap.clone(), &opts(1))
+            .unwrap();
+        assert_eq!(serial.heap.arrays["tmp"].dims, vec![2, 2, 3]);
+        for engine in engines() {
+            for level in [OptLevel::O0, OptLevel::O1] {
+                for o in schedule_legs(3) {
+                    let o = ExecOptions {
+                        opt_level: level,
+                        ..o
+                    };
+                    let par = engine.run_parallel(&art, heap.clone(), &o).unwrap();
+                    assert_eq!(par.heap, serial.heap, "{} {o:?}", engine.name());
+                    assert_eq!(
+                        par.stats.parallel_loops().contains(&LoopId(0)),
+                        !engine.caps().reference,
+                        "{} {o:?}",
                         engine.name()
                     );
                 }

@@ -113,7 +113,7 @@ enum Executor {
     /// The flat register-machine stream, O0 or O1 (`bytecode`).
     Bytecode,
     /// That stream lowered once into a direct-threaded handler chain
-    /// (`threaded`).
+    /// (`threaded`, `wavefront`).
     Threaded,
 }
 
@@ -137,9 +137,12 @@ const DISPATCHING: EngineCaps = EngineCaps {
     opt_levels: &[OptLevel::O0, OptLevel::O1],
 };
 
-/// The built-in engines, default first.  `wavefront` is the bytecode
+/// The built-in engines, default first.  `wavefront` is the threaded
 /// executor with the level-set strategy switched on — the only difference
-/// between the two rows is [`EngineCaps::level_sets`].
+/// between the two rows is [`EngineCaps::level_sets`].  Every row that
+/// executes the bytecode stream (`bytecode`, `threaded`, `wavefront`)
+/// dispatches the same region body, the loop's lowered threaded chain;
+/// the rows differ in their spine and strategies.
 const BUILTINS: [Builtin; 5] = [
     Builtin {
         name: "bytecode",
@@ -165,8 +168,8 @@ const BUILTINS: [Builtin; 5] = [
     },
     Builtin {
         name: "wavefront",
-        description: "bytecode stream plus level-set scheduling of carried loops",
-        executor: Executor::Bytecode,
+        description: "direct-threaded chain plus level-set scheduling of carried loops",
+        executor: Executor::Threaded,
         caps: EngineCaps {
             level_sets: true,
             ..DISPATCHING

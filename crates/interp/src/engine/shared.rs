@@ -6,10 +6,12 @@
 //! strategy* decides how a loop's iterations reach the thread team.  The
 //! two meet here and nowhere else:
 //!
-//! * the executor describes its loop as a [`LoopShape`], lends its state
-//!   as a [`Spine`] (scalar frame, `defined` flags, array slots) and its
-//!   body as a [`RegionBody`] (build a per-chunk worker, run iteration
-//!   `k` on it);
+//! * the executor describes its loop as a [`LoopShape`] and lends its
+//!   state as a [`Spine`] (scalar frame, `defined` flags, array slots);
+//!   the loop body is a [`RegionBody`] (build a worker over an array
+//!   store, run an iteration on it) — for every row that executes the
+//!   bytecode stream, the loop's lowered direct-threaded chain, which
+//!   [`Dispatcher::run_lowered`] resolves by loop id;
 //! * the [`Dispatcher`] picks the [`Strategy`] — proof-based parallel-for
 //!   first, then dependence level sets when the registry row enables them
 //!   (or the run asks for the run-time-inspector baseline, which reads its
@@ -35,6 +37,7 @@
 //! only one with `unsafe` (CI greps for both).
 
 use super::store::elem_at;
+use super::threaded::ThBody;
 use super::wavefront::{LevelSets, MIN_AVG_WIDTH};
 use super::{ExecEnvTiming, ExecError, ExecMode, ExecOptions, ExecStats, ScheduleChoice};
 use crate::heap::{row_major_flat, ArrayVal, Heap};
@@ -77,11 +80,95 @@ pub(super) fn store_scalars(heap: &mut Heap, slots: &SlotMap, regs: &[i64], defi
 // Array stores.
 // ---------------------------------------------------------------------------
 
-/// Where an executor's slot-addressed array traffic lands.
+/// Where an executor's slot-addressed array traffic lands — and, on a
+/// worker, the last-writer bookkeeping of the iterations it runs.
 pub(super) trait ArrayStore {
     fn read(&mut self, a: ArraySlot, indices: &[i64]) -> Result<i64, ExecError>;
     fn write(&mut self, a: ArraySlot, indices: &[i64], v: i64) -> Result<(), ExecError>;
     fn declare(&mut self, a: ArraySlot, dims: Vec<usize>);
+
+    /// Rank-1 read.  Overrides hit storage directly when the access is in
+    /// range and defer everything else (undefined slot, rank mismatch, out
+    /// of bounds) to [`read`](Self::read), whose error construction is the
+    /// single source of truth.
+    #[inline(always)]
+    fn read1(&mut self, a: ArraySlot, i: i64) -> Result<i64, ExecError> {
+        self.read(a, &[i])
+    }
+
+    /// Rank-1 write; see [`read1`](Self::read1).
+    #[inline(always)]
+    fn write1(&mut self, a: ArraySlot, i: i64, v: i64) -> Result<(), ExecError> {
+        self.write(a, &[i], v)
+    }
+
+    /// Rank-2 read; see [`read1`](Self::read1).
+    #[inline(always)]
+    fn read2(&mut self, a: ArraySlot, i: i64, j: i64) -> Result<i64, ExecError> {
+        self.read(a, &[i, j])
+    }
+
+    /// Rank-2 write; see [`read1`](Self::read1).
+    #[inline(always)]
+    fn write2(&mut self, a: ArraySlot, i: i64, j: i64, v: i64) -> Result<(), ExecError> {
+        self.write(a, &[i, j], v)
+    }
+
+    /// Scalar slot `slot` was just written.  Only a worker's store records
+    /// it (the iteration that wrote it, for the last-writer merge).
+    #[inline(always)]
+    fn note_scalar_write(&mut self, _slot: usize) {}
+}
+
+/// Names a family of array stores without their lifetimes, so code cached
+/// for the life of the artifacts — the lowered chain's handlers — can be
+/// monomorphized once per store kind: [`SpineKind`], [`WorkerKind`] and
+/// the level-set inspection's `InspectKind`.
+pub(super) trait StoreKind: 'static {
+    /// The store, borrowing the state it runs over for `'s`.
+    type Arrays<'s>: ArrayStore;
+
+    /// Distinct per kind; keys per-kind caches.
+    const INDEX: u8;
+
+    /// A frame of this kind just wrote scalar slot `slot`.  Only the
+    /// spine marks it defined: the heap write-back and the dispatch gate
+    /// read the marks, and neither runs off the spine.
+    #[inline(always)]
+    fn define(_defined: &mut [bool], _slot: usize) {}
+
+    /// The spine's dense slots, which a loop handed to the dispatcher lends
+    /// to the recipe; `None` off the spine, where nothing dispatches.
+    #[inline(always)]
+    fn spine<'a, 's>(_arrays: &'a mut Self::Arrays<'s>) -> Option<&'a mut SpineArrays<'s>> {
+        None
+    }
+}
+
+/// The spine's store kind: [`SpineArrays`].
+pub(super) enum SpineKind {}
+
+impl StoreKind for SpineKind {
+    type Arrays<'s> = SpineArrays<'s>;
+    const INDEX: u8 = 0;
+
+    #[inline(always)]
+    fn define(defined: &mut [bool], slot: usize) {
+        defined[slot] = true;
+    }
+
+    #[inline(always)]
+    fn spine<'a, 's>(arrays: &'a mut Self::Arrays<'s>) -> Option<&'a mut SpineArrays<'s>> {
+        Some(arrays)
+    }
+}
+
+/// A dispatched worker's store kind: [`WorkerArrays`].
+pub(super) enum WorkerKind {}
+
+impl StoreKind for WorkerKind {
+    type Arrays<'s> = WorkerArrays<'s>;
+    const INDEX: u8 = 1;
 }
 
 /// The spine's array store: one dense `Option<ArrayVal>` per slot, moved
@@ -157,6 +244,58 @@ impl ArrayStore for SpineArrays<'_> {
     fn declare(&mut self, a: ArraySlot, dims: Vec<usize>) {
         self.arrays[a.index()] = Some(ArrayVal::zeros(dims));
     }
+
+    /// For rank 1 the row-major flat offset *is* the index and
+    /// `data.len() == dims[0]`, so `data.get` is the whole bounds check.
+    #[inline(always)]
+    fn read1(&mut self, a: ArraySlot, i: i64) -> Result<i64, ExecError> {
+        if let Some(arr) = &self.arrays[a.index()] {
+            if arr.dims.len() == 1 && i >= 0 {
+                if let Some(&v) = arr.data.get(i as usize) {
+                    return Ok(v);
+                }
+            }
+        }
+        self.read(a, &[i])
+    }
+
+    #[inline(always)]
+    fn write1(&mut self, a: ArraySlot, i: i64, v: i64) -> Result<(), ExecError> {
+        if let Some(arr) = &mut self.arrays[a.index()] {
+            if arr.dims.len() == 1 && i >= 0 {
+                if let Some(e) = arr.data.get_mut(i as usize) {
+                    *e = v;
+                    return Ok(());
+                }
+            }
+        }
+        self.write(a, &[i], v)
+    }
+
+    #[inline(always)]
+    fn read2(&mut self, a: ArraySlot, i: i64, j: i64) -> Result<i64, ExecError> {
+        if let Some(arr) = &self.arrays[a.index()] {
+            if let [d0, d1] = arr.dims[..] {
+                if i >= 0 && (i as usize) < d0 && j >= 0 && (j as usize) < d1 {
+                    return Ok(arr.data[i as usize * d1 + j as usize]);
+                }
+            }
+        }
+        self.read(a, &[i, j])
+    }
+
+    #[inline(always)]
+    fn write2(&mut self, a: ArraySlot, i: i64, j: i64, v: i64) -> Result<(), ExecError> {
+        if let Some(arr) = &mut self.arrays[a.index()] {
+            if let [d0, d1] = arr.dims[..] {
+                if i >= 0 && (i as usize) < d0 && j >= 0 && (j as usize) < d1 {
+                    arr.data[i as usize * d1 + j as usize] = v;
+                    return Ok(());
+                }
+            }
+        }
+        self.write(a, &[i, j], v)
+    }
 }
 
 /// Raw views of the spine's shared arrays, one per array slot (`None` for
@@ -226,19 +365,40 @@ impl SharedSlots {
         debug_assert!(flat < arr.len);
         Ok((arr.ptr, flat))
     }
+
+    /// The flat offset of an in-range rank-1 (`j = None`) or rank-2 access
+    /// to shared array `a`, with its storage pointer; `None` sends the
+    /// access down the checked path (local or absent slot, other rank, out
+    /// of bounds).
+    #[inline(always)]
+    fn fast(&self, a: ArraySlot, i: i64, j: Option<i64>) -> Option<(usize, usize)> {
+        let arr = self.arrs[a.index()].as_ref()?;
+        let flat = match (j, &arr.dims[..]) {
+            (None, [_]) => usize::try_from(i).ok().filter(|&i| i < arr.len)?,
+            (Some(j), &[d0, d1]) => {
+                let i = usize::try_from(i).ok().filter(|&i| i < d0)?;
+                let j = usize::try_from(j).ok().filter(|&j| j < d1)?;
+                i * d1 + j
+            }
+            _ => return None,
+        };
+        Some((arr.ptr, flat))
+    }
 }
 
 pub(super) const NOT_WRITTEN: usize = usize::MAX;
 
 /// A worker's array store: shared raw views for the heap arrays, private
-/// storage (with last-write iterations) for the dispatched loop's local
-/// arrays.
-struct WorkerArrays<'s> {
+/// storage for the dispatched loop's local arrays, and the last-writing
+/// iteration of every scalar slot and local array.
+pub(super) struct WorkerArrays<'s> {
     slots: &'s SlotMap,
     shared: &'s SharedSlots,
     local: &'s [bool],
     locals: Vec<Option<ArrayVal>>,
     local_write_iter: Vec<usize>,
+    scalar_write_iter: Vec<usize>,
+    /// The iteration running now; the recipe sets it before each one.
     current_iter: usize,
 }
 
@@ -276,6 +436,66 @@ impl ArrayStore for WorkerArrays<'_> {
         self.locals[i] = Some(ArrayVal::zeros(dims));
         self.local_write_iter[i] = self.current_iter;
     }
+
+    #[inline(always)]
+    fn read1(&mut self, a: ArraySlot, i: i64) -> Result<i64, ExecError> {
+        self.read_small(a, i, None)
+    }
+
+    #[inline(always)]
+    fn write1(&mut self, a: ArraySlot, i: i64, v: i64) -> Result<(), ExecError> {
+        self.write_small(a, i, None, v)
+    }
+
+    #[inline(always)]
+    fn read2(&mut self, a: ArraySlot, i: i64, j: i64) -> Result<i64, ExecError> {
+        self.read_small(a, i, Some(j))
+    }
+
+    #[inline(always)]
+    fn write2(&mut self, a: ArraySlot, i: i64, j: i64, v: i64) -> Result<(), ExecError> {
+        self.write_small(a, i, Some(j), v)
+    }
+
+    #[inline(always)]
+    fn note_scalar_write(&mut self, slot: usize) {
+        self.scalar_write_iter[slot] = self.current_iter;
+    }
+}
+
+impl WorkerArrays<'_> {
+    /// A rank-1 (`j = None`) or rank-2 read, straight off the shared view
+    /// when [`SharedSlots::fast`] vouches for it.
+    #[inline(always)]
+    fn read_small(&mut self, a: ArraySlot, i: i64, j: Option<i64>) -> Result<i64, ExecError> {
+        match (self.shared.fast(a, i, j), j) {
+            // SAFETY: `fast` bounds-checked the offset; disjointness as in
+            // `read`.
+            (Some((ptr, flat)), _) => Ok(unsafe { *(ptr as *const i64).add(flat) }),
+            (None, None) => self.read(a, &[i]),
+            (None, Some(j)) => self.read(a, &[i, j]),
+        }
+    }
+
+    /// The write counterpart of [`read_small`](Self::read_small).
+    #[inline(always)]
+    fn write_small(
+        &mut self,
+        a: ArraySlot,
+        i: i64,
+        j: Option<i64>,
+        v: i64,
+    ) -> Result<(), ExecError> {
+        match (self.shared.fast(a, i, j), j) {
+            (Some((ptr, flat)), _) => {
+                // SAFETY: as in `read_small`.
+                unsafe { *(ptr as *mut i64).add(flat) = v };
+                Ok(())
+            }
+            (None, None) => self.write(a, &[i], v),
+            (None, Some(j)) => self.write(a, &[i, j], v),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -312,28 +532,40 @@ impl Spine<'_> {
     }
 }
 
-/// How the dispatching executor runs its loop body off the spine.
+/// How a loop body runs off the spine: on a region's workers over
+/// [`WorkerArrays`], and in the level-set inspection's replay over its
+/// recording store.
 pub(super) trait RegionBody: Sync {
-    /// Worker-private scalar state.
-    type Worker;
+    /// A worker over store kind `K`: a private scalar frame and the store
+    /// it owns.
+    type Worker<'s, K: StoreKind>
+    where
+        Self: 's;
 
-    /// A fresh worker over `regs`, a copy of the region's scalar snapshot.
-    fn worker(&self, regs: Vec<i64>) -> Self::Worker;
+    /// A fresh worker over `regs`, a copy of the region's scalar snapshot,
+    /// and `arrays`.
+    fn worker<'s, K: StoreKind>(
+        &'s self,
+        regs: Vec<i64>,
+        arrays: K::Arrays<'s>,
+    ) -> Self::Worker<'s, K>;
 
-    /// Runs iteration `k` — the iteration's ordinal in the whole loop, the
-    /// currency of last-writer merges — with the index variable at `value`.
-    fn run_iteration<A: ArrayStore>(
-        &self,
-        w: &mut Self::Worker,
-        arrays: &mut A,
-        k: usize,
+    /// Runs one iteration with the index variable at `value`.  Which
+    /// iteration it is — the currency of last-writer merges — is the
+    /// store's business ([`WorkerArrays`] is told by the recipe).
+    fn run_iteration<'s, K: StoreKind>(
+        &'s self,
+        w: &mut Self::Worker<'s, K>,
         value: i64,
     ) -> Result<(), ExecError>;
 
-    /// The worker's frame and the last-writing iteration of each scalar
-    /// slot ([`NOT_WRITTEN`] when none); mutable so the recipe can fold a
-    /// finished phase out of the frame and re-arm it for the next.
-    fn scalars(w: &mut Self::Worker) -> (&mut [i64], &mut [usize]);
+    /// The worker's frame and store; mutable so the recipe can fold a
+    /// finished phase out of them and re-arm them for the next.
+    fn frame<'w, 's, K: StoreKind>(
+        w: &'w mut Self::Worker<'s, K>,
+    ) -> (&'w mut [i64], &'w mut K::Arrays<'s>)
+    where
+        Self: 's;
 }
 
 // ---------------------------------------------------------------------------
@@ -381,13 +613,12 @@ impl ChunkAcc {
     /// overwrite the value (and the mark) of the later one here.
     fn absorb(
         &mut self,
-        (regs, write_iter): (&mut [i64], &mut [usize]),
-        arrays: &mut WorkerArrays<'_>,
+        (regs, arrays): (&mut [i64], &mut WorkerArrays<'_>),
         is_reduction: &[bool],
         reductions: &[ReductionInfo],
         local_arrays: &[ArraySlot],
     ) {
-        for (slot, iter) in write_iter.iter_mut().enumerate() {
+        for (slot, iter) in arrays.scalar_write_iter.iter_mut().enumerate() {
             let iter = std::mem::replace(iter, NOT_WRITTEN);
             if iter != NOT_WRITTEN && !is_reduction[slot] {
                 keep_latest(&mut self.scalar_writes[slot], iter, || regs[slot]);
@@ -446,6 +677,8 @@ pub(super) struct Dispatcher<'r> {
     level_sets: Option<LevelSets<'r>>,
     /// Whether the registry row may *run* a loop as level sets.
     run_levels: bool,
+    /// Where [`run_lowered`](Self::run_lowered) finds loop bodies.
+    artifacts: &'r Artifacts,
     opts: &'r ExecOptions,
 }
 
@@ -484,6 +717,7 @@ impl<'r> Dispatcher<'r> {
             dispatchable,
             level_sets: (level_sets || opts.baseline_inspector).then(|| LevelSets::new(artifacts)),
             run_levels: level_sets,
+            artifacts,
             opts,
         }
     }
@@ -572,6 +806,30 @@ impl<'r> Dispatcher<'r> {
         };
         run_region(self.opts, &plan, spine, body, env.stats)?;
         Ok(true)
+    }
+
+    /// [`run`](Self::run) for a loop of the bytecode stream at the run's
+    /// opt level, whichever spine reached it: the body is the loop's
+    /// lowered direct-threaded chain, resolved by [`LoopId`] from the
+    /// artifacts' cached lowering.  The chain keeps the stream's register
+    /// numbering, so the spine's frame is handed over as it is.
+    pub(super) fn run_lowered(
+        &self,
+        strategy: Strategy<'_>,
+        lp: &LoopShape<'_>,
+        header: (i64, i64, i64),
+        spine: Spine<'_>,
+        env: &mut ExecEnvTiming<'_>,
+    ) -> Result<bool, ExecError> {
+        let inspected = matches!(strategy, Strategy::LevelSets(..));
+        let body = ThBody::new(
+            self.artifacts,
+            self.opts.opt_level,
+            lp.id,
+            env.while_cap,
+            inspected,
+        );
+        self.run(strategy, lp, header, spine, &body, env)
     }
 }
 
@@ -718,15 +976,16 @@ fn run_region<B: RegionBody>(
     let member_accs = with_shared_team_in(opts.team_group, threads, |team| {
         team.region(|m| {
             let mut acc = ChunkAcc::identity(nscalars, reductions, lp.local_arrays.len());
-            let mut w = body.worker(snapshot.clone());
-            let mut arrays = WorkerArrays {
+            let arrays = WorkerArrays {
                 slots,
                 shared: &shared,
                 local: &local,
                 locals: vec![None; narrays],
                 local_write_iter: vec![NOT_WRITTEN; narrays],
+                scalar_write_iter: vec![NOT_WRITTEN; nscalars],
                 current_iter: 0,
             };
+            let mut w = body.worker::<WorkerKind>(snapshot.clone(), arrays);
             for (level, phase) in phases.iter().enumerate() {
                 // The previous level must be complete, everywhere, before
                 // any iteration of this one starts.
@@ -736,8 +995,9 @@ fn run_region<B: RegionBody>(
                 let mut run = |positions: Range<usize>| {
                     for pos in positions {
                         let k = phase.order.map_or(pos, |o| o[pos] as usize);
+                        let (_, arrays) = B::frame(&mut w);
                         arrays.current_iter = k;
-                        body.run_iteration(&mut w, &mut arrays, k, values[k])?;
+                        body.run_iteration(&mut w, values[k])?;
                     }
                     Ok(())
                 };
@@ -753,13 +1013,7 @@ fn run_region<B: RegionBody>(
                         }
                     },
                 };
-                acc.absorb(
-                    B::scalars(&mut w),
-                    &mut arrays,
-                    &is_reduction,
-                    reductions,
-                    lp.local_arrays,
-                );
+                acc.absorb(B::frame(&mut w), &is_reduction, reductions, lp.local_arrays);
                 if let Err(e) = outcome {
                     // The others finish their share of this level and
                     // leave at its barrier: no later level runs.
@@ -822,20 +1076,23 @@ mod tests {
     }
 
     impl RegionBody for Recording {
-        type Worker = (Vec<i64>, Vec<usize>);
+        type Worker<'s, K: StoreKind> = (Vec<i64>, K::Arrays<'s>);
 
-        fn worker(&self, regs: Vec<i64>) -> Self::Worker {
-            let marks = vec![NOT_WRITTEN; regs.len()];
-            (regs, marks)
+        fn worker<'s, K: StoreKind>(
+            &'s self,
+            regs: Vec<i64>,
+            arrays: K::Arrays<'s>,
+        ) -> Self::Worker<'s, K> {
+            (regs, arrays)
         }
 
-        fn run_iteration<A: ArrayStore>(
-            &self,
-            _w: &mut Self::Worker,
-            _arrays: &mut A,
-            k: usize,
-            _value: i64,
+        /// Iteration `k` runs with the index variable at `k`.
+        fn run_iteration<'s, K: StoreKind>(
+            &'s self,
+            _w: &mut Self::Worker<'s, K>,
+            value: i64,
         ) -> Result<(), ExecError> {
+            let k = value as usize;
             self.ran.lock().unwrap().push(k);
             if k == self.fault_at {
                 return Err(ExecError::DivisionByZero);
@@ -843,7 +1100,12 @@ mod tests {
             Ok(())
         }
 
-        fn scalars(w: &mut Self::Worker) -> (&mut [i64], &mut [usize]) {
+        fn frame<'w, 's, K: StoreKind>(
+            w: &'w mut Self::Worker<'s, K>,
+        ) -> (&'w mut [i64], &'w mut K::Arrays<'s>)
+        where
+            Self: 's,
+        {
             (&mut w.0, &mut w.1)
         }
     }

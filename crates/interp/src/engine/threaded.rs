@@ -39,25 +39,33 @@
 //!
 //! Dispatch is `engine::shared`'s recipe like everywhere else: at each
 //! lowered `For` the spine asks the run's `Dispatcher` for a strategy,
-//! evaluates its lowered header once and lends its frame to the recipe —
-//! the register numbering *is* the bytecode numbering, so the workers run
-//! the original bytecode body (`BcBody`), the exact stream the verdicts
-//! were proven against.  The lowered program itself is cached on the
-//! pipeline's [`Artifacts`] (one lowering per artifact and opt level,
-//! shared by clones and charged to the session cache through
+//! evaluates its lowered header once and lends its frame to the recipe.
+//! The recipe's body is this chain too — `ThBody`, the body of every
+//! row that executes the bytecode stream, whichever spine (this one or
+//! the bytecode interpreter's) reached the loop: the register numbering
+//! *is* the bytecode numbering, so a spine's frame is handed over without
+//! translation.  The handlers are generic over the array store and
+//! monomorphized once per `StoreKind` — the spine's dense slots, a
+//! region worker's shared views, the level-set inspection's recording
+//! store — so one chain serves the spine, proof regions, level-set phases
+//! and the inspection replay.  Each lowering is cached on the pipeline's
+//! [`Artifacts`] (one per artifact, opt level and store kind, created on
+//! first use, shared by clones and charged to the session cache through
 //! [`EngineArtifact::approx_bytes`]).
 
-use super::bytecode::{loop_shape, BcBody};
-use super::shared::{load_scalars, store_scalars, Dispatcher, Spine, SpineArrays};
-use super::store::elem_at;
+use super::shared::{
+    load_scalars, store_scalars, ArrayStore, Dispatcher, LoopShape, RegionBody, Spine, SpineArrays,
+    SpineKind, StoreKind, WorkerKind,
+};
+use super::wavefront::InspectKind;
 use super::{ExecEnvTiming, ExecError, ExecMode, ExecOptions, ExecOutcome, ExecStats};
-use crate::heap::{ArrayVal, Heap};
+use crate::heap::Heap;
 use ss_ir::ast::{AssignOp, BinOp};
 use ss_ir::bytecode::{BcExpr, BcFor, BytecodeProgram, HeaderFast, Instr, Reg};
 use ss_ir::opt::OptLevel;
-use ss_ir::slots::{ArraySlot, SlotMap};
+use ss_ir::slots::ArraySlot;
 use ss_ir::LoopId;
-use ss_parallelizer::{Artifacts, EngineArtifact};
+use ss_parallelizer::{Artifacts, EngineArtifact, ExtArtifacts};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -67,8 +75,8 @@ static THREADED_LOWERINGS: AtomicU64 = AtomicU64::new(0);
 
 /// Process-wide count of `lower` invocations (the threaded-tier
 /// analogue of [`ss_ir::bytecode::bytecode_compilation_count`]): tests
-/// assert the lowering runs once per `(Artifacts, opt level)` and never
-/// per run.
+/// assert the lowering runs once per `(Artifacts, opt level, store kind)`
+/// and never per run.
 pub fn threaded_lowering_count() -> u64 {
     THREADED_LOWERINGS.load(Ordering::Relaxed)
 }
@@ -78,14 +86,14 @@ pub fn threaded_lowering_count() -> u64 {
 // ---------------------------------------------------------------------------
 
 /// A handler: executes one lowered op and returns the next op index.
-type Handler = fn(&ThOp, &mut ThCtx<'_>) -> Result<u32, ExecError>;
+type Handler<K> = for<'s> fn(&ThOp<K>, &mut ThCtx<'s, K>) -> Result<u32, ExecError>;
 
 /// One pre-decoded op: the handler pointer plus its flattened operands.
 /// `next` is the fall-through index (pre-stored so handlers never compute
 /// it); `ext` is the taken-branch target, loop/while table index, array
 /// slot or subscript rank depending on the handler.
-struct ThOp {
-    run: Handler,
+struct ThOp<K: StoreKind> {
+    run: Handler<K>,
     a: u32,
     b: u32,
     c: u32,
@@ -96,84 +104,103 @@ struct ThOp {
 
 /// A lowered instruction block; `result` is the register a header block
 /// leaves its value in (0 for statement blocks, which have none).
-struct ThBlock {
-    ops: Vec<ThOp>,
+struct ThBlock<K: StoreKind> {
+    ops: Vec<ThOp<K>>,
     result: u32,
 }
 
 /// A lowered loop-header value source, pre-resolved from [`HeaderFast`].
-enum ThHeader {
+enum ThHeader<K: StoreKind> {
     /// Compile-time constant.
     Imm(i64),
     /// Plain register read.
     Reg(u32),
     /// Proven loop-invariant block: run once per loop entry, memoized.
-    Once(ThBlock),
+    Once(ThBlock<K>),
     /// Re-evaluated every iteration (the general case).
-    Every(ThBlock),
+    Every(ThBlock<K>),
 }
 
 /// A lowered `for` loop.  `counted` marks loops whose bound/step are
 /// invariant register or immediate values and whose body never writes the
-/// induction variable: those run as native counted loops.  `bcfor` keeps
-/// the original bytecode so the parallel dispatcher's workers execute the
-/// exact stream the verdicts were proven against.
-struct ThLoop {
+/// induction variable: those run as native counted loops.  The last
+/// three fields are the bytecode loop's dispatch facts (see
+/// [`shape`](Self::shape)).
+struct ThLoop<K: StoreKind> {
     id: LoopId,
     var: u32,
+    cond_op: BinOp,
     cond: fn(i64, i64) -> bool,
-    init: ThHeader,
-    bound: ThHeader,
-    step: ThHeader,
-    body: ThBlock,
+    init: ThHeader<K>,
+    bound: ThHeader<K>,
+    step: ThHeader<K>,
+    body: ThBlock<K>,
     counted: bool,
-    bcfor: BcFor,
+    local_arrays: Vec<ArraySlot>,
+    locals_dominated: bool,
+    skewed: bool,
 }
 
-/// A whole lowered program: the engine-private artifact the pipeline
-/// caches per opt level (see [`Artifacts::engine_artifact`]).
-pub(crate) struct ThProgram {
-    main: ThBlock,
-    loops: Vec<ThLoop>,
+impl<K: StoreKind> ThLoop<K> {
+    /// What the dispatcher gates this loop on.
+    fn shape(&self) -> LoopShape<'_> {
+        LoopShape {
+            id: self.id,
+            var: self.var as usize,
+            cond_op: self.cond_op,
+            local_arrays: &self.local_arrays,
+            locals_dominated: self.locals_dominated,
+            skewed: self.skewed,
+        }
+    }
+}
+
+/// A whole lowered program for store kind `K`: the engine-private
+/// artifact the pipeline caches per opt level and store kind (see
+/// [`Artifacts::engine_artifact`]).
+struct ThProgram<K: StoreKind> {
+    main: ThBlock<K>,
+    loops: Vec<ThLoop<K>>,
     while_ids: Vec<LoopId>,
-    consts: Vec<i64>,
-    slots: SlotMap,
     nregs: usize,
     nscalars: usize,
 }
 
-impl EngineArtifact for ThProgram {
+impl<K: StoreKind> ThProgram<K> {
+    fn loop_by_id(&self, id: LoopId) -> &ThLoop<K> {
+        self.loops
+            .iter()
+            .find(|l| l.id == id)
+            .expect("every loop of the bytecode stream is lowered")
+    }
+}
+
+impl<K: StoreKind> EngineArtifact for ThProgram<K> {
     fn approx_bytes(&self) -> usize {
-        /// Allowance per loop for the header blocks' spines and the
-        /// retained bytecode body (not walked instruction by
-        /// instruction — the estimate only has to be monotone).
-        const PER_LOOP_OVERHEAD: usize = 1024;
-        fn block(b: &ThBlock) -> usize {
-            b.ops.len() * std::mem::size_of::<ThOp>()
+        fn block<K: StoreKind>(b: &ThBlock<K>) -> usize {
+            b.ops.len() * std::mem::size_of::<ThOp<K>>()
         }
-        fn header(h: &ThHeader) -> usize {
+        fn header<K: StoreKind>(h: &ThHeader<K>) -> usize {
             match h {
                 ThHeader::Once(b) | ThHeader::Every(b) => block(b),
                 _ => 0,
             }
         }
-        std::mem::size_of::<ThProgram>()
+        std::mem::size_of::<Self>()
             + block(&self.main)
             + self
                 .loops
                 .iter()
                 .map(|l| {
-                    std::mem::size_of::<ThLoop>()
+                    std::mem::size_of::<ThLoop<K>>()
                         + block(&l.body)
                         + header(&l.init)
                         + header(&l.bound)
                         + header(&l.step)
-                        + l.bcfor.body.len() * std::mem::size_of::<Instr>()
-                        + PER_LOOP_OVERHEAD
+                        + l.local_arrays.len() * std::mem::size_of::<ArraySlot>()
                 })
                 .sum::<usize>()
-            + self.consts.len() * 8
-            + self.while_ids.len() * 8
+            + self.while_ids.len() * std::mem::size_of::<LoopId>()
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -193,31 +220,37 @@ struct WGuard {
     start: Option<Instant>,
 }
 
-/// The spine's execution context: the register frame (low registers alias
+/// A chain's execution context: the register frame (low registers alias
 /// scalar slots, exactly the bytecode numbering, so dispatched state can
-/// be handed over without translation), the dense array store, the
-/// `while` guard stack and the run's statistics.
-struct ThCtx<'p> {
-    prog: &'p ThProgram,
+/// be handed over without translation), the array store, the `while`
+/// guard stack and the statistics.  On the spine the stats are the run's,
+/// `dispatch` is the run's policy (`None` on serial runs) and `defined`
+/// marks the scalars written so far; a worker or inspection frame
+/// dispatches nothing, times nothing — its loops are accounted to the
+/// dispatched ancestor — and keeps `defined` empty.
+struct ThCtx<'s, K: StoreKind> {
+    prog: &'s ThProgram<K>,
     regs: Vec<i64>,
     defined: Vec<bool>,
-    arrays: Vec<Option<ArrayVal>>,
+    arrays: K::Arrays<'s>,
     guards: Vec<WGuard>,
     stats: ExecStats,
     timing: bool,
     while_cap: u64,
     nscalars: usize,
-    /// The run's dispatch policy; `None` on serial runs.
-    dispatch: Option<&'p Dispatcher<'p>>,
+    dispatch: Option<&'s Dispatcher<'s>>,
 }
 
-impl ThCtx<'_> {
+impl<K: StoreKind> ThCtx<'_, K> {
+    /// The kind and the store hear of every scalar write: the spine marks
+    /// it defined, a worker's store records the iteration.
     #[inline(always)]
     fn set(&mut self, r: u32, v: i64) {
         let i = r as usize;
         self.regs[i] = v;
         if i < self.nscalars {
-            self.defined[i] = true;
+            K::define(&mut self.defined, i);
+            self.arrays.note_scalar_write(i);
         }
     }
 }
@@ -226,7 +259,7 @@ impl ThCtx<'_> {
 /// The final op's pre-stored `next` equals `ops.len()`, which ends the
 /// loop without a separate halt op.
 #[inline]
-fn exec_ops(ops: &[ThOp], cx: &mut ThCtx<'_>) -> Result<(), ExecError> {
+fn exec_ops<K: StoreKind>(ops: &[ThOp<K>], cx: &mut ThCtx<'_, K>) -> Result<(), ExecError> {
     let mut pc = 0u32;
     while let Some(op) = ops.get(pc as usize) {
         pc = (op.run)(op, cx)?;
@@ -235,7 +268,11 @@ fn exec_ops(ops: &[ThOp], cx: &mut ThCtx<'_>) -> Result<(), ExecError> {
 }
 
 #[inline]
-fn header_val(h: &ThHeader, cx: &mut ThCtx<'_>, cache: &mut Option<i64>) -> Result<i64, ExecError> {
+fn header_val<K: StoreKind>(
+    h: &ThHeader<K>,
+    cx: &mut ThCtx<'_, K>,
+    cache: &mut Option<i64>,
+) -> Result<i64, ExecError> {
     match h {
         ThHeader::Imm(v) => Ok(*v),
         ThHeader::Reg(r) => Ok(cx.regs[*r as usize]),
@@ -255,7 +292,7 @@ fn header_val(h: &ThHeader, cx: &mut ThCtx<'_>, cache: &mut Option<i64>) -> Resu
     }
 }
 
-fn run_loop(lp: &ThLoop, cx: &mut ThCtx<'_>) -> Result<(), ExecError> {
+fn run_loop<K: StoreKind>(lp: &ThLoop<K>, cx: &mut ThCtx<'_, K>) -> Result<(), ExecError> {
     if dispatch_loop(lp, cx)? {
         return Ok(());
     }
@@ -281,7 +318,11 @@ fn run_loop(lp: &ThLoop, cx: &mut ThCtx<'_>) -> Result<(), ExecError> {
 /// resolved at the same program point as the bytecode engine's
 /// first-iteration bound evaluation (after `init`, before the first
 /// test), so error points coincide.
-fn counted_loop(lp: &ThLoop, cx: &mut ThCtx<'_>, v0: i64) -> Result<u64, ExecError> {
+fn counted_loop<K: StoreKind>(
+    lp: &ThLoop<K>,
+    cx: &mut ThCtx<'_, K>,
+    v0: i64,
+) -> Result<u64, ExecError> {
     let bound = header_val(&lp.bound, cx, &mut None)?;
     let step = match &lp.step {
         ThHeader::Imm(v) => *v,
@@ -312,7 +353,7 @@ fn counted_loop(lp: &ThLoop, cx: &mut ThCtx<'_>, v0: i64) -> Result<u64, ExecErr
 /// The general path: re-resolve bound and step per iteration, exactly
 /// like the bytecode engine's `exec_for` (step evaluated *after* the
 /// body; `EvalOnce` memos are per loop entry).
-fn generic_loop(lp: &ThLoop, cx: &mut ThCtx<'_>) -> Result<u64, ExecError> {
+fn generic_loop<K: StoreKind>(lp: &ThLoop<K>, cx: &mut ThCtx<'_, K>) -> Result<u64, ExecError> {
     let mut bound_cache: Option<i64> = None;
     let mut step_cache: Option<i64> = None;
     let mut iters: u64 = 0;
@@ -339,11 +380,11 @@ fn generic_loop(lp: &ThLoop, cx: &mut ThCtx<'_>) -> Result<u64, ExecError> {
 
 /// Offers one loop to the run's dispatcher.  Returns `Ok(false)` when the
 /// loop must run serially here instead.
-fn dispatch_loop(lp: &ThLoop, cx: &mut ThCtx<'_>) -> Result<bool, ExecError> {
+fn dispatch_loop<K: StoreKind>(lp: &ThLoop<K>, cx: &mut ThCtx<'_, K>) -> Result<bool, ExecError> {
     let Some(d) = cx.dispatch else {
         return Ok(false);
     };
-    let shape = loop_shape(&lp.bcfor);
+    let shape = lp.shape();
     let Some(strategy) = d.strategy(&shape, &cx.defined) else {
         return Ok(false);
     };
@@ -352,108 +393,111 @@ fn dispatch_loop(lp: &ThLoop, cx: &mut ThCtx<'_>) -> Result<bool, ExecError> {
         header_val(&lp.bound, cx, &mut None)?,
         header_val(&lp.step, cx, &mut None)?,
     );
-    let prog = cx.prog;
-    let body = BcBody {
-        f: &lp.bcfor,
-        consts: &prog.consts,
-        nscalars: cx.nscalars,
-        while_cap: cx.while_cap,
-    };
+    let arrays = K::spine(&mut cx.arrays).expect("only the spine holds a dispatcher");
     let spine = Spine {
         regs: &mut cx.regs,
         defined: &mut cx.defined,
-        arrays: &mut cx.arrays,
-        slots: &prog.slots,
+        arrays: &mut arrays.arrays,
+        slots: arrays.slots,
     };
     let mut env = ExecEnvTiming {
         stats: &mut cx.stats,
         timing: cx.timing,
         while_cap: cx.while_cap,
     };
-    d.run(strategy, &shape, header, spine, &body, &mut env)
+    d.run_lowered(strategy, &shape, header, spine, &mut env)
 }
 
 // ---------------------------------------------------------------------------
-// Array access helpers (error construction identical to `SpineArrays`).
+// The region body.
 // ---------------------------------------------------------------------------
 
-#[inline(always)]
-fn arr_read(cx: &ThCtx<'_>, slot: u32, idxs: &[i64]) -> Result<i64, ExecError> {
-    let name = cx.prog.slots.array_name(ArraySlot(slot));
-    let arr = cx.arrays[slot as usize]
-        .as_ref()
-        .ok_or_else(|| ExecError::UndefinedArray(name.to_string()))?;
-    elem_at(name, arr, idxs).map(|flat| arr.data[flat])
+/// A dispatched loop of the bytecode stream as the recipe runs it: the
+/// loop's body in the lowered chain of whichever store kind asks — a
+/// region's workers, or the level-set inspection's replay.
+pub(super) struct ThBody {
+    id: LoopId,
+    while_cap: u64,
+    /// The workers' lowering, plus the inspection's for an inspected loop,
+    /// from the artifacts' cache.
+    chains: Vec<Arc<dyn EngineArtifact>>,
 }
 
-#[inline(always)]
-fn arr_write(cx: &mut ThCtx<'_>, slot: u32, idxs: &[i64], v: i64) -> Result<(), ExecError> {
-    let name = cx.prog.slots.array_name(ArraySlot(slot));
-    let arr = cx.arrays[slot as usize]
-        .as_mut()
-        .ok_or_else(|| ExecError::UndefinedArray(name.to_string()))?;
-    let flat = elem_at(name, arr, idxs)?;
-    arr.data[flat] = v;
-    Ok(())
-}
-
-/// Rank-1 read fast path: a defined rank-1 array with an in-range index
-/// hits `data` directly — no slot-name lookup, no rank-generic offset
-/// loop.  Anything else (undefined slot, rank mismatch, out of bounds)
-/// takes the slow path, whose error construction is the single source of
-/// truth.  For rank 1 the row-major flat offset *is* the index, and
-/// `data.len() == dims[0]`, so `data.get` is the whole bounds check.
-#[inline(always)]
-fn arr_read1(cx: &ThCtx<'_>, slot: u32, idx: i64) -> Result<i64, ExecError> {
-    if let Some(arr) = cx.arrays[slot as usize].as_ref() {
-        if arr.dims.len() == 1 && idx >= 0 {
-            if let Some(&v) = arr.data.get(idx as usize) {
-                return Ok(v);
-            }
+impl ThBody {
+    pub(super) fn new(
+        artifacts: &Artifacts,
+        level: OptLevel,
+        id: LoopId,
+        while_cap: u64,
+        inspected: bool,
+    ) -> Self {
+        let mut chains = vec![lowered::<WorkerKind>(artifacts, level)];
+        if inspected {
+            chains.push(lowered::<InspectKind>(artifacts, level));
+        }
+        ThBody {
+            id,
+            while_cap,
+            chains,
         }
     }
-    arr_read(cx, slot, &[idx])
 }
 
-/// Rank-1 write fast path; see [`arr_read1`].
-#[inline(always)]
-fn arr_write1(cx: &mut ThCtx<'_>, slot: u32, idx: i64, v: i64) -> Result<(), ExecError> {
-    if let Some(arr) = cx.arrays[slot as usize].as_mut() {
-        if arr.dims.len() == 1 && idx >= 0 {
-            if let Some(e) = arr.data.get_mut(idx as usize) {
-                *e = v;
-                return Ok(());
-            }
-        }
-    }
-    arr_write(cx, slot, &[idx], v)
+/// A [`ThBody`] worker: a frame of the kind's chain and the loop it runs.
+pub(super) struct ThWorker<'s, K: StoreKind> {
+    cx: ThCtx<'s, K>,
+    lp: &'s ThLoop<K>,
 }
 
-/// Rank-2 read fast path: both extents checked, row-major offset inlined.
-#[inline(always)]
-fn arr_read2(cx: &ThCtx<'_>, slot: u32, i: i64, j: i64) -> Result<i64, ExecError> {
-    if let Some(arr) = cx.arrays[slot as usize].as_ref() {
-        if let [d0, d1] = arr.dims[..] {
-            if i >= 0 && (i as usize) < d0 && j >= 0 && (j as usize) < d1 {
-                return Ok(arr.data[i as usize * d1 + j as usize]);
-            }
-        }
-    }
-    arr_read(cx, slot, &[i, j])
-}
+impl RegionBody for ThBody {
+    type Worker<'s, K: StoreKind>
+        = ThWorker<'s, K>
+    where
+        Self: 's;
 
-/// Rank-2 write fast path; see [`arr_read2`].
-#[inline(always)]
-fn arr_write2(cx: &mut ThCtx<'_>, slot: u32, i: i64, j: i64, v: i64) -> Result<(), ExecError> {
-    if let Some(arr) = cx.arrays[slot as usize].as_mut() {
-        if let [d0, d1] = arr.dims[..] {
-            if i >= 0 && (i as usize) < d0 && j >= 0 && (j as usize) < d1 {
-                arr.data[i as usize * d1 + j as usize] = v;
-                return Ok(());
-            }
+    fn worker<'s, K: StoreKind>(
+        &'s self,
+        regs: Vec<i64>,
+        arrays: K::Arrays<'s>,
+    ) -> ThWorker<'s, K> {
+        let prog = (self.chains.iter())
+            .find_map(|c| c.as_any().downcast_ref::<ThProgram<K>>())
+            .expect("the recipe runs a body only on the store kinds it was built for");
+        ThWorker {
+            lp: prog.loop_by_id(self.id),
+            cx: ThCtx {
+                prog,
+                regs,
+                defined: Vec::new(),
+                arrays,
+                guards: Vec::new(),
+                stats: ExecStats::default(),
+                timing: false,
+                while_cap: self.while_cap,
+                nscalars: prog.nscalars,
+                dispatch: None,
+            },
         }
     }
-    arr_write(cx, slot, &[i, j], v)
+
+    fn run_iteration<'s, K: StoreKind>(
+        &'s self,
+        w: &mut ThWorker<'s, K>,
+        value: i64,
+    ) -> Result<(), ExecError> {
+        let lp = w.lp;
+        w.cx.set(lp.var, value);
+        exec_ops(&lp.body.ops, &mut w.cx)
+    }
+
+    fn frame<'w, 's, K: StoreKind>(
+        w: &'w mut ThWorker<'s, K>,
+    ) -> (&'w mut [i64], &'w mut K::Arrays<'s>)
+    where
+        Self: 's,
+    {
+        (&mut w.cx.regs, &mut w.cx.arrays)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -466,21 +510,21 @@ fn arr_write2(cx: &mut ThCtx<'_>, slot: u32, i: i64, j: i64, v: i64) -> Result<(
 /// into dedicated handlers.
 macro_rules! bin_handlers {
     ($rr:ident, $ri:ident, $ir:ident, |$x:ident, $y:ident| $body:expr) => {
-        fn $rr(op: &ThOp, cx: &mut ThCtx<'_>) -> Result<u32, ExecError> {
+        fn $rr<K: StoreKind>(op: &ThOp<K>, cx: &mut ThCtx<'_, K>) -> Result<u32, ExecError> {
             let $x = cx.regs[op.b as usize];
             let $y = cx.regs[op.c as usize];
             let v = $body;
             cx.set(op.a, v);
             Ok(op.next)
         }
-        fn $ri(op: &ThOp, cx: &mut ThCtx<'_>) -> Result<u32, ExecError> {
+        fn $ri<K: StoreKind>(op: &ThOp<K>, cx: &mut ThCtx<'_, K>) -> Result<u32, ExecError> {
             let $x = cx.regs[op.b as usize];
             let $y = op.imm;
             let v = $body;
             cx.set(op.a, v);
             Ok(op.next)
         }
-        fn $ir(op: &ThOp, cx: &mut ThCtx<'_>) -> Result<u32, ExecError> {
+        fn $ir<K: StoreKind>(op: &ThOp<K>, cx: &mut ThCtx<'_, K>) -> Result<u32, ExecError> {
             let $x = op.imm;
             let $y = cx.regs[op.b as usize];
             let v = $body;
@@ -512,17 +556,17 @@ bin_handlers!(th_ne_rr, th_ne_ri, th_ne_ir, |x, y| (x != y) as i64);
 /// false` branches).
 macro_rules! cmpbr_handlers {
     ($rr:ident, $ri:ident, $ir:ident, |$x:ident, $y:ident| $test:expr) => {
-        fn $rr(op: &ThOp, cx: &mut ThCtx<'_>) -> Result<u32, ExecError> {
+        fn $rr<K: StoreKind>(op: &ThOp<K>, cx: &mut ThCtx<'_, K>) -> Result<u32, ExecError> {
             let $x = cx.regs[op.b as usize];
             let $y = cx.regs[op.c as usize];
             Ok(if $test { op.ext } else { op.next })
         }
-        fn $ri(op: &ThOp, cx: &mut ThCtx<'_>) -> Result<u32, ExecError> {
+        fn $ri<K: StoreKind>(op: &ThOp<K>, cx: &mut ThCtx<'_, K>) -> Result<u32, ExecError> {
             let $x = cx.regs[op.b as usize];
             let $y = op.imm;
             Ok(if $test { op.ext } else { op.next })
         }
-        fn $ir(op: &ThOp, cx: &mut ThCtx<'_>) -> Result<u32, ExecError> {
+        fn $ir<K: StoreKind>(op: &ThOp<K>, cx: &mut ThCtx<'_, K>) -> Result<u32, ExecError> {
             let $x = op.imm;
             let $y = cx.regs[op.b as usize];
             Ok(if $test { op.ext } else { op.next })
@@ -540,14 +584,14 @@ cmpbr_handlers!(th_bne_rr, th_bne_ri, th_bne_ir, |x, y| x != y);
 /// Expands the register and immediate shapes of one fused accumulate.
 macro_rules! accum_handlers {
     ($rr:ident, $ri:ident, |$x:ident, $y:ident| $body:expr) => {
-        fn $rr(op: &ThOp, cx: &mut ThCtx<'_>) -> Result<u32, ExecError> {
+        fn $rr<K: StoreKind>(op: &ThOp<K>, cx: &mut ThCtx<'_, K>) -> Result<u32, ExecError> {
             let $x = cx.regs[op.a as usize];
             let $y = cx.regs[op.b as usize];
             let v = $body;
             cx.set(op.a, v);
             Ok(op.next)
         }
-        fn $ri(op: &ThOp, cx: &mut ThCtx<'_>) -> Result<u32, ExecError> {
+        fn $ri<K: StoreKind>(op: &ThOp<K>, cx: &mut ThCtx<'_, K>) -> Result<u32, ExecError> {
             let $x = cx.regs[op.a as usize];
             let $y = op.imm;
             let v = $body;
@@ -561,85 +605,85 @@ accum_handlers!(th_acc_add_rr, th_acc_add_ri, |x, y| x.wrapping_add(y));
 accum_handlers!(th_acc_sub_rr, th_acc_sub_ri, |x, y| x.wrapping_sub(y));
 accum_handlers!(th_acc_mul_rr, th_acc_mul_ri, |x, y| x.wrapping_mul(y));
 
-fn th_const(op: &ThOp, cx: &mut ThCtx<'_>) -> Result<u32, ExecError> {
+fn th_const<K: StoreKind>(op: &ThOp<K>, cx: &mut ThCtx<'_, K>) -> Result<u32, ExecError> {
     cx.set(op.a, op.imm);
     Ok(op.next)
 }
 
-fn th_copy(op: &ThOp, cx: &mut ThCtx<'_>) -> Result<u32, ExecError> {
+fn th_copy<K: StoreKind>(op: &ThOp<K>, cx: &mut ThCtx<'_, K>) -> Result<u32, ExecError> {
     let v = cx.regs[op.b as usize];
     cx.set(op.a, v);
     Ok(op.next)
 }
 
-fn th_neg(op: &ThOp, cx: &mut ThCtx<'_>) -> Result<u32, ExecError> {
+fn th_neg<K: StoreKind>(op: &ThOp<K>, cx: &mut ThCtx<'_, K>) -> Result<u32, ExecError> {
     let v = cx.regs[op.b as usize].wrapping_neg();
     cx.set(op.a, v);
     Ok(op.next)
 }
 
-fn th_not(op: &ThOp, cx: &mut ThCtx<'_>) -> Result<u32, ExecError> {
+fn th_not<K: StoreKind>(op: &ThOp<K>, cx: &mut ThCtx<'_, K>) -> Result<u32, ExecError> {
     let v = (cx.regs[op.b as usize] == 0) as i64;
     cx.set(op.a, v);
     Ok(op.next)
 }
 
-fn th_load1(op: &ThOp, cx: &mut ThCtx<'_>) -> Result<u32, ExecError> {
+fn th_load1<K: StoreKind>(op: &ThOp<K>, cx: &mut ThCtx<'_, K>) -> Result<u32, ExecError> {
     let i = cx.regs[op.c as usize];
-    let v = arr_read1(cx, op.b, i)?;
+    let v = cx.arrays.read1(ArraySlot(op.b), i)?;
     cx.set(op.a, v);
     Ok(op.next)
 }
 
-fn th_load_n(op: &ThOp, cx: &mut ThCtx<'_>) -> Result<u32, ExecError> {
+fn th_load_n<K: StoreKind>(op: &ThOp<K>, cx: &mut ThCtx<'_, K>) -> Result<u32, ExecError> {
     let rank = op.ext as usize;
     let base = op.c as usize;
     let mut buf = [0i64; 4];
     let v = if rank <= 4 {
         buf[..rank].copy_from_slice(&cx.regs[base..base + rank]);
-        arr_read(cx, op.b, &buf[..rank])?
+        cx.arrays.read(ArraySlot(op.b), &buf[..rank])?
     } else {
         let idxs: Vec<i64> = cx.regs[base..base + rank].to_vec();
-        arr_read(cx, op.b, &idxs)?
+        cx.arrays.read(ArraySlot(op.b), &idxs)?
     };
     cx.set(op.a, v);
     Ok(op.next)
 }
 
-fn th_store1(op: &ThOp, cx: &mut ThCtx<'_>) -> Result<u32, ExecError> {
+fn th_store1<K: StoreKind>(op: &ThOp<K>, cx: &mut ThCtx<'_, K>) -> Result<u32, ExecError> {
     let v = cx.regs[op.a as usize];
     let i = cx.regs[op.c as usize];
-    arr_write1(cx, op.b, i, v)?;
+    cx.arrays.write1(ArraySlot(op.b), i, v)?;
     Ok(op.next)
 }
 
-fn th_store_n(op: &ThOp, cx: &mut ThCtx<'_>) -> Result<u32, ExecError> {
+fn th_store_n<K: StoreKind>(op: &ThOp<K>, cx: &mut ThCtx<'_, K>) -> Result<u32, ExecError> {
     let rank = op.ext as usize;
     let base = op.c as usize;
     let v = cx.regs[op.a as usize];
     let mut buf = [0i64; 4];
     if rank <= 4 {
         buf[..rank].copy_from_slice(&cx.regs[base..base + rank]);
-        arr_write(cx, op.b, &buf[..rank], v)?;
+        cx.arrays.write(ArraySlot(op.b), &buf[..rank], v)?;
     } else {
         let idxs: Vec<i64> = cx.regs[base..base + rank].to_vec();
-        arr_write(cx, op.b, &idxs, v)?;
+        cx.arrays.write(ArraySlot(op.b), &idxs, v)?;
     }
     Ok(op.next)
 }
 
-fn th_decl(op: &ThOp, cx: &mut ThCtx<'_>) -> Result<u32, ExecError> {
+fn th_decl<K: StoreKind>(op: &ThOp<K>, cx: &mut ThCtx<'_, K>) -> Result<u32, ExecError> {
     let rank = op.ext as usize;
     let base = op.c as usize;
     let dims: Vec<usize> = cx.regs[base..base + rank]
         .iter()
         .map(|&d| d.max(0) as usize)
         .collect();
-    cx.arrays[op.b as usize] = Some(ArrayVal::zeros(dims));
+    cx.arrays.declare(ArraySlot(op.b), dims);
     Ok(op.next)
 }
 
-fn th_jz(op: &ThOp, cx: &mut ThCtx<'_>) -> Result<u32, ExecError> {
+fn th_jz<K: StoreKind>(op: &ThOp<K>, cx: &mut ThCtx<'_, K>) -> Result<u32, ExecError> {
     Ok(if cx.regs[op.a as usize] == 0 {
         op.ext
     } else {
@@ -647,7 +691,7 @@ fn th_jz(op: &ThOp, cx: &mut ThCtx<'_>) -> Result<u32, ExecError> {
     })
 }
 
-fn th_jnz(op: &ThOp, cx: &mut ThCtx<'_>) -> Result<u32, ExecError> {
+fn th_jnz<K: StoreKind>(op: &ThOp<K>, cx: &mut ThCtx<'_, K>) -> Result<u32, ExecError> {
     Ok(if cx.regs[op.a as usize] != 0 {
         op.ext
     } else {
@@ -655,17 +699,17 @@ fn th_jnz(op: &ThOp, cx: &mut ThCtx<'_>) -> Result<u32, ExecError> {
     })
 }
 
-fn th_jump(op: &ThOp, _cx: &mut ThCtx<'_>) -> Result<u32, ExecError> {
+fn th_jump<K: StoreKind>(op: &ThOp<K>, _cx: &mut ThCtx<'_, K>) -> Result<u32, ExecError> {
     Ok(op.ext)
 }
 
-fn th_for(op: &ThOp, cx: &mut ThCtx<'_>) -> Result<u32, ExecError> {
+fn th_for<K: StoreKind>(op: &ThOp<K>, cx: &mut ThCtx<'_, K>) -> Result<u32, ExecError> {
     let prog = cx.prog;
     run_loop(&prog.loops[op.ext as usize], cx)?;
     Ok(op.next)
 }
 
-fn th_wenter(op: &ThOp, cx: &mut ThCtx<'_>) -> Result<u32, ExecError> {
+fn th_wenter<K: StoreKind>(op: &ThOp<K>, cx: &mut ThCtx<'_, K>) -> Result<u32, ExecError> {
     let id = cx.prog.while_ids[op.ext as usize];
     let start = cx.timing.then(Instant::now);
     cx.guards.push(WGuard {
@@ -676,7 +720,7 @@ fn th_wenter(op: &ThOp, cx: &mut ThCtx<'_>) -> Result<u32, ExecError> {
     Ok(op.next)
 }
 
-fn th_witer(op: &ThOp, cx: &mut ThCtx<'_>) -> Result<u32, ExecError> {
+fn th_witer<K: StoreKind>(op: &ThOp<K>, cx: &mut ThCtx<'_, K>) -> Result<u32, ExecError> {
     let cap = cx.while_cap;
     let g = cx.guards.last_mut().expect("unbalanced while guards");
     debug_assert_eq!(g.id, cx.prog.while_ids[op.ext as usize]);
@@ -687,7 +731,7 @@ fn th_witer(op: &ThOp, cx: &mut ThCtx<'_>) -> Result<u32, ExecError> {
     Ok(op.next)
 }
 
-fn th_wexit(op: &ThOp, cx: &mut ThCtx<'_>) -> Result<u32, ExecError> {
+fn th_wexit<K: StoreKind>(op: &ThOp<K>, cx: &mut ThCtx<'_, K>) -> Result<u32, ExecError> {
     let g = cx.guards.pop().expect("unbalanced while guards");
     if let Some(t) = g.start {
         cx.stats
@@ -696,31 +740,27 @@ fn th_wexit(op: &ThOp, cx: &mut ThCtx<'_>) -> Result<u32, ExecError> {
     Ok(op.next)
 }
 
-fn th_ldld(op: &ThOp, cx: &mut ThCtx<'_>) -> Result<u32, ExecError> {
+fn th_ldld<K: StoreKind>(op: &ThOp<K>, cx: &mut ThCtx<'_, K>) -> Result<u32, ExecError> {
     // Inner read first, then the outer — the error order of the two loads
     // the superinstruction replaced.
     let i = cx.regs[op.c as usize];
-    let inner = arr_read1(cx, op.ext, i)?;
-    let v = arr_read1(cx, op.b, inner)?;
+    let inner = cx.arrays.read1(ArraySlot(op.ext), i)?;
+    let v = cx.arrays.read1(ArraySlot(op.b), inner)?;
     cx.set(op.a, v);
     Ok(op.next)
 }
 
-fn th_load2(op: &ThOp, cx: &mut ThCtx<'_>) -> Result<u32, ExecError> {
-    let v = arr_read2(cx, op.ext, cx.regs[op.b as usize], cx.regs[op.c as usize])?;
+fn th_load2<K: StoreKind>(op: &ThOp<K>, cx: &mut ThCtx<'_, K>) -> Result<u32, ExecError> {
+    let (i, j) = (cx.regs[op.b as usize], cx.regs[op.c as usize]);
+    let v = cx.arrays.read2(ArraySlot(op.ext), i, j)?;
     cx.set(op.a, v);
     Ok(op.next)
 }
 
-fn th_store2(op: &ThOp, cx: &mut ThCtx<'_>) -> Result<u32, ExecError> {
+fn th_store2<K: StoreKind>(op: &ThOp<K>, cx: &mut ThCtx<'_, K>) -> Result<u32, ExecError> {
     let v = cx.regs[op.a as usize];
-    arr_write2(
-        cx,
-        op.ext,
-        cx.regs[op.b as usize],
-        cx.regs[op.c as usize],
-        v,
-    )?;
+    let (i, j) = (cx.regs[op.b as usize], cx.regs[op.c as usize]);
+    cx.arrays.write2(ArraySlot(op.ext), i, j, v)?;
     Ok(op.next)
 }
 
@@ -735,13 +775,13 @@ enum Shape {
     Ir,
 }
 
-fn bin_handler(op: BinOp, shape: Shape) -> Handler {
+fn bin_handler<K: StoreKind>(op: BinOp, shape: Shape) -> Handler<K> {
     macro_rules! pick {
         ($rr:ident, $ri:ident, $ir:ident) => {
             match shape {
-                Shape::Rr => $rr,
-                Shape::Ri => $ri,
-                Shape::Ir => $ir,
+                Shape::Rr => $rr::<K>,
+                Shape::Ri => $ri::<K>,
+                Shape::Ir => $ir::<K>,
             }
         };
     }
@@ -761,13 +801,13 @@ fn bin_handler(op: BinOp, shape: Shape) -> Handler {
     }
 }
 
-fn cmpbr_handler(op: BinOp, shape: Shape) -> Handler {
+fn cmpbr_handler<K: StoreKind>(op: BinOp, shape: Shape) -> Handler<K> {
     macro_rules! pick {
         ($rr:ident, $ri:ident, $ir:ident) => {
             match shape {
-                Shape::Rr => $rr,
-                Shape::Ri => $ri,
-                Shape::Ir => $ir,
+                Shape::Rr => $rr::<K>,
+                Shape::Ri => $ri::<K>,
+                Shape::Ir => $ir::<K>,
             }
         };
     }
@@ -782,14 +822,14 @@ fn cmpbr_handler(op: BinOp, shape: Shape) -> Handler {
     }
 }
 
-fn accum_handler(op: AssignOp, imm: bool) -> Handler {
+fn accum_handler<K: StoreKind>(op: AssignOp, imm: bool) -> Handler<K> {
     match (op, imm) {
-        (AssignOp::AddAssign, false) => th_acc_add_rr,
-        (AssignOp::AddAssign, true) => th_acc_add_ri,
-        (AssignOp::SubAssign, false) => th_acc_sub_rr,
-        (AssignOp::SubAssign, true) => th_acc_sub_ri,
-        (AssignOp::MulAssign, false) => th_acc_mul_rr,
-        (AssignOp::MulAssign, true) => th_acc_mul_ri,
+        (AssignOp::AddAssign, false) => th_acc_add_rr::<K>,
+        (AssignOp::AddAssign, true) => th_acc_add_ri::<K>,
+        (AssignOp::SubAssign, false) => th_acc_sub_rr::<K>,
+        (AssignOp::SubAssign, true) => th_acc_sub_ri::<K>,
+        (AssignOp::MulAssign, false) => th_acc_mul_rr::<K>,
+        (AssignOp::MulAssign, true) => th_acc_mul_ri::<K>,
         (AssignOp::Assign, _) => unreachable!("plain assignment never reaches Accum"),
     }
 }
@@ -819,14 +859,14 @@ enum PatchField {
     Next,
 }
 
-struct Lower<'b> {
+struct Lower<'b, K: StoreKind> {
     bc: &'b BytecodeProgram,
     nscalars: u32,
-    loops: Vec<ThLoop>,
+    loops: Vec<ThLoop<K>>,
     while_ids: Vec<LoopId>,
 }
 
-fn push(out: &mut Vec<ThOp>, run: Handler) -> &mut ThOp {
+fn push<K: StoreKind>(out: &mut Vec<ThOp<K>>, run: Handler<K>) -> &mut ThOp<K> {
     let next = out.len() as u32 + 1;
     out.push(ThOp {
         run,
@@ -948,11 +988,11 @@ fn collect_writes(code: &[Instr], out: &mut HashSet<u32>) {
     }
 }
 
-impl Lower<'_> {
-    fn lower_block(&mut self, code: &[Instr], result: Option<Reg>) -> ThBlock {
+impl<K: StoreKind> Lower<'_, K> {
+    fn lower_block(&mut self, code: &[Instr], result: Option<Reg>) -> ThBlock<K> {
         let targets = jump_targets(code);
         let reads = read_counts(code);
-        let mut out: Vec<ThOp> = Vec::with_capacity(code.len());
+        let mut out: Vec<ThOp<K>> = Vec::with_capacity(code.len());
         let mut map = vec![0u32; code.len() + 1];
         let mut patches: Vec<(usize, u32, PatchField)> = Vec::new();
         let mut i = 0usize;
@@ -997,7 +1037,7 @@ impl Lower<'_> {
     fn emit(
         &mut self,
         ins: &Instr,
-        out: &mut Vec<ThOp>,
+        out: &mut Vec<ThOp<K>>,
         patches: &mut Vec<(usize, u32, PatchField)>,
     ) {
         let pos = out.len();
@@ -1171,18 +1211,21 @@ impl Lower<'_> {
         self.loops.push(ThLoop {
             id: f.id,
             var: f.var.0,
+            cond_op: f.cond_op,
             cond: cmp_fn(f.cond_op),
             init,
             bound,
             step,
             body,
             counted,
-            bcfor: f.clone(),
+            local_arrays: f.local_arrays.clone(),
+            locals_dominated: f.locals_dominated,
+            skewed: f.skewed,
         });
         idx
     }
 
-    fn lower_header(&mut self, e: &BcExpr, fast: HeaderFast) -> ThHeader {
+    fn lower_header(&mut self, e: &BcExpr, fast: HeaderFast) -> ThHeader<K> {
         match fast {
             HeaderFast::Const(v) => ThHeader::Imm(v),
             HeaderFast::Reg(r) => ThHeader::Reg(r.0),
@@ -1208,11 +1251,11 @@ impl Lower<'_> {
 /// Emits the fused immediate form of `next` when it is a fusable
 /// single-reader consumer of the constant in `t`; returns `false` to fall
 /// back to plain emission.
-fn try_fuse(
+fn try_fuse<K: StoreKind>(
     next: &Instr,
     t: Reg,
     imm: i64,
-    out: &mut Vec<ThOp>,
+    out: &mut Vec<ThOp<K>>,
     patches: &mut Vec<(usize, u32, PatchField)>,
 ) -> bool {
     match next {
@@ -1264,10 +1307,11 @@ fn try_fuse(
     }
 }
 
-/// Lowers one bytecode stream into its direct-threaded form.  Pure and
-/// deterministic; called once per `(Artifacts, opt level)` through
-/// [`Artifacts::engine_artifact`].
-pub(crate) fn lower(bc: &BytecodeProgram) -> ThProgram {
+/// Lowers one bytecode stream into its direct-threaded form for store
+/// kind `K`.  Pure and deterministic — every kind's lowering has the same
+/// ops and loop table, only the handlers' monomorphization differs; called
+/// once per `(Artifacts, opt level, store kind)` through [`lowered`].
+fn lower<K: StoreKind>(bc: &BytecodeProgram) -> ThProgram<K> {
     THREADED_LOWERINGS.fetch_add(1, Ordering::Relaxed);
     let mut lw = Lower {
         bc,
@@ -1280,8 +1324,6 @@ pub(crate) fn lower(bc: &BytecodeProgram) -> ThProgram {
         main,
         loops: lw.loops,
         while_ids: lw.while_ids,
-        consts: bc.consts.clone(),
-        slots: bc.slots.clone(),
         nregs: bc.nregs,
         nscalars: bc.slots.scalar_count(),
     }
@@ -1291,21 +1333,21 @@ pub(crate) fn lower(bc: &BytecodeProgram) -> ThProgram {
 // Entry points.
 // ---------------------------------------------------------------------------
 
-/// The lowered program for `level`, creating and caching it on the
-/// artifacts on first use.  Returns the shared `Arc`; downcast with
-/// [`th_program`].
-fn lowered(artifacts: &Artifacts, level: OptLevel) -> Arc<dyn EngineArtifact> {
+/// The lowered program for `level` and store kind `K`, creating and
+/// caching it on the artifacts on first use.  Returns the shared `Arc`;
+/// downcast with [`th_program`].
+fn lowered<K: StoreKind>(artifacts: &Artifacts, level: OptLevel) -> Arc<dyn EngineArtifact> {
     artifacts.engine_artifact(
         "threaded",
-        ss_parallelizer::ExtArtifacts::level_key(level),
-        || Arc::new(lower(artifacts.bytecode_at(level))),
+        K::INDEX << 1 | ExtArtifacts::level_key(level),
+        || Arc::new(lower::<K>(artifacts.bytecode_at(level))),
     )
 }
 
 /// Recovers the concrete lowering from the engine-artifact slot.
-fn th_program(arc: &Arc<dyn EngineArtifact>) -> &ThProgram {
+fn th_program<K: StoreKind>(arc: &Arc<dyn EngineArtifact>) -> &ThProgram<K> {
     arc.as_any()
-        .downcast_ref::<ThProgram>()
+        .downcast_ref::<ThProgram<K>>()
         .expect("the threaded engine owns its artifact slots")
 }
 
@@ -1318,14 +1360,15 @@ pub(super) fn run_threaded(
     opts: &ExecOptions,
     dispatch: Option<&Dispatcher<'_>>,
 ) -> Result<ExecOutcome, ExecError> {
-    let arc = lowered(artifacts, opts.opt_level);
-    let prog = th_program(&arc);
+    let arc = lowered::<SpineKind>(artifacts, opts.opt_level);
+    let prog = th_program::<SpineKind>(&arc);
+    let slots = &artifacts.bytecode_at(opts.opt_level).slots;
     let start = Instant::now();
     let mut cx = ThCtx {
         prog,
         regs: vec![0; prog.nregs],
         defined: vec![false; prog.nscalars],
-        arrays: SpineArrays::from_heap(&mut heap, &prog.slots).arrays,
+        arrays: SpineArrays::from_heap(&mut heap, slots),
         guards: Vec::new(),
         stats: ExecStats::default(),
         timing: true,
@@ -1333,14 +1376,10 @@ pub(super) fn run_threaded(
         nscalars: prog.nscalars,
         dispatch,
     };
-    load_scalars(&heap, &prog.slots, &mut cx.regs, &mut cx.defined);
+    load_scalars(&heap, slots, &mut cx.regs, &mut cx.defined);
     exec_ops(&prog.main.ops, &mut cx)?;
-    let arrays = SpineArrays {
-        slots: &prog.slots,
-        arrays: cx.arrays,
-    };
-    arrays.into_heap(&mut heap);
-    store_scalars(&mut heap, &prog.slots, &cx.regs, &cx.defined);
+    cx.arrays.into_heap(&mut heap);
+    store_scalars(&mut heap, slots, &cx.regs, &cx.defined);
     cx.stats.total_seconds = start.elapsed().as_secs_f64();
     Ok(ExecOutcome {
         heap,
@@ -1439,10 +1478,10 @@ mod tests {
         for _ in 0..3 {
             run_threaded(&art, Heap::new(), &opts, None).expect("runs");
         }
-        let a1 = lowered(&art, OptLevel::O1);
-        let a2 = lowered(&art, OptLevel::O1);
-        let p1 = th_program(&a1) as *const ThProgram;
-        let p2 = th_program(&a2) as *const ThProgram;
+        let a1 = lowered::<SpineKind>(&art, OptLevel::O1);
+        let a2 = lowered::<SpineKind>(&art, OptLevel::O1);
+        let p1 = th_program::<SpineKind>(&a1) as *const ThProgram<SpineKind>;
+        let p2 = th_program::<SpineKind>(&a2) as *const ThProgram<SpineKind>;
         assert_eq!(p1, p2);
     }
 }

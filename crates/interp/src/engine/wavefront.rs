@@ -34,7 +34,8 @@
 //!    per iteration.
 //!
 //! Nothing here knows which executor runs the body: inspection replays it
-//! through the same `RegionBody` the workers use.  Proven-parallel and
+//! through the same `RegionBody` the workers use, over its own recording
+//! store kind (`InspectKind`).  Proven-parallel and
 //! reduction loops never get here — the `Dispatcher` tries proof-based
 //! dispatch first.
 //!
@@ -44,7 +45,7 @@
 //! have licensed a parallel executor"; step 4 stays reserved to rows with
 //! `EngineCaps::level_sets`.
 
-use super::shared::{ArrayStore, Dispatcher, RegionBody, Spine};
+use super::shared::{ArrayStore, Dispatcher, RegionBody, Spine, StoreKind};
 use super::store::elem_at;
 use super::{ExecError, ExecOptions};
 use crate::fnv::Fnv1a;
@@ -215,7 +216,7 @@ fn pack(slot: usize, flat: usize) -> u64 {
 /// arrays are served from private shadow clones so the replay can run the
 /// real updates without touching the base heap, and every watched access
 /// is recorded for the schedule.
-struct InspectArrays<'m> {
+pub(super) struct InspectArrays<'m> {
     slots: &'m SlotMap,
     base: &'m [Option<ArrayVal>],
     watched: &'m [bool],
@@ -266,6 +267,14 @@ impl ArrayStore for InspectArrays<'_> {
     }
 }
 
+/// The inspection replay's store kind: [`InspectArrays`].
+pub(super) enum InspectKind {}
+
+impl StoreKind for InspectKind {
+    type Arrays<'s> = InspectArrays<'s>;
+    const INDEX: u8 = 2;
+}
+
 /// Replays the loop serially on cloned state and builds the level-set
 /// schedule from the recorded footprints.  `None` means the replay
 /// errored or misbehaved — the caller falls back to serial execution,
@@ -286,7 +295,7 @@ fn inspect_schedule<B: RegionBody>(
         .zip(&watched)
         .map(|(a, &w)| if w { a.clone() } else { None })
         .collect();
-    let mut ia = InspectArrays {
+    let ia = InspectArrays {
         slots: spine.slots,
         base: &*spine.arrays,
         watched: &watched,
@@ -295,10 +304,12 @@ fn inspect_schedule<B: RegionBody>(
         writes: Vec::new(),
         poisoned: false,
     };
-    let mut w = body.worker(spine.regs.to_vec());
+    let mut w = body.worker::<InspectKind>(spine.regs.to_vec(), ia);
     let mut accesses = Vec::with_capacity(values.len());
-    for (k, &v) in values.iter().enumerate() {
-        if body.run_iteration(&mut w, &mut ia, k, v).is_err() || ia.poisoned {
+    for &v in values {
+        let failed = body.run_iteration(&mut w, v).is_err();
+        let ia = B::frame(&mut w).1;
+        if failed || ia.poisoned {
             return None;
         }
         accesses.push(IterationAccess {

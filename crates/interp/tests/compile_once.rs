@@ -194,35 +194,48 @@ fn session_cache_makes_compilation_once_per_program_per_process() {
 
 #[test]
 fn threaded_engine_lowers_once_per_artifact_and_level() {
-    // The threaded tier lowers the bytecode stream into its handler chain
-    // at most once per (artifacts, opt level) — repeated runs, serial or
-    // parallel, reuse the lowering cached in the artifact's
-    // engine-extension slot.
+    // The bytecode stream is lowered into its threaded handler chain at
+    // most once per (artifacts, opt level, store kind), whichever row
+    // asks: the `bytecode` row's proof regions lower the worker chain at
+    // both levels, the `threaded` row's spine adds the spine chain and
+    // reuses the worker one, and the `wavefront` row's level-set strategy
+    // for the carried outer loop adds the inspection chain at both levels
+    // (resolved with the loop's body, whether or not the schedule cache
+    // already answers).  Every later run, serial or parallel, of any row
+    // reuses the lowerings cached in the artifact's engine-extension
+    // slots.
     let _guard = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let registry = EngineRegistry::builtin();
-    let threaded = registry.get("threaded").unwrap();
     let artifacts = Artifacts::compile_source("lower-once", SRC).unwrap();
-    let before = ss_interp::engine::threaded::threaded_lowering_count();
+    assert!(artifacts.report.loops[0].wavefront.is_some());
+    let lowerings = ss_interp::engine::threaded::threaded_lowering_count;
+    let before = lowerings();
     let mut heaps = Vec::new();
-    for _ in 0..3 {
-        for &level in threaded.caps().opt_levels {
-            let serial = ExecOptions {
-                opt_level: level,
-                ..opts(1)
-            };
-            heaps.push(threaded.run_serial(&artifacts, heap(6), &serial).unwrap());
-            let par = ExecOptions {
-                opt_level: level,
-                ..opts(3)
-            };
-            heaps.push(threaded.run_parallel(&artifacts, heap(6), &par).unwrap());
+    for round in 0..3 {
+        for (row, first_round) in [("bytecode", 2), ("threaded", 2), ("wavefront", 2)] {
+            let engine = registry.get(row).unwrap();
+            let at_start = lowerings();
+            for &level in engine.caps().opt_levels {
+                let serial = ExecOptions {
+                    opt_level: level,
+                    ..opts(1)
+                };
+                heaps.push(engine.run_serial(&artifacts, heap(6), &serial).unwrap());
+                let par = ExecOptions {
+                    opt_level: level,
+                    ..opts(3)
+                };
+                heaps.push(engine.run_parallel(&artifacts, heap(6), &par).unwrap());
+            }
+            let lowered = if round == 0 { first_round } else { 0 };
+            assert_eq!(
+                lowerings(),
+                at_start + lowered,
+                "round {round}, {row}: one lowering per new (store kind, opt level)"
+            );
         }
     }
-    assert_eq!(
-        ss_interp::engine::threaded::threaded_lowering_count(),
-        before + 2,
-        "one lowering per opt level, reused by every later run"
-    );
+    assert_eq!(lowerings(), before + 6, "never once per run");
     for outcome in &heaps {
         assert_eq!(outcome.heap, heaps[0].heap);
     }
