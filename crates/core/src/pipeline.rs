@@ -385,6 +385,10 @@ pub struct Artifacts {
     /// The optimized (`O1`) stream: constant folding, superinstruction
     /// fusion, dead-store elimination (see `ss_ir::opt`).
     pub optimized: BytecodeProgram,
+    /// [`Program::written_arrays`], computed once: the arrays whose
+    /// contents a run may change (engines restamp exactly these before
+    /// each run).
+    pub written_arrays: Vec<String>,
     /// Wall-clock cost per stage, in [`Artifacts::STAGES`] order.
     pub stages: Vec<StageTiming>,
     /// Lazily-populated engine-private lowerings (see
@@ -493,6 +497,7 @@ impl Artifacts {
             compiled,
             bytecode,
             optimized,
+            written_arrays: program.written_arrays(),
             stages,
             ext: ExtArtifacts::default(),
         }

@@ -70,6 +70,7 @@ pub mod wavefront;
 use crate::heap::Heap;
 use ss_ir::ast::LoopId;
 use ss_ir::opt::OptLevel;
+use ss_parallelizer::Artifacts;
 use std::collections::BTreeMap;
 
 pub use registry::{Engine, EngineCaps, EngineRegistry};
@@ -180,6 +181,22 @@ pub struct LoopStats {
     /// invocation) — the schedule-quality facts `sspar run` surfaces
     /// without the golden dumps.
     pub wavefront: Option<(usize, f64)>,
+    /// For loops the level-set strategy looked a schedule up for: where
+    /// the last invocation's schedule came from.
+    pub schedule_source: Option<ScheduleSource>,
+}
+
+/// Where a level-set loop's schedule came from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ScheduleSource {
+    /// A cache hit proven by the generations of the schedule arrays the
+    /// program never writes: O(1) in their size.
+    Generation,
+    /// A cache hit found by hashing their contents — a fresh heap equal to
+    /// one seen before.
+    Content,
+    /// A fresh inspection.
+    Inspected,
 }
 
 /// Execution statistics for one engine run.
@@ -219,6 +236,24 @@ impl ExecStats {
         let s = self.loops.entry(id).or_default();
         s.inspector_conflict_free =
             Some(s.inspector_conflict_free.unwrap_or(true) && conflict_free);
+    }
+
+    pub(crate) fn record_schedule_source(&mut self, id: LoopId, source: ScheduleSource) {
+        self.loops.entry(id).or_default().schedule_source = Some(source);
+    }
+}
+
+/// The engine rule of the generation invariant (see [`ArrayVal`]): the
+/// executors write array storage without drawing generations, so every
+/// array the program may write gets a fresh one before it runs.  Arrays
+/// it only reads keep theirs.
+///
+/// [`ArrayVal`]: crate::heap::ArrayVal
+pub(crate) fn restamp_written(artifacts: &Artifacts, heap: &mut Heap) {
+    for name in &artifacts.written_arrays {
+        if let Some(a) = heap.arrays.get_mut(name) {
+            a.restamp();
+        }
     }
 }
 
@@ -366,6 +401,31 @@ mod tests {
             assert_eq!(out.heap.arrays["s"].data[10], 55, "{}", engine.name());
             assert_eq!(out.heap.scalars["i"], 11);
             assert_eq!(out.stats.loops[&LoopId(0)].iterations, 10);
+        }
+    }
+
+    #[test]
+    fn runs_restamp_exactly_the_arrays_their_program_writes() {
+        // `out` changes under an unchanged-looking generation unless the
+        // run restamps it; `idx` is only read and keeps its generation.
+        let art = compile("t", "for (i = 0; i < n; i++) { out[i] = idx[i] * 2; }");
+        let heap = Heap::new()
+            .with_scalar("n", 8)
+            .with_array("idx", (0..8).collect())
+            .with_array("out", vec![0; 8]);
+        let generation = |h: &Heap, name: &str| h.arrays[name].generation();
+        for engine in engines() {
+            for parallel in [false, true] {
+                let out = if parallel {
+                    engine.run_parallel(&art, heap.clone(), &opts(2))
+                } else {
+                    engine.run_serial(&art, heap.clone(), &opts(1))
+                };
+                let out = out.unwrap().heap;
+                let label = format!("{} parallel={parallel}", engine.name());
+                assert_eq!(generation(&out, "idx"), generation(&heap, "idx"), "{label}");
+                assert_ne!(generation(&out, "out"), generation(&heap, "out"), "{label}");
+            }
         }
     }
 
@@ -950,10 +1010,10 @@ mod tests {
         let mut heap = Heap::new().with_scalar("n", n as i64);
         heap.arrays.insert(
             "cube".into(),
-            crate::heap::ArrayVal {
-                dims: vec![n, 2, 3],
-                data: (0..6 * n as i64).map(|v| (v * 7) % 23 - 11).collect(),
-            },
+            crate::heap::ArrayVal::new(
+                vec![n, 2, 3],
+                (0..6 * n as i64).map(|v| (v * 7) % 23 - 11).collect(),
+            ),
         );
         let heap = heap.with_array("out", vec![0; 2 * n]);
         let serial = reference_engine()

@@ -18,7 +18,9 @@
 //! instead of failing mid-run).
 
 use crate::engine::shared::Dispatcher;
-use crate::engine::{bytecode, compiled, serial, threaded, ExecOptions, ExecOutcome};
+use crate::engine::{
+    bytecode, compiled, restamp_written, serial, threaded, ExecOptions, ExecOutcome,
+};
 use crate::error::SsError;
 use crate::heap::Heap;
 use ss_ir::opt::OptLevel;
@@ -190,16 +192,18 @@ const BUILTINS: [Builtin; 5] = [
 ];
 
 impl Builtin {
-    /// Runs the row's executor on the spine.  The reference walks the
+    /// Runs the row's executor on the spine, after restamping the arrays
+    /// the program writes ([`restamp_written`]).  The reference walks the
     /// tree serially whichever leg asks; the slot-addressed executors
     /// share the one [`Dispatcher`], built only for parallel runs.
     fn run(
         &self,
         artifacts: &Artifacts,
-        heap: Heap,
+        mut heap: Heap,
         opts: &ExecOptions,
         parallel: bool,
     ) -> Result<ExecOutcome, SsError> {
+        restamp_written(artifacts, &mut heap);
         let dispatcher =
             || parallel.then(|| Dispatcher::new(artifacts, opts, self.caps.level_sets));
         Ok(match self.executor {

@@ -38,13 +38,13 @@
 
 use super::store::elem_at;
 use super::threaded::ThBody;
-use super::wavefront::{LevelSets, MIN_AVG_WIDTH};
+use super::wavefront::{Gated, LevelSets, MIN_AVG_WIDTH};
 use super::{ExecEnvTiming, ExecError, ExecMode, ExecOptions, ExecStats, ScheduleChoice};
 use crate::heap::{row_major_flat, ArrayVal, Heap};
 use ss_inspector::levelset::LevelSchedule;
 use ss_ir::ast::{BinOp, LoopId};
 use ss_ir::slots::{ArraySlot, SlotMap};
-use ss_parallelizer::{Artifacts, ReductionInfo, WavefrontFact};
+use ss_parallelizer::{Artifacts, ReductionInfo};
 use ss_runtime::{chunk_range, with_shared_team_in, Schedule};
 use std::collections::HashMap;
 use std::ops::Range;
@@ -226,7 +226,7 @@ fn private_write(
         .as_mut()
         .ok_or_else(|| ExecError::UndefinedArray(name.to_string()))?;
     let flat = elem_at(name, arr, indices)?;
-    arr.data[flat] = v;
+    arr.data_mut_unstamped()[flat] = v;
     Ok(())
 }
 
@@ -263,7 +263,7 @@ impl ArrayStore for SpineArrays<'_> {
     fn write1(&mut self, a: ArraySlot, i: i64, v: i64) -> Result<(), ExecError> {
         if let Some(arr) = &mut self.arrays[a.index()] {
             if arr.dims.len() == 1 && i >= 0 {
-                if let Some(e) = arr.data.get_mut(i as usize) {
+                if let Some(e) = arr.data_mut_unstamped().get_mut(i as usize) {
                     *e = v;
                     return Ok(());
                 }
@@ -289,7 +289,7 @@ impl ArrayStore for SpineArrays<'_> {
         if let Some(arr) = &mut self.arrays[a.index()] {
             if let [d0, d1] = arr.dims[..] {
                 if i >= 0 && (i as usize) < d0 && j >= 0 && (j as usize) < d1 {
-                    arr.data[i as usize * d1 + j as usize] = v;
+                    arr.data_mut_unstamped()[i as usize * d1 + j as usize] = v;
                     return Ok(());
                 }
             }
@@ -327,9 +327,9 @@ impl SharedSlots {
             .enumerate()
             .map(|(i, a)| match a {
                 Some(arr) if !local[i] => Some(SharedSlotArray {
-                    ptr: arr.data.as_mut_ptr() as usize,
                     dims: arr.dims.clone(),
                     len: arr.data.len(),
+                    ptr: arr.data_mut_unstamped().as_mut_ptr() as usize,
                 }),
                 _ => None,
             })
@@ -695,7 +695,7 @@ pub(super) enum Strategy<'d> {
     /// sets — the inspector baseline's verdict — and, on rows with
     /// [`EngineCaps::level_sets`](super::EngineCaps::level_sets), run as
     /// one region with a phase per level.
-    LevelSets(&'d LevelSets<'d>, &'d WavefrontFact),
+    LevelSets(&'d LevelSets<'d>, &'d Gated<'d>),
 }
 
 impl<'r> Dispatcher<'r> {
@@ -748,10 +748,10 @@ impl<'r> Dispatcher<'r> {
             return Some(Strategy::Proof(reductions));
         }
         let level_sets = self.level_sets.as_ref()?;
-        let fact = level_sets.fact(lp.id)?;
+        let gated = level_sets.gated(lp.id)?;
         lp.local_arrays
             .is_empty()
-            .then_some(Strategy::LevelSets(level_sets, fact))
+            .then_some(Strategy::LevelSets(level_sets, gated))
     }
 
     /// The rest of the recipe, from the once-evaluated `header` (initial
@@ -776,12 +776,13 @@ impl<'r> Dispatcher<'r> {
         }
         let (reductions, levels) = match strategy {
             Strategy::Proof(reductions) => (reductions, None),
-            Strategy::LevelSets(level_sets, fact) => {
-                let Some(schedule) =
-                    level_sets.schedule(fact, lp.id, &spine, body, &values, while_cap)
+            Strategy::LevelSets(level_sets, gated) => {
+                let Some((schedule, source)) =
+                    level_sets.schedule(gated, lp.id, &spine, body, &values, while_cap)
                 else {
                     return Ok(false);
                 };
+                env.stats.record_schedule_source(lp.id, source);
                 if self.opts.baseline_inspector {
                     // One level: no element is shared by two iterations
                     // with a write among them — what a run-time inspector

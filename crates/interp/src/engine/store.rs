@@ -61,7 +61,7 @@ impl Store for HeapStore<'_> {
             .get_mut(array)
             .ok_or_else(|| ExecError::UndefinedArray(array.to_string()))?;
         let flat = elem_at(array, a, indices)?;
-        a.data[flat] = v;
+        a.data_mut_unstamped()[flat] = v;
         Ok(())
     }
 

@@ -22,7 +22,13 @@
 //!    determined it (scalars + schedule-array contents), so one
 //!    inspection serves every later run on the same input; each hit is
 //!    verified against an independent checksum of that state, so a key
-//!    collision costs a re-inspection, never a wrong schedule.
+//!    collision costs a re-inspection, never a wrong schedule.  Schedule
+//!    arrays the program never writes (an input matrix, typically the
+//!    bulk of the state) are looked up by their *generations* first (see
+//!    [`ArrayVal`]): a hit then hashes only the scalars and the arrays the
+//!    program writes.  Only a generation miss hashes the stable arrays'
+//!    contents, and a content hit files the new generation signature as
+//!    the entry's one alias.
 //! 4. **Execute**: the shared recipe (`engine::shared`) enters the
 //!    persistent thread team once and runs the levels as the phases of
 //!    that one region, each member crossing the team's in-region barrier
@@ -47,7 +53,7 @@
 
 use super::shared::{ArrayStore, Dispatcher, RegionBody, Spine, StoreKind};
 use super::store::elem_at;
-use super::{ExecError, ExecOptions};
+use super::{restamp_written, ExecError, ExecOptions, ScheduleSource};
 use crate::fnv::Fnv1a;
 use crate::heap::{ArrayVal, Heap};
 use ss_inspector::levelset::{build_level_sets, IterationAccess, LevelSchedule};
@@ -91,25 +97,94 @@ struct EntryCheck {
 struct CachedSchedule {
     schedule: Arc<LevelSchedule>,
     check: EntryCheck,
+    /// The generation key of this entry's one alias, if it has one.
+    alias: Option<u64>,
 }
 
-/// Level-set schedules cached on the artifacts, keyed by `(loop, entry
-/// state hash)`.  One keyed extension slot is shared by both opt levels
-/// and every executor: slot numbering and flattened addresses are
-/// identical across streams, so a schedule inspected at O0 is valid at O1
-/// and vice versa.
+/// A generation signature known to denote the state of a content entry.
+struct Alias {
+    check: EntryCheck,
+    content_key: u64,
+}
+
+/// The cache's two indexes, keyed by `(loop, entry state hash)`.
+#[derive(Default)]
+struct Entries {
+    /// The schedules, by the hash of every schedule array's contents.
+    content: HashMap<(LoopId, u64), CachedSchedule>,
+    /// Aliases, by the hash that stands the stable arrays' generations in
+    /// for their contents.  At most one per content entry, so a client
+    /// that synthesizes a fresh heap per request cannot grow it unbounded.
+    generation: HashMap<(LoopId, u64), Alias>,
+}
+
+impl Entries {
+    /// The schedule the generation signature `(key, check)` is an alias of.
+    fn by_generation(
+        &self,
+        id: LoopId,
+        (key, check): &(u64, EntryCheck),
+    ) -> Option<Arc<LevelSchedule>> {
+        let alias = self
+            .generation
+            .get(&(id, *key))
+            .filter(|a| a.check == *check)?;
+        let entry = self.content.get(&(id, alias.content_key))?;
+        Some(Arc::clone(&entry.schedule))
+    }
+
+    /// Files a freshly inspected schedule, dropping the alias of the
+    /// entry it replaces.
+    fn insert(&mut self, id: LoopId, key: u64, schedule: Arc<LevelSchedule>, check: EntryCheck) {
+        let cached = CachedSchedule {
+            schedule,
+            check,
+            alias: None,
+        };
+        if let Some(old) = self.content.insert((id, key), cached).and_then(|c| c.alias) {
+            self.generation.remove(&(id, old));
+        }
+    }
+
+    /// Makes the generation signature `(key, check)` the one alias of
+    /// content entry `content_key`, dropping whatever alias either had.
+    fn alias(&mut self, id: LoopId, content_key: u64, (key, check): (u64, EntryCheck)) {
+        let entry = (self.content.get_mut(&(id, content_key)))
+            .expect("aliases are filed for an entry just found or inserted");
+        if let Some(old) = entry.alias.replace(key).filter(|&old| old != key) {
+            self.generation.remove(&(id, old));
+        }
+        let alias = Alias { check, content_key };
+        if let Some(displaced) = self.generation.insert((id, key), alias) {
+            if displaced.content_key != content_key {
+                if let Some(e) = self.content.get_mut(&(id, displaced.content_key)) {
+                    e.alias = None;
+                }
+            }
+        }
+    }
+}
+
+/// Level-set schedules cached on the artifacts.  One keyed extension slot
+/// is shared by both opt levels and every executor: slot numbering and
+/// flattened addresses are identical across streams, so a schedule
+/// inspected at O0 is valid at O1 and vice versa.
 #[derive(Default)]
 struct WfScheduleCache {
-    map: Mutex<HashMap<(LoopId, u64), CachedSchedule>>,
+    map: Mutex<Entries>,
 }
 
 impl EngineArtifact for WfScheduleCache {
     fn approx_bytes(&self) -> usize {
         let map = self.map.lock().unwrap_or_else(|e| e.into_inner());
+        let schedules = map.content.values();
+        let aliases = map.generation.values();
         std::mem::size_of::<Self>()
-            + map
-                .values()
+            + schedules
                 .map(|c| 64 + c.schedule.approx_bytes())
+                .sum::<usize>()
+            + aliases
+                .map(|a| 64 + 8 * a.check.schedule_array_lens.len())
                 .sum::<usize>()
     }
 
@@ -151,13 +226,16 @@ impl Hasher for EntryHasher {
 /// scalars at loop entry, the contents of the schedule arrays, the
 /// *shapes* of the watched arrays (their dims select flattened
 /// addresses), and the iteration cap.  Returns the cache key and the
-/// verifier a hit must reproduce.
+/// verifier a hit must reproduce.  With `by_generation`, the schedule
+/// arrays it marks contribute their generations instead of their
+/// contents: the generation signature.
 fn entry_state(
     fact: &WavefrontFact,
     id: LoopId,
     spine: &Spine<'_>,
     iterations: usize,
     while_cap: u64,
+    by_generation: Option<&[bool]>,
 ) -> (u64, EntryCheck) {
     let mut h = EntryHasher {
         key: DefaultHasher::new(),
@@ -171,12 +249,18 @@ fn entry_state(
     }
     let array = |name: &str| array_slot(spine.slots, name).and_then(|i| spine.arrays[i].as_ref());
     let mut schedule_array_lens = Vec::with_capacity(fact.schedule_arrays.len());
-    for name in &fact.schedule_arrays {
+    for (k, name) in fact.schedule_arrays.iter().enumerate() {
         name.hash(&mut h);
         match array(name) {
             Some(arr) => {
                 arr.dims.hash(&mut h);
-                arr.data.hash(&mut h);
+                if by_generation.is_some_and(|stable| stable[k]) {
+                    arr.generation().hash(&mut h);
+                } else {
+                    // Content keys order `wavefront_schedule_dump` (and
+                    // the golden schedules): keep this stream stable.
+                    arr.data[..].hash(&mut h);
+                }
                 schedule_array_lens.push(arr.data.len());
             }
             None => 0u8.hash(&mut h),
@@ -257,7 +341,9 @@ impl ArrayStore for InspectArrays<'_> {
             .as_mut()
             .ok_or_else(|| ExecError::UndefinedArray(name.to_string()))?;
         let flat = elem_at(name, arr, indices)?;
-        arr.data[flat] = v;
+        // A shadow shares its original's generation but is never seen by
+        // the cache, and dies with the replay.
+        arr.data_mut_unstamped()[flat] = v;
         self.writes.push(pack(i, flat));
         Ok(())
     }
@@ -324,62 +410,85 @@ fn inspect_schedule<B: RegionBody>(
 // The strategy, as the dispatcher holds it.
 // ---------------------------------------------------------------------------
 
-/// One run's view of the level-set strategy: the gate's facts per loop and
-/// the artifacts' schedule cache.
+/// A gate-approved loop: the gate's fact, and which of its schedule
+/// arrays the program never writes (*stable*: looked up by generation).
+pub(super) struct Gated<'r> {
+    fact: &'r WavefrontFact,
+    stable: Vec<bool>,
+}
+
+/// One run's view of the level-set strategy: the gated loops and the
+/// artifacts' schedule cache.
 pub(super) struct LevelSets<'r> {
-    facts: HashMap<LoopId, &'r WavefrontFact>,
+    gated: HashMap<LoopId, Gated<'r>>,
     cache: Arc<dyn EngineArtifact>,
 }
 
 impl<'r> LevelSets<'r> {
     pub(super) fn new(artifacts: &'r Artifacts) -> LevelSets<'r> {
+        let gate = |fact: &'r WavefrontFact| Gated {
+            fact,
+            stable: (fact.schedule_arrays.iter())
+                .map(|name| !artifacts.written_arrays.contains(name))
+                .collect(),
+        };
         let loops = artifacts.report.loops.iter();
         LevelSets {
-            facts: loops
-                .filter_map(|l| l.wavefront.as_ref().map(|w| (l.loop_id, w)))
+            gated: loops
+                .filter_map(|l| l.wavefront.as_ref().map(|w| (l.loop_id, gate(w))))
                 .collect(),
             cache: schedule_cache(artifacts),
         }
     }
 
-    /// The gate's fact for loop `id`, when it is wavefront-schedulable.
-    pub(super) fn fact(&self, id: LoopId) -> Option<&'r WavefrontFact> {
-        self.facts.get(&id).copied()
+    /// Loop `id`, when it is wavefront-schedulable.
+    pub(super) fn gated(&self, id: LoopId) -> Option<&Gated<'r>> {
+        self.gated.get(&id)
     }
 
-    /// The schedule for this entry state — cached (and verified), or
-    /// inspected and cached now.  `None` means the replay failed: the loop
-    /// goes to the serial path, which reproduces the failure on real state.
+    /// The schedule for this entry state and where it came from — cached
+    /// (and verified), or inspected and cached now.  `None` means the
+    /// replay failed: the loop goes to the serial path, which reproduces
+    /// the failure on real state.
     pub(super) fn schedule<B: RegionBody>(
         &self,
-        fact: &WavefrontFact,
+        gated: &Gated<'_>,
         id: LoopId,
         spine: &Spine<'_>,
         body: &B,
         values: &[i64],
         while_cap: u64,
-    ) -> Option<Arc<LevelSchedule>> {
-        let (key, check) = entry_state(fact, id, spine, values.len(), while_cap);
-        let mut map = as_cache(&self.cache)
-            .map
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        let schedule = match map.get(&(id, key)) {
-            Some(hit) if hit.check == check => Arc::clone(&hit.schedule),
+    ) -> Option<(Arc<LevelSchedule>, ScheduleSource)> {
+        let (fact, n) = (gated.fact, values.len());
+        let lock = || {
+            let cache = as_cache(&self.cache);
+            cache.map.lock().unwrap_or_else(|e| e.into_inner())
+        };
+        let fits = |s: Arc<LevelSchedule>, source| (s.iterations() == n).then_some((s, source));
+        let by_generation = (gated.stable.contains(&true))
+            .then(|| entry_state(fact, id, spine, n, while_cap, Some(&gated.stable)));
+        if let Some(signature) = &by_generation {
+            if let Some(hit) = lock().by_generation(id, signature) {
+                return fits(hit, ScheduleSource::Generation);
+            }
+        }
+        let (key, check) = entry_state(fact, id, spine, n, while_cap, None);
+        let mut entries = lock();
+        let (schedule, source) = match entries.content.get(&(id, key)) {
+            Some(hit) if hit.check == check => (Arc::clone(&hit.schedule), ScheduleSource::Content),
             stale => {
                 if stale.is_some() {
                     SCHEDULE_KEY_MISMATCHES.fetch_add(1, Ordering::Relaxed);
                 }
                 let schedule = Arc::new(inspect_schedule(fact, spine, body, values)?);
-                let cached = CachedSchedule {
-                    schedule: Arc::clone(&schedule),
-                    check,
-                };
-                map.insert((id, key), cached);
-                schedule
+                entries.insert(id, key, Arc::clone(&schedule), check);
+                (schedule, ScheduleSource::Inspected)
             }
         };
-        (schedule.iterations() == values.len()).then_some(schedule)
+        if let Some(signature) = by_generation {
+            entries.alias(id, key, signature);
+        }
+        fits(schedule, source)
     }
 }
 
@@ -389,9 +498,10 @@ impl<'r> LevelSets<'r> {
 /// tests diff.
 pub fn wavefront_schedule_dump(
     artifacts: &Artifacts,
-    heap: Heap,
+    mut heap: Heap,
     opts: &ExecOptions,
 ) -> Result<String, ExecError> {
+    restamp_written(artifacts, &mut heap);
     let dispatcher = Dispatcher::new(artifacts, opts, true);
     let bc = artifacts.bytecode_at(opts.opt_level);
     super::bytecode::run_bytecode(bc, heap, opts, Some(&dispatcher))?;
@@ -400,7 +510,7 @@ pub fn wavefront_schedule_dump(
         .map
         .lock()
         .unwrap_or_else(|e| e.into_inner());
-    let mut entries: Vec<_> = map.iter().collect();
+    let mut entries: Vec<_> = map.content.iter().collect();
     entries.sort_by_key(|((id, key), _)| (*id, *key));
     let mut out = String::new();
     for ((id, _), cached) in entries {
@@ -418,7 +528,8 @@ mod tests {
     use ss_ir::opt::OptLevel;
 
     /// The bytecode executor, serially or with level-set dispatch.
-    fn run(art: &Artifacts, heap: Heap, opts: &ExecOptions, level_sets: bool) -> ExecOutcome {
+    fn run(art: &Artifacts, mut heap: Heap, opts: &ExecOptions, level_sets: bool) -> ExecOutcome {
+        restamp_written(art, &mut heap);
         let dispatcher = level_sets.then(|| Dispatcher::new(art, opts, true));
         let bc = art.bytecode_at(opts.opt_level);
         run_bytecode(bc, heap, opts, dispatcher.as_ref()).unwrap()
@@ -535,7 +646,7 @@ mod tests {
         let entries = |art: &Artifacts| {
             let cache = schedule_cache(art);
             let map = as_cache(&cache).map.lock().unwrap();
-            map.iter()
+            (map.content.iter())
                 .map(|(k, c)| (*k, Arc::clone(&c.schedule), c.check.clone()))
                 .collect::<Vec<_>>()
         };
@@ -551,11 +662,12 @@ mod tests {
         let (_, schedule_a, check_a) = entries(&art).pop().unwrap();
         assert_ne!(schedule_a.render(), schedule_b.render());
         let cache = schedule_cache(&art);
-        as_cache(&cache).map.lock().unwrap().insert(
+        as_cache(&cache).map.lock().unwrap().content.insert(
             key_b,
             CachedSchedule {
                 schedule: schedule_a,
                 check: check_a,
+                alias: None,
             },
         );
 
@@ -568,5 +680,58 @@ mod tests {
         assert!(schedule_key_mismatch_count() > before);
         let healed = entries(&art).into_iter().find(|(k, ..)| *k == key_b);
         assert_eq!(healed.unwrap().1.render(), schedule_b.render());
+    }
+
+    #[test]
+    fn a_schedule_array_rewritten_between_entries_is_reinspected() {
+        // The level-set loop is entered twice with every scalar equal; in
+        // between, the program rewrites its index array `r`.  The first
+        // entry runs evens then odds; the second needs odds first (even
+        // `i` reads `x[i - 1]`), so the first schedule would read stale
+        // values.  `r` keeps the generation the run started with, so only
+        // its contents can tell the two entries apart.
+        let src = r#"
+            i = 8;
+            j = 8;
+            while (cnt[0] < 2) {
+                for (i = 0; i < n; i++) {
+                    x[i] = x[r[i]] + 1;
+                }
+                for (j = 0; j < n; j++) {
+                    if (j % 2 == 0 && j > 0) { r[j] = j - 1; } else { r[j] = j; }
+                }
+                cnt[0] = cnt[0] + 1;
+            }
+        "#;
+        let art = Artifacts::compile_source("rewrite", src).unwrap();
+        let solve = art.report.loops.iter().find(|l| l.wavefront.is_some());
+        let id = solve.expect("the x loop is gated").loop_id;
+        let heap = Heap::new()
+            .with_scalar("n", 8)
+            .with_array("x", (1..=8).map(|v| v * 10).collect())
+            .with_array("r", (0..8).map(|i| i - i % 2).collect())
+            .with_array("cnt", vec![0]);
+        let registry = crate::EngineRegistry::builtin();
+        let reference = registry.reference().unwrap();
+        let expected = reference
+            .run_serial(&art, heap.clone(), &opts(1, OptLevel::O1))
+            .unwrap();
+        let wavefront = registry.get("wavefront").unwrap();
+        for level in [OptLevel::O0, OptLevel::O1] {
+            let out = wavefront
+                .run_parallel(&art, heap.clone(), &opts(2, level))
+                .unwrap();
+            assert_eq!(out.heap, expected.heap, "{level:?}");
+            let stats = &out.stats.loops[&id];
+            assert_eq!(
+                (stats.invocations, stats.wavefront.map(|(l, _)| l)),
+                (2, Some(2))
+            );
+            // Written arrays are never looked up by generation.
+            assert!(matches!(
+                stats.schedule_source,
+                Some(ScheduleSource::Inspected | ScheduleSource::Content)
+            ));
+        }
     }
 }

@@ -14,9 +14,10 @@ impl Fnv1a {
         self.0 = (self.0 ^ word).wrapping_mul(0x0100_0000_01b3);
     }
 
-    /// Word-wise, not byte-wise: index arrays arrive as one multi-megabyte
-    /// slice per loop entry, and this pass must stay cheaper than the
-    /// SipHash one beside it.
+    /// Word-wise, not byte-wise: an index array arrives as one slice —
+    /// multi-megabyte on a generation miss, when the schedule cache hashes
+    /// the arrays the program never writes — and this pass must stay
+    /// cheaper than the SipHash one beside it.
     pub(crate) fn write(&mut self, bytes: &[u8]) {
         let mut words = bytes.chunks_exact(8);
         for word in &mut words {

@@ -4,35 +4,125 @@
 //! The mini-C language is integer-only (`int` scalars, `int` arrays of any
 //! rank), so one value type suffices.  Both engines execute against a
 //! [`Heap`]; the differential harness compares final heaps with [`Heap::diff`],
-//! whose output is deterministic because both maps are ordered.
+//! whose output is deterministic because both maps are ordered.  Arrays
+//! carry write generations (see [`ArrayVal`]).
 
 use std::collections::BTreeMap;
+use std::ops::Deref;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+static NEXT_GENERATION: AtomicU64 = AtomicU64::new(1);
+
+fn fresh_generation() -> u64 {
+    NEXT_GENERATION.fetch_add(1, Ordering::Relaxed)
+}
+
+/// An array's row-major elements: read through `Deref<Target = [i64]>`,
+/// written only through [`ArrayVal::data_mut`], so no write can skip the
+/// generation the array carries.  A boxed slice, since the length never
+/// changes: that keeps [`ArrayVal`], generation included, at six words,
+/// the stride of the slot table the executors index on every access.
+#[derive(Clone, PartialEq, Eq)]
+pub struct ArrayData(Box<[i64]>);
+
+impl Deref for ArrayData {
+    type Target = [i64];
+
+    #[inline(always)]
+    fn deref(&self) -> &[i64] {
+        &self.0
+    }
+}
+
+impl std::fmt::Debug for ArrayData {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.0.fmt(f)
+    }
+}
 
 /// A dense, row-major integer array with explicit extents.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// **Generations.**  Every array carries a generation, a `u64` drawn from
+/// a process-wide counter that stands for "these exact contents": two
+/// live arrays with the same generation hold the same elements.  The
+/// constructors draw a fresh one, `Clone` copies it, and
+/// [`data_mut`](Self::data_mut) draws a fresh one before handing out the
+/// elements.  The engines write through a crate-private accessor that
+/// does not, under one rule: before a program runs, every array it writes
+/// gets a fresh generation, so arrays it only reads keep theirs across
+/// runs — and the level-set schedule cache proves them unchanged in O(1).
+/// The one exception is the level-set inspection's private shadow copies,
+/// which no cache ever sees and which are dropped after the replay.
+///
+/// Equality compares extents and contents only, never generations.
+#[derive(Debug, Clone)]
 pub struct ArrayVal {
     /// Extent of each dimension (rank = `dims.len()`).
     pub dims: Vec<usize>,
     /// Row-major element storage; `data.len() == dims.iter().product()`.
-    pub data: Vec<i64>,
+    pub data: ArrayData,
+    generation: u64,
 }
 
+impl PartialEq for ArrayVal {
+    fn eq(&self, other: &ArrayVal) -> bool {
+        self.dims == other.dims && self.data == other.data
+    }
+}
+
+impl Eq for ArrayVal {}
+
 impl ArrayVal {
+    /// An array of the given extents holding `data` in row-major order.
+    ///
+    /// # Panics
+    /// When `data.len()` is not the product of `dims`.
+    pub fn new(dims: Vec<usize>, data: Vec<i64>) -> ArrayVal {
+        assert_eq!(
+            data.len(),
+            dims.iter().product::<usize>(),
+            "array data does not fill extents {dims:?}"
+        );
+        ArrayVal {
+            dims,
+            data: ArrayData(data.into_boxed_slice()),
+            generation: fresh_generation(),
+        }
+    }
+
     /// A zero-filled array of the given extents.
     pub fn zeros(dims: Vec<usize>) -> ArrayVal {
         let len = dims.iter().product();
-        ArrayVal {
-            dims,
-            data: vec![0; len],
-        }
+        ArrayVal::new(dims, vec![0; len])
     }
 
     /// A 1-D array holding the given values.
     pub fn from_vec(data: Vec<i64>) -> ArrayVal {
-        ArrayVal {
-            dims: vec![data.len()],
-            data,
-        }
+        ArrayVal::new(vec![data.len()], data)
+    }
+
+    /// The generation of the current contents (see the type's docs).
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    /// The elements, writable; draws a fresh generation first.
+    pub fn data_mut(&mut self) -> &mut [i64] {
+        self.restamp();
+        &mut self.data.0
+    }
+
+    /// The elements, writable, keeping the generation.  Only the engines
+    /// may write through this, and only to arrays the engine rule
+    /// restamped (or created) for the run — CI greps for it.
+    #[inline(always)]
+    pub(crate) fn data_mut_unstamped(&mut self) -> &mut [i64] {
+        &mut self.data.0
+    }
+
+    /// Draws a fresh generation: the contents may be about to change.
+    pub(crate) fn restamp(&mut self) {
+        self.generation = fresh_generation();
     }
 
     /// Total number of elements.
@@ -124,7 +214,7 @@ impl Heap {
                     }
                     let mut shown = 0;
                     let mut differing = 0usize;
-                    for (i, (x, y)) in a.data.iter().zip(&b.data).enumerate() {
+                    for (i, (x, y)) in a.data.iter().zip(b.data.iter()).enumerate() {
                         if x != y {
                             differing += 1;
                             if shown < MAX_ELEMS_PER_ARRAY {
@@ -186,6 +276,27 @@ mod tests {
         let d = a.diff(&c);
         assert!(d.iter().any(|m| m.contains("scalar n: 4 != <absent>")));
         assert!(d.iter().any(|m| m.contains("dims")));
+    }
+
+    #[test]
+    fn equality_ignores_generations() {
+        let a = Heap::new().with_array("x", vec![1, 2, 3]);
+        let b = Heap::new().with_array("x", vec![1, 2, 3]);
+        assert_ne!(a.arrays["x"].generation(), b.arrays["x"].generation());
+        assert_eq!(a, b);
+        assert!(a.diff(&b).is_empty());
+        // A clone shares the generation; a write through `data_mut` does not.
+        let mut c = a.clone();
+        assert_eq!(c.arrays["x"].generation(), a.arrays["x"].generation());
+        c.arrays.get_mut("x").unwrap().data_mut()[0] = 1;
+        assert_ne!(c.arrays["x"].generation(), a.arrays["x"].generation());
+        assert_eq!(a, c);
+    }
+
+    #[test]
+    fn array_slots_stay_six_words() {
+        let word = std::mem::size_of::<usize>();
+        assert_eq!(std::mem::size_of::<Option<ArrayVal>>(), 6 * word);
     }
 
     #[test]

@@ -180,21 +180,21 @@ pub fn synthesize_inputs(program: &Program, spec: &InputSpec) -> Result<Heap, Ex
                 .map(|&m| (m + 1).max(0) as usize)
                 .collect(),
         };
-        let mut a = ArrayVal::zeros(dims.clone());
         // Declared arrays start zeroed (their `Decl` re-zeroes them anyway);
         // everything else starts as synthesized input data.
-        if !a.data.is_empty() && d.declared.is_none() {
-            fill_with_input_values(&mut a, name, &dims, spec);
+        let mut data = vec![0; dims.iter().product()];
+        if d.declared.is_none() {
+            fill_with_input_values(&mut data, name, &dims, spec);
         }
-        heap.arrays.insert(name.clone(), a);
+        heap.arrays.insert(name.clone(), ArrayVal::new(dims, data));
     }
     Ok(heap)
 }
 
-fn fill_with_input_values(a: &mut ArrayVal, name: &str, dims: &[usize], spec: &InputSpec) {
+fn fill_with_input_values(data: &mut [i64], name: &str, dims: &[usize], spec: &InputSpec) {
     let mut indices = vec![0i64; dims.len()];
-    for flat in 0..a.data.len() {
-        a.data[flat] = input_value(spec.seed, name, &indices, spec.scale);
+    for elem in data {
+        *elem = input_value(spec.seed, name, &indices, spec.scale);
         // Row-major increment.
         for d in (0..dims.len()).rev() {
             indices[d] += 1;
@@ -245,8 +245,8 @@ mod tests {
         let out = run_serial(&p, heap).unwrap();
         // mt_to_id was filled with the identity, so id_to_mt inverts it.
         assert_eq!(
-            out.heap.arrays["id_to_mt"].data,
-            (0..32).collect::<Vec<_>>()
+            out.heap.arrays["id_to_mt"].data[..],
+            (0..32).collect::<Vec<_>>()[..]
         );
     }
 

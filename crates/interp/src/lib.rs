@@ -87,7 +87,7 @@ pub mod tuner;
 
 pub use engine::{
     Engine, EngineCaps, EngineRegistry, ExecError, ExecMode, ExecOptions, ExecOutcome, ExecStats,
-    LoopStats, ScheduleChoice,
+    LoopStats, ScheduleChoice, ScheduleSource,
 };
 pub use error::SsError;
 pub use heap::{ArrayVal, Heap};

@@ -12,7 +12,8 @@
 //! counts.
 
 use ss_interp::{
-    EngineRegistry, ExecOptions, Heap, Matrix, OptLevel, RunRequest, Session, ValidationMode,
+    EngineRegistry, ExecOptions, Heap, Matrix, OptLevel, RunRequest, ScheduleSource, Session,
+    ValidationMode,
 };
 use ss_parallelizer::Artifacts;
 use std::sync::Mutex;
@@ -294,6 +295,76 @@ fn wavefront_engine_builds_each_schedule_once_per_artifacts_and_input() {
         before + 2,
         "a new input state re-inspects and builds a fresh schedule"
     );
+}
+
+const SCATTER: &str = r#"
+    for (i = 0; i < n; i++) {
+        x[idx[i]] = x[idx[i]] + i;
+    }
+"#;
+
+/// `idx[i] = (i * stride) % 8`: the program reads `idx` and never writes
+/// it, so runs look its schedule up by generation.
+fn scatter_heap(stride: i64) -> Heap {
+    Heap::new()
+        .with_scalar("n", 40)
+        .with_array("idx", (0..40).map(|i| (i * stride) % 8).collect())
+        .with_array("x", vec![0; 8])
+}
+
+/// The scatter loop's schedule source and the level-set builds one
+/// wavefront run of `heap` took.
+fn scatter_run(artifacts: &Artifacts, heap: &Heap) -> (Option<ScheduleSource>, u64) {
+    let wavefront = EngineRegistry::builtin().get("wavefront").unwrap();
+    let before = ss_inspector::levelset_build_count();
+    let out = wavefront
+        .run_parallel(artifacts, heap.clone(), &opts(4))
+        .unwrap();
+    let serial = EngineRegistry::builtin()
+        .reference()
+        .unwrap()
+        .run_serial(artifacts, heap.clone(), &opts(1))
+        .unwrap();
+    assert_eq!(out.heap, serial.heap);
+    let source = out.stats.loops[&ss_ir::LoopId(0)].schedule_source;
+    (source, ss_inspector::levelset_build_count() - before)
+}
+
+#[test]
+fn schedule_hits_by_generation_on_clones_and_by_content_on_fresh_heaps() {
+    // A clone of a seen heap carries the same generations: an O(1) hit.
+    // A fresh heap with equal contents has new ones: its contents are
+    // hashed, they hit, and nothing is rebuilt.
+    let _guard = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let artifacts = Artifacts::compile_source("generations", SCATTER).unwrap();
+    let heap = scatter_heap(1);
+    use ScheduleSource::*;
+    assert_eq!(scatter_run(&artifacts, &heap), (Some(Inspected), 1));
+    assert_eq!(scatter_run(&artifacts, &heap), (Some(Generation), 0));
+    assert_eq!(
+        scatter_run(&artifacts, &scatter_heap(1)),
+        (Some(Content), 0)
+    );
+    // An entry keeps one alias, the latest: the first heap is now found by
+    // content again.
+    assert_eq!(scatter_run(&artifacts, &heap), (Some(Content), 0));
+    assert_eq!(scatter_run(&artifacts, &heap), (Some(Generation), 0));
+}
+
+#[test]
+fn data_mut_on_a_schedule_array_forces_a_reinspection() {
+    // `data_mut` draws a fresh generation, so new contents written through
+    // it can never hit the schedule of the old ones by generation.
+    let _guard = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let artifacts = Artifacts::compile_source("data-mut", SCATTER).unwrap();
+    let mut heap = scatter_heap(1);
+    use ScheduleSource::*;
+    assert_eq!(scatter_run(&artifacts, &heap), (Some(Inspected), 1));
+    assert_eq!(scatter_run(&artifacts, &heap), (Some(Generation), 0));
+    let strided = scatter_heap(3);
+    let idx = heap.arrays.get_mut("idx").unwrap();
+    idx.data_mut().copy_from_slice(&strided.arrays["idx"].data);
+    assert_eq!(scatter_run(&artifacts, &heap), (Some(Inspected), 1));
 }
 
 #[test]

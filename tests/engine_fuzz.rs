@@ -33,11 +33,12 @@
 //! Case count defaults to 256 (the CI floor) and scales with the
 //! `ENGINE_FUZZ_CASES` environment variable for long local hunts.  At or
 //! above the floor the hunt must also have *reached* every dispatch
-//! strategy: it fails if no parallel leg ran a loop as level sets, or if
-//! no run-time-inspector-baseline leg produced a verdict.
+//! strategy: it fails if no parallel leg ran a loop as level sets, if no
+//! run-time-inspector-baseline leg produced a verdict, or if no leg found
+//! a level-set schedule by array generation.
 
 use proptest::TestRng;
-use ss_interp::{ExecOptions, Heap, LegKind, Matrix, Session};
+use ss_interp::{ExecOptions, Heap, LegKind, Matrix, ScheduleSource, Session};
 use std::sync::OnceLock;
 
 /// One session for the whole hunt: every generated program compiles once
@@ -127,7 +128,10 @@ enum GStmt {
     /// index arrays: `wp`/`wq` get `(var * mul + add) % dim`, then
     /// `arr[wp[var]] = arr[wq[var]] + term` — serial-proven, but its
     /// footprint is a function of entry state, so engines with the
-    /// level-set strategy inspect and schedule it.
+    /// level-set strategy inspect and schedule it.  With `input`, the
+    /// index arrays are the initial heap's `ip`/`iq` instead, which no
+    /// program writes: the matrix legs, sharing one cloned heap, find
+    /// the schedule by generation.
     Carried {
         var: String,
         trip: i64,
@@ -136,6 +140,7 @@ enum GStmt {
         p: (i64, i64),
         q: (i64, i64),
         term: GExpr,
+        input: bool,
     },
 }
 
@@ -202,15 +207,23 @@ fn render_block(stmts: &[GStmt], indent: usize, out: &mut String) {
                 p,
                 q,
                 term,
+                input,
             } => {
+                let (wp, wq) = if *input {
+                    ("ip", "iq")
+                } else {
+                    out.push_str(&format!(
+                        "{pad}for ({var} = 0; {var} < {trip}; {var}++) {{\n\
+                         {pad}    wp[{var}] = ({var} * {} + {}) % {dim};\n\
+                         {pad}    wq[{var}] = ({var} * {} + {}) % {dim};\n\
+                         {pad}}}\n",
+                        p.0, p.1, q.0, q.1
+                    ));
+                    ("wp", "wq")
+                };
                 out.push_str(&format!(
                     "{pad}for ({var} = 0; {var} < {trip}; {var}++) {{\n\
-                     {pad}    wp[{var}] = ({var} * {} + {}) % {dim};\n\
-                     {pad}    wq[{var}] = ({var} * {} + {}) % {dim};\n\
-                     {pad}}}\n\
-                     {pad}for ({var} = 0; {var} < {trip}; {var}++) {{\n\
-                     {pad}    {arr}[wp[{var}]] = {arr}[wq[{var}]] + ",
-                    p.0, p.1, q.0, q.1
+                     {pad}    {arr}[{wp}[{var}]] = {arr}[{wq}[{var}]] + "
                 ));
                 term.render(out);
                 out.push_str(&format!(";\n{pad}}}\n"));
@@ -487,6 +500,7 @@ impl Gen {
             p,
             q,
             term,
+            input: rng.below(2) == 0,
         }
     }
 
@@ -558,9 +572,9 @@ impl GProgram {
         }
     }
 
-    /// The prelude declares and fills every array (so programs are
-    /// self-contained: the initial heap is empty) and initializes the named
-    /// scalars; `u0`/`u1` stay deliberately undefined.
+    /// The prelude declares and fills every array but [`input_heap`]'s
+    /// and initializes the named scalars; `u0`/`u1` stay deliberately
+    /// undefined.
     fn source(&self) -> String {
         let mut out = String::new();
         let c1 = 1 + (self.seed % 7) as i64;
@@ -592,6 +606,17 @@ struct Reach {
     level_set_legs: usize,
     /// Inspector-baseline legs that judged some loop.
     inspector_legs: usize,
+    /// Legs that found some loop's schedule by generation.
+    generation_hits: usize,
+}
+
+/// The initial heap of every case: the index arrays of the `input`
+/// [`GStmt::Carried`] shape, in `0..16` with repeats (so writes conflict),
+/// which programs read but never write.
+fn input_heap() -> Heap {
+    Heap::new()
+        .with_array("ip", (0..16).map(|k| (k * 5 + 3) % 11).collect())
+        .with_array("iq", (0..16).map(|k| (k * 3 + 1) % 16).collect())
 }
 
 /// The differential matrix for one source program, off **one** pipeline
@@ -627,7 +652,7 @@ fn check_source(src: &str, threads: usize, reach: &mut Reach) -> Option<String> 
         ..ExecOptions::default()
     };
     let default = registry.default_engine();
-    let matrix = match Matrix::run(registry, default.as_ref(), &artifacts, &Heap::new(), &opts) {
+    let matrix = match Matrix::run(registry, default.as_ref(), &artifacts, &input_heap(), &opts) {
         Ok(m) => m,
         Err(e) => return Some(format!("the matrix did not run: {e}")),
     };
@@ -652,6 +677,12 @@ fn check_source(src: &str, threads: usize, reach: &mut Reach) -> Option<String> 
         })
         .collect();
     reach.level_set_legs += level_legs.len();
+    reach.generation_hits += (matrix.legs.iter())
+        .filter_map(|leg| leg.outcome.as_ref().ok())
+        .filter(|stats| {
+            (stats.loops.values()).any(|l| l.schedule_source == Some(ScheduleSource::Generation))
+        })
+        .count();
     let inspector = matrix.legs.last().expect("the inspector leg runs last");
     let Ok(stats) = &inspector.outcome else {
         return None;
@@ -799,8 +830,9 @@ fn all_engines_agree_on_generated_programs() {
         }
     }
     eprintln!(
-        "engine_fuzz: {cases} cases, {} level-set leg(s), {} inspector-verdict leg(s)",
-        reach.level_set_legs, reach.inspector_legs
+        "engine_fuzz: {cases} cases, {} level-set leg(s), {} inspector-verdict leg(s), \
+         {} generation-hit leg(s)",
+        reach.level_set_legs, reach.inspector_legs, reach.generation_hits
     );
     // Short local runs (below the CI floor) are exempt.
     assert!(
@@ -812,6 +844,11 @@ fn all_engines_agree_on_generated_programs() {
         cases < 256 || reach.inspector_legs > 0,
         "no inspector-baseline leg of {cases} cases judged a loop: the \
          generator no longer reaches the run-time-inspector verdict"
+    );
+    assert!(
+        cases < 256 || reach.generation_hits > 0,
+        "no leg of {cases} cases found a schedule by generation: the \
+         generator no longer reaches the generation-keyed cache"
     );
 }
 

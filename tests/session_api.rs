@@ -139,7 +139,7 @@ fn a_corrupt_non_requested_row_fails_the_default_rows_validation() {
             o: &ExecOptions,
         ) -> Result<ExecOutcome, SsError> {
             let mut out = self.0.run_parallel(a, h, o)?;
-            out.heap.arrays.get_mut("out").unwrap().data[3] += 1;
+            out.heap.arrays.get_mut("out").unwrap().data_mut()[3] += 1;
             Ok(out)
         }
     }
