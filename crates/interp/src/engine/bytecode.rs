@@ -21,9 +21,7 @@
 //! generative fuzz harness (`tests/engine_fuzz.rs`) assert exactly that.
 
 use super::serial::{apply_assign, apply_binop, compare};
-use super::shared::{
-    load_scalars, store_scalars, ArrayStore, Dispatcher, LoopShape, Spine, SpineArrays,
-};
+use super::shared::{load_scalars, store_scalars, ArrayStore, Dispatcher, Spine, SpineArrays};
 use super::{ExecEnvTiming, ExecError, ExecMode, ExecOptions, ExecOutcome, ExecStats};
 use crate::heap::Heap;
 use ss_ir::bytecode::{BcExpr, BcFor, BytecodeProgram, HeaderFast, Instr, Reg};
@@ -365,18 +363,6 @@ fn exec_for<P: BcPolicy>(
 // Dispatch: the executor's side of the shared recipe.
 // ---------------------------------------------------------------------------
 
-/// The dispatch facts of a bytecode loop.
-fn loop_shape(f: &BcFor) -> LoopShape<'_> {
-    LoopShape {
-        id: f.id,
-        var: f.var.index(),
-        cond_op: f.cond_op,
-        local_arrays: &f.local_arrays,
-        locals_dominated: f.locals_dominated,
-        skewed: f.skewed,
-    }
-}
-
 impl BcPolicy for Dispatcher<'_> {
     fn try_dispatch(
         &self,
@@ -385,8 +371,7 @@ impl BcPolicy for Dispatcher<'_> {
         f: &BcFor,
         env: &mut ExecEnvTiming<'_>,
     ) -> Result<bool, ExecError> {
-        let lp = loop_shape(f);
-        let Some(strategy) = self.strategy(&lp, &m.defined) else {
+        let Some(dispatch) = self.strategy(f.id, &m.defined) else {
             return Ok(false);
         };
         let header = (
@@ -400,7 +385,7 @@ impl BcPolicy for Dispatcher<'_> {
             arrays: &mut arrays.arrays,
             slots: arrays.slots,
         };
-        self.run_lowered(strategy, &lp, header, spine, env)
+        self.run(dispatch, header, spine, env)
     }
 }
 

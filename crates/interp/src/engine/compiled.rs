@@ -8,11 +8,13 @@
 //! mid-level differential stage between the tree walker and the bytecode
 //! stream.
 //!
-//! Array stores, worker-private storage and the whole dispatch recipe are
-//! `engine::shared`'s: at each `for` the spine asks the run's
+//! This executor runs spines only.  Array stores and the whole dispatch
+//! recipe are `engine::shared`'s: at each `for` the spine asks the run's
 //! `Dispatcher` for a strategy, evaluates the header once and lends its
-//! frame to the recipe, which runs iterations through the `RegionBody`
-//! adapter at the bottom of this file.
+//! frame to the recipe, whose workers run the loop's body as the lowered
+//! direct-threaded chain of `engine::threaded` — the body of every
+//! dispatching row.  Every stream shares this program's slot numbering,
+//! so the frame is handed over as it is.
 //!
 //! Semantics mirror the tree walker operation for operation (same
 //! evaluation order, same wrapping arithmetic, same error points), so final
@@ -20,29 +22,14 @@
 //! that.
 
 use super::serial::{apply_assign, apply_binop, compare};
-use super::shared::{
-    load_scalars, store_scalars, ArrayStore, Dispatcher, LoopShape, RegionBody, Spine, SpineArrays,
-    StoreKind,
-};
+use super::shared::{load_scalars, store_scalars, ArrayStore, Dispatcher, Spine, SpineArrays};
 use super::{ExecEnvTiming, ExecError, ExecMode, ExecOptions, ExecOutcome, ExecStats};
 use crate::heap::Heap;
 use ss_ir::ast::{AssignOp, BinOp, UnOp};
 use ss_ir::slots::{CExpr, CompiledBody, CompiledFor, CompiledProgram, Op, ScalarSlot};
 use std::time::Instant;
 
-// ---------------------------------------------------------------------------
-// Slot stores.
-// ---------------------------------------------------------------------------
-
-/// Where slot-addressed accesses land: a scalar frame plus an array store.
-trait SlotStore {
-    type Arrays: ArrayStore;
-    fn scalar(&self, s: ScalarSlot) -> i64;
-    fn set_scalar(&mut self, s: ScalarSlot, v: i64);
-    fn arrays(&mut self) -> &mut Self::Arrays;
-}
-
-/// The spine store: dense scalar and array slots, materialized from (and
+/// The spine's state: dense scalar and array slots, materialized from (and
 /// back into) a [`Heap`].  `defined` tracks which scalar slots the program
 /// actually wrote (or the initial heap supplied) so the final heap contains
 /// exactly the names the tree walker would produce.
@@ -52,9 +39,7 @@ struct Frame<'m> {
     arrays: SpineArrays<'m>,
 }
 
-impl<'m> SlotStore for Frame<'m> {
-    type Arrays = SpineArrays<'m>;
-
+impl Frame<'_> {
     #[inline]
     fn scalar(&self, s: ScalarSlot) -> i64 {
         self.scalars[s.index()]
@@ -65,18 +50,13 @@ impl<'m> SlotStore for Frame<'m> {
         self.scalars[s.index()] = v;
         self.defined[s.index()] = true;
     }
-
-    #[inline]
-    fn arrays(&mut self) -> &mut SpineArrays<'m> {
-        &mut self.arrays
-    }
 }
 
 // ---------------------------------------------------------------------------
 // The op executor.
 // ---------------------------------------------------------------------------
 
-fn eval<S: SlotStore>(st: &mut S, e: &CExpr) -> Result<i64, ExecError> {
+fn eval(st: &mut Frame<'_>, e: &CExpr) -> Result<i64, ExecError> {
     match e {
         CExpr::Int(v) => Ok(*v),
         CExpr::Scalar(s) => Ok(st.scalar(*s)),
@@ -84,13 +64,13 @@ fn eval<S: SlotStore>(st: &mut S, e: &CExpr) -> Result<i64, ExecError> {
             // Rank-1 fast path: no index vector allocation.
             if let [ie] = indices.as_ref() {
                 let idx = [eval(st, ie)?];
-                return st.arrays().read(*array, &idx);
+                return st.arrays.read(*array, &idx);
             }
             let mut idxs = Vec::with_capacity(indices.len());
             for ie in indices.iter() {
                 idxs.push(eval(st, ie)?);
             }
-            st.arrays().read(*array, &idxs)
+            st.arrays.read(*array, &idxs)
         }
         CExpr::Binary(op, a, b) => {
             match op {
@@ -124,35 +104,10 @@ fn eval<S: SlotStore>(st: &mut S, e: &CExpr) -> Result<i64, ExecError> {
     }
 }
 
-/// Decides what happens when the executor reaches a compiled `for` loop:
-/// the run's [`Dispatcher`] on the spine, [`NoDispatch`] everywhere else.
-trait CompiledPolicy<S: SlotStore> {
-    fn try_dispatch(
-        &self,
-        st: &mut S,
-        f: &CompiledFor,
-        env: &mut ExecEnvTiming<'_>,
-    ) -> Result<bool, ExecError>;
-}
-
-/// Policy that never dispatches (serial runs, workers).
-struct NoDispatch;
-
-impl<S: SlotStore> CompiledPolicy<S> for NoDispatch {
-    fn try_dispatch(
-        &self,
-        _st: &mut S,
-        _f: &CompiledFor,
-        _env: &mut ExecEnvTiming<'_>,
-    ) -> Result<bool, ExecError> {
-        Ok(false)
-    }
-}
-
-fn exec_body<S: SlotStore, P: CompiledPolicy<S>>(
-    st: &mut S,
+fn exec_body(
+    st: &mut Frame<'_>,
     body: &CompiledBody,
-    pol: &P,
+    dispatch: Option<&Dispatcher<'_>>,
     env: &mut ExecEnvTiming<'_>,
 ) -> Result<(), ExecError> {
     let ops = &body.ops;
@@ -180,9 +135,9 @@ fn exec_body<S: SlotStore, P: CompiledPolicy<S>>(
                     let idx = [eval(st, ie)?];
                     let v = match op {
                         AssignOp::Assign => rhs,
-                        _ => apply_assign(*op, st.arrays().read(*array, &idx)?, rhs),
+                        _ => apply_assign(*op, st.arrays.read(*array, &idx)?, rhs),
                     };
-                    st.arrays().write(*array, &idx, v)?;
+                    st.arrays.write(*array, &idx, v)?;
                 } else {
                     let mut idxs = Vec::with_capacity(indices.len());
                     for ie in indices.iter() {
@@ -190,9 +145,9 @@ fn exec_body<S: SlotStore, P: CompiledPolicy<S>>(
                     }
                     let v = match op {
                         AssignOp::Assign => rhs,
-                        _ => apply_assign(*op, st.arrays().read(*array, &idxs)?, rhs),
+                        _ => apply_assign(*op, st.arrays.read(*array, &idxs)?, rhs),
                     };
-                    st.arrays().write(*array, &idxs, v)?;
+                    st.arrays.write(*array, &idxs, v)?;
                 }
             }
             Op::DeclArray { array, dims } => {
@@ -200,7 +155,7 @@ fn exec_body<S: SlotStore, P: CompiledPolicy<S>>(
                 for d in dims.iter() {
                     extents.push(eval(st, d)?.max(0) as usize);
                 }
-                st.arrays().declare(*array, extents);
+                st.arrays.declare(*array, extents);
             }
             Op::BranchIfZero { cond, target } => {
                 if eval(st, cond)? == 0 {
@@ -212,7 +167,7 @@ fn exec_body<S: SlotStore, P: CompiledPolicy<S>>(
                 pc = *target;
                 continue;
             }
-            Op::For(f) => exec_for(st, f, pol, env)?,
+            Op::For(f) => exec_for(st, f, dispatch, env)?,
             Op::While { id, cond, body } => {
                 let start = env.timing.then(Instant::now);
                 let mut iter: u64 = 0;
@@ -223,7 +178,7 @@ fn exec_body<S: SlotStore, P: CompiledPolicy<S>>(
                             cap: env.while_cap,
                         });
                     }
-                    exec_body(st, body, pol, env)?;
+                    exec_body(st, body, dispatch, env)?;
                     iter += 1;
                 }
                 if let Some(t) = start {
@@ -237,14 +192,16 @@ fn exec_body<S: SlotStore, P: CompiledPolicy<S>>(
     Ok(())
 }
 
-fn exec_for<S: SlotStore, P: CompiledPolicy<S>>(
-    st: &mut S,
+fn exec_for(
+    st: &mut Frame<'_>,
     f: &CompiledFor,
-    pol: &P,
+    dispatch: Option<&Dispatcher<'_>>,
     env: &mut ExecEnvTiming<'_>,
 ) -> Result<(), ExecError> {
-    if pol.try_dispatch(st, f, env)? {
-        return Ok(());
+    if let Some(d) = dispatch {
+        if try_dispatch(d, st, f, env)? {
+            return Ok(());
+        }
     }
     let start = env.timing.then(Instant::now);
     let v0 = eval(st, &f.init)?;
@@ -262,7 +219,7 @@ fn exec_for<S: SlotStore, P: CompiledPolicy<S>>(
                 cap: env.while_cap,
             });
         }
-        exec_body(st, &f.body, pol, env)?;
+        exec_body(st, &f.body, dispatch, env)?;
         let sv = eval(st, &f.step)?;
         let cur = st.scalar(f.var);
         st.set_scalar(f.var, cur.wrapping_add(sv));
@@ -275,128 +232,26 @@ fn exec_for<S: SlotStore, P: CompiledPolicy<S>>(
     Ok(())
 }
 
-// ---------------------------------------------------------------------------
-// Dispatch: the executor's side of the shared recipe.
-// ---------------------------------------------------------------------------
-
-struct CompiledWorker<'s, K: StoreKind> {
-    scalars: Vec<i64>,
-    arrays: K::Arrays<'s>,
-    /// Loops inside a dispatched body are accounted to the dispatched
-    /// ancestor; their own records land here and are dropped.
-    scratch: ExecStats,
-}
-
-/// A worker's scalar frame joined with its array store, as the op
-/// executor sees it.
-struct WorkerStore<'w, A> {
-    scalars: &'w mut [i64],
-    arrays: &'w mut A,
-}
-
-impl<A: ArrayStore> SlotStore for WorkerStore<'_, A> {
-    type Arrays = A;
-
-    #[inline]
-    fn scalar(&self, s: ScalarSlot) -> i64 {
-        self.scalars[s.index()]
-    }
-
-    #[inline]
-    fn set_scalar(&mut self, s: ScalarSlot, v: i64) {
-        self.scalars[s.index()] = v;
-        self.arrays.note_scalar_write(s.index());
-    }
-
-    #[inline]
-    fn arrays(&mut self) -> &mut A {
-        self.arrays
-    }
-}
-
-/// A compiled loop body as the recipe runs it.
-struct CompiledRegion<'a> {
-    f: &'a CompiledFor,
-    while_cap: u64,
-}
-
-impl RegionBody for CompiledRegion<'_> {
-    type Worker<'s, K: StoreKind>
-        = CompiledWorker<'s, K>
-    where
-        Self: 's;
-
-    fn worker<'s, K: StoreKind>(
-        &'s self,
-        scalars: Vec<i64>,
-        arrays: K::Arrays<'s>,
-    ) -> CompiledWorker<'s, K> {
-        CompiledWorker {
-            scalars,
-            arrays,
-            scratch: ExecStats::default(),
-        }
-    }
-
-    fn run_iteration<'s, K: StoreKind>(
-        &'s self,
-        w: &mut CompiledWorker<'s, K>,
-        value: i64,
-    ) -> Result<(), ExecError> {
-        let mut st = WorkerStore {
-            scalars: &mut w.scalars,
-            arrays: &mut w.arrays,
-        };
-        st.set_scalar(self.f.var, value);
-        let mut env = ExecEnvTiming {
-            stats: &mut w.scratch,
-            timing: false,
-            while_cap: self.while_cap,
-        };
-        exec_body(&mut st, &self.f.body, &NoDispatch, &mut env)
-    }
-
-    fn frame<'w, 's, K: StoreKind>(
-        w: &'w mut CompiledWorker<'s, K>,
-    ) -> (&'w mut [i64], &'w mut K::Arrays<'s>)
-    where
-        Self: 's,
-    {
-        (&mut w.scalars, &mut w.arrays)
-    }
-}
-
-impl CompiledPolicy<Frame<'_>> for Dispatcher<'_> {
-    fn try_dispatch(
-        &self,
-        st: &mut Frame<'_>,
-        f: &CompiledFor,
-        env: &mut ExecEnvTiming<'_>,
-    ) -> Result<bool, ExecError> {
-        let lp = LoopShape {
-            id: f.id,
-            var: f.var.index(),
-            cond_op: f.cond_op,
-            local_arrays: &f.local_arrays,
-            locals_dominated: f.locals_dominated,
-            skewed: f.skewed,
-        };
-        let Some(strategy) = self.strategy(&lp, &st.defined) else {
-            return Ok(false);
-        };
-        let header = (eval(st, &f.init)?, eval(st, &f.bound)?, eval(st, &f.step)?);
-        let body = CompiledRegion {
-            f,
-            while_cap: env.while_cap,
-        };
-        let spine = Spine {
-            regs: &mut st.scalars,
-            defined: &mut st.defined,
-            arrays: &mut st.arrays.arrays,
-            slots: st.arrays.slots,
-        };
-        self.run(strategy, &lp, header, spine, &body, env)
-    }
+/// Offers one loop to the run's dispatcher: evaluates the header once and
+/// lends the frame to the recipe.  `Ok(false)` means the loop must run
+/// serially here instead.
+fn try_dispatch(
+    d: &Dispatcher<'_>,
+    st: &mut Frame<'_>,
+    f: &CompiledFor,
+    env: &mut ExecEnvTiming<'_>,
+) -> Result<bool, ExecError> {
+    let Some(dispatch) = d.strategy(f.id, &st.defined) else {
+        return Ok(false);
+    };
+    let header = (eval(st, &f.init)?, eval(st, &f.bound)?, eval(st, &f.step)?);
+    let spine = Spine {
+        regs: &mut st.scalars,
+        defined: &mut st.defined,
+        arrays: &mut st.arrays.arrays,
+        slots: st.arrays.slots,
+    };
+    d.run(dispatch, header, spine, env)
 }
 
 // ---------------------------------------------------------------------------
@@ -426,10 +281,7 @@ pub(super) fn run_compiled(
         timing: true,
         while_cap: opts.while_cap,
     };
-    match dispatch {
-        Some(d) => exec_body(&mut frame, &compiled.body, d, &mut env),
-        None => exec_body(&mut frame, &compiled.body, &NoDispatch, &mut env),
-    }?;
+    exec_body(&mut frame, &compiled.body, dispatch, &mut env)?;
     frame.arrays.into_heap(&mut heap);
     store_scalars(&mut heap, slots, &frame.scalars, &frame.defined);
     stats.total_seconds = start.elapsed().as_secs_f64();

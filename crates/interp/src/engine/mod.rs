@@ -3,7 +3,7 @@
 //! Two independent questions decide how a program runs, and they are two
 //! independent pieces of this module:
 //!
-//! * **how a loop body is executed** — the *executor*:
+//! * **how the program is executed on the spine** — the *executor*:
 //!   * **ast** ([`serial`]): interprets the AST directly against the
 //!     name-keyed heap.  The semantic reference
 //!     ([`EngineCaps::reference`]): serial only — it never dispatches, so
@@ -12,14 +12,15 @@
 //!   * **compiled** ([`compiled`]): the slot-resolved
 //!     [`ss_ir::CompiledProgram`] over dense frames — names resolved once,
 //!     expressions still walked as (slot-addressed) trees.  The mid-level
-//!     differential stage;
+//!     differential stage; spine only;
 //!   * **bytecode** ([`bytecode`]): the flat register-machine stream of
 //!     [`ss_ir::bytecode`], O0 or O1 — no per-expression tree walking at
-//!     all.  The default;
+//!     all.  The default; spine only;
 //!   * **threaded** ([`threaded`]): that stream lowered once more into a
 //!     direct-threaded chain of monomorphized handler pointers with
 //!     pre-decoded operands — no opcode decode per instruction, native
-//!     counted loops for invariant headers;
+//!     counted loops for invariant headers.  Also the one body of every
+//!     dispatched loop, whichever spine reached it;
 //! * **how a loop's iterations reach the thread team** — the *dispatch
 //!   strategy*, chosen per loop by the one `Dispatcher` in `shared`:
 //!   * **proof-based parallel-for**: loops the compile-time analysis
@@ -43,9 +44,9 @@
 //! `threaded` and `compiled` are their executors with proof dispatch;
 //! `wavefront` is the threaded executor with level sets as well; `ast` is
 //! the reference and runs serially whichever leg asks.  The executor is
-//! the *spine*'s: every row that executes the bytecode stream dispatches
-//! the same region body, the loop's lowered threaded chain, so the
-//! bytecode interpreter runs spines only.  Consumers resolve
+//! the *spine*'s: every dispatching row dispatches the same region body,
+//! the loop's lowered threaded chain, so the bytecode interpreter and the
+//! compiled executor run spines only.  Consumers resolve
 //! engines by name or capability through the [`EngineRegistry`], never by
 //! pattern-matching, and branch on [`EngineCaps`] flags.
 //!

@@ -141,10 +141,10 @@ const DISPATCHING: EngineCaps = EngineCaps {
 
 /// The built-in engines, default first.  `wavefront` is the threaded
 /// executor with the level-set strategy switched on — the only difference
-/// between the two rows is [`EngineCaps::level_sets`].  Every row that
-/// executes the bytecode stream (`bytecode`, `threaded`, `wavefront`)
-/// dispatches the same region body, the loop's lowered threaded chain;
-/// the rows differ in their spine and strategies.
+/// between the two rows is [`EngineCaps::level_sets`].  Every dispatching
+/// row (`bytecode`, `threaded`, `compiled`, `wavefront`) dispatches the
+/// same region body, the loop's lowered threaded chain; the rows differ
+/// in their spine and strategies.
 const BUILTINS: [Builtin; 5] = [
     Builtin {
         name: "bytecode",

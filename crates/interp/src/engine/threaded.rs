@@ -41,21 +41,23 @@
 //! lowered `For` the spine asks the run's `Dispatcher` for a strategy,
 //! evaluates its lowered header once and lends its frame to the recipe.
 //! The recipe's body is this chain too — `ThBody`, the body of every
-//! row that executes the bytecode stream, whichever spine (this one or
-//! the bytecode interpreter's) reached the loop: the register numbering
-//! *is* the bytecode numbering, so a spine's frame is handed over without
-//! translation.  The handlers are generic over the array store and
-//! monomorphized once per `StoreKind` — the spine's dense slots, a
-//! region worker's shared views, the level-set inspection's recording
-//! store — so one chain serves the spine, proof regions, level-set phases
-//! and the inspection replay.  Each lowering is cached on the pipeline's
-//! [`Artifacts`] (one per artifact, opt level and store kind, created on
-//! first use, shared by clones and charged to the session cache through
-//! [`EngineArtifact::approx_bytes`]).
+//! dispatching row, whichever spine (this one, the bytecode
+//! interpreter's or the compiled executor's) reached the loop: the
+//! register numbering *is* the bytecode numbering and the slot numbering
+//! is shared by every stream, so a spine's frame is handed over without
+//! translation (a worker pads a frame that holds only the scalar slots up
+//! to the chain's register count).  The handlers are generic over the
+//! array store and monomorphized once per `StoreKind` — the spine's dense
+//! slots, a region worker's shared views, the level-set inspection's
+//! recording store — so one chain serves the spine, proof regions,
+//! level-set phases and the inspection replay.  Each lowering is cached
+//! on the pipeline's [`Artifacts`] (one per artifact, opt level and store
+//! kind, created on first use, shared by clones and charged to the
+//! session cache through [`EngineArtifact::approx_bytes`]).
 
 use super::shared::{
-    load_scalars, store_scalars, ArrayStore, Dispatcher, LoopShape, RegionBody, Spine, SpineArrays,
-    SpineKind, StoreKind, WorkerKind,
+    load_scalars, store_scalars, ArrayStore, Dispatcher, Spine, SpineArrays, SpineKind, StoreKind,
+    WorkerKind,
 };
 use super::wavefront::InspectKind;
 use super::{ExecEnvTiming, ExecError, ExecMode, ExecOptions, ExecOutcome, ExecStats};
@@ -123,36 +125,24 @@ enum ThHeader<K: StoreKind> {
 
 /// A lowered `for` loop.  `counted` marks loops whose bound/step are
 /// invariant register or immediate values and whose body never writes the
-/// induction variable: those run as native counted loops.  The last
-/// three fields are the bytecode loop's dispatch facts (see
-/// [`shape`](Self::shape)).
-struct ThLoop<K: StoreKind> {
-    id: LoopId,
-    var: u32,
-    cond_op: BinOp,
+/// induction variable: those run as native counted loops.  The public
+/// fields are the bytecode loop's dispatch facts, which the dispatcher
+/// reads off the workers' chain (see [`ThBody::lp`]).
+pub(super) struct ThLoop<K: StoreKind> {
+    pub(super) id: LoopId,
+    /// Register (= scalar slot) of the index variable.
+    pub(super) var: u32,
+    pub(super) cond_op: BinOp,
     cond: fn(i64, i64) -> bool,
     init: ThHeader<K>,
     bound: ThHeader<K>,
     step: ThHeader<K>,
     body: ThBlock<K>,
     counted: bool,
-    local_arrays: Vec<ArraySlot>,
-    locals_dominated: bool,
-    skewed: bool,
-}
-
-impl<K: StoreKind> ThLoop<K> {
-    /// What the dispatcher gates this loop on.
-    fn shape(&self) -> LoopShape<'_> {
-        LoopShape {
-            id: self.id,
-            var: self.var as usize,
-            cond_op: self.cond_op,
-            local_arrays: &self.local_arrays,
-            locals_dominated: self.locals_dominated,
-            skewed: self.skewed,
-        }
-    }
+    /// Arrays declared inside the body: workers give these private storage.
+    pub(super) local_arrays: Vec<ArraySlot>,
+    pub(super) locals_dominated: bool,
+    pub(super) skewed: bool,
 }
 
 /// A whole lowered program for store kind `K`: the engine-private
@@ -384,8 +374,7 @@ fn dispatch_loop<K: StoreKind>(lp: &ThLoop<K>, cx: &mut ThCtx<'_, K>) -> Result<
     let Some(d) = cx.dispatch else {
         return Ok(false);
     };
-    let shape = lp.shape();
-    let Some(strategy) = d.strategy(&shape, &cx.defined) else {
+    let Some(dispatch) = d.strategy(lp.id, &cx.defined) else {
         return Ok(false);
     };
     let header = (
@@ -405,16 +394,16 @@ fn dispatch_loop<K: StoreKind>(lp: &ThLoop<K>, cx: &mut ThCtx<'_, K>) -> Result<
         timing: cx.timing,
         while_cap: cx.while_cap,
     };
-    d.run_lowered(strategy, &shape, header, spine, &mut env)
+    d.run(dispatch, header, spine, &mut env)
 }
 
 // ---------------------------------------------------------------------------
 // The region body.
 // ---------------------------------------------------------------------------
 
-/// A dispatched loop of the bytecode stream as the recipe runs it: the
-/// loop's body in the lowered chain of whichever store kind asks — a
-/// region's workers, or the level-set inspection's replay.
+/// A dispatched loop as the recipe runs it: the loop's body in the
+/// lowered chain of whichever store kind asks — a region's workers, or
+/// the level-set inspection's replay.
 pub(super) struct ThBody {
     id: LoopId,
     while_cap: u64,
@@ -424,45 +413,42 @@ pub(super) struct ThBody {
 }
 
 impl ThBody {
+    /// Loop `id` of the stream at the run's opt level.
     pub(super) fn new(
         artifacts: &Artifacts,
-        level: OptLevel,
+        opts: &ExecOptions,
         id: LoopId,
-        while_cap: u64,
         inspected: bool,
     ) -> Self {
+        let level = opts.opt_level;
         let mut chains = vec![lowered::<WorkerKind>(artifacts, level)];
         if inspected {
             chains.push(lowered::<InspectKind>(artifacts, level));
         }
         ThBody {
             id,
-            while_cap,
+            while_cap: opts.while_cap,
             chains,
         }
     }
-}
 
-/// A [`ThBody`] worker: a frame of the kind's chain and the loop it runs.
-pub(super) struct ThWorker<'s, K: StoreKind> {
-    cx: ThCtx<'s, K>,
-    lp: &'s ThLoop<K>,
-}
+    /// The loop as the workers' chain lowered it: its dispatch facts.
+    pub(super) fn lp(&self) -> &ThLoop<WorkerKind> {
+        th_program::<WorkerKind>(&self.chains[0]).loop_by_id(self.id)
+    }
 
-impl RegionBody for ThBody {
-    type Worker<'s, K: StoreKind>
-        = ThWorker<'s, K>
-    where
-        Self: 's;
-
-    fn worker<'s, K: StoreKind>(
+    /// A fresh worker over `regs`, a copy of the region's scalar snapshot
+    /// (padded with the chain's temporaries when the spine has none), and
+    /// `arrays`.
+    pub(super) fn worker<'s, K: StoreKind>(
         &'s self,
-        regs: Vec<i64>,
+        mut regs: Vec<i64>,
         arrays: K::Arrays<'s>,
     ) -> ThWorker<'s, K> {
         let prog = (self.chains.iter())
             .find_map(|c| c.as_any().downcast_ref::<ThProgram<K>>())
             .expect("the recipe runs a body only on the store kinds it was built for");
+        regs.resize(prog.nregs, 0);
         ThWorker {
             lp: prog.loop_by_id(self.id),
             cx: ThCtx {
@@ -479,24 +465,28 @@ impl RegionBody for ThBody {
             },
         }
     }
+}
 
-    fn run_iteration<'s, K: StoreKind>(
-        &'s self,
-        w: &mut ThWorker<'s, K>,
-        value: i64,
-    ) -> Result<(), ExecError> {
-        let lp = w.lp;
-        w.cx.set(lp.var, value);
-        exec_ops(&lp.body.ops, &mut w.cx)
+/// A [`ThBody`] worker: a frame of the kind's chain and the loop it runs.
+pub(super) struct ThWorker<'s, K: StoreKind> {
+    cx: ThCtx<'s, K>,
+    lp: &'s ThLoop<K>,
+}
+
+impl<'s, K: StoreKind> ThWorker<'s, K> {
+    /// Runs one iteration with the index variable at `value`.  Which
+    /// iteration it is — the currency of last-writer merges — is the
+    /// store's business (a region's worker store is told by the recipe).
+    pub(super) fn run_iteration(&mut self, value: i64) -> Result<(), ExecError> {
+        let lp = self.lp;
+        self.cx.set(lp.var, value);
+        exec_ops(&lp.body.ops, &mut self.cx)
     }
 
-    fn frame<'w, 's, K: StoreKind>(
-        w: &'w mut ThWorker<'s, K>,
-    ) -> (&'w mut [i64], &'w mut K::Arrays<'s>)
-    where
-        Self: 's,
-    {
-        (&mut w.cx.regs, &mut w.cx.arrays)
+    /// The worker's frame and store; mutable so the recipe can fold a
+    /// finished phase out of them and re-arm them for the next.
+    pub(super) fn frame(&mut self) -> (&mut [i64], &mut K::Arrays<'s>) {
+        (&mut self.cx.regs, &mut self.cx.arrays)
     }
 }
 

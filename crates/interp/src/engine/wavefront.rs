@@ -33,15 +33,16 @@
 //!    persistent thread team once and runs the levels as the phases of
 //!    that one region, each member crossing the team's in-region barrier
 //!    between its share of one level and its share of the next — the same
-//!    workers, fold and merge-back as a proven-parallel loop, which is the
-//!    one-phase case.  When the schedule is too fine (average level width
-//!    below [`MIN_AVG_WIDTH`]) the loop stays serial: a pure recurrence
-//!    inspects to `n` levels of one iteration and is not worth a barrier
-//!    per iteration.
+//!    workers, body (the loop's lowered chain), fold and merge-back as a
+//!    proven-parallel loop, which is the one-phase case.  When the
+//!    schedule is too fine (average level width below [`MIN_AVG_WIDTH`])
+//!    the loop stays serial: a pure recurrence inspects to `n` levels of
+//!    one iteration and is not worth a barrier per iteration.
 //!
-//! Nothing here knows which executor runs the body: inspection replays it
-//! through the same `RegionBody` the workers use, over its own recording
-//! store kind (`InspectKind`).  Proven-parallel and
+//! Nothing here knows the loop body: this module owns the recording store
+//! (`InspectArrays`, store kind `InspectKind`), the cache and the schedule
+//! build, and the recipe replays the body — the chain the workers run,
+//! lowered for this store kind — over that store.  Proven-parallel and
 //! reduction loops never get here — the `Dispatcher` tries proof-based
 //! dispatch first.
 //!
@@ -51,7 +52,7 @@
 //! have licensed a parallel executor"; step 4 stays reserved to rows with
 //! `EngineCaps::level_sets`.
 
-use super::shared::{ArrayStore, Dispatcher, RegionBody, Spine, StoreKind};
+use super::shared::{ArrayStore, Dispatcher, Spine, StoreKind};
 use super::store::elem_at;
 use super::{restamp_written, ExecError, ExecOptions, ScheduleSource};
 use crate::fnv::Fnv1a;
@@ -353,6 +354,17 @@ impl ArrayStore for InspectArrays<'_> {
     }
 }
 
+impl InspectArrays<'_> {
+    /// What the iteration just replayed touched, cleared for the next one;
+    /// `None` once the replay did something the gate promised impossible.
+    pub(super) fn footprint(&mut self) -> Option<IterationAccess> {
+        (!self.poisoned).then(|| IterationAccess {
+            reads: std::mem::take(&mut self.reads),
+            writes: std::mem::take(&mut self.writes),
+        })
+    }
+}
+
 /// The inspection replay's store kind: [`InspectArrays`].
 pub(super) enum InspectKind {}
 
@@ -361,15 +373,15 @@ impl StoreKind for InspectKind {
     const INDEX: u8 = 2;
 }
 
-/// Replays the loop serially on cloned state and builds the level-set
-/// schedule from the recorded footprints.  `None` means the replay
-/// errored or misbehaved — the caller falls back to serial execution,
-/// which reproduces the error (or the behavior) on the real state.
-fn inspect_schedule<B: RegionBody>(
+/// Hands `replay` a recording store over cloned state — it runs the loop
+/// serially and returns each iteration's footprint — and builds the
+/// level-set schedule from them.  `None` means the replay errored or
+/// misbehaved — the caller falls back to serial execution, which
+/// reproduces the error (or the behavior) on the real state.
+fn inspect_schedule(
     fact: &WavefrontFact,
     spine: &Spine<'_>,
-    body: &B,
-    values: &[i64],
+    replay: impl FnOnce(InspectArrays<'_>) -> Option<Vec<IterationAccess>>,
 ) -> Option<LevelSchedule> {
     let mut watched = vec![false; spine.arrays.len()];
     for name in &fact.watched {
@@ -390,20 +402,7 @@ fn inspect_schedule<B: RegionBody>(
         writes: Vec::new(),
         poisoned: false,
     };
-    let mut w = body.worker::<InspectKind>(spine.regs.to_vec(), ia);
-    let mut accesses = Vec::with_capacity(values.len());
-    for &v in values {
-        let failed = body.run_iteration(&mut w, v).is_err();
-        let ia = B::frame(&mut w).1;
-        if failed || ia.poisoned {
-            return None;
-        }
-        accesses.push(IterationAccess {
-            reads: std::mem::take(&mut ia.reads),
-            writes: std::mem::take(&mut ia.writes),
-        });
-    }
-    Some(build_level_sets(&accesses))
+    Some(build_level_sets(&replay(ia)?))
 }
 
 // ---------------------------------------------------------------------------
@@ -446,20 +445,21 @@ impl<'r> LevelSets<'r> {
         self.gated.get(&id)
     }
 
-    /// The schedule for this entry state and where it came from — cached
-    /// (and verified), or inspected and cached now.  `None` means the
-    /// replay failed: the loop goes to the serial path, which reproduces
-    /// the failure on real state.
-    pub(super) fn schedule<B: RegionBody>(
+    /// The schedule of `n` iterations for this entry state and where it
+    /// came from — cached (and verified), or inspected through `replay`
+    /// (see [`inspect_schedule`]) and cached now.  `None` means the replay
+    /// failed: the loop goes to the serial path, which reproduces the
+    /// failure on real state.
+    pub(super) fn schedule(
         &self,
         gated: &Gated<'_>,
         id: LoopId,
         spine: &Spine<'_>,
-        body: &B,
-        values: &[i64],
+        n: usize,
         while_cap: u64,
+        replay: impl FnOnce(InspectArrays<'_>) -> Option<Vec<IterationAccess>>,
     ) -> Option<(Arc<LevelSchedule>, ScheduleSource)> {
-        let (fact, n) = (gated.fact, values.len());
+        let fact = gated.fact;
         let lock = || {
             let cache = as_cache(&self.cache);
             cache.map.lock().unwrap_or_else(|e| e.into_inner())
@@ -480,7 +480,7 @@ impl<'r> LevelSets<'r> {
                 if stale.is_some() {
                     SCHEDULE_KEY_MISMATCHES.fetch_add(1, Ordering::Relaxed);
                 }
-                let schedule = Arc::new(inspect_schedule(fact, spine, body, values)?);
+                let schedule = Arc::new(inspect_schedule(fact, spine, replay)?);
                 entries.insert(id, key, Arc::clone(&schedule), check);
                 (schedule, ScheduleSource::Inspected)
             }

@@ -197,8 +197,9 @@ fn session_cache_makes_compilation_once_per_program_per_process() {
 fn threaded_engine_lowers_once_per_artifact_and_level() {
     // The bytecode stream is lowered into its threaded handler chain at
     // most once per (artifacts, opt level, store kind), whichever row
-    // asks: the `bytecode` row's proof regions lower the worker chain at
-    // both levels, the `threaded` row's spine adds the spine chain and
+    // asks: the `compiled` row's proof regions lower the worker chain at
+    // its one level (O1), the `bytecode` row's add it at O0, the
+    // `threaded` row's spine adds the spine chain at both levels and
     // reuses the worker one, and the `wavefront` row's level-set strategy
     // for the carried outer loop adds the inspection chain at both levels
     // (resolved with the loop's body, whether or not the schedule cache
@@ -213,7 +214,13 @@ fn threaded_engine_lowers_once_per_artifact_and_level() {
     let before = lowerings();
     let mut heaps = Vec::new();
     for round in 0..3 {
-        for (row, first_round) in [("bytecode", 2), ("threaded", 2), ("wavefront", 2)] {
+        let rows = [
+            ("compiled", 1),
+            ("bytecode", 1),
+            ("threaded", 2),
+            ("wavefront", 2),
+        ];
+        for (row, first_round) in rows {
             let engine = registry.get(row).unwrap();
             let at_start = lowerings();
             for &level in engine.caps().opt_levels {

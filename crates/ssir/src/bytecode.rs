@@ -1141,15 +1141,6 @@ mod tests {
     }
 
     #[test]
-    fn compilation_counter_increments_once_per_compile() {
-        let program = parse_program("t", "x = 1;").unwrap();
-        let compiled = compile_program(&program);
-        let before = bytecode_compilation_count();
-        let _ = compile_bytecode(&compiled);
-        assert_eq!(bytecode_compilation_count(), before + 1);
-    }
-
-    #[test]
     fn disassembly_names_scalars_and_lists_constants() {
         let p = bc("x = 5; for (i = 0; i < 3; i++) { out[i] = x; }");
         let d = p.disassemble();
