@@ -744,25 +744,12 @@ mod tests {
         );
         // The O1 stream fused the subscripted-subscript load, so it is
         // strictly shorter than O0 here.
-        fn count(code: &[ss_ir::Instr]) -> usize {
-            code.iter()
-                .map(|i| match i {
-                    ss_ir::Instr::For(f) => {
-                        1 + count(&f.init.code)
-                            + count(&f.bound.code)
-                            + count(&f.step.code)
-                            + count(&f.body)
-                    }
-                    _ => 1,
-                })
-                .sum()
-        }
-        assert!(count(&art.optimized.main) <= count(&art.bytecode.main));
+        assert!(art.optimized.instr_count() <= art.bytecode.instr_count());
         // A temp-consumed subscripted subscript does fuse and shrink.
         let fused =
             Artifacts::compile_source("gather", "for (i = 0; i < n; i++) { out[i] = a[b[i]]; }")
                 .unwrap();
-        assert!(count(&fused.optimized.main) < count(&fused.bytecode.main));
+        assert!(fused.optimized.instr_count() < fused.bytecode.instr_count());
         assert_eq!(art.bytecode_at(OptLevel::O0).main, art.bytecode.main);
         assert_eq!(art.bytecode_at(OptLevel::O1).main, art.optimized.main);
         let summary = art.stage_summary();

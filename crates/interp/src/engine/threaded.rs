@@ -15,8 +15,9 @@
 //! Beyond dispatch, the lowering exploits facts the O1 pass already
 //! proves:
 //!
-//! * **Constant fusion** — a `Const` into a temp consumed exactly once by
-//!   the next instruction folds into an immediate form of the consumer
+//! * **Constant fusion** — a `Const` into a temp that the next instruction
+//!   reads and that is dead after its consumer (the optimizer's
+//!   [`Liveness`] answers) folds into an immediate form of the consumer
 //!   (`x + 1`, `i < n`-style compares against literals, `sum += 1`), so
 //!   the pair costs one dispatch instead of two and no register traffic.
 //! * **Counted loops** — when a `for` header is register- or
@@ -63,12 +64,14 @@ use super::wavefront::InspectKind;
 use super::{ExecEnvTiming, ExecError, ExecMode, ExecOptions, ExecOutcome, ExecStats};
 use crate::heap::Heap;
 use ss_ir::ast::{AssignOp, BinOp};
-use ss_ir::bytecode::{BcExpr, BcFor, BytecodeProgram, HeaderFast, Instr, Reg};
-use ss_ir::opt::OptLevel;
+use ss_ir::bytecode::{
+    jump_targets, reg_writes, BcExpr, BcFor, BytecodeProgram, HeaderFast, Instr, Reg,
+};
+use ss_ir::opt::{Liveness, OptLevel};
 use ss_ir::slots::ArraySlot;
 use ss_ir::LoopId;
 use ss_parallelizer::{Artifacts, EngineArtifact, ExtArtifacts};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -851,7 +854,6 @@ enum PatchField {
 
 struct Lower<'b, K: StoreKind> {
     bc: &'b BytecodeProgram,
-    nscalars: u32,
     loops: Vec<ThLoop<K>>,
     while_ids: Vec<LoopId>,
 }
@@ -870,118 +872,10 @@ fn push<K: StoreKind>(out: &mut Vec<ThOp<K>>, run: Handler<K>) -> &mut ThOp<K> {
     out.last_mut().expect("just pushed")
 }
 
-/// Instruction indices that are branch targets (plus the end index).
-fn jump_targets(code: &[Instr]) -> Vec<bool> {
-    let mut t = vec![false; code.len() + 1];
-    for i in code {
-        match i {
-            Instr::Jz { target, .. }
-            | Instr::Jnz { target, .. }
-            | Instr::Jump { target }
-            | Instr::CmpBranch { target, .. } => t[*target as usize] = true,
-            _ => {}
-        }
-    }
-    t
-}
-
-/// Per-register read counts within one block (`For` headers and bodies
-/// are separate blocks with their own temps, so they contribute
-/// nothing): constant fusion requires the temp to have exactly one
-/// reader.
-fn read_counts(code: &[Instr]) -> HashMap<u32, u32> {
-    fn bump(n: &mut HashMap<u32, u32>, r: Reg) {
-        *n.entry(r.0).or_insert(0) += 1;
-    }
-    let mut n = HashMap::new();
-    for i in code {
-        match i {
-            Instr::Copy { src, .. } | Instr::Neg { src, .. } | Instr::Not { src, .. } => {
-                bump(&mut n, *src);
-            }
-            Instr::Bin { a, b, .. } => {
-                bump(&mut n, *a);
-                bump(&mut n, *b);
-            }
-            Instr::Accum { dst, src, .. } => {
-                bump(&mut n, *dst);
-                bump(&mut n, *src);
-            }
-            Instr::Load { idx, rank, .. } => {
-                for k in 0..*rank as u32 {
-                    bump(&mut n, Reg(idx.0 + k));
-                }
-            }
-            Instr::Store { idx, rank, src, .. } => {
-                for k in 0..*rank as u32 {
-                    bump(&mut n, Reg(idx.0 + k));
-                }
-                bump(&mut n, *src);
-            }
-            Instr::DeclArray { dims, rank, .. } => {
-                for k in 0..*rank as u32 {
-                    bump(&mut n, Reg(dims.0 + k));
-                }
-            }
-            Instr::Jz { cond, .. } | Instr::Jnz { cond, .. } => bump(&mut n, *cond),
-            Instr::LoadLoad { idx, .. } => bump(&mut n, *idx),
-            Instr::CmpBranch { a, b, .. } => {
-                bump(&mut n, *a);
-                bump(&mut n, *b);
-            }
-            Instr::Load2 { i0, i1, .. } => {
-                bump(&mut n, *i0);
-                bump(&mut n, *i1);
-            }
-            Instr::Store2 { i0, i1, src, .. } => {
-                bump(&mut n, *i0);
-                bump(&mut n, *i1);
-                bump(&mut n, *src);
-            }
-            Instr::Const { .. }
-            | Instr::Jump { .. }
-            | Instr::For(_)
-            | Instr::WhileEnter { .. }
-            | Instr::WhileIter { .. }
-            | Instr::WhileExit { .. } => {}
-        }
-    }
-    n
-}
-
-/// Every register any instruction in `code` writes, recursing through
-/// nested loops (headers, induction variables and bodies): the safety
-/// set for the counted-loop upgrade.
-fn collect_writes(code: &[Instr], out: &mut HashSet<u32>) {
-    for i in code {
-        match i {
-            Instr::Const { dst, .. }
-            | Instr::Copy { dst, .. }
-            | Instr::Bin { dst, .. }
-            | Instr::Accum { dst, .. }
-            | Instr::Neg { dst, .. }
-            | Instr::Not { dst, .. }
-            | Instr::Load { dst, .. }
-            | Instr::LoadLoad { dst, .. }
-            | Instr::Load2 { dst, .. } => {
-                out.insert(dst.0);
-            }
-            Instr::For(f) => {
-                out.insert(f.var.0);
-                collect_writes(&f.init.code, out);
-                collect_writes(&f.bound.code, out);
-                collect_writes(&f.step.code, out);
-                collect_writes(&f.body, out);
-            }
-            _ => {}
-        }
-    }
-}
-
 impl<K: StoreKind> Lower<'_, K> {
     fn lower_block(&mut self, code: &[Instr], result: Option<Reg>) -> ThBlock<K> {
         let targets = jump_targets(code);
-        let reads = read_counts(code);
+        let live = Liveness::compute(code, self.bc.slots.scalar_count(), self.bc.nregs, result);
         let mut out: Vec<ThOp<K>> = Vec::with_capacity(code.len());
         let mut map = vec![0u32; code.len() + 1];
         let mut patches: Vec<(usize, u32, PatchField)> = Vec::new();
@@ -990,15 +884,10 @@ impl<K: StoreKind> Lower<'_, K> {
             let pos = out.len() as u32;
             map[i] = pos;
             if let Instr::Const { dst: t, pool } = &code[i] {
-                // Constant fusion: a temp constant with exactly one
-                // reader directly below it (and no branch landing
-                // between the two) becomes the consumer's immediate.
-                if t.0 >= self.nscalars
-                    && reads.get(&t.0).copied() == Some(1)
-                    && result != Some(*t)
-                    && i + 1 < code.len()
-                    && !targets[i + 1]
-                {
+                // Constant fusion: a temp constant directly above its
+                // consumer (no branch landing between the two) and dead
+                // after it becomes the consumer's immediate.
+                if i + 1 < code.len() && !targets[i + 1] && live.dead_after(code, i + 1, *t) {
                     let imm = self.bc.consts[*pool as usize];
                     if try_fuse(&code[i + 1], *t, imm, &mut out, &mut patches) {
                         map[i + 1] = pos;
@@ -1183,7 +1072,7 @@ impl<K: StoreKind> Lower<'_, K> {
         let step = self.lower_header(&f.step, f.step_fast);
         let body = self.lower_block(&f.body, None);
         let mut writes = HashSet::new();
-        collect_writes(&f.body, &mut writes);
+        reg_writes(&f.body, &mut writes);
         let inv = |r: u32| !writes.contains(&r) && r != f.var.0;
         let step_ok = match &step {
             ThHeader::Imm(_) => true,
@@ -1216,31 +1105,24 @@ impl<K: StoreKind> Lower<'_, K> {
     }
 
     fn lower_header(&mut self, e: &BcExpr, fast: HeaderFast) -> ThHeader<K> {
+        // O0 streams carry no fast facts: the optimizer's header-shape rule
+        // recovers the two trivial shapes for them.
+        let fast = match fast {
+            HeaderFast::Eval => e.shape_fast(&self.bc.consts),
+            other => other,
+        };
         match fast {
             HeaderFast::Const(v) => ThHeader::Imm(v),
             HeaderFast::Reg(r) => ThHeader::Reg(r.0),
             HeaderFast::EvalOnce => ThHeader::Once(self.lower_block(&e.code, Some(e.result))),
-            HeaderFast::Eval => {
-                // O0 streams carry no fast facts; recover the two trivial
-                // shapes (header blocks only write temps, so skipping the
-                // block is unobservable and yields the same value).
-                if e.code.is_empty() {
-                    return ThHeader::Reg(e.result.0);
-                }
-                if let [Instr::Const { dst, pool }] = e.code.as_slice() {
-                    if *dst == e.result {
-                        return ThHeader::Imm(self.bc.consts[*pool as usize]);
-                    }
-                }
-                ThHeader::Every(self.lower_block(&e.code, Some(e.result)))
-            }
+            HeaderFast::Eval => ThHeader::Every(self.lower_block(&e.code, Some(e.result))),
         }
     }
 }
 
-/// Emits the fused immediate form of `next` when it is a fusable
-/// single-reader consumer of the constant in `t`; returns `false` to fall
-/// back to plain emission.
+/// Emits the fused immediate form of `next` when it is a fusable consumer
+/// reading the constant in `t` through exactly one operand; returns
+/// `false` to fall back to plain emission.
 fn try_fuse<K: StoreKind>(
     next: &Instr,
     t: Reg,
@@ -1305,7 +1187,6 @@ fn lower<K: StoreKind>(bc: &BytecodeProgram) -> ThProgram<K> {
     THREADED_LOWERINGS.fetch_add(1, Ordering::Relaxed);
     let mut lw = Lower {
         bc,
-        nscalars: bc.slots.scalar_count() as u32,
         loops: Vec::new(),
         while_ids: Vec::new(),
     };
@@ -1455,6 +1336,28 @@ mod tests {
             OptLevel::O1,
         );
         assert_eq!(bc, th);
+    }
+
+    #[test]
+    fn both_subscript_constants_of_a_prefix_sum_fuse_at_either_level() {
+        // Each `i - 1` is a constant temp read once by the subtraction and
+        // dead after it, so both lower to immediate forms: no standalone
+        // constant op is left in the loop body.
+        let art = artifacts("for (i = 1; i < n; i++) { s[i] = s[i-1] + t[i-1]; }");
+        for level in [OptLevel::O0, OptLevel::O1] {
+            let bc = art.bytecode_at(level);
+            let Some(Instr::For(f)) = bc.main.iter().find(|i| matches!(i, Instr::For(_))) else {
+                panic!("the prefix sum is a structured loop");
+            };
+            let prog = lower::<SpineKind>(bc);
+            let body = &prog.loops[0].body.ops;
+            let th_const: Handler<SpineKind> = th_const::<SpineKind>;
+            assert!(
+                !body.iter().any(|op| std::ptr::fn_addr_eq(op.run, th_const)),
+                "a constant stayed a separate op at {level}"
+            );
+            assert_eq!(body.len(), f.body.len() - 2, "two fusions at {level}");
+        }
     }
 
     #[test]

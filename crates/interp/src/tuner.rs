@@ -47,7 +47,7 @@ use crate::engine::{EngineRegistry, ExecOptions, ScheduleChoice};
 use crate::error::SsError;
 use crate::heap::Heap;
 use crate::matrix;
-use ss_ir::bytecode::{BcFor, Instr};
+use ss_ir::bytecode::{walk, Instr};
 use ss_ir::opt::OptLevel;
 use ss_parallelizer::{Artifacts, EngineArtifact};
 use std::collections::HashMap;
@@ -326,20 +326,13 @@ struct KernelFacts {
     parallel: bool,
 }
 
-fn collect_fors<'a>(code: &'a [Instr], out: &mut Vec<&'a BcFor>) {
-    for i in code {
-        if let Instr::For(f) = i {
-            out.push(f);
-            collect_fors(&f.body, out);
-        }
-    }
-}
-
 fn kernel_facts(artifacts: &Artifacts) -> KernelFacts {
-    let mut fors = Vec::new();
-    collect_fors(&artifacts.bytecode_at(OptLevel::O1).main, &mut fors);
+    let mut skewed = false;
+    walk(&artifacts.bytecode_at(OptLevel::O1).main, &mut |i| {
+        skewed |= matches!(i, Instr::For(f) if f.skewed);
+    });
     KernelFacts {
-        skewed: fors.iter().any(|f| f.skewed),
+        skewed,
         wavefront: artifacts.report.loops.iter().any(|l| l.wavefront.is_some()),
         parallel: !artifacts.report.outermost_parallel_loops().is_empty(),
     }

@@ -2,8 +2,8 @@
 //!
 //! Programs are flat statement sequences (the paper's figures are bare loop
 //! nests, not whole translation units).  Every loop carries a unique
-//! [`LoopId`] assigned by the parser / builder; analysis results are keyed by
-//! those ids.
+//! [`LoopId`] assigned by the parser; analysis results are keyed by those
+//! ids.
 
 use std::fmt;
 
@@ -49,14 +49,6 @@ pub enum BinOp {
 }
 
 impl BinOp {
-    /// True for arithmetic operators (result is an integer value).
-    pub fn is_arithmetic(&self) -> bool {
-        matches!(
-            self,
-            BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod
-        )
-    }
-
     /// True for comparison operators.
     pub fn is_comparison(&self) -> bool {
         matches!(
@@ -517,7 +509,6 @@ mod tests {
 
     #[test]
     fn binop_classification() {
-        assert!(BinOp::Add.is_arithmetic());
         assert!(!BinOp::Add.is_comparison());
         assert!(BinOp::Le.is_comparison());
         assert_eq!(BinOp::Mod.as_str(), "%");

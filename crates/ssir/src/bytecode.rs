@@ -35,13 +35,20 @@
 //! [`bytecode_compilation_count`] mirrors [`crate::slots::compilation_count`]
 //! so tests can assert no executor recompiles per loop entry.
 //!
+//! This module is also the one place that knows an instruction's operands:
+//! [`Instr::reads`], [`Instr::write`], [`Instr::target`], a loop's
+//! [`BcFor::blocks`], the recursive [`walk`], [`jump_targets`],
+//! [`reg_writes`] and the header-shape rule [`BcExpr::shape_fast`].  The
+//! optimizer, the threaded lowering and the tuner walk the stream through
+//! them rather than matching on every variant themselves.
+//!
 //! [`BytecodeProgram::disassemble`] renders the whole stream as a readable
 //! listing (scalar registers shown by name), which the golden snapshot
 //! tests diff so instruction-selection regressions are visible in review.
 
 use crate::ast::{AssignOp, BinOp, LoopId, UnOp};
 use crate::slots::{ArraySlot, CExpr, CompiledBody, CompiledFor, CompiledProgram, Op, SlotMap};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A virtual register.  Registers `0..scalar_count` alias the scalar slots
@@ -325,6 +332,176 @@ pub struct BytecodeProgram {
     pub slots: SlotMap,
 }
 
+// ---------------------------------------------------------------------------
+// Operands: the one walker.
+// ---------------------------------------------------------------------------
+
+impl Instr {
+    /// Calls `f` on every register the instruction reads, in operand order
+    /// (a subscript or extent run reports each of its registers).  A
+    /// structured loop reads nothing here: its header blocks and body are
+    /// blocks of their own (see [`BcFor::blocks`]).
+    pub fn reads(&self, mut f: impl FnMut(Reg)) {
+        let run = |first: Reg, rank: u8| (0..rank as u32).map(move |k| Reg(first.0 + k));
+        match self {
+            Instr::Const { .. }
+            | Instr::Jump { .. }
+            | Instr::For(_)
+            | Instr::WhileEnter { .. }
+            | Instr::WhileIter { .. }
+            | Instr::WhileExit { .. } => {}
+            Instr::Copy { src, .. } | Instr::Neg { src, .. } | Instr::Not { src, .. } => f(*src),
+            Instr::Bin { a, b, .. } | Instr::CmpBranch { a, b, .. } => {
+                f(*a);
+                f(*b);
+            }
+            Instr::Accum { dst, src, .. } => {
+                f(*dst);
+                f(*src);
+            }
+            Instr::Load { idx, rank, .. } => run(*idx, *rank).for_each(f),
+            Instr::Store { idx, rank, src, .. } => {
+                run(*idx, *rank).for_each(&mut f);
+                f(*src);
+            }
+            Instr::DeclArray { dims, rank, .. } => run(*dims, *rank).for_each(f),
+            Instr::Jz { cond, .. } | Instr::Jnz { cond, .. } => f(*cond),
+            Instr::LoadLoad { idx, .. } => f(*idx),
+            Instr::Load2 { i0, i1, .. } => {
+                f(*i0);
+                f(*i1);
+            }
+            Instr::Store2 { i0, i1, src, .. } => {
+                f(*i0);
+                f(*i1);
+                f(*src);
+            }
+        }
+    }
+
+    /// The register the instruction writes, if any.  A structured loop's
+    /// writes live in its blocks (see [`reg_writes`]).
+    pub fn write(&self) -> Option<Reg> {
+        match self {
+            Instr::Const { dst, .. }
+            | Instr::Copy { dst, .. }
+            | Instr::Bin { dst, .. }
+            | Instr::Accum { dst, .. }
+            | Instr::Neg { dst, .. }
+            | Instr::Not { dst, .. }
+            | Instr::Load { dst, .. }
+            | Instr::LoadLoad { dst, .. }
+            | Instr::Load2 { dst, .. } => Some(*dst),
+            _ => None,
+        }
+    }
+
+    /// The absolute jump target of a branch, if the instruction is one.
+    pub fn target(&self) -> Option<u32> {
+        match self {
+            Instr::Jz { target, .. }
+            | Instr::Jnz { target, .. }
+            | Instr::Jump { target }
+            | Instr::CmpBranch { target, .. } => Some(*target),
+            _ => None,
+        }
+    }
+
+    /// [`Instr::target`], for rewriting it.
+    pub fn target_mut(&mut self) -> Option<&mut u32> {
+        match self {
+            Instr::Jz { target, .. }
+            | Instr::Jnz { target, .. }
+            | Instr::Jump { target }
+            | Instr::CmpBranch { target, .. } => Some(target),
+            _ => None,
+        }
+    }
+}
+
+impl BcFor {
+    /// The loop's four blocks: init, bound, step and body.
+    pub fn blocks(&self) -> [&[Instr]; 4] {
+        [
+            &self.init.code,
+            &self.bound.code,
+            &self.step.code,
+            &self.body,
+        ]
+    }
+
+    /// [`BcFor::blocks`], for rewriting them.
+    pub fn blocks_mut(&mut self) -> [&mut Vec<Instr>; 4] {
+        [
+            &mut self.init.code,
+            &mut self.bound.code,
+            &mut self.step.code,
+            &mut self.body,
+        ]
+    }
+}
+
+impl BcExpr {
+    /// The header fast path the block's shape alone licenses: an empty
+    /// block is a read of its result register, a single constant load into
+    /// the result is that constant, anything else is [`HeaderFast::Eval`].
+    /// Both trivial shapes are side-effect- and error-free, so skipping the
+    /// block is unobservable.
+    pub fn shape_fast(&self, consts: &[i64]) -> HeaderFast {
+        match self.code.as_slice() {
+            [] => HeaderFast::Reg(self.result),
+            [Instr::Const { dst, pool }] if *dst == self.result => {
+                HeaderFast::Const(consts[*pool as usize])
+            }
+            _ => HeaderFast::Eval,
+        }
+    }
+}
+
+/// Calls `f` on every instruction of `code`, descending into each
+/// structured loop's blocks right after the loop itself.
+pub fn walk<'a>(code: &'a [Instr], f: &mut impl FnMut(&'a Instr)) {
+    for i in code {
+        f(i);
+        if let Instr::For(l) = i {
+            l.blocks().into_iter().for_each(|b| walk(b, f));
+        }
+    }
+}
+
+/// [`walk`], for rewriting the instructions in place.
+pub fn walk_mut(code: &mut [Instr], f: &mut impl FnMut(&mut Instr)) {
+    for i in code {
+        f(i);
+        if let Instr::For(l) = i {
+            l.blocks_mut().into_iter().for_each(|b| walk_mut(b, f));
+        }
+    }
+}
+
+/// Which instruction indices of one block are jump targets (index `len` is
+/// the block end).
+pub fn jump_targets(code: &[Instr]) -> Vec<bool> {
+    let mut t = vec![false; code.len() + 1];
+    for target in code.iter().filter_map(Instr::target) {
+        t[target as usize] = true;
+    }
+    t
+}
+
+/// Adds every register written anywhere in `code` to `out`, through
+/// structured loops (their index variables and header blocks included).
+pub fn reg_writes(code: &[Instr], out: &mut HashSet<u32>) {
+    walk(code, &mut |i| {
+        if let Some(d) = i.write() {
+            out.insert(d.0);
+        }
+        if let Instr::For(f) = i {
+            out.insert(f.var.0);
+        }
+    });
+}
+
 static BYTECODE_COMPILATIONS: AtomicU64 = AtomicU64::new(0);
 
 /// Process-wide count of [`compile_bytecode`] invocations (the bytecode
@@ -405,13 +582,7 @@ fn compile_body(body: &CompiledBody, cx: &mut Cx) -> Vec<Instr> {
     }
     op_starts[body.ops.len()] = code.len() as u32;
     for (at, op_target) in patches {
-        let t = op_starts[op_target];
-        match &mut code[at] {
-            Instr::Jz { target, .. } | Instr::Jnz { target, .. } | Instr::Jump { target } => {
-                *target = t;
-            }
-            other => unreachable!("patching a non-jump instruction {other:?}"),
-        }
+        patch_jump(&mut code, at, op_starts[op_target]);
     }
     code
 }
@@ -510,10 +681,7 @@ fn compile_op(op: &Op, cx: &mut Cx, code: &mut Vec<Instr>, patches: &mut Vec<(us
             append_rebased(code, body_code);
             code.push(Instr::Jump { target: head });
             let exit = code.len() as u32;
-            match &mut code[jz_at] {
-                Instr::Jz { target, .. } => *target = exit,
-                _ => unreachable!(),
-            }
+            patch_jump(code, jz_at, exit);
             code.push(Instr::WhileExit { id: *id });
         }
     }
@@ -524,11 +692,8 @@ fn compile_op(op: &Op, cx: &mut Cx, code: &mut Vec<Instr>, patches: &mut Vec<(us
 fn append_rebased(code: &mut Vec<Instr>, block: Vec<Instr>) {
     let base = code.len() as u32;
     for mut i in block {
-        match &mut i {
-            Instr::Jz { target, .. } | Instr::Jnz { target, .. } | Instr::Jump { target } => {
-                *target += base;
-            }
-            _ => {}
+        if let Some(target) = i.target_mut() {
+            *target += base;
         }
         code.push(i);
     }
@@ -688,39 +853,20 @@ fn compile_expr_to(e: &CExpr, dst: Reg, cx: &mut Cx, code: &mut Vec<Instr>) {
 }
 
 fn patch_jump(code: &mut [Instr], at: usize, to: u32) {
-    match &mut code[at] {
-        Instr::Jz { target, .. } | Instr::Jnz { target, .. } | Instr::Jump { target } => {
-            *target = to;
-        }
-        other => unreachable!("patching a non-jump instruction {other:?}"),
-    }
+    *code[at].target_mut().expect("patching a jump") = to;
 }
 
 // ---------------------------------------------------------------------------
 // Disassembly.
 // ---------------------------------------------------------------------------
 
-/// Recursively counts instructions, descending into [`Instr::For`] bodies
-/// and loop-header expression blocks.
-fn count_instrs(code: &[Instr]) -> usize {
-    code.iter()
-        .map(|i| match i {
-            Instr::For(f) => {
-                1 + count_instrs(&f.init.code)
-                    + count_instrs(&f.bound.code)
-                    + count_instrs(&f.step.code)
-                    + count_instrs(&f.body)
-            }
-            _ => 1,
-        })
-        .sum()
-}
-
 impl BytecodeProgram {
     /// Total instruction count, nested loop bodies and header expression
     /// blocks included.
     pub fn instr_count(&self) -> usize {
-        count_instrs(&self.main)
+        let mut n = 0;
+        walk(&self.main, &mut |_| n += 1);
+        n
     }
 
     /// Approximate in-memory footprint: instructions (nested included),
@@ -789,7 +935,7 @@ fn disasm_block(code: &[Instr], p: &BytecodeProgram, depth: usize, out: &mut Str
                     "{pad}{pc:04}  for      L{} {} {} {} (step …){}{}{}\n",
                     f.id.0,
                     p.reg_name(f.var),
-                    op_symbol(f.cond_op),
+                    f.cond_op.as_str(),
                     p.reg_name(f.bound.result),
                     if f.skewed { " [skewed]" } else { "" },
                     if f.locals_dominated && !f.local_arrays.is_empty() {
@@ -838,24 +984,6 @@ fn disasm_block(code: &[Instr], p: &BytecodeProgram, depth: usize, out: &mut Str
     }
 }
 
-fn op_symbol(op: BinOp) -> &'static str {
-    match op {
-        BinOp::Add => "+",
-        BinOp::Sub => "-",
-        BinOp::Mul => "*",
-        BinOp::Div => "/",
-        BinOp::Mod => "%",
-        BinOp::Lt => "<",
-        BinOp::Le => "<=",
-        BinOp::Gt => ">",
-        BinOp::Ge => ">=",
-        BinOp::Eq => "==",
-        BinOp::Ne => "!=",
-        BinOp::And => "&&",
-        BinOp::Or => "||",
-    }
-}
-
 fn assign_symbol(op: AssignOp) -> &'static str {
     match op {
         AssignOp::Assign => "=",
@@ -880,7 +1008,7 @@ fn disasm_instr(i: &Instr, p: &BytecodeProgram) -> String {
             "bin      {} <- {} {} {}",
             p.reg_name(*dst),
             p.reg_name(*a),
-            op_symbol(*op),
+            op.as_str(),
             p.reg_name(*b)
         ),
         Instr::Accum { op, dst, src } => format!(
@@ -945,7 +1073,7 @@ fn disasm_instr(i: &Instr, p: &BytecodeProgram) -> String {
         } => format!(
             "cmpbr    {} {} {} -> {:04} (on {})",
             p.reg_name(*a),
-            op_symbol(*op),
+            op.as_str(),
             p.reg_name(*b),
             target,
             if *jump_if { "true" } else { "false" }

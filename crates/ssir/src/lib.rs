@@ -5,22 +5,24 @@
 //! fills the index arrays:
 //!
 //! * [`lexer`] / [`parser`] — source text → [`ast::Program`];
-//! * [`builder`] — programmatic construction with the same loop-id scheme;
 //! * [`printer`] — back to C source, optionally with `#pragma omp parallel
 //!   for` annotations added by the parallelizer;
-//! * [`loops`] — normalized loop descriptions and the loop tree (inside-out
-//!   traversal order of the paper's algorithm);
+//! * [`loops`] — normalized loop descriptions and the loop tree;
 //! * [`visit`] — array access collection with guard conditions;
 //! * [`convert`] — lowering of AST arithmetic to [`ss_symbolic::Expr`];
 //! * [`slots`] — name interning and compilation to flat, slot-addressed op
 //!   sequences (what the `ss-interp` compiled engines execute);
 //! * [`bytecode`] — a second lowering from slot-resolved ops to a flat
 //!   register-machine instruction stream (what the `ss-interp` bytecode
-//!   engines, the default, execute);
+//!   engines, the default, execute), and the one operand walker every
+//!   pass over that stream uses;
 //! * [`opt`] — the optimizing bytecode pass behind `--opt-level`: constant
 //!   folding, superinstruction fusion (fused subscripted-subscript loads,
 //!   compare-and-branch, copy-free rank-2 accesses) and dead-store
 //!   elimination, all semantics-preserving (O0 ≡ O1 bit-identical heaps).
+//!   It keeps the base compiler's temporary numbering (there is no
+//!   register packer), and its `Liveness` answers "is this temporary dead
+//!   after `pc`" for the whole tier.
 //!
 //! ```
 //! use ss_ir::parser::parse_program;
@@ -38,7 +40,6 @@
 //! ```
 
 pub mod ast;
-pub mod builder;
 pub mod bytecode;
 pub mod convert;
 pub mod errors;
@@ -52,7 +53,6 @@ pub mod token;
 pub mod visit;
 
 pub use ast::{AExpr, AssignOp, BinOp, LValue, LoopId, Program, Stmt, UnOp};
-pub use builder::ProgramBuilder;
 pub use bytecode::{compile_bytecode, BcExpr, BcFor, BytecodeProgram, HeaderFast, Instr, Reg};
 pub use errors::{IrError, Result};
 pub use loops::{LoopInfo, LoopTree};

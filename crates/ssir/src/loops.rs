@@ -92,27 +92,6 @@ impl LoopTree {
     pub fn outermost(&self) -> Vec<&LoopInfo> {
         self.loops.iter().filter(|l| l.parent.is_none()).collect()
     }
-
-    /// Loops ordered innermost-first (deepest nesting level first), which is
-    /// the traversal order of the paper's algorithm ("analyzing the loops in
-    /// each nest from inside out").
-    pub fn inside_out(&self) -> Vec<&LoopInfo> {
-        let mut ordered: Vec<&LoopInfo> = self.loops.iter().collect();
-        ordered.sort_by(|a, b| b.depth.cmp(&a.depth).then(a.id.cmp(&b.id)));
-        ordered
-    }
-
-    /// The chain of loops enclosing (and including) `id`, outermost first.
-    pub fn enclosing_chain(&self, id: LoopId) -> Vec<&LoopInfo> {
-        let mut chain = Vec::new();
-        let mut cur = self.get(id);
-        while let Some(info) = cur {
-            chain.push(info);
-            cur = info.parent.and_then(|p| self.get(p));
-        }
-        chain.reverse();
-        chain
-    }
 }
 
 fn collect(stmts: &[Stmt], depth: usize, parent: Option<LoopId>, out: &mut Vec<LoopInfo>) {
@@ -252,20 +231,6 @@ mod tests {
     }
 
     #[test]
-    fn inside_out_order() {
-        let t = tree(
-            r#"
-            for (i = 0; i < n; i++) {
-                for (j = 0; j < m; j++) { a[j] = 0; }
-            }
-            for (k = 0; k < p; k++) { b[k] = 0; }
-        "#,
-        );
-        let order: Vec<u32> = t.inside_out().iter().map(|l| l.id.0).collect();
-        assert_eq!(order, vec![1, 0, 2]);
-    }
-
-    #[test]
     fn le_bound_and_strided_step() {
         let t = tree("for (i = 1; i <= ROWLEN; i++) { rowptr[i] = 0; }");
         let l = t.get(LoopId(0)).unwrap();
@@ -306,9 +271,7 @@ mod tests {
         assert_eq!(t.loops.len(), 3);
         assert_eq!(t.get(LoopId(1)).unwrap().parent, Some(LoopId(0)));
         assert_eq!(t.get(LoopId(2)).unwrap().parent, Some(LoopId(0)));
-        let chain = t.enclosing_chain(LoopId(2));
-        assert_eq!(chain.len(), 2);
-        assert_eq!(chain[0].id, LoopId(0));
+        assert_eq!(t.children(LoopId(0)).len(), 2);
     }
 
     #[test]

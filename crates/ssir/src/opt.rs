@@ -10,9 +10,9 @@
 //! * **constant folding** — a per-block constant lattice (reset at every
 //!   jump target, and after structured loops) turns `Const`-fed `Copy`,
 //!   `Bin`, `Neg` and `Not` instructions into pool loads.  Arithmetic folds
-//!   go through [`ss_symbolic`]'s checked evaluator, whose overflow and
-//!   division-by-zero *errors* simply veto the fold — the instruction stays
-//!   and fails (or wraps) at runtime exactly like the unoptimized stream;
+//!   use `i64`'s checked operations, whose overflow and division-by-zero
+//!   `None` simply vetoes the fold — the instruction stays and fails (or
+//!   wraps) at runtime exactly like the unoptimized stream;
 //! * **superinstruction fusion** — three shapes the interpreter otherwise
 //!   pays one dispatch each for:
 //!   [`Instr::LoadLoad`] (`a[b[i]]`, the paper's subscripted subscript, as
@@ -35,9 +35,19 @@
 //! an old-index → new-index table; a fusion never consumes an instruction
 //! that is itself a jump target.  A final pass compacts the constant pool
 //! to the surviving `Const` loads.
+//!
+//! The pass never renumbers registers: it keeps the base compiler's
+//! temporary numbering and register count (there is no register packer),
+//! so no temporary is reused for a second subexpression of a statement.  It
+//! learns operands through the walker in [`crate::bytecode`], and its
+//! [`Liveness`] is the tier's one answer to "is this temporary dead after
+//! `pc`" — the threaded lowering asks it too.
 
 use crate::ast::BinOp;
-use crate::bytecode::{BcExpr, BcFor, BytecodeProgram, HeaderFast, Instr, Reg};
+use crate::bytecode::{
+    jump_targets, reg_writes, walk, walk_mut, BcExpr, BcFor, BytecodeProgram, HeaderFast, Instr,
+    Reg,
+};
 use std::collections::{HashMap, HashSet};
 
 /// How much optimization the pipeline's `opt` stage applies.
@@ -94,7 +104,6 @@ pub fn optimize(bc: &BytecodeProgram, level: OptLevel) -> BytecodeProgram {
         slots: bc.slots.clone(),
     };
     compact_pool(&mut out);
-    pack_registers(&mut out);
     out
 }
 
@@ -105,12 +114,14 @@ struct Optimizer {
     nregs: usize,
 }
 
-/// Per-instruction liveness of the *temporary* registers (scalar registers
-/// are always observable and never touched by DSE or fusion).  Computed by
-/// a backward fixpoint over the block's instruction-level control flow, so
-/// a temporary consumed on a jump path counts as live at the jump — no
-/// reliance on the compiler's def-before-use convention.
-struct Liveness {
+/// Per-instruction liveness of the *temporary* registers of one block
+/// (scalar registers are always observable and never dead).  Computed by a
+/// backward fixpoint over the block's instruction-level control flow, so a
+/// temporary consumed on a jump path counts as live at the jump — no
+/// reliance on the compiler's def-before-use convention.  The optimizer's
+/// fusion and dead-store elimination and the threaded lowering's constant
+/// fusion all ask it.
+pub struct Liveness {
     nscalars: u32,
     words: usize,
     /// `live_in[pc]`; index `len` is the block exit (holding the protected
@@ -119,7 +130,15 @@ struct Liveness {
 }
 
 impl Liveness {
-    fn compute(code: &[Instr], nscalars: usize, nregs: usize, protected: Option<Reg>) -> Liveness {
+    /// Liveness of `code`, a block of a stream with `nscalars` scalar
+    /// registers and `nregs` registers in all.  `protected` is the block's
+    /// result register (for header blocks): it counts as live at block exit.
+    pub fn compute(
+        code: &[Instr],
+        nscalars: usize,
+        nregs: usize,
+        protected: Option<Reg>,
+    ) -> Liveness {
         let ntemps = nregs.saturating_sub(nscalars).max(1);
         let words = ntemps.div_ceil(64);
         let n = code.len();
@@ -133,16 +152,13 @@ impl Liveness {
                 lv.live_in[n * words + w] |= bit;
             }
         }
-        let mut reads: Vec<Reg> = Vec::new();
         loop {
             let mut changed = false;
             for pc in (0..n).rev() {
                 let mut row = lv.out_row(code, pc);
                 // Kill the write, add the reads.
-                if let Some(dst) = instr_write(&code[pc]) {
-                    if let Some((w, bit)) = lv.temp_bit(dst) {
-                        row[w] &= !bit;
-                    }
+                if let Some((w, bit)) = code[pc].write().and_then(|d| lv.temp_bit(d)) {
+                    row[w] &= !bit;
                 }
                 if matches!(code[pc], Instr::For(_)) {
                     // A structured loop's inner blocks recycle the whole
@@ -150,13 +166,11 @@ impl Liveness {
                     // from the enclosing block.
                     row.iter_mut().for_each(|w| *w = 0);
                 }
-                reads.clear();
-                instr_reads(&code[pc], &mut reads);
-                for r in &reads {
-                    if let Some((w, bit)) = lv.temp_bit(*r) {
+                code[pc].reads(|r| {
+                    if let Some((w, bit)) = lv.temp_bit(r) {
                         row[w] |= bit;
                     }
-                }
+                });
                 let slot = &mut lv.live_in[pc * words..(pc + 1) * words];
                 if slot != row.as_slice() {
                     slot.copy_from_slice(&row);
@@ -181,22 +195,19 @@ impl Liveness {
             let s = &self.live_in[succ * self.words..(succ + 1) * self.words];
             row.iter_mut().zip(s).for_each(|(a, b)| *a |= b);
         };
-        match &code[pc] {
-            Instr::Jump { target } => add(*target as usize),
-            Instr::Jz { target, .. }
-            | Instr::Jnz { target, .. }
-            | Instr::CmpBranch { target, .. } => {
-                add(*target as usize);
-                add(pc + 1);
-            }
-            _ => add(pc + 1),
+        if let Some(target) = code[pc].target() {
+            add(target as usize);
+        }
+        if !matches!(code[pc], Instr::Jump { .. }) {
+            add(pc + 1);
         }
         row
     }
 
-    /// True when the temporary `r` is dead after instruction `pc` (on every
-    /// outgoing path).  Scalar registers are never dead.
-    fn dead_after(&self, code: &[Instr], pc: usize, r: Reg) -> bool {
+    /// True when the temporary `r` is dead after instruction `pc` of the
+    /// block it was computed for (on every outgoing path).  Scalar
+    /// registers are never dead.
+    pub fn dead_after(&self, code: &[Instr], pc: usize, r: Reg) -> bool {
         match self.temp_bit(r) {
             Some((w, bit)) => self.out_row(code, pc)[w] & bit == 0,
             None => false,
@@ -248,9 +259,9 @@ impl Optimizer {
         let init = self.opt_expr(&f.init);
         let bound = self.opt_expr(&f.bound);
         let step = self.opt_expr(&f.step);
-        let init_fast = self.header_fast(&init);
-        let mut bound_fast = self.header_fast(&bound);
-        let mut step_fast = self.header_fast(&step);
+        let init_fast = init.shape_fast(&self.consts);
+        let mut bound_fast = bound.shape_fast(&self.consts);
+        let mut step_fast = step.shape_fast(&self.consts);
         let body = self.opt_code(&f.body, None);
         // Cross-iteration invariant hoisting: between two evaluations of
         // the bound (or step) block only the body, the sibling header block
@@ -262,11 +273,19 @@ impl Optimizer {
         // bound `rowptr[i + 1]` out of the inner product loop.
         let mut clobbered: HashSet<u32> = HashSet::new();
         clobbered.insert(f.var.0);
-        collect_reg_writes(&body, &mut clobbered);
-        collect_reg_writes(&bound.code, &mut clobbered);
-        collect_reg_writes(&step.code, &mut clobbered);
+        for block in [&body, &bound.code, &step.code] {
+            reg_writes(block, &mut clobbered);
+        }
+        // Every array stored to or (re)declared anywhere in the body.
         let mut stored: HashSet<u32> = HashSet::new();
-        collect_array_stores(&body, &mut stored);
+        walk(&body, &mut |i| {
+            if let Instr::Store { array, .. }
+            | Instr::Store2 { array, .. }
+            | Instr::DeclArray { array, .. } = i
+            {
+                stored.insert(array.0);
+            }
+        });
         if bound_fast == HeaderFast::Eval && self.invariant_block(&bound, &clobbered, &stored) {
             bound_fast = HeaderFast::EvalOnce;
         }
@@ -310,10 +329,10 @@ impl Optimizer {
                 | Instr::WhileExit { .. } => return false,
                 _ => {}
             }
-            if instr_write(i).is_some_and(|d| !self.is_temp(d)) {
+            if i.write().is_some_and(|d| !self.is_temp(d)) {
                 return false;
             }
-            instr_reads(i, &mut reads);
+            i.reads(|r| reads.push(r));
             match i {
                 Instr::Load { array, .. } | Instr::Load2 { array, .. }
                     if stored.contains(&array.0) =>
@@ -350,21 +369,6 @@ impl Optimizer {
             }
         }
         true
-    }
-
-    /// Derives the header fast path of an optimized expression block: an
-    /// empty block is a plain register read, a single constant load is the
-    /// constant itself.  Both are side-effect- and error-free, so the
-    /// executor may skip the block — the code stays alongside, and running
-    /// it instead is always still correct.
-    fn header_fast(&self, e: &BcExpr) -> HeaderFast {
-        match e.code.as_slice() {
-            [] => HeaderFast::Reg(e.result),
-            [Instr::Const { dst, pool }] if *dst == e.result => {
-                HeaderFast::Const(self.consts[*pool as usize])
-            }
-            _ => HeaderFast::Eval,
-        }
     }
 
     fn opt_expr(&mut self, e: &BcExpr) -> BcExpr {
@@ -450,7 +454,7 @@ impl Optimizer {
                 // its body touches: forget everything.
                 Instr::For(_) => known.clear(),
                 other => {
-                    if let Some(dst) = instr_write(&other) {
+                    if let Some(dst) = other.write() {
                         known.remove(&dst.0);
                     }
                 }
@@ -508,7 +512,7 @@ impl Optimizer {
                 }
                 // Relational compare feeding the adjacent conditional jump.
                 if let Instr::Bin { op, dst: t, a, b } = &code[i] {
-                    if is_relational(*op) && consumed(i + 1, *t) {
+                    if op.is_comparison() && consumed(i + 1, *t) {
                         let fused = match &code[i + 1] {
                             Instr::Jz { cond, target } if cond == t => Some((*target, false)),
                             Instr::Jnz { cond, target } if cond == t => Some((*target, true)),
@@ -612,7 +616,8 @@ impl Optimizer {
                 Instr::Bin { op, .. } => !matches!(op, BinOp::Div | BinOp::Mod),
                 _ => false,
             };
-            pure && instr_write(i)
+            pure && i
+                .write()
                 .is_some_and(|dst| self.is_temp(dst) && live.dead_after(&code, pc, dst))
         };
         if !code.iter().enumerate().any(|(pc, i)| removable(pc, i)) {
@@ -633,21 +638,16 @@ impl Optimizer {
 }
 
 /// Folds one non-short-circuit binary operation, or `None` when the fold
-/// would change runtime behavior (overflow wraps at runtime, division by
-/// zero errors at runtime).  Arithmetic goes through `ss_symbolic`'s
-/// checked evaluator: any evaluation error vetoes the fold.
+/// would change runtime behavior: overflow wraps at runtime, and division
+/// or remainder by zero (or of `i64::MIN` by `-1`) errors at runtime.  The
+/// checked `i64` operations return `None` in exactly those cases.
 fn fold_binop(op: BinOp, x: i64, y: i64) -> Option<i64> {
-    use ss_symbolic::{Expr, Valuation};
-    let v = Valuation::new();
-    let (a, b) = (Expr::int(x), Expr::int(y));
     match op {
-        BinOp::Add => v.eval(&Expr::add(a, b)).ok(),
-        BinOp::Sub => v.eval(&Expr::sub(a, b)).ok(),
-        BinOp::Mul => v.eval(&Expr::mul(a, b)).ok(),
-        // i64::MIN / -1 overflows: leave it to the runtime's checked path.
-        BinOp::Div if y != 0 && !(x == i64::MIN && y == -1) => v.eval(&Expr::div(a, b)).ok(),
-        BinOp::Mod if y != 0 && !(x == i64::MIN && y == -1) => v.eval(&Expr::modulo(a, b)).ok(),
-        BinOp::Div | BinOp::Mod => None,
+        BinOp::Add => x.checked_add(y),
+        BinOp::Sub => x.checked_sub(y),
+        BinOp::Mul => x.checked_mul(y),
+        BinOp::Div => x.checked_div(y),
+        BinOp::Mod => x.checked_rem(y),
         BinOp::Lt => Some((x < y) as i64),
         BinOp::Le => Some((x <= y) as i64),
         BinOp::Gt => Some((x > y) as i64),
@@ -658,480 +658,25 @@ fn fold_binop(op: BinOp, x: i64, y: i64) -> Option<i64> {
     }
 }
 
-fn is_relational(op: BinOp) -> bool {
-    matches!(
-        op,
-        BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge | BinOp::Eq | BinOp::Ne
-    )
-}
-
-/// Which instruction indices are jump targets (index `len` = block end).
-fn jump_targets(code: &[Instr]) -> Vec<bool> {
-    let mut t = vec![false; code.len() + 1];
-    for i in code {
-        match i {
-            Instr::Jz { target, .. }
-            | Instr::Jnz { target, .. }
-            | Instr::Jump { target }
-            | Instr::CmpBranch { target, .. } => t[*target as usize] = true,
-            _ => {}
-        }
-    }
-    t
-}
-
 /// Rewrites every absolute jump target through the old-index → new-index
 /// map.  A target landing on a removed instruction retargets to the next
 /// surviving one, which is exact: removed instructions are dead on every
 /// path, and fused instructions map both halves to the fusion.
 fn retarget(code: &mut [Instr], map: &[u32]) {
-    for i in code {
-        match i {
-            Instr::Jz { target, .. }
-            | Instr::Jnz { target, .. }
-            | Instr::Jump { target }
-            | Instr::CmpBranch { target, .. } => *target = map[*target as usize],
-            _ => {}
-        }
+    for target in code.iter_mut().filter_map(Instr::target_mut) {
+        *target = map[*target as usize];
     }
 }
-
-/// The registers an instruction reads.  Structured loops read no
-/// *temporaries* from the enclosing block (their liveness treats them as
-/// clobbering the whole temporary file), and scalar reads are irrelevant
-/// to the temp-only analyses, but scalars are reported anyway — the
-/// liveness bitset simply ignores them.
-fn instr_reads(i: &Instr, out: &mut Vec<Reg>) {
-    match i {
-        Instr::Const { .. }
-        | Instr::Jump { .. }
-        | Instr::For(_)
-        | Instr::WhileEnter { .. }
-        | Instr::WhileIter { .. }
-        | Instr::WhileExit { .. } => {}
-        Instr::Copy { src, .. } | Instr::Neg { src, .. } | Instr::Not { src, .. } => out.push(*src),
-        Instr::Bin { a, b, .. } => {
-            out.push(*a);
-            out.push(*b);
-        }
-        Instr::Accum { dst, src, .. } => {
-            out.push(*dst);
-            out.push(*src);
-        }
-        Instr::Load { idx, rank, .. } => {
-            for k in 0..*rank {
-                out.push(Reg(idx.0 + k as u32));
-            }
-        }
-        Instr::Store { idx, rank, src, .. } => {
-            for k in 0..*rank {
-                out.push(Reg(idx.0 + k as u32));
-            }
-            out.push(*src);
-        }
-        Instr::DeclArray { dims, rank, .. } => {
-            for k in 0..*rank {
-                out.push(Reg(dims.0 + k as u32));
-            }
-        }
-        Instr::Jz { cond, .. } | Instr::Jnz { cond, .. } => out.push(*cond),
-        Instr::LoadLoad { idx, .. } => out.push(*idx),
-        Instr::CmpBranch { a, b, .. } => {
-            out.push(*a);
-            out.push(*b);
-        }
-        Instr::Load2 { i0, i1, .. } => {
-            out.push(*i0);
-            out.push(*i1);
-        }
-        Instr::Store2 { i0, i1, src, .. } => {
-            out.push(*i0);
-            out.push(*i1);
-            out.push(*src);
-        }
-    }
-}
-
-/// The register an instruction writes, if any.
-fn instr_write(i: &Instr) -> Option<Reg> {
-    match i {
-        Instr::Const { dst, .. }
-        | Instr::Copy { dst, .. }
-        | Instr::Bin { dst, .. }
-        | Instr::Accum { dst, .. }
-        | Instr::Neg { dst, .. }
-        | Instr::Not { dst, .. }
-        | Instr::Load { dst, .. }
-        | Instr::LoadLoad { dst, .. }
-        | Instr::Load2 { dst, .. } => Some(*dst),
-        _ => None,
-    }
-}
-
-/// Every register (scalar or temporary) written anywhere in `code`,
-/// recursing through structured loops (index variables and header-block
-/// writes included).
-fn collect_reg_writes(code: &[Instr], out: &mut HashSet<u32>) {
-    for i in code {
-        if let Some(d) = instr_write(i) {
-            out.insert(d.0);
-        }
-        if let Instr::For(f) = i {
-            out.insert(f.var.0);
-            collect_reg_writes(&f.init.code, out);
-            collect_reg_writes(&f.bound.code, out);
-            collect_reg_writes(&f.step.code, out);
-            collect_reg_writes(&f.body, out);
-        }
-    }
-}
-
-/// Every array slot stored to or (re)declared anywhere in `code`,
-/// recursing through structured loops.
-fn collect_array_stores(code: &[Instr], out: &mut HashSet<u32>) {
-    for i in code {
-        match i {
-            Instr::Store { array, .. }
-            | Instr::Store2 { array, .. }
-            | Instr::DeclArray { array, .. } => {
-                out.insert(array.0);
-            }
-            Instr::For(f) => {
-                collect_array_stores(&f.init.code, out);
-                collect_array_stores(&f.bound.code, out);
-                collect_array_stores(&f.step.code, out);
-                collect_array_stores(&f.body, out);
-            }
-            _ => {}
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Linear-scan packing of expression temporaries.
-// ---------------------------------------------------------------------------
-
-/// Renumbers each block's expression temporaries with a linear-scan
-/// allocator over their (conservative, interval-shaped) live ranges, so
-/// short-lived temps share slots and the register frame shrinks.  Scalar
-/// registers are observable and never move; each block's temporaries are an
-/// independent namespace (structured loops clobber the whole temp file), so
-/// blocks pack independently and `nregs` becomes the maximum over all of
-/// them.  The pass only renumbers — instruction count, order, evaluation
-/// order and error points are untouched — and is idempotent: re-running it
-/// on packed code maps every temp to itself.
-fn pack_registers(bc: &mut BytecodeProgram) {
-    let nscalars = bc.slots.scalar_count();
-    pack_code(&mut bc.main, None, nscalars);
-    let mut hi = nscalars as u32;
-    max_reg(&bc.main, &mut hi);
-    bc.nregs = hi as usize;
-}
-
-fn pack_code(code: &mut [Instr], protected: Option<&mut Reg>, nscalars: usize) {
-    for i in code.iter_mut() {
-        if let Instr::For(f) = i {
-            pack_code(&mut f.init.code, Some(&mut f.init.result), nscalars);
-            pack_code(&mut f.bound.code, Some(&mut f.bound.result), nscalars);
-            pack_code(&mut f.step.code, Some(&mut f.step.result), nscalars);
-            pack_code(&mut f.body, None, nscalars);
-        }
-    }
-    pack_block(code, protected, nscalars);
-}
-
-/// Packs one flat block.  Bails (leaving the block unchanged — correct by
-/// construction, just unpacked) on shapes the interval model cannot
-/// renumber safely: a temporary live at block entry, or a consecutive
-/// register run containing a scalar.
-fn pack_block(code: &mut [Instr], protected: Option<&mut Reg>, nscalars: usize) {
-    let ns = nscalars as u32;
-    let n = code.len();
-    // Occurrence intervals per temporary register: [first, last] positions
-    // over the linear stream.
-    let mut first: HashMap<u32, usize> = HashMap::new();
-    let mut last: HashMap<u32, usize> = HashMap::new();
-    fn occur(
-        ns: u32,
-        r: Reg,
-        pc: usize,
-        first: &mut HashMap<u32, usize>,
-        last: &mut HashMap<u32, usize>,
-    ) {
-        if r.0 >= ns {
-            first.entry(r.0).or_insert(pc);
-            last.insert(r.0, pc);
-        }
-    }
-    // Consecutive-register runs (rank >= 2 subscript blocks) whose members
-    // must stay contiguous and in order.
-    let mut runs: Vec<(u32, u32)> = Vec::new();
-    let mut reads: Vec<Reg> = Vec::new();
-    for (pc, i) in code.iter().enumerate() {
-        reads.clear();
-        instr_reads(i, &mut reads);
-        for r in &reads {
-            occur(ns, *r, pc, &mut first, &mut last);
-        }
-        if let Some(d) = instr_write(i) {
-            occur(ns, d, pc, &mut first, &mut last);
-        }
-        match i {
-            Instr::Load { idx, rank, .. } | Instr::Store { idx, rank, .. } if *rank >= 2 => {
-                if idx.0 < ns {
-                    return; // a scalar inside a run: cannot renumber
-                }
-                runs.push((idx.0, idx.0 + *rank as u32));
-            }
-            Instr::DeclArray { dims, rank, .. } if *rank >= 2 => {
-                if dims.0 < ns {
-                    return;
-                }
-                runs.push((dims.0, dims.0 + *rank as u32));
-            }
-            // A header fast path naming a temporary would be a reference
-            // into this block's namespace from outside the rewrite below;
-            // the compiler only ever puts scalars there, but bail rather
-            // than trust it.
-            Instr::For(f) => {
-                for fast in [f.init_fast, f.bound_fast, f.step_fast] {
-                    if matches!(fast, HeaderFast::Reg(r) if r.0 >= ns) {
-                        return;
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    if first.is_empty() {
-        return;
-    }
-    // A temporary live at block entry reads a value from before the block;
-    // renumbering would change which value that is.  The compiler never
-    // emits the shape, but verify rather than assume.
-    {
-        let hi = first.keys().copied().max().unwrap_or(ns) as usize + 1;
-        let live = Liveness::compute(code, nscalars, hi, None);
-        if live.live_in[0..live.words].iter().any(|w| *w != 0) {
-            return;
-        }
-    }
-    if let Some(p) = protected.as_ref() {
-        if p.0 >= ns {
-            last.insert(p.0, n);
-            if !first.contains_key(&p.0) {
-                return; // a protected temp the block never writes
-            }
-        }
-    }
-    // A temporary live across a backward jump is live over the whole jump
-    // span, whichever iteration the positions came from.
-    let back: Vec<(usize, usize)> = code
-        .iter()
-        .enumerate()
-        .filter_map(|(pc, i)| match i {
-            Instr::Jz { target, .. }
-            | Instr::Jnz { target, .. }
-            | Instr::Jump { target }
-            | Instr::CmpBranch { target, .. }
-                if (*target as usize) <= pc =>
-            {
-                Some((*target as usize, pc))
-            }
-            _ => None,
-        })
-        .collect();
-    // Units: merged overlapping runs, plus singletons for every other temp.
-    runs.sort_unstable();
-    let mut units: Vec<(u32, u32)> = Vec::new(); // [lo, hi) in old numbering
-    for (lo, hi) in runs {
-        match units.last_mut() {
-            Some((_, uhi)) if lo < *uhi => *uhi = (*uhi).max(hi),
-            _ => units.push((lo, hi)),
-        }
-    }
-    let merged = units.clone();
-    let in_run = |r: u32| merged.iter().any(|(lo, hi)| (*lo..*hi).contains(&r));
-    let mut regs: Vec<u32> = first.keys().copied().collect();
-    regs.sort_unstable();
-    for r in regs {
-        if !in_run(r) {
-            units.push((r, r + 1));
-        }
-    }
-    // Interval per unit, extended to fixpoint over backward-jump spans.
-    struct Unit {
-        lo: u32,
-        width: u32,
-        start: usize,
-        end: usize,
-    }
-    let mut list: Vec<Unit> = units
-        .into_iter()
-        .map(|(lo, hi)| {
-            let members = lo..hi;
-            let start = members
-                .clone()
-                .filter_map(|r| first.get(&r))
-                .copied()
-                .min()
-                .unwrap_or(0);
-            let end = members
-                .filter_map(|r| last.get(&r))
-                .copied()
-                .max()
-                .unwrap_or(n);
-            Unit {
-                lo,
-                width: hi - lo,
-                start,
-                end,
-            }
-        })
-        .collect();
-    loop {
-        let mut changed = false;
-        for u in &mut list {
-            for (t, j) in &back {
-                if u.start <= *j && *t <= u.end {
-                    let (s, e) = (u.start.min(*t), u.end.max(*j));
-                    if (s, e) != (u.start, u.end) {
-                        u.start = s;
-                        u.end = e;
-                        changed = true;
-                    }
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    // Linear scan: allocate each unit the lowest free contiguous window.
-    list.sort_by_key(|u| (u.start, u.lo));
-    let mut active: Vec<(usize, u32, u32)> = Vec::new(); // (end, slot, width)
-    let mut map: HashMap<u32, u32> = HashMap::new();
-    for u in &list {
-        active.retain(|(end, _, _)| *end >= u.start);
-        let mut slot = 0u32;
-        'place: loop {
-            for (_, s, w) in &active {
-                if slot < s + w && *s < slot + u.width {
-                    slot = s + w;
-                    continue 'place;
-                }
-            }
-            break;
-        }
-        active.push((u.end, slot, u.width));
-        for k in 0..u.width {
-            map.insert(u.lo + k, ns + slot + k);
-        }
-    }
-    // Rewrite.  Structured loops are skipped: their blocks are separate
-    // namespaces packed by their own recursion.
-    let remap = |r: &mut Reg| {
-        if r.0 >= ns {
-            *r = Reg(map[&r.0]);
-        }
-    };
-    for i in code.iter_mut() {
-        remap_instr_regs(i, &remap);
-    }
-    if let Some(p) = protected {
-        if p.0 >= ns {
-            *p = Reg(map[&p.0]);
-        }
-    }
-}
-
-/// Applies `f` to every register operand of one instruction (structured
-/// loops excluded — their registers belong to inner namespaces).
-fn remap_instr_regs(i: &mut Instr, f: &impl Fn(&mut Reg)) {
-    match i {
-        Instr::Const { dst, .. } => f(dst),
-        Instr::Copy { dst, src } | Instr::Neg { dst, src } | Instr::Not { dst, src } => {
-            f(dst);
-            f(src);
-        }
-        Instr::Bin { dst, a, b, .. } => {
-            f(dst);
-            f(a);
-            f(b);
-        }
-        Instr::Accum { dst, src, .. } => {
-            f(dst);
-            f(src);
-        }
-        Instr::Load { dst, idx, .. } => {
-            f(dst);
-            f(idx);
-        }
-        Instr::Store { idx, src, .. } => {
-            f(idx);
-            f(src);
-        }
-        Instr::DeclArray { dims, .. } => f(dims),
-        Instr::Jz { cond, .. } | Instr::Jnz { cond, .. } => f(cond),
-        Instr::Jump { .. }
-        | Instr::For(_)
-        | Instr::WhileEnter { .. }
-        | Instr::WhileIter { .. }
-        | Instr::WhileExit { .. } => {}
-        Instr::LoadLoad { dst, idx, .. } => {
-            f(dst);
-            f(idx);
-        }
-        Instr::CmpBranch { a, b, .. } => {
-            f(a);
-            f(b);
-        }
-        Instr::Load2 { dst, i0, i1, .. } => {
-            f(dst);
-            f(i0);
-            f(i1);
-        }
-        Instr::Store2 { i0, i1, src, .. } => {
-            f(i0);
-            f(i1);
-            f(src);
-        }
-    }
-}
-
-/// Grows `hi` to one past the highest register index used anywhere
-/// (instruction operands, header results, index variables), recursively.
-fn max_reg(code: &[Instr], hi: &mut u32) {
-    let mut reads: Vec<Reg> = Vec::new();
-    for i in code {
-        reads.clear();
-        instr_reads(i, &mut reads);
-        if let Some(d) = instr_write(i) {
-            reads.push(d);
-        }
-        for r in &reads {
-            *hi = (*hi).max(r.0 + 1);
-        }
-        if let Instr::For(f) = i {
-            *hi = (*hi).max(f.var.0 + 1);
-            for e in [&f.init, &f.bound, &f.step] {
-                *hi = (*hi).max(e.result.0 + 1);
-                max_reg(&e.code, hi);
-            }
-            max_reg(&f.body, hi);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Constant-pool compaction.
-// ---------------------------------------------------------------------------
 
 /// Rebuilds the pool around the `Const` loads that survived optimization,
 /// so the disassembly lists no orphaned constants.
 fn compact_pool(bc: &mut BytecodeProgram) {
     let mut used: Vec<u32> = Vec::new();
-    collect_pools(&bc.main, &mut used);
+    walk(&bc.main, &mut |i| {
+        if let Instr::Const { pool, .. } = i {
+            used.push(*pool);
+        }
+    });
     used.sort_unstable();
     used.dedup();
     let mut remap: HashMap<u32, u32> = HashMap::new();
@@ -1140,38 +685,12 @@ fn compact_pool(bc: &mut BytecodeProgram) {
         remap.insert(old, consts.len() as u32);
         consts.push(bc.consts[old as usize]);
     }
-    remap_pools(&mut bc.main, &remap);
+    walk_mut(&mut bc.main, &mut |i| {
+        if let Instr::Const { pool, .. } = i {
+            *pool = remap[pool];
+        }
+    });
     bc.consts = consts;
-}
-
-fn collect_pools(code: &[Instr], out: &mut Vec<u32>) {
-    for i in code {
-        match i {
-            Instr::Const { pool, .. } => out.push(*pool),
-            Instr::For(f) => {
-                collect_pools(&f.init.code, out);
-                collect_pools(&f.bound.code, out);
-                collect_pools(&f.step.code, out);
-                collect_pools(&f.body, out);
-            }
-            _ => {}
-        }
-    }
-}
-
-fn remap_pools(code: &mut [Instr], remap: &HashMap<u32, u32>) {
-    for i in code {
-        match i {
-            Instr::Const { pool, .. } => *pool = remap[pool],
-            Instr::For(f) => {
-                remap_pools(&mut f.init.code, remap);
-                remap_pools(&mut f.bound.code, remap);
-                remap_pools(&mut f.step.code, remap);
-                remap_pools(&mut f.body, remap);
-            }
-            _ => {}
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1187,21 +706,8 @@ mod tests {
     }
 
     fn count<F: Fn(&Instr) -> bool>(code: &[Instr], f: F) -> usize {
-        fn walk<F: Fn(&Instr) -> bool>(code: &[Instr], f: &F, n: &mut usize) {
-            for i in code {
-                if f(i) {
-                    *n += 1;
-                }
-                if let Instr::For(fr) = i {
-                    walk(&fr.init.code, f, n);
-                    walk(&fr.bound.code, f, n);
-                    walk(&fr.step.code, f, n);
-                    walk(&fr.body, f, n);
-                }
-            }
-        }
         let mut n = 0;
-        walk(code, &f, &mut n);
+        walk(code, &mut |i| n += f(i) as usize);
         n
     }
 

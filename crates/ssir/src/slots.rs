@@ -99,11 +99,6 @@ impl SlotMap {
         self.array_ids.get(name).map(|&id| ArraySlot(id))
     }
 
-    /// The name behind a scalar slot.
-    pub fn scalar_name(&self, slot: ScalarSlot) -> &str {
-        &self.scalar_names[slot.index()]
-    }
-
     /// The name behind an array slot.
     pub fn array_name(&self, slot: ArraySlot) -> &str {
         &self.array_names[slot.index()]
@@ -112,11 +107,6 @@ impl SlotMap {
     /// Number of scalar slots (the dense frame size).
     pub fn scalar_count(&self) -> usize {
         self.scalar_names.len()
-    }
-
-    /// Number of array slots.
-    pub fn array_count(&self) -> usize {
-        self.array_names.len()
     }
 
     /// All scalar names in slot order.
@@ -621,10 +611,10 @@ mod tests {
         .unwrap();
         let c = compile_program(&p);
         assert_eq!(c.slots.scalar_count(), 4); // i, j, x, y
-        assert_eq!(c.slots.array_count(), 2); // a, b
+        assert_eq!(c.slots.array_names().len(), 2); // a, b
         assert_eq!(c.slots.scalar_slot("x"), Some(ScalarSlot(2)));
         assert_eq!(c.slots.array_slot("a"), Some(ArraySlot(0)));
-        assert_eq!(c.slots.scalar_name(ScalarSlot(2)), "x");
+        assert_eq!(c.slots.scalar_names()[2], "x");
         assert_eq!(c.slots.array_name(ArraySlot(1)), "b");
         assert_eq!(c.slots.scalar_slot("zzz"), None);
         // SlotMap::build numbers identically.
