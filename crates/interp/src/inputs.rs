@@ -314,9 +314,104 @@ mod tests {
     #[test]
     fn negative_subscripts_fail_discovery() {
         let p = parse_program("t", "x = a[0 - 1];").unwrap();
-        assert!(matches!(
-            synthesize_inputs(&p, &InputSpec::default()),
-            Err(ExecError::OutOfBounds { .. })
-        ));
+        assert_eq!(
+            synthesize_inputs(&p, &InputSpec::default()).unwrap_err(),
+            ExecError::OutOfBounds {
+                array: "a".into(),
+                indices: vec![-1],
+                dims: vec![],
+            }
+        );
+    }
+
+    #[test]
+    fn two_data_dependent_extents_survive_regrowth() {
+        // Both extents of `m` come from input data and are never powers of
+        // two; `m` is filled row by row, so both dimensions grow past their
+        // capacity while earlier writes must survive.  `out`'s extent is
+        // read back out of `m`'s last cell.
+        let p = parse_program(
+            "t",
+            r#"
+            r = a[0] % 6 + 9;
+            c = a[1] % 6 + 17;
+            for (i = 0; i < r; i++) {
+                for (j = 0; j < c; j++) { m[i][j] = i * c + j; }
+            }
+            out[m[r - 1][c - 1]] = 1;
+        "#,
+        )
+        .unwrap();
+        let spec = InputSpec {
+            scale: 100,
+            seed: 11,
+        };
+        let heap = synthesize_inputs(&p, &spec).unwrap();
+        let r = input_value(11, "a", &[0], 100) as usize % 6 + 9;
+        let c = input_value(11, "a", &[1], 100) as usize % 6 + 17;
+        assert_eq!(heap.arrays["m"].dims, vec![r, c]);
+        assert_eq!(heap.arrays["out"].dims, vec![r * c]);
+        assert_eq!(heap.arrays["a"].dims, vec![2]);
+        run_serial(&p, heap).unwrap();
+    }
+
+    #[test]
+    fn a_redeclared_local_array_keeps_its_last_extent() {
+        let p = parse_program(
+            "t",
+            r#"
+            for (i = 0; i < n; i++) {
+                k = n + 3 - i;
+                int t[k];
+                t[k - 1] = i;
+            }
+        "#,
+        )
+        .unwrap();
+        let heap = synthesize_inputs(&p, &InputSpec { scale: 8, seed: 1 }).unwrap();
+        assert_eq!(heap.arrays["t"].dims, vec![4]);
+        assert!(heap.arrays["t"].data.iter().all(|&v| v == 0));
+        run_serial(&p, heap).unwrap();
+    }
+
+    #[test]
+    fn reading_past_a_declared_extent_is_left_to_the_real_run() {
+        let p = parse_program("t", "int t[3]; x = t[5];").unwrap();
+        let heap = synthesize_inputs(&p, &InputSpec::default()).unwrap();
+        assert_eq!(heap.arrays["t"].dims, vec![3]);
+        let err = run_serial(&p, heap).unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                crate::SsError::Runtime(ExecError::OutOfBounds { array, indices, dims })
+                    if array == "t" && indices == &[5] && dims == &[3]
+            ),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn a_rank_mismatch_fails_discovery() {
+        let p = parse_program("t", "a[1] = 2; x = a[1][2];").unwrap();
+        assert_eq!(
+            synthesize_inputs(&p, &InputSpec::default()).unwrap_err(),
+            ExecError::ArityMismatch {
+                array: "a".into(),
+                expected: 1,
+                got: 2,
+            }
+        );
+    }
+
+    #[test]
+    fn a_runaway_while_hits_the_default_cap() {
+        let p = parse_program("t", "while (1) { x = 1; }").unwrap();
+        assert_eq!(
+            synthesize_inputs(&p, &InputSpec::default()).unwrap_err(),
+            ExecError::NonTerminating {
+                loop_id: ss_ir::LoopId(0),
+                cap: ExecOptions::default().while_cap,
+            }
+        );
     }
 }
