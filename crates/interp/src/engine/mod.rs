@@ -55,16 +55,12 @@
 //! asserts bit-identical final heaps across every row × opt level ×
 //! serial/parallel, and `tests/engine_fuzz.rs` asserts the same over
 //! generated programs.
-//!
-//! The remaining modules: [`store`] holds the tree walker's two pluggable
-//! stores (whole heap, input discovery).
 
 pub mod bytecode;
 pub mod compiled;
 pub mod registry;
 pub mod serial;
 mod shared;
-pub mod store;
 pub mod threaded;
 pub mod wavefront;
 
@@ -75,6 +71,7 @@ use ss_parallelizer::Artifacts;
 use std::collections::BTreeMap;
 
 pub use registry::{Engine, EngineCaps, EngineRegistry};
+pub(crate) use shared::{ArrayStore, StoreKind};
 
 /// A runtime failure of the interpreted program.
 #[derive(Debug, Clone, PartialEq, Eq)]

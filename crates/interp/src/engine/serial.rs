@@ -1,32 +1,65 @@
 //! The tree-walking statement walker and the serial reference engine.
 //!
-//! Evaluation and statement execution are written once, generic over a
-//! `Store` (where accesses land).  The serial reference and the
-//! input-discovery pass instantiate this walker; it never dispatches —
-//! every parallel region of this crate is entered by `engine::shared`.
+//! Evaluation and statement execution are written once, over the whole
+//! heap: undefined scalars read as 0 (C-style zero init), arrays are
+//! looked up by name.  Only the `ast` row's serial reference runs this
+//! walker; it never dispatches — every parallel region of this crate is
+//! entered by `engine::shared`.
 
-use super::store::{HeapStore, Store};
+use super::shared::elem_at;
 use super::{ExecEnvTiming, ExecError, ExecMode, ExecOptions, ExecOutcome, ExecStats};
-use crate::heap::Heap;
+use crate::heap::{ArrayVal, Heap};
 use ss_ir::ast::{AExpr, AssignOp, BinOp, Stmt, UnOp};
 use ss_ir::Program;
 use std::time::Instant;
+
+// ---------------------------------------------------------------------------
+// Heap access.
+// ---------------------------------------------------------------------------
+
+fn scalar(heap: &Heap, name: &str) -> i64 {
+    heap.scalars.get(name).copied().unwrap_or(0)
+}
+
+fn set_scalar(heap: &mut Heap, name: &str, v: i64) {
+    // Fast path without the String allocation: loop counters are
+    // rewritten every iteration.
+    match heap.scalars.get_mut(name) {
+        Some(slot) => *slot = v,
+        None => {
+            heap.scalars.insert(name.to_string(), v);
+        }
+    }
+}
+
+fn read_elem(heap: &Heap, array: &str, indices: &[i64]) -> Result<i64, ExecError> {
+    let a = (heap.arrays.get(array)).ok_or_else(|| ExecError::UndefinedArray(array.to_string()))?;
+    elem_at(array, a, indices).map(|flat| a.data[flat])
+}
+
+fn write_elem(heap: &mut Heap, array: &str, indices: &[i64], v: i64) -> Result<(), ExecError> {
+    let a =
+        (heap.arrays.get_mut(array)).ok_or_else(|| ExecError::UndefinedArray(array.to_string()))?;
+    let flat = elem_at(array, a, indices)?;
+    a.data_mut_unstamped()[flat] = v;
+    Ok(())
+}
 
 // ---------------------------------------------------------------------------
 // Expression evaluation (C semantics: wrapping arithmetic, 0/1 booleans,
 // short-circuit && and ||, truncating division).
 // ---------------------------------------------------------------------------
 
-pub(crate) fn eval<S: Store>(st: &mut S, e: &AExpr) -> Result<i64, ExecError> {
+fn eval(st: &Heap, e: &AExpr) -> Result<i64, ExecError> {
     match e {
         AExpr::IntLit(v) => Ok(*v),
-        AExpr::Var(name) => Ok(st.scalar(name)),
+        AExpr::Var(name) => Ok(scalar(st, name)),
         AExpr::Index(array, idx_exprs) => {
             let mut idxs = Vec::with_capacity(idx_exprs.len());
             for ie in idx_exprs {
                 idxs.push(eval(st, ie)?);
             }
-            st.read_elem(array, &idxs)
+            read_elem(st, array, &idxs)
         }
         AExpr::Binary(op, a, b) => {
             // Short-circuit operators first.
@@ -108,18 +141,14 @@ pub(crate) fn apply_assign(op: AssignOp, current: i64, rhs: i64) -> i64 {
 // The statement walker.
 // ---------------------------------------------------------------------------
 
-pub(crate) fn exec_stmts<S: Store>(
-    st: &mut S,
-    stmts: &[Stmt],
-    env: &mut ExecEnvTiming<'_>,
-) -> Result<(), ExecError> {
+fn exec_stmts(st: &mut Heap, stmts: &[Stmt], env: &mut ExecEnvTiming<'_>) -> Result<(), ExecError> {
     for s in stmts {
         exec_stmt(st, s, env)?;
     }
     Ok(())
 }
 
-fn exec_stmt<S: Store>(st: &mut S, s: &Stmt, env: &mut ExecEnvTiming<'_>) -> Result<(), ExecError> {
+fn exec_stmt(st: &mut Heap, s: &Stmt, env: &mut ExecEnvTiming<'_>) -> Result<(), ExecError> {
     match s {
         Stmt::Decl { name, dims, init } => {
             if dims.is_empty() {
@@ -127,14 +156,14 @@ fn exec_stmt<S: Store>(st: &mut S, s: &Stmt, env: &mut ExecEnvTiming<'_>) -> Res
                     Some(e) => eval(st, e)?,
                     None => 0,
                 };
-                st.set_scalar(name, v);
+                set_scalar(st, name, v);
             } else {
                 let mut extents = Vec::with_capacity(dims.len());
                 for d in dims {
                     let v = eval(st, d)?;
                     extents.push(v.max(0) as usize);
                 }
-                st.declare_array(name, extents);
+                st.arrays.insert(name.to_string(), ArrayVal::zeros(extents));
             }
             Ok(())
         }
@@ -143,9 +172,9 @@ fn exec_stmt<S: Store>(st: &mut S, s: &Stmt, env: &mut ExecEnvTiming<'_>) -> Res
             if target.is_scalar() {
                 let v = match op {
                     AssignOp::Assign => rhs,
-                    _ => apply_assign(*op, st.scalar(&target.name), rhs),
+                    _ => apply_assign(*op, scalar(st, &target.name), rhs),
                 };
-                st.set_scalar(&target.name, v);
+                set_scalar(st, &target.name, v);
             } else {
                 let mut idxs = Vec::with_capacity(target.indices.len());
                 for ie in &target.indices {
@@ -153,9 +182,9 @@ fn exec_stmt<S: Store>(st: &mut S, s: &Stmt, env: &mut ExecEnvTiming<'_>) -> Res
                 }
                 let v = match op {
                     AssignOp::Assign => rhs,
-                    _ => apply_assign(*op, st.read_elem(&target.name, &idxs)?, rhs),
+                    _ => apply_assign(*op, read_elem(st, &target.name, &idxs)?, rhs),
                 };
-                st.write_elem(&target.name, &idxs, v)?;
+                write_elem(st, &target.name, &idxs, v)?;
             }
             Ok(())
         }
@@ -182,10 +211,10 @@ fn exec_stmt<S: Store>(st: &mut S, s: &Stmt, env: &mut ExecEnvTiming<'_>) -> Res
         } => {
             let start = env.timing.then(Instant::now);
             let v0 = eval(st, init)?;
-            st.set_scalar(var, v0);
+            set_scalar(st, var, v0);
             let mut iter: u64 = 0;
             loop {
-                let v = st.scalar(var);
+                let v = scalar(st, var);
                 let b = eval(st, bound)?;
                 if !compare(*cond_op, v, b) {
                     break;
@@ -198,8 +227,8 @@ fn exec_stmt<S: Store>(st: &mut S, s: &Stmt, env: &mut ExecEnvTiming<'_>) -> Res
                 }
                 exec_stmts(st, body, env)?;
                 let sv = eval(st, step)?;
-                let cur = st.scalar(var);
-                st.set_scalar(var, cur.wrapping_add(sv));
+                let cur = scalar(st, var);
+                set_scalar(st, var, cur.wrapping_add(sv));
                 iter += 1;
             }
             if let Some(t) = start {
@@ -239,15 +268,12 @@ pub(crate) fn run_serial_ast(
 ) -> Result<ExecOutcome, ExecError> {
     let mut stats = ExecStats::default();
     let start = Instant::now();
-    {
-        let mut store = HeapStore { heap: &mut heap };
-        let mut env = ExecEnvTiming {
-            stats: &mut stats,
-            timing: true,
-            while_cap: opts.while_cap,
-        };
-        exec_stmts(&mut store, &program.body, &mut env)?;
-    }
+    let mut env = ExecEnvTiming {
+        stats: &mut stats,
+        timing: true,
+        while_cap: opts.while_cap,
+    };
+    exec_stmts(&mut heap, &program.body, &mut env)?;
     stats.total_seconds = start.elapsed().as_secs_f64();
     Ok(ExecOutcome { heap, stats })
 }

@@ -36,7 +36,6 @@
 //! only place in this crate that enters a team region, and this file the
 //! only one with `unsafe` (CI greps for both).
 
-use super::store::elem_at;
 use super::threaded::ThBody;
 use super::wavefront::{Gated, InspectArrays, InspectKind, LevelSets, MIN_AVG_WIDTH};
 use super::{ExecEnvTiming, ExecError, ExecMode, ExecOptions, ExecStats, ScheduleChoice};
@@ -80,9 +79,26 @@ pub(super) fn store_scalars(heap: &mut Heap, slots: &SlotMap, regs: &[i64], defi
 // Array stores.
 // ---------------------------------------------------------------------------
 
+/// The flat offset of `name[indices]` in `a`, or the access's error: the
+/// one bounds and rank check of every heap-backed store.
+pub(super) fn elem_at(name: &str, a: &ArrayVal, indices: &[i64]) -> Result<usize, ExecError> {
+    if indices.len() != a.dims.len() {
+        return Err(ExecError::ArityMismatch {
+            array: name.to_string(),
+            expected: a.dims.len(),
+            got: indices.len(),
+        });
+    }
+    a.flat_index(indices).ok_or_else(|| ExecError::OutOfBounds {
+        array: name.to_string(),
+        indices: indices.to_vec(),
+        dims: a.dims.clone(),
+    })
+}
+
 /// Where an executor's slot-addressed array traffic lands — and, on a
 /// worker, the last-writer bookkeeping of the iterations it runs.
-pub(super) trait ArrayStore {
+pub(crate) trait ArrayStore {
     fn read(&mut self, a: ArraySlot, indices: &[i64]) -> Result<i64, ExecError>;
     fn write(&mut self, a: ArraySlot, indices: &[i64], v: i64) -> Result<(), ExecError>;
     fn declare(&mut self, a: ArraySlot, dims: Vec<usize>);
@@ -122,9 +138,10 @@ pub(super) trait ArrayStore {
 
 /// Names a family of array stores without their lifetimes, so code cached
 /// for the life of the artifacts — the lowered chain's handlers — can be
-/// monomorphized once per store kind: [`SpineKind`], [`WorkerKind`] and
-/// the level-set inspection's `InspectKind`.
-pub(super) trait StoreKind: 'static {
+/// monomorphized once per store kind: [`SpineKind`], [`WorkerKind`], the
+/// level-set inspection's `InspectKind` and input synthesis'
+/// `DiscoverKind`.
+pub(crate) trait StoreKind: 'static {
     /// The store, borrowing the state it runs over for `'s`.
     type Arrays<'s>: ArrayStore;
 
@@ -173,7 +190,7 @@ impl StoreKind for WorkerKind {
 
 /// The spine's array store: one dense `Option<ArrayVal>` per slot, moved
 /// out of (and back into) the heap.
-pub(super) struct SpineArrays<'m> {
+pub(crate) struct SpineArrays<'m> {
     pub(super) slots: &'m SlotMap,
     pub(super) arrays: Vec<Option<ArrayVal>>,
 }

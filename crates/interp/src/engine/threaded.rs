@@ -50,11 +50,12 @@
 //! to the chain's register count).  The handlers are generic over the
 //! array store and monomorphized once per `StoreKind` — the spine's dense
 //! slots, a region worker's shared views, the level-set inspection's
-//! recording store — so one chain serves the spine, proof regions,
-//! level-set phases and the inspection replay.  Each lowering is cached
-//! on the pipeline's [`Artifacts`] (one per artifact, opt level and store
-//! kind, created on first use, shared by clones and charged to the
-//! session cache through [`EngineArtifact::approx_bytes`]).
+//! recording store, input synthesis' growing discovery store — so one
+//! chain serves the spine, proof regions, level-set phases, the
+//! inspection replay and the discovery pass (`run_chain`).  Each
+//! lowering is cached on the pipeline's [`Artifacts`] (one per artifact,
+//! opt level and store kind, created on first use, shared by clones and
+//! charged to the session cache through [`EngineArtifact::approx_bytes`]).
 
 use super::shared::{
     load_scalars, store_scalars, ArrayStore, Dispatcher, Spine, SpineArrays, SpineKind, StoreKind,
@@ -1207,12 +1208,21 @@ fn lower<K: StoreKind>(bc: &BytecodeProgram) -> ThProgram<K> {
 /// The lowered program for `level` and store kind `K`, creating and
 /// caching it on the artifacts on first use.  Returns the shared `Arc`;
 /// downcast with [`th_program`].
-fn lowered<K: StoreKind>(artifacts: &Artifacts, level: OptLevel) -> Arc<dyn EngineArtifact> {
+pub(crate) fn lowered<K: StoreKind>(
+    artifacts: &Artifacts,
+    level: OptLevel,
+) -> Arc<dyn EngineArtifact> {
     artifacts.engine_artifact(
         "threaded",
         K::INDEX << 1 | ExtArtifacts::level_key(level),
         || Arc::new(lower::<K>(artifacts.bytecode_at(level))),
     )
+}
+
+/// The lowering of `bc` for store kind `K`, uncached: for a caller that
+/// holds a stream but no artifacts to cache it on.
+pub(crate) fn lower_uncached<K: StoreKind>(bc: &BytecodeProgram) -> Arc<dyn EngineArtifact> {
+    Arc::new(lower::<K>(bc))
 }
 
 /// Recovers the concrete lowering from the engine-artifact slot.
@@ -1256,6 +1266,34 @@ pub(super) fn run_threaded(
         heap,
         stats: cx.stats,
     })
+}
+
+/// Runs the whole program of `chain`, a lowering for store kind `K`,
+/// serially over `arrays`, from a frame whose low registers hold
+/// `scalars` (one per scalar slot): nothing dispatches and nothing is
+/// timed.  Returns the store, for the caller to read what it recorded.
+pub(crate) fn run_chain<'s, K: StoreKind>(
+    chain: &'s Arc<dyn EngineArtifact>,
+    mut scalars: Vec<i64>,
+    arrays: K::Arrays<'s>,
+    while_cap: u64,
+) -> Result<K::Arrays<'s>, ExecError> {
+    let prog = th_program::<K>(chain);
+    scalars.resize(prog.nregs, 0);
+    let mut cx = ThCtx {
+        prog,
+        regs: scalars,
+        defined: Vec::new(),
+        arrays,
+        guards: Vec::new(),
+        stats: ExecStats::default(),
+        timing: false,
+        while_cap,
+        nscalars: prog.nscalars,
+        dispatch: None,
+    };
+    exec_ops(&prog.main.ops, &mut cx)?;
+    Ok(cx.arrays)
 }
 
 #[cfg(test)]

@@ -52,8 +52,7 @@
 //! have licensed a parallel executor"; step 4 stays reserved to rows with
 //! `EngineCaps::level_sets`.
 
-use super::shared::{ArrayStore, Dispatcher, Spine, StoreKind};
-use super::store::elem_at;
+use super::shared::{elem_at, ArrayStore, Dispatcher, Spine, StoreKind};
 use super::{restamp_written, ExecError, ExecOptions, ScheduleSource};
 use crate::fnv::Fnv1a;
 use crate::heap::{ArrayVal, Heap};

@@ -20,13 +20,29 @@
 //! so the real serial and parallel runs observe exactly the accesses the
 //! discovery did, with no out-of-bounds surprises and no second source of
 //! randomness.
+//!
+//! The pass runs the program's O1 bytecode stream on the direct-threaded
+//! chain (`engine::threaded`), lowered for store kind `DiscoverKind` —
+//! O1 never drops a load, so the chain makes every access the program
+//! does.  Its store keeps one dense row-major buffer per array slot: the
+//! rank is fixed by the first access (or declaration), and an index past
+//! the buffer grows that dimension geometrically, filling the new cells
+//! with [`input_value`].  A declared array keeps its declared extent; the
+//! cells a program touches past it, where its real run fails, are kept
+//! aside rather than allocated.  A negative subscript
+//! fails with `OutOfBounds { dims: [] }`, a rank mismatch with
+//! `ArityMismatch`; division and runaway loops fail as in every engine.
 
-use crate::engine::serial::exec_stmts;
-use crate::engine::store::Store;
-use crate::engine::{ExecEnvTiming, ExecError, ExecOptions, ExecStats};
+use crate::engine::threaded::{lower_uncached, lowered, run_chain};
+use crate::engine::{ArrayStore, ExecError, ExecOptions, StoreKind};
 use crate::heap::{ArrayVal, Heap};
+use ss_ir::bytecode::{compile_bytecode, BytecodeProgram};
+use ss_ir::opt::{optimize, OptLevel};
+use ss_ir::slots::{compile_program, ArraySlot};
 use ss_ir::{free_scalars, Program};
+use ss_parallelizer::{Artifacts, EngineArtifact};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Parameters of input synthesis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,102 +64,284 @@ impl Default for InputSpec {
 /// The deterministic "initial memory" function: what array element
 /// `name[indices]` contains before the program writes it.
 pub fn input_value(seed: u64, name: &str, indices: &[i64], scale: i64) -> i64 {
-    let mut h: u64 = seed ^ 0x9e37_79b9_7f4a_7c15;
-    for b in name.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    for &i in indices {
-        h ^= i as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    // SplitMix64 finalizer for avalanche.
-    h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    h ^= h >> 31;
-    (h % scale.max(1) as u64) as i64
+    let f = InputFn::new(seed, name, scale);
+    f.finish(f.absorb(indices))
 }
 
-#[derive(Default)]
-struct DiscoveredArray {
-    /// Max index seen per dimension (rank fixed by first access).
-    max_index: Vec<i64>,
-    /// Elements written so far during discovery, with current values.
-    written: HashMap<Vec<i64>, i64>,
-    /// Declared extents (for arrays introduced by `int a[n];`), which also
-    /// fix the allocation even if the program touches less.  Declared arrays
-    /// are zero-initialized — reads of unwritten elements must yield 0, like
-    /// the real engines' `declare_array`, not synthesized input data.
-    declared: Option<Vec<usize>>,
+/// [`input_value`] for one array, with the seed and the name folded into
+/// the hash once.
+#[derive(Clone, Copy)]
+struct InputFn {
+    h: u64,
+    scale: u64,
 }
 
-struct DiscoveryStore {
-    scalars: HashMap<String, i64>,
-    arrays: HashMap<String, DiscoveredArray>,
+impl InputFn {
+    fn new(seed: u64, name: &str, scale: i64) -> InputFn {
+        let mut h: u64 = seed ^ 0x9e37_79b9_7f4a_7c15;
+        for b in name.bytes() {
+            h = step(h, b as u64);
+        }
+        InputFn {
+            h,
+            scale: scale.max(1) as u64,
+        }
+    }
+
+    /// The hash state after `indices`.
+    fn absorb(self, indices: &[i64]) -> u64 {
+        indices.iter().fold(self.h, |h, &i| step(h, i as u64))
+    }
+
+    fn finish(self, mut h: u64) -> i64 {
+        // SplitMix64 finalizer for avalanche.
+        h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        h ^= h >> 31;
+        (h % self.scale) as i64
+    }
+
+    /// Fills `row` with the values of `prefix ++ [from + k]`, k = 0, 1, ….
+    fn fill(self, prefix: &[i64], from: usize, row: &mut [i64]) {
+        let h = self.absorb(prefix);
+        for (k, cell) in row.iter_mut().enumerate() {
+            *cell = self.finish(step(h, (from + k) as u64));
+        }
+    }
+}
+
+fn step(h: u64, word: u64) -> u64 {
+    (h ^ word).wrapping_mul(0x0000_0100_0000_01b3)
+}
+
+/// Calls `f(prefix, row)` on each last-dimension row of the row-major
+/// buffer `data` over `dims`, in order; `prefix` holds the row's leading
+/// indices.
+fn for_each_row(dims: &[usize], data: &mut [i64], mut f: impl FnMut(&[i64], &mut [i64])) {
+    let Some((&last, outer)) = dims.split_last() else {
+        return;
+    };
+    let mut prefix = vec![0i64; outer.len()];
+    for row in data.chunks_exact_mut(last.max(1)) {
+        f(&prefix, row);
+        for d in (0..outer.len()).rev() {
+            prefix[d] += 1;
+            if (prefix[d] as usize) < outer[d] {
+                break;
+            }
+            prefix[d] = 0;
+        }
+    }
+}
+
+fn fill_with_input_values(data: &mut [i64], name: &str, dims: &[usize], spec: &InputSpec) {
+    let f = InputFn::new(spec.seed, name, spec.scale);
+    for_each_row(dims, data, |prefix, row| f.fill(prefix, 0, row));
+}
+
+// ---------------------------------------------------------------------------
+// The discovery store.
+// ---------------------------------------------------------------------------
+
+/// One array as discovery sees it.
+struct Discovered {
+    /// Max index seen per dimension; its length is the rank, fixed by the
+    /// first access or declaration.
+    max: Vec<i64>,
+    /// Allocated extent per dimension; `data` is row-major over it.
+    cap: Vec<usize>,
+    data: Vec<i64>,
+    /// `Some` for arrays introduced by `int a[n];`.  Their extent is the
+    /// declared one, which fixes the allocation even if the program
+    /// touches less, and they are zero-initialized — reads of unwritten
+    /// elements must yield 0, like the real engines' `declare_array`, not
+    /// synthesized input data.  They never grow: the cells a program
+    /// touches past the extent, where its real run fails, live here.
+    declared: Option<HashMap<Vec<i64>, i64>>,
+}
+
+impl Discovered {
+    fn fresh(rank: usize) -> Discovered {
+        Discovered {
+            max: vec![-1; rank],
+            declared: None,
+            cap: vec![0; rank],
+            data: Vec::new(),
+        }
+    }
+
+    fn declared(dims: Vec<usize>) -> Discovered {
+        Discovered {
+            max: dims.iter().map(|&d| d as i64 - 1).collect(),
+            data: vec![0; dims.iter().product()],
+            cap: dims,
+            declared: Some(HashMap::new()),
+        }
+    }
+
+    /// Grows every dimension `indices` overruns to at least twice its
+    /// extent, keeping the cells held so far and filling the new ones
+    /// from `fill`.
+    fn grow(&mut self, indices: &[i64], fill: InputFn) {
+        let cap: Vec<usize> = (self.cap.iter().zip(indices))
+            .map(|(&c, &i)| match i as usize {
+                i if i < c => c,
+                i => (i + 1).max(2 * c),
+            })
+            .collect();
+        let (old, (&old_last, old_outer)) = (&self.data, self.cap.split_last().expect("rank ≥ 1"));
+        // Saturating: an absurd subscript fails the allocation instead of
+        // wrapping into a buffer its cells would alias.
+        let mut data = vec![0; cap.iter().fold(1, |n: usize, &c| n.saturating_mul(c))];
+        for_each_row(&cap, &mut data, |prefix, row| {
+            let held = prefix
+                .iter()
+                .zip(old_outer)
+                .all(|(&p, &c)| (p as usize) < c);
+            let kept = if held { old_last } else { 0 };
+            if kept > 0 {
+                let r = (prefix.iter().zip(old_outer)).fold(0, |r, (&p, &c)| r * c + p as usize);
+                row[..kept].copy_from_slice(&old[r * kept..(r + 1) * kept]);
+            }
+            fill.fill(prefix, kept, &mut row[kept..]);
+        });
+        self.cap = cap;
+        self.data = data;
+    }
+}
+
+/// The discovery pass's array store: one [`Discovered`] per array slot,
+/// created by the first access.
+pub(crate) struct DiscoverArrays<'s> {
+    names: &'s [String],
+    arrays: Vec<Option<Discovered>>,
     spec: InputSpec,
 }
 
-impl DiscoveryStore {
-    fn touch(&mut self, array: &str, indices: &[i64]) -> Result<&mut DiscoveredArray, ExecError> {
-        let a = self.arrays.entry(array.to_string()).or_default();
-        if a.max_index.is_empty() && a.written.is_empty() && a.declared.is_none() {
-            a.max_index = vec![-1; indices.len()];
-        }
-        if indices.len() != a.max_index.len() {
+impl DiscoverArrays<'_> {
+    /// Element `indices` of `a`, recording the access and growing the
+    /// buffer to hold it.
+    fn cell(&mut self, a: ArraySlot, indices: &[i64]) -> Result<&mut i64, ExecError> {
+        let name = &self.names[a.index()];
+        let arr = self.arrays[a.index()].get_or_insert_with(|| Discovered::fresh(indices.len()));
+        if indices.len() != arr.max.len() {
             return Err(ExecError::ArityMismatch {
-                array: array.to_string(),
-                expected: a.max_index.len(),
+                array: name.clone(),
+                expected: arr.max.len(),
                 got: indices.len(),
             });
         }
-        for (&idx, max) in indices.iter().zip(&mut a.max_index) {
-            if idx < 0 {
+        let mut fits = true;
+        for ((&i, max), &cap) in indices.iter().zip(&mut arr.max).zip(&arr.cap) {
+            if i < 0 {
                 return Err(ExecError::OutOfBounds {
-                    array: array.to_string(),
+                    array: name.clone(),
                     indices: indices.to_vec(),
                     dims: vec![],
                 });
             }
-            if idx > *max {
-                *max = idx;
+            *max = (*max).max(i);
+            fits &= (i as usize) < cap;
+        }
+        if !fits {
+            match arr.declared {
+                None => arr.grow(indices, InputFn::new(self.spec.seed, name, self.spec.scale)),
+                Some(ref mut past) => return Ok(past.entry(indices.to_vec()).or_insert(0)),
             }
         }
-        Ok(a)
+        let flat = (indices.iter().zip(&arr.cap)).fold(0, |f, (&i, &c)| f * c + i as usize);
+        Ok(&mut arr.data[flat])
+    }
+
+    /// The cell of an in-buffer rank-1 (`j = None`) or rank-2 access to
+    /// `a`, its maxima updated; `None` sends the access down [`cell`]
+    /// (fresh array, other rank, negative or past the buffer).
+    ///
+    /// [`cell`]: Self::cell
+    #[inline(always)]
+    fn fast(&mut self, a: ArraySlot, i: i64, j: Option<i64>) -> Option<&mut i64> {
+        let arr = self.arrays[a.index()].as_mut()?;
+        let ui = usize::try_from(i).ok()?;
+        match (j, &mut arr.max[..], &arr.cap[..]) {
+            (None, [m], &[c]) if ui < c => {
+                *m = (*m).max(i);
+                Some(&mut arr.data[ui])
+            }
+            (Some(j), [m0, m1], &[c0, c1]) if ui < c0 => {
+                let uj = usize::try_from(j).ok().filter(|&uj| uj < c1)?;
+                *m0 = (*m0).max(i);
+                *m1 = (*m1).max(j);
+                Some(&mut arr.data[ui * c1 + uj])
+            }
+            _ => None,
+        }
     }
 }
 
-impl Store for DiscoveryStore {
-    fn scalar(&mut self, name: &str) -> i64 {
-        self.scalars.get(name).copied().unwrap_or(0)
+impl ArrayStore for DiscoverArrays<'_> {
+    fn read(&mut self, a: ArraySlot, indices: &[i64]) -> Result<i64, ExecError> {
+        self.cell(a, indices).map(|c| *c)
     }
 
-    fn set_scalar(&mut self, name: &str, v: i64) {
-        self.scalars.insert(name.to_string(), v);
-    }
-
-    fn read_elem(&mut self, array: &str, indices: &[i64]) -> Result<i64, ExecError> {
-        let spec = self.spec;
-        let a = self.touch(array, indices)?;
-        Ok(match a.written.get(indices) {
-            Some(&v) => v,
-            None if a.declared.is_some() => 0,
-            None => input_value(spec.seed, array, indices, spec.scale),
-        })
-    }
-
-    fn write_elem(&mut self, array: &str, indices: &[i64], v: i64) -> Result<(), ExecError> {
-        let a = self.touch(array, indices)?;
-        a.written.insert(indices.to_vec(), v);
+    fn write(&mut self, a: ArraySlot, indices: &[i64], v: i64) -> Result<(), ExecError> {
+        *self.cell(a, indices)? = v;
         Ok(())
     }
 
-    fn declare_array(&mut self, name: &str, dims: Vec<usize>) {
-        let a = self.arrays.entry(name.to_string()).or_default();
-        a.max_index = dims.iter().map(|&d| d as i64 - 1).collect();
-        a.declared = Some(dims);
-        a.written.clear();
+    fn declare(&mut self, a: ArraySlot, dims: Vec<usize>) {
+        self.arrays[a.index()] = Some(Discovered::declared(dims));
+    }
+
+    #[inline(always)]
+    fn read1(&mut self, a: ArraySlot, i: i64) -> Result<i64, ExecError> {
+        match self.fast(a, i, None) {
+            Some(c) => Ok(*c),
+            None => self.read(a, &[i]),
+        }
+    }
+
+    #[inline(always)]
+    fn write1(&mut self, a: ArraySlot, i: i64, v: i64) -> Result<(), ExecError> {
+        match self.fast(a, i, None) {
+            Some(c) => {
+                *c = v;
+                Ok(())
+            }
+            None => self.write(a, &[i], v),
+        }
+    }
+
+    #[inline(always)]
+    fn read2(&mut self, a: ArraySlot, i: i64, j: i64) -> Result<i64, ExecError> {
+        match self.fast(a, i, Some(j)) {
+            Some(c) => Ok(*c),
+            None => self.read(a, &[i, j]),
+        }
+    }
+
+    #[inline(always)]
+    fn write2(&mut self, a: ArraySlot, i: i64, j: i64, v: i64) -> Result<(), ExecError> {
+        match self.fast(a, i, Some(j)) {
+            Some(c) => {
+                *c = v;
+                Ok(())
+            }
+            None => self.write(a, &[i, j], v),
+        }
     }
 }
+
+/// The discovery pass's store kind: [`DiscoverArrays`].
+pub(crate) enum DiscoverKind {}
+
+impl StoreKind for DiscoverKind {
+    type Arrays<'s> = DiscoverArrays<'s>;
+    const INDEX: u8 = 3;
+}
+
+// ---------------------------------------------------------------------------
+// Entry points.
+// ---------------------------------------------------------------------------
 
 /// Runs the discovery pass and builds the initial heap for `program`.
 ///
@@ -151,59 +349,69 @@ impl Store for DiscoveryStore {
 /// clones of it to each [`Engine`](crate::Engine) run guarantees all
 /// executions observe identical initial memory.
 pub fn synthesize_inputs(program: &Program, spec: &InputSpec) -> Result<Heap, ExecError> {
-    let mut store = DiscoveryStore {
-        scalars: free_scalars(program)
-            .into_iter()
-            .map(|s| (s, spec.scale))
-            .collect(),
-        arrays: HashMap::new(),
+    let bc = optimize(&compile_bytecode(&compile_program(program)), OptLevel::O1);
+    discover(program, &bc, &lower_uncached::<DiscoverKind>(&bc), spec)
+}
+
+/// [`synthesize_inputs`] for a compiled program: discovery runs the
+/// artifacts' O1 stream, and its lowering is cached on them.
+pub(crate) fn synthesize_for(artifacts: &Artifacts, spec: &InputSpec) -> Result<Heap, ExecError> {
+    let chain = lowered::<DiscoverKind>(artifacts, OptLevel::O1);
+    discover(
+        &artifacts.program,
+        artifacts.bytecode_at(OptLevel::O1),
+        &chain,
+        spec,
+    )
+}
+
+/// Runs `chain`, the discovery lowering of `bc` (the stream of
+/// `program`), and sizes the initial heap from what it recorded.
+fn discover(
+    program: &Program,
+    bc: &BytecodeProgram,
+    chain: &Arc<dyn EngineArtifact>,
+    spec: &InputSpec,
+) -> Result<Heap, ExecError> {
+    let free = free_scalars(program);
+    let mut scalars = vec![0; bc.slots.scalar_count()];
+    for name in &free {
+        if let Some(slot) = bc.slots.scalar_slot(name) {
+            scalars[slot.index()] = spec.scale;
+        }
+    }
+    let names = bc.slots.array_names();
+    let store = DiscoverArrays {
+        names,
+        arrays: names.iter().map(|_| None).collect(),
         spec: *spec,
     };
-    let mut stats = ExecStats::default();
-    let mut env = ExecEnvTiming {
-        stats: &mut stats,
-        timing: false,
-        while_cap: ExecOptions::default().while_cap,
-    };
-    exec_stmts(&mut store, &program.body, &mut env)?;
+    let while_cap = ExecOptions::default().while_cap;
+    let store = run_chain::<DiscoverKind>(chain, scalars, store, while_cap)?;
 
     let mut heap = Heap::new();
-    for name in free_scalars(program) {
+    for name in free {
         heap.scalars.insert(name, spec.scale);
     }
-    for (name, d) in &store.arrays {
-        let dims: Vec<usize> = match &d.declared {
-            Some(dims) => dims.clone(),
-            None => d
-                .max_index
-                .iter()
-                .map(|&m| (m + 1).max(0) as usize)
-                .collect(),
+    for (name, d) in names.iter().zip(store.arrays) {
+        let Some(d) = d else { continue };
+        // The discovery buffer goes before the heap's array is allocated.
+        drop(d.data);
+        let declared = d.declared.is_some();
+        let dims: Vec<usize> = if declared {
+            d.cap
+        } else {
+            d.max.iter().map(|&m| (m + 1).max(0) as usize).collect()
         };
         // Declared arrays start zeroed (their `Decl` re-zeroes them anyway);
         // everything else starts as synthesized input data.
         let mut data = vec![0; dims.iter().product()];
-        if d.declared.is_none() {
+        if !declared {
             fill_with_input_values(&mut data, name, &dims, spec);
         }
         heap.arrays.insert(name.clone(), ArrayVal::new(dims, data));
     }
     Ok(heap)
-}
-
-fn fill_with_input_values(data: &mut [i64], name: &str, dims: &[usize], spec: &InputSpec) {
-    let mut indices = vec![0i64; dims.len()];
-    for elem in data {
-        *elem = input_value(spec.seed, name, &indices, spec.scale);
-        // Row-major increment.
-        for d in (0..dims.len()).rev() {
-            indices[d] += 1;
-            if (indices[d] as usize) < dims[d] {
-                break;
-            }
-            indices[d] = 0;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -376,15 +584,27 @@ mod tests {
 
     #[test]
     fn reading_past_a_declared_extent_is_left_to_the_real_run() {
-        let p = parse_program("t", "int t[3]; x = t[5];").unwrap();
+        // However far past: discovery allocates no cell beyond the extent,
+        // and reads back what it wrote there.
+        let p = parse_program(
+            "t",
+            r#"
+            int t[3];
+            t[1099511627776] = 7;
+            n = t[1099511627776];
+            for (i = 0; i < n; i++) { a[i] = i; }
+        "#,
+        )
+        .unwrap();
         let heap = synthesize_inputs(&p, &InputSpec::default()).unwrap();
         assert_eq!(heap.arrays["t"].dims, vec![3]);
+        assert_eq!(heap.arrays["a"].dims, vec![7]);
         let err = run_serial(&p, heap).unwrap_err();
         assert!(
             matches!(
                 &err,
                 crate::SsError::Runtime(ExecError::OutOfBounds { array, indices, dims })
-                    if array == "t" && indices == &[5] && dims == &[3]
+                    if array == "t" && indices == &[1099511627776] && dims == &[3]
             ),
             "{err:?}"
         );

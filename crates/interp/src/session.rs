@@ -56,7 +56,7 @@ use crate::engine::{Engine, EngineRegistry, ExecOptions, ExecStats, ScheduleChoi
 use crate::error::SsError;
 use crate::fnv::Fnv1a;
 use crate::heap::Heap;
-use crate::inputs::{synthesize_inputs, InputSpec};
+use crate::inputs::{synthesize_for, InputSpec};
 use crate::json;
 use crate::matrix::{LegKind, Matrix};
 use crate::tuner::{self, PolicyPoint, TunedPolicy, TunerConfig};
@@ -917,7 +917,7 @@ impl Session {
     /// The initial heap of `request` (synthesized or explicit).
     fn initial_heap(&self, request: &RunRequest, artifacts: &Artifacts) -> Result<Heap, SsError> {
         Ok(match &request.inputs {
-            InputSource::Synthesized(spec) => synthesize_inputs(&artifacts.program, spec)?,
+            InputSource::Synthesized(spec) => synthesize_for(artifacts, spec)?,
             InputSource::Explicit(heap) => heap.clone(),
         })
     }

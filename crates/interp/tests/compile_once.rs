@@ -250,6 +250,43 @@ fn threaded_engine_lowers_once_per_artifact_and_level() {
 }
 
 #[test]
+fn input_discovery_lowers_once_per_artifacts_never_per_run() {
+    // Synthesized inputs are discovered on the program's O1 stream, run
+    // on the threaded chain lowered for the discovery store and cached on
+    // the artifacts like every other store kind: a program's first
+    // synthesized run adds exactly that one lowering to what the same run
+    // on an explicit heap lowers, and a second synthesized run — a cache
+    // hit — compiles and lowers nothing.
+    let _guard = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let lowerings = ss_interp::engine::threaded::threaded_lowering_count;
+    let bytecode = ss_ir::bytecode::bytecode_compilation_count;
+    let synthesized = RunRequest::new("discover-once", SRC).scale(40).threads(2);
+    let explicit = synthesized.clone().initial_heap(heap(40));
+
+    let before = lowerings();
+    Session::new().run(&explicit).unwrap();
+    let explicit_lowerings = lowerings() - before;
+
+    let session = Session::new();
+    let (lowered, compiled) = (lowerings(), bytecode());
+    let first = session.run(&synthesized).unwrap();
+    assert!(!first.cache_hit);
+    assert_eq!(lowerings(), lowered + explicit_lowerings + 1);
+    assert_eq!(bytecode(), compiled + 1);
+
+    let (lowered, compiled) = (lowerings(), bytecode());
+    let second = session.run(&synthesized).unwrap();
+    assert!(second.cache_hit);
+    assert_eq!(second.heap, first.heap);
+    assert_eq!(
+        lowerings(),
+        lowered,
+        "discovery is lowered once per artifacts"
+    );
+    assert_eq!(bytecode(), compiled, "and never recompiles the stream");
+}
+
+#[test]
 fn wavefront_engine_builds_each_schedule_once_per_artifacts_and_input() {
     // The wavefront tier inspects a carried loop and builds its level-set
     // schedule exactly once per (artifacts, input state) — repeated runs
