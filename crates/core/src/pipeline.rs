@@ -455,6 +455,14 @@ impl ExtArtifacts {
         }
     }
 
+    /// The populated slots' `(engine name, key)` pairs, sorted.
+    pub fn keys(&self) -> Vec<(&'static str, u8)> {
+        let slots = self.slots.lock().unwrap_or_else(|e| e.into_inner());
+        let mut keys: Vec<_> = slots.keys().copied().collect();
+        keys.sort_unstable();
+        keys
+    }
+
     /// Footprint of the populated slots.
     pub fn approx_bytes(&self) -> usize {
         self.slots

@@ -34,10 +34,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 static LEVELSET_BUILDS: AtomicU64 = AtomicU64::new(0);
 
-/// Process-wide count of [`build_level_sets`] invocations (the wavefront
-/// analogue of `ss_ir::bytecode::bytecode_compilation_count`): tests
-/// assert a schedule is built once per `(artifacts, input)` and then
-/// served from the cache, never rebuilt per run.
+/// Process-wide count of [`build_level_sets`] invocations.  Kept because
+/// `ssbench` reads it (its `inspector.levelset_builds` metric); tests read
+/// where a run's schedule came from off the run's own loop statistics
+/// instead.
 pub fn levelset_build_count() -> u64 {
     LEVELSET_BUILDS.load(Ordering::Relaxed)
 }
@@ -233,13 +233,6 @@ mod tests {
         // conflict is within one iteration, not carried.
         let s = build_level_sets(&[acc(&[0], &[0]), acc(&[1], &[1])]);
         assert_eq!(s.levels, vec![0, 0]);
-    }
-
-    #[test]
-    fn build_count_advances_once_per_build() {
-        let before = levelset_build_count();
-        build_level_sets(&[acc(&[], &[0])]);
-        assert!(levelset_build_count() > before);
     }
 
     #[test]

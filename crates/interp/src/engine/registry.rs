@@ -12,10 +12,8 @@
 //! strategies* its parallel runs may use.
 //!
 //! Engines execute **precompiled** [`Artifacts`] only: compilation happens
-//! once, in the pipeline, and [`Engine::prepare`] is each engine's hook to
-//! veto an artifact store it cannot run (today's engines accept
-//! everything; a future engine with narrower capabilities refuses here
-//! instead of failing mid-run).
+//! once, in the pipeline, and an engine runs whatever artifact store it is
+//! handed.
 
 use crate::engine::shared::Dispatcher;
 use crate::engine::{
@@ -67,14 +65,6 @@ pub trait Engine: Send + Sync + std::fmt::Debug {
 
     /// Capability flags (see [`EngineCaps`]).
     fn caps(&self) -> EngineCaps;
-
-    /// Checks that `artifacts` carry everything this engine needs; called
-    /// once per (session, program) before the first execution.  The
-    /// default accepts everything.
-    fn prepare(&self, artifacts: &Artifacts) -> Result<(), SsError> {
-        let _ = artifacts;
-        Ok(())
-    }
 
     /// Executes the whole program on one thread.
     fn run_serial(

@@ -55,7 +55,8 @@
 //! inspection replay and the discovery pass (`run_chain`).  Each
 //! lowering is cached on the pipeline's [`Artifacts`] (one per artifact,
 //! opt level and store kind, created on first use, shared by clones and
-//! charged to the session cache through [`EngineArtifact::approx_bytes`]).
+//! charged to the session cache through [`EngineArtifact::approx_bytes`]);
+//! [`ExtArtifacts::keys`] lists the `"threaded"` slots a program holds.
 
 use super::shared::{
     load_scalars, store_scalars, ArrayStore, Dispatcher, Spine, SpineArrays, SpineKind, StoreKind,
@@ -73,19 +74,8 @@ use ss_ir::slots::ArraySlot;
 use ss_ir::LoopId;
 use ss_parallelizer::{Artifacts, EngineArtifact, ExtArtifacts};
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-
-static THREADED_LOWERINGS: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide count of `lower` invocations (the threaded-tier
-/// analogue of [`ss_ir::bytecode::bytecode_compilation_count`]): tests
-/// assert the lowering runs once per `(Artifacts, opt level, store kind)`
-/// and never per run.
-pub fn threaded_lowering_count() -> u64 {
-    THREADED_LOWERINGS.load(Ordering::Relaxed)
-}
 
 // ---------------------------------------------------------------------------
 // The lowered program.
@@ -1185,7 +1175,6 @@ fn try_fuse<K: StoreKind>(
 /// ops and loop table, only the handlers' monomorphization differs; called
 /// once per `(Artifacts, opt level, store kind)` through [`lowered`].
 fn lower<K: StoreKind>(bc: &BytecodeProgram) -> ThProgram<K> {
-    THREADED_LOWERINGS.fetch_add(1, Ordering::Relaxed);
     let mut lw = Lower {
         bc,
         loops: Vec::new(),
@@ -1217,12 +1206,6 @@ pub(crate) fn lowered<K: StoreKind>(
         K::INDEX << 1 | ExtArtifacts::level_key(level),
         || Arc::new(lower::<K>(artifacts.bytecode_at(level))),
     )
-}
-
-/// The lowering of `bc` for store kind `K`, uncached: for a caller that
-/// holds a stream but no artifacts to cache it on.
-pub(crate) fn lower_uncached<K: StoreKind>(bc: &BytecodeProgram) -> Arc<dyn EngineArtifact> {
-    Arc::new(lower::<K>(bc))
 }
 
 /// Recovers the concrete lowering from the engine-artifact slot.

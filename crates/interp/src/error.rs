@@ -38,9 +38,8 @@ pub enum SsError {
         /// Every name the registry does know, for the error message.
         available: Vec<String>,
     },
-    /// An engine's [`prepare`](crate::Engine::prepare) refused the
-    /// program (artifact store missing something the engine needs, or a
-    /// construct outside its capabilities).  Exit code 6.
+    /// The request needs an engine capability the registry lacks (a
+    /// differential run without a reference engine).  Exit code 6.
     Unsupported {
         /// The refusing engine.
         engine: String,

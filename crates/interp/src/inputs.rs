@@ -29,20 +29,19 @@
 //! the buffer grows that dimension geometrically, filling the new cells
 //! with [`input_value`].  A declared array keeps its declared extent; the
 //! cells a program touches past it, where its real run fails, are kept
-//! aside rather than allocated.  A negative subscript
-//! fails with `OutOfBounds { dims: [] }`, a rank mismatch with
-//! `ArityMismatch`; division and runaway loops fail as in every engine.
+//! aside rather than allocated.  A negative subscript, or one that would
+//! grow an array past `MAX_DISCOVERED_CELLS`, fails with
+//! `OutOfBounds { dims: [] }`, a rank mismatch with `ArityMismatch`;
+//! division and runaway loops fail as in every engine.
 
-use crate::engine::threaded::{lower_uncached, lowered, run_chain};
+use crate::engine::threaded::{lowered, run_chain};
 use crate::engine::{ArrayStore, ExecError, ExecOptions, StoreKind};
 use crate::heap::{ArrayVal, Heap};
-use ss_ir::bytecode::{compile_bytecode, BytecodeProgram};
-use ss_ir::opt::{optimize, OptLevel};
-use ss_ir::slots::{compile_program, ArraySlot};
+use ss_ir::opt::OptLevel;
+use ss_ir::slots::ArraySlot;
 use ss_ir::{free_scalars, Program};
-use ss_parallelizer::{Artifacts, EngineArtifact};
+use ss_parallelizer::Artifacts;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Parameters of input synthesis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,6 +142,13 @@ fn fill_with_input_values(data: &mut [i64], name: &str, dims: &[usize], spec: &I
 // The discovery store.
 // ---------------------------------------------------------------------------
 
+/// The most cells discovery grows one undeclared array's buffer to
+/// (512 MiB of `i64`); a subscript that needs more fails discovery like a
+/// negative one.  The largest buffer any catalogue kernel or benchmark
+/// program grows at the wire's `MAX_SCALE` of 2048 is a 2048 × 2048
+/// matrix, 4,194,304 cells, so this leaves 16× headroom.
+const MAX_DISCOVERED_CELLS: usize = 1 << 26;
+
 /// One array as discovery sees it.
 struct Discovered {
     /// Max index seen per dimension; its length is the rank, fixed by the
@@ -181,18 +187,21 @@ impl Discovered {
 
     /// Grows every dimension `indices` overruns to at least twice its
     /// extent, keeping the cells held so far and filling the new ones
-    /// from `fill`.
-    fn grow(&mut self, indices: &[i64], fill: InputFn) {
+    /// from `fill`.  `false`, with nothing changed, when the grown buffer
+    /// would hold more than [`MAX_DISCOVERED_CELLS`].
+    fn grow(&mut self, indices: &[i64], fill: InputFn) -> bool {
         let cap: Vec<usize> = (self.cap.iter().zip(indices))
             .map(|(&c, &i)| match i as usize {
                 i if i < c => c,
                 i => (i + 1).max(2 * c),
             })
             .collect();
+        let cells = cap.iter().try_fold(1, |n: usize, &c| n.checked_mul(c));
+        let Some(cells) = cells.filter(|&n| n <= MAX_DISCOVERED_CELLS) else {
+            return false;
+        };
         let (old, (&old_last, old_outer)) = (&self.data, self.cap.split_last().expect("rank ≥ 1"));
-        // Saturating: an absurd subscript fails the allocation instead of
-        // wrapping into a buffer its cells would alias.
-        let mut data = vec![0; cap.iter().fold(1, |n: usize, &c| n.saturating_mul(c))];
+        let mut data = vec![0; cells];
         for_each_row(&cap, &mut data, |prefix, row| {
             let held = prefix
                 .iter()
@@ -207,6 +216,7 @@ impl Discovered {
         });
         self.cap = cap;
         self.data = data;
+        true
     }
 }
 
@@ -231,21 +241,27 @@ impl DiscoverArrays<'_> {
                 got: indices.len(),
             });
         }
+        let out_of_bounds = || ExecError::OutOfBounds {
+            array: name.clone(),
+            indices: indices.to_vec(),
+            dims: vec![],
+        };
         let mut fits = true;
         for ((&i, max), &cap) in indices.iter().zip(&mut arr.max).zip(&arr.cap) {
             if i < 0 {
-                return Err(ExecError::OutOfBounds {
-                    array: name.clone(),
-                    indices: indices.to_vec(),
-                    dims: vec![],
-                });
+                return Err(out_of_bounds());
             }
             *max = (*max).max(i);
             fits &= (i as usize) < cap;
         }
         if !fits {
             match arr.declared {
-                None => arr.grow(indices, InputFn::new(self.spec.seed, name, self.spec.scale)),
+                None => {
+                    let fill = InputFn::new(self.spec.seed, name, self.spec.scale);
+                    if !arr.grow(indices, fill) {
+                        return Err(out_of_bounds());
+                    }
+                }
                 Some(ref mut past) => return Ok(past.entry(indices.to_vec()).or_insert(0)),
             }
         }
@@ -349,30 +365,14 @@ impl StoreKind for DiscoverKind {
 /// clones of it to each [`Engine`](crate::Engine) run guarantees all
 /// executions observe identical initial memory.
 pub fn synthesize_inputs(program: &Program, spec: &InputSpec) -> Result<Heap, ExecError> {
-    let bc = optimize(&compile_bytecode(&compile_program(program)), OptLevel::O1);
-    discover(program, &bc, &lower_uncached::<DiscoverKind>(&bc), spec)
+    synthesize_for(&Artifacts::compile(program), spec)
 }
 
-/// [`synthesize_inputs`] for a compiled program: discovery runs the
-/// artifacts' O1 stream, and its lowering is cached on them.
+/// Runs the discovery pass on the artifacts' O1 stream, its lowering
+/// cached on them, and builds the initial heap.
 pub(crate) fn synthesize_for(artifacts: &Artifacts, spec: &InputSpec) -> Result<Heap, ExecError> {
+    let (program, bc) = (&artifacts.program, artifacts.bytecode_at(OptLevel::O1));
     let chain = lowered::<DiscoverKind>(artifacts, OptLevel::O1);
-    discover(
-        &artifacts.program,
-        artifacts.bytecode_at(OptLevel::O1),
-        &chain,
-        spec,
-    )
-}
-
-/// Runs `chain`, the discovery lowering of `bc` (the stream of
-/// `program`), and sizes the initial heap from what it recorded.
-fn discover(
-    program: &Program,
-    bc: &BytecodeProgram,
-    chain: &Arc<dyn EngineArtifact>,
-    spec: &InputSpec,
-) -> Result<Heap, ExecError> {
     let free = free_scalars(program);
     let mut scalars = vec![0; bc.slots.scalar_count()];
     for name in &free {
@@ -387,7 +387,7 @@ fn discover(
         spec: *spec,
     };
     let while_cap = ExecOptions::default().while_cap;
-    let store = run_chain::<DiscoverKind>(chain, scalars, store, while_cap)?;
+    let store = run_chain::<DiscoverKind>(&chain, scalars, store, while_cap)?;
 
     let mut heap = Heap::new();
     for name in free {
@@ -530,6 +530,26 @@ mod tests {
                 dims: vec![],
             }
         );
+    }
+
+    #[test]
+    fn a_subscript_past_the_cell_cap_fails_discovery() {
+        // 2^40 cells would be 8 TiB: discovery refuses before allocating.
+        let p = parse_program("t", "x = a[1099511627776];").unwrap();
+        assert_eq!(
+            synthesize_inputs(&p, &InputSpec::default()).unwrap_err(),
+            ExecError::OutOfBounds {
+                array: "a".into(),
+                indices: vec![1 << 40],
+                dims: vec![],
+            }
+        );
+        // Rank 2: each extent fits alone, their product does not.
+        let p = parse_program("t", "x = m[8192][8192];").unwrap();
+        assert!(matches!(
+            synthesize_inputs(&p, &InputSpec::default()),
+            Err(ExecError::OutOfBounds { dims, .. }) if dims.is_empty()
+        ));
     }
 
     #[test]

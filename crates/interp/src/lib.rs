@@ -100,4 +100,4 @@ pub use session::{
     ValidationMode, ValidationSummary,
 };
 pub use ss_ir::opt::OptLevel;
-pub use tuner::{tune_search_count, PolicyPoint, TunedPolicy, TunerConfig};
+pub use tuner::{PolicyPoint, TunedPolicy, TunerConfig};

@@ -96,10 +96,9 @@ fn engine_label(engine: &dyn Engine, level: OptLevel) -> String {
 impl Matrix {
     /// Runs every leg of the matrix for `requested` (a row of `registry`)
     /// over `artifacts` from `initial`, comparing each against the
-    /// reference as it completes.  Every engine gets exactly one
-    /// [`Engine::prepare`] call before its first leg.  Fails only when no
-    /// reference engine is registered or a `prepare` vetoes the artifacts;
-    /// leg failures are [`Leg::outcome`]s, judged by the agreement rule.
+    /// reference as it completes.  Fails only when no reference engine is
+    /// registered; leg failures are [`Leg::outcome`]s, judged by the
+    /// agreement rule.
     pub fn run(
         registry: &EngineRegistry,
         requested: &dyn Engine,
@@ -112,15 +111,6 @@ impl Matrix {
             reason: "differential validation needs a reference engine, and none is registered"
                 .to_string(),
         })?;
-        let mut prepared: Vec<&'static str> = Vec::new();
-        let mut prepare = |e: &dyn Engine| -> Result<(), SsError> {
-            if !prepared.contains(&e.name()) {
-                e.prepare(artifacts)?;
-                prepared.push(e.name());
-            }
-            Ok(())
-        };
-        prepare(reference.as_ref())?;
         let ref_label = engine_label(reference.as_ref(), opts.opt_level);
         let ref_out = reference.run_serial(artifacts, initial.clone(), opts);
 
@@ -138,7 +128,6 @@ impl Matrix {
             .chain([(LegKind::Inspector, requested, want)]);
         let (mut legs, mut mismatches) = (Vec::new(), Vec::new());
         for (kind, row, level) in plan {
-            prepare(row)?;
             let leg_opts = ExecOptions {
                 opt_level: level,
                 baseline_inspector: kind == LegKind::Inspector,

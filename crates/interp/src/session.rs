@@ -52,7 +52,7 @@
 //! assert_eq!((stats.misses, stats.hits), (1, 1));
 //! ```
 
-use crate::engine::{Engine, EngineRegistry, ExecOptions, ExecStats, ScheduleChoice};
+use crate::engine::{EngineRegistry, ExecOptions, ExecStats, ScheduleChoice};
 use crate::error::SsError;
 use crate::fnv::Fnv1a;
 use crate::heap::Heap;
@@ -786,11 +786,6 @@ impl Session {
         &self.registry
     }
 
-    /// Registers (or replaces) an engine.
-    pub fn register_engine(&mut self, engine: Arc<dyn Engine>) {
-        self.registry.register(engine);
-    }
-
     /// Tuned-policy counters: searches run vs persisted policies applied
     /// with zero re-search.
     pub fn tuner_stats(&self) -> TunerStats {
@@ -1039,7 +1034,6 @@ impl Session {
                 heap = reference.heap;
             }
             ValidationMode::None => {
-                engine.prepare(&artifacts)?;
                 let run_serial_leg =
                     matches!(request.mode, ExecutionMode::Serial | ExecutionMode::Both);
                 let run_parallel_leg =
@@ -1534,68 +1528,6 @@ mod tests {
         assert!(j.contains("\"opt_levels\":[\"O0\",\"O1\"]"), "{j}");
         // Exactly one default engine.
         assert_eq!(j.matches("\"default\":true").count(), 1);
-    }
-
-    #[test]
-    fn prepare_is_called_once_per_engine_per_run() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Arc as StdArc;
-
-        #[derive(Debug)]
-        struct CountingEngine {
-            inner: Arc<dyn Engine>,
-            prepares: StdArc<AtomicUsize>,
-        }
-        impl Engine for CountingEngine {
-            fn name(&self) -> &'static str {
-                "counting"
-            }
-            fn description(&self) -> &'static str {
-                "bytecode wrapper that counts prepare() calls"
-            }
-            fn caps(&self) -> crate::engine::EngineCaps {
-                self.inner.caps()
-            }
-            fn prepare(&self, _artifacts: &Artifacts) -> Result<(), SsError> {
-                self.prepares.fetch_add(1, Ordering::SeqCst);
-                Ok(())
-            }
-            fn run_serial(
-                &self,
-                a: &Artifacts,
-                h: Heap,
-                o: &ExecOptions,
-            ) -> Result<crate::engine::ExecOutcome, SsError> {
-                self.inner.run_serial(a, h, o)
-            }
-            fn run_parallel(
-                &self,
-                a: &Artifacts,
-                h: Heap,
-                o: &ExecOptions,
-            ) -> Result<crate::engine::ExecOutcome, SsError> {
-                self.inner.run_parallel(a, h, o)
-            }
-        }
-
-        let prepares = StdArc::new(AtomicUsize::new(0));
-        let mut session = Session::new();
-        session.register_engine(Arc::new(CountingEngine {
-            inner: session.registry().default_engine(),
-            prepares: StdArc::clone(&prepares),
-        }));
-        // A differential run executes the counting engine at both opt
-        // levels serially — prepare still fires exactly once.
-        session
-            .run(
-                &RunRequest::new("p", "for (i = 0; i < n; i++) { out[i] = i; }")
-                    .scale(16)
-                    .threads(2)
-                    .engine("counting")
-                    .validation(ValidationMode::Differential),
-            )
-            .unwrap();
-        assert_eq!(prepares.load(Ordering::SeqCst), 1);
     }
 
     #[test]

@@ -41,7 +41,8 @@
 //! bound through [`EngineArtifact::approx_bytes`] like any other engine
 //! lowering.  [`Session::run`](crate::Session::run) with
 //! [`RunPolicy::Tuned`](crate::RunPolicy::Tuned) applies a cached policy
-//! with **zero re-search** (counter-asserted by [`tune_search_count`]).
+//! with **zero re-search**: [`Session::tuner_stats`](crate::Session::tuner_stats)
+//! counts the searches a session ran, and a cache hit adds none.
 
 use crate::engine::{EngineRegistry, ExecOptions, ScheduleChoice};
 use crate::error::SsError;
@@ -51,21 +52,10 @@ use ss_ir::bytecode::{walk, Instr};
 use ss_ir::opt::OptLevel;
 use ss_parallelizer::{Artifacts, EngineArtifact};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// The chunk sizes the dynamic-schedule legs sweep.
 pub const CHUNK_SIZES: [usize; 4] = [1, 4, 16, 64];
-
-static TUNE_SEARCHES: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide count of [`search`] invocations (the tuner analogue of
-/// `ss_ir::bytecode::bytecode_compilation_count`): a tuned-policy cache
-/// hit applies the persisted winner without advancing this counter —
-/// the zero-re-search invariant the cache tests assert.
-pub fn tune_search_count() -> u64 {
-    TUNE_SEARCHES.load(Ordering::Relaxed)
-}
 
 // ---------------------------------------------------------------------------
 // Policy points and tuned winners.
@@ -437,7 +427,6 @@ pub fn search(
     base: &ExecOptions,
     config: &TunerConfig,
 ) -> Result<TunedPolicy, SsError> {
-    TUNE_SEARCHES.fetch_add(1, Ordering::Relaxed);
     let mut pruned = Vec::new();
     let threads = base.threads.max(1);
     let candidates = enumerate_candidates(registry, artifacts, threads, config.seed, &mut pruned);

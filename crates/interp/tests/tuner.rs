@@ -1,18 +1,12 @@
-//! Tuned-policy persistence invariants, asserted through the process-wide
-//! tuner counter (`compile_once.rs` style): the first tuned run of a
+//! Tuned-policy persistence invariants, read from the session's own
+//! tuner counters ([`Session::tuner_stats`]): the first tuned run of a
 //! (program, input shape) searches the policy space, every later run
 //! reapplies the persisted winner with **zero** re-search, and the
 //! persisted policy is an ordinary cache citizen — charged to the session
 //! byte bound on the next recharge and evicted together with its
-//! artifacts.
-//!
-//! These assertions diff a global counter around runs, so they live in
-//! their own test binary and serialize on a shared lock.
+//! artifacts.  Each test owns its sessions, so the tests run concurrently.
 
-use ss_interp::{tune_search_count, RunPolicy, RunRequest, Session, TunerConfig};
-use std::sync::Mutex;
-
-static COUNTER_LOCK: Mutex<()> = Mutex::new(());
+use ss_interp::{RunPolicy, RunRequest, Session, TunerConfig};
 
 const SRC: &str = r#"
     for (e = 0; e < nelt; e++) { mt_to_id[e] = e; }
@@ -39,36 +33,28 @@ fn quick() -> TunerConfig {
 
 #[test]
 fn second_tuned_run_applies_the_persisted_policy_with_zero_re_search() {
-    let _guard = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let session = Session::new();
-    let before = tune_search_count();
+    let searches = || session.tuner_stats().searches;
 
     let first = session.run(&tuned_request(48)).unwrap();
     assert_eq!(first.policy, "tuned");
     assert_eq!(first.policy_provenance.as_deref(), Some("tuned-search"));
-    assert_eq!(tune_search_count(), before + 1);
+    assert_eq!(searches(), 1);
 
     let second = session.run(&tuned_request(48)).unwrap();
     assert_eq!(second.policy_provenance.as_deref(), Some("tuned-cache"));
     assert_eq!(second.heap, first.heap);
-    assert_eq!(
-        tune_search_count(),
-        before + 1,
-        "a persisted-policy hit must not re-search"
-    );
+    assert_eq!(searches(), 1, "a persisted-policy hit must not re-search");
 
     // A different input shape is a different signature: re-search.
     let other = session.run(&tuned_request(64)).unwrap();
     assert_eq!(other.policy_provenance.as_deref(), Some("tuned-search"));
-    assert_eq!(tune_search_count(), before + 2);
-
-    let stats = session.tuner_stats();
-    assert_eq!((stats.searches, stats.hits), (2, 1));
+    assert_eq!(searches(), 2);
+    assert_eq!(session.tuner_stats().hits, 1);
 }
 
 #[test]
 fn trial_tables_are_deterministic_under_a_fixed_seed() {
-    let _guard = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let labels = |session: &Session| -> Vec<String> {
         let outcome = session
             .tune(
@@ -95,8 +81,6 @@ fn trial_tables_are_deterministic_under_a_fixed_seed() {
 
 #[test]
 fn tuned_policies_are_byte_charged_and_evicted_with_their_artifacts() {
-    let _guard = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-
     // Unbounded session: the persisted policy grows the entry's byte
     // charge once the cache recharges it on the next hit.
     let session = Session::new();
@@ -112,12 +96,12 @@ fn tuned_policies_are_byte_charged_and_evicted_with_their_artifacts() {
     // Byte-bounded session: evicting the artifacts evicts the policy with
     // them, and the next tuned run has to search again.
     let bounded = Session::new().with_cache_capacity_bytes(1);
-    let before = tune_search_count();
+    let searches = || bounded.tuner_stats().searches;
     bounded.tune(&tuned_request(32), &quick()).unwrap();
     bounded.tune(&tuned_request(32), &quick()).unwrap();
     assert_eq!(
-        tune_search_count(),
-        before + 1,
+        searches(),
+        1,
         "the MRU entry survives the byte bound, so the second tune hits"
     );
     bounded.artifacts("other", "x = 1;").unwrap();
@@ -127,10 +111,9 @@ fn tuned_policies_are_byte_charged_and_evicted_with_their_artifacts() {
     );
     bounded.tune(&tuned_request(32), &quick()).unwrap();
     assert_eq!(
-        tune_search_count(),
-        before + 2,
+        searches(),
+        2,
         "an evicted policy cannot be reapplied: the tuner searches afresh"
     );
-    let stats = bounded.tuner_stats();
-    assert_eq!((stats.searches, stats.hits), (2, 1));
+    assert_eq!(bounded.tuner_stats().hits, 1);
 }

@@ -31,9 +31,9 @@
 //!   them (iteration caps, statistics, parallel dispatch).  Their header
 //!   expressions (init/bound/step) are themselves flat [`BcExpr`] blocks.
 //!
-//! Compilation happens **once per run**, alongside the slot pass —
-//! [`bytecode_compilation_count`] mirrors [`crate::slots::compilation_count`]
-//! so tests can assert no executor recompiles per loop entry.
+//! Compilation happens **once per program**, alongside the slot pass, in
+//! the `ss_parallelizer` pipeline; no executor recompiles per run or per
+//! loop entry.
 //!
 //! This module is also the one place that knows an instruction's operands:
 //! [`Instr::reads`], [`Instr::write`], [`Instr::target`], a loop's
@@ -49,7 +49,6 @@
 use crate::ast::{AssignOp, BinOp, LoopId, UnOp};
 use crate::slots::{ArraySlot, CExpr, CompiledBody, CompiledFor, CompiledProgram, Op, SlotMap};
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A virtual register.  Registers `0..scalar_count` alias the scalar slots
 /// of the program's [`SlotMap`]; higher registers are expression
@@ -502,17 +501,8 @@ pub fn reg_writes(code: &[Instr], out: &mut HashSet<u32>) {
     });
 }
 
-static BYTECODE_COMPILATIONS: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide count of [`compile_bytecode`] invocations (the bytecode
-/// analogue of [`crate::slots::compilation_count`]).
-pub fn bytecode_compilation_count() -> u64 {
-    BYTECODE_COMPILATIONS.load(Ordering::Relaxed)
-}
-
 /// Compiles a slot-resolved program down to bytecode.
 pub fn compile_bytecode(compiled: &CompiledProgram) -> BytecodeProgram {
-    BYTECODE_COMPILATIONS.fetch_add(1, Ordering::Relaxed);
     let mut cx = Cx {
         consts: Vec::new(),
         const_ids: HashMap::new(),

@@ -20,13 +20,12 @@
 //!   private storage) and whether inner loop bounds go through an index
 //!   array (the skew heuristic for dynamic scheduling).
 //!
-//! Compilation happens **once per program** — [`compilation_count`] exposes
-//! a process-wide counter so tests can assert no executor silently
-//! recompiles per loop entry or, worse, per iteration.
+//! Compilation happens **once per program**, in the `ss_parallelizer`
+//! pipeline (`Artifacts::compile`); engines and input synthesis run the
+//! pipeline's output and never compile on their own.
 
 use crate::ast::{AExpr, AssignOp, BinOp, LoopId, Program, Stmt, UnOp};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Dense index of a scalar variable within a [`SlotMap`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -66,7 +65,7 @@ impl SlotMap {
     /// is identical to [`compile_program`]'s because both walk the program
     /// in the same order).
     pub fn build(program: &Program) -> SlotMap {
-        compile_program_quiet(program).slots
+        compile_program(program).slots
     }
 
     fn intern_scalar(&mut self, name: &str) -> ScalarSlot {
@@ -284,22 +283,8 @@ impl CompiledProgram {
     }
 }
 
-static COMPILATIONS: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide count of [`compile_program`] invocations.  Tests diff this
-/// around an execution to assert compilation happens once per program, not
-/// once per loop entry or per iteration.
-pub fn compilation_count() -> u64 {
-    COMPILATIONS.load(Ordering::Relaxed)
-}
-
 /// Compiles a program: interns every name and lowers every statement.
 pub fn compile_program(program: &Program) -> CompiledProgram {
-    COMPILATIONS.fetch_add(1, Ordering::Relaxed);
-    compile_program_quiet(program)
-}
-
-fn compile_program_quiet(program: &Program) -> CompiledProgram {
     let mut slots = SlotMap::default();
     let body = compile_block(&program.body, &mut slots);
     CompiledProgram { body, slots }
