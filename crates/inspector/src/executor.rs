@@ -8,10 +8,13 @@
 //!
 //! The compile-time approach of the paper makes the same decision once, at
 //! compilation, from the code that fills the index arrays; at run time the
-//! parallel loop simply runs.  The [`ExecutionProfile`] returned by the
-//! drivers here records the inspection and execution times separately so the
-//! ablation benchmark can chart exactly how much of each invocation the
-//! inspector consumes.
+//! parallel loop simply runs.  Here that regime's whole run-time cost is one
+//! team region: its workers store straight into the caller's buffer through
+//! a relaxed-atomic view of it, with no allocation, copy-in or copy-back
+//! (the licensed branch of the inspector/executor regime runs the same
+//! way).  The [`ExecutionProfile`] returned by the drivers here records the
+//! inspection and execution times separately so the ablation benchmark can
+//! chart exactly how much of each invocation the inspector consumes.
 //!
 //! Two drivers are provided:
 //!
@@ -27,7 +30,8 @@
 use crate::inspect::{inspect_index_array, inspect_write_conflicts, InspectorConfig};
 use ss_properties::ArrayProperty;
 use ss_runtime::{parallel_for, time_it};
-use std::sync::atomic::{AtomicI64, Ordering};
+use std::mem::{align_of, size_of};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// How the executor ended up running the loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,7 +54,9 @@ pub struct ExecutionProfile {
     /// Seconds the inspector spent scanning index arrays (0.0 in
     /// compile-time mode).
     pub inspection_seconds: f64,
-    /// Seconds the executor spent running the loop body.
+    /// Seconds the executor spent running the loop: all of its work after
+    /// the inspection, serial or parallel (a parallel run sets up nothing
+    /// outside this clock).
     pub execution_seconds: f64,
 }
 
@@ -121,25 +127,19 @@ where
     let (_, execution_seconds) = if licensed && threads > 1 {
         // Parallel executor: the monotonicity of `bounds` means row ranges
         // are non-overlapping, so rows can be assigned to threads freely.
-        // Each thread works on its own rows through an atomic view of the
-        // data (the ranges are disjoint, so relaxed stores suffice).
-        let cells: Vec<AtomicI64> = data
-            .iter()
-            .map(|&v| AtomicI64::new(v.to_bits() as i64))
-            .collect();
-        let out = time_it(|| {
+        // Each thread stores its own rows through a relaxed-atomic view of
+        // `data` itself: the ranges are disjoint, so relaxed stores
+        // suffice, and the region's join publishes them to this thread.
+        let cells = atomic_cells(data);
+        time_it(|| {
             parallel_for(threads, nrows, |rows| {
                 for i in rows {
                     for j in row_range(i) {
-                        cells[j].store(row_body(i, j).to_bits() as i64, Ordering::Relaxed);
+                        cells[j].store(row_body(i, j).to_bits(), Ordering::Relaxed);
                     }
                 }
             });
-        });
-        for (d, c) in data.iter_mut().zip(&cells) {
-            *d = f64::from_bits(c.load(Ordering::Relaxed) as u64);
-        }
-        out
+        })
     } else {
         time_it(|| {
             for i in 0..nrows {
@@ -199,21 +199,19 @@ where
     };
 
     let (_, execution_seconds) = if licensed && threads > 1 {
-        let cells: Vec<AtomicI64> = target.iter().map(|&v| AtomicI64::new(v)).collect();
-        let out = time_it(|| {
+        // The guarded writes are injective, so each cell has one writer:
+        // relaxed stores into `target` itself, as in the range driver.
+        let cells = atomic_cells(target);
+        time_it(|| {
             parallel_for(threads, n, |iters| {
                 for i in iters {
                     if guard(i) {
                         let slot = usize::try_from(index[i]).expect("negative subscript");
-                        cells[slot].store(value(i), Ordering::Relaxed);
+                        cells[slot].store(value(i) as u64, Ordering::Relaxed);
                     }
                 }
             });
-        });
-        for (t, c) in target.iter_mut().zip(&cells) {
-            *t = c.load(Ordering::Relaxed);
-        }
-        out
+        })
     } else {
         time_it(|| {
             for i in 0..n {
@@ -247,6 +245,33 @@ pub enum Mode {
     /// Always execute serially (what a conventional compiler emits for these
     /// loops today).
     Serial,
+}
+
+/// The element types a licensed parallel branch stores into: eight bytes
+/// for which every bit pattern is a valid value, so a `u64` store through
+/// [`atomic_cells`] always leaves a valid element behind.
+trait Word {}
+
+impl Word for f64 {}
+
+impl Word for i64 {}
+
+/// `data`'s own cells as relaxed atomics, for as long as `data` is
+/// borrowed: the licensed parallel branches store through this view, so a
+/// call allocates and copies nothing.  If the property licensing the
+/// branch is false after all (a compile-time assertion about an input it
+/// does not hold for), workers race on values, never into undefined
+/// behaviour.
+fn atomic_cells<T: Word>(data: &mut [T]) -> &[AtomicU64] {
+    assert_eq!(size_of::<T>(), size_of::<AtomicU64>());
+    assert_eq!(data.as_ptr() as usize % align_of::<AtomicU64>(), 0);
+    // SAFETY: `AtomicU64::from_ptr`'s contract, for every cell at once:
+    // each is 8 bytes and aligned for `AtomicU64` (asserted above), valid
+    // for reads and writes, and — since `data`'s exclusive borrow lives
+    // as long as the view — accessed only atomically while the view
+    // exists.  `AtomicU64` has `u64`'s in-memory representation, and any
+    // `u64` is a valid `T` (`Word`).
+    unsafe { std::slice::from_raw_parts(data.as_mut_ptr().cast::<AtomicU64>(), data.len()) }
 }
 
 #[cfg(test)]
@@ -394,5 +419,78 @@ mod tests {
         );
         assert!(p.inspection_fraction() >= 0.0 && p.inspection_fraction() <= 1.0);
         assert!(p.total_seconds() >= p.execution_seconds);
+    }
+
+    /// Checks a compile-time run whose licensing property was false: a
+    /// cell with several writers holds the value one of them stored, and
+    /// every other cell holds the serial run's value.
+    fn assert_race_on_values_only<T: PartialEq + std::fmt::Debug + Copy>(
+        raced: &[T],
+        serial: &[T],
+        stored: &[Vec<T>],
+    ) {
+        for (j, writes) in stored.iter().enumerate() {
+            if writes.len() > 1 {
+                assert!(writes.contains(&raced[j]), "cell {j}: {:?}", raced[j]);
+            } else {
+                assert_eq!(raced[j], serial[j], "cell {j}");
+            }
+        }
+    }
+
+    #[test]
+    fn false_compile_time_bounds_race_only_on_values() {
+        // Non-monotonic bounds: even rows 2m cover 10m .. 10m + 30, so
+        // every cell past the first ten has about three writers.
+        let rows = 900;
+        let bounds: Vec<i64> = (0..=rows as i64)
+            .map(|i| if i % 2 == 0 { 5 * i } else { 5 * i + 25 })
+            .collect();
+        let len = 5 * rows + 30;
+        let body = |i: usize, j: usize| (i * 100_000 + j) as f64;
+        let mut stored = vec![Vec::new(); len];
+        for i in 0..rows {
+            let (lo, hi) = (bounds[i] as usize, bounds[i + 1] as usize);
+            for (j, writes) in stored.iter_mut().enumerate().take(hi).skip(lo) {
+                writes.push(body(i, j));
+            }
+        }
+        assert!(stored.iter().any(|w| w.len() > 1));
+        let mut serial = vec![-1.0; len];
+        run_range_partitioned(&mut serial, &bounds, body, 1, Mode::Serial);
+        for threads in [2, 3] {
+            let mut raced = vec![-1.0; len];
+            let p = run_range_partitioned(&mut raced, &bounds, body, threads, Mode::CompileTime);
+            assert_eq!(p.strategy, ExecutionStrategy::CompileTimeParallel);
+            assert_race_on_values_only(&raced, &serial, &stored);
+        }
+    }
+
+    #[test]
+    fn false_compile_time_injectivity_races_only_on_values() {
+        // `index` wraps at 8,000: cells 0 .. 4,000 are written by iterations
+        // `j` and `j + 8,000`, which land on different workers.
+        let (len, n) = (8_000usize, 12_000usize);
+        let index: Vec<i64> = (0..n).map(|i| (i % len) as i64).collect();
+        let value = |i: usize| i as i64 + 1;
+        let mut stored = vec![Vec::new(); len];
+        for (i, &slot) in index.iter().enumerate() {
+            stored[slot as usize].push(value(i));
+        }
+        let mut serial = vec![-1i64; len];
+        run_indirect_scatter(&mut serial, &index, value, |_| true, 1, Mode::Serial);
+        for threads in [2, 3] {
+            let mut raced = vec![-1i64; len];
+            let p = run_indirect_scatter(
+                &mut raced,
+                &index,
+                value,
+                |_| true,
+                threads,
+                Mode::CompileTime,
+            );
+            assert_eq!(p.strategy, ExecutionStrategy::CompileTimeParallel);
+            assert_race_on_values_only(&raced, &serial, &stored);
+        }
     }
 }

@@ -21,6 +21,10 @@
 //! pays for shadow marking and a privatized speculation buffer on *every*
 //! invocation, and pays double (speculative run + serial re-run) when
 //! speculation fails, whereas the compile-time result is free at run time.
+//! Both scatter in parallel through relaxed atomics, but the compile-time
+//! executor (`executor::run_indirect_scatter`) stores into the caller's
+//! buffer in place; allocating, filling and committing the privatized copy
+//! is what separates this scheme from it.
 
 use ss_runtime::{parallel_for, time_it};
 use std::sync::atomic::{AtomicI64, AtomicU32, Ordering};

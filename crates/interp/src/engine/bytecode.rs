@@ -209,7 +209,7 @@ fn exec_code<P: BcPolicy>(
                 for k in 0..*rank {
                     extents.push(m.get(Reg(dims.0 + k as u32)).max(0) as usize);
                 }
-                arrays.declare(*array, extents);
+                arrays.declare(*array, extents)?;
             }
             Instr::Jz { cond, target } => {
                 if m.get(*cond) == 0 {

@@ -155,7 +155,7 @@ fn exec_body(
                 for d in dims.iter() {
                     extents.push(eval(st, d)?.max(0) as usize);
                 }
-                st.arrays.declare(*array, extents);
+                st.arrays.declare(*array, extents)?;
             }
             Op::BranchIfZero { cond, target } => {
                 if eval(st, cond)? == 0 {

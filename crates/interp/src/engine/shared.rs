@@ -101,7 +101,7 @@ pub(super) fn elem_at(name: &str, a: &ArrayVal, indices: &[i64]) -> Result<usize
 pub(crate) trait ArrayStore {
     fn read(&mut self, a: ArraySlot, indices: &[i64]) -> Result<i64, ExecError>;
     fn write(&mut self, a: ArraySlot, indices: &[i64], v: i64) -> Result<(), ExecError>;
-    fn declare(&mut self, a: ArraySlot, dims: Vec<usize>);
+    fn declare(&mut self, a: ArraySlot, dims: Vec<usize>) -> Result<(), ExecError>;
 
     /// Rank-1 read.  Overrides hit storage directly when the access is in
     /// range and defer everything else (undefined slot, rank mismatch, out
@@ -258,8 +258,9 @@ impl ArrayStore for SpineArrays<'_> {
         private_write(self.slots, &mut self.arrays, a, indices, v)
     }
 
-    fn declare(&mut self, a: ArraySlot, dims: Vec<usize>) {
+    fn declare(&mut self, a: ArraySlot, dims: Vec<usize>) -> Result<(), ExecError> {
         self.arrays[a.index()] = Some(ArrayVal::zeros(dims));
+        Ok(())
     }
 
     /// For rank 1 the row-major flat offset *is* the index and
@@ -446,12 +447,13 @@ impl ArrayStore for WorkerArrays<'_> {
         Ok(())
     }
 
-    fn declare(&mut self, a: ArraySlot, dims: Vec<usize>) {
+    fn declare(&mut self, a: ArraySlot, dims: Vec<usize>) -> Result<(), ExecError> {
         // Every declaration inside a dispatched body targets a local slot
         // (that is how `local_arrays` is computed).
         let i = a.index();
         self.locals[i] = Some(ArrayVal::zeros(dims));
         self.local_write_iter[i] = self.current_iter;
+        Ok(())
     }
 
     #[inline(always)]

@@ -663,7 +663,7 @@ fn th_decl<K: StoreKind>(op: &ThOp<K>, cx: &mut ThCtx<'_, K>) -> Result<u32, Exe
         .iter()
         .map(|&d| d.max(0) as usize)
         .collect();
-    cx.arrays.declare(ArraySlot(op.b), dims);
+    cx.arrays.declare(ArraySlot(op.b), dims)?;
     Ok(op.next)
 }
 

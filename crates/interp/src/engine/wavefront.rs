@@ -337,8 +337,9 @@ impl ArrayStore for InspectArrays<'_> {
         Ok(())
     }
 
-    fn declare(&mut self, _a: ArraySlot, _dims: Vec<usize>) {
+    fn declare(&mut self, _a: ArraySlot, _dims: Vec<usize>) -> Result<(), ExecError> {
         self.poisoned = true;
+        Ok(())
     }
 }
 

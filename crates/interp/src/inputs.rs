@@ -31,7 +31,8 @@
 //! cells a program touches past it, where its real run fails, are kept
 //! aside rather than allocated.  A negative subscript, or one that would
 //! grow an array past `MAX_DISCOVERED_CELLS`, fails with
-//! `OutOfBounds { dims: [] }`, a rank mismatch with `ArityMismatch`;
+//! `OutOfBounds { dims: [] }`, as does a declaration whose extents hold
+//! more cells than that; a rank mismatch fails with `ArityMismatch`;
 //! division and runaway loops fail as in every engine.
 
 use crate::engine::threaded::{lowered, run_chain};
@@ -149,6 +150,14 @@ fn fill_with_input_values(data: &mut [i64], name: &str, dims: &[usize], spec: &I
 /// matrix, 4,194,304 cells, so this leaves 16× headroom.
 const MAX_DISCOVERED_CELLS: usize = 1 << 26;
 
+/// The number of cells of an array of extents `dims`; `None` past
+/// [`MAX_DISCOVERED_CELLS`] (or past `usize`).
+fn capped_cells(dims: &[usize]) -> Option<usize> {
+    (dims.iter())
+        .try_fold(1, |n: usize, &d| n.checked_mul(d))
+        .filter(|&n| n <= MAX_DISCOVERED_CELLS)
+}
+
 /// One array as discovery sees it.
 struct Discovered {
     /// Max index seen per dimension; its length is the rank, fixed by the
@@ -176,10 +185,10 @@ impl Discovered {
         }
     }
 
-    fn declared(dims: Vec<usize>) -> Discovered {
+    fn declared(dims: Vec<usize>, cells: usize) -> Discovered {
         Discovered {
             max: dims.iter().map(|&d| d as i64 - 1).collect(),
-            data: vec![0; dims.iter().product()],
+            data: vec![0; cells],
             cap: dims,
             declared: Some(HashMap::new()),
         }
@@ -196,8 +205,7 @@ impl Discovered {
                 i => (i + 1).max(2 * c),
             })
             .collect();
-        let cells = cap.iter().try_fold(1, |n: usize, &c| n.checked_mul(c));
-        let Some(cells) = cells.filter(|&n| n <= MAX_DISCOVERED_CELLS) else {
+        let Some(cells) = capped_cells(&cap) else {
             return false;
         };
         let (old, (&old_last, old_outer)) = (&self.data, self.cap.split_last().expect("rank ≥ 1"));
@@ -304,8 +312,18 @@ impl ArrayStore for DiscoverArrays<'_> {
         Ok(())
     }
 
-    fn declare(&mut self, a: ArraySlot, dims: Vec<usize>) {
-        self.arrays[a.index()] = Some(Discovered::declared(dims));
+    /// Fails like a subscript past the cap, naming the declared extents,
+    /// when the array would hold more than [`MAX_DISCOVERED_CELLS`].
+    fn declare(&mut self, a: ArraySlot, dims: Vec<usize>) -> Result<(), ExecError> {
+        let Some(cells) = capped_cells(&dims) else {
+            return Err(ExecError::OutOfBounds {
+                array: self.names[a.index()].clone(),
+                indices: dims.iter().map(|&d| d as i64).collect(),
+                dims: vec![],
+            });
+        };
+        self.arrays[a.index()] = Some(Discovered::declared(dims, cells));
+        Ok(())
     }
 
     #[inline(always)]
@@ -550,6 +568,29 @@ mod tests {
             synthesize_inputs(&p, &InputSpec::default()),
             Err(ExecError::OutOfBounds { dims, .. }) if dims.is_empty()
         ));
+    }
+
+    #[test]
+    fn a_declaration_past_the_cell_cap_fails_discovery() {
+        // `int a[2^40];` would be 8 TiB; in rank 2 the product of two
+        // 2^32 extents wraps to 0 in a release build's unchecked `usize`.
+        for (src, indices) in [
+            ("int a[1099511627776];", vec![1i64 << 40]),
+            ("int a[4294967296][4294967296];", vec![1 << 32, 1 << 32]),
+            // Just past the cap, by 8,192 cells.
+            ("int a[8192][8193];", vec![8192, 8193]),
+        ] {
+            let p = parse_program("t", src).unwrap();
+            assert_eq!(
+                synthesize_inputs(&p, &InputSpec::default()).unwrap_err(),
+                ExecError::OutOfBounds {
+                    array: "a".into(),
+                    indices,
+                    dims: vec![],
+                },
+                "{src}"
+            );
+        }
     }
 
     #[test]

@@ -5,14 +5,18 @@
 //! inspector/executor scheme, and (for the scatter) LRPD-style speculation —
 //! and prints a per-invocation cost breakdown showing how much of each
 //! invocation the run-time schemes spend on analysis that the compile-time
-//! approach performs once, at compilation.
+//! approach performs once, at compilation.  The `wall` column is each
+//! call's time from the outside.  The executors do all their work on their
+//! own clocks, so it matches `total` there; for LRPD it also counts the
+//! allocation and filling of the shadow and speculation buffers, which
+//! its own clocks leave out.
 //!
 //! `cargo run --release --example inspector_vs_compiletime`
 
 use ss_inspector::executor::{run_indirect_scatter, run_range_partitioned, Mode};
 use ss_inspector::lrpd::lrpd_scatter;
 use ss_npb::kernels::{fig9, ipvec};
-use ss_runtime::{hardware_threads, CsrMatrix};
+use ss_runtime::{hardware_threads, time_it, CsrMatrix};
 
 fn main() {
     let threads = hardware_threads().min(8);
@@ -30,8 +34,8 @@ fn main() {
 
     println!("== Figure 9 product loop (enabling property: rowptr monotonic) ==");
     println!(
-        "{:<22} {:>14} {:>14} {:>14} {:>10}",
-        "mode", "inspect (ms)", "execute (ms)", "total (ms)", "strategy"
+        "{:<22} {:>14} {:>14} {:>14} {:>14} {:>10}",
+        "mode", "inspect (ms)", "execute (ms)", "total (ms)", "wall (ms)", "strategy"
     );
     let mut reference: Option<Vec<f64>> = None;
     for (label, mode) in [
@@ -40,17 +44,19 @@ fn main() {
         ("inspector_executor", Mode::InspectorExecutor),
     ] {
         let mut data = vec![0.0f64; nnz];
-        let profile = run_range_partitioned(&mut data, &bounds, &row_body, threads, mode);
+        let (profile, wall) =
+            time_it(|| run_range_partitioned(&mut data, &bounds, &row_body, threads, mode));
         match &reference {
             None => reference = Some(data),
             Some(r) => assert_eq!(r, &data, "{label} diverged from the serial result"),
         }
         println!(
-            "{:<22} {:>14.3} {:>14.3} {:>14.3} {:>10?}",
+            "{:<22} {:>14.3} {:>14.3} {:>14.3} {:>14.3} {:>10?}",
             label,
             profile.inspection_seconds * 1e3,
             profile.execution_seconds * 1e3,
             profile.total_seconds() * 1e3,
+            wall * 1e3,
             profile.strategy
         );
     }
@@ -63,8 +69,8 @@ fn main() {
 
     println!("\n== cs_ipvec scatter x[p[k]] = b[k] (enabling property: p injective) ==");
     println!(
-        "{:<22} {:>14} {:>14} {:>14} {:>10}",
-        "mode", "inspect (ms)", "execute (ms)", "total (ms)", "strategy"
+        "{:<22} {:>14} {:>14} {:>14} {:>14} {:>10}",
+        "mode", "inspect (ms)", "execute (ms)", "total (ms)", "wall (ms)", "strategy"
     );
     let mut reference: Option<Vec<i64>> = None;
     for (label, mode) in [
@@ -73,44 +79,50 @@ fn main() {
         ("inspector_executor", Mode::InspectorExecutor),
     ] {
         let mut target = vec![0i64; n];
-        let profile = run_indirect_scatter(
-            &mut target,
-            &index,
-            |i| scatter_values[i],
-            |_| true,
-            threads,
-            mode,
-        );
+        let (profile, wall) = time_it(|| {
+            run_indirect_scatter(
+                &mut target,
+                &index,
+                |i| scatter_values[i],
+                |_| true,
+                threads,
+                mode,
+            )
+        });
         match &reference {
             None => reference = Some(target),
             Some(r) => assert_eq!(r, &target, "{label} diverged from the serial result"),
         }
         println!(
-            "{:<22} {:>14.3} {:>14.3} {:>14.3} {:>10?}",
+            "{:<22} {:>14.3} {:>14.3} {:>14.3} {:>14.3} {:>10?}",
             label,
             profile.inspection_seconds * 1e3,
             profile.execution_seconds * 1e3,
             profile.total_seconds() * 1e3,
+            wall * 1e3,
             profile.strategy
         );
     }
 
     // LRPD speculation on the same scatter.
     let mut target = vec![0i64; n];
-    let outcome = lrpd_scatter(
-        &mut target,
-        &index,
-        |i| scatter_values[i],
-        |_| true,
-        threads,
-    );
+    let (outcome, wall) = time_it(|| {
+        lrpd_scatter(
+            &mut target,
+            &index,
+            |i| scatter_values[i],
+            |_| true,
+            threads,
+        )
+    });
     assert_eq!(reference.as_ref().unwrap(), &target);
     println!(
-        "{:<22} {:>14.3} {:>14.3} {:>14.3} {:>10}",
+        "{:<22} {:>14.3} {:>14.3} {:>14.3} {:>14.3} {:>10}",
         "lrpd_speculative",
         (outcome.speculative_seconds + outcome.analysis_seconds) * 1e3,
         outcome.reexecution_seconds * 1e3,
         outcome.total_seconds() * 1e3,
+        wall * 1e3,
         if outcome.speculation_succeeded {
             "Committed"
         } else {
