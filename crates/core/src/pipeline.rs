@@ -18,7 +18,7 @@ use ss_ir::bytecode::{compile_bytecode, BytecodeProgram};
 use ss_ir::loops::LoopTree;
 use ss_ir::opt::{optimize, OptLevel};
 use ss_ir::slots::{compile_program as compile_slots, CompiledProgram, SlotMap};
-use ss_ir::{parse_program, print_program_with, IrError, LoopId, PrintOptions, Program};
+use ss_ir::{parse_program, print_program_with, IrError, LoopId, PrintOptions, Program, Stmt};
 use ss_properties::PropertyDatabase;
 use std::time::Instant;
 
@@ -291,9 +291,9 @@ pub fn parallelize(program: &Program) -> ParallelizationReport {
             index_var: info.var.clone(),
             depth: info.depth,
             parent: info.parent,
-            has_subscripted_subscript: ss_ir::visit::loop_has_subscripted_subscript(
-                program, info.id,
-            ),
+            has_subscripted_subscript: program
+                .find_loop(info.id)
+                .is_some_and(Stmt::body_has_subscripted_subscript),
             manually_parallel: info.manually_parallel(),
             parallel: extended.parallel,
             baseline_parallel: baseline.parallel,
@@ -398,7 +398,7 @@ pub struct Artifacts {
 
 /// An engine-private lowering of the compiled program — e.g. the threaded
 /// tier's pre-resolved handler stream — attached to [`Artifacts`] so a
-/// Session artifact cache keyed by (program hash, opt level) naturally
+/// Session artifact cache keyed by the program's `(name, source)` naturally
 /// caches the lowering alongside everything else, with its footprint
 /// charged through [`EngineArtifact::approx_bytes`].
 pub trait EngineArtifact: std::any::Any + Send + Sync {

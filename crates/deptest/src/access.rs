@@ -588,30 +588,33 @@ mod tests {
 
     #[test]
     fn figure3_inner_loop_becomes_a_range() {
-        let d = descriptors(
-            r#"
-            for (j = 0; j < nrows; j++) {
-                for (k = rowstr[j]; k < rowstr[j+1]; k++) {
-                    colidx[k] = colidx[k] - firstcol;
-                }
+        // The compound form reads its target just as the spelled-out one.
+        for update in [
+            "colidx[k] = colidx[k] - firstcol;",
+            "colidx[k] -= firstcol;",
+        ] {
+            let d = descriptors(&format!(
+                "for (j = 0; j < nrows; j++) {{
+                    for (k = rowstr[j]; k < rowstr[j+1]; k++) {{ {update} }}
+                }}"
+            ));
+            let accs = d.for_array("colidx");
+            // one read and one write, both covering [rowstr[j] : rowstr[j+1]-1]
+            assert_eq!(accs.len(), 2, "{update}");
+            assert_eq!(accs.iter().filter(|a| a.is_write).count(), 1, "{update}");
+            for a in accs {
+                let AccessRegion::Range(r) = &a.region else {
+                    panic!("expected range, got {:?}", a.region);
+                };
+                assert_eq!(r.lo, Expr::array_ref("rowstr", Expr::sym("j")));
+                assert_eq!(
+                    r.hi,
+                    simplify(&Expr::sub(
+                        Expr::array_ref("rowstr", Expr::add(Expr::sym("j"), Expr::int(1))),
+                        Expr::int(1)
+                    ))
+                );
             }
-        "#,
-        );
-        let accs = d.for_array("colidx");
-        // one read and one write, both covering [rowstr[j] : rowstr[j+1]-1]
-        assert_eq!(accs.len(), 2);
-        for a in accs {
-            let AccessRegion::Range(r) = &a.region else {
-                panic!("expected range, got {:?}", a.region);
-            };
-            assert_eq!(r.lo, Expr::array_ref("rowstr", Expr::sym("j")));
-            assert_eq!(
-                r.hi,
-                simplify(&Expr::sub(
-                    Expr::array_ref("rowstr", Expr::add(Expr::sym("j"), Expr::int(1))),
-                    Expr::int(1)
-                ))
-            );
         }
     }
 
@@ -705,6 +708,15 @@ mod tests {
             r1.lo,
             Expr::array_ref("rowptr", Expr::add(Expr::Int(-1), Expr::sym("i")))
         );
+        // The read inside the `else` branch carries the negated guard.
+        let else_read = d
+            .for_array("rowptr")
+            .into_iter()
+            .find(|a| a.region == AccessRegion::Point(Expr::add(Expr::Int(-1), Expr::sym("i"))))
+            .expect("rowptr[i-1] read");
+        assert!(!else_read.is_write);
+        assert_eq!(else_read.guards.len(), 1);
+        assert_eq!(else_read.guards[0].op, BinOp::Ne);
         assert_eq!(
             r1.hi,
             simplify(&Expr::sub(

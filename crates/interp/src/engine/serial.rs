@@ -163,7 +163,8 @@ fn exec_stmt(st: &mut Heap, s: &Stmt, env: &mut ExecEnvTiming<'_>) -> Result<(),
                     let v = eval(st, d)?;
                     extents.push(v.max(0) as usize);
                 }
-                st.arrays.insert(name.to_string(), ArrayVal::zeros(extents));
+                st.arrays
+                    .insert(name.to_string(), ArrayVal::declared(name, extents)?);
             }
             Ok(())
         }

@@ -259,7 +259,7 @@ impl ArrayStore for SpineArrays<'_> {
     }
 
     fn declare(&mut self, a: ArraySlot, dims: Vec<usize>) -> Result<(), ExecError> {
-        self.arrays[a.index()] = Some(ArrayVal::zeros(dims));
+        self.arrays[a.index()] = Some(ArrayVal::declared(self.slots.array_name(a), dims)?);
         Ok(())
     }
 
@@ -375,12 +375,13 @@ impl SharedSlots {
                 got: indices.len(),
             });
         }
-        let flat = row_major_flat(&arr.dims, indices).ok_or_else(|| ExecError::OutOfBounds {
-            array: name(),
-            indices: indices.to_vec(),
-            dims: arr.dims.clone(),
-        })?;
-        debug_assert!(flat < arr.len);
+        let flat = row_major_flat(&arr.dims, indices)
+            .filter(|&flat| flat < arr.len)
+            .ok_or_else(|| ExecError::OutOfBounds {
+                array: name(),
+                indices: indices.to_vec(),
+                dims: arr.dims.clone(),
+            })?;
         Ok((arr.ptr, flat))
     }
 
@@ -396,7 +397,7 @@ impl SharedSlots {
             (Some(j), &[d0, d1]) => {
                 let i = usize::try_from(i).ok().filter(|&i| i < d0)?;
                 let j = usize::try_from(j).ok().filter(|&j| j < d1)?;
-                i * d1 + j
+                Some(i * d1 + j).filter(|&flat| flat < arr.len)?
             }
             _ => return None,
         };
@@ -451,7 +452,7 @@ impl ArrayStore for WorkerArrays<'_> {
         // Every declaration inside a dispatched body targets a local slot
         // (that is how `local_arrays` is computed).
         let i = a.index();
-        self.locals[i] = Some(ArrayVal::zeros(dims));
+        self.locals[i] = Some(ArrayVal::declared(self.slots.array_name(a), dims)?);
         self.local_write_iter[i] = self.current_iter;
         Ok(())
     }
@@ -1035,6 +1036,25 @@ fn run_region(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_rewritten_extent_cannot_reach_past_the_buffer() {
+        // `dims` is a public field, so a caller can make it promise more
+        // cells than the buffer holds; the raw views check the flat
+        // offset against the buffer itself.
+        let art = Artifacts::compile_source("rewritten", "x = a[1][0];").unwrap();
+        let mut arr = ArrayVal::zeros(vec![2, 2]);
+        arr.dims = vec![4, 4];
+        let mut arrays = vec![Some(arr)];
+        let shared = SharedSlots::capture(&mut arrays, &[false]);
+        let a = ArraySlot(0);
+        assert_eq!(shared.fast(a, 0, Some(3)).map(|(_, flat)| flat), Some(3));
+        assert_eq!(shared.fast(a, 1, Some(0)), None);
+        assert!(matches!(
+            shared.flat(&art.compiled.slots, a, &[1, 0]),
+            Err(ExecError::OutOfBounds { .. })
+        ));
+    }
 
     #[test]
     fn an_error_in_a_level_ends_the_region_at_that_levels_barrier() {

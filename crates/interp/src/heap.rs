@@ -7,6 +7,7 @@
 //! whose output is deterministic because both maps are ordered.  Arrays
 //! carry write generations (see [`ArrayVal`]).
 
+use crate::engine::ExecError;
 use std::collections::BTreeMap;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -79,8 +80,8 @@ impl ArrayVal {
     /// When `data.len()` is not the product of `dims`.
     pub fn new(dims: Vec<usize>, data: Vec<i64>) -> ArrayVal {
         assert_eq!(
-            data.len(),
-            dims.iter().product::<usize>(),
+            Some(data.len()),
+            cells(&dims),
             "array data does not fill extents {dims:?}"
         );
         ArrayVal {
@@ -91,9 +92,21 @@ impl ArrayVal {
     }
 
     /// A zero-filled array of the given extents.
+    ///
+    /// # Panics
+    /// When the product of `dims` overflows `usize`.
     pub fn zeros(dims: Vec<usize>) -> ArrayVal {
-        let len = dims.iter().product();
+        let len = cells(&dims).expect("array extents overflow usize");
         ArrayVal::new(dims, vec![0; len])
+    }
+
+    /// The zero-filled array a program's `int name[dims];` declares.  Fails
+    /// with `OutOfBounds { dims: [] }`, naming the declared extents, when it
+    /// would hold more than [`MAX_ARRAY_CELLS`] — as input discovery fails
+    /// on the same declaration.
+    pub(crate) fn declared(name: &str, dims: Vec<usize>) -> Result<ArrayVal, ExecError> {
+        let len = declared_cells(name, &dims)?;
+        Ok(ArrayVal::new(dims, vec![0; len]))
     }
 
     /// A 1-D array holding the given values.
@@ -141,6 +154,35 @@ impl ArrayVal {
     pub fn flat_index(&self, indices: &[i64]) -> Option<usize> {
         row_major_flat(&self.dims, indices)
     }
+}
+
+/// The most cells one array of a running program may hold (512 MiB of
+/// `i64`): a declaration, or a subscript input discovery would grow an
+/// undeclared array to, that needs more fails like a negative subscript.
+/// The largest buffer any catalogue kernel or benchmark program needs at
+/// the wire's `MAX_SCALE` of 2048 is a 2048 × 2048 matrix, 4,194,304
+/// cells, so this leaves 16× headroom.
+pub(crate) const MAX_ARRAY_CELLS: usize = 1 << 26;
+
+/// The number of cells of an array of extents `dims`; `None` past `usize`.
+fn cells(dims: &[usize]) -> Option<usize> {
+    dims.iter().try_fold(1, |n: usize, &d| n.checked_mul(d))
+}
+
+/// The number of cells of an array of extents `dims`; `None` past
+/// [`MAX_ARRAY_CELLS`] (or past `usize`).
+pub(crate) fn capped_cells(dims: &[usize]) -> Option<usize> {
+    cells(dims).filter(|&n| n <= MAX_ARRAY_CELLS)
+}
+
+/// [`capped_cells`] of a declaration of `name`, or the error the
+/// declaration fails with.
+pub(crate) fn declared_cells(name: &str, dims: &[usize]) -> Result<usize, ExecError> {
+    capped_cells(dims).ok_or_else(|| ExecError::OutOfBounds {
+        array: name.to_string(),
+        indices: dims.iter().map(|&d| d as i64).collect(),
+        dims: vec![],
+    })
 }
 
 /// Row-major flat offset of `indices` within `dims`; `None` when the rank
@@ -255,6 +297,27 @@ mod tests {
         assert_eq!(a.flat_index(&[-1, 0]), None);
         assert_eq!(a.flat_index(&[0]), None);
         assert!(ArrayVal::zeros(vec![0]).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fill extents")]
+    fn extents_whose_product_wraps_do_not_describe_an_empty_array() {
+        ArrayVal::new(vec![1 << 32, 1 << 32], Vec::new());
+    }
+
+    #[test]
+    fn declarations_past_the_cell_cap_fail() {
+        assert_eq!(ArrayVal::declared("a", vec![4, 8]).unwrap().len(), 32);
+        for dims in [vec![1 << 32, 1 << 32], vec![1 << 40], vec![8192, 8193]] {
+            assert_eq!(
+                ArrayVal::declared("a", dims.clone()),
+                Err(ExecError::OutOfBounds {
+                    array: "a".into(),
+                    indices: dims.iter().map(|&d| d as i64).collect(),
+                    dims: vec![],
+                })
+            );
+        }
     }
 
     #[test]

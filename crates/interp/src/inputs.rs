@@ -9,7 +9,7 @@
 //! a **discovery pass**: the program is executed once, serially, against a
 //! growable recording store in which
 //!
-//! * every free scalar ([`ss_ir::free_scalars`]) is bound to the requested
+//! * every free scalar ([`Program::free_scalars`]) is bound to the requested
 //!   `scale`,
 //! * a read of a never-written array element yields a deterministic
 //!   pseudo-random value `hash(seed, array, indices) % scale`,
@@ -30,17 +30,17 @@
 //! with [`input_value`].  A declared array keeps its declared extent; the
 //! cells a program touches past it, where its real run fails, are kept
 //! aside rather than allocated.  A negative subscript, or one that would
-//! grow an array past `MAX_DISCOVERED_CELLS`, fails with
+//! grow an array past `heap::MAX_ARRAY_CELLS`, fails with
 //! `OutOfBounds { dims: [] }`, as does a declaration whose extents hold
 //! more cells than that; a rank mismatch fails with `ArityMismatch`;
 //! division and runaway loops fail as in every engine.
 
 use crate::engine::threaded::{lowered, run_chain};
 use crate::engine::{ArrayStore, ExecError, ExecOptions, StoreKind};
-use crate::heap::{ArrayVal, Heap};
+use crate::heap::{capped_cells, declared_cells, ArrayVal, Heap};
 use ss_ir::opt::OptLevel;
 use ss_ir::slots::ArraySlot;
-use ss_ir::{free_scalars, Program};
+use ss_ir::Program;
 use ss_parallelizer::Artifacts;
 use std::collections::HashMap;
 
@@ -143,21 +143,6 @@ fn fill_with_input_values(data: &mut [i64], name: &str, dims: &[usize], spec: &I
 // The discovery store.
 // ---------------------------------------------------------------------------
 
-/// The most cells discovery grows one undeclared array's buffer to
-/// (512 MiB of `i64`); a subscript that needs more fails discovery like a
-/// negative one.  The largest buffer any catalogue kernel or benchmark
-/// program grows at the wire's `MAX_SCALE` of 2048 is a 2048 × 2048
-/// matrix, 4,194,304 cells, so this leaves 16× headroom.
-const MAX_DISCOVERED_CELLS: usize = 1 << 26;
-
-/// The number of cells of an array of extents `dims`; `None` past
-/// [`MAX_DISCOVERED_CELLS`] (or past `usize`).
-fn capped_cells(dims: &[usize]) -> Option<usize> {
-    (dims.iter())
-        .try_fold(1, |n: usize, &d| n.checked_mul(d))
-        .filter(|&n| n <= MAX_DISCOVERED_CELLS)
-}
-
 /// One array as discovery sees it.
 struct Discovered {
     /// Max index seen per dimension; its length is the rank, fixed by the
@@ -197,7 +182,7 @@ impl Discovered {
     /// Grows every dimension `indices` overruns to at least twice its
     /// extent, keeping the cells held so far and filling the new ones
     /// from `fill`.  `false`, with nothing changed, when the grown buffer
-    /// would hold more than [`MAX_DISCOVERED_CELLS`].
+    /// would hold more than [`MAX_ARRAY_CELLS`](crate::heap::MAX_ARRAY_CELLS).
     fn grow(&mut self, indices: &[i64], fill: InputFn) -> bool {
         let cap: Vec<usize> = (self.cap.iter().zip(indices))
             .map(|(&c, &i)| match i as usize {
@@ -312,16 +297,10 @@ impl ArrayStore for DiscoverArrays<'_> {
         Ok(())
     }
 
-    /// Fails like a subscript past the cap, naming the declared extents,
-    /// when the array would hold more than [`MAX_DISCOVERED_CELLS`].
+    /// Fails like every engine's declaration past
+    /// [`MAX_ARRAY_CELLS`](crate::heap::MAX_ARRAY_CELLS).
     fn declare(&mut self, a: ArraySlot, dims: Vec<usize>) -> Result<(), ExecError> {
-        let Some(cells) = capped_cells(&dims) else {
-            return Err(ExecError::OutOfBounds {
-                array: self.names[a.index()].clone(),
-                indices: dims.iter().map(|&d| d as i64).collect(),
-                dims: vec![],
-            });
-        };
+        let cells = declared_cells(&self.names[a.index()], &dims)?;
         self.arrays[a.index()] = Some(Discovered::declared(dims, cells));
         Ok(())
     }
@@ -391,7 +370,7 @@ pub fn synthesize_inputs(program: &Program, spec: &InputSpec) -> Result<Heap, Ex
 pub(crate) fn synthesize_for(artifacts: &Artifacts, spec: &InputSpec) -> Result<Heap, ExecError> {
     let (program, bc) = (&artifacts.program, artifacts.bytecode_at(OptLevel::O1));
     let chain = lowered::<DiscoverKind>(artifacts, OptLevel::O1);
-    let free = free_scalars(program);
+    let free = program.free_scalars();
     let mut scalars = vec![0; bc.slots.scalar_count()];
     for name in &free {
         if let Some(slot) = bc.slots.scalar_slot(name) {

@@ -4,13 +4,11 @@
 //! the differential fuzz harness, the benches, the examples, embedders)
 //! drives instead of reaching into crate internals:
 //!
-//! * it owns a **content-addressed artifact cache**: compiling a source is
-//!   keyed by a hash of `(name, source)` — each hit verified against
-//!   lengths and a second, independent hash, so a key collision costs a
-//!   recompilation, never another program's artifacts — so compile-once,
-//!   a pipeline invariant within one run since PR 4, becomes
-//!   compile-once-*per-program-per-process*, with hit/miss/eviction
-//!   counters ([`Session::cache_stats`]);
+//! * it owns an **artifact cache** keyed by the `(name, source)` strings
+//!   themselves — a hit is one hash and one compare, and no two programs
+//!   can share a key — so compile-once, a pipeline invariant within one
+//!   run, becomes compile-once-*per-program-per-process*, with
+//!   hit/miss/eviction counters ([`Session::cache_stats`]);
 //! * it owns the **engine registry** ([`EngineRegistry`]): requests select
 //!   engines by name, capabilities come from [`EngineCaps`](crate::EngineCaps) flags, and
 //!   registering a new engine makes it available to every surface (CLI
@@ -54,7 +52,6 @@
 
 use crate::engine::{EngineRegistry, ExecOptions, ExecStats, ScheduleChoice};
 use crate::error::SsError;
-use crate::fnv::Fnv1a;
 use crate::heap::Heap;
 use crate::inputs::{synthesize_for, InputSpec};
 use crate::json;
@@ -63,9 +60,7 @@ use crate::tuner::{self, PolicyPoint, TunedPolicy, TunerConfig};
 use ss_ir::opt::OptLevel;
 use ss_ir::LoopId;
 use ss_parallelizer::{Artifacts, ParallelizationReport, StageTiming, VerdictKind};
-use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, VecDeque};
-use std::hash::{Hash, Hasher};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -660,42 +655,21 @@ pub struct CacheStats {
     pub policy: &'static str,
 }
 
-/// What a cache hit is checked against before its artifacts are trusted:
-/// cheap facts of `(name, source)` plus a second hash of the same bytes,
-/// independent of the key's (the shape of the schedule cache's verifier in
-/// `engine::wavefront`).
-#[derive(Clone, Copy, PartialEq, Eq)]
-struct SourceCheck {
-    name_len: usize,
-    source_len: usize,
-    fnv: u64,
-}
-
-impl SourceCheck {
-    fn of(name: &str, source: &str) -> SourceCheck {
-        let mut fnv = Fnv1a::new();
-        fnv.write(name.as_bytes());
-        fnv.write(source.as_bytes());
-        SourceCheck {
-            name_len: name.len(),
-            source_len: source.len(),
-            fnv: fnv.0,
-        }
-    }
-}
-
 struct CacheEntry {
     artifacts: Arc<Artifacts>,
     /// Approximate byte charge, refreshed on every hit.
     charge: usize,
-    check: SourceCheck,
+    /// The cache's `clock` at the entry's last use: eviction under the
+    /// capacity bounds drops the entry with the smallest.
+    last_use: u64,
 }
 
 struct CacheState {
-    map: HashMap<u128, CacheEntry>,
-    /// Recency order (front = least recently used): hits move an entry to
-    /// the back, eviction under the capacity bounds pops the front.
-    order: VecDeque<u128>,
+    /// Keyed by `(name, source)`.
+    map: HashMap<(String, String), CacheEntry>,
+    /// Advances on every hit and insert, so each entry's `last_use` is
+    /// distinct and the newest entry holds the largest.
+    clock: u64,
     /// Sum of the byte charges of every entry in `map`.
     bytes: usize,
 }
@@ -746,7 +720,7 @@ impl Session {
             registry,
             cache: Mutex::new(CacheState {
                 map: HashMap::new(),
-                order: VecDeque::new(),
+                clock: 0,
                 bytes: 0,
             }),
             capacity: None,
@@ -818,21 +792,21 @@ impl Session {
     }
 
     /// Evicts least-recently-used entries until both cache bounds hold
-    /// again.  The most recently used entry (the back of the recency
-    /// order) is never evicted, so a single oversized program still
-    /// caches.
+    /// again.  The most recently used entry (the largest `last_use`) is
+    /// never evicted, so a single oversized program still caches.
     fn evict_over_bounds(&self, state: &mut CacheState) {
         let over = |state: &CacheState| {
             self.capacity.is_some_and(|cap| state.map.len() > cap)
                 || self.capacity_bytes.is_some_and(|cap| state.bytes > cap)
         };
         while state.map.len() > 1 && over(state) {
-            if let Some(old) = state.order.pop_front() {
-                if let Some(evicted) = state.map.remove(&old) {
-                    state.bytes -= evicted.charge;
-                }
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
+            let oldest = (state.map.iter())
+                .min_by_key(|(_, e)| e.last_use)
+                .map(|(key, _)| key.clone())
+                .expect("more than one entry");
+            let evicted = state.map.remove(&oldest).expect("the entry just found");
+            state.bytes -= evicted.charge;
+            self.evictions.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -843,68 +817,52 @@ impl Session {
         name: &str,
         source: &str,
     ) -> Result<(Arc<Artifacts>, bool), SsError> {
-        let key = content_key(name, source);
-        let check = SourceCheck::of(name, source);
+        let key = (name.to_string(), source.to_string());
         {
-            let mut state = self.cache.lock().unwrap_or_else(|e| e.into_inner());
-            // Another program's artifacts under this key (a 128-bit
-            // collision) are a miss: drop the entry so the compilation
-            // below replaces it.
-            if state.map.get(&key).is_some_and(|e| e.check != check) {
-                if let Some(stale) = state.map.remove(&key) {
-                    state.bytes -= stale.charge;
-                }
-                state.order.retain(|k| *k != key);
-            }
-            if let Some((found, old_charge)) = state
-                .map
-                .get(&key)
-                .map(|e| (Arc::clone(&e.artifacts), e.charge))
-            {
-                // LRU: a hit moves the entry to the back of the recency
-                // order, and re-charges it — engine lowerings attach to
-                // `Artifacts` lazily after insertion, so the byte account
-                // is refreshed here.
-                if let Some(pos) = state.order.iter().position(|k| *k == key) {
-                    state.order.remove(pos);
-                }
-                state.order.push_back(key);
-                let new_charge = found.approx_bytes();
-                if new_charge != old_charge {
-                    state.bytes = state.bytes + new_charge - old_charge;
-                    if let Some(entry) = state.map.get_mut(&key) {
-                        entry.charge = new_charge;
-                    }
+            let mut guard = self.cache.lock().unwrap_or_else(|e| e.into_inner());
+            let state = &mut *guard;
+            state.clock += 1;
+            if let Some(entry) = state.map.get_mut(&key) {
+                // LRU: a hit makes the entry the most recently used, and
+                // re-charges it — engine lowerings attach to `Artifacts`
+                // lazily after insertion, so the byte account is
+                // refreshed here.
+                entry.last_use = state.clock;
+                let found = Arc::clone(&entry.artifacts);
+                let old_charge = std::mem::replace(&mut entry.charge, found.approx_bytes());
+                if entry.charge != old_charge {
+                    state.bytes = state.bytes + entry.charge - old_charge;
                     // The refreshed charge can push the account over the
                     // byte bound; re-run eviction so the invariant
                     // `bytes ≤ capacity_bytes` holds after hits too.  The
-                    // just-hit entry is at the back of the order, so it is
+                    // just-hit entry is the most recently used, so it is
                     // never the one evicted.
-                    self.evict_over_bounds(&mut state);
+                    self.evict_over_bounds(state);
                 }
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 return Ok((found, true));
             }
         }
         // Compile outside the lock: concurrent misses on the same key may
-        // both compile, but the cache stays consistent (last insert wins)
+        // both compile, but the cache stays consistent (first insert wins)
         // and no caller ever blocks on another's compilation.
         let compiled = Arc::new(Artifacts::compile_source(name, source)?);
         self.misses.fetch_add(1, Ordering::Relaxed);
         let charge = compiled.approx_bytes();
-        let mut state = self.cache.lock().unwrap_or_else(|e| e.into_inner());
+        let mut guard = self.cache.lock().unwrap_or_else(|e| e.into_inner());
+        let state = &mut *guard;
+        state.clock += 1;
         if let std::collections::hash_map::Entry::Vacant(slot) = state.map.entry(key) {
             slot.insert(CacheEntry {
                 artifacts: Arc::clone(&compiled),
                 charge,
-                check,
+                last_use: state.clock,
             });
-            state.order.push_back(key);
             state.bytes += charge;
             // Evict least-recently-used entries under either bound; the
             // entry just inserted is never evicted, so oversized
             // singletons still cache.
-            self.evict_over_bounds(&mut state);
+            self.evict_over_bounds(state);
         }
         Ok((compiled, false))
     }
@@ -1162,19 +1120,6 @@ impl TuneOutcome {
     }
 }
 
-/// The cache key: a 128-bit content hash of `(name, source)`.
-fn content_key(name: &str, source: &str) -> u128 {
-    let mut lo = DefaultHasher::new();
-    0u8.hash(&mut lo);
-    name.hash(&mut lo);
-    source.hash(&mut lo);
-    let mut hi = DefaultHasher::new();
-    1u8.hash(&mut hi);
-    name.hash(&mut hi);
-    source.hash(&mut hi);
-    ((hi.finish() as u128) << 64) | lo.finish() as u128
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1344,41 +1289,6 @@ mod tests {
         session.artifacts("p1", src1).unwrap();
         let third = session.cache_stats();
         assert_eq!((third.hits, third.misses), (2, 3));
-    }
-
-    #[test]
-    fn a_colliding_cache_key_is_recompiled_not_trusted() {
-        let (src_a, src_b) = ("x = 1;", "y = 2;");
-        let session = Session::new();
-        let a = session.artifacts("a", src_a).unwrap();
-        // Forge the collision: A's entry, filed under B's key.
-        let key_b = content_key("b", src_b);
-        {
-            let mut state = session.cache.lock().unwrap();
-            let charge = a.approx_bytes();
-            state.map.insert(
-                key_b,
-                CacheEntry {
-                    artifacts: Arc::clone(&a),
-                    charge,
-                    check: SourceCheck::of("a", src_a),
-                },
-            );
-            state.order.push_back(key_b);
-            state.bytes += charge;
-        }
-        let (b, hit) = session.artifacts_traced("b", src_b).unwrap();
-        assert!(!hit, "another program's entry must not be served");
-        assert_eq!(b.report.name, "b");
-        assert!(!Arc::ptr_eq(&a, &b));
-        // The entry healed: B now hits its own artifacts, A still its own,
-        // and the byte account holds exactly the two of them.
-        let (again, hit) = session.artifacts_traced("b", src_b).unwrap();
-        assert!(hit && Arc::ptr_eq(&again, &b));
-        assert!(Arc::ptr_eq(&session.artifacts("a", src_a).unwrap(), &a));
-        let stats = session.cache_stats();
-        assert_eq!((stats.entries, stats.misses, stats.hits), (2, 2, 2));
-        assert_eq!(stats.bytes, a.approx_bytes() + b.approx_bytes());
     }
 
     #[test]

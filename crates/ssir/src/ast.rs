@@ -196,19 +196,16 @@ impl AExpr {
         let mut found = false;
         self.for_each(&mut |e| {
             if let AExpr::Index(_, idxs) = e {
-                for idx in idxs {
-                    let mut inner = false;
-                    idx.for_each(&mut |x| {
-                        if matches!(x, AExpr::Index(_, _)) {
-                            inner = true;
-                        }
-                    });
-                    if inner {
-                        found = true;
-                    }
-                }
+                found |= idxs.iter().any(AExpr::mentions_array);
             }
         });
+        found
+    }
+
+    /// True if any array element reference appears in the expression.
+    fn mentions_array(&self) -> bool {
+        let mut found = false;
+        self.for_each(&mut |e| found |= matches!(e, AExpr::Index(_, _)));
         found
     }
 }
@@ -332,6 +329,41 @@ impl Stmt {
         }
     }
 
+    /// True if a subscripted subscript appears anywhere in the statement:
+    /// in a read, in an array target's subscript (`a[b[i]] = …`, and the
+    /// read of the same element a compound `a[b[i]] += …` makes), in a
+    /// condition, a loop header, a declared extent or an initializer, here
+    /// or in a nested statement.
+    fn has_subscripted_subscript(&self) -> bool {
+        let own = match self {
+            Stmt::Decl { dims, init, .. } => dims
+                .iter()
+                .chain(init)
+                .any(AExpr::has_subscripted_subscript),
+            Stmt::Assign { target, value, .. } => {
+                value.has_subscripted_subscript()
+                    || target.indices.iter().any(AExpr::mentions_array)
+            }
+            Stmt::If { cond, .. } | Stmt::While { cond, .. } => cond.has_subscripted_subscript(),
+            Stmt::For {
+                init, bound, step, ..
+            } => [init, bound, step]
+                .into_iter()
+                .any(AExpr::has_subscripted_subscript),
+        };
+        own || self.body_has_subscripted_subscript()
+    }
+
+    /// True if a subscripted subscript appears in the statement's blocks:
+    /// for a loop its body, nested loop headers included, but not its own
+    /// header, which is evaluated outside the loop's iterations.
+    pub fn body_has_subscripted_subscript(&self) -> bool {
+        self.child_blocks()
+            .into_iter()
+            .flatten()
+            .any(Stmt::has_subscripted_subscript)
+    }
+
     /// Returns the body statements of a loop or conditional branch(es).
     pub fn child_blocks(&self) -> Vec<&[Stmt]> {
         match self {
@@ -426,6 +458,89 @@ impl Program {
         out
     }
 
+    /// Scalars the program reads before ever assigning them — its symbolic
+    /// inputs (`nelt`, `nrows`, …).  The walk follows evaluation order (loop
+    /// init expressions before the index-variable write, guard conditions
+    /// before branches, right-hand sides before their targets), so a scalar
+    /// like `count` that every path initializes before use is *not*
+    /// reported.  Writes on one branch do not dominate reads on the other,
+    /// but counting them as definite keeps `if (c) { x = a; } else { x = b; }`
+    /// out of the input set; the interpreter's defaulting heap makes the
+    /// over-approximation harmless.  Loop index variables are never inputs.
+    pub fn free_scalars(&self) -> Vec<String> {
+        #[derive(Default)]
+        struct Walk {
+            written: Vec<String>,
+            inputs: Vec<String>,
+        }
+        impl Walk {
+            fn read(&mut self, e: &AExpr) {
+                for v in e.variables() {
+                    if !self.written.contains(&v) && !self.inputs.contains(&v) {
+                        self.inputs.push(v);
+                    }
+                }
+            }
+            fn write(&mut self, name: &str) {
+                if !self.written.iter().any(|s| s == name) {
+                    self.written.push(name.to_string());
+                }
+            }
+            fn stmts(&mut self, stmts: &[Stmt]) {
+                for s in stmts {
+                    match s {
+                        Stmt::Decl { name, dims, init } => {
+                            dims.iter().chain(init).for_each(|e| self.read(e));
+                            if dims.is_empty() {
+                                self.write(name);
+                            }
+                        }
+                        Stmt::Assign { target, op, value } => {
+                            self.read(value);
+                            target.indices.iter().for_each(|e| self.read(e));
+                            if target.is_scalar() {
+                                if *op != AssignOp::Assign {
+                                    self.read(&AExpr::var(&target.name));
+                                }
+                                self.write(&target.name);
+                            }
+                        }
+                        Stmt::If {
+                            cond,
+                            then_branch,
+                            else_branch,
+                        } => {
+                            self.read(cond);
+                            self.stmts(then_branch);
+                            self.stmts(else_branch);
+                        }
+                        Stmt::For {
+                            var,
+                            init,
+                            bound,
+                            step,
+                            body,
+                            ..
+                        } => {
+                            self.read(init);
+                            self.write(var);
+                            self.read(bound);
+                            self.read(step);
+                            self.stmts(body);
+                        }
+                        Stmt::While { cond, body, .. } => {
+                            self.read(cond);
+                            self.stmts(body);
+                        }
+                    }
+                }
+            }
+        }
+        let mut walk = Walk::default();
+        walk.stmts(&self.body);
+        walk.inputs
+    }
+
     /// Names of all scalar variables written anywhere in the program.
     pub fn written_scalars(&self) -> Vec<String> {
         let mut out = Vec::new();
@@ -505,6 +620,123 @@ mod tests {
         let mut count = 0;
         p.for_each_stmt(&mut |_| count += 1);
         assert_eq!(count, 3); // for + two assigns
+    }
+
+    /// `body_has_subscripted_subscript` of every loop, in program order.
+    fn loop_flags(src: &str) -> Vec<bool> {
+        let p = crate::parser::parse_program("t", src).unwrap();
+        p.loop_ids()
+            .into_iter()
+            .map(|id| p.find_loop(id).unwrap().body_has_subscripted_subscript())
+            .collect()
+    }
+
+    #[test]
+    fn marks_subscripted_subscripts() {
+        let fig5 = "for (i = 0; i < m; i++) { if (jmatch[i] >= 0) { imatch[jmatch[i]] = i; } }";
+        assert_eq!(loop_flags(fig5), vec![true]);
+        let fig2 =
+            "for (miel = 0; miel < nelt; miel++) { iel = mt_to_id[miel]; id_to_mt[iel] = miel; }";
+        assert_eq!(loop_flags(fig2), vec![false]);
+        // A read on the right-hand side counts as well as a target.
+        assert_eq!(
+            loop_flags("for (i = 0; i < n; i++) { y[i] = x[c[i]]; }"),
+            vec![true]
+        );
+        // Rank-2 subscripts: only an array reference *inside* one counts.
+        assert_eq!(
+            loop_flags("for (i = 0; i < n; i++) { s[i] = m[i][j]; }"),
+            vec![false]
+        );
+        assert_eq!(
+            loop_flags("for (i = 0; i < n; i++) { m[i][c[i]] = 1; }"),
+            vec![true]
+        );
+    }
+
+    #[test]
+    fn subscripted_subscripts_count_in_every_position_but_the_loops_own_header() {
+        // The loop's own header is evaluated outside its iterations.
+        assert_eq!(
+            loop_flags("for (k = r[p[0]]; k < r[p[1]]; k++) { x[k] = k; }"),
+            vec![false]
+        );
+        assert_eq!(loop_flags("while (a[b[0]] > 0) { x[0] = 0; }"), vec![false]);
+        // A nested loop's header is inside the outer loop's body.
+        assert_eq!(
+            loop_flags("for (b = 0; b < nb; b++) { for (k = r[p[b]]; k < n; k++) { x[k] = b; } }"),
+            vec![true, false]
+        );
+        // An `if` condition, with plain branches.
+        assert_eq!(
+            loop_flags(
+                "for (i = 0; i < n; i++) { if (a[b[i]] > 0) { x[i] = 1; } else { x[i] = 2; } }"
+            ),
+            vec![true]
+        );
+        // A `while` loop's body, and a nested `while`'s condition.
+        assert_eq!(
+            loop_flags("while (i < n) { x[c[i]] = 1; i++; }"),
+            vec![true]
+        );
+        assert_eq!(
+            loop_flags("for (i = 0; i < n; i++) { while (a[b[i]] > 0) { a[i] -= 1; } }"),
+            vec![true, false]
+        );
+        // A declaration's extent and a scalar initializer.
+        assert_eq!(
+            loop_flags("for (i = 0; i < n; i++) { int t[c[d[i]]]; }"),
+            vec![true]
+        );
+        assert_eq!(
+            loop_flags("for (i = 0; i < n; i++) { int t = c[d[i]]; }"),
+            vec![true]
+        );
+        // A compound array target.
+        assert_eq!(
+            loop_flags("for (i = 0; i < n; i++) { a[b[i]] += 1; }"),
+            vec![true]
+        );
+    }
+
+    #[test]
+    fn free_scalars_of_the_figure9_kernel() {
+        let p = crate::parser::parse_program(
+            "fig9",
+            r#"
+            index = 0;
+            for (i = 0; i < ROWLEN; i++) {
+                count = 0;
+                for (j = 0; j < COLUMNLEN; j++) {
+                    if (a[i][j] != 0) {
+                        count++;
+                        value[index] = a[i][j];
+                        index++;
+                    }
+                }
+                rowsize[i] = count;
+            }
+            rowptr[0] = 0;
+            for (i = 1; i < ROWLEN + 1; i++) {
+                rowptr[i] = rowptr[i-1] + rowsize[i-1];
+            }
+        "#,
+        )
+        .unwrap();
+        assert_eq!(
+            p.free_scalars(),
+            vec!["ROWLEN".to_string(), "COLUMNLEN".to_string()]
+        );
+        let p =
+            crate::parser::parse_program("t", "for (k = 0; k < n; k++) { colidx[k] -= firstcol; }")
+                .unwrap();
+        assert_eq!(
+            p.free_scalars(),
+            vec!["n".to_string(), "firstcol".to_string()]
+        );
+        // A compound scalar update reads its target first.
+        let p = crate::parser::parse_program("t", "s += 1; int e = s;").unwrap();
+        assert_eq!(p.free_scalars(), vec!["s".to_string()]);
     }
 
     #[test]

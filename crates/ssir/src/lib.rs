@@ -8,7 +8,6 @@
 //! * [`printer`] — back to C source, optionally with `#pragma omp parallel
 //!   for` annotations added by the parallelizer;
 //! * [`loops`] — normalized loop descriptions and the loop tree;
-//! * [`visit`] — array access collection with guard conditions;
 //! * [`convert`] — lowering of AST arithmetic to [`ss_symbolic::Expr`];
 //! * [`slots`] — name interning and compilation to flat, slot-addressed op
 //!   sequences (what the `ss-interp` compiled engines execute);
@@ -50,7 +49,6 @@ pub mod parser;
 pub mod printer;
 pub mod slots;
 pub mod token;
-pub mod visit;
 
 pub use ast::{AExpr, AssignOp, BinOp, LValue, LoopId, Program, Stmt, UnOp};
 pub use bytecode::{compile_bytecode, BcExpr, BcFor, BytecodeProgram, HeaderFast, Instr, Reg};
@@ -62,7 +60,4 @@ pub use printer::{print_expr, print_program, print_program_with, PrintOptions};
 pub use slots::{
     compile_program, ArraySlot, CExpr, CompiledBody, CompiledFor, CompiledProgram, Op, ScalarSlot,
     SlotMap,
-};
-pub use visit::{
-    accesses_in_loop, collect_accesses, free_arrays, free_scalars, AccessKind, ArrayAccess,
 };

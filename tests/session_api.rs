@@ -8,8 +8,8 @@
 //! and the stability of the JSON output.
 
 use ss_interp::{
-    Engine, EngineRegistry, ExecOptions, ExecOutcome, Heap, OptLevel, RunRequest, Session, SsError,
-    ValidationMode,
+    Engine, EngineRegistry, ExecError, ExecOptions, ExecOutcome, ExecutionMode, Heap, OptLevel,
+    RunRequest, Session, SsError, ValidationMode,
 };
 use ss_parallelizer::{Artifacts, VerdictKind};
 use std::sync::Arc;
@@ -263,4 +263,36 @@ fn explicit_heaps_run_identically_at_both_opt_levels() {
     }
     assert_eq!(heaps[0], heaps[1], "O0 and O1 runs must agree bit for bit");
     assert_eq!(heaps[0].arrays["out"].data[0], (n - 1) * 2);
+}
+
+/// A declared extent whose cell count wraps `usize` (2^32 × 2^32 is 0 once
+/// wrapped) fails its declaration on every row, serially and in parallel,
+/// with the `OutOfBounds` input discovery answers for the same
+/// declaration — never a zero-length buffer that a later access indexes.
+#[test]
+fn a_declaration_whose_cell_count_wraps_fails_on_every_row() {
+    let session = Session::new();
+    let src = "int a[4294967296][4294967296]; int b[64]; \
+               for (i = 0; i < 64; i++) { b[i] = a[i][0]; }";
+    for engine in session.registry().names() {
+        for mode in [ExecutionMode::Serial, ExecutionMode::Parallel] {
+            let request = RunRequest::new("wrapped_extent", src)
+                .engine(engine)
+                .threads(2)
+                .mode(mode)
+                .initial_heap(Heap::default());
+            match session.run(&request) {
+                Err(SsError::Runtime(ExecError::OutOfBounds {
+                    array,
+                    indices,
+                    dims,
+                })) => {
+                    assert_eq!(array, "a", "{engine} {mode:?}");
+                    assert_eq!(indices, vec![1 << 32, 1 << 32], "{engine} {mode:?}");
+                    assert!(dims.is_empty(), "{engine} {mode:?}");
+                }
+                other => panic!("{engine} {mode:?}: expected OutOfBounds, got {other:?}"),
+            }
+        }
+    }
 }

@@ -66,3 +66,45 @@ fn study_table_renders_for_the_report() {
     assert!(txt.contains("fig9_csr_product"));
     assert!(txt.contains("SuiteSparse"));
 }
+
+/// `LoopReport::has_subscripted_subscript` for every loop of the catalogue:
+/// `(kernel, number of loops, ids of the loops whose flag is set)`.  Blessed
+/// from the whole-program access collector the flag used to be derived
+/// from; the per-loop walk (`Stmt::body_has_subscripted_subscript`) must
+/// reproduce it exactly.
+const SUBSCRIPTED_SUBSCRIPT_LOOPS: &[(&str, u32, &[u32])] = &[
+    ("fig2_ua_transfer", 2, &[]),
+    ("fig3_cg_colidx", 5, &[]),
+    ("fig4_cg_gather", 5, &[]),
+    ("fig5_csparse_maxtrans", 2, &[1]),
+    ("fig6_csparse_blocks", 6, &[4, 5]),
+    ("fig7_ua_refine", 3, &[]),
+    ("fig9_csr_product", 5, &[]),
+    ("cg_spmv_rows", 5, &[3, 4]),
+    ("is_bucket_traversal", 5, &[]),
+    ("csparse_ipvec", 2, &[1]),
+    ("cg_norm_reduction", 5, &[]),
+    ("ua_refine_scratch", 4, &[]),
+    ("csparse_symperm_cols", 5, &[]),
+    ("sptrsv_levels", 7, &[5, 6]),
+    ("gauss_seidel_sweep", 7, &[5, 6]),
+];
+
+#[test]
+fn subscripted_subscript_flags_match_the_blessed_table() {
+    let kernels = ss_npb::study_kernels();
+    assert_eq!(kernels.len(), SUBSCRIPTED_SUBSCRIPT_LOOPS.len());
+    for (kernel, &(name, loops, flagged)) in kernels.iter().zip(SUBSCRIPTED_SUBSCRIPT_LOOPS) {
+        assert_eq!(kernel.name, name);
+        let report = ss_parallelizer::parallelize_source(kernel.name, kernel.source).unwrap();
+        let ids: Vec<u32> = report.loops.iter().map(|l| l.loop_id.0).collect();
+        assert_eq!(ids, (0..loops).collect::<Vec<_>>(), "kernel {name}");
+        let set: Vec<u32> = report
+            .loops
+            .iter()
+            .filter(|l| l.has_subscripted_subscript)
+            .map(|l| l.loop_id.0)
+            .collect();
+        assert_eq!(set, flagged, "kernel {name}");
+    }
+}
