@@ -11,7 +11,7 @@
 
 use crate::phase1::{phase1, Phase1Result};
 use crate::phase2::{instantiate_at_entry, phase2, CollapsedLoop};
-use ss_ir::ast::{LoopId, Program, Stmt};
+use ss_ir::ast::{for_each_stmt, LoopId, Program, Stmt};
 use ss_ir::loops::LoopTree;
 use ss_properties::{ArrayFact, PropertyDatabase};
 use ss_rangeprop::{analyze_block, Env, LoopHandler, WriteRecord};
@@ -147,7 +147,9 @@ fn process_stmts(stmts: &[Stmt], env: &mut Env, analysis: &mut ProgramAnalysis) 
         // Snapshot the database for every loop contained in this statement:
         // those are the facts available when that loop is dependence-tested.
         let mut contained = Vec::new();
-        collect_loop_ids(s, &mut contained);
+        for_each_stmt(std::slice::from_ref(s), &mut |x| {
+            contained.extend(x.loop_id())
+        });
         for id in &contained {
             analysis.db_at_loop.insert(*id, analysis.db.clone());
         }
@@ -205,17 +207,6 @@ fn collect_plain_array_writes(s: &Stmt, out: &mut Vec<String>) {
             }
         }
         _ => {}
-    }
-}
-
-fn collect_loop_ids(s: &Stmt, out: &mut Vec<LoopId>) {
-    if let Some(id) = s.loop_id() {
-        out.push(id);
-    }
-    for block in s.child_blocks() {
-        for child in block {
-            collect_loop_ids(child, out);
-        }
     }
 }
 

@@ -43,5 +43,5 @@ pub mod phase1;
 pub mod phase2;
 
 pub use collapse::{analyze_program, apply_summary, ProgramAnalysis};
-pub use phase1::{assigned_scalars, phase1, Phase1Result};
+pub use phase1::{phase1, Phase1Result};
 pub use phase2::{instantiate_at_entry, phase2, CollapsedLoop};

@@ -8,7 +8,7 @@
 //! already be collapsed; their summaries are applied through the
 //! [`ss_rangeprop::LoopHandler`] hook.
 
-use ss_ir::ast::Stmt;
+use ss_ir::ast::{assigned_scalars, Stmt};
 use ss_ir::loops::LoopInfo;
 use ss_rangeprop::{analyze_block, Env, LoopHandler, WriteRecord};
 use ss_symbolic::{Expr, SymRange};
@@ -40,44 +40,6 @@ impl Phase1Result {
     pub fn writes_to(&self, array: &str) -> Vec<&WriteRecord> {
         self.writes.iter().filter(|w| w.array == array).collect()
     }
-}
-
-/// Collects the names of scalars assigned anywhere in a statement list
-/// (including nested loops and branches), excluding array writes.
-pub fn assigned_scalars(stmts: &[Stmt]) -> Vec<String> {
-    let mut out = Vec::new();
-    fn walk(stmts: &[Stmt], out: &mut Vec<String>) {
-        for s in stmts {
-            match s {
-                Stmt::Assign { target, .. }
-                    if target.is_scalar() && !out.contains(&target.name) =>
-                {
-                    out.push(target.name.clone());
-                }
-                Stmt::Decl { name, dims, .. } if dims.is_empty() && !out.contains(name) => {
-                    out.push(name.clone());
-                }
-                Stmt::For { var, body, .. } => {
-                    if !out.contains(var) {
-                        out.push(var.clone());
-                    }
-                    walk(body, out);
-                }
-                Stmt::While { body, .. } => walk(body, out),
-                Stmt::If {
-                    then_branch,
-                    else_branch,
-                    ..
-                } => {
-                    walk(then_branch, out);
-                    walk(else_branch, out);
-                }
-                _ => {}
-            }
-        }
-    }
-    walk(stmts, &mut out);
-    out
 }
 
 /// Runs Phase 1 on a loop.
@@ -234,27 +196,5 @@ mod tests {
             r.scalar("x").unwrap().as_exact(),
             Some(&simplify(&Expr::sub(Expr::sym("i"), Expr::int(1))))
         );
-    }
-
-    #[test]
-    fn assigned_scalars_finds_nested_assignments() {
-        let (p, _) = setup(
-            r#"
-            for (i = 0; i < n; i++) {
-                count = 0;
-                if (c[i] > 0) { count++; } else { other = 1; }
-                for (j = 0; j < m; j++) { inner = j; }
-            }
-        "#,
-        );
-        let ss_ir::Stmt::For { body, .. } = &p.body[0] else {
-            panic!()
-        };
-        let names = assigned_scalars(body);
-        assert!(names.contains(&"count".to_string()));
-        assert!(names.contains(&"other".to_string()));
-        assert!(names.contains(&"inner".to_string()));
-        assert!(names.contains(&"j".to_string()));
-        assert!(!names.contains(&"i".to_string()));
     }
 }

@@ -14,6 +14,7 @@
 use crate::reduction::{recognize_reductions, ReductionInfo};
 use ss_aggregation::{analyze_program, ProgramAnalysis};
 use ss_deptest::{test_loop, LoopVerdict, RangeTestConfig};
+use ss_ir::ast::written_arrays;
 use ss_ir::bytecode::{compile_bytecode, BytecodeProgram};
 use ss_ir::loops::LoopTree;
 use ss_ir::opt::{optimize, OptLevel};
@@ -385,7 +386,7 @@ pub struct Artifacts {
     /// The optimized (`O1`) stream: constant folding, superinstruction
     /// fusion, dead-store elimination (see `ss_ir::opt`).
     pub optimized: BytecodeProgram,
-    /// [`Program::written_arrays`], computed once: the arrays whose
+    /// [`written_arrays`] of the program, computed once: the arrays whose
     /// contents a run may change (engines restamp exactly these before
     /// each run).
     pub written_arrays: Vec<String>,
@@ -505,7 +506,7 @@ impl Artifacts {
             compiled,
             bytecode,
             optimized,
-            written_arrays: program.written_arrays(),
+            written_arrays: written_arrays(&program.body),
             stages,
             ext: ExtArtifacts::default(),
         }

@@ -25,7 +25,7 @@
 //! loop's own bound/step must not read the accumulator either (dispatch
 //! evaluates them once, up front).
 
-use ss_ir::ast::{AExpr, AssignOp, BinOp, LoopId, Program, Stmt};
+use ss_ir::ast::{assigned_scalars, AExpr, AssignOp, BinOp, LoopId, Program, Stmt};
 use ss_ir::slots::{ScalarSlot, SlotMap};
 
 /// The combiner of a recognized reduction.
@@ -110,7 +110,7 @@ pub fn recognize_reductions(program: &Program, id: LoopId, slots: &SlotMap) -> V
         }
         // Dispatch evaluates the loop header once; an accumulator feeding
         // its own loop's bound would change the trip count mid-loop.
-        if expr_mentions(init, &name) || expr_mentions(bound, &name) || expr_mentions(step, &name) {
+        if [init, bound, step].iter().any(|e| e.mentions_var(&name)) {
             continue;
         }
         if let Some(op) = classify(body, &name) {
@@ -125,45 +125,6 @@ pub fn recognize_reductions(program: &Program, id: LoopId, slots: &SlotMap) -> V
         }
     }
     accumulators
-}
-
-/// All scalars assigned anywhere in the statement list (including inner
-/// loop index variables and declarations).
-fn assigned_scalars(stmts: &[Stmt]) -> Vec<String> {
-    let mut out = Vec::new();
-    fn walk(stmts: &[Stmt], out: &mut Vec<String>) {
-        for s in stmts {
-            match s {
-                Stmt::Assign { target, .. }
-                    if target.is_scalar() && !out.contains(&target.name) =>
-                {
-                    out.push(target.name.clone());
-                }
-                Stmt::Decl { name, dims, .. } if dims.is_empty() && !out.contains(name) => {
-                    out.push(name.clone());
-                }
-                Stmt::For { var, .. } if !out.contains(var) => {
-                    out.push(var.clone());
-                }
-                _ => {}
-            }
-            for block in s.child_blocks() {
-                walk(block, out);
-            }
-        }
-    }
-    walk(stmts, &mut out);
-    out
-}
-
-fn expr_mentions(e: &AExpr, name: &str) -> bool {
-    let mut found = false;
-    e.for_each(&mut |x| {
-        if matches!(x, AExpr::Var(v) if v == name) {
-            found = true;
-        }
-    });
-    found
 }
 
 fn is_var(e: &AExpr, name: &str) -> bool {
@@ -197,66 +158,17 @@ fn scan(stmts: &[Stmt], acc: &str, op: &mut Option<ReductionOp>, updates: &mut u
             continue;
         }
         // Not an update: the statement must not touch `acc` at all.
-        match s {
-            Stmt::Decl { name, dims, init } => {
-                if name == acc && dims.is_empty() {
-                    return false;
-                }
-                if dims.iter().any(|d| expr_mentions(d, acc)) {
-                    return false;
-                }
-                if init.as_ref().is_some_and(|e| expr_mentions(e, acc)) {
-                    return false;
-                }
-            }
-            Stmt::Assign { target, value, .. } => {
-                if target.is_scalar() && target.name == acc {
-                    return false;
-                }
-                if expr_mentions(value, acc) || target.indices.iter().any(|i| expr_mentions(i, acc))
-                {
-                    return false;
-                }
-            }
-            Stmt::If {
-                cond,
-                then_branch,
-                else_branch,
-            } => {
-                if expr_mentions(cond, acc) {
-                    return false;
-                }
-                if !scan(then_branch, acc, op, updates) || !scan(else_branch, acc, op, updates) {
-                    return false;
-                }
-            }
-            Stmt::For {
-                var,
-                init,
-                bound,
-                step,
-                body,
-                ..
-            } => {
-                if var == acc
-                    || expr_mentions(init, acc)
-                    || expr_mentions(bound, acc)
-                    || expr_mentions(step, acc)
-                {
-                    return false;
-                }
-                if !scan(body, acc, op, updates) {
-                    return false;
-                }
-            }
-            Stmt::While { cond, body, .. } => {
-                if expr_mentions(cond, acc) {
-                    return false;
-                }
-                if !scan(body, acc, op, updates) {
-                    return false;
-                }
-            }
+        let writes_acc = match s {
+            Stmt::Decl { name, dims, .. } => dims.is_empty() && name == acc,
+            Stmt::Assign { target, .. } => target.is_scalar() && target.name == acc,
+            Stmt::For { var, .. } => var == acc,
+            Stmt::If { .. } | Stmt::While { .. } => false,
+        };
+        if writes_acc || s.exprs().into_iter().any(|e| e.mentions_var(acc)) {
+            return false;
+        }
+        if !(s.child_blocks().into_iter()).all(|block| scan(block, acc, op, updates)) {
+            return false;
         }
     }
     true
@@ -270,22 +182,22 @@ fn match_update(s: &Stmt, acc: &str) -> Option<ReductionOp> {
         Stmt::Assign { target, op, value } if target.is_scalar() && target.name == acc => {
             match op {
                 AssignOp::AddAssign | AssignOp::SubAssign => {
-                    (!expr_mentions(value, acc)).then_some(ReductionOp::Add)
+                    (!value.mentions_var(acc)).then_some(ReductionOp::Add)
                 }
-                AssignOp::MulAssign => (!expr_mentions(value, acc)).then_some(ReductionOp::Mul),
+                AssignOp::MulAssign => (!value.mentions_var(acc)).then_some(ReductionOp::Mul),
                 AssignOp::Assign => {
                     let AExpr::Binary(bop, a, b) = value else {
                         return None;
                     };
                     match bop {
-                        BinOp::Add => ((is_var(a, acc) && !expr_mentions(b, acc))
-                            || (is_var(b, acc) && !expr_mentions(a, acc)))
+                        BinOp::Add => ((is_var(a, acc) && !b.mentions_var(acc))
+                            || (is_var(b, acc) && !a.mentions_var(acc)))
                         .then_some(ReductionOp::Add),
-                        BinOp::Sub if is_var(a, acc) && !expr_mentions(b, acc) => {
+                        BinOp::Sub if is_var(a, acc) && !b.mentions_var(acc) => {
                             Some(ReductionOp::Add)
                         }
-                        BinOp::Mul => ((is_var(a, acc) && !expr_mentions(b, acc))
-                            || (is_var(b, acc) && !expr_mentions(a, acc)))
+                        BinOp::Mul => ((is_var(a, acc) && !b.mentions_var(acc))
+                            || (is_var(b, acc) && !a.mentions_var(acc)))
                         .then_some(ReductionOp::Mul),
                         _ => None,
                     }
@@ -306,7 +218,7 @@ fn match_update(s: &Stmt, acc: &str) -> Option<ReductionOp> {
             else {
                 return None;
             };
-            if !target.is_scalar() || target.name != acc || expr_mentions(value, acc) {
+            if !target.is_scalar() || target.name != acc || value.mentions_var(acc) {
                 return None;
             }
             let AExpr::Binary(rel, a, b) = cond else {

@@ -38,7 +38,7 @@
 //! address positions, closed over scalar assignments — whose contents,
 //! together with the entry scalars, key the cached schedule.
 
-use ss_ir::ast::{AExpr, AssignOp, Program, Stmt};
+use ss_ir::ast::{assigned_scalars, for_each_stmt, written_arrays, AExpr, AssignOp, Program, Stmt};
 use ss_ir::LoopId;
 use std::collections::BTreeSet;
 
@@ -59,42 +59,11 @@ pub struct WavefrontFact {
     pub schedule_arrays: Vec<String>,
 }
 
-/// Walks `stmts` and every nested block, pre-order.  (The `ss_ir`
-/// walkers elide the statement lifetime, so collecting references needs
-/// this explicit-lifetime variant.)
-fn for_each_stmt<'a>(stmts: &'a [Stmt], f: &mut impl FnMut(&'a Stmt)) {
-    for s in stmts {
-        f(s);
-        for block in s.child_blocks() {
-            for_each_stmt(block, f);
-        }
-    }
-}
-
-/// Walks `e` and every sub-expression, pre-order, with the expression
-/// lifetime exposed.
-fn for_each_expr<'a>(e: &'a AExpr, f: &mut impl FnMut(&'a AExpr)) {
-    f(e);
-    match e {
-        AExpr::IntLit(_) | AExpr::Var(_) => {}
-        AExpr::Index(_, idxs) => {
-            for i in idxs {
-                for_each_expr(i, f);
-            }
-        }
-        AExpr::Binary(_, a, b) => {
-            for_each_expr(a, f);
-            for_each_expr(b, f);
-        }
-        AExpr::Unary(_, a) => for_each_expr(a, f),
-    }
-}
-
 /// Collects every subscript expression inside `e` (each returned
 /// expression may itself contain nested subscripts; callers check whole
 /// expressions recursively).
 fn collect_subscripts<'a>(e: &'a AExpr, out: &mut Vec<&'a AExpr>) {
-    for_each_expr(e, &mut |x| {
+    e.for_each(&mut |x| {
         if let AExpr::Index(_, subs) = x {
             for s in subs {
                 // The walk already descends into `s`; pushing the whole
@@ -162,23 +131,10 @@ pub fn wavefront_fact(program: &Program, id: LoopId) -> Option<WavefrontFact> {
     };
 
     // Written arrays (W), body-assigned scalars, and structural vetoes.
-    let mut watched: BTreeSet<String> = BTreeSet::new();
-    let mut assigned: BTreeSet<String> = BTreeSet::new();
+    let watched: BTreeSet<String> = written_arrays(body).into_iter().collect();
+    let assigned: BTreeSet<String> = assigned_scalars(body).into_iter().collect();
     let mut has_decl = false;
-    for_each_stmt(body, &mut |s| match s {
-        Stmt::Assign { target, .. } => {
-            if target.is_scalar() {
-                assigned.insert(target.name.clone());
-            } else {
-                watched.insert(target.name.clone());
-            }
-        }
-        Stmt::For { var, .. } => {
-            assigned.insert(var.clone());
-        }
-        Stmt::Decl { .. } => has_decl = true,
-        Stmt::If { .. } | Stmt::While { .. } => {}
-    });
+    for_each_stmt(body, &mut |s| has_decl |= matches!(s, Stmt::Decl { .. }));
     if has_decl || watched.is_empty() || assigned.contains(var) {
         return None;
     }

@@ -17,7 +17,7 @@
 //! analysis into guarded *configurations* so that conditionally-defined
 //! bounds (the `j1` of Figure 9) keep their exact per-branch values.
 
-use ss_ir::ast::{AExpr, AssignOp, Stmt};
+use ss_ir::ast::{assigned_scalars, for_each_stmt, AExpr, AssignOp, Stmt};
 use ss_ir::convert::{to_condition, SymCondition};
 use ss_ir::loops::{LoopInfo, LoopTree};
 use ss_rangeprop::{eval_exact, eval_range, refine_with_condition, Env};
@@ -139,16 +139,12 @@ fn walk(stmts: &[Stmt], configs: &mut Vec<Config>, tree: &LoopTree, out: &mut De
 fn walk_stmt(s: &Stmt, configs: &mut Vec<Config>, tree: &LoopTree, out: &mut DescriptorSet) {
     match s {
         Stmt::Decl { name, dims, init } => {
-            if dims.is_empty() {
-                for cfg in configs.iter_mut() {
-                    match init {
-                        Some(e) => {
-                            record_reads(e, cfg, out);
-                            let r = eval_range(&cfg.env, e);
-                            cfg.env.set_scalar(name.clone(), r);
-                        }
-                        None => cfg.env.set_scalar(name.clone(), SymRange::unknown()),
-                    }
+            for cfg in configs.iter_mut() {
+                record_stmt_reads(s, cfg, out);
+                if dims.is_empty() {
+                    let r =
+                        (init.as_ref()).map_or_else(SymRange::unknown, |e| eval_range(&cfg.env, e));
+                    cfg.env.set_scalar(name.clone(), r);
                 }
             }
         }
@@ -156,10 +152,7 @@ fn walk_stmt(s: &Stmt, configs: &mut Vec<Config>, tree: &LoopTree, out: &mut Des
             for cfg in configs.iter_mut() {
                 // Reads: RHS, target indices, and the target itself for
                 // compound assignments.
-                record_reads(value, cfg, out);
-                for idx in &target.indices {
-                    record_reads(idx, cfg, out);
-                }
+                record_stmt_reads(s, cfg, out);
                 let read_target = if target.is_scalar() {
                     AExpr::Var(target.name.clone())
                 } else {
@@ -188,7 +181,7 @@ fn walk_stmt(s: &Stmt, configs: &mut Vec<Config>, tree: &LoopTree, out: &mut Des
             else_branch,
         } => {
             for cfg in configs.iter_mut() {
-                record_reads(cond, cfg, out);
+                record_stmt_reads(s, cfg, out);
             }
             let sym_cond = to_condition(cond);
             let representable = sym_cond.is_some() && configs.len() * 2 <= MAX_CONFIGS;
@@ -240,18 +233,20 @@ fn walk_stmt(s: &Stmt, configs: &mut Vec<Config>, tree: &LoopTree, out: &mut Des
         Stmt::For { id, var, body, .. } => {
             let info = tree.get(*id).cloned();
             for cfg in configs.iter_mut() {
+                // The header is evaluated once, in the enclosing iteration.
+                record_stmt_reads(s, cfg, out);
                 match &info {
                     Some(inner) if inner.is_normalized => {
                         summarize_inner_loop(inner, body, cfg, tree, out);
                     }
                     _ => {
-                        mark_unknown_writes(body, cfg, out);
+                        mark_unknown(body, cfg, out);
                         out.notes
                             .push(format!("inner loop {id} is not a canonical counted loop"));
                     }
                 }
                 // Scalars the inner loop modifies have unknown values after it.
-                for name in scalars_assigned_in(body) {
+                for name in assigned_scalars(body) {
                     cfg.env.set_scalar(name, SymRange::unknown());
                 }
                 cfg.env.set_scalar(var.clone(), SymRange::unknown());
@@ -259,8 +254,9 @@ fn walk_stmt(s: &Stmt, configs: &mut Vec<Config>, tree: &LoopTree, out: &mut Des
         }
         Stmt::While { body, .. } => {
             for cfg in configs.iter_mut() {
-                mark_unknown_writes(body, cfg, out);
-                for name in scalars_assigned_in(body) {
+                // Condition and body alike run an unknown number of times.
+                mark_unknown(std::slice::from_ref(s), cfg, out);
+                for name in assigned_scalars(body) {
                     cfg.env.set_scalar(name, SymRange::unknown());
                 }
             }
@@ -288,6 +284,14 @@ fn resolve_condition(env: &Env, c: &SymCondition) -> SymCondition {
         lhs: resolve(&c.lhs),
         op: c.op,
         rhs: resolve(&c.rhs),
+    }
+}
+
+/// Records the reads of every expression `s` itself evaluates, in
+/// evaluation order.
+fn record_stmt_reads(s: &Stmt, cfg: &Config, out: &mut DescriptorSet) {
+    for e in s.exprs() {
+        record_reads(e, cfg, out);
     }
 }
 
@@ -352,7 +356,7 @@ fn summarize_inner_loop(
     let lo = resolve_expr(&cfg.env, &inner.first);
     let hi = resolve_expr(&cfg.env, &inner.last);
     if lo == Expr::Bottom || hi == Expr::Bottom {
-        mark_unknown_writes(body, cfg, out);
+        mark_unknown(body, cfg, out);
         out.notes.push(format!(
             "bounds of inner loop {} could not be resolved",
             inner.id
@@ -364,7 +368,7 @@ fn summarize_inner_loop(
     let mut inner_env = cfg.env.clone();
     // Scalars the inner body itself modifies do not have a single value
     // across its iterations; subscripts through them are unknown.
-    for name in scalars_assigned_in(body) {
+    for name in assigned_scalars(body) {
         if name != inner.var {
             inner_env.set_scalar(name, SymRange::unknown());
         }
@@ -489,64 +493,34 @@ fn resolve_expr(env: &Env, e: &Expr) -> Expr {
     simplify(&cur)
 }
 
-/// Names of scalars assigned anywhere in a statement list.
-fn scalars_assigned_in(stmts: &[Stmt]) -> Vec<String> {
-    let mut out = Vec::new();
-    fn rec(stmts: &[Stmt], out: &mut Vec<String>) {
-        for s in stmts {
-            match s {
-                Stmt::Assign { target, .. }
-                    if target.is_scalar() && !out.contains(&target.name) =>
-                {
-                    out.push(target.name.clone());
+/// Records every access of an unanalyzable construct as an unknown region
+/// under an unknown guard: the reads of every expression its statements
+/// evaluate, nested headers and conditions included, and every array
+/// element they write.
+fn mark_unknown(stmts: &[Stmt], cfg: &Config, out: &mut DescriptorSet) {
+    let mut unknown = |array: &str, is_write: bool| {
+        out.accesses.push(IterationAccess {
+            array: array.to_string(),
+            is_write,
+            region: AccessRegion::Unknown,
+            guards: cfg.guards.clone(),
+            under_unknown_guard: true,
+        })
+    };
+    for_each_stmt(stmts, &mut |s| {
+        for e in s.exprs() {
+            e.for_each(&mut |x| {
+                if let AExpr::Index(a, _) = x {
+                    unknown(a, false);
                 }
-                Stmt::Decl { name, dims, .. } if dims.is_empty() && !out.contains(name) => {
-                    out.push(name.clone());
-                }
-                Stmt::For { var, body, .. } => {
-                    if !out.contains(var) {
-                        out.push(var.clone());
-                    }
-                    rec(body, out);
-                }
-                Stmt::While { body, .. } => rec(body, out),
-                Stmt::If {
-                    then_branch,
-                    else_branch,
-                    ..
-                } => {
-                    rec(then_branch, out);
-                    rec(else_branch, out);
-                }
-                _ => {}
+            });
+        }
+        if let Stmt::Assign { target, .. } = s {
+            if !target.is_scalar() {
+                unknown(&target.name, true);
             }
         }
-    }
-    rec(stmts, &mut out);
-    out
-}
-
-/// Records every array written in an unanalyzable construct as an unknown
-/// write.
-fn mark_unknown_writes(stmts: &[Stmt], cfg: &Config, out: &mut DescriptorSet) {
-    for s in stmts {
-        match s {
-            Stmt::Assign { target, .. } if !target.is_scalar() => {
-                out.accesses.push(IterationAccess {
-                    array: target.name.clone(),
-                    is_write: true,
-                    region: AccessRegion::Unknown,
-                    guards: cfg.guards.clone(),
-                    under_unknown_guard: true,
-                });
-            }
-            _ => {
-                for block in s.child_blocks() {
-                    mark_unknown_writes(block, cfg, out);
-                }
-            }
-        }
-    }
+    });
 }
 
 #[cfg(test)]
@@ -740,6 +714,52 @@ mod tests {
         let w = &d.for_array("out")[0];
         assert_eq!(w.region, AccessRegion::Unknown);
         assert!(!d.notes.is_empty());
+    }
+
+    #[test]
+    fn extents_and_inner_headers_are_read_once_per_iteration() {
+        let d = descriptors(
+            "for (i = 0; i < n; i++) { int t[x[i]]; for (k = y[i]; k < y[i + 1]; k++) { s = k; } }",
+        );
+        let reads = |array: &str| -> Vec<AccessRegion> {
+            (d.for_array(array).into_iter())
+                .map(|a| {
+                    assert!(!a.is_write);
+                    a.region.clone()
+                })
+                .collect()
+        };
+        assert_eq!(reads("x"), vec![AccessRegion::Point(Expr::sym("i"))]);
+        let next = simplify(&Expr::add(Expr::sym("i"), Expr::int(1)));
+        assert_eq!(
+            reads("y"),
+            vec![
+                AccessRegion::Point(Expr::sym("i")),
+                AccessRegion::Point(next)
+            ]
+        );
+    }
+
+    #[test]
+    fn reads_of_unanalyzable_constructs_are_unknown() {
+        for src in [
+            // A `while` condition and a `while` body.
+            "for (i = 0; i < n; i++) { while (k < x[i]) { k = k + 1; } }",
+            "for (i = 0; i < n; i++) { while (k < 1) { s = x[i]; k = k + 1; } }",
+            // The body of a non-canonical `for`, and of one whose bounds do
+            // not resolve (`m` has no exact value).
+            "for (i = 0; i < n; i++) { for (k = 0; k < 8; k += 2) { s = x[k]; } }",
+            "for (i = 0; i < n; i++) { int m; for (k = 0; k < m; k++) { s = x[k]; } }",
+            // A header nested in a `while`.
+            "for (i = 0; i < n; i++) { while (k < 1) { for (j = 0; j < x[i]; j++) { } k = 1; } }",
+        ] {
+            let d = descriptors(src);
+            let x = d.for_array("x");
+            assert_eq!(x.len(), 1, "{src}");
+            assert!(!x[0].is_write, "{src}");
+            assert_eq!(x[0].region, AccessRegion::Unknown, "{src}");
+            assert!(x[0].under_unknown_guard, "{src}");
+        }
     }
 
     #[test]

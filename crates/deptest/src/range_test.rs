@@ -20,7 +20,7 @@
 
 use crate::access::{collect_iteration_accesses, AccessRegion, DescriptorSet, IterationAccess};
 use crate::monotone::{property_proves_nonneg, property_proves_positive};
-use ss_ir::ast::{BinOp, LoopId, Program, Stmt};
+use ss_ir::ast::{assigned_scalars, private_arrays, AExpr, AssignOp, BinOp, LoopId, Program, Stmt};
 use ss_ir::convert::SymCondition;
 use ss_ir::loops::{LoopInfo, LoopTree};
 use ss_properties::{ArrayProperty, PropertyDatabase, ValueFilter};
@@ -28,6 +28,7 @@ use ss_symbolic::relation::{Assumptions, Proof};
 use ss_symbolic::simplify::affine_in;
 use ss_symbolic::subst::subst_sym;
 use ss_symbolic::{simplify, simplify_diff, sym_eq, Expr, SymRange};
+use std::collections::HashSet;
 
 /// Configuration of the dependence test.
 #[derive(Debug, Clone)]
@@ -123,7 +124,8 @@ pub fn test_loop(
     // iteration's write, and a dispatcher that materialized the space from
     // the header would execute different iterations than the serial run
     // (found by the cross-engine fuzz harness, `tests/engine_fuzz.rs`).
-    if body_assigns_scalar(body, &info.var) {
+    let assigned = assigned_scalars(body);
+    if assigned.contains(&info.var) {
         verdict.blockers.push(format!(
             "loop index '{}' is assigned in the body (non-affine iteration space)",
             info.var
@@ -132,7 +134,7 @@ pub fn test_loop(
 
     // Scalar dependences: every scalar assigned in the body must be
     // privatizable (written before read in each iteration).
-    for name in non_private_scalars(body, &info.var) {
+    for name in non_private_scalars(body, &assigned, &info.var) {
         verdict.blockers.push(format!(
             "scalar '{name}' is read before written (carried scalar dependence)"
         ));
@@ -143,7 +145,7 @@ pub fn test_loop(
     // re-initialized by every iteration before any use, so they are
     // per-iteration private — like privatizable scalars, they carry no
     // cross-iteration dependence and are excluded from the test.
-    let private_arrays = loop_private_arrays(body);
+    let private_arrays = private_arrays(body);
     let descriptors = collect_iteration_accesses(info, body, tree);
     let mut asm = Assumptions::new();
     asm.assume_range(info.var.clone(), info.index_range());
@@ -479,215 +481,67 @@ fn decompose_single_array_term(p: &Expr, var: &str) -> (i64, Option<(String, Exp
     (coeff, aref, rest_ok)
 }
 
-/// Arrays whose first mention in the loop body is an *unconditional,
-/// top-level* declaration: each iteration allocates fresh zeroed storage
-/// before any access, so no value flows between iterations.  Arrays first
-/// touched elsewhere (or declared only inside a branch or nested loop) do
-/// not qualify — an access before the declaration would read the previous
-/// iteration's storage.
-fn loop_private_arrays(body: &[Stmt]) -> Vec<String> {
-    use std::collections::HashSet;
-
-    fn note_expr(e: &ss_ir::ast::AExpr, mentioned: &mut HashSet<String>) {
-        e.for_each(&mut |x| {
-            if let ss_ir::ast::AExpr::Index(a, _) = x {
-                mentioned.insert(a.clone());
-            }
-        });
-    }
-
-    fn note_stmt(s: &Stmt, mentioned: &mut HashSet<String>) {
-        match s {
-            Stmt::Decl { name, dims, init } => {
-                for d in dims {
-                    note_expr(d, mentioned);
-                }
-                if let Some(e) = init {
-                    note_expr(e, mentioned);
-                }
-                if !dims.is_empty() {
-                    mentioned.insert(name.clone());
-                }
-            }
-            Stmt::Assign { target, value, .. } => {
-                note_expr(value, mentioned);
-                for idx in &target.indices {
-                    note_expr(idx, mentioned);
-                }
-                if !target.is_scalar() {
-                    mentioned.insert(target.name.clone());
-                }
-            }
-            Stmt::If {
-                cond,
-                then_branch,
-                else_branch,
-            } => {
-                note_expr(cond, mentioned);
-                for t in then_branch {
-                    note_stmt(t, mentioned);
-                }
-                for e in else_branch {
-                    note_stmt(e, mentioned);
-                }
-            }
-            Stmt::For {
-                init,
-                bound,
-                step,
-                body,
-                ..
-            } => {
-                note_expr(init, mentioned);
-                note_expr(bound, mentioned);
-                note_expr(step, mentioned);
-                for b in body {
-                    note_stmt(b, mentioned);
-                }
-            }
-            Stmt::While { cond, body, .. } => {
-                note_expr(cond, mentioned);
-                for b in body {
-                    note_stmt(b, mentioned);
-                }
-            }
-        }
-    }
-
-    let mut mentioned: HashSet<String> = HashSet::new();
-    let mut private = Vec::new();
-    for s in body {
-        if let Stmt::Decl { name, dims, init } = s {
-            if !dims.is_empty() {
-                // Extent / initializer expressions are evaluated before the
-                // declaration takes effect.
-                for d in dims {
-                    note_expr(d, &mut mentioned);
-                }
-                if let Some(e) = init {
-                    note_expr(e, &mut mentioned);
-                }
-                if !mentioned.contains(name) && !private.contains(name) {
-                    private.push(name.clone());
-                }
-                mentioned.insert(name.clone());
-                continue;
-            }
-        }
-        note_stmt(s, &mut mentioned);
-    }
-    private
-}
-
 /// Scalars assigned in the loop body that are (possibly) read before being
 /// written in an iteration — these carry values across iterations and block
-/// parallelization (they are not privatizable).
-/// True when any statement of `body` (transitively) assigns the scalar
-/// `name` — including a nested `for` header reusing it as an index.
-fn body_assigns_scalar(body: &[Stmt], name: &str) -> bool {
-    body.iter().any(|s| match s {
-        Stmt::Assign { target, .. } => target.is_scalar() && target.name == name,
-        Stmt::Decl { name: n, dims, .. } => dims.is_empty() && n == name,
-        Stmt::For { var, body, .. } => var == name || body_assigns_scalar(body, name),
-        Stmt::While { body, .. } => body_assigns_scalar(body, name),
-        Stmt::If {
-            then_branch,
-            else_branch,
-            ..
-        } => body_assigns_scalar(then_branch, name) || body_assigns_scalar(else_branch, name),
-    })
-}
-
-fn non_private_scalars(body: &[Stmt], loop_var: &str) -> Vec<String> {
-    use std::collections::HashSet;
-    let written_first: HashSet<String> = HashSet::new();
+/// parallelization (they are not privatizable).  `assigned` is every scalar
+/// the body assigns, its own index variable included.
+fn non_private_scalars(body: &[Stmt], assigned: &[String], loop_var: &str) -> Vec<String> {
+    let assigned: HashSet<&str> = (assigned.iter())
+        .map(String::as_str)
+        .filter(|&n| n != loop_var)
+        .collect();
     let mut read_first: Vec<String> = Vec::new();
-    let mut assigned: HashSet<String> = HashSet::new();
-    // Collect all assigned scalars first.
-    fn collect_assigned(stmts: &[Stmt], out: &mut HashSet<String>) {
+
+    // Walk in program order; the first dynamic access decides.
+    fn note(
+        name: &str,
+        assigned: &HashSet<&str>,
+        written: &HashSet<String>,
+        read_first: &mut Vec<String>,
+    ) {
+        if assigned.contains(name)
+            && !written.contains(name)
+            && !read_first.iter().any(|r| r == name)
+        {
+            read_first.push(name.to_string());
+        }
+    }
+    fn walk(
+        stmts: &[Stmt],
+        assigned: &HashSet<&str>,
+        written: &mut HashSet<String>,
+        read_first: &mut Vec<String>,
+    ) {
         for s in stmts {
+            // Everything the statement evaluates (declared extents
+            // included) is read before the statement's own write.
+            for e in s.exprs() {
+                e.for_each(&mut |x| {
+                    if let AExpr::Var(v) = x {
+                        note(v, assigned, written, read_first);
+                    }
+                });
+            }
             match s {
-                Stmt::Assign { target, .. } if target.is_scalar() => {
-                    out.insert(target.name.clone());
+                Stmt::Decl { name, dims, .. } => {
+                    if dims.is_empty() {
+                        written.insert(name.clone());
+                    }
                 }
-                Stmt::Decl { name, dims, .. } if dims.is_empty() => {
-                    out.insert(name.clone());
+                Stmt::Assign { target, op, .. } => {
+                    if target.is_scalar() {
+                        // A compound assignment reads its target first.
+                        if *op != AssignOp::Assign {
+                            note(&target.name, assigned, written, read_first);
+                        }
+                        written.insert(target.name.clone());
+                    }
                 }
-                Stmt::For { var, body, .. } => {
-                    out.insert(var.clone());
-                    collect_assigned(body, out);
-                }
-                Stmt::While { body, .. } => collect_assigned(body, out),
                 Stmt::If {
                     then_branch,
                     else_branch,
                     ..
                 } => {
-                    collect_assigned(then_branch, out);
-                    collect_assigned(else_branch, out);
-                }
-                _ => {}
-            }
-        }
-    }
-    collect_assigned(body, &mut assigned);
-    assigned.remove(loop_var);
-
-    // Walk in program order; the first dynamic access decides.
-    fn note_reads(
-        e: &ss_ir::ast::AExpr,
-        assigned: &HashSet<String>,
-        written: &HashSet<String>,
-        read_first: &mut Vec<String>,
-    ) {
-        e.for_each(&mut |x| {
-            if let ss_ir::ast::AExpr::Var(v) = x {
-                if assigned.contains(v) && !written.contains(v) && !read_first.contains(v) {
-                    read_first.push(v.clone());
-                }
-            }
-        });
-    }
-    fn walk(
-        stmts: &[Stmt],
-        assigned: &HashSet<String>,
-        written: &mut HashSet<String>,
-        read_first: &mut Vec<String>,
-    ) {
-        for s in stmts {
-            match s {
-                Stmt::Decl { name, dims, init } => {
-                    if let Some(e) = init {
-                        note_reads(e, assigned, written, read_first);
-                    }
-                    if dims.is_empty() {
-                        written.insert(name.clone());
-                    }
-                }
-                Stmt::Assign { target, op, value } => {
-                    note_reads(value, assigned, written, read_first);
-                    for idx in &target.indices {
-                        note_reads(idx, assigned, written, read_first);
-                    }
-                    if *op != ss_ir::ast::AssignOp::Assign && target.is_scalar() {
-                        // compound assignment reads the target first
-                        if assigned.contains(&target.name)
-                            && !written.contains(&target.name)
-                            && !read_first.contains(&target.name)
-                        {
-                            read_first.push(target.name.clone());
-                        }
-                    }
-                    if target.is_scalar() {
-                        written.insert(target.name.clone());
-                    }
-                }
-                Stmt::If {
-                    cond,
-                    then_branch,
-                    else_branch,
-                } => {
-                    note_reads(cond, assigned, written, read_first);
                     // A write inside a branch only counts as "written before
                     // read" for later code if it happens on both paths; be
                     // conservative and only propagate the intersection.
@@ -697,17 +551,7 @@ fn non_private_scalars(body: &[Stmt], loop_var: &str) -> Vec<String> {
                     walk(else_branch, assigned, &mut else_written, read_first);
                     *written = then_written.intersection(&else_written).cloned().collect();
                 }
-                Stmt::For {
-                    var,
-                    init,
-                    bound,
-                    step,
-                    body,
-                    ..
-                } => {
-                    note_reads(init, assigned, written, read_first);
-                    note_reads(bound, assigned, written, read_first);
-                    note_reads(step, assigned, written, read_first);
+                Stmt::For { var, body, .. } => {
                     // The header init always runs, the body may run zero
                     // times: the index var counts as written, the body's
                     // writes do not dominate anything after the loop.
@@ -720,17 +564,14 @@ fn non_private_scalars(body: &[Stmt], loop_var: &str) -> Vec<String> {
                     let mut inner = written.clone();
                     walk(body, assigned, &mut inner, read_first);
                 }
-                Stmt::While { cond, body, .. } => {
-                    note_reads(cond, assigned, written, read_first);
+                Stmt::While { body, .. } => {
                     let mut inner = written.clone();
                     walk(body, assigned, &mut inner, read_first);
                 }
             }
         }
     }
-    let mut written: HashSet<String> = HashSet::new();
-    walk(body, &assigned, &mut written, &mut read_first);
-    let _ = written_first;
+    walk(body, &assigned, &mut HashSet::new(), &mut read_first);
     read_first
 }
 
@@ -995,6 +836,48 @@ mod tests {
         let (extended, _) = verdicts(src, 0);
         assert!(!extended.parallel);
         assert!(extended.blockers.iter().any(|b| b.contains("scalar 's'")));
+    }
+
+    /// Loop 1 of `x[i] = 3;` filling, then `body` over `i < 63`.
+    fn after_filling_x(body: &str) -> LoopVerdict {
+        let src = format!(
+            "for (i = 0; i < 64; i++) {{ x[i] = 3; }}\nfor (i = 0; i < 63; i++) {{ {body} }}"
+        );
+        verdicts(&src, 1).0
+    }
+
+    #[test]
+    fn reads_the_collector_once_dropped_keep_the_loop_serial() {
+        // Each body reads `x[i + 1]` (or `x[i]`) where no descriptor used to
+        // record it, while an iteration also writes `x`: run in parallel,
+        // a later iteration's write can land before the read.
+        for body in [
+            // A `while` condition.
+            "k = 0; while (k < x[i + 1]) { k = k + 1; } y[i] = k; x[i] = 0;",
+            // A `while` body.
+            "k = 0; s = 0; while (k < 1) { s = x[i + 1]; k = k + 1; } y[i] = s; x[i] = 0;",
+            // An inner `for` bound.
+            "k = 0; for (k = 0; k < x[i + 1]; k++) { s = s + 1; } y[i] = k; x[i] = 0;",
+            // A declared extent.
+            "int t[x[i]]; if (i > 0) { t[3] = i; } y[i] = i; x[i + 1] = 4;",
+        ] {
+            let v = after_filling_x(body);
+            assert!(!v.parallel, "{body}");
+            assert!(
+                v.blockers.iter().any(|b| b.contains("'x'")),
+                "{body}: {:?}",
+                v.blockers
+            );
+        }
+    }
+
+    #[test]
+    fn a_scalar_read_by_a_declared_extent_is_carried() {
+        // `int t[m]` reads the `m` the previous iteration assigned.
+        let src = "m = 1; for (i = 0; i < 8; i++) { int t[m]; if (i > 0) { t[3] = i; } y[i] = i; m = 4; }";
+        let (extended, _) = verdicts(src, 0);
+        assert!(!extended.parallel);
+        assert_eq!(extended.carried_scalars, vec!["m"]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Word-wise FNV-1a: the second hash, independent of the keying one, that
-//! verifies hits of this crate's hash-keyed caches (level-set schedules
-//! in `engine::wavefront`, compiled artifacts in `session`).
+//! verifies hits of the level-set schedule cache in `engine::wavefront`,
+//! and the hash of `tuner::input_signature`.
 
 pub(crate) struct Fnv1a(pub(crate) u64);
 

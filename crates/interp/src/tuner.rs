@@ -46,6 +46,7 @@
 
 use crate::engine::{EngineRegistry, ExecOptions, ScheduleChoice};
 use crate::error::SsError;
+use crate::fnv::Fnv1a;
 use crate::heap::Heap;
 use crate::matrix;
 use ss_ir::bytecode::{walk, Instr};
@@ -243,31 +244,26 @@ pub fn cached_policy_count(artifacts: &Artifacts) -> usize {
     map.len()
 }
 
-/// The input-*shape* signature a tuned policy is keyed by: an FNV-1a hash
-/// of the scalars (name and value — loop bounds live here) and the array
-/// names and extents.  Array *contents* are deliberately excluded: a
-/// policy is a performance choice, not a correctness artifact, so inputs
-/// of one shape share a policy even when their data differs (the
-/// wavefront engine's own schedule cache — a correctness artifact — keys
-/// by contents).
+/// The input-*shape* signature a tuned policy is keyed by: the crate's
+/// word-wise FNV-1a (`fnv.rs`), finalized with SplitMix64, of the scalars
+/// (name and value — loop bounds live here) and the array names and
+/// extents.  Array *contents* are deliberately excluded: a policy is a
+/// performance choice, not a correctness artifact, so inputs of one shape
+/// share a policy even when their data differs (the wavefront engine's
+/// own schedule cache — a correctness artifact — keys by contents).
 pub fn input_signature(heap: &Heap) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-    };
+    let mut fnv = Fnv1a::new();
     for (name, value) in &heap.scalars {
-        eat(name.as_bytes());
-        eat(&value.to_le_bytes());
+        fnv.write(name.as_bytes());
+        fnv.write(&value.to_le_bytes());
     }
     for (name, arr) in &heap.arrays {
-        eat(name.as_bytes());
+        fnv.write(name.as_bytes());
         for &d in &arr.dims {
-            eat(&(d as u64).to_le_bytes());
+            fnv.write(&(d as u64).to_le_bytes());
         }
     }
+    let mut h = fnv.0;
     // SplitMix64 finalizer, same avalanche as the input synthesizer's.
     h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

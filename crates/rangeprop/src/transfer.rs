@@ -10,7 +10,7 @@
 
 use crate::env::Env;
 use crate::eval::{eval_exact, eval_range, refine_with_condition};
-use ss_ir::ast::{AExpr, AssignOp, LValue, LoopId, Stmt};
+use ss_ir::ast::{assigned_scalars, written_arrays, AExpr, AssignOp, LValue, LoopId, Stmt};
 use ss_ir::convert::{to_condition, SymCondition};
 use ss_symbolic::{Expr, SymRange};
 
@@ -233,16 +233,14 @@ fn apply_assign(target: &LValue, rhs: &AExpr, state: &mut State) {
 /// it assigns becomes unknown, every array it writes is recorded as an
 /// unknown-region write and its whole-array value knowledge is dropped.
 fn clobber_loop_effects(body: &[Stmt], loop_var: Option<&str>, state: &mut State) {
-    let mut scalars = Vec::new();
-    let mut arrays = Vec::new();
-    collect_written(body, &mut scalars, &mut arrays);
+    let mut scalars = assigned_scalars(body);
     if let Some(v) = loop_var {
         scalars.push(v.to_string());
     }
     for s in scalars {
         state.env.set_scalar(s, SymRange::unknown());
     }
-    for a in arrays {
+    for a in written_arrays(body) {
         state.env.clear_array_value(&a);
         state.writes.push(WriteRecord {
             array: a,
@@ -253,42 +251,6 @@ fn clobber_loop_effects(body: &[Stmt], loop_var: Option<&str>, state: &mut State
             guards: state.guards.clone(),
             under_unknown_guard: true,
         });
-    }
-}
-
-fn collect_written(stmts: &[Stmt], scalars: &mut Vec<String>, arrays: &mut Vec<String>) {
-    for s in stmts {
-        match s {
-            Stmt::Assign { target, .. } => {
-                if target.is_scalar() {
-                    if !scalars.contains(&target.name) {
-                        scalars.push(target.name.clone());
-                    }
-                } else if !arrays.contains(&target.name) {
-                    arrays.push(target.name.clone());
-                }
-            }
-            Stmt::Decl { name, dims, .. } => {
-                if dims.is_empty() && !scalars.contains(name) {
-                    scalars.push(name.clone());
-                }
-            }
-            Stmt::For { var, body, .. } => {
-                if !scalars.contains(var) {
-                    scalars.push(var.clone());
-                }
-                collect_written(body, scalars, arrays);
-            }
-            Stmt::While { body, .. } => collect_written(body, scalars, arrays),
-            Stmt::If {
-                then_branch,
-                else_branch,
-                ..
-            } => {
-                collect_written(then_branch, scalars, arrays);
-                collect_written(else_branch, scalars, arrays);
-            }
-        }
     }
 }
 

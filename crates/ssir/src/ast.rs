@@ -5,6 +5,7 @@
 //! [`LoopId`] assigned by the parser; analysis results are keyed by those
 //! ids.
 
+use std::collections::HashSet;
 use std::fmt;
 
 /// Unique identifier of a loop within a [`Program`], in program (pre-)order.
@@ -146,7 +147,7 @@ impl AExpr {
     }
 
     /// Visits every sub-expression in pre-order.
-    pub fn for_each(&self, f: &mut impl FnMut(&AExpr)) {
+    pub fn for_each<'a>(&'a self, f: &mut impl FnMut(&'a AExpr)) {
         f(self);
         match self {
             AExpr::IntLit(_) | AExpr::Var(_) => {}
@@ -199,6 +200,13 @@ impl AExpr {
                 found |= idxs.iter().any(AExpr::mentions_array);
             }
         });
+        found
+    }
+
+    /// True if the scalar `name` is read anywhere in the expression.
+    pub fn mentions_var(&self, name: &str) -> bool {
+        let mut found = false;
+        self.for_each(&mut |e| found |= matches!(e, AExpr::Var(v) if v == name));
         found
     }
 
@@ -329,29 +337,39 @@ impl Stmt {
         }
     }
 
+    /// The expressions the statement itself evaluates, in evaluation order:
+    /// a declaration's extents, then its initializer; an assignment's
+    /// value, then its target's subscripts; an `if`'s or `while`'s
+    /// condition; a `for`'s init, bound and step.  Nested blocks are not
+    /// included.
+    pub fn exprs(&self) -> Vec<&AExpr> {
+        match self {
+            Stmt::Decl { dims, init, .. } => dims.iter().chain(init).collect(),
+            Stmt::Assign { target, value, .. } => {
+                std::iter::once(value).chain(&target.indices).collect()
+            }
+            Stmt::If { cond, .. } | Stmt::While { cond, .. } => vec![cond],
+            Stmt::For {
+                init, bound, step, ..
+            } => vec![init, bound, step],
+        }
+    }
+
     /// True if a subscripted subscript appears anywhere in the statement:
     /// in a read, in an array target's subscript (`a[b[i]] = …`, and the
     /// read of the same element a compound `a[b[i]] += …` makes), in a
     /// condition, a loop header, a declared extent or an initializer, here
     /// or in a nested statement.
     fn has_subscripted_subscript(&self) -> bool {
-        let own = match self {
-            Stmt::Decl { dims, init, .. } => dims
-                .iter()
-                .chain(init)
-                .any(AExpr::has_subscripted_subscript),
-            Stmt::Assign { target, value, .. } => {
-                value.has_subscripted_subscript()
-                    || target.indices.iter().any(AExpr::mentions_array)
-            }
-            Stmt::If { cond, .. } | Stmt::While { cond, .. } => cond.has_subscripted_subscript(),
-            Stmt::For {
-                init, bound, step, ..
-            } => [init, bound, step]
-                .into_iter()
-                .any(AExpr::has_subscripted_subscript),
+        let target_indices = match self {
+            Stmt::Assign { target, .. } => target.indices.as_slice(),
+            _ => &[],
         };
-        own || self.body_has_subscripted_subscript()
+        self.exprs()
+            .into_iter()
+            .any(AExpr::has_subscripted_subscript)
+            || target_indices.iter().any(AExpr::mentions_array)
+            || self.body_has_subscripted_subscript()
     }
 
     /// True if a subscripted subscript appears in the statement's blocks:
@@ -400,27 +418,10 @@ impl Program {
         }
     }
 
-    /// Visits every statement in the program in pre-order.
-    pub fn for_each_stmt(&self, f: &mut impl FnMut(&Stmt)) {
-        fn walk(stmts: &[Stmt], f: &mut impl FnMut(&Stmt)) {
-            for s in stmts {
-                f(s);
-                for block in s.child_blocks() {
-                    walk(block, f);
-                }
-            }
-        }
-        walk(&self.body, f);
-    }
-
     /// All loop ids in program order.
     pub fn loop_ids(&self) -> Vec<LoopId> {
         let mut out = Vec::new();
-        self.for_each_stmt(&mut |s| {
-            if let Some(id) = s.loop_id() {
-                out.push(id);
-            }
-        });
+        for_each_stmt(&self.body, &mut |s| out.extend(s.loop_id()));
         out
     }
 
@@ -443,19 +444,6 @@ impl Program {
         }
         walk(&self.body, id, &mut found);
         found
-    }
-
-    /// Names of all arrays written anywhere in the program.
-    pub fn written_arrays(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        self.for_each_stmt(&mut |s| {
-            if let Stmt::Assign { target, .. } = s {
-                if !target.is_scalar() && !out.contains(&target.name) {
-                    out.push(target.name.clone());
-                }
-            }
-        });
-        out
     }
 
     /// Scalars the program reads before ever assigning them — its symbolic
@@ -540,26 +528,84 @@ impl Program {
         walk.stmts(&self.body);
         walk.inputs
     }
+}
 
-    /// Names of all scalar variables written anywhere in the program.
-    pub fn written_scalars(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        self.for_each_stmt(&mut |s| match s {
-            Stmt::Assign { target, .. } if target.is_scalar() && !out.contains(&target.name) => {
-                out.push(target.name.clone());
-            }
-            Stmt::Decl {
-                name, dims, init, ..
-            } if dims.is_empty() && init.is_some() && !out.contains(name) => {
-                out.push(name.clone());
-            }
-            Stmt::For { var, .. } if !out.contains(var) => {
-                out.push(var.clone());
-            }
-            _ => {}
-        });
-        out
+/// Visits every statement of `stmts` and of their nested blocks, in
+/// pre-order.
+pub fn for_each_stmt<'a>(stmts: &'a [Stmt], f: &mut impl FnMut(&'a Stmt)) {
+    for s in stmts {
+        f(s);
+        for block in s.child_blocks() {
+            for_each_stmt(block, f);
+        }
     }
+}
+
+/// Pushes `name` unless `out` already holds it.
+fn push_new(out: &mut Vec<String>, name: &str) {
+    if !out.iter().any(|n| n == name) {
+        out.push(name.to_string());
+    }
+}
+
+/// The scalars `stmts` assign, nested blocks included: scalar assignment
+/// targets, scalar declarations (initialized or not) and `for` index
+/// variables, in pre-order, each once.  Reduction slots are numbered in
+/// this order.
+pub fn assigned_scalars(stmts: &[Stmt]) -> Vec<String> {
+    let mut out = Vec::new();
+    for_each_stmt(stmts, &mut |s| match s {
+        Stmt::Assign { target, .. } if target.is_scalar() => push_new(&mut out, &target.name),
+        Stmt::Decl { name, dims, .. } if dims.is_empty() => push_new(&mut out, name),
+        Stmt::For { var, .. } => push_new(&mut out, var),
+        _ => {}
+    });
+    out
+}
+
+/// The arrays `stmts` assign an element of, nested blocks included, in
+/// pre-order, each once.
+pub fn written_arrays(stmts: &[Stmt]) -> Vec<String> {
+    let mut out = Vec::new();
+    for_each_stmt(stmts, &mut |s| match s {
+        Stmt::Assign { target, .. } if !target.is_scalar() => push_new(&mut out, &target.name),
+        _ => {}
+    });
+    out
+}
+
+/// The arrays of a loop body that are private to each iteration: those
+/// whose first mention in evaluation order (subscripted reads, array
+/// targets and declarations, extents and initializers before the
+/// declaration they belong to) is an unconditional top-level declaration
+/// of `body`.  Every iteration allocates them afresh before any access, so
+/// no value flows between iterations.  An array touched before its
+/// declaration, or declared only inside a branch or a nested loop, is not
+/// private: that access would see the previous iteration's storage.
+pub fn private_arrays(body: &[Stmt]) -> Vec<String> {
+    let mut mentioned: HashSet<&str> = HashSet::new();
+    let mut private = Vec::new();
+    for top in body {
+        for_each_stmt(std::slice::from_ref(top), &mut |s| {
+            for e in s.exprs() {
+                e.for_each(&mut |x| {
+                    if let AExpr::Index(a, _) = x {
+                        mentioned.insert(a);
+                    }
+                });
+            }
+            let array = match s {
+                Stmt::Decl { name, dims, .. } if !dims.is_empty() => name,
+                Stmt::Assign { target, .. } if !target.is_scalar() => &target.name,
+                _ => return,
+            };
+            let declared_here = std::ptr::eq(s, top) && matches!(s, Stmt::Decl { .. });
+            if mentioned.insert(array) && declared_here {
+                private.push(array.clone());
+            }
+        });
+    }
+    private
 }
 
 #[cfg(test)]
@@ -613,13 +659,98 @@ mod tests {
         assert_eq!(p.loop_ids(), vec![LoopId(0)]);
         assert!(p.find_loop(LoopId(0)).is_some());
         assert!(p.find_loop(LoopId(7)).is_none());
-        assert_eq!(p.written_arrays(), vec!["id_to_mt".to_string()]);
-        let scalars = p.written_scalars();
-        assert!(scalars.contains(&"iel".to_string()));
-        assert!(scalars.contains(&"miel".to_string()));
+        assert_eq!(written_arrays(&p.body), vec!["id_to_mt".to_string()]);
+        assert_eq!(assigned_scalars(&p.body), vec!["miel", "iel"]);
         let mut count = 0;
-        p.for_each_stmt(&mut |_| count += 1);
+        for_each_stmt(&p.body, &mut |_| count += 1);
         assert_eq!(count, 3); // for + two assigns
+    }
+
+    /// The body of the program's first statement, a loop.
+    fn loop_body(p: &Program) -> &[Stmt] {
+        let (Stmt::For { body, .. } | Stmt::While { body, .. }) = &p.body[0] else {
+            panic!("the first statement is not a loop")
+        };
+        body
+    }
+
+    #[test]
+    fn statements_list_what_they_evaluate_in_evaluation_order() {
+        let p = crate::parser::parse_program(
+            "t",
+            "int t[n][m]; int s = a[0]; b[i + 1] += c[j]; if (x < y) { z = 1; } \
+             for (k = lo; k < hi; k++) { } while (w > 0) { w = w - 1; }",
+        )
+        .unwrap();
+        let printed: Vec<Vec<String>> = (p.body.iter())
+            .map(|s| s.exprs().into_iter().map(crate::print_expr).collect())
+            .collect();
+        assert_eq!(
+            printed,
+            vec![
+                vec!["n", "m"],
+                vec!["a[0]"],
+                vec!["c[j]", "i + 1"],
+                vec!["x < y"],
+                vec!["lo", "hi", "1"],
+                vec!["w > 0"],
+            ]
+        );
+    }
+
+    #[test]
+    fn assigned_scalars_are_pre_order_and_deduplicated() {
+        let p = crate::parser::parse_program(
+            "t",
+            r#"
+            for (i = 0; i < n; i++) {
+                count = 0;
+                if (c[i] > 0) { count++; } else { other = 1; }
+                for (j = 0; j < m; j++) { inner = j; int u; }
+                while (w > 0) { w = w - 1; h[w] = 1; }
+                g[i] = count;
+            }
+        "#,
+        )
+        .unwrap();
+        let body = loop_body(&p);
+        // `i` is assigned by the header, not the body; `int u;` counts even
+        // without an initializer.
+        assert_eq!(
+            assigned_scalars(body),
+            vec!["count", "other", "j", "inner", "u", "w"]
+        );
+        assert_eq!(assigned_scalars(&p.body)[0], "i");
+        assert_eq!(written_arrays(body), vec!["h", "g"]);
+    }
+
+    #[test]
+    fn private_arrays_are_first_mentioned_by_a_top_level_declaration() {
+        let private = |src: &str| {
+            let p = crate::parser::parse_program("t", src).unwrap();
+            private_arrays(loop_body(&p))
+        };
+        assert_eq!(
+            private(
+                "for (i = 0; i < n; i++) { int s[8]; s[0] = i; int t[4]; o[i] = s[0] + t[1]; }"
+            ),
+            vec!["s", "t"]
+        );
+        // Read, written or sized before the declaration: the earlier
+        // iteration's storage is visible.
+        assert!(private("for (i = 0; i < n; i++) { o[i] = s[0]; int s[8]; }").is_empty());
+        assert!(private("for (i = 0; i < n; i++) { s[0] = i; int s[8]; }").is_empty());
+        assert!(private("for (i = 0; i < n; i++) { int s[s[0]]; }").is_empty());
+        assert!(private("for (i = 0; i < n; i++) { if (s[0] > 0) { } int s[8]; }").is_empty());
+        assert!(
+            private("for (i = 0; i < n; i++) { for (k = 0; k < s[0]; k++) { } int s[8]; }")
+                .is_empty()
+        );
+        // Declared only in a branch or a nested loop.
+        assert!(private("for (i = 0; i < n; i++) { if (i > 0) { int s[8]; } }").is_empty());
+        assert!(private("for (i = 0; i < n; i++) { while (i < 0) { int s[8]; } }").is_empty());
+        // Scalars are never private arrays.
+        assert!(private("for (i = 0; i < n; i++) { int s; s = i; }").is_empty());
     }
 
     /// `body_has_subscripted_subscript` of every loop, in program order.

@@ -5,6 +5,12 @@
 //! fills the index arrays:
 //!
 //! * [`lexer`] / [`parser`] — source text → [`ast::Program`];
+//! * [`ast`] — the syntax tree, and the one place that knows a statement's
+//!   shape: [`Stmt::exprs`] (what a statement evaluates, in evaluation
+//!   order), [`ast::for_each_stmt`], [`ast::assigned_scalars`],
+//!   [`ast::written_arrays`] and [`ast::private_arrays`] (the iteration-
+//!   private arrays that both the dependence test and the dispatchers'
+//!   worker-private storage rely on);
 //! * [`printer`] — back to C source, optionally with `#pragma omp parallel
 //!   for` annotations added by the parallelizer;
 //! * [`loops`] — normalized loop descriptions and the loop tree;

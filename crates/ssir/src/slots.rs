@@ -24,7 +24,9 @@
 //! pipeline (`Artifacts::compile`); engines and input synthesis run the
 //! pipeline's output and never compile on their own.
 
-use crate::ast::{AExpr, AssignOp, BinOp, LoopId, Program, Stmt, UnOp};
+use crate::ast::{
+    for_each_stmt, private_arrays, AExpr, AssignOp, BinOp, LoopId, Program, Stmt, UnOp,
+};
 use std::collections::HashMap;
 
 /// Dense index of a scalar variable within a [`SlotMap`].
@@ -224,10 +226,10 @@ pub struct CompiledFor {
     /// workers give these per-iteration private storage instead of sharing
     /// the heap allocation.
     pub local_arrays: Vec<ArraySlot>,
-    /// True when every locally declared array's first mention in the body
-    /// is an unconditional top-level declaration — the same rule the
-    /// dependence test uses to privatize them.  When false, a worker could
-    /// observe pre-declaration storage the serial execution would not;
+    /// True when every array in `local_arrays` is one of the body's
+    /// [`private_arrays`] — the same function the dependence test
+    /// privatizes them with.  When false, a worker could observe
+    /// pre-declaration storage the serial execution would not;
     /// dispatchers must run such loops serially (the analysis will not have
     /// proven them parallel anyway unless the array is never written).
     pub locals_dominated: bool,
@@ -389,6 +391,9 @@ fn compile_stmt(s: &Stmt, slots: &mut SlotMap, ops: &mut Vec<Op>) {
             let compiled_body = compile_block(body, slots);
             let mut local_arrays = Vec::new();
             collect_local_arrays(&compiled_body, &mut local_arrays);
+            let private = private_arrays(body);
+            let locals_dominated =
+                (local_arrays.iter()).all(|&a| private.iter().any(|p| p == slots.array_name(a)));
             ops.push(Op::For(Box::new(CompiledFor {
                 id: *id,
                 var,
@@ -397,7 +402,7 @@ fn compile_stmt(s: &Stmt, slots: &mut SlotMap, ops: &mut Vec<Op>) {
                 bound,
                 step,
                 body: compiled_body,
-                locals_dominated: local_decls_dominate(body),
+                locals_dominated,
                 local_arrays,
                 skewed,
             })));
@@ -454,95 +459,6 @@ fn collect_local_arrays(body: &CompiledBody, out: &mut Vec<ArraySlot>) {
     }
 }
 
-/// True when every array declared anywhere in `body` has its *first*
-/// mention (pre-order, extent/initializer expressions before the
-/// declaration takes effect) as an unconditional top-level declaration of
-/// `body`.
-fn local_decls_dominate(body: &[Stmt]) -> bool {
-    use std::collections::HashSet;
-
-    fn note_expr(e: &AExpr, mentioned: &mut Vec<String>) {
-        e.for_each(&mut |x| {
-            if let AExpr::Index(a, _) = x {
-                if !mentioned.contains(a) {
-                    mentioned.push(a.clone());
-                }
-            }
-        });
-    }
-
-    // Pre-order mention sequence plus the set of declared arrays.
-    fn walk(
-        stmts: &[Stmt],
-        top_level: bool,
-        mentions: &mut Vec<String>,
-        dominated: &mut HashSet<String>,
-        declared: &mut HashSet<String>,
-    ) {
-        for s in stmts {
-            match s {
-                Stmt::Decl { name, dims, init } => {
-                    for d in dims {
-                        note_expr(d, mentions);
-                    }
-                    if let Some(e) = init {
-                        note_expr(e, mentions);
-                    }
-                    if !dims.is_empty() {
-                        if top_level && !mentions.contains(name) {
-                            dominated.insert(name.clone());
-                        }
-                        declared.insert(name.clone());
-                        if !mentions.contains(name) {
-                            mentions.push(name.clone());
-                        }
-                    }
-                }
-                Stmt::Assign { target, value, .. } => {
-                    note_expr(value, mentions);
-                    for idx in &target.indices {
-                        note_expr(idx, mentions);
-                    }
-                    if !target.indices.is_empty() && !mentions.contains(&target.name) {
-                        mentions.push(target.name.clone());
-                    }
-                }
-                Stmt::If {
-                    cond,
-                    then_branch,
-                    else_branch,
-                } => {
-                    note_expr(cond, mentions);
-                    walk(then_branch, false, mentions, dominated, declared);
-                    walk(else_branch, false, mentions, dominated, declared);
-                }
-                Stmt::For {
-                    init,
-                    bound,
-                    step,
-                    body,
-                    ..
-                } => {
-                    note_expr(init, mentions);
-                    note_expr(bound, mentions);
-                    note_expr(step, mentions);
-                    walk(body, false, mentions, dominated, declared);
-                }
-                Stmt::While { cond, body, .. } => {
-                    note_expr(cond, mentions);
-                    walk(body, false, mentions, dominated, declared);
-                }
-            }
-        }
-    }
-
-    let mut mentions = Vec::new();
-    let mut dominated = HashSet::new();
-    let mut declared = HashSet::new();
-    walk(body, true, &mut mentions, &mut dominated, &mut declared);
-    declared.iter().all(|d| dominated.contains(d))
-}
-
 /// Skew heuristic shared with the dispatchers: per-iteration work of the
 /// loop over `var` varies when a nested loop's init or bound reads an array
 /// (`for (k = rowstr[j]; k < rowstr[j+1]; …)`: work proportional to data,
@@ -560,15 +476,7 @@ pub fn body_is_skewed(var: &str, body: &[Stmt]) -> bool {
         found
     };
     let mut skewed = false;
-    fn walk(stmts: &[Stmt], f: &mut impl FnMut(&Stmt)) {
-        for s in stmts {
-            f(s);
-            for block in s.child_blocks() {
-                walk(block, f);
-            }
-        }
-    }
-    walk(body, &mut |s| {
+    for_each_stmt(body, &mut |s| {
         if let Stmt::For { init, bound, .. } = s {
             if varies(init) || varies(bound) {
                 skewed = true;

@@ -888,6 +888,16 @@ fn regression_shapes_stay_in_agreement() {
         // index array — serial-proven, but the wavefront engine inspects
         // it at run time and must still match the reference bit for bit.
         "int idx[12]; int x[6];\nfor (p = 0; p < 12; p++) { idx[p] = (p * 5) % 6; }\nfor (p = 0; p < 6; p++) { x[p] = p + 1; }\nfor (i0 = 1; i0 < 6; i0++) {\n    acc = x[i0];\n    for (k = 0; k < i0; k++) {\n        if (idx[k] < i0) { acc = acc - x[idx[k]]; }\n    }\n    x[i0] = acc;\n}\n",
+        // Reads the dependence test once missed, each of an `x` element a
+        // later iteration overwrites: the loop must stay serial.  A `while`
+        // condition, a `while` body, an inner `for` bound, a declared
+        // extent.
+        "int x[64]; int y[64];\nfor (i = 0; i < 64; i++) { x[i] = 3; }\nfor (i = 0; i < 63; i++) {\n    k = 0;\n    while (k < x[i + 1]) { k = k + 1; }\n    y[i] = k;\n    x[i] = 0;\n}\n",
+        "int x[64]; int y[64];\nfor (i = 0; i < 64; i++) { x[i] = 3; }\nfor (i = 0; i < 63; i++) {\n    k = 0;\n    s = 0;\n    while (k < 1) { s = x[i + 1]; k = k + 1; }\n    y[i] = s;\n    x[i] = 0;\n}\n",
+        "int x[64]; int y[64];\nfor (i = 0; i < 64; i++) { x[i] = 3; }\nfor (i = 0; i < 63; i++) {\n    k = 0;\n    for (k = 0; k < x[i + 1]; k++) { s = s + 1; }\n    y[i] = k;\n    x[i] = 0;\n}\n",
+        "int x[64]; int y[64];\nfor (i = 0; i < 64; i++) { x[i] = 3; }\nfor (i = 0; i < 63; i++) {\n    int t[x[i]];\n    if (i > 0) { t[3] = i; }\n    y[i] = i;\n    x[i + 1] = 4;\n}\n",
+        // A declared extent reads the scalar the previous iteration set.
+        "int y[8];\nm = 1;\nfor (i = 0; i < 8; i++) { int t[m]; if (i > 0) { t[3] = i; } y[i] = i; m = 4; }\n",
     ];
     for (k, src) in cases.iter().enumerate() {
         if let Some(msg) = check_source(src, 3, &mut Reach::default()) {
