@@ -42,11 +42,6 @@ impl ProgramAnalysis {
     pub fn db_for_loop(&self, id: LoopId) -> &PropertyDatabase {
         self.db_at_loop.get(&id).unwrap_or(&self.db)
     }
-
-    /// The collapsed summary of a loop, if it was analyzable.
-    pub fn collapsed_loop(&self, id: LoopId) -> Option<&CollapsedLoop> {
-        self.collapsed.get(&id)
-    }
 }
 
 /// Applies collapsed-loop summaries when an outer loop's Phase 1 encounters a
@@ -489,7 +484,7 @@ mod tests {
         )
         .unwrap();
         let analysis = analyze_program(&p);
-        let c = analysis.collapsed_loop(LoopId(0)).unwrap();
+        let c = &analysis.collapsed[&LoopId(0)];
         assert!(c.clobbered_arrays.contains(&"x".to_string()));
         assert!(analysis.db.fact("x").is_none());
     }

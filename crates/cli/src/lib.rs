@@ -228,17 +228,6 @@ fn parse_format(v: Option<&&str>) -> Result<OutputFormat, SsError> {
     }
 }
 
-/// Where the command line's knobs start: the request schema's defaults
-/// except the input scale, which `sspar` has always started at 256 while
-/// the wire and the embedding API start at `InputSpec::default()` (64).
-/// Unifying the two is a behaviour change, left to a later issue; until
-/// then the difference lives here, once.
-fn cli_spec() -> RunSpec {
-    let mut spec = RunSpec::default();
-    spec.request = spec.request.scale(256);
-    spec
-}
-
 /// The one place a request-schema flag is matched: if `rest[*i]` is a
 /// flag `surface` carries, checks and applies it (with its value, for
 /// every kind but bare flags) to `spec`, advances `*i` past it and
@@ -328,7 +317,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, SsError> {
             let mut baseline = false;
             let mut no_source = false;
             let mut dump_bytecode = false;
-            let mut spec = cli_spec();
+            let mut spec = RunSpec::default();
             let mut format = OutputFormat::Text;
             let mut i = 0;
             while i < rest.len() {
@@ -792,16 +781,12 @@ mod tests {
                 format: OutputFormat::Json,
             }
         );
-        // No flag: the command line's starting point — the API defaults at
-        // scale 256.
+        // No flag: the command line starts where the wire and the API do.
         assert_eq!(
             parse_args(&args(&["run", "--kernel", "fig2_ua_transfer"])).unwrap(),
             Command::Run {
                 input: Input::Catalogue("fig2_ua_transfer".into()),
-                spec: RunSpec {
-                    request: RunRequest::new("", "").scale(256),
-                    tuner: TunerConfig::default(),
-                },
+                spec: RunSpec::default(),
                 format: OutputFormat::Text,
             }
         );
@@ -836,7 +821,7 @@ mod tests {
             parse_args(&args(&["tune", "--kernel", "sptrsv_levels"])).unwrap(),
             Command::Tune {
                 input: Input::Catalogue("sptrsv_levels".into()),
-                spec: cli_spec(),
+                spec: RunSpec::default(),
                 format: OutputFormat::Text,
             }
         );

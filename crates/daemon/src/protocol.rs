@@ -269,8 +269,7 @@ pub fn parse_request(line: &str) -> Result<Request, WireError> {
     // The knobs: every key of the op's surface in the request-schema
     // table is checked (kind, bounds) and applied; every other key is
     // ignored (forward compatibility).  The wire starts from the
-    // embedding API's defaults — `InputSpec::default()`, scale 64 — where
-    // the command line starts from scale 256.
+    // embedding API's defaults, as the command line does.
     let mut spec = RunSpec::default();
     let surface = match op {
         Op::Run => Some(Surface::WireRun),

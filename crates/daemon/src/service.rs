@@ -86,11 +86,6 @@ impl Service {
         }))
     }
 
-    /// The catalogue names the daemon can resolve via `"kernel"`.
-    pub fn kernel_names(&self) -> Vec<&'static str> {
-        self.catalogue.keys().copied().collect()
-    }
-
     /// The shard — and thereby the persistent thread-team group — a
     /// (tenant, program) pair is pinned to.  FNV-1a over both strings,
     /// reduced mod `shards`; stable across requests so repeated work

@@ -65,17 +65,6 @@ impl ExecutionProfile {
     pub fn total_seconds(&self) -> f64 {
         self.inspection_seconds + self.execution_seconds
     }
-
-    /// Fraction of the invocation spent inspecting (0.0 in compile-time
-    /// mode; meaningless when the total rounds to zero).
-    pub fn inspection_fraction(&self) -> f64 {
-        let total = self.total_seconds();
-        if total > 0.0 {
-            self.inspection_seconds / total
-        } else {
-            0.0
-        }
-    }
 }
 
 /// Runs the Figure 9 shape
@@ -404,21 +393,6 @@ mod tests {
         assert_eq!(imatch[0], 2); // jmatch[2] = 0 -> imatch[0] written by i=2
         assert_eq!(imatch[2], 0); // jmatch[0] = 2 -> imatch[2] written by i=0
         assert_eq!(imatch[6], -1); // untouched
-    }
-
-    #[test]
-    fn inspection_fraction_is_between_zero_and_one() {
-        let bounds = csr_bounds(100, 9);
-        let mut data = vec![0.0; 900];
-        let p = run_range_partitioned(
-            &mut data,
-            &bounds,
-            |i, j| (i + j) as f64,
-            2,
-            Mode::InspectorExecutor,
-        );
-        assert!(p.inspection_fraction() >= 0.0 && p.inspection_fraction() <= 1.0);
-        assert!(p.total_seconds() >= p.execution_seconds);
     }
 
     /// Checks a compile-time run whose licensing property was false: a

@@ -115,61 +115,6 @@ pub fn inspect_index_array(a: &[i64], config: &InspectorConfig) -> InspectionRep
     }
 }
 
-/// Inspects only the elements of `a` selected by `keep` for injectivity
-/// (the Figure 5 "injective subset" pattern: only non-negative entries of
-/// `jmatch` are used as subscripts).
-pub fn inspect_injective_subset(a: &[i64], keep: impl Fn(i64) -> bool) -> InspectionReport {
-    let (ok, seconds) = time_it(|| {
-        let mut seen = HashSet::with_capacity(a.len());
-        a.iter().filter(|&&v| keep(v)).all(|&v| seen.insert(v))
-    });
-    let mut properties = PropertySet::empty();
-    if ok {
-        // Subset injectivity is reported as plain injectivity of the
-        // filtered view; the caller knows which filter it asked about.
-        properties.insert(ArrayProperty::Injective);
-    }
-    InspectionReport {
-        properties,
-        elements: a.len(),
-        seconds,
-    }
-}
-
-/// Inspects the Figure 4 "monotonic difference" condition at run time: the
-/// per-row windows `[j1(i), j2(i))` with `j1(i) = rowstr[i] - nzloc[i-1]`
-/// (0 for the first row) and `j2(i) = rowstr[i+1] - nzloc[i]` must be
-/// well-formed and non-overlapping across rows.  This is what an
-/// inspector/executor scheme would have to re-establish on every invocation
-/// of the CG gather loop; the compile-time analysis derives it once from the
-/// code that fills `rowstr` and `nzloc`.
-pub fn inspect_monotonic_difference(rowstr: &[i64], nzloc: &[i64]) -> InspectionReport {
-    let (ok, seconds) = time_it(|| {
-        let nrows = nzloc.len().min(rowstr.len().saturating_sub(1));
-        let mut prev_end = i64::MIN;
-        for i in 0..nrows {
-            let j1 = if i == 0 { 0 } else { rowstr[i] - nzloc[i - 1] };
-            let j2 = rowstr[i + 1] - nzloc[i];
-            if j1 > j2 || j1 < prev_end {
-                return false;
-            }
-            prev_end = j2;
-        }
-        true
-    });
-    let mut properties = PropertySet::empty();
-    if ok {
-        // Reported as monotonicity of the difference sequence; the caller
-        // knows which pair of arrays it asked about.
-        properties.insert(ArrayProperty::MonotonicInc);
-    }
-    InspectionReport {
-        properties,
-        elements: rowstr.len(),
-        seconds,
-    }
-}
-
 /// Inspects the *write-index multiset* of a scatter loop for conflicts: the
 /// loop `target[index[i]] = f(i)` is output-dependence-free exactly when no
 /// subscript value occurs twice.  `guard(i)` selects which iterations write
@@ -433,42 +378,6 @@ mod tests {
         b[39_999] = b[17];
         let r = inspect_index_array(&b, &InspectorConfig::parallel(4));
         assert!(!r.properties.has(ArrayProperty::Injective));
-    }
-
-    #[test]
-    fn subset_inspection_matches_figure5() {
-        // jmatch: matched rows carry unique column indices, unmatched are -1.
-        let jmatch = vec![2i64, -1, 0, -1, 5, 1];
-        let r = inspect_injective_subset(&jmatch, |v| v >= 0);
-        assert!(r.properties.has(ArrayProperty::Injective));
-        // A duplicate inside the kept subset breaks it.
-        let bad = vec![2i64, -1, 2, -1, 5, 1];
-        let r = inspect_injective_subset(&bad, |v| v >= 0);
-        assert!(!r.properties.has(ArrayProperty::Injective));
-        // Duplicates among the filtered-out values do not matter.
-        let ok = vec![2i64, -1, -1, -1, 5, 1];
-        let r = inspect_injective_subset(&ok, |v| v >= 0);
-        assert!(r.properties.has(ArrayProperty::Injective));
-    }
-
-    #[test]
-    fn monotonic_difference_inspection_matches_figure4() {
-        // Contiguous windows: rowstr cumulative sizes, nzloc cumulative
-        // removed counts (the CG gather shape).
-        let rowstr = vec![0i64, 4, 6, 11];
-        let nzloc = vec![1i64, 2, 2];
-        let r = inspect_monotonic_difference(&rowstr, &nzloc);
-        assert!(r.properties.has(ArrayProperty::MonotonicInc));
-        assert!(concrete::is_monotonic_difference(&rowstr, &nzloc));
-        // A row that "removes" more entries than it contains makes its
-        // window malformed (j1 > j2) and the inspector must refuse.
-        let bad_nzloc = vec![5i64, 5, 5];
-        let r = inspect_monotonic_difference(&rowstr, &bad_nzloc);
-        assert!(!r.properties.has(ArrayProperty::MonotonicInc));
-        assert!(!concrete::is_monotonic_difference(&rowstr, &bad_nzloc));
-        // Degenerate inputs are accepted (no rows, no windows).
-        let r = inspect_monotonic_difference(&[0], &[]);
-        assert!(r.properties.has(ArrayProperty::MonotonicInc));
     }
 
     #[test]

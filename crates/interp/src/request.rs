@@ -49,10 +49,9 @@ pub const MAX_SCALE: i64 = 2048;
 pub const MAX_THREADS: i64 = 1024;
 
 /// Everything a run or a tune is configured by: the session request plus
-/// the tuner's knobs.  Surfaces start from [`RunSpec::default`] (adjusted
-/// by what is theirs, e.g. the CLI's starting scale), walk [`FIELDS`]
-/// over their input, fill in the program, and hand `request` (and
-/// `tuner`) to [`Session`](crate::Session).
+/// the tuner's knobs.  Every surface starts from [`RunSpec::default`],
+/// walks [`FIELDS`] over its input, fills in the program, and hands
+/// `request` (and `tuner`) to [`Session`](crate::Session).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunSpec {
     /// The session request (program name and source left empty until the
@@ -292,7 +291,7 @@ pub const FIELDS: &[Field] = &[
         flag: "--n",
         kind: Kind::Int(1, MAX_SCALE, |s, n| s.request.input_spec_mut().scale = n),
         on: &[CliRun, CliTune, WireRun, WireTune],
-        help: "input scale: loop bounds / data modulus (default 256 here, 64 on the wire)",
+        help: "input scale: loop bounds / data modulus (default 64)",
     },
     Field {
         key: "seed",

@@ -234,16 +234,6 @@ pub fn store_policy(artifacts: &Artifacts, signature: u64, policy: Arc<TunedPoli
         .insert(signature, policy);
 }
 
-/// Number of tuned policies persisted on these artifacts.
-pub fn cached_policy_count(artifacts: &Artifacts) -> usize {
-    let cache = policy_cache(artifacts);
-    let map = as_cache(&cache)
-        .map
-        .lock()
-        .unwrap_or_else(|e| e.into_inner());
-    map.len()
-}
-
 /// The input-*shape* signature a tuned policy is keyed by: the crate's
 /// word-wise FNV-1a (`fnv.rs`), finalized with SplitMix64, of the scalars
 /// (name and value — loop bounds live here) and the array names and

@@ -18,7 +18,7 @@
 //! the 25 iterations cross three in-region barriers each instead of
 //! opening six regions each.  A dot product is "store my block's partial,
 //! barrier, add everybody's partials in worker order", so the sums
-//! associate exactly as [`ss_runtime::parallel_sum`] associates them and
+//! associate as one partial per static block, added in worker order, and
 //! `zeta`/`rnorm` depend on the thread count but never on timing.  One
 //! thread runs the same closure inline on a team of one.
 //!
@@ -562,7 +562,7 @@ mod tests {
     #[test]
     fn phased_cg_is_bit_identical_to_the_blockwise_sums() {
         // Class S, seed 1, as computed at the parent commit — where every
-        // dot product was its own `parallel_sum` region: one partial per
+        // dot product was its own parallel-sum region: one partial per
         // static block, added in worker order.
         for (threads, zeta, rnorm) in [
             (1usize, 0x4026795982fa8030u64, 0x3cb4fd522d0ffcceu64),

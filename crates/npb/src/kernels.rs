@@ -1,172 +1,14 @@
-//! Runnable Rust versions of the paper's subscripted-subscript kernels
-//! (Figures 2, 5, 6, 7 and 9) plus the additional NPB-IS and CSparse
-//! patterns of the Figure 1 study, each with a serial and a parallel
-//! variant.
-//!
-//! The parallel variants parallelize exactly the loop the compile-time
-//! analysis proves parallel; tests and benchmarks check that both variants
-//! produce identical results on inputs whose index arrays satisfy the
-//! derived properties.
-//!
-//! The index-based `for k in a..b` loops below deliberately transcribe the
-//! C originals the analysis reasons about — do not iterator-ify them.
-#![allow(clippy::needless_range_loop)]
+//! Input generators for the native executor benchmarks: a random dense
+//! matrix for the Figure 9 product loop and a random permutation scatter
+//! for CSparse `cs_ipvec`.  The kernels themselves run as analysed mini-C
+//! ([`crate::ir_kernels`]); these generators only feed the native
+//! compile-time / inspector / LRPD executors in `ss_inspector`.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use ss_runtime::{parallel_for, CsrMatrix};
 
-/// Figure 2 (UA): `id_to_mt[mt_to_id[miel]] = miel` — parallel because
-/// `mt_to_id` is injective (a permutation).
-pub mod fig2 {
-    use super::*;
-
-    /// Generates an injective `mt_to_id` map (a random permutation).
-    pub fn generate(nelt: usize, seed: u64) -> Vec<usize> {
-        let mut perm: Vec<usize> = (0..nelt).collect();
-        perm.shuffle(&mut StdRng::seed_from_u64(seed));
-        perm
-    }
-
-    /// Serial transfer loop.
-    pub fn serial(mt_to_id: &[usize]) -> Vec<usize> {
-        let nelt = mt_to_id.len();
-        let mut id_to_mt = vec![0usize; nelt];
-        for miel in 0..nelt {
-            let iel = mt_to_id[miel];
-            id_to_mt[iel] = miel;
-        }
-        id_to_mt
-    }
-
-    /// Parallel transfer loop (licensed by injectivity of `mt_to_id`).
-    pub fn parallel(mt_to_id: &[usize], threads: usize) -> Vec<usize> {
-        let nelt = mt_to_id.len();
-        let mut id_to_mt = vec![0usize; nelt];
-        let out_ptr = id_to_mt.as_mut_ptr() as usize;
-        parallel_for(threads, nelt, |range| {
-            for miel in range {
-                let iel = mt_to_id[miel];
-                // SAFETY: mt_to_id is injective, so every iteration writes a
-                // distinct element — the exact property the compile-time
-                // analysis proves before parallelizing this loop.
-                unsafe {
-                    *(out_ptr as *mut usize).add(iel) = miel;
-                }
-            }
-        });
-        id_to_mt
-    }
-}
-
-/// Figure 5 (CSparse maxtrans): `imatch[jmatch[i]] = i` guarded by
-/// `jmatch[i] >= 0` — parallel because the non-negative subset of `jmatch`
-/// is injective.
-pub mod fig5 {
-    use super::*;
-
-    /// Generates a `jmatch` array: a fraction of rows are matched to unique
-    /// columns, the rest are `-1`.
-    pub fn generate(m: usize, matched_fraction: f64, seed: u64) -> Vec<i64> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut cols: Vec<i64> = (0..m as i64).collect();
-        cols.shuffle(&mut rng);
-        (0..m)
-            .map(|i| {
-                if rng.gen_bool(matched_fraction) {
-                    cols[i]
-                } else {
-                    -1
-                }
-            })
-            .collect()
-    }
-
-    /// Serial guarded scatter.
-    pub fn serial(jmatch: &[i64], m: usize) -> Vec<i64> {
-        let mut imatch = vec![-1i64; m];
-        for (i, &j) in jmatch.iter().enumerate() {
-            if j >= 0 {
-                imatch[j as usize] = i as i64;
-            }
-        }
-        imatch
-    }
-
-    /// Parallel guarded scatter (licensed by subset injectivity).
-    pub fn parallel(jmatch: &[i64], m: usize, threads: usize) -> Vec<i64> {
-        let mut imatch = vec![-1i64; m];
-        let out_ptr = imatch.as_mut_ptr() as usize;
-        parallel_for(threads, jmatch.len(), |range| {
-            for i in range {
-                let j = jmatch[i];
-                if j >= 0 {
-                    // SAFETY: the non-negative entries of jmatch are pairwise
-                    // distinct (subset injectivity), so writes never collide.
-                    unsafe {
-                        *(out_ptr as *mut i64).add(j as usize) = i as i64;
-                    }
-                }
-            }
-        });
-        imatch
-    }
-}
-
-/// Figure 6 (CSparse): `Blk[p[k]] = b` for `k` in `r[b] .. r[b+1]` —
-/// parallel because `r` is monotonic and `p` is injective.
-pub mod fig6 {
-    use super::*;
-
-    /// Generates block boundaries `r` (monotonic) and a permutation `p`.
-    pub fn generate(nb: usize, avg_block: usize, seed: u64) -> (Vec<usize>, Vec<usize>) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut r = vec![0usize; nb + 1];
-        for b in 0..nb {
-            r[b + 1] = r[b] + rng.gen_range(1..=avg_block * 2);
-        }
-        let total = r[nb];
-        let mut p: Vec<usize> = (0..total).collect();
-        p.shuffle(&mut rng);
-        (r, p)
-    }
-
-    /// Serial block labelling.
-    pub fn serial(r: &[usize], p: &[usize]) -> Vec<usize> {
-        let nb = r.len() - 1;
-        let mut blk = vec![usize::MAX; p.len()];
-        for b in 0..nb {
-            for k in r[b]..r[b + 1] {
-                blk[p[k]] = b;
-            }
-        }
-        blk
-    }
-
-    /// Parallel block labelling over the outer `b` loop.
-    pub fn parallel(r: &[usize], p: &[usize], threads: usize) -> Vec<usize> {
-        let nb = r.len() - 1;
-        let mut blk = vec![usize::MAX; p.len()];
-        let out_ptr = blk.as_mut_ptr() as usize;
-        parallel_for(threads, nb, |range| {
-            for b in range {
-                for k in r[b]..r[b + 1] {
-                    // SAFETY: r is monotonic so the k-ranges of different b
-                    // are disjoint, and p is injective so distinct k map to
-                    // distinct elements — the Figure 6 argument.
-                    unsafe {
-                        *(out_ptr as *mut usize).add(p[k]) = b;
-                    }
-                }
-            }
-        });
-        blk
-    }
-}
-
-/// Figure 9: the CSR construction (serial, it carries recurrences) and the
-/// row-partitioned product loop (parallel thanks to `rowptr` monotonicity).
+/// Figure 9: the CSR construction and row-partitioned product loop.
 pub mod fig9 {
     use super::*;
 
@@ -187,364 +29,6 @@ pub mod fig9 {
             })
             .collect()
     }
-
-    /// The product loop of Figure 9 (lines 17–28), serial.
-    pub fn product_serial(a: &CsrMatrix, vector: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; a.nnz()];
-        for i in 0..=a.nrows {
-            let j1 = if i == 0 { 0 } else { a.rowptr[i - 1] };
-            let j2 = if i == 0 { 0 } else { a.rowptr[i] };
-            for j in j1..j2 {
-                out[j] = a.values[j] * vector[j % vector.len()];
-            }
-        }
-        out
-    }
-
-    /// The product loop of Figure 9, parallel over `i` (licensed by the
-    /// monotonicity of `rowptr` derived from the construction code).
-    pub fn product_parallel(a: &CsrMatrix, vector: &[f64], threads: usize) -> Vec<f64> {
-        let mut out = vec![0.0; a.nnz()];
-        let out_ptr = out.as_mut_ptr() as usize;
-        parallel_for(threads, a.nrows + 1, |range| {
-            for i in range {
-                let j1 = if i == 0 { 0 } else { a.rowptr[i - 1] };
-                let j2 = if i == 0 { 0 } else { a.rowptr[i] };
-                for j in j1..j2 {
-                    // SAFETY: rowptr is monotone non-decreasing, so the
-                    // [j1, j2) windows of different iterations are disjoint.
-                    unsafe {
-                        *(out_ptr as *mut f64).add(j) = a.values[j] * vector[j % vector.len()];
-                    }
-                }
-            }
-        });
-        out
-    }
-}
-
-/// Figure 3 (CG): `colidx[k] = colidx[k] - firstcol` for `k` in
-/// `rowstr[j] .. rowstr[j+1]` — parallel over `j` because `rowstr` is
-/// monotonic, so the `k` ranges of different rows never overlap.
-pub mod fig3 {
-    use super::*;
-
-    /// Generates a CSR-style `(rowstr, colidx)` pair: `nrows` rows with
-    /// random lengths up to `max_row`, column indices drawn from
-    /// `firstcol .. firstcol + ncols`.
-    pub fn generate(
-        nrows: usize,
-        max_row: usize,
-        ncols: usize,
-        firstcol: usize,
-        seed: u64,
-    ) -> (Vec<usize>, Vec<usize>) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut rowstr = vec![0usize; nrows + 1];
-        for j in 0..nrows {
-            rowstr[j + 1] = rowstr[j] + rng.gen_range(0..=max_row);
-        }
-        let colidx = (0..rowstr[nrows])
-            .map(|_| firstcol + rng.gen_range(0..ncols.max(1)))
-            .collect();
-        (rowstr, colidx)
-    }
-
-    /// Serial column-index adjustment.
-    pub fn serial(rowstr: &[usize], colidx: &[usize], firstcol: usize) -> Vec<usize> {
-        let nrows = rowstr.len() - 1;
-        let mut out = colidx.to_vec();
-        for j in 0..nrows {
-            for k in rowstr[j]..rowstr[j + 1] {
-                out[k] -= firstcol;
-            }
-        }
-        out
-    }
-
-    /// Parallel column-index adjustment over `j` (licensed by the
-    /// monotonicity of `rowstr`).
-    pub fn parallel(
-        rowstr: &[usize],
-        colidx: &[usize],
-        firstcol: usize,
-        threads: usize,
-    ) -> Vec<usize> {
-        let nrows = rowstr.len() - 1;
-        let mut out = colidx.to_vec();
-        let out_ptr = out.as_mut_ptr() as usize;
-        parallel_for(threads, nrows, |range| {
-            for j in range {
-                for k in rowstr[j]..rowstr[j + 1] {
-                    // SAFETY: rowstr is monotonic, so the k ranges of
-                    // different rows are disjoint.
-                    unsafe {
-                        *(out_ptr as *mut usize).add(k) -= firstcol;
-                    }
-                }
-            }
-        });
-        out
-    }
-}
-
-/// Figure 4 (CG): the gather loop whose per-row target range is
-/// `rowstr[j] - nzloc[j-1] .. rowstr[j+1] - nzloc[j]` — parallel over `j`
-/// because the *difference* between `rowstr` and `nzloc` is monotonic, so
-/// consecutive rows write adjacent, non-overlapping ranges.
-pub mod fig4 {
-    use super::*;
-
-    /// The input of the gather: `rowstr` (row boundaries including the
-    /// to-be-removed entries), `nzloc` (cumulative count of removed entries
-    /// per row), and the source arrays `v` / `iv` indexed by the original
-    /// positions.
-    pub struct GatherInput {
-        /// Original row boundaries (monotonic, length `nrows + 1`).
-        pub rowstr: Vec<usize>,
-        /// Cumulative removed-entry counts (monotonic, length `nrows`).
-        pub nzloc: Vec<usize>,
-        /// Source values at original positions.
-        pub v: Vec<f64>,
-        /// Source column indices at original positions.
-        pub iv: Vec<usize>,
-    }
-
-    impl GatherInput {
-        /// Number of rows.
-        pub fn nrows(&self) -> usize {
-            self.nzloc.len()
-        }
-
-        /// Length of the compacted output (total kept entries).
-        pub fn compacted_len(&self) -> usize {
-            let n = self.nrows();
-            if n == 0 {
-                0
-            } else {
-                self.rowstr[n] - self.nzloc[n - 1]
-            }
-        }
-    }
-
-    /// Generates a gather input: random row sizes up to `max_row`, of which
-    /// a random prefix of each row (up to the whole row) is marked removed.
-    pub fn generate(nrows: usize, max_row: usize, seed: u64) -> GatherInput {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut rowstr = vec![0usize; nrows + 1];
-        let mut removed = vec![0usize; nrows];
-        for j in 0..nrows {
-            let len = rng.gen_range(0..=max_row);
-            rowstr[j + 1] = rowstr[j] + len;
-            removed[j] = if len == 0 { 0 } else { rng.gen_range(0..=len) };
-        }
-        let mut nzloc = vec![0usize; nrows];
-        let mut acc = 0usize;
-        for j in 0..nrows {
-            acc += removed[j];
-            nzloc[j] = acc;
-        }
-        let total = rowstr[nrows];
-        let v = (0..total).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let iv = (0..total).map(|_| rng.gen_range(0..1000)).collect();
-        GatherInput {
-            rowstr,
-            nzloc,
-            v,
-            iv,
-        }
-    }
-
-    fn row_bounds(input: &GatherInput, j: usize) -> (usize, usize, usize) {
-        let j1 = if j > 0 {
-            input.rowstr[j] - input.nzloc[j - 1]
-        } else {
-            0
-        };
-        let j2 = input.rowstr[j + 1] - input.nzloc[j];
-        let nza = input.rowstr[j];
-        (j1, j2, nza)
-    }
-
-    /// Serial gather: compacts `v`/`iv` into `(a, colidx)` of length
-    /// [`GatherInput::compacted_len`].
-    pub fn serial(input: &GatherInput) -> (Vec<f64>, Vec<usize>) {
-        let n = input.compacted_len();
-        let mut a = vec![0.0f64; n];
-        let mut colidx = vec![0usize; n];
-        for j in 0..input.nrows() {
-            let (j1, j2, mut nza) = row_bounds(input, j);
-            for k in j1..j2 {
-                a[k] = input.v[nza];
-                colidx[k] = input.iv[nza];
-                nza += 1;
-            }
-        }
-        (a, colidx)
-    }
-
-    /// Parallel gather over `j` (licensed by the monotonic difference
-    /// between `rowstr` and `nzloc`; `nza` is private to each iteration).
-    pub fn parallel(input: &GatherInput, threads: usize) -> (Vec<f64>, Vec<usize>) {
-        let n = input.compacted_len();
-        let mut a = vec![0.0f64; n];
-        let mut colidx = vec![0usize; n];
-        let a_ptr = a.as_mut_ptr() as usize;
-        let c_ptr = colidx.as_mut_ptr() as usize;
-        parallel_for(threads, input.nrows(), |range| {
-            for j in range {
-                let (j1, j2, mut nza) = row_bounds(input, j);
-                for k in j1..j2 {
-                    // SAFETY: the difference rowstr - nzloc is monotonic, so
-                    // [j1, j2) windows of different rows are disjoint.
-                    unsafe {
-                        *(a_ptr as *mut f64).add(k) = input.v[nza];
-                        *(c_ptr as *mut usize).add(k) = input.iv[nza];
-                    }
-                    nza += 1;
-                }
-            }
-        });
-        (a, colidx)
-    }
-}
-
-/// Figure 7 (UA refine): `tree[nelt + i] = ...` where
-/// `nelt = (front[idx] - 1) * 7` — parallel because `front` is strictly
-/// monotonic (counting), so the seven-element windows written by different
-/// outer iterations are disjoint.
-pub mod fig7 {
-    use super::*;
-
-    /// Generates the `front` array the UA refinement loop uses: element `f`
-    /// holds `f + 1` (a running element count), which is strictly monotonic
-    /// and injective — exactly what the filling code on UA's side
-    /// establishes.
-    pub fn generate(num_refine: usize) -> Vec<usize> {
-        (0..num_refine).map(|f| f + 1).collect()
-    }
-
-    /// Serial refinement loop.
-    pub fn serial(front: &[usize]) -> Vec<usize> {
-        let num_refine = front.len();
-        let mut tree = vec![0usize; num_refine * 7];
-        for idx in 0..num_refine {
-            let nelt = (front[idx] - 1) * 7;
-            for i in 0..7 {
-                tree[nelt + i] = idx + (i + 1) % 8;
-            }
-        }
-        tree
-    }
-
-    /// Parallel refinement loop over `idx` (licensed by the disjointness of
-    /// the `nelt + 0 .. nelt + 6` windows).
-    pub fn parallel(front: &[usize], threads: usize) -> Vec<usize> {
-        let num_refine = front.len();
-        let mut tree = vec![0usize; num_refine * 7];
-        let out_ptr = tree.as_mut_ptr() as usize;
-        parallel_for(threads, num_refine, |range| {
-            for idx in range {
-                let nelt = (front[idx] - 1) * 7;
-                for i in 0..7 {
-                    // SAFETY: front is strictly monotonic with step 1, so
-                    // nelt strides by 7 across iterations and the 7-element
-                    // windows never overlap.
-                    unsafe {
-                        *(out_ptr as *mut usize).add(nelt + i) = idx + (i + 1) % 8;
-                    }
-                }
-            }
-        });
-        tree
-    }
-}
-
-/// NPB IS: after bucket sizes are counted and turned into bucket pointers by
-/// a prefix sum, each bucket's key range is post-processed independently —
-/// parallel over buckets because `bucket_ptr` is monotonic.
-pub mod is_rank {
-    use super::*;
-
-    /// A bucketed key set: `(keys, bucket_ptr, key_buff)` where `key_buff`
-    /// holds the keys grouped by bucket and `bucket_ptr[b] .. bucket_ptr[b+1]`
-    /// is bucket `b`'s range.
-    pub struct Buckets {
-        /// Original (unsorted) keys.
-        pub keys: Vec<i64>,
-        /// Monotonic bucket boundaries (length `nbuckets + 1`).
-        pub bucket_ptr: Vec<usize>,
-        /// Keys grouped by bucket.
-        pub key_buff: Vec<i64>,
-    }
-
-    /// Generates `nkeys` random keys in `0 .. nbuckets * keys_per_bucket`
-    /// and buckets them the way NPB IS does (bucket = key / keys_per_bucket).
-    pub fn generate(nkeys: usize, nbuckets: usize, keys_per_bucket: usize, seed: u64) -> Buckets {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let max_key = (nbuckets * keys_per_bucket).max(1);
-        let keys: Vec<i64> = (0..nkeys)
-            .map(|_| rng.gen_range(0..max_key) as i64)
-            .collect();
-        let bucket_of = |k: i64| (k as usize / keys_per_bucket.max(1)).min(nbuckets - 1);
-        let mut bucket_size = vec![0usize; nbuckets];
-        for &k in &keys {
-            bucket_size[bucket_of(k)] += 1;
-        }
-        let mut bucket_ptr = vec![0usize; nbuckets + 1];
-        for b in 0..nbuckets {
-            bucket_ptr[b + 1] = bucket_ptr[b] + bucket_size[b];
-        }
-        let mut cursor = bucket_ptr.clone();
-        let mut key_buff = vec![0i64; nkeys];
-        for &k in &keys {
-            let b = bucket_of(k);
-            key_buff[cursor[b]] = k;
-            cursor[b] += 1;
-        }
-        Buckets {
-            keys,
-            bucket_ptr,
-            key_buff,
-        }
-    }
-
-    /// Serial per-bucket adjustment: every key in bucket `b` is rebased to
-    /// its offset within the bucket's key range (the IS ranking step's
-    /// per-bucket normalization).
-    pub fn serial(buckets: &Buckets, keys_per_bucket: usize) -> Vec<i64> {
-        let nbuckets = buckets.bucket_ptr.len() - 1;
-        let mut out = buckets.key_buff.clone();
-        for b in 0..nbuckets {
-            let base = (b * keys_per_bucket) as i64;
-            for k in buckets.bucket_ptr[b]..buckets.bucket_ptr[b + 1] {
-                out[k] -= base;
-            }
-        }
-        out
-    }
-
-    /// Parallel per-bucket adjustment over `b` (licensed by the monotonicity
-    /// of `bucket_ptr`).
-    pub fn parallel(buckets: &Buckets, keys_per_bucket: usize, threads: usize) -> Vec<i64> {
-        let nbuckets = buckets.bucket_ptr.len() - 1;
-        let mut out = buckets.key_buff.clone();
-        let out_ptr = out.as_mut_ptr() as usize;
-        parallel_for(threads, nbuckets, |range| {
-            for b in range {
-                let base = (b * keys_per_bucket) as i64;
-                for k in buckets.bucket_ptr[b]..buckets.bucket_ptr[b + 1] {
-                    // SAFETY: bucket_ptr is monotonic, so bucket ranges are
-                    // disjoint across iterations of the outer loop.
-                    unsafe {
-                        let slot = (out_ptr as *mut i64).add(k);
-                        *slot -= base;
-                    }
-                }
-            }
-        });
-        out
-    }
 }
 
 /// CSparse `cs_ipvec`: `x[p[k]] = b[k]` — parallel because the permutation
@@ -559,182 +43,5 @@ pub mod ipvec {
         p.shuffle(&mut rng);
         let b: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
         (p, b)
-    }
-
-    /// Serial inverse-permutation scatter.
-    pub fn serial(p: &[usize], b: &[f64]) -> Vec<f64> {
-        let mut x = vec![0.0f64; b.len()];
-        for k in 0..b.len() {
-            x[p[k]] = b[k];
-        }
-        x
-    }
-
-    /// Parallel inverse-permutation scatter (licensed by injectivity of `p`).
-    pub fn parallel(p: &[usize], b: &[f64], threads: usize) -> Vec<f64> {
-        let mut x = vec![0.0f64; b.len()];
-        let out_ptr = x.as_mut_ptr() as usize;
-        parallel_for(threads, b.len(), |range| {
-            for k in range {
-                // SAFETY: p is a permutation (injective), so every k writes
-                // a distinct element of x.
-                unsafe {
-                    *(out_ptr as *mut f64).add(p[k]) = b[k];
-                }
-            }
-        });
-        x
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ss_properties::concrete;
-
-    #[test]
-    fn fig2_parallel_matches_serial_and_input_is_injective() {
-        let mt_to_id = fig2::generate(10_000, 1);
-        let as_i64: Vec<i64> = mt_to_id.iter().map(|&x| x as i64).collect();
-        assert!(concrete::is_injective(&as_i64));
-        let serial = fig2::serial(&mt_to_id);
-        for threads in [2, 4, 8] {
-            assert_eq!(fig2::parallel(&mt_to_id, threads), serial);
-        }
-        // round trip: id_to_mt inverts mt_to_id
-        for (miel, &iel) in mt_to_id.iter().enumerate() {
-            assert_eq!(serial[iel], miel);
-        }
-    }
-
-    #[test]
-    fn fig5_parallel_matches_serial_and_subset_is_injective() {
-        let jmatch = fig5::generate(20_000, 0.6, 3);
-        assert!(concrete::is_injective_subset(&jmatch, |x| x >= 0));
-        let serial = fig5::serial(&jmatch, 20_000);
-        for threads in [2, 4] {
-            assert_eq!(fig5::parallel(&jmatch, 20_000, threads), serial);
-        }
-    }
-
-    #[test]
-    fn fig6_parallel_matches_serial() {
-        let (r, p) = fig6::generate(500, 16, 5);
-        let ri: Vec<i64> = r.iter().map(|&x| x as i64).collect();
-        let pi: Vec<i64> = p.iter().map(|&x| x as i64).collect();
-        assert!(concrete::is_monotonic_inc(&ri));
-        assert!(concrete::is_injective(&pi));
-        let serial = fig6::serial(&r, &p);
-        for threads in [2, 4, 8] {
-            assert_eq!(fig6::parallel(&r, &p, threads), serial);
-        }
-        // every element got a block label
-        assert!(serial.iter().all(|&b| b != usize::MAX));
-    }
-
-    #[test]
-    fn fig9_parallel_matches_serial() {
-        let dense = fig9::generate_dense(200, 300, 0.07, 9);
-        let a = CsrMatrix::from_dense(&dense);
-        assert!(a.is_well_formed());
-        let vector: Vec<f64> = (0..a.ncols).map(|i| 1.0 + i as f64 * 0.01).collect();
-        let serial = fig9::product_serial(&a, &vector);
-        for threads in [2, 4] {
-            assert_eq!(fig9::product_parallel(&a, &vector, threads), serial);
-        }
-    }
-
-    #[test]
-    fn fig3_parallel_matches_serial_and_rowstr_is_monotonic() {
-        let (rowstr, colidx) = fig3::generate(2000, 12, 500, 100, 31);
-        let rs: Vec<i64> = rowstr.iter().map(|&x| x as i64).collect();
-        assert!(concrete::is_monotonic_inc(&rs));
-        let serial = fig3::serial(&rowstr, &colidx, 100);
-        for threads in [2, 4, 8] {
-            assert_eq!(fig3::parallel(&rowstr, &colidx, 100, threads), serial);
-        }
-        // the shift really rebased every column index
-        assert!(serial.iter().all(|&c| c < 500));
-    }
-
-    #[test]
-    fn fig4_parallel_matches_serial_and_difference_is_monotonic() {
-        let input = fig4::generate(1500, 10, 41);
-        // the enabling property: rowstr[j+1] - nzloc[j] is monotonic in j
-        let rowstr: Vec<i64> = input.rowstr.iter().map(|&x| x as i64).collect();
-        let nzloc: Vec<i64> = input.nzloc.iter().map(|&x| x as i64).collect();
-        assert!(concrete::is_monotonic_difference(&rowstr, &nzloc));
-        let (a_s, c_s) = fig4::serial(&input);
-        for threads in [2, 4, 8] {
-            let (a_p, c_p) = fig4::parallel(&input, threads);
-            assert_eq!(a_p, a_s);
-            assert_eq!(c_p, c_s);
-        }
-        assert_eq!(a_s.len(), input.compacted_len());
-    }
-
-    #[test]
-    fn fig4_empty_and_degenerate_inputs_are_handled() {
-        let empty = fig4::generate(0, 5, 1);
-        assert_eq!(empty.compacted_len(), 0);
-        let (a, c) = fig4::serial(&empty);
-        assert!(a.is_empty() && c.is_empty());
-        // rows that are entirely removed produce empty windows
-        let input = fig4::GatherInput {
-            rowstr: vec![0, 3, 3, 5],
-            nzloc: vec![3, 3, 3],
-            v: vec![1.0, 2.0, 3.0, 4.0, 5.0],
-            iv: vec![10, 20, 30, 40, 50],
-        };
-        assert_eq!(input.compacted_len(), 2);
-        let (a, c) = fig4::serial(&input);
-        assert_eq!((a.clone(), c.clone()), fig4::parallel(&input, 4));
-        // row 2 keeps its last two entries, gathered from positions 3 and 4
-        assert_eq!(a, vec![4.0, 5.0]);
-        assert_eq!(c, vec![40, 50]);
-    }
-
-    #[test]
-    fn fig7_parallel_matches_serial_and_front_is_strictly_monotonic() {
-        let front = fig7::generate(1000);
-        let fi: Vec<i64> = front.iter().map(|&x| x as i64).collect();
-        assert!(concrete::is_strict_monotonic_inc(&fi));
-        let serial = fig7::serial(&front);
-        for threads in [2, 4, 8] {
-            assert_eq!(fig7::parallel(&front, threads), serial);
-        }
-        // every element of tree was written exactly once: windows tile the array
-        assert_eq!(serial.len(), 7000);
-        assert_eq!(serial[0], 1);
-        assert_eq!(serial[7], 1 + 1);
-    }
-
-    #[test]
-    fn is_rank_parallel_matches_serial_and_bucket_ptr_is_monotonic() {
-        let buckets = is_rank::generate(50_000, 64, 128, 17);
-        let bp: Vec<i64> = buckets.bucket_ptr.iter().map(|&x| x as i64).collect();
-        assert!(concrete::is_monotonic_inc(&bp));
-        assert_eq!(*buckets.bucket_ptr.last().unwrap(), 50_000);
-        let serial = is_rank::serial(&buckets, 128);
-        for threads in [2, 4, 8] {
-            assert_eq!(is_rank::parallel(&buckets, 128, threads), serial);
-        }
-        // every rebased key is a valid offset within its bucket
-        assert!(serial.iter().all(|&k| (0..128).contains(&k)));
-    }
-
-    #[test]
-    fn ipvec_parallel_matches_serial_and_permutation_is_injective() {
-        let (p, b) = ipvec::generate(30_000, 23);
-        let pi: Vec<i64> = p.iter().map(|&x| x as i64).collect();
-        assert!(concrete::is_injective(&pi));
-        let serial = ipvec::serial(&p, &b);
-        for threads in [2, 4, 8] {
-            assert_eq!(ipvec::parallel(&p, &b, threads), serial);
-        }
-        // the scatter really inverts the permutation
-        for k in 0..p.len() {
-            assert_eq!(serial[p[k]], b[k]);
-        }
     }
 }

@@ -4,12 +4,12 @@
 //!
 //! * [`cg`] — the NPB CG benchmark (Classes S/W/A/B/C), whose
 //!   subscripted-subscript loops drive the Figure 10 speedup study;
-//! * [`kernels`] — runnable serial/parallel Rust versions of the Figure 2, 5,
-//!   6, 7 and 9 kernels, plus the NPB-IS bucket traversal and the CSparse
-//!   `cs_ipvec` permutation scatter, with property-respecting input
-//!   generators;
 //! * [`ir_kernels`] — mini-C transcriptions of every study kernel (the
-//!   Figure 1 catalogue), fed to the compile-time analysis.
+//!   Figure 1 catalogue), fed to the compile-time analysis and run by
+//!   `ss_interp`'s engines, whose parallel legs the analysis licenses;
+//! * [`kernels`] — the two input generators of the native executor
+//!   benchmark: a dense matrix for the Figure 9 product and a permutation
+//!   for the CSparse `cs_ipvec` scatter.
 
 pub mod cg;
 pub mod ir_kernels;

@@ -1,16 +1,12 @@
 //! Concrete (run-time) property verifiers.
 //!
 //! The compile-time analysis *derives* properties; these functions *check*
-//! them on actual array contents.  They serve three purposes:
-//!
-//! 1. test oracles — property tests generate index arrays, run the kernels,
-//!    and assert that whenever the static analysis claims a property, the
-//!    concrete contents satisfy it;
-//! 2. the inspector half of a reference inspector/executor baseline (the
-//!    run-time approach the paper contrasts against);
-//! 3. sanity checks inside the benchmark harness before timing runs.
+//! them on actual array contents.  They are the reference oracle the tests
+//! judge against: the catalogue test checks every derived fact on the heap
+//! the program builds, and `ss_inspector::inspect`'s own tests check the
+//! runtime inspector against them.
 
-use crate::property::{ArrayProperty, PropertySet};
+use crate::property::ArrayProperty;
 use std::collections::HashSet;
 
 /// `a[i] != a[j]` for all `i != j`.
@@ -62,76 +58,6 @@ pub fn check_property(a: &[i64], p: ArrayProperty) -> bool {
     }
 }
 
-/// Checks every property in a set on concrete contents.
-pub fn check_all(a: &[i64], props: &PropertySet) -> bool {
-    props.iter().all(|p| check_property(a, p))
-}
-
-/// Infers the complete set of properties that hold for the concrete contents
-/// (the "perfect inspector"): the best any analysis could establish.
-pub fn infer_properties(a: &[i64]) -> PropertySet {
-    PropertySet::from_iter(
-        ArrayProperty::all()
-            .iter()
-            .copied()
-            .filter(|p| check_property(a, *p)),
-    )
-}
-
-/// The subset property of Section 2.3: the elements of `a` selected by
-/// `keep` form an injective set. (Figure 5: the non-negative elements of
-/// `jmatch` are injective.)
-pub fn is_injective_subset(a: &[i64], keep: impl Fn(i64) -> bool) -> bool {
-    let mut seen = HashSet::new();
-    a.iter().filter(|&&x| keep(x)).all(|&x| seen.insert(x))
-}
-
-/// The monotonic-difference property of Section 2.2(c): `a[i] - b[i-1]` and
-/// `a[i+1] - b[i]` form ranges `[j1 : j2)` that never overlap across `i`,
-/// which holds iff the per-`i` ranges are non-decreasing, i.e.
-/// `a[i] - b[i-1] >= a[i] - b[i]`… in the paper's CG example the check
-/// reduces to: the sequence `j2(i)` is monotonic and `j1(i+1) >= j2(i)`.
-/// Here we verify the operational meaning directly: consecutive `[j1, j2)`
-/// windows do not overlap.
-pub fn is_monotonic_difference(rowstr: &[i64], nzloc: &[i64]) -> bool {
-    // j1(i) = if i == 0 { 0 } else { rowstr[i] - nzloc[i-1] }
-    // j2(i) = rowstr[i+1] - nzloc[i]
-    let nrows = nzloc.len().min(rowstr.len().saturating_sub(1));
-    let mut prev_end: i64 = i64::MIN;
-    for i in 0..nrows {
-        let j1 = if i == 0 { 0 } else { rowstr[i] - nzloc[i - 1] };
-        let j2 = rowstr[i + 1] - nzloc[i];
-        if j1 > j2 {
-            return false; // malformed window
-        }
-        if j1 < prev_end {
-            return false; // overlaps previous window
-        }
-        prev_end = j2;
-    }
-    true
-}
-
-/// Returns `true` if writing through `index[i]` for every `i` touches each
-/// location at most once — the exact "no output dependence" condition the
-/// compile-time analysis must prove for Figure 2-style loops.  A `None`
-/// guard accepts every element; `Some(pred)` models guarded writes
-/// (Figure 5).
-pub fn writes_are_conflict_free(index: &[i64], guard: Option<&dyn Fn(i64) -> bool>) -> bool {
-    let mut seen = HashSet::new();
-    for &x in index {
-        if let Some(g) = guard {
-            if !g(x) {
-                continue;
-            }
-        }
-        if !seen.insert(x) {
-            return false;
-        }
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,67 +84,5 @@ mod tests {
         }
         assert!(check_property(&[0], Identity));
         assert!(check_property(&[7], Injective));
-    }
-
-    #[test]
-    fn inferred_properties_respect_implications() {
-        let strict = infer_properties(&[0, 3, 5, 9]);
-        assert!(strict.has(StrictMonotonicInc));
-        assert!(strict.has(MonotonicInc));
-        assert!(strict.has(Injective));
-        assert!(strict.has(NonNegative));
-        assert!(!strict.has(Identity));
-        let ident = infer_properties(&[0, 1, 2, 3]);
-        assert!(ident.has(Identity));
-        // every inferred set is closed under implication by construction
-        for p in ident.iter() {
-            for q in ArrayProperty::all() {
-                if p.implies(*q) {
-                    assert!(ident.has(*q));
-                }
-            }
-        }
-        let nothing = infer_properties(&[2, -1, 2]);
-        assert!(nothing.is_empty());
-    }
-
-    #[test]
-    fn injective_subset_matches_figure5() {
-        // jmatch: -1 entries are unmatched rows; the non-negative entries
-        // must be unique column indices.
-        let jmatch = [-1, 3, -1, 0, 2, -1, 1];
-        assert!(is_injective_subset(&jmatch, |x| x >= 0));
-        assert!(!is_injective(&jmatch)); // the -1s repeat
-        let bad = [-1, 3, 3, 0];
-        assert!(!is_injective_subset(&bad, |x| x >= 0));
-        // writes through the guarded subscript are conflict free
-        let guard = |x: i64| x >= 0;
-        assert!(writes_are_conflict_free(&jmatch, Some(&guard)));
-        assert!(!writes_are_conflict_free(&bad, Some(&guard)));
-        assert!(!writes_are_conflict_free(&jmatch, None));
-    }
-
-    #[test]
-    fn monotonic_difference_matches_figure4() {
-        // rowstr is a CSR row-pointer array; nzloc counts entries eliminated
-        // before each row. The target windows [j1, j2) must tile without
-        // overlap.
-        let rowstr = [0, 4, 7, 12, 15];
-        let nzloc = [1, 2, 4, 5];
-        // j1/j2 windows: i=0: [0, 3) ; i=1: [3, 5) ; i=2: [5, 8) ; i=3: [8, 10)
-        assert!(is_monotonic_difference(&rowstr, &nzloc));
-        // a decreasing difference sequence rowstr[i+1] - nzloc[i] breaks the
-        // property (the window of row 1 would start after it ends)
-        let nzloc_bad = [0, 5, 6, 7];
-        assert!(!is_monotonic_difference(&rowstr, &nzloc_bad));
-    }
-
-    #[test]
-    fn check_all_uses_every_property() {
-        let props = PropertySet::from_iter([MonotonicInc, NonNegative]);
-        assert!(check_all(&[0, 1, 1, 4], &props));
-        assert!(!check_all(&[0, 1, 0], &props));
-        assert!(!check_all(&[-1, 0, 1], &props));
-        assert!(check_all(&[5, -2], &PropertySet::empty()));
     }
 }

@@ -164,25 +164,10 @@ impl fmt::Display for ArrayFact {
     }
 }
 
-/// A relational fact between two arrays: the paper's "monotonic difference"
-/// (Figure 4), e.g. `rowstr[i+1] - nzloc[i]` is non-decreasing in `i`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PairFact {
-    /// The minuend array.
-    pub minuend: String,
-    /// The subtrahend array.
-    pub subtrahend: String,
-    /// Property of the difference sequence.
-    pub property: ArrayProperty,
-    /// Provenance.
-    pub origin: String,
-}
-
 /// The complete set of facts available at a program point.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PropertyDatabase {
     facts: HashMap<String, ArrayFact>,
-    pair_facts: Vec<PairFact>,
     scalar_ranges: HashMap<String, SymRange>,
 }
 
@@ -198,19 +183,11 @@ impl PropertyDatabase {
         self.facts.insert(fact.array.clone(), fact);
     }
 
-    /// Records a pair (difference) fact.
-    pub fn insert_pair(&mut self, fact: PairFact) {
-        self.pair_facts.push(fact);
-    }
-
-    /// Drops everything known about `array`: its section fact and every pair
-    /// fact involving it.  Used when later code modifies the array in a way
-    /// the analysis cannot summarize — keeping stale properties past such a
-    /// write would be unsound.
+    /// Drops everything known about `array`.  Used when later code
+    /// modifies the array in a way the analysis cannot summarize — keeping
+    /// stale properties past such a write would be unsound.
     pub fn invalidate_array(&mut self, array: &str) {
         self.facts.remove(array);
-        self.pair_facts
-            .retain(|p| p.minuend != array && p.subtrahend != array);
     }
 
     /// Records the value range of an integer scalar.
@@ -221,11 +198,6 @@ impl PropertyDatabase {
     /// The fact recorded for `array`, if any.
     pub fn fact(&self, array: &str) -> Option<&ArrayFact> {
         self.facts.get(array)
-    }
-
-    /// Mutable access to the fact recorded for `array`.
-    pub fn fact_mut(&mut self, array: &str) -> Option<&mut ArrayFact> {
-        self.facts.get_mut(array)
     }
 
     /// True if `array` is known to have property `p` over its covered
@@ -257,23 +229,11 @@ impl PropertyDatabase {
         self.scalar_ranges.get(name)
     }
 
-    /// The recorded monotonic-difference fact for a pair of arrays.
-    pub fn pair_fact(&self, minuend: &str, subtrahend: &str) -> Option<&PairFact> {
-        self.pair_facts
-            .iter()
-            .find(|p| p.minuend == minuend && p.subtrahend == subtrahend)
-    }
-
     /// All array facts in deterministic (name) order.
     pub fn facts(&self) -> Vec<&ArrayFact> {
         let mut v: Vec<&ArrayFact> = self.facts.values().collect();
         v.sort_by(|a, b| a.array.cmp(&b.array));
         v
-    }
-
-    /// All pair facts.
-    pub fn pair_facts(&self) -> &[PairFact] {
-        &self.pair_facts
     }
 
     /// All scalar ranges in deterministic (name) order.
@@ -290,51 +250,7 @@ impl PropertyDatabase {
 
     /// True if no facts are recorded.
     pub fn is_empty(&self) -> bool {
-        self.facts.is_empty() && self.pair_facts.is_empty() && self.scalar_ranges.is_empty()
-    }
-
-    /// Merges facts derived along two control-flow paths: array facts present
-    /// on both sides are met (property intersection, value-range hull), facts
-    /// present on only one side are dropped (they are not guaranteed).
-    pub fn merge_paths(&self, other: &PropertyDatabase) -> PropertyDatabase {
-        let mut out = PropertyDatabase::new();
-        for (name, a) in &self.facts {
-            if let Some(b) = other.facts.get(name) {
-                let value_range = match (&a.value_range, &b.value_range) {
-                    (Some(x), Some(y)) => Some(x.union(y)),
-                    _ => None,
-                };
-                let guarded = a
-                    .guarded
-                    .iter()
-                    .filter(|ga| {
-                        b.guarded
-                            .iter()
-                            .any(|gb| gb.filter == ga.filter && gb.properties == ga.properties)
-                    })
-                    .cloned()
-                    .collect();
-                out.insert(ArrayFact {
-                    array: name.clone(),
-                    index_range: a.index_range.union(&b.index_range),
-                    value_range,
-                    properties: a.properties.meet(&b.properties),
-                    guarded,
-                    origin: format!("merge({}, {})", a.origin, b.origin),
-                });
-            }
-        }
-        for p in &self.pair_facts {
-            if other.pair_facts.iter().any(|q| q == p) {
-                out.insert_pair(p.clone());
-            }
-        }
-        for (name, r) in &self.scalar_ranges {
-            if let Some(r2) = other.scalar_ranges.get(name) {
-                out.set_scalar_range(name.clone(), r.union(r2));
-            }
-        }
-        out
+        self.facts.is_empty() && self.scalar_ranges.is_empty()
     }
 }
 
@@ -342,9 +258,6 @@ impl fmt::Display for PropertyDatabase {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for fact in self.facts() {
             writeln!(f, "{fact}")?;
-        }
-        for p in &self.pair_facts {
-            writeln!(f, "{} - {}: {}", p.minuend, p.subtrahend, p.property)?;
         }
         for (name, r) in self.scalar_ranges() {
             writeln!(f, "{name}: {r}")?;
@@ -431,45 +344,5 @@ mod tests {
         assert_eq!(filter.accepts(3), Some(true));
         assert_eq!(filter.accepts(-1), Some(false));
         assert_eq!(format!("{filter}"), "value >= 0");
-    }
-
-    #[test]
-    fn pair_facts_for_monotonic_difference() {
-        let mut db = PropertyDatabase::new();
-        db.insert_pair(PairFact {
-            minuend: "rowstr".into(),
-            subtrahend: "nzloc".into(),
-            property: MonotonicInc,
-            origin: "figure 4".into(),
-        });
-        assert!(db.pair_fact("rowstr", "nzloc").is_some());
-        assert!(db.pair_fact("nzloc", "rowstr").is_none());
-        assert_eq!(db.pair_facts().len(), 1);
-    }
-
-    #[test]
-    fn merge_keeps_only_common_guarantees() {
-        let mut a = PropertyDatabase::new();
-        a.insert(
-            ArrayFact::new("x", SymRange::constant(0, 9))
-                .with_property(StrictMonotonicInc)
-                .with_value_range(SymRange::constant(0, 5)),
-        );
-        a.insert(ArrayFact::new("only_in_a", SymRange::constant(0, 3)).with_property(Injective));
-        a.set_scalar_range("s", SymRange::constant(0, 1));
-        let mut b = PropertyDatabase::new();
-        b.insert(
-            ArrayFact::new("x", SymRange::constant(0, 9))
-                .with_property(MonotonicInc)
-                .with_value_range(SymRange::constant(3, 8)),
-        );
-        b.set_scalar_range("s", SymRange::constant(1, 2));
-        let m = a.merge_paths(&b);
-        assert!(m.has_property("x", MonotonicInc));
-        assert!(!m.has_property("x", StrictMonotonicInc));
-        assert!(!m.has_property("x", Injective));
-        assert!(m.fact("only_in_a").is_none());
-        assert_eq!(m.value_range("x").unwrap().as_const().unwrap(), (0, 8));
-        assert_eq!(m.scalar_range("s").unwrap().as_const().unwrap(), (0, 2));
     }
 }

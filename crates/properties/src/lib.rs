@@ -7,8 +7,8 @@
 //! * [`property`] — the property lattice (implication closure, meet/join);
 //! * [`database`] — the [`PropertyDatabase`] the aggregation pass fills and
 //!   the extended Range Test consumes;
-//! * [`concrete`] — run-time verifiers used as test oracles and as the
-//!   inspector half of the inspector/executor baseline.
+//! * [`concrete`] — run-time verifiers, the oracle tests check derived
+//!   facts and the runtime inspector against.
 //!
 //! ```
 //! use ss_properties::{ArrayProperty, PropertySet};
@@ -22,5 +22,5 @@ pub mod concrete;
 pub mod database;
 pub mod property;
 
-pub use database::{ArrayFact, FilterOp, GuardedFact, PairFact, PropertyDatabase, ValueFilter};
+pub use database::{ArrayFact, FilterOp, GuardedFact, PropertyDatabase, ValueFilter};
 pub use property::{ArrayProperty, PropertySet};

@@ -31,11 +31,6 @@ impl Env {
         self.scalars.insert(name.into(), r);
     }
 
-    /// Removes a scalar binding (its reads become symbolic again).
-    pub fn clear_scalar(&mut self, name: &str) {
-        self.scalars.remove(name);
-    }
-
     /// The value range of a scalar.  Unbound scalars read as their own
     /// symbolic name (they are loop-invariant inputs from the analysis'
     /// point of view).
@@ -130,8 +125,6 @@ mod tests {
         env.set_scalar("count", SymRange::constant(0, 0));
         assert!(env.has_scalar("count"));
         assert_eq!(env.scalar("count"), SymRange::constant(0, 0));
-        env.clear_scalar("count");
-        assert!(!env.has_scalar("count"));
         env.set_array_value("rowsize", SymRange::constant(0, 9));
         assert_eq!(env.array_value("rowsize"), Some(&SymRange::constant(0, 9)));
         env.clear_array_value("rowsize");

@@ -12,8 +12,7 @@ pub mod team;
 pub mod timer;
 
 pub use pool::{
-    chunk_range, chunk_ranges, hardware_threads, parallel_for, parallel_for_mut, parallel_sum,
-    Schedule,
+    chunk_range, chunk_ranges, hardware_threads, parallel_for, parallel_for_mut, Schedule,
 };
 pub use sparse::{BlockedVec, CsrMatrix};
 pub use team::{

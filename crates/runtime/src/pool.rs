@@ -3,13 +3,12 @@
 //! The paper evaluates its analysis by compiling the parallelized loops with
 //! OpenMP (`#pragma omp parallel for`, static scheduling) and sweeping the
 //! thread count.  This module is the equivalent surface: [`parallel_for`]
-//! splits an iteration space into contiguous chunks, [`parallel_for_mut`]
-//! does the same while handing each worker a disjoint slice of the output
-//! vector, and [`parallel_sum`] folds per-worker partials in worker order.
-//! All three take a plain thread count and run on the process-wide
-//! persistent team of that size ([`with_shared_team`]) — no region spawns a
-//! thread — and with `threads <= 1` they run inline without touching the
-//! team registry.
+//! splits an iteration space into contiguous chunks and
+//! [`parallel_for_mut`] does the same while handing each worker a disjoint
+//! slice of the output vector.  Both take a plain thread count and run on
+//! the process-wide persistent team of that size ([`with_shared_team`]) —
+//! no region spawns a thread — and with `threads <= 1` they run inline
+//! without touching the team registry.
 //!
 //! [`Schedule`] names OpenMP's two assignments: `schedule(static)` and
 //! `schedule(dynamic, chunk)`, where workers steal fixed-size chunks off a
@@ -23,7 +22,7 @@
 //! it enters the team once ([`ThreadTeam::region`](crate::ThreadTeam::region))
 //! and separates the steps with [`Member::barrier`](crate::Member::barrier).
 
-use crate::team::{team_parallel_for_schedule, team_parallel_reduce, with_shared_team};
+use crate::team::{team_parallel_for_schedule, with_shared_team};
 use std::sync::Mutex;
 
 /// How a parallel region assigns iterations to the team's workers.
@@ -120,28 +119,6 @@ where
     });
 }
 
-/// A parallel sum reduction over `0..n`: one partial per worker over a
-/// static partition, added up in worker order, so the result depends on
-/// `threads` but never on timing.
-pub fn parallel_sum<F>(threads: usize, n: usize, term: F) -> f64
-where
-    F: Fn(usize) -> f64 + Sync,
-{
-    if threads <= 1 || n == 0 {
-        return (0..n).map(&term).sum();
-    }
-    with_shared_team(threads, |team| {
-        team_parallel_reduce(
-            team,
-            n,
-            Schedule::Static,
-            0.0,
-            |r, acc| acc + r.map(&term).sum::<f64>(),
-            |a, b| a + b,
-        )
-    })
-}
-
 /// The number of hardware threads available (used to annotate reports).
 pub fn hardware_threads() -> usize {
     std::thread::available_parallelism()
@@ -193,34 +170,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_sum_matches_serial() {
-        let n = 5_000;
-        let expected: f64 = (0..n).map(|i| (i as f64).sqrt()).sum();
-        for threads in [1, 2, 4, 7] {
-            let got = parallel_sum(threads, n, |i| (i as f64).sqrt());
-            assert!((got - expected).abs() < 1e-6 * expected.abs().max(1.0));
-        }
-    }
-
-    #[test]
-    fn parallel_sum_adds_static_partials_in_worker_order() {
-        // Terms of wildly different magnitude: any other association of the
-        // additions rounds differently.
-        let term = |i: usize| [1e9, 1.0, 1e-9][i % 3] / (1.0 + i as f64).powi(3);
-        let n = 4_099;
-        for threads in [2usize, 3, 4] {
-            let expected: f64 = chunk_ranges(n, threads)
-                .into_iter()
-                .map(|r| r.map(term).sum::<f64>())
-                .sum();
-            for _ in 0..20 {
-                let got = parallel_sum(threads, n, term);
-                assert_eq!(got.to_bits(), expected.to_bits(), "threads={threads}");
-            }
-        }
-    }
-
-    #[test]
     fn work_is_split_across_chunks() {
         let invocations = |threads, n| {
             let counter = AtomicUsize::new(0);
@@ -256,7 +205,6 @@ mod tests {
                     }
                 });
                 assert_eq!(block, [0, 1, 2, 3]);
-                assert_eq!(parallel_sum(2, 4, |i| i as f64), 6.0);
             }
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));

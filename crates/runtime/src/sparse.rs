@@ -6,7 +6,7 @@
 //! non-decreasing, `colidx`/`values` hold the per-row entries in
 //! `rowptr[i] .. rowptr[i+1]`.
 
-use crate::pool::{parallel_for, parallel_for_mut, parallel_sum};
+use crate::pool::parallel_for_mut;
 use std::marker::PhantomData;
 use std::ops::Range;
 
@@ -132,51 +132,14 @@ impl CsrMatrix {
             *out = sum;
         }
     }
-
-    /// The Figure 3 kernel: shift every stored column index by `-firstcol`,
-    /// row-parallel (licensed by `rowptr` monotonicity).
-    pub fn shift_column_indices(&mut self, threads: usize, firstcol: usize) {
-        let rowptr = self.rowptr.clone();
-        let nrows = self.nrows;
-        let colidx = &mut self.colidx;
-        // Partition the colidx storage by rows: each thread handles a
-        // contiguous block of rows and therefore a contiguous block of
-        // colidx — disjoint because rowptr is monotone.
-        parallel_for(threads, nrows, |rows| {
-            let lo = rowptr[rows.start];
-            let hi = rowptr[rows.end];
-            // Safety of the parallel mutation is expressed through raw
-            // pointers split per disjoint range; we keep it simple and safe by
-            // operating on an UnsafeCell-free approach: each thread writes a
-            // disjoint index range of the same vector.  Rust cannot see the
-            // disjointness through `&mut`, so we go through a raw pointer.
-            let ptr = colidx.as_ptr() as *mut usize;
-            for idx in lo..hi {
-                // SAFETY: ranges [rowptr[rows.start], rowptr[rows.end]) are
-                // pairwise disjoint across chunks because rowptr is monotone
-                // non-decreasing (the property the compile-time analysis
-                // proved), and each index is visited exactly once.
-                unsafe {
-                    *ptr.add(idx) -= firstcol;
-                }
-            }
-        });
-    }
-
-    /// `y = A x` followed by the dot products used by CG, all with the same
-    /// thread count. Returns `(||r||, x·y)` style values needed by the solver.
-    pub fn spmv_and_dot(&self, threads: usize, x: &[f64], y: &mut [f64]) -> f64 {
-        self.spmv(threads, x, y);
-        parallel_sum(threads, self.nrows, |i| x[i] * y[i])
-    }
 }
 
 /// A vector the members of one team region share *by phases*: in some
 /// phases each member writes the block it owns, in others every member
 /// reads the whole vector, and a [`Member::barrier`](crate::Member::barrier)
 /// separates the two kinds.  Rust cannot see that discipline through
-/// `&mut [f64]`, so — like [`CsrMatrix::shift_column_indices`] — the view
-/// goes through a raw pointer and each access states what it relies on.
+/// `&mut [f64]`, so the view goes through a raw pointer and each access
+/// states what it relies on.
 pub struct BlockedVec<'a> {
     ptr: *mut f64,
     len: usize,
@@ -281,44 +244,5 @@ mod tests {
             a.spmv(threads, &x, &mut y);
             assert_eq!(y, expected, "threads = {threads}");
         }
-    }
-
-    #[test]
-    #[allow(clippy::needless_range_loop)]
-    fn column_shift_is_identical_serial_and_parallel() {
-        let mut dense = Vec::new();
-        for i in 0..64 {
-            let mut row = vec![0.0; 128];
-            for j in 0..128 {
-                if (i * 7 + j) % 5 == 0 {
-                    row[j] = (i + j) as f64;
-                }
-            }
-            dense.push(row);
-        }
-        let base = CsrMatrix::from_dense(&dense);
-        let mut serial = base.clone();
-        serial.shift_column_indices(1, 0);
-        for threads in [2, 4, 8] {
-            let mut par = base.clone();
-            par.shift_column_indices(threads, 0);
-            assert_eq!(par, serial);
-        }
-        // a real shift
-        let mut shifted = base.clone();
-        shifted.shift_column_indices(4, 0);
-        assert_eq!(shifted, base);
-    }
-
-    #[test]
-    fn spmv_and_dot_is_consistent() {
-        let a = CsrMatrix::from_dense(&small_dense());
-        let x = vec![1.0, 1.0, 1.0, 1.0];
-        let mut y1 = vec![0.0; 4];
-        let d1 = a.spmv_and_dot(1, &x, &mut y1);
-        let mut y4 = vec![0.0; 4];
-        let d4 = a.spmv_and_dot(4, &x, &mut y4);
-        assert_eq!(y1, y4);
-        assert!((d1 - d4).abs() < 1e-12);
     }
 }

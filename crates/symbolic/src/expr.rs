@@ -130,16 +130,6 @@ impl Expr {
         }
     }
 
-    /// Returns `true` if the expression is the literal zero.
-    pub fn is_zero(&self) -> bool {
-        matches!(self, Expr::Int(0))
-    }
-
-    /// Returns `true` if the expression is the literal one.
-    pub fn is_one(&self) -> bool {
-        matches!(self, Expr::Int(1))
-    }
-
     /// Returns `true` if the expression is (or contains) `⊥`.
     pub fn contains_bottom(&self) -> bool {
         self.any_node(&mut |e| matches!(e, Expr::Bottom))
@@ -159,11 +149,6 @@ impl Expr {
     /// Returns `true` if the expression mentions any `λ(..)`.
     pub fn contains_any_lambda(&self) -> bool {
         self.any_node(&mut |e| matches!(e, Expr::Lambda(_)))
-    }
-
-    /// Returns `true` if the expression mentions any `Λ(..)`.
-    pub fn contains_any_big_lambda(&self) -> bool {
-        self.any_node(&mut |e| matches!(e, Expr::BigLambda(_)))
     }
 
     /// Returns `true` if the expression mentions a reference to the given

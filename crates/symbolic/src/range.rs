@@ -188,31 +188,6 @@ impl SymRange {
         }
     }
 
-    /// Substitution applied to both bounds (see [`crate::subst`]).
-    pub fn map_bounds(&self, f: impl Fn(&Expr) -> Expr) -> SymRange {
-        SymRange {
-            lo: if self.lo == Expr::Bottom {
-                Expr::Bottom
-            } else {
-                simplify(&f(&self.lo))
-            },
-            hi: if self.hi == Expr::Bottom {
-                Expr::Bottom
-            } else {
-                simplify(&f(&self.hi))
-            },
-        }
-    }
-
-    /// The symbolic width `hi - lo` (None if either bound is unknown).
-    pub fn width(&self) -> Option<Expr> {
-        if self.has_unknown_bound() {
-            None
-        } else {
-            Some(simplify_diff(&self.hi, &self.lo))
-        }
-    }
-
     /// True if the range mentions the given symbol in either bound.
     pub fn mentions_sym(&self, name: &str) -> bool {
         self.lo.contains_sym(name) || self.hi.contains_sym(name)
@@ -375,16 +350,7 @@ mod tests {
     }
 
     #[test]
-    fn width_and_display() {
-        let r = SymRange::new(Expr::sym("j1"), Expr::sub(Expr::sym("j2"), Expr::int(1)));
-        let w = r.width().unwrap();
-        assert_eq!(
-            w,
-            simplify(&Expr::sub(
-                Expr::sub(Expr::sym("j2"), Expr::int(1)),
-                Expr::sym("j1")
-            ))
-        );
+    fn display() {
         assert_eq!(format!("{}", SymRange::constant(0, 5)), "[0 : 5]");
         assert_eq!(format!("{}", SymRange::exact(Expr::sym("i"))), "[i]");
     }

@@ -86,16 +86,6 @@ impl Assumptions {
         self
     }
 
-    /// Looks up the range assumed for a symbol.
-    pub fn range_of(&self, name: &str) -> Option<&SymRange> {
-        self.sym_ranges.get(name)
-    }
-
-    /// All symbols with assumed ranges.
-    pub fn assumed_symbols(&self) -> impl Iterator<Item = &String> {
-        self.sym_ranges.keys()
-    }
-
     /// Computes a conservative constant lower bound of `e`, if one can be
     /// derived from the assumptions. Symbols without assumptions, `λ`/`Λ`
     /// placeholders and array references contribute "unknown" unless the
@@ -291,26 +281,6 @@ impl Assumptions {
             _ => Proof::Unknown,
         }
     }
-
-    /// Tries to prove that ranges `[a.lo : a.hi]` and `[b.lo : b.hi]` do not
-    /// overlap (either `a.hi < b.lo` or `b.hi < a.lo`).  This is the core
-    /// question the Range Test asks of the access regions of two loop
-    /// iterations.
-    pub fn prove_disjoint(&self, a: &SymRange, b: &SymRange) -> Proof {
-        let first = self.prove_lt(&a.hi, &b.lo);
-        if first == Proof::Proven {
-            return Proof::Proven;
-        }
-        let second = self.prove_lt(&b.hi, &a.lo);
-        if second == Proof::Proven {
-            return Proof::Proven;
-        }
-        if first == Proof::Disproven && second == Proof::Disproven {
-            // Both orderings fail: the ranges definitely touch.
-            return Proof::Disproven;
-        }
-        Proof::Unknown
-    }
 }
 
 #[cfg(test)]
@@ -403,35 +373,6 @@ mod tests {
         assert_eq!(
             a.prove_le(&Expr::mul(Expr::int(-2), Expr::sym("k")), &Expr::int(-4)),
             Proof::Proven
-        );
-    }
-
-    #[test]
-    fn disjoint_ranges() {
-        let mut a = Assumptions::new();
-        a.assume_range("i", SymRange::constant(0, 10));
-        // [i*8 : i*8+6] and [i*8+7 : i*8+13] are disjoint
-        let r1 = SymRange::new(
-            Expr::mul(Expr::sym("i"), Expr::int(8)),
-            Expr::add(Expr::mul(Expr::sym("i"), Expr::int(8)), Expr::int(6)),
-        );
-        let r2 = SymRange::new(
-            Expr::add(Expr::mul(Expr::sym("i"), Expr::int(8)), Expr::int(7)),
-            Expr::add(Expr::mul(Expr::sym("i"), Expr::int(8)), Expr::int(13)),
-        );
-        assert_eq!(a.prove_disjoint(&r1, &r2), Proof::Proven);
-        // overlapping constant ranges are disproven
-        assert_eq!(
-            a.prove_disjoint(&SymRange::constant(0, 5), &SymRange::constant(5, 9)),
-            Proof::Disproven
-        );
-        // unknown when nothing is known about the bounds
-        assert_eq!(
-            a.prove_disjoint(
-                &SymRange::exact(Expr::array_ref("p", Expr::sym("x"))),
-                &SymRange::exact(Expr::array_ref("p", Expr::sym("y")))
-            ),
-            Proof::Unknown
         );
     }
 

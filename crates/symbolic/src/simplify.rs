@@ -237,41 +237,6 @@ fn rebuild(terms: BTreeMap<Monomial, i64>) -> Expr {
     }
 }
 
-/// Returns `Some(constant)` if the expression simplifies to an integer.
-pub fn const_value(e: &Expr) -> Option<i64> {
-    simplify(e).as_int()
-}
-
-/// Splits a simplified expression into `(constant, non-constant remainder)`,
-/// i.e. `e = constant + remainder`.  Useful for recognizing `λ + k`
-/// recurrences and `i + k` subscripts.
-pub fn split_constant(e: &Expr) -> (i64, Expr) {
-    let s = simplify(e);
-    match s {
-        Expr::Int(v) => (v, Expr::Int(0)),
-        Expr::Add(xs) => {
-            let mut k = 0;
-            let mut rest = Vec::new();
-            for x in xs {
-                match x {
-                    Expr::Int(v) => k += v,
-                    other => rest.push(other),
-                }
-            }
-            (k, rebuild_parts(rest))
-        }
-        other => (0, other),
-    }
-}
-
-fn rebuild_parts(mut parts: Vec<Expr>) -> Expr {
-    match parts.len() {
-        0 => Expr::Int(0),
-        1 => parts.pop().unwrap(),
-        _ => Expr::Add(parts),
-    }
-}
-
 /// If the expression has the affine form `coeff * sym + offset` in the given
 /// symbol (with everything else constant-free in `sym`), returns
 /// `(coeff, offset)`.  This is how the analysis recognizes "simple
@@ -419,16 +384,6 @@ mod tests {
         // division by zero is left symbolic, never panics
         let e = s(Expr::div(Expr::int(4), Expr::int(0)));
         assert_eq!(e, Expr::Div(Box::new(Expr::Int(4)), Box::new(Expr::Int(0))));
-    }
-
-    #[test]
-    fn split_constant_works() {
-        let (k, rest) = split_constant(&Expr::add(Expr::sym("i"), Expr::int(3)));
-        assert_eq!(k, 3);
-        assert_eq!(rest, Expr::sym("i"));
-        let (k, rest) = split_constant(&Expr::int(-2));
-        assert_eq!(k, -2);
-        assert_eq!(rest, Expr::Int(0));
     }
 
     #[test]

@@ -6,45 +6,12 @@
 //! structural substitutions implemented here.
 
 use crate::expr::Expr;
-use crate::range::SymRange;
 use crate::simplify::simplify;
-use std::collections::HashMap;
 
 /// Replaces every occurrence of symbol `name` with `value` and simplifies.
 pub fn subst_sym(e: &Expr, name: &str, value: &Expr) -> Expr {
     let out = e.rewrite_bottom_up(&|n| match n {
         Expr::Sym(ref s) if s == name => value.clone(),
-        other => other,
-    });
-    simplify(&out)
-}
-
-/// Replaces several symbols at once and simplifies.
-pub fn subst_syms(e: &Expr, map: &HashMap<String, Expr>) -> Expr {
-    if map.is_empty() {
-        return simplify(e);
-    }
-    let out = e.rewrite_bottom_up(&|n| match n {
-        Expr::Sym(ref s) => map.get(s).cloned().unwrap_or(n.clone()),
-        other => other,
-    });
-    simplify(&out)
-}
-
-/// Replaces `λ(name)` with `value` and simplifies.
-pub fn subst_lambda(e: &Expr, name: &str, value: &Expr) -> Expr {
-    let out = e.rewrite_bottom_up(&|n| match n {
-        Expr::Lambda(ref s) if s == name => value.clone(),
-        other => other,
-    });
-    simplify(&out)
-}
-
-/// Replaces every `λ(x)` with `Λ(x)` (used when Phase 2 re-interprets a
-/// per-iteration summary at loop entry).
-pub fn lambda_to_big_lambda(e: &Expr) -> Expr {
-    let out = e.rewrite_bottom_up(&|n| match n {
-        Expr::Lambda(ref s) => Expr::BigLambda(s.clone()),
         other => other,
     });
     simplify(&out)
@@ -72,16 +39,6 @@ pub fn subst_array_ref(e: &Expr, array: &str, f: &impl Fn(&Expr) -> Expr) -> Exp
     simplify(&out)
 }
 
-/// Applies [`subst_sym`] to both bounds of a range.
-pub fn subst_sym_range(r: &SymRange, name: &str, value: &Expr) -> SymRange {
-    r.map_bounds(|b| subst_sym(b, name, value))
-}
-
-/// Applies [`subst_lambda`] to both bounds of a range.
-pub fn subst_lambda_range(r: &SymRange, name: &str, value: &Expr) -> SymRange {
-    r.map_bounds(|b| subst_lambda(b, name, value))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,38 +51,6 @@ mod tests {
         let e = Expr::add(Expr::sym("i"), Expr::sym("j"));
         let out = subst_sym(&e, "i", &Expr::int(1));
         assert_eq!(out, Expr::Add(vec![Expr::Int(1), Expr::sym("j")]));
-    }
-
-    #[test]
-    fn multi_substitution() {
-        let mut m = HashMap::new();
-        m.insert("a".to_string(), Expr::int(2));
-        m.insert("b".to_string(), Expr::sym("n"));
-        let e = Expr::add(Expr::sym("a"), Expr::mul(Expr::sym("b"), Expr::int(3)));
-        let out = subst_syms(&e, &m);
-        assert_eq!(
-            out,
-            Expr::Add(vec![
-                Expr::Int(2),
-                Expr::Mul(vec![Expr::Int(3), Expr::sym("n")])
-            ])
-        );
-    }
-
-    #[test]
-    fn lambda_substitution_models_phase2() {
-        // Phase 1: count = λ(count) + 1; apply twice -> λ + 2
-        let step = Expr::add(Expr::lambda("count"), Expr::int(1));
-        let twice = subst_lambda(&step, "count", &step);
-        assert_eq!(twice, Expr::Add(vec![Expr::Int(2), Expr::lambda("count")]));
-    }
-
-    #[test]
-    fn lambda_to_big_lambda_rewrites_all() {
-        let e = Expr::add(Expr::lambda("count"), Expr::lambda("nza"));
-        let out = lambda_to_big_lambda(&e);
-        assert!(out.contains_any_big_lambda());
-        assert!(!out.contains_any_lambda());
     }
 
     #[test]
@@ -147,19 +72,5 @@ mod tests {
             out,
             Expr::array_ref("rowptr", Expr::add(Expr::Int(-1), Expr::sym("i")))
         );
-    }
-
-    #[test]
-    fn range_substitution() {
-        let r = SymRange::new(Expr::sym("lo"), Expr::sym("hi"));
-        let out = subst_sym_range(&r, "lo", &Expr::int(0));
-        assert_eq!(out.lo, Expr::Int(0));
-        assert_eq!(out.hi, Expr::sym("hi"));
-        let r = SymRange::new(
-            Expr::lambda("x"),
-            Expr::add(Expr::lambda("x"), Expr::int(1)),
-        );
-        let out = subst_lambda_range(&r, "x", &Expr::int(10));
-        assert_eq!(out, SymRange::constant(10, 11));
     }
 }

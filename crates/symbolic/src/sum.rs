@@ -12,7 +12,6 @@
 
 use crate::expr::Expr;
 use crate::simplify::{affine_in, simplify};
-use crate::subst::lambda_to_big_lambda;
 
 /// The closed form of `Σ_{i=lo}^{hi} 1 = hi - lo + 1` (the trip count).
 pub fn trip_count(lo: &Expr, hi: &Expr) -> Expr {
@@ -115,12 +114,6 @@ pub fn aggregate_scalar_range(
         (Aggregate::Closed(x), Aggregate::Closed(y)) => Some((x, y)),
         _ => None,
     }
-}
-
-/// Re-expresses a Phase 1 value (over `λ`) as a loop-entry value (over `Λ`)
-/// without aggregation; used for values that are only written once.
-pub fn reinterpret_at_entry(e: &Expr) -> Expr {
-    lambda_to_big_lambda(e)
 }
 
 #[cfg(test)]

@@ -1,11 +1,18 @@
 //! Quickstart: analyze the paper's Figure 9 program, print what the
-//! parallelizer found, and run the resulting parallel kernel.
+//! parallelizer found, then run the program serially and with the loops
+//! the analysis proved parallel dispatched to threads, under the
+//! differential matrix (every engine, serial and parallel, against the
+//! reference).  Exits nonzero if any leg's heap diverges.
 //!
-//! `cargo run --release --example quickstart`
+//! ```text
+//! cargo run --release --example quickstart
+//! ```
 
-use ss_npb::kernels::fig9;
-use ss_parallelizer::parallelize_source;
-use ss_runtime::{hardware_threads, time_it, CsrMatrix};
+use ss_interp::{RunRequest, Session, ValidationMode};
+use ss_runtime::hardware_threads;
+
+/// The free scalars' value: rows and columns of the Figure 9 matrix.
+const SCALE: i64 = 400;
 
 const FIGURE9: &str = r#"
     index = 0;
@@ -40,8 +47,14 @@ const FIGURE9: &str = r#"
 "#;
 
 fn main() {
+    let threads = hardware_threads().min(8);
+
     // 1. Compile-time analysis of the Figure 9 program.
-    let report = parallelize_source("figure9", FIGURE9).expect("figure 9 parses");
+    let session = Session::new();
+    let artifacts = session
+        .artifacts("figure9", FIGURE9)
+        .expect("figure 9 parses");
+    let report = &artifacts.report;
     println!("===== analysis report =====");
     println!("{}", report.summary());
     println!("===== derived index-array facts =====");
@@ -49,24 +62,39 @@ fn main() {
     println!("===== annotated source =====");
     println!("{}", report.annotated_source);
 
-    // 2. Execute the kernel the analysis just parallelized.
-    let dense = fig9::generate_dense(2000, 3000, 0.05, 1);
-    let a = CsrMatrix::from_dense(&dense);
-    let vector: Vec<f64> = (0..a.ncols).map(|i| 1.0 + (i % 13) as f64).collect();
-    let (serial, t_serial) = time_it(|| fig9::product_serial(&a, &vector));
-    let threads = hardware_threads().min(8);
-    let (parallel, t_parallel) = time_it(|| fig9::product_parallel(&a, &vector, threads));
-    assert_eq!(serial, parallel, "parallel result must match serial");
-    println!("===== execution =====");
+    // 2. Execute it, the proven loops in parallel, and validate every leg.
+    // The timed legs are the `threaded` row's, whose serial and parallel
+    // runs share one executor, so the speedup is the dispatch's alone.
+    let request = RunRequest::new("figure9", FIGURE9)
+        .engine("threaded")
+        .threads(threads)
+        .scale(SCALE)
+        .validation(ValidationMode::Differential);
+    let out = match session.run(&request) {
+        Ok(out) => out,
+        Err(e) => {
+            eprintln!("figure 9 failed: {e}");
+            std::process::exit(1);
+        }
+    };
+    println!("===== execution (scale n={SCALE}) =====");
     println!(
-        "matrix: {} x {} with {} non-zeros",
-        a.nrows,
-        a.ncols,
-        a.nnz()
+        "serial:   {:.4} s",
+        out.serial.as_ref().map_or(0.0, |s| s.total_seconds)
     );
-    println!("serial:   {t_serial:.4} s");
     println!(
-        "parallel: {t_parallel:.4} s on {threads} threads (speedup {:.2}x)",
-        t_serial / t_parallel.max(1e-12)
+        "parallel: {:.4} s on {threads} threads (speedup {:.2}x)",
+        out.parallel.as_ref().map_or(0.0, |s| s.total_seconds),
+        out.speedup().unwrap_or(0.0)
     );
+    let legs = out.validation.as_ref().map_or(0, |v| v.compared.len());
+    if out.heaps_match() {
+        println!("validation: PASS ({legs} legs)");
+    } else {
+        println!("validation: FAIL");
+        for m in out.mismatches().iter().take(5) {
+            println!("    {m}");
+        }
+        std::process::exit(1);
+    }
 }

@@ -1,24 +1,33 @@
 //! SuiteSparse/CSparse walk-through: analyze the catalogued CSparse kernels,
 //! show the derived index-array properties, and execute each kernel serial
-//! vs. parallel to confirm the analysis-licensed parallelization is both
-//! correct and profitable.
+//! vs. parallel under the differential matrix: every leg must match the
+//! reference, and the timings show what the analysis-licensed
+//! parallelization buys at this scale.  Exits nonzero if any kernel's legs
+//! diverge.
 //!
-//! `cargo run --release --example suitesparse_kernels`
+//! ```text
+//! cargo run --release --example suitesparse_kernels
+//! ```
 
-use ss_npb::kernels::{fig5, fig6, ipvec};
+use ss_interp::{RunRequest, Session, ValidationMode};
 use ss_npb::{study_kernels, Suite};
 use ss_parallelizer::parallelize_source;
-use ss_runtime::{hardware_threads, time_it};
+use ss_runtime::hardware_threads;
+
+/// The free scalars' value for every kernel.
+const SCALE: i64 = 400;
 
 fn main() {
     let threads = hardware_threads().min(8);
+    let suitesparse = || {
+        study_kernels()
+            .into_iter()
+            .filter(|k| k.suite == Suite::SuiteSparse)
+    };
 
     // ---- Compile-time analysis of every CSparse kernel in the catalogue --
     println!("== compile-time analysis of the SuiteSparse kernels ==\n");
-    for k in study_kernels()
-        .iter()
-        .filter(|k| k.suite == Suite::SuiteSparse)
-    {
+    for k in suitesparse() {
         let report = parallelize_source(k.name, k.source).expect("catalogued kernel parses");
         let target = report
             .loop_report(ss_ir::LoopId(k.target_loop))
@@ -40,34 +49,42 @@ fn main() {
         println!();
     }
 
-    // ---- Execution: serial vs. parallel on property-respecting inputs ----
-    println!("== execution (serial vs. {threads}-thread parallel) ==\n");
-
-    let jmatch = fig5::generate(2_000_000, 0.6, 3);
-    let (s, t_serial) = time_it(|| fig5::serial(&jmatch, jmatch.len()));
-    let (p, t_par) = time_it(|| fig5::parallel(&jmatch, jmatch.len(), threads));
-    assert_eq!(s, p);
-    report("cs_maxtrans (Figure 5)", t_serial, t_par);
-
-    let (r, perm) = fig6::generate(60_000, 24, 5);
-    let (s, t_serial) = time_it(|| fig6::serial(&r, &perm));
-    let (p, t_par) = time_it(|| fig6::parallel(&r, &perm, threads));
-    assert_eq!(s, p);
-    report("cs_dmperm blocks (Figure 6)", t_serial, t_par);
-
-    let (perm, b) = ipvec::generate(2_000_000, 23);
-    let (s, t_serial) = time_it(|| ipvec::serial(&perm, &b));
-    let (p, t_par) = time_it(|| ipvec::parallel(&perm, &b, threads));
-    assert_eq!(s, p);
-    report("cs_ipvec permutation scatter", t_serial, t_par);
-}
-
-fn report(kernel: &str, t_serial: f64, t_par: f64) {
-    println!(
-        "{:<32} serial {:>8.2} ms   parallel {:>8.2} ms   speedup {:>5.2}x",
-        kernel,
-        t_serial * 1e3,
-        t_par * 1e3,
-        t_serial / t_par.max(1e-12)
-    );
+    // ---- Execution: serial vs. parallel, every leg against the reference --
+    println!("== execution (scale n={SCALE}, serial vs. {threads}-thread parallel) ==\n");
+    let session = Session::new();
+    let mut failures = 0usize;
+    for k in suitesparse() {
+        // Timed on the `threaded` row: one executor, serial and parallel.
+        let request = RunRequest::new(k.name, k.source)
+            .engine("threaded")
+            .threads(threads)
+            .scale(SCALE)
+            .validation(ValidationMode::Differential);
+        match session.run(&request) {
+            Ok(out) => {
+                println!(
+                    "{:<24} serial {:>8.2} ms   parallel {:>8.2} ms   speedup {:>5.2}x   {}",
+                    k.name,
+                    out.serial.as_ref().map_or(0.0, |s| s.total_seconds) * 1e3,
+                    out.parallel.as_ref().map_or(0.0, |s| s.total_seconds) * 1e3,
+                    out.speedup().unwrap_or(0.0),
+                    if out.heaps_match() { "PASS" } else { "FAIL" }
+                );
+                if !out.heaps_match() {
+                    failures += 1;
+                    for m in out.mismatches().iter().take(5) {
+                        println!("    {m}");
+                    }
+                }
+            }
+            Err(e) => {
+                failures += 1;
+                println!("{:<24} error: {e}", k.name);
+            }
+        }
+    }
+    if failures > 0 {
+        eprintln!("\n{failures} kernel(s) FAILED validation");
+        std::process::exit(1);
+    }
 }

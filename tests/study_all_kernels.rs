@@ -1,11 +1,15 @@
 //! Integration test: the Figure 1 study over the complete kernel catalogue.
 //! Every catalogued loop must be parallelized by the extended analysis and
-//! rejected by the property-free baseline, and the derived properties must
-//! hold on concrete data produced by the runnable kernels.
+//! rejected by the property-free baseline, and every index-array fact the
+//! analysis derives must hold on the heap the program itself builds.
 
-use ss_npb::kernels::{fig2, fig5, fig6};
+use ss_inspector::inspect::{inspect_index_array, inspect_write_conflicts, InspectorConfig};
+use ss_interp::{synthesize_inputs, EngineRegistry, ExecOptions, Heap, InputSpec};
 use ss_npb::run_catalogue_study;
-use ss_properties::concrete;
+use ss_parallelizer::Artifacts;
+use ss_properties::concrete::check_property;
+use ss_properties::{ArrayProperty, PropertySet, ValueFilter};
+use ss_symbolic::{Expr, Valuation};
 
 #[test]
 fn every_catalogued_kernel_is_detected_and_none_by_the_baseline() {
@@ -37,25 +41,109 @@ fn every_catalogued_kernel_is_detected_and_none_by_the_baseline() {
     assert_eq!(table.baseline_count(), 0);
 }
 
+/// The final heap as a valuation: its scalars, and its one-dimensional
+/// arrays (index arrays are never multi-dimensional in the catalogue).
+fn valuation(heap: &Heap) -> Valuation {
+    let mut v = Valuation::new();
+    v.syms = heap.scalars.iter().map(|(k, &x)| (k.clone(), x)).collect();
+    v.arrays = heap
+        .arrays
+        .iter()
+        .filter(|(_, a)| a.dims.len() == 1)
+        .map(|(k, a)| (k.clone(), a.data.to_vec()))
+        .collect();
+    v
+}
+
+/// Every fact in the analysis' final property database, checked on the
+/// heap the `ast` reference leaves behind: whole-section properties on
+/// the fact's index range (`Identity` relative to its first index), by both
+/// the concrete verifier and the runtime inspector; guarded properties on
+/// the elements their filter accepts, `Injective` by the write-conflict
+/// inspector.  A failure is a soundness finding about the analysis, not a
+/// fixture to regenerate.
 #[test]
-fn derived_properties_hold_on_concrete_index_arrays() {
-    // Figure 2: the generated mt_to_id really is injective.
-    let mt_to_id = fig2::generate(5000, 9);
-    let v: Vec<i64> = mt_to_id.iter().map(|&x| x as i64).collect();
-    assert!(concrete::is_injective(&v));
-    // Figure 5: the non-negative subset of jmatch really is injective.
-    let jmatch = fig5::generate(5000, 0.5, 9);
-    assert!(concrete::is_injective_subset(&jmatch, |x| x >= 0));
-    assert!(concrete::writes_are_conflict_free(
-        &jmatch,
-        Some(&|x| x >= 0)
-    ));
-    // Figure 6: r really is monotonic and p injective.
-    let (r, p) = fig6::generate(300, 10, 9);
-    let ri: Vec<i64> = r.iter().map(|&x| x as i64).collect();
-    let pi: Vec<i64> = p.iter().map(|&x| x as i64).collect();
-    assert!(concrete::is_monotonic_inc(&ri));
-    assert!(concrete::is_injective(&pi));
+fn derived_facts_hold_on_every_catalogue_reference_heap() {
+    let reference = EngineRegistry::builtin().get("ast").unwrap();
+    let mut checks = 0usize;
+    for kernel in ss_npb::study_kernels() {
+        let art = Artifacts::compile_source(kernel.name, kernel.source).unwrap();
+        for scale in [16, 64, 200] {
+            let inputs = synthesize_inputs(&art.program, &InputSpec { scale, seed: 1 }).unwrap();
+            let heap = reference
+                .run_serial(&art, inputs, &ExecOptions::default())
+                .unwrap()
+                .heap;
+            let val = valuation(&heap);
+            for fact in art.report.final_db.facts() {
+                let at = format!(
+                    "{} at scale {scale}: {} [{}]",
+                    kernel.name, fact.array, fact.origin
+                );
+                let eval = |e| {
+                    val.eval(e)
+                        .unwrap_or_else(|err| panic!("{at}: {e}: {err:?}"))
+                };
+                let (lo, hi) = (eval(&fact.index_range.lo), eval(&fact.index_range.hi));
+                let data = val
+                    .arrays
+                    .get(&fact.array)
+                    .unwrap_or_else(|| panic!("{at}: no array"));
+                let slice = if lo > hi {
+                    &[][..]
+                } else {
+                    data.get(lo as usize..=hi as usize)
+                        .unwrap_or_else(|| panic!("{at}: [{lo}, {hi}] out of bounds"))
+                };
+                for p in fact.properties.iter() {
+                    let rebased: Vec<i64>;
+                    let a = if p == ArrayProperty::Identity {
+                        rebased = slice.iter().map(|&x| x - lo).collect();
+                        &rebased[..]
+                    } else {
+                        slice
+                    };
+                    assert!(check_property(a, p), "{at}: {p} fails on {a:?}");
+                    let inspected = inspect_index_array(a, &InspectorConfig::serial());
+                    assert!(
+                        inspected.licenses(&PropertySet::single(p)),
+                        "{at}: the inspector refuses {p}"
+                    );
+                    checks += 1;
+                }
+                for guarded in &fact.guarded {
+                    let filter = ValueFilter {
+                        op: guarded.filter.op,
+                        bound: Expr::int(eval(&guarded.filter.bound)),
+                    };
+                    let kept: Vec<usize> = (0..slice.len())
+                        .filter(|&i| filter.accepts(slice[i]).unwrap())
+                        .collect();
+                    for p in guarded.properties.iter() {
+                        let holds = match p {
+                            ArrayProperty::Injective => inspect_write_conflicts(slice, |i| {
+                                filter.accepts(slice[i]).unwrap()
+                            })
+                            .properties
+                            .has(p),
+                            ArrayProperty::Identity => {
+                                kept.iter().all(|&i| slice[i] == lo + i as i64)
+                            }
+                            _ => check_property(
+                                &kept.iter().map(|&i| slice[i]).collect::<Vec<_>>(),
+                                p,
+                            ),
+                        };
+                        assert!(holds, "{at}: {p} fails where {}", guarded.filter);
+                        checks += 1;
+                    }
+                }
+            }
+        }
+    }
+    // 43 properties per scale: a change means the analysis now derives
+    // more or fewer facts on the catalogue — re-bless knowingly.
+    assert_eq!(checks, 3 * 43, "derived properties checked");
 }
 
 #[test]
