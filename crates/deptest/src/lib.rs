@@ -40,4 +40,4 @@ pub mod range_test;
 
 pub use access::{collect_iteration_accesses, AccessRegion, DescriptorSet, IterationAccess};
 pub use monotone::{property_lower_bound, property_proves_nonneg, property_proves_positive};
-pub use range_test::{test_loop, test_program, LoopVerdict, RangeTestConfig};
+pub use range_test::{test_loop, LoopVerdict, RangeTestConfig};

@@ -28,6 +28,7 @@ use ss_symbolic::relation::{Assumptions, Proof};
 use ss_symbolic::simplify::affine_in;
 use ss_symbolic::subst::subst_sym;
 use ss_symbolic::{simplify, simplify_diff, sym_eq, Expr, SymRange};
+use std::cell::OnceCell;
 use std::collections::HashSet;
 
 /// Configuration of the dependence test.
@@ -165,19 +166,6 @@ pub fn test_loop(
     verdict
 }
 
-/// Tests every loop of a program, returning verdicts in loop-id order.
-pub fn test_program(
-    program: &Program,
-    db_for_loop: &dyn Fn(LoopId) -> PropertyDatabase,
-    cfg: &RangeTestConfig,
-) -> Vec<LoopVerdict> {
-    let tree = LoopTree::build(program);
-    tree.loops
-        .iter()
-        .map(|l| test_loop(program, &tree, l.id, &db_for_loop(l.id), cfg))
-        .collect()
-}
-
 fn check_array(
     descriptors: &DescriptorSet,
     array: &str,
@@ -186,12 +174,17 @@ fn check_array(
     asm: &Assumptions,
     verdict: &mut LoopVerdict,
 ) {
-    let accesses = descriptors.for_array(array);
+    let accesses: Vec<Access<'_>> = (descriptors.for_array(array).into_iter())
+        .map(|access| Access {
+            access,
+            facts: OnceCell::new(),
+        })
+        .collect();
     // Every pair (early iteration i, late iteration i+1) involving a write
     // must be independent.
     for early in &accesses {
         for late in &accesses {
-            if !early.is_write && !late.is_write {
+            if !early.access.is_write && !late.access.is_write {
                 continue;
             }
             match pair_independent(early, late, array, info, db, asm) {
@@ -210,6 +203,56 @@ fn check_array(
     }
 }
 
+/// One access of the array under test, with what the Range Test derives
+/// about it alone.  An access takes part in a pair per other access, so
+/// the facts are derived once, by the first pair that needs them; pairs
+/// settled by their guards or by a same-point proof never do.
+struct Access<'a> {
+    access: &'a IterationAccess,
+    facts: OnceCell<Option<AccessFacts>>,
+}
+
+/// The range an access spans at iteration `i` (its subscript bounds, or
+/// for an image under an index array the argument range), that range at
+/// `i+1`, and whether it provably advances up or down with `i`.
+struct AccessFacts {
+    range: SymRange,
+    next: SymRange,
+    up: bool,
+    down: bool,
+}
+
+impl AccessFacts {
+    /// `None` for a region no range describes.
+    fn derive(
+        region: &AccessRegion,
+        var: &str,
+        db: &PropertyDatabase,
+        asm: &Assumptions,
+    ) -> Option<AccessFacts> {
+        let range = match region {
+            AccessRegion::Point(p) => SymRange::exact(p.clone()),
+            AccessRegion::Range(r) | AccessRegion::Indirect { range: r, .. } => r.clone(),
+            AccessRegion::Unknown => return None,
+        };
+        let next = next_iter_range(&range, var);
+        let nonneg = |a: &Expr, b: &Expr| property_proves_nonneg(&simplify_diff(a, b), db, asm);
+        Some(AccessFacts {
+            up: nonneg(&next.lo, &range.lo) && nonneg(&next.hi, &range.hi),
+            down: nonneg(&range.lo, &next.lo) && nonneg(&range.hi, &next.hi),
+            range,
+            next,
+        })
+    }
+}
+
+impl Access<'_> {
+    fn facts(&self, var: &str, db: &PropertyDatabase, asm: &Assumptions) -> Option<&AccessFacts> {
+        let derive = || AccessFacts::derive(&self.access.region, var, db, asm);
+        self.facts.get_or_init(derive).as_ref()
+    }
+}
+
 /// Shifts an expression from iteration `i` to iteration `i+1`.
 fn next_iter(e: &Expr, var: &str) -> Expr {
     simplify(&subst_sym(e, var, &Expr::add(Expr::sym(var), Expr::Int(1))))
@@ -219,15 +262,6 @@ fn next_iter_range(r: &SymRange, var: &str) -> SymRange {
     SymRange {
         lo: next_iter(&r.lo, var),
         hi: next_iter(&r.hi, var),
-    }
-}
-
-/// The `[lo : hi]` bounds of a region (points are degenerate ranges).
-fn region_bounds(region: &AccessRegion) -> Option<SymRange> {
-    match region {
-        AccessRegion::Point(p) => Some(SymRange::exact(p.clone())),
-        AccessRegion::Range(r) => Some(r.clone()),
-        AccessRegion::Indirect { .. } | AccessRegion::Unknown => None,
     }
 }
 
@@ -273,20 +307,19 @@ fn guards_feasible(guards: &[SymCondition], var: &str, shift: i64, asm: &Assumpt
 }
 
 fn pair_independent(
-    early: &IterationAccess,
-    late: &IterationAccess,
+    early: &Access<'_>,
+    late: &Access<'_>,
     array: &str,
     info: &LoopInfo,
     db: &PropertyDatabase,
     asm: &Assumptions,
 ) -> Result<String, String> {
     let var = &info.var;
-    if early.under_unknown_guard || late.under_unknown_guard {
-        // A write under an unrepresentable guard can still be tested — the
-        // guard only removes instances, never adds them — so fall through.
-    }
+    let (e, l) = (early.access, late.access);
     // Vacuous pairs: a guard that cannot hold at the respective iteration.
-    if !guards_feasible(&early.guards, var, 0, asm) || !guards_feasible(&late.guards, var, 1, asm) {
+    // (A write under an unrepresentable guard is still tested: the guard
+    // only removes instances, never adds them.)
+    if !guards_feasible(&e.guards, var, 0, asm) || !guards_feasible(&l.guards, var, 1, asm) {
         return Ok(format!(
             "accesses to '{array}' cannot co-execute in consecutive iterations (guards exclude them)"
         ));
@@ -294,19 +327,11 @@ fn pair_independent(
 
     // Indirect regions (Figure 6): the image of disjoint argument ranges
     // under an injective index array.
-    if let (
-        AccessRegion::Indirect {
-            array: pa,
-            range: ra,
-        },
-        AccessRegion::Indirect {
-            array: pb,
-            range: rb,
-        },
-    ) = (&early.region, &late.region)
+    if let (AccessRegion::Indirect { array: pa, .. }, AccessRegion::Indirect { array: pb, .. }) =
+        (&e.region, &l.region)
     {
         if pa == pb && db.has_property(pa, ArrayProperty::Injective) {
-            return check_advancing_ranges(ra, rb, var, db, asm)
+            return check_advancing_ranges(early, late, var, db, asm)
                 .map(|why| {
                     format!(
                     "writes to '{array}' go through injective index array '{pa}' applied to {why}"
@@ -319,62 +344,62 @@ fn pair_independent(
         ));
     }
 
-    let (Some(ra), Some(rb)) = (region_bounds(&early.region), region_bounds(&late.region)) else {
+    let bounded = |r: &AccessRegion| matches!(r, AccessRegion::Point(_) | AccessRegion::Range(_));
+    if !bounded(&e.region) || !bounded(&l.region) {
         return Err(format!(
             "an access to '{array}' could not be described as a subscript range"
         ));
-    };
+    }
 
     // Same single-point access: injectivity-based reasoning.
-    if early == late {
-        if let AccessRegion::Point(p) = &early.region {
-            if let Some(reason) = injective_subscript(p, var, db, &early.guards) {
+    if e == l {
+        if let AccessRegion::Point(p) = &e.region {
+            if let Some(reason) = injective_subscript(p, var, db, &e.guards) {
                 return Ok(format!("write subscript of '{array}' {reason}"));
             }
         }
     }
 
-    check_advancing_ranges(&ra, &rb, var, db, asm)
+    check_advancing_ranges(early, late, var, db, asm)
         .map(|why| format!("accesses to '{array}' touch {why}"))
         .map_err(|e| format!("accesses to '{array}': {e}"))
 }
 
-/// Proves that region `ra` (iteration `i`) and region `rb` (iteration `i+1`)
-/// cannot overlap, via monotone advancement: both regions move in the same
-/// direction with `i` and the later one starts strictly past the earlier one.
+/// Proves that the region of `early` (iteration `i`) and that of `late`
+/// (iteration `i+1`) cannot overlap, via monotone advancement: both regions
+/// move in the same direction with `i` and the later one starts strictly
+/// past the earlier one.
 fn check_advancing_ranges(
-    ra: &SymRange,
-    rb: &SymRange,
+    early: &Access<'_>,
+    late: &Access<'_>,
     var: &str,
     db: &PropertyDatabase,
     asm: &Assumptions,
 ) -> Result<String, String> {
-    let rb_next = next_iter_range(rb, var);
-    let ra_next = next_iter_range(ra, var);
+    let cannot = "cannot prove the subscript ranges of consecutive iterations disjoint";
+    // Both callers pass described regions; an undescribed one proves nothing.
+    let (Some(a), Some(b)) = (early.facts(var, db, asm), late.facts(var, db, asm)) else {
+        return Err(cannot.to_string());
+    };
     // Increasing direction: regions advance upward and the successor's region
     // begins after the current one ends.
-    let advancing_up = property_proves_nonneg(&simplify_diff(&ra_next.lo, &ra.lo), db, asm)
-        && property_proves_nonneg(&simplify_diff(&ra_next.hi, &ra.hi), db, asm)
-        && property_proves_nonneg(&simplify_diff(&rb_next.lo, &rb.lo), db, asm)
-        && property_proves_nonneg(&simplify_diff(&rb_next.hi, &rb.hi), db, asm);
-    if advancing_up && property_proves_positive(&simplify_diff(&rb_next.lo, &ra.hi), db, asm) {
+    if a.up && b.up && property_proves_positive(&simplify_diff(&b.next.lo, &a.range.hi), db, asm) {
         return Ok(
             "non-overlapping, monotonically advancing subscript ranges in consecutive iterations"
                 .to_string(),
         );
     }
     // Decreasing direction.
-    let advancing_down = property_proves_nonneg(&simplify_diff(&ra.lo, &ra_next.lo), db, asm)
-        && property_proves_nonneg(&simplify_diff(&ra.hi, &ra_next.hi), db, asm)
-        && property_proves_nonneg(&simplify_diff(&rb.lo, &rb_next.lo), db, asm)
-        && property_proves_nonneg(&simplify_diff(&rb.hi, &rb_next.hi), db, asm);
-    if advancing_down && property_proves_positive(&simplify_diff(&ra.lo, &rb_next.hi), db, asm) {
+    if a.down
+        && b.down
+        && property_proves_positive(&simplify_diff(&a.range.lo, &b.next.hi), db, asm)
+    {
         return Ok(
             "non-overlapping, monotonically descending subscript ranges in consecutive iterations"
                 .to_string(),
         );
     }
-    Err("cannot prove the subscript ranges of consecutive iterations disjoint".to_string())
+    Err(cannot.to_string())
 }
 
 /// Tries to prove that a point subscript takes pairwise-distinct values in

@@ -16,9 +16,10 @@
 //!   first, then dependence level sets when the registry row enables them
 //!   (or the run asks for the run-time-inspector baseline, which reads its
 //!   verdict off the same inspection) — and [`Dispatcher::run`] does the
-//!   rest: gate → materialize the iteration space → snapshot scalars →
-//!   one team region over [`SharedSlots`], one *phase* per level → fold
-//!   [`ChunkAcc`] → last-writer / combiner / local-array merge-back.
+//!   rest: gate → size the iteration space (value `k` is `v0 + k·step`,
+//!   nothing materialized) → snapshot scalars → one team region over
+//!   [`SharedSlots`], one *phase* per level → fold [`ChunkAcc`] →
+//!   last-writer / combiner / local-array merge-back.
 //!
 //! A dispatched loop is **one** region, whatever its strategy: each team
 //! member builds one frame, runs its share of phase 0, crosses the team's
@@ -755,9 +756,8 @@ impl<'r> Dispatcher<'r> {
     ) -> Result<bool, ExecError> {
         let lp = body.lp();
         let while_cap = env.while_cap;
-        let (values, exit_value) =
-            materialize_iteration_space(v0, bound, step, lp.cond_op, lp.id, while_cap)?;
-        if values.len() < MIN_PARALLEL_TRIP {
+        let space = IterationSpace::new(v0, bound, step, lp.cond_op, lp.id, while_cap)?;
+        if space.n < MIN_PARALLEL_TRIP {
             return Ok(false);
         }
         let (reductions, levels) = match strategy {
@@ -767,15 +767,15 @@ impl<'r> Dispatcher<'r> {
                 // one frame over the strategy's recording store.
                 let replay = |arrays: InspectArrays<'_>| {
                     let mut w = body.worker::<InspectKind>(spine.regs.to_vec(), arrays);
-                    (values.iter())
-                        .map(|&v| {
-                            w.run_iteration(v).ok()?;
+                    (0..space.n)
+                        .map(|k| {
+                            w.run_iteration(space.value(k)).ok()?;
                             w.frame().1.footprint()
                         })
                         .collect()
                 };
                 let Some((schedule, source)) =
-                    level_sets.schedule(gated, lp.id, &spine, values.len(), while_cap, replay)
+                    level_sets.schedule(gated, lp.id, &spine, space.n, while_cap, replay)
                 else {
                     return Ok(false);
                 };
@@ -796,8 +796,7 @@ impl<'r> Dispatcher<'r> {
             }
         };
         let plan = RegionPlan {
-            values: &values,
-            exit_value,
+            space,
             reductions,
             levels: levels.as_deref(),
         };
@@ -810,37 +809,78 @@ impl<'r> Dispatcher<'r> {
 // The region recipe.
 // ---------------------------------------------------------------------------
 
-/// Materializes the iteration values of a dispatchable loop from its
-/// once-evaluated header (initial value, bound, step): the per-iteration
-/// index values plus the index variable's exit value, under the serial
-/// loop's termination rules (iteration cap, zero step).
-fn materialize_iteration_space(
+/// The iterations of a dispatchable loop, from its once-evaluated header
+/// (initial value, bound, step) under the serial loop's termination rules
+/// (iteration cap, zero step): `n` index values, value `k` being
+/// `v0 + k·step`, and the index variable's exit value.
+#[derive(Clone, Copy, Debug)]
+struct IterationSpace {
     v0: i64,
-    bound: i64,
     step: i64,
-    cond_op: BinOp,
-    loop_id: LoopId,
-    while_cap: u64,
-) -> Result<(Vec<i64>, i64), ExecError> {
-    let mut values = Vec::new();
-    let mut v = v0;
-    while super::serial::compare(cond_op, v, bound) {
-        if values.len() as u64 >= while_cap {
-            return Err(ExecError::NonTerminating {
-                loop_id,
-                cap: while_cap,
-            });
+    n: usize,
+    exit_value: i64,
+}
+
+impl IterationSpace {
+    fn new(
+        v0: i64,
+        bound: i64,
+        step: i64,
+        cond_op: BinOp,
+        loop_id: LoopId,
+        while_cap: u64,
+    ) -> Result<IterationSpace, ExecError> {
+        let non_terminating = ExecError::NonTerminating {
+            loop_id,
+            cap: while_cap,
+        };
+        let space = |n: u64, exit_value| IterationSpace {
+            v0,
+            step,
+            n: n as usize,
+            exit_value,
+        };
+        if !super::serial::compare(cond_op, v0, bound) {
+            return Ok(space(0, v0));
         }
-        values.push(v);
-        v = v.wrapping_add(step);
         if step == 0 {
-            return Err(ExecError::NonTerminating {
-                loop_id,
-                cap: while_cap,
-            });
+            return Err(non_terminating);
         }
+        // In closed form when the index runs monotonically towards the
+        // bound and no value up to the exit value wraps.
+        let (v0w, bw, sw) = (v0 as i128, bound as i128, step as i128);
+        let n = match (cond_op, step > 0) {
+            (BinOp::Lt, true) => Some((bw - v0w + sw - 1) / sw),
+            (BinOp::Le, true) => Some((bw - v0w) / sw + 1),
+            (BinOp::Gt, false) => Some((v0w - bw - sw - 1) / -sw),
+            (BinOp::Ge, false) => Some((v0w - bw) / -sw + 1),
+            _ => None,
+        };
+        if let Some(n) = n {
+            if let Ok(exit_value) = i64::try_from(v0w + n * sw) {
+                return match u64::try_from(n) {
+                    Ok(n) if n <= while_cap => Ok(space(n, exit_value)),
+                    _ => Err(non_terminating),
+                };
+            }
+        }
+        // Otherwise the serial loop's own walk, wrapping as it does.
+        let (mut n, mut v) = (0u64, v0);
+        while super::serial::compare(cond_op, v, bound) {
+            if n >= while_cap {
+                return Err(non_terminating);
+            }
+            n += 1;
+            v = v.wrapping_add(step);
+        }
+        Ok(space(n, v))
     }
-    Ok((values, v))
+
+    /// The index value of iteration `k`: exact, because wrapping addition
+    /// is addition mod 2^64.
+    fn value(&self, k: usize) -> i64 {
+        self.v0.wrapping_add((k as i64).wrapping_mul(self.step))
+    }
 }
 
 /// Maps the user's schedule choice (plus the loop's skew fact) onto a
@@ -872,9 +912,7 @@ fn choose_schedule(
 }
 
 struct RegionPlan<'a> {
-    /// The index variable's value per iteration, and after the loop.
-    values: &'a [i64],
-    exit_value: i64,
+    space: IterationSpace,
     reductions: &'a [ReductionInfo],
     /// `None` runs `0..n` as the region's only phase; a schedule runs its
     /// levels in order, one phase each, with the team's barrier between.
@@ -902,7 +940,7 @@ fn run_region(
 ) -> Result<(), ExecError> {
     let start = Instant::now();
     let RegionPlan {
-        values, reductions, ..
+        space, reductions, ..
     } = *plan;
     let lp = body.lp();
     let threads = opts.threads;
@@ -929,7 +967,7 @@ fn run_region(
     };
     let phases: Vec<Phase<'_>> = (orders.into_iter())
         .map(|order| {
-            let n = order.map_or(values.len(), <[u32]>::len);
+            let n = order.map_or(space.n, <[u32]>::len);
             Phase {
                 order,
                 n,
@@ -966,7 +1004,7 @@ fn run_region(
                     for pos in positions {
                         let k = phase.order.map_or(pos, |o| o[pos] as usize);
                         w.frame().1.current_iter = k;
-                        w.run_iteration(values[k])?;
+                        w.run_iteration(space.value(k))?;
                     }
                     Ok(())
                 };
@@ -1014,7 +1052,7 @@ fn run_region(
         let slot = r.slot.index();
         spine.set(slot, r.op.combine(spine.regs[slot], partial));
     }
-    spine.set(lp.var as usize, plan.exit_value);
+    spine.set(lp.var as usize, space.exit_value);
     for (a, entry) in lp.local_arrays.iter().zip(acc.locals) {
         if let Some((_, arr)) = entry {
             spine.arrays[a.index()] = Some(arr);
@@ -1023,7 +1061,7 @@ fn run_region(
 
     stats.record(
         lp.id,
-        values.len() as u64,
+        space.n as u64,
         start.elapsed().as_secs_f64(),
         ExecMode::Parallel { threads, dynamic },
     );
@@ -1036,6 +1074,115 @@ fn run_region(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The iteration space as the serial loop walks it, every value
+    /// pushed: the oracle for [`IterationSpace::new`].
+    fn materialize_iteration_space(
+        v0: i64,
+        bound: i64,
+        step: i64,
+        cond_op: BinOp,
+        loop_id: LoopId,
+        while_cap: u64,
+    ) -> Result<(Vec<i64>, i64), ExecError> {
+        let mut values = Vec::new();
+        let mut v = v0;
+        while super::super::serial::compare(cond_op, v, bound) {
+            if values.len() as u64 >= while_cap {
+                return Err(ExecError::NonTerminating {
+                    loop_id,
+                    cap: while_cap,
+                });
+            }
+            values.push(v);
+            v = v.wrapping_add(step);
+            if step == 0 {
+                return Err(ExecError::NonTerminating {
+                    loop_id,
+                    cap: while_cap,
+                });
+            }
+        }
+        Ok((values, v))
+    }
+
+    #[test]
+    fn the_iteration_space_is_the_serial_walk_without_the_values() {
+        let near = |base: i64| [base, base.wrapping_add(1), base.wrapping_add(7)];
+        let mut starts = vec![0, 1, -1, 5, -5, 40, i64::MAX];
+        starts.extend(near(i64::MAX - 10));
+        starts.extend(near(i64::MIN));
+        let steps = [
+            0,
+            1,
+            -1,
+            2,
+            -3,
+            7,
+            -7,
+            1 << 62,
+            -(1 << 62),
+            i64::MAX,
+            i64::MIN,
+        ];
+        let ops = [
+            BinOp::Lt,
+            BinOp::Le,
+            BinOp::Gt,
+            BinOp::Ge,
+            BinOp::Eq,
+            BinOp::Ne,
+        ];
+        let (mut multi, mut errors) = (0, 0);
+        for &v0 in &starts {
+            for &bound in &starts {
+                for &step in &steps {
+                    for op in ops {
+                        for cap in [0, 1, 3, 50] {
+                            let id = LoopId(3);
+                            let want = materialize_iteration_space(v0, bound, step, op, id, cap);
+                            let got = IterationSpace::new(v0, bound, step, op, id, cap).map(|s| {
+                                (
+                                    (0..s.n).map(|k| s.value(k)).collect::<Vec<_>>(),
+                                    s.exit_value,
+                                )
+                            });
+                            assert_eq!(
+                                got, want,
+                                "v0={v0} bound={bound} step={step} {op:?} cap={cap}"
+                            );
+                            multi += got.as_ref().is_ok_and(|(v, _)| v.len() > 1) as usize;
+                            errors += got.is_err() as usize;
+                        }
+                    }
+                }
+            }
+        }
+        // The grid reaches multi-iteration spaces and tripped caps alike.
+        assert!(multi > 0 && errors > 0, "{multi} {errors}");
+    }
+
+    #[test]
+    fn a_long_iteration_space_needs_no_walk() {
+        // Near the default cap, and with an exit value at the edge of i64.
+        let id = LoopId(0);
+        let space = IterationSpace::new(0, 100_000_000, 1, BinOp::Lt, id, 100_000_000).unwrap();
+        assert_eq!((space.n, space.exit_value), (100_000_000, 100_000_000));
+        assert_eq!(space.value(99_999_999), 99_999_999);
+        let top = IterationSpace::new(i64::MAX - 9, i64::MAX, 1, BinOp::Lt, id, 1 << 40).unwrap();
+        assert_eq!((top.n, top.exit_value), (9, i64::MAX));
+        let down = IterationSpace::new(10, -20, -3, BinOp::Ge, id, 100).unwrap();
+        assert_eq!((down.n, down.exit_value, down.value(10)), (11, -23, -20));
+        // One past the cap trips it, as the serial loop does.
+        let err = IterationSpace::new(0, 101, 1, BinOp::Lt, id, 100).unwrap_err();
+        assert_eq!(
+            err,
+            ExecError::NonTerminating {
+                loop_id: id,
+                cap: 100
+            }
+        );
+    }
 
     #[test]
     fn a_rewritten_extent_cannot_reach_past_the_buffer() {
@@ -1071,10 +1218,13 @@ mod tests {
             levels: (0..24).map(|k| k / 8).collect(),
             by_level: (0..3).map(|l| (8 * l..8 * l + 8).collect()).collect(),
         };
-        let values: Vec<i64> = (0..24).collect();
         let plan = RegionPlan {
-            values: &values,
-            exit_value: 24,
+            space: IterationSpace {
+                v0: 0,
+                step: 1,
+                n: 24,
+                exit_value: 24,
+            },
             reductions: &[],
             levels: Some(&schedule),
         };

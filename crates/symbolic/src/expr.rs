@@ -188,31 +188,36 @@ impl Expr {
         out
     }
 
-    /// Returns the immediate children of this node.
-    pub fn children(&self) -> Vec<&Expr> {
-        match self {
-            Expr::Int(_) | Expr::Sym(_) | Expr::Lambda(_) | Expr::BigLambda(_) | Expr::Bottom => {
-                vec![]
-            }
-            Expr::ArrayRef(_, idx) => vec![idx],
-            Expr::Add(xs) | Expr::Mul(xs) | Expr::Min(xs) | Expr::Max(xs) => xs.iter().collect(),
-            Expr::Div(a, b) | Expr::Mod(a, b) => vec![a, b],
-        }
-    }
-
     /// Visits every node (pre-order) and returns true if `pred` holds for any.
     pub fn any_node(&self, pred: &mut impl FnMut(&Expr) -> bool) -> bool {
         if pred(self) {
             return true;
         }
-        self.children().into_iter().any(|c| c.any_node(pred))
+        match self {
+            Expr::Int(_) | Expr::Sym(_) | Expr::Lambda(_) | Expr::BigLambda(_) | Expr::Bottom => {
+                false
+            }
+            Expr::ArrayRef(_, idx) => idx.any_node(pred),
+            Expr::Add(xs) | Expr::Mul(xs) | Expr::Min(xs) | Expr::Max(xs) => {
+                xs.iter().any(|x| x.any_node(pred))
+            }
+            Expr::Div(a, b) | Expr::Mod(a, b) => a.any_node(pred) || b.any_node(pred),
+        }
     }
 
     /// Visits every node in pre-order.
     pub fn for_each_node(&self, f: &mut impl FnMut(&Expr)) {
         f(self);
-        for c in self.children() {
-            c.for_each_node(f);
+        match self {
+            Expr::Int(_) | Expr::Sym(_) | Expr::Lambda(_) | Expr::BigLambda(_) | Expr::Bottom => {}
+            Expr::ArrayRef(_, idx) => idx.for_each_node(f),
+            Expr::Add(xs) | Expr::Mul(xs) | Expr::Min(xs) | Expr::Max(xs) => {
+                xs.iter().for_each(|x| x.for_each_node(f))
+            }
+            Expr::Div(a, b) | Expr::Mod(a, b) => {
+                a.for_each_node(f);
+                b.for_each_node(f);
+            }
         }
     }
 

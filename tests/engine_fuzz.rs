@@ -21,9 +21,11 @@
 //!   observe a different failing iteration first, so only the failure
 //!   itself is asserted for them);
 //! * the analysis itself is fuzzed for monotonicity: every loop the
-//!   property-free **baseline** proves parallel must also be proven by the
-//!   **extended** test (index-array properties only ever add facts —
-//!   baseline verdicts ⊆ extended verdicts).
+//!   property-free **baseline** Range Test proves parallel must also be
+//!   proven by the **extended** one (index-array properties only ever add
+//!   facts — baseline verdicts ⊆ extended verdicts).  `parallelize` relies
+//!   on it: it runs the baseline only where the extended test proved, so
+//!   both tests run here directly, on every loop.
 //!
 //! Failures shrink: the harness greedily deletes statements (at any
 //! nesting depth) while the divergence persists and reports the minimal
@@ -34,11 +36,15 @@
 //! `ENGINE_FUZZ_CASES` environment variable for long local hunts.  At or
 //! above the floor the hunt must also have *reached* every dispatch
 //! strategy: it fails if no parallel leg ran a loop as level sets, if no
-//! run-time-inspector-baseline leg produced a verdict, or if no leg found
-//! a level-set schedule by array generation.
+//! run-time-inspector-baseline leg produced a verdict, if no leg found
+//! a level-set schedule by array generation, or if no loop reached the
+//! monotonicity check.
 
 use proptest::TestRng;
+use ss_aggregation::analyze_program;
+use ss_deptest::{test_loop, RangeTestConfig};
 use ss_interp::{ExecOptions, Heap, LegKind, Matrix, ScheduleSource, Session};
+use ss_ir::LoopTree;
 use std::sync::OnceLock;
 
 /// One session for the whole hunt: every generated program compiles once
@@ -608,6 +614,8 @@ struct Reach {
     inspector_legs: usize,
     /// Legs that found some loop's schedule by generation.
     generation_hits: usize,
+    /// Loops both Range Test configurations judged.
+    monotone_loops: usize,
 }
 
 /// The initial heap of every case: the index arrays of the `input`
@@ -635,12 +643,19 @@ fn check_source(src: &str, threads: usize, reach: &mut Reach) -> Option<String> 
     // Fuzz the analysis itself: index-array properties only ever *add*
     // facts, so a loop the property-free baseline proves parallel must
     // stay parallel under the extended test.
-    for l in &artifacts.report.loops {
-        if l.baseline_parallel && !l.parallel {
+    let program = &artifacts.program;
+    let analysis = analyze_program(program);
+    let tree = LoopTree::build(program);
+    for info in &tree.loops {
+        let db = analysis.db_for_loop(info.id);
+        let extended = test_loop(program, &tree, info.id, db, &RangeTestConfig::default());
+        let baseline = test_loop(program, &tree, info.id, db, &RangeTestConfig::baseline());
+        reach.monotone_loops += 1;
+        if baseline.parallel && !extended.parallel {
             return Some(format!(
                 "analysis monotonicity violated: loop {} is baseline-parallel \
                  but extended-serial (blockers: {:?})",
-                l.loop_id.0, l.blockers
+                info.id.0, extended.blockers
             ));
         }
     }
@@ -831,8 +846,8 @@ fn all_engines_agree_on_generated_programs() {
     }
     eprintln!(
         "engine_fuzz: {cases} cases, {} level-set leg(s), {} inspector-verdict leg(s), \
-         {} generation-hit leg(s)",
-        reach.level_set_legs, reach.inspector_legs, reach.generation_hits
+         {} generation-hit leg(s), {} loop(s) checked for monotonicity",
+        reach.level_set_legs, reach.inspector_legs, reach.generation_hits, reach.monotone_loops
     );
     // Short local runs (below the CI floor) are exempt.
     assert!(
@@ -849,6 +864,11 @@ fn all_engines_agree_on_generated_programs() {
         cases < 256 || reach.generation_hits > 0,
         "no leg of {cases} cases found a schedule by generation: the \
          generator no longer reaches the generation-keyed cache"
+    );
+    assert!(
+        cases < 256 || reach.monotone_loops > 0,
+        "no loop of {cases} cases was judged by both Range Test \
+         configurations: the monotonicity check no longer runs"
     );
 }
 

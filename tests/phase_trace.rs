@@ -102,5 +102,6 @@ fn figure9_end_to_end_matches_the_manual_parallelization() {
             assert!(!l.baseline_parallel);
         }
     }
-    assert!(report.newly_enabled_loops().contains(&LoopId(3)));
+    let product = report.loop_report(LoopId(3)).unwrap();
+    assert!(product.manually_parallel && product.parallel && !product.baseline_parallel);
 }

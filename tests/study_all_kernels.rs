@@ -3,6 +3,7 @@
 //! rejected by the property-free baseline, and every index-array fact the
 //! analysis derives must hold on the heap the program itself builds.
 
+use ss_deptest::{test_loop, RangeTestConfig};
 use ss_inspector::inspect::{inspect_index_array, inspect_write_conflicts, InspectorConfig};
 use ss_interp::{synthesize_inputs, EngineRegistry, ExecOptions, Heap, InputSpec};
 use ss_npb::run_catalogue_study;
@@ -195,4 +196,31 @@ fn subscripted_subscript_flags_match_the_blessed_table() {
             .collect();
         assert_eq!(set, flagged, "kernel {name}");
     }
+}
+
+/// `parallelize` runs the baseline test only on loops the extended test
+/// proved, which is sound only if the baseline never proves a loop the
+/// extended test cannot.  Both tests run here on every catalogue loop.
+#[test]
+fn the_baseline_proves_no_loop_the_extended_test_cannot() {
+    let mut loops = 0;
+    for kernel in ss_npb::study_kernels() {
+        let program = ss_ir::parse_program(kernel.name, kernel.source).unwrap();
+        let analysis = ss_aggregation::analyze_program(&program);
+        let tree = ss_ir::LoopTree::build(&program);
+        for info in &tree.loops {
+            let db = analysis.db_for_loop(info.id);
+            let extended = test_loop(&program, &tree, info.id, db, &RangeTestConfig::default());
+            let baseline = test_loop(&program, &tree, info.id, db, &RangeTestConfig::baseline());
+            assert!(
+                extended.parallel || !baseline.parallel,
+                "kernel {} loop {}: baseline-parallel but extended-serial ({:?})",
+                kernel.name,
+                info.id,
+                extended.blockers
+            );
+            loops += 1;
+        }
+    }
+    assert_eq!(loops, 68, "catalogue loops checked");
 }
