@@ -8,6 +8,8 @@
 //! To bless an intentional change:
 //! `UPDATE_GOLDEN=1 cargo test --test analysis_golden`.
 
+mod verdicts;
+
 use ss_ir::parse_program;
 use ss_parallelizer::parallelize;
 use std::fmt::Write as _;
@@ -19,24 +21,7 @@ fn digest() -> String {
         let program = parse_program(kernel.name, kernel.source).expect("kernel parses");
         let report = parallelize(&program);
         writeln!(out, "== {}", kernel.name).unwrap();
-        for l in &report.loops {
-            writeln!(
-                out,
-                "{} parallel={} baseline={} reductions=[{}] wavefront={}",
-                l.loop_id,
-                l.parallel,
-                l.baseline_parallel,
-                l.reduction_clause(),
-                l.wavefront.is_some()
-            )
-            .unwrap();
-            for r in &l.reasons {
-                writeln!(out, "  + {r}").unwrap();
-            }
-            for b in &l.blockers {
-                writeln!(out, "  - {b}").unwrap();
-            }
-        }
+        verdicts::write_loops(&report, &mut out);
     }
     out
 }
