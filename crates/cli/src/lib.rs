@@ -14,7 +14,6 @@
 //! sspar kernels                   # list the built-in catalogue kernels
 //! sspar engines                   # list the registered execution engines
 //! sspar analyze --kernel fig9_csr_product   # analyze a catalogue kernel
-//! sspar tune --kernel sptrsv_levels         # search + persist the best policy
 //! ```
 //!
 //! The CLI is a thin shell over the library API: every command drives one
@@ -36,15 +35,13 @@
 mod analyze;
 mod catalogue;
 mod run;
-mod tune;
 
 use analyze::{analyze_text, trace_text};
 use catalogue::{engines_text, kernels_text, study_text};
 use run::run_text;
-use ss_interp::request::{self, Raw, RunSpec, Surface};
-use ss_interp::{InputSource, InputSpec, OptLevel, RunRequest, Session, SsError};
+use ss_interp::request::{self, Raw, Surface};
+use ss_interp::{OptLevel, RunRequest, Session, SsError};
 use std::sync::OnceLock;
-use tune::tune_text;
 
 /// The process-wide session: one artifact cache and one engine registry
 /// serve every command of every in-process invocation.
@@ -53,13 +50,14 @@ pub(crate) fn session() -> &'static Session {
     SESSION.get_or_init(Session::new)
 }
 
-/// The usage text.  The RUN and TUNE OPTIONS blocks are rendered from the
+/// The usage text.  The RUN OPTIONS block is rendered from the
 /// request-schema table ([`ss_interp::request::FIELDS`]) — flag, value
-/// shape, help and bounds of every row the verb's surface carries — so
-/// they cannot drift from what the parser accepts.
+/// shape, help and bounds of every row `run`'s surface carries — so it
+/// cannot drift from what the parser accepts.
 pub fn usage() -> String {
-    let options =
-        |surface: Surface| -> String { request::fields(surface).map(|f| f.usage_line()).collect() };
+    let run_options: String = request::fields(Surface::CliRun)
+        .map(|f| f.usage_line())
+        .collect();
     format!(
         "sspar — compile-time parallelization of subscripted subscript patterns\n\
          \n\
@@ -70,8 +68,6 @@ pub fn usage() -> String {
          \u{20}   sspar trace   --kernel <name>\n\
          \u{20}   sspar run     <file.c> [run options]\n\
          \u{20}   sspar run     --kernel <name> [run options]\n\
-         \u{20}   sspar tune    <file.c> [tune options]\n\
-         \u{20}   sspar tune    --kernel <name> [tune options]\n\
          \u{20}   sspar study\n\
          \u{20}   sspar kernels\n\
          \u{20}   sspar engines [--format text|json]\n\
@@ -84,10 +80,6 @@ pub fn usage() -> String {
          \u{20}             (the paper's Section 3.5 trace) for every loop\n\
          \u{20}   run       analyze the program, synthesize inputs, execute it\n\
          \u{20}             serially and in parallel, and print per-loop timings\n\
-         \u{20}   tune      search the execution-policy space (engine x opt level x\n\
-         \u{20}             schedule x chunk x threads) with measured trials, print\n\
-         \u{20}             the search table, and persist the winner per\n\
-         \u{20}             (program, input shape) — `run --policy tuned` reapplies it\n\
          \u{20}   study     run the Figure-1 study over the built-in catalogue\n\
          \u{20}   kernels   list the built-in catalogue kernels\n\
          \u{20}   engines   list the registered execution engines and their\n\
@@ -104,16 +96,11 @@ pub fn usage() -> String {
          \u{20}                    the base compiler's (0) or the optimized one (1,\n\
          \u{20}                    default — fused subscripted-subscript loads,\n\
          \u{20}                    compare-and-branch, constant folding)\n\
-         \u{20}   --format <text|json>  analyze/engines/run/tune: output format (default\n\
+         \u{20}   --format <text|json>  analyze/engines/run: output format (default\n\
          \u{20}                    text); JSON schemas are stable for downstream tooling\n\
          \n\
          RUN OPTIONS:\n\
-         {}\
-         \n\
-         TUNE OPTIONS:\n\
-         {}",
-        options(Surface::CliRun),
-        options(Surface::CliTune),
+         {run_options}"
     )
 }
 
@@ -178,18 +165,7 @@ pub enum Command {
         /// shows as [`ss_interp::ValidationMode::Differential`]: the command line
         /// always runs the differential matrix, the flag decides whether
         /// a mismatch fails the command.
-        spec: RunSpec,
-        /// Text or JSON output.
-        format: OutputFormat,
-    },
-    /// `sspar tune …` — search the execution-policy space and persist the
-    /// winner in the session artifact cache.
-    Tune {
-        /// Source of the kernel text.
-        input: Input,
-        /// The search's knobs (request and tuner halves), as the
-        /// request-schema table applied the flags.
-        spec: RunSpec,
+        request: RunRequest,
         /// Text or JSON output.
         format: OutputFormat,
     },
@@ -236,7 +212,7 @@ fn table_flag(
     surface: Surface,
     rest: &[&str],
     i: &mut usize,
-    spec: &mut RunSpec,
+    request: &mut RunRequest,
 ) -> Result<bool, SsError> {
     let Some(field) = request::lookup(surface, rest[*i]) else {
         return Ok(false);
@@ -252,7 +228,7 @@ fn table_flag(
         Raw::Bool(true)
     };
     field
-        .apply(spec, raw)
+        .apply(request, raw)
         .map_err(|e| SsError::Usage(format!("{} {}\n\n{}", e.flag, e.reason, usage())))?;
     *i += 1;
     Ok(true)
@@ -304,11 +280,10 @@ pub fn parse_args(args: &[String]) -> Result<Command, SsError> {
         // The verbs that take a program share one flag walk: the verb's
         // request-schema surface first, then the program selector,
         // `--format`, and `analyze`'s own booleans.
-        "analyze" | "trace" | "run" | "tune" => {
+        "analyze" | "trace" | "run" => {
             let surface = match cmd {
                 "analyze" => Some(Surface::CliAnalyze),
                 "run" => Some(Surface::CliRun),
-                "tune" => Some(Surface::CliTune),
                 _ => None,
             };
             let report = matches!(cmd, "analyze" | "trace");
@@ -317,12 +292,12 @@ pub fn parse_args(args: &[String]) -> Result<Command, SsError> {
             let mut baseline = false;
             let mut no_source = false;
             let mut dump_bytecode = false;
-            let mut spec = RunSpec::default();
+            let mut request = RunRequest::new("", "");
             let mut format = OutputFormat::Text;
             let mut i = 0;
             while i < rest.len() {
                 if let Some(surface) = surface {
-                    if table_flag(surface, &rest, &mut i, &mut spec)? {
+                    if table_flag(surface, &rest, &mut i, &mut request)? {
                         continue;
                     }
                 }
@@ -362,18 +337,13 @@ pub fn parse_args(args: &[String]) -> Result<Command, SsError> {
                     baseline,
                     no_source,
                     dump_bytecode,
-                    opt_level: spec.request.opt_level,
+                    opt_level: request.opt_level,
                     format,
                 },
                 "trace" => Command::Trace { input },
-                "run" => Command::Run {
+                _ => Command::Run {
                     input,
-                    spec,
-                    format,
-                },
-                _ => Command::Tune {
-                    input,
-                    spec,
+                    request,
                     format,
                 },
             })
@@ -417,14 +387,9 @@ pub fn execute(cmd: &Command, reader: &dyn SourceReader) -> Result<String, SsErr
         }
         Command::Run {
             input,
-            spec,
+            request,
             format,
-        } => run_text(program_request(input, spec, reader)?, *format),
-        Command::Tune {
-            input,
-            spec,
-            format,
-        } => tune_text(program_request(input, spec, reader)?, &spec.tuner, *format),
+        } => run_text(program_request(input, request, reader)?, *format),
         Command::Request { line, addr } => request_text(line, addr),
     }
 }
@@ -465,34 +430,25 @@ fn resolve_input(input: &Input, reader: &dyn SourceReader) -> Result<(String, St
     }
 }
 
-/// The session request of a `run`/`tune`: the parsed knobs with the
-/// program `input` names filled in.
+/// The session request of a `run`: the parsed knobs with the program
+/// `input` names filled in.
 fn program_request(
     input: &Input,
-    spec: &RunSpec,
+    request: &RunRequest,
     reader: &dyn SourceReader,
 ) -> Result<RunRequest, SsError> {
     let (name, source) = resolve_input(input, reader)?;
     Ok(RunRequest {
         name,
         source,
-        ..spec.request.clone()
+        ..request.clone()
     })
-}
-
-/// The input scale and seed of a command-line request (which only ever
-/// synthesizes its inputs).
-pub(crate) fn input_spec(request: &RunRequest) -> InputSpec {
-    match &request.inputs {
-        InputSource::Synthesized(spec) => *spec,
-        InputSource::Explicit(_) => unreachable!("no flag supplies an explicit heap"),
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ss_interp::{RunPolicy, ScheduleChoice, TunerConfig, ValidationMode};
+    use ss_interp::{ScheduleChoice, ValidationMode};
     use std::collections::HashMap;
 
     pub(crate) struct MapReader(pub(crate) HashMap<String, String>);
@@ -614,17 +570,22 @@ mod tests {
         for (bad, needle) in [
             (vec!["run", "k.c", "--n", "0"], "--n must be a positive"),
             (vec!["run", "k.c", "--n", "-5"], "--n must be a positive"),
-            (vec!["tune", "k.c", "--n", "1000000"], "no larger than 2048"),
+            (vec!["run", "k.c", "--n", "1000000"], "no larger than 2048"),
             (
                 vec!["run", "k.c", "--threads", "40000"],
                 "--threads must be",
             ),
-            (vec!["tune", "k.c", "--threads", "0"], "--threads must be"),
+            (vec!["run", "k.c", "--threads", "0"], "--threads must be"),
             (
                 vec!["run", "k.c", "--seed", "-1"],
                 "--seed must be an integer no smaller than 0",
             ),
-            (vec!["tune", "k.c", "--seed", "x"], "got 'x'"),
+            (vec!["run", "k.c", "--seed", "x"], "got 'x'"),
+            // The policy search and its verb are gone.
+            (
+                vec!["tune", "--kernel", "sptrsv_levels"],
+                "unknown command 'tune'",
+            ),
         ] {
             match parse_args(&args(&bad)) {
                 Err(SsError::Usage(message)) => {
@@ -641,13 +602,11 @@ mod tests {
     #[test]
     fn usage_lists_every_request_schema_flag() {
         let usage = usage();
-        let (run_block, tune_block) = usage
+        let (_, run_block) = usage
             .split_once("RUN OPTIONS:")
-            .and_then(|(_, rest)| rest.split_once("TUNE OPTIONS:"))
-            .expect("both generated blocks");
+            .expect("the generated block");
         for (surface, block) in [
             (Surface::CliRun, run_block),
-            (Surface::CliTune, tune_block),
             (Surface::CliAnalyze, usage.as_str()),
         ] {
             for field in request::fields(surface) {
@@ -656,8 +615,7 @@ mod tests {
             }
         }
         assert!(run_block.contains("--threads <1..=1024>"), "{run_block}");
-        assert!(!run_block.contains("--repeats"), "{run_block}");
-        assert!(!tune_block.contains("--schedule"), "{tune_block}");
+        assert!(!usage.contains("tune"), "{usage}");
         assert!(!usage.contains("serve"), "{usage}");
     }
 
@@ -718,7 +676,7 @@ mod tests {
         .unwrap();
         for key in [
             "\"program\":\"fig2_ua_transfer\"",
-            "\"engine\":\"bytecode\"",
+            "\"engine\":\"wavefront\"",
             "\"stages\":[",
             "\"dispatched\":[",
         ] {
@@ -757,27 +715,21 @@ mod tests {
                 "ast",
                 "--opt-level",
                 "0",
-                "--policy",
-                "tuned",
                 "--format",
                 "json"
             ]))
             .unwrap(),
             Command::Run {
                 input: Input::File("k.c".into()),
-                spec: RunSpec {
-                    request: RunRequest::new("", "")
-                        .threads(4)
-                        .scale(128)
-                        .seed(9)
-                        .validation(ValidationMode::Differential)
-                        .baseline_inspector(true)
-                        .schedule(ScheduleChoice::Dynamic)
-                        .engine("ast")
-                        .opt_level(OptLevel::O0)
-                        .policy(RunPolicy::Tuned),
-                    tuner: TunerConfig::default(),
-                },
+                request: RunRequest::new("", "")
+                    .threads(4)
+                    .scale(128)
+                    .seed(9)
+                    .validation(ValidationMode::Differential)
+                    .baseline_inspector(true)
+                    .schedule(ScheduleChoice::Dynamic)
+                    .engine("ast")
+                    .opt_level(OptLevel::O0),
                 format: OutputFormat::Json,
             }
         );
@@ -786,7 +738,7 @@ mod tests {
             parse_args(&args(&["run", "--kernel", "fig2_ua_transfer"])).unwrap(),
             Command::Run {
                 input: Input::Catalogue("fig2_ua_transfer".into()),
-                spec: RunSpec::default(),
+                request: RunRequest::new("", ""),
                 format: OutputFormat::Text,
             }
         );
@@ -801,74 +753,11 @@ mod tests {
             vec!["run", "k.c", "--engine", "--validate"],
             vec!["run", "k.c", "--opt-level", "2"],
             vec!["run", "k.c", "--opt-level"],
-            vec!["run", "k.c", "--policy", "fastest"],
-            vec!["run", "k.c", "--policy"],
             vec!["run", "k.c", "--format", "xml"],
-            // Flags of other surfaces: tune's, the wire's.
+            // Flags of the deleted policy search, and the wire's.
+            vec!["run", "k.c", "--policy", "tuned"],
             vec!["run", "k.c", "--repeats", "2"],
             vec!["run", "k.c", "--mode", "serial"],
-        ] {
-            assert!(
-                matches!(parse_args(&args(&bad)), Err(SsError::Usage(_))),
-                "{bad:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn parse_args_recognizes_tune() {
-        assert_eq!(
-            parse_args(&args(&["tune", "--kernel", "sptrsv_levels"])).unwrap(),
-            Command::Tune {
-                input: Input::Catalogue("sptrsv_levels".into()),
-                spec: RunSpec::default(),
-                format: OutputFormat::Text,
-            }
-        );
-        assert_eq!(
-            parse_args(&args(&[
-                "tune",
-                "k.c",
-                "--budget-trials",
-                "6",
-                "--repeats",
-                "2",
-                "--threads",
-                "2",
-                "--n",
-                "64",
-                "--seed",
-                "7",
-                "--trial-seed",
-                "3",
-                "--format",
-                "json"
-            ]))
-            .unwrap(),
-            Command::Tune {
-                input: Input::File("k.c".into()),
-                spec: RunSpec {
-                    request: RunRequest::new("", "").threads(2).scale(64).seed(7),
-                    tuner: TunerConfig {
-                        budget_trials: Some(6),
-                        repeats: 2,
-                        seed: 3,
-                        ..TunerConfig::default()
-                    },
-                },
-                format: OutputFormat::Json,
-            }
-        );
-        for bad in [
-            vec!["tune"],
-            vec!["tune", "k.c", "--budget-trials", "0"],
-            vec!["tune", "k.c", "--repeats", "x"],
-            vec!["tune", "k.c", "--format", "xml"],
-            vec!["tune", "k.c", "--bogus"],
-            // Flags of `run`'s surface only.
-            vec!["tune", "k.c", "--schedule", "static"],
-            vec!["tune", "k.c", "--validate"],
-            vec!["bench"],
         ] {
             assert!(
                 matches!(parse_args(&args(&bad)), Err(SsError::Usage(_))),

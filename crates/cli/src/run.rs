@@ -1,7 +1,7 @@
 //! `sspar run`: the per-loop execution table of one differential run.
 
-use crate::{input_spec, session, OutputFormat};
-use ss_interp::{ExecMode, RunRequest, SsError, ValidationMode};
+use crate::{session, OutputFormat};
+use ss_interp::{ExecMode, InputSource, RunRequest, SsError, ValidationMode};
 use ss_parallelizer::VerdictKind;
 
 pub(crate) fn run_text(request: RunRequest, format: OutputFormat) -> Result<String, SsError> {
@@ -19,7 +19,9 @@ pub(crate) fn run_text(request: RunRequest, format: OutputFormat) -> Result<Stri
         return Ok(outcome.to_json() + "\n");
     }
     let name = &request.name;
-    let inputs = input_spec(&request);
+    let InputSource::Synthesized(inputs) = &request.inputs else {
+        unreachable!("no flag supplies an explicit heap")
+    };
 
     // Opt-level-sensitive engines show which stream they ran.
     let resolved = session().registry().get(&outcome.engine)?;
@@ -42,13 +44,6 @@ pub(crate) fn run_text(request: RunRequest, format: OutputFormat) -> Result<Stri
         "== {name}: executed with scale n={} seed={} on {} thread(s), {engine_name} ==\n",
         inputs.scale, inputs.seed, outcome.threads
     ));
-    if outcome.policy != "default" {
-        out.push_str(&format!(
-            "policy: {} ({})\n",
-            outcome.policy,
-            outcome.policy_provenance.as_deref().unwrap_or("-")
-        ));
-    }
     out.push('\n');
     out.push_str(&format!(
         "{:<6} {:<7} {:<10} {:<18} {:>12} {:>12} {:>9}\n",
@@ -172,6 +167,7 @@ mod tests {
     fn run_validates_under_every_engine_and_opt_level() {
         let reader = MapReader(HashMap::new());
         for (engine_args, shown) in [
+            (vec![], "wavefront (O1) engine"),
             (vec!["--engine", "bytecode"], "bytecode (O1) engine"),
             (
                 vec!["--engine", "bytecode", "--opt-level", "0"],
@@ -248,7 +244,7 @@ mod tests {
         .unwrap();
         for key in [
             "\"program\":\"fig2_ua_transfer\"",
-            "\"engine\":\"bytecode\"",
+            "\"engine\":\"wavefront\"",
             "\"validation\":{\"heaps_match\":true",
             "\"dispatched\":[",
         ] {
@@ -280,11 +276,11 @@ mod tests {
         // The requested (default) engine ran the parallel leg itself and
         // produced the verdict: 64 random indices below 64 collide.
         assert!(
-            out.contains("bytecode (O1) engine + inspector baseline =="),
+            out.contains("wavefront (O1) engine + inspector baseline =="),
             "{out}"
         );
         assert!(out.contains("runtime inspector baseline: refuses"), "{out}");
-        assert!(out.contains("parallel bytecode"), "{out}");
+        assert!(out.contains("parallel wavefront"), "{out}");
         assert!(out.contains("validation: PASS"));
     }
 

@@ -10,8 +10,8 @@
 //! The pieces:
 //!
 //! * [`protocol`] — the newline-delimited JSON wire format: `analyze`,
-//!   `run`, `tune`, `engines`, `stats`, `shutdown` requests, whose
-//!   `run`/`tune` knobs are the rows of the one request-schema table
+//!   `run`, `engines`, `stats`, `shutdown` requests, whose `run` knobs
+//!   are the rows of the one request-schema table
 //!   (`ss_interp::request`) the CLI's flags come from too; `{"ok":…}`
 //!   response envelopes whose payloads are the *same* stable JSON schemas
 //!   the CLI prints (one serializer path, `ss_interp::json`);

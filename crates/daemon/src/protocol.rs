@@ -14,8 +14,8 @@
 
 use crate::jsonin::{self, Value};
 use ss_interp::json;
-use ss_interp::request::{self, Raw, RunSpec, Surface};
-use ss_interp::SsError;
+use ss_interp::request::{self, Raw, Surface};
+use ss_interp::{RunRequest, SsError};
 
 /// The operations a request line can name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,10 +25,6 @@ pub enum Op {
     Analyze,
     /// Compile and execute, returning the stable `RunOutcome` JSON.
     Run,
-    /// Search the execution-policy space for the program and input shape,
-    /// persist the winner in the tenant's cache, and return the search
-    /// outcome (`TuneOutcome` JSON).
-    Tune,
     /// The engine registry (names, capabilities, opt levels).
     Engines,
     /// Daemon-wide counters: per-endpoint latency percentiles, queue
@@ -44,7 +40,6 @@ impl Op {
         match self {
             Op::Analyze => "analyze",
             Op::Run => "run",
-            Op::Tune => "tune",
             Op::Engines => "engines",
             Op::Stats => "stats",
             Op::Shutdown => "shutdown",
@@ -70,11 +65,10 @@ pub struct Request {
     pub source: Option<String>,
     /// Embed the final heap in the `run` response.
     pub include_heap: bool,
-    /// The knobs of a `run` or `tune` — every key the
-    /// [`ss_interp::request`] table carries on the op's wire surface,
-    /// applied over the wire's starting point (program left empty until
-    /// the service resolves `kernel`/`source`).
-    pub spec: RunSpec,
+    /// The knobs of a `run` — every key the [`ss_interp::request`] table
+    /// carries on the wire, applied over the wire's starting point
+    /// (program left empty until the service resolves `kernel`/`source`).
+    pub run: RunRequest,
 }
 
 /// A structured wire failure: a stable machine-readable `class`, a human
@@ -221,13 +215,12 @@ pub fn parse_request(line: &str) -> Result<Request, WireError> {
     let op = match value.get("op").and_then(Value::as_str) {
         Some("analyze") => Op::Analyze,
         Some("run") => Op::Run,
-        Some("tune") => Op::Tune,
         Some("engines") => Op::Engines,
         Some("stats") => Op::Stats,
         Some("shutdown") => Op::Shutdown,
         Some(other) => {
             return Err(WireError::malformed(format!(
-                "unknown op '{other}' (expected analyze|run|tune|engines|stats|shutdown)"
+                "unknown op '{other}' (expected analyze|run|engines|stats|shutdown)"
             )))
         }
         None => return Err(WireError::malformed("missing string field 'op'")),
@@ -249,7 +242,7 @@ pub fn parse_request(line: &str) -> Result<Request, WireError> {
 
     let kernel = str_field("kernel")?;
     let source = str_field("source")?;
-    if matches!(op, Op::Analyze | Op::Run | Op::Tune) {
+    if matches!(op, Op::Analyze | Op::Run) {
         match (&kernel, &source) {
             (Some(_), Some(_)) => {
                 return Err(WireError::malformed(
@@ -266,17 +259,12 @@ pub fn parse_request(line: &str) -> Result<Request, WireError> {
         }
     }
 
-    // The knobs: every key of the op's surface in the request-schema
+    // The knobs: every key of the wire surface in the request-schema
     // table is checked (kind, bounds) and applied; every other key is
     // ignored (forward compatibility).  The wire starts from the
     // embedding API's defaults, as the command line does.
-    let mut spec = RunSpec::default();
-    let surface = match op {
-        Op::Run => Some(Surface::WireRun),
-        Op::Tune => Some(Surface::WireTune),
-        _ => None,
-    };
-    if let Some(surface) = surface {
+    let mut run = RunRequest::new("", "");
+    if op == Op::Run {
         for (key, v) in entries {
             let raw = match v {
                 Value::Null => continue,
@@ -285,9 +273,9 @@ pub fn parse_request(line: &str) -> Result<Request, WireError> {
                 Value::Num(_) => v.as_i64().map_or(Raw::Other, Raw::Int),
                 Value::Arr(_) | Value::Obj(_) => Raw::Other,
             };
-            if let Some(field) = request::lookup(surface, key) {
+            if let Some(field) = request::lookup(Surface::WireRun, key) {
                 field
-                    .apply(&mut spec, raw)
+                    .apply(&mut run, raw)
                     .map_err(|e| WireError::malformed(format!("'{}' {}", e.key, e.reason)))?;
             }
         }
@@ -301,16 +289,14 @@ pub fn parse_request(line: &str) -> Result<Request, WireError> {
         name: str_field("name")?,
         source,
         include_heap,
-        spec,
+        run,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ss_interp::{
-        ExecutionMode, InputSource, InputSpec, OptLevel, RunPolicy, RunRequest, ValidationMode,
-    };
+    use ss_interp::{ExecutionMode, InputSource, InputSpec, OptLevel, ValidationMode};
 
     fn input_spec(request: &RunRequest) -> InputSpec {
         match &request.inputs {
@@ -329,11 +315,11 @@ mod tests {
         assert!(r.id.is_none());
         // No knob given: the wire's starting point, which is the embedding
         // API's (scale 64, not the command line's 256).
-        assert_eq!(r.spec, RunSpec::default());
-        assert_eq!(r.spec.request.opt_level, OptLevel::O1);
-        assert_eq!(r.spec.request.validation, ValidationMode::None);
-        assert_eq!(r.spec.request.mode, ExecutionMode::Both);
-        assert_eq!(input_spec(&r.spec.request).scale, 64);
+        assert_eq!(r.run, RunRequest::new("", ""));
+        assert_eq!(r.run.opt_level, OptLevel::O1);
+        assert_eq!(r.run.validation, ValidationMode::None);
+        assert_eq!(r.run.mode, ExecutionMode::Both);
+        assert_eq!(input_spec(&r.run).scale, 64);
 
         let r = parse_request(r#"{"op":"engines"}"#).unwrap();
         assert_eq!(r.op, Op::Engines);
@@ -350,7 +336,7 @@ mod tests {
         assert_eq!(r.id.as_deref(), Some("7"));
         assert_eq!(r.tenant, "t1");
         assert!(r.include_heap);
-        let run = &r.spec.request;
+        let run = &r.run;
         assert_eq!(run.engine.as_deref(), Some("bytecode"));
         assert_eq!(run.opt_level, OptLevel::O0);
         assert_eq!(run.threads, Some(2));
@@ -361,43 +347,16 @@ mod tests {
         let r = parse_request(r#"{"op":"stats","id":"abc"}"#).unwrap();
         assert_eq!(r.id.as_deref(), Some("\"abc\""));
 
-        // Keys outside the op's surface are unknown keys, and unknown keys
-        // are ignored: `schedule` is command-line only, `budget_trials`
-        // belongs to `tune`, `frobnicate` to nobody.
+        // Keys outside the wire surface are unknown keys, and unknown keys
+        // are ignored: `schedule` is command-line only, `policy` and
+        // `budget_trials` belonged to the deleted policy search,
+        // `frobnicate` to nobody.
         let r = parse_request(
             r#"{"op":"run","kernel":"k","schedule":"dynamic","budget_trials":3,
-               "frobnicate":[1],"threads":null}"#,
+               "policy":"tuned","frobnicate":[1],"threads":null}"#,
         )
         .unwrap();
-        assert_eq!(r.spec, RunSpec::default());
-    }
-
-    #[test]
-    fn tune_and_policy_fields_parse() {
-        let r =
-            parse_request(r#"{"op":"tune","kernel":"sptrsv_levels","budget_trials":6}"#).unwrap();
-        assert_eq!(r.op, Op::Tune);
-        assert_eq!(r.spec.tuner.budget_trials, Some(6));
-        assert_eq!(r.spec.request.policy, RunPolicy::Default);
-
-        let r = parse_request(r#"{"op":"run","kernel":"k","policy":"tuned"}"#).unwrap();
-        assert_eq!(r.spec.request.policy, RunPolicy::Tuned);
-
-        for (line, needle) in [
-            (r#"{"op":"tune"}"#, "needs a program"),
-            (
-                r#"{"op":"run","kernel":"k","policy":"fastest"}"#,
-                "default|tuned",
-            ),
-            (
-                r#"{"op":"tune","kernel":"k","budget_trials":0}"#,
-                "positive",
-            ),
-        ] {
-            let err = parse_request(line).unwrap_err();
-            assert_eq!(err.class, "malformed", "{line}");
-            assert!(err.message.contains(needle), "{line}: {}", err.message);
-        }
+        assert_eq!(r.run, RunRequest::new("", ""));
     }
 
     #[test]
@@ -406,6 +365,8 @@ mod tests {
             ("not json", "bad JSON"),
             ("[1,2]", "must be a JSON object"),
             (r#"{"op":"dance"}"#, "unknown op"),
+            // The policy search is gone with its op.
+            (r#"{"op":"tune","kernel":"k"}"#, "unknown op 'tune'"),
             (r#"{"kernel":"k"}"#, "missing string field 'op'"),
             (r#"{"op":"run"}"#, "needs a program"),
             (r#"{"op":"run","kernel":"k","source":"x = 1;"}"#, "not both"),
@@ -420,7 +381,7 @@ mod tests {
             (r#"{"op":"run","kernel":"k","scale":-5}"#, "'scale'"),
             (r#"{"op":"run","kernel":"k","seed":-1}"#, "'seed'"),
             (r#"{"op":"run","kernel":"k","threads":40000}"#, "'threads'"),
-            (r#"{"op":"tune","kernel":"k","scale":1000000}"#, "'scale'"),
+            (r#"{"op":"run","kernel":"k","scale":1000000}"#, "'scale'"),
             (r#"{"op":"run","kernel":"k","threads":2.5}"#, "'threads'"),
             (
                 r#"{"op":"run","kernel":"k","validate":"yes"}"#,

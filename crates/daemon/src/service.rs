@@ -134,22 +134,16 @@ impl Service {
                     .map_err(|e| WireError::from(&e))?;
                 Ok(analysis_json(&artifacts))
             }
-            Op::Run | Op::Tune => {
+            Op::Run => {
                 // The request schema already applied every knob; what is
                 // left is the service's own: the program and the shard's
                 // thread team.
                 let (name, source) = self.resolve_program(req)?;
                 let session = self.session(&req.tenant);
-                let mut run = req.spec.request.clone();
+                let mut run = req.run.clone();
                 run.team_group = self.shard(&req.tenant, &name) + 1;
                 run.name = name;
                 run.source = source;
-                if req.op == Op::Tune {
-                    let outcome = session
-                        .tune(&run, &req.spec.tuner)
-                        .map_err(|e| WireError::from(&e))?;
-                    return Ok(outcome.to_json());
-                }
                 let outcome = session.run(&run).map_err(|e| WireError::from(&e))?;
                 Ok(if req.include_heap {
                     outcome.to_json_with_heap()
@@ -166,7 +160,6 @@ impl Service {
         let tenants = self.tenants.lock().unwrap_or_else(|e| e.into_inner());
         let tenants_json = json::object(tenants.iter().map(|(name, session)| {
             let cache = session.cache_stats();
-            let tuner = session.tuner_stats();
             (
                 name.as_str(),
                 json::object([
@@ -190,8 +183,6 @@ impl Service {
                             .unwrap_or_else(|| "null".to_string()),
                     ),
                     ("policy", json::string(cache.policy)),
-                    ("tuned_searches", tuner.searches.to_string()),
-                    ("tuned_hits", tuner.hits.to_string()),
                 ]),
             )
         }));
@@ -302,61 +293,6 @@ mod tests {
                 .unwrap()
                 > 0
         );
-    }
-
-    #[test]
-    fn tune_dispatches_and_stats_count_tuned_policies() {
-        let s = service();
-        let tune = parse_request(
-            r#"{"op":"tune","kernel":"fig2_ua_transfer","threads":2,"scale":40,
-                "budget_trials":4}"#,
-        )
-        .unwrap();
-        let outcome = jsonin::parse(&s.dispatch(&tune).unwrap()).unwrap();
-        assert_eq!(
-            outcome.get("program").and_then(|p| p.as_str()),
-            Some("fig2_ua_transfer")
-        );
-        assert_eq!(
-            outcome.get("provenance").and_then(|p| p.as_str()),
-            Some("tuned-search")
-        );
-        assert!(outcome.get("winner").and_then(|w| w.get("label")).is_some());
-
-        // The same shape reapplies the persisted winner: no re-search.
-        let again = jsonin::parse(&s.dispatch(&tune).unwrap()).unwrap();
-        assert_eq!(
-            again.get("provenance").and_then(|p| p.as_str()),
-            Some("tuned-cache")
-        );
-
-        // A tuned run applies it too, and reports the provenance.
-        let run = parse_request(
-            r#"{"op":"run","kernel":"fig2_ua_transfer","threads":2,"scale":40,
-                "policy":"tuned","validate":true}"#,
-        )
-        .unwrap();
-        let run_out = jsonin::parse(&s.dispatch(&run).unwrap()).unwrap();
-        assert_eq!(
-            run_out.get("policy").and_then(|p| p.as_str()),
-            Some("tuned")
-        );
-        assert_eq!(
-            run_out.get("policy_provenance").and_then(|p| p.as_str()),
-            Some("tuned-cache")
-        );
-
-        let stats = parse_request(r#"{"op":"stats"}"#).unwrap();
-        let snapshot = jsonin::parse(&s.dispatch(&stats).unwrap()).unwrap();
-        let tenant = snapshot
-            .get("tenants")
-            .and_then(|t| t.get("default"))
-            .unwrap();
-        assert_eq!(
-            tenant.get("tuned_searches").and_then(|v| v.as_i64()),
-            Some(1)
-        );
-        assert_eq!(tenant.get("tuned_hits").and_then(|v| v.as_i64()), Some(2));
     }
 
     #[test]

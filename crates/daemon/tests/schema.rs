@@ -5,10 +5,8 @@
 
 use ss_daemon::jsonin::{self, Value};
 use ss_daemon::protocol::parse_request;
-use ss_interp::request::{self, Field, Kind, Raw, RunSpec, Surface};
-use ss_interp::{
-    analysis_json, json, registry_json, RunRequest, Session, TunerConfig, ValidationMode,
-};
+use ss_interp::request::{self, Field, Kind, Raw, Surface};
+use ss_interp::{analysis_json, json, registry_json, RunRequest, Session, ValidationMode};
 
 /// In-range and out-of-range sample values of a row, in the spelling a
 /// command line would carry them (JSON renders them per kind below).
@@ -31,62 +29,56 @@ fn samples(field: &Field) -> (Vec<String>, Vec<String>) {
     }
 }
 
-/// For every row carried by both a command-line and a wire surface: the
-/// flag spelling and the JSON spelling of the same in-range value build
-/// equal `RunSpec`s, and the same out-of-range value is rejected by both.
+/// For every row carried by both the command line and the wire: the flag
+/// spelling and the JSON spelling of the same in-range value build equal
+/// `RunRequest`s, and the same out-of-range value is rejected by both.
 #[test]
 fn flag_and_json_spellings_of_every_shared_row_agree() {
     let mut shared = 0;
-    for (cli, wire, op) in [
-        (Surface::CliRun, Surface::WireRun, "run"),
-        (Surface::CliTune, Surface::WireTune, "tune"),
-    ] {
-        for field in request::fields(cli).filter(|f| f.on.contains(&wire)) {
-            shared += 1;
-            let by_flag = request::lookup(cli, field.flag).expect("carried by the surface");
-            let line = |value: &str| {
-                let rendered = match field.kind {
-                    Kind::Int(..) | Kind::Flag(_) => value.to_string(),
-                    Kind::Choice(_) | Kind::Text(_) => json::string(value),
-                };
-                format!(r#"{{"op":"{op}","kernel":"k","{}":{rendered}}}"#, field.key)
+    for field in request::fields(Surface::CliRun).filter(|f| f.on.contains(&Surface::WireRun)) {
+        shared += 1;
+        let by_flag = request::lookup(Surface::CliRun, field.flag).expect("carried by the surface");
+        let line = |value: &str| {
+            let rendered = match field.kind {
+                Kind::Int(..) | Kind::Flag(_) => value.to_string(),
+                Kind::Choice(_) | Kind::Text(_) => json::string(value),
             };
-            let (good, bad) = samples(field);
-            for value in &good {
-                let mut from_flag = RunSpec::default();
-                let raw = if by_flag.takes_value() {
-                    Raw::Arg(value)
-                } else {
-                    Raw::Bool(true)
-                };
-                by_flag.apply(&mut from_flag, raw).expect(field.flag);
-                let from_wire = parse_request(&line(value)).expect(field.key).spec;
-                assert_eq!(from_flag, from_wire, "{} = {value}", field.key);
-            }
-            for value in &bad {
-                let mut spec = RunSpec::default();
-                let flag_err = by_flag.apply(&mut spec, Raw::Arg(value)).unwrap_err();
-                let wire_err = parse_request(&line(value)).unwrap_err();
-                assert_eq!(wire_err.class, "malformed", "{} = {value}", field.key);
-                // Same expectation in both messages; only the echo of the
-                // offending value is spelled per surface.
-                let (expects, _) = flag_err
-                    .reason
-                    .split_once(", got")
-                    .expect("must be …, got …");
-                assert!(
-                    wire_err.message.contains(field.key) && wire_err.message.contains(expects),
-                    "{} = {value}: {} vs {}",
-                    field.key,
-                    wire_err.message,
-                    flag_err.reason
-                );
-            }
+            format!(r#"{{"op":"run","kernel":"k","{}":{rendered}}}"#, field.key)
+        };
+        let (good, bad) = samples(field);
+        for value in &good {
+            let mut from_flag = RunRequest::new("", "");
+            let raw = if by_flag.takes_value() {
+                Raw::Arg(value)
+            } else {
+                Raw::Bool(true)
+            };
+            by_flag.apply(&mut from_flag, raw).expect(field.flag);
+            let from_wire = parse_request(&line(value)).expect(field.key).run;
+            assert_eq!(from_flag, from_wire, "{} = {value}", field.key);
+        }
+        for value in &bad {
+            let mut request = RunRequest::new("", "");
+            let flag_err = by_flag.apply(&mut request, Raw::Arg(value)).unwrap_err();
+            let wire_err = parse_request(&line(value)).unwrap_err();
+            assert_eq!(wire_err.class, "malformed", "{} = {value}", field.key);
+            // Same expectation in both messages; only the echo of the
+            // offending value is spelled per surface.
+            let (expects, _) = flag_err
+                .reason
+                .split_once(", got")
+                .expect("must be …, got …");
+            assert!(
+                wire_err.message.contains(field.key) && wire_err.message.contains(expects),
+                "{} = {value}: {} vs {}",
+                field.key,
+                wire_err.message,
+                flag_err.reason
+            );
         }
     }
-    // engine, opt_level, threads, scale, seed, policy, validate on run;
-    // threads, scale, seed, budget_trials on tune.
-    assert_eq!(shared, 11);
+    // engine, opt_level, threads, scale, seed, validate.
+    assert_eq!(shared, 6);
 }
 
 /// Keeps the hand-written protocol paragraph honest: every key a wire
@@ -108,9 +100,7 @@ fn readme_request_fields_paragraph_names_every_wire_key() {
         "name",
         "include_heap",
     ];
-    let schema = request::fields(Surface::WireRun)
-        .chain(request::fields(Surface::WireTune))
-        .map(|f| f.key);
+    let schema = request::fields(Surface::WireRun).map(|f| f.key);
     for key in own.into_iter().chain(schema) {
         assert!(
             paragraph.contains(&format!("`{key}`")),
@@ -212,19 +202,12 @@ fn emitted_json_parses_back_to_what_was_emitted() {
         .threads(2)
         .scale(32)
         .validation(ValidationMode::Differential);
-    let tuner = TunerConfig {
-        budget_trials: Some(2),
-        repeats: 1,
-        ..TunerConfig::default()
-    };
     let run = session.run(&request).expect("run");
-    let tune = session.tune(&request, &tuner).expect("tune");
     let artifacts = session
         .artifacts(kernel.name, kernel.source)
         .expect("artifacts");
     for (what, emitted) in [
         ("run outcome", run.to_json_with_heap()),
-        ("tune outcome", tune.to_json()),
         ("analysis", analysis_json(&artifacts)),
     ] {
         let parsed = jsonin::parse(&emitted).unwrap_or_else(|e| panic!("{what}: {e}"));

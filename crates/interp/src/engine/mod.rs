@@ -298,9 +298,10 @@ pub struct ExecOptions {
     /// Scheduling of dispatched loops.
     pub schedule: ScheduleChoice,
     /// Fixed chunk size for dynamic (chunk-stealing) scheduling; `None`
-    /// derives the chunk from the iteration count and thread count.  Only
-    /// consulted when the resolved schedule is dynamic — this is the
-    /// tuner's chunk-size axis.
+    /// (every request's setting) derives the chunk from the iteration
+    /// count and thread count.  Only consulted when the resolved schedule
+    /// is dynamic; tests set it to force chunks smaller than the derived
+    /// ones.
     pub chunk: Option<usize>,
     /// Which bytecode stream the bytecode engine executes: the base
     /// compiler's (`O0`) or the optimized one (`O1`, the default).  Both

@@ -105,7 +105,7 @@ enum Executor {
     /// The flat register-machine stream, O0 or O1 (`bytecode`).
     Bytecode,
     /// That stream lowered once into a direct-threaded handler chain
-    /// (`threaded`, `wavefront`).
+    /// (`wavefront`, `threaded`).
     Threaded,
 }
 
@@ -129,13 +129,26 @@ const DISPATCHING: EngineCaps = EngineCaps {
     opt_levels: &[OptLevel::O0, OptLevel::O1],
 };
 
-/// The built-in engines, default first.  `wavefront` is the threaded
-/// executor with the level-set strategy switched on — the only difference
-/// between the two rows is [`EngineCaps::level_sets`].  Every dispatching
-/// row (`bytecode`, `threaded`, `compiled`, `wavefront`) dispatches the
-/// same region body, the loop's lowered threaded chain; the rows differ
-/// in their spine and strategies.
+/// The built-in engines, default first.  The default, `wavefront`, is the
+/// threaded executor with the level-set strategy switched on — the only
+/// difference between it and the `threaded` row is
+/// [`EngineCaps::level_sets`].  Level sets run only on loops the
+/// compile-time wavefront gate approves and whose levels are wide enough
+/// on the run's input; every other loop runs as on `threaded`, so the
+/// default's serial and parallel legs share one executor.  Every
+/// dispatching row (`wavefront`, `bytecode`, `threaded`, `compiled`)
+/// dispatches the same region body, the loop's lowered threaded chain;
+/// the rows differ in their spine and strategies.
 const BUILTINS: [Builtin; 5] = [
+    Builtin {
+        name: "wavefront",
+        description: "direct-threaded chain plus level-set scheduling of carried loops",
+        executor: Executor::Threaded,
+        caps: EngineCaps {
+            level_sets: true,
+            ..DISPATCHING
+        },
+    },
     Builtin {
         name: "bytecode",
         description: "flat register-machine stream (O0/O1), persistent thread team",
@@ -155,15 +168,6 @@ const BUILTINS: [Builtin; 5] = [
         executor: Executor::Compiled,
         caps: EngineCaps {
             opt_levels: &[OptLevel::O1],
-            ..DISPATCHING
-        },
-    },
-    Builtin {
-        name: "wavefront",
-        description: "direct-threaded chain plus level-set scheduling of carried loops",
-        executor: Executor::Threaded,
-        caps: EngineCaps {
-            level_sets: true,
             ..DISPATCHING
         },
     },
@@ -256,8 +260,8 @@ pub struct EngineRegistry {
 }
 
 impl EngineRegistry {
-    /// The built-in engines, default first: `bytecode`, `threaded`,
-    /// `compiled`, `wavefront`, `ast`.
+    /// The built-in engines, default first: `wavefront`, `bytecode`,
+    /// `threaded`, `compiled`, `ast`.
     pub fn builtin() -> EngineRegistry {
         let mut r = EngineRegistry::empty();
         for row in BUILTINS {
@@ -356,9 +360,9 @@ mod tests {
         let r = EngineRegistry::builtin();
         assert_eq!(
             r.names(),
-            vec!["bytecode", "threaded", "compiled", "wavefront", "ast"]
+            vec!["wavefront", "bytecode", "threaded", "compiled", "ast"]
         );
-        assert_eq!(r.default_engine().name(), "bytecode");
+        assert_eq!(r.default_engine().name(), "wavefront");
         assert_eq!(r.reference().unwrap().name(), "ast");
         assert_eq!(r.len(), 5);
         assert!(!r.is_empty());
@@ -372,7 +376,7 @@ mod tests {
                 assert_eq!(name, "jit");
                 assert_eq!(
                     available,
-                    vec!["bytecode", "threaded", "compiled", "wavefront", "ast"]
+                    vec!["wavefront", "bytecode", "threaded", "compiled", "ast"]
                 );
             }
             other => panic!("expected UnknownEngine, got {other:?}"),
@@ -382,10 +386,10 @@ mod tests {
     #[test]
     fn registering_a_same_named_engine_replaces_it_in_place() {
         #[derive(Debug)]
-        struct FakeBytecode(Arc<dyn Engine>);
-        impl Engine for FakeBytecode {
+        struct FakeWavefront(Arc<dyn Engine>);
+        impl Engine for FakeWavefront {
             fn name(&self) -> &'static str {
-                "bytecode"
+                "wavefront"
             }
             fn description(&self) -> &'static str {
                 "fake"
@@ -411,9 +415,9 @@ mod tests {
             }
         }
         let mut r = EngineRegistry::builtin();
-        r.register(Arc::new(FakeBytecode(r.reference().unwrap())));
+        r.register(Arc::new(FakeWavefront(r.reference().unwrap())));
         assert_eq!(r.len(), 5);
-        assert_eq!(r.default_engine().name(), "bytecode");
+        assert_eq!(r.default_engine().name(), "wavefront");
         assert_eq!(r.default_engine().description(), "fake");
     }
 
@@ -429,6 +433,7 @@ mod tests {
         assert_eq!(th.caps().opt_levels, &[OptLevel::O0, OptLevel::O1]);
         let wf = r.get("wavefront").unwrap();
         assert!(wf.caps().reductions && wf.caps().local_arrays);
+        assert!(wf.caps().level_sets && !th.caps().level_sets && !bc.caps().level_sets);
         assert!(!wf.caps().reference);
         assert_eq!(wf.caps().opt_levels, &[OptLevel::O0, OptLevel::O1]);
         let ast = r.get("ast").unwrap();

@@ -885,7 +885,7 @@ impl IterationSpace {
 
 /// Maps the user's schedule choice (plus the loop's skew fact) onto a
 /// concrete runtime schedule.  `chunk` overrides the auto-derived dynamic
-/// chunk size (the tuner's chunk axis); `None` keeps
+/// chunk size ([`ExecOptions::chunk`]); `None` keeps
 /// [`Schedule::dynamic_for`]'s derivation.
 fn choose_schedule(
     choice: ScheduleChoice,

@@ -54,7 +54,6 @@
 
 use super::shared::{elem_at, ArrayStore, Dispatcher, Spine, StoreKind};
 use super::{restamp_written, ExecError, ExecOptions, ScheduleSource};
-use crate::fnv::Fnv1a;
 use crate::heap::{ArrayVal, Heap};
 use ss_inspector::levelset::{build_level_sets, IterationAccess, LevelSchedule};
 use ss_ir::slots::{ArraySlot, SlotMap};
@@ -194,16 +193,36 @@ fn as_cache(arc: &Arc<dyn EngineArtifact>) -> &WfScheduleCache {
 }
 
 /// Feeds one stream of words to two hashes: the std SipHash that keys the
-/// cache, and the word-wise FNV-1a that verifies hits.
+/// cache, and a word-wise FNV-1a, independent of it, that verifies hits.
 struct EntryHasher {
     key: DefaultHasher,
-    fnv: Fnv1a,
+    fnv: u64,
+}
+
+impl EntryHasher {
+    #[inline]
+    fn eat(&mut self, word: u64) {
+        self.fnv = (self.fnv ^ word).wrapping_mul(0x0100_0000_01b3);
+    }
 }
 
 impl Hasher for EntryHasher {
+    /// FNV-1a word-wise, not byte-wise: an index array arrives as one
+    /// slice — multi-megabyte on a generation miss, when the cache hashes
+    /// the arrays the program never writes — and this pass must stay
+    /// cheaper than the SipHash one beside it.
     fn write(&mut self, bytes: &[u8]) {
         self.key.write(bytes);
-        self.fnv.write(bytes);
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.eat(u64::from_le_bytes(word.try_into().expect("8-byte chunk")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut tail = [0u8; 8];
+            tail[..rest.len()].copy_from_slice(rest);
+            self.eat(u64::from_le_bytes(tail));
+        }
     }
 
     fn finish(&self) -> u64 {
@@ -228,7 +247,7 @@ fn entry_state(
 ) -> (u64, EntryCheck) {
     let mut h = EntryHasher {
         key: DefaultHasher::new(),
-        fnv: Fnv1a::new(),
+        fnv: 0xcbf2_9ce4_8422_2325,
     };
     id.0.hash(&mut h);
     while_cap.hash(&mut h);
@@ -265,7 +284,7 @@ fn entry_state(
     let check = EntryCheck {
         iterations,
         schedule_array_lens,
-        fnv: h.fnv.0,
+        fnv: h.fnv,
     };
     (h.finish(), check)
 }

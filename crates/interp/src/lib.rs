@@ -18,14 +18,16 @@
 //!   they must agree by, in one place;
 //! * [`engine`] — the [`Engine`] trait and [`EngineRegistry`]: execution
 //!   strategies as pluggable trait objects with capability flags.  Built
-//!   in: the **bytecode** engine (default) executing the flat
-//!   register-machine stream of `ss_ir::bytecode` on a persistent thread
-//!   team, the **compiled** engine executing slot-resolved op sequences
-//!   over dense frames, and the **tree-walking** reference engine.  All
-//!   consume precompiled [`Artifacts`](ss_parallelizer::Artifacts); all
-//!   but the reference (serial on every leg) dispatch every
+//!   in: the **wavefront** engine (default) running the direct-threaded
+//!   handler chain lowered from `ss_ir::bytecode`, plus level sets on the
+//!   carried loops the compile-time wavefront gate approves; the same
+//!   chain without level sets (**threaded**); the flat register-machine
+//!   stream itself (**bytecode**); slot-resolved op sequences over dense
+//!   frames (**compiled**); and the **tree-walking** reference engine.
+//!   All consume precompiled [`Artifacts`](ss_parallelizer::Artifacts);
+//!   all but the reference (serial on every leg) dispatch every
 //!   proven-parallel loop onto `ss_runtime` worker threads;
-//! * [`request`] — the run/tune request schema, declared once: one table
+//! * [`request`] — the run request schema, declared once: one table
 //!   row per knob (wire key, CLI flag, type and bounds, surfaces, help)
 //!   that the `sspar` flag parser, its `--help` and the `sspard` wire
 //!   parser all walk;
@@ -36,12 +38,7 @@
 //!   scalars, dense row-major arrays);
 //! * [`inputs`] — reproducible input synthesis for any program via a
 //!   discovery pass (sizes arrays by observation, fills them with
-//!   deterministic pseudo-random data);
-//! * [`tuner`] — the kease-style auto-tuner: measured search over the
-//!   policy space (engine × opt level × schedule × chunk × threads),
-//!   pruned by the compile-time loop facts, with winners persisted per
-//!   `(program hash, input-shape signature)` in the session artifact
-//!   cache and auto-applied by [`RunPolicy::Tuned`].
+//!   deterministic pseudo-random data).
 //!
 //! The generative counterpart of the differential mode is
 //! `tests/engine_fuzz.rs` at the workspace root, which asserts the same
@@ -76,14 +73,12 @@
 
 pub mod engine;
 pub mod error;
-mod fnv;
 pub mod heap;
 pub mod inputs;
 pub mod json;
 pub mod matrix;
 pub mod request;
 pub mod session;
-pub mod tuner;
 
 pub use engine::{
     Engine, EngineCaps, EngineRegistry, ExecError, ExecMode, ExecOptions, ExecOutcome, ExecStats,
@@ -96,8 +91,6 @@ pub use json::heap_json;
 pub use matrix::{LegKind, Matrix};
 pub use session::{
     analysis_json, registry_json, verdict_summary, CacheStats, ExecutionMode, InputSource,
-    LoopVerdictSummary, RunOutcome, RunPolicy, RunRequest, Session, TuneOutcome, TunerStats,
-    ValidationMode, ValidationSummary,
+    LoopVerdictSummary, RunOutcome, RunRequest, Session, ValidationMode, ValidationSummary,
 };
 pub use ss_ir::opt::OptLevel;
-pub use tuner::{PolicyPoint, TunedPolicy, TunerConfig};

@@ -73,7 +73,7 @@ pub struct Matrix {
 
 /// The non-reference rows of `registry`, each at every opt level it
 /// distinguishes, in registration order — the matrix's serial and
-/// parallel legs, and the tuner's candidate rows.
+/// parallel legs (and the engine tests' inspector legs).
 pub(crate) fn rows(
     registry: &EngineRegistry,
 ) -> impl Iterator<Item = (&Arc<dyn Engine>, OptLevel)> {

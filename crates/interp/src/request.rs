@@ -1,35 +1,34 @@
-//! The run/tune request schema, declared **once**.
+//! The run request schema, declared **once**.
 //!
 //! A "run" is a bundle of knobs — engine, opt level, threads, input scale
-//! and seed, schedule, policy, mode, validation, the tuner's budget — and
-//! every surface that accepts one (the `sspar run`/`tune`/`analyze`
-//! command lines, the `sspard` wire `run`/`tune` ops) used to declare
-//! those knobs, their bounds and their defaults on its own.  This module
-//! is the one declaration: [`FIELDS`] is a table with one row per knob —
-//! its wire key, its CLI flag, its [`Kind`] (type, bounds, and how it
-//! lands on a [`RunSpec`]), the [`Surface`]s that carry it and its help
-//! line.  The surfaces walk the table ([`lookup`] → [`Field::apply`]);
+//! and seed, schedule, mode, validation — and every surface that accepts
+//! one (the `sspar run`/`analyze` command lines, the `sspard` wire `run`
+//! op) used to declare those knobs, their bounds and their defaults on
+//! its own.  This module is the one declaration: [`FIELDS`] is a table
+//! with one row per knob — its wire key, its CLI flag, its [`Kind`] (type,
+//! bounds, and how it lands on a [`RunRequest`]), the [`Surface`]s that
+//! carry it and its help line.  The surfaces walk the table ([`lookup`] → [`Field::apply`]);
 //! they keep only what is theirs (program selection, `--format`, `op`,
 //! `id`, `tenant`, …).  Adding or bounding a knob is a one-row change.
 //!
 //! ```
-//! use ss_interp::request::{lookup, Raw, RunSpec, Surface};
+//! use ss_interp::request::{lookup, Raw, Surface};
+//! use ss_interp::RunRequest;
 //!
-//! let mut spec = RunSpec::default();
+//! let mut request = RunRequest::new("", "");
 //! // The command line and the wire spell the same row differently …
 //! let cli = lookup(Surface::CliRun, "--n").unwrap();
 //! let wire = lookup(Surface::WireRun, "scale").unwrap();
 //! assert_eq!(cli.key, wire.key);
 //! // … and share its bounds.
-//! cli.apply(&mut spec, Raw::Arg("128")).unwrap();
-//! assert!(wire.apply(&mut spec, Raw::Int(0)).is_err());
+//! cli.apply(&mut request, Raw::Arg("128")).unwrap();
+//! assert!(wire.apply(&mut request, Raw::Int(0)).is_err());
 //! // A row is only visible on the surfaces that carry it.
 //! assert!(lookup(Surface::WireRun, "schedule").is_none());
 //! ```
 
 use crate::engine::ScheduleChoice;
-use crate::session::{ExecutionMode, RunPolicy, RunRequest, ValidationMode};
-use crate::tuner::TunerConfig;
+use crate::session::{ExecutionMode, RunRequest, ValidationMode};
 use ss_ir::opt::OptLevel;
 
 /// Largest input `scale` a command line or wire request may name.  Heaps
@@ -48,28 +47,6 @@ pub const MAX_SCALE: i64 = 2048;
 /// embedding API ([`RunRequest::threads`]) stays uncapped.
 pub const MAX_THREADS: i64 = 1024;
 
-/// Everything a run or a tune is configured by: the session request plus
-/// the tuner's knobs.  Every surface starts from [`RunSpec::default`],
-/// walks [`FIELDS`] over its input, fills in the program, and hands
-/// `request` (and `tuner`) to [`Session`](crate::Session).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RunSpec {
-    /// The session request (program name and source left empty until the
-    /// surface resolves them).
-    pub request: RunRequest,
-    /// The tuner's knobs (`tune` only).
-    pub tuner: TunerConfig,
-}
-
-impl Default for RunSpec {
-    fn default() -> RunSpec {
-        RunSpec {
-            request: RunRequest::new("", ""),
-            tuner: TunerConfig::default(),
-        }
-    }
-}
-
 /// Where a request comes in.  A row of [`FIELDS`] is visible on exactly
 /// the surfaces its `on` column lists.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,32 +55,28 @@ pub enum Surface {
     CliAnalyze,
     /// `sspar run` flags.
     CliRun,
-    /// `sspar tune` flags.
-    CliTune,
     /// Keys of a wire `{"op":"run",…}` request.
     WireRun,
-    /// Keys of a wire `{"op":"tune",…}` request.
-    WireTune,
 }
 
 /// One accepted word of a [`Kind::Choice`] and what choosing it stores.
-pub type Word = (&'static str, fn(&mut RunSpec));
+pub type Word = (&'static str, fn(&mut RunRequest));
 
 /// A knob's type and bounds, with the setter that lands a checked value
-/// on the spec.
+/// on the request.
 #[derive(Debug, Clone, Copy)]
 pub enum Kind {
     /// `Int(min, max, set)`: an integer in `min..=max` (`i64::MAX` = no
     /// upper bound).
-    Int(i64, i64, fn(&mut RunSpec, i64)),
+    Int(i64, i64, fn(&mut RunRequest, i64)),
     /// A boolean: a bare flag on the command line, `true`/`false` on the
     /// wire.
-    Flag(fn(&mut RunSpec, bool)),
+    Flag(fn(&mut RunRequest, bool)),
     /// One word of a closed set, each with its own effect.
     Choice(&'static [Word]),
     /// Free text (checked later by whoever resolves it, e.g. the engine
     /// registry).
-    Text(fn(&mut RunSpec, &str)),
+    Text(fn(&mut RunRequest, &str)),
 }
 
 impl Kind {
@@ -111,7 +84,6 @@ impl Kind {
     fn expects(&self) -> String {
         match *self {
             Kind::Int(0, 1, _) => "0 or 1".to_string(),
-            Kind::Int(1, i64::MAX, _) => "a positive integer".to_string(),
             Kind::Int(1, max, _) => format!("a positive integer no larger than {max}"),
             Kind::Int(min, ..) => format!("an integer no smaller than {min}"),
             Kind::Flag(_) => "a boolean".to_string(),
@@ -226,19 +198,19 @@ impl Field {
     }
 
     /// Checks `raw` against the row's kind and bounds and, when it
-    /// passes, stores it on `spec`.
-    pub fn apply(&self, spec: &mut RunSpec, raw: Raw<'_>) -> Result<(), FieldError> {
+    /// passes, stores it on `request`.
+    pub fn apply(&self, request: &mut RunRequest, raw: Raw<'_>) -> Result<(), FieldError> {
         let stored = match self.kind {
             Kind::Int(min, max, set) => raw
                 .int()
                 .filter(|n| (min..=max).contains(n))
-                .map(|n| set(spec, n)),
-            Kind::Flag(set) => raw.flag().map(|on| set(spec, on)),
+                .map(|n| set(request, n)),
+            Kind::Flag(set) => raw.flag().map(|on| set(request, on)),
             Kind::Choice(words) => raw
                 .word()
                 .and_then(|w| words.iter().find(|(word, _)| *word == w))
-                .map(|(_, set)| set(spec)),
-            Kind::Text(set) => raw.word().map(|text| set(spec, text)),
+                .map(|(_, set)| set(request)),
+            Kind::Text(set) => raw.word().map(|text| set(request, text)),
         };
         stored.ok_or_else(|| FieldError {
             key: self.key,
@@ -255,26 +227,26 @@ impl Field {
     }
 }
 
-use Surface::{CliAnalyze, CliRun, CliTune, WireRun, WireTune};
+use Surface::{CliAnalyze, CliRun, WireRun};
 
-/// The schema: every knob of a run or a tune, once.  The `on` column
-/// reproduces each surface's historical exposure exactly (`schedule`,
-/// `baseline_inspector`, `repeats` and `trial_seed` are command-line
-/// only; `mode` is wire only; `chunk`, `while_cap` and `team_group` are
-/// embedding-API only and therefore not rows).
+/// The schema: every knob of a run, once.  The `on` column reproduces
+/// each surface's historical exposure exactly (`schedule` and
+/// `baseline_inspector` are command-line only; `mode` is wire only;
+/// `while_cap` and `team_group` are embedding-API only and therefore not
+/// rows).
 pub const FIELDS: &[Field] = &[
     Field {
         key: "engine",
         flag: "--engine",
-        kind: Kind::Text(|s, name| s.request.engine = Some(name.to_string())),
+        kind: Kind::Text(|r, name| r.engine = Some(name.to_string())),
         on: &[CliRun, WireRun],
         help: "execution engine, from `sspar engines` (default: the registry's)",
     },
     Field {
         key: "opt_level",
         flag: "--opt-level",
-        kind: Kind::Int(0, 1, |s, n| {
-            s.request.opt_level = if n == 0 { OptLevel::O0 } else { OptLevel::O1 }
+        kind: Kind::Int(0, 1, |r, n| {
+            r.opt_level = if n == 0 { OptLevel::O0 } else { OptLevel::O1 }
         }),
         on: &[CliAnalyze, CliRun, WireRun],
         help: "bytecode stream: the base compiler's (0) or the optimized one (1, default)",
@@ -282,54 +254,42 @@ pub const FIELDS: &[Field] = &[
     Field {
         key: "threads",
         flag: "--threads",
-        kind: Kind::Int(1, MAX_THREADS, |s, n| s.request.threads = Some(n as usize)),
-        on: &[CliRun, CliTune, WireRun, WireTune],
-        help: "worker threads; anchors tune's default policy (default: all hardware threads)",
+        kind: Kind::Int(1, MAX_THREADS, |r, n| r.threads = Some(n as usize)),
+        on: &[CliRun, WireRun],
+        help: "worker threads (default: all hardware threads)",
     },
     Field {
         key: "scale",
         flag: "--n",
-        kind: Kind::Int(1, MAX_SCALE, |s, n| s.request.input_spec_mut().scale = n),
-        on: &[CliRun, CliTune, WireRun, WireTune],
+        kind: Kind::Int(1, MAX_SCALE, |r, n| r.input_spec_mut().scale = n),
+        on: &[CliRun, WireRun],
         help: "input scale: loop bounds / data modulus (default 64)",
     },
     Field {
         key: "seed",
         flag: "--seed",
-        kind: Kind::Int(0, i64::MAX, |s, n| {
-            s.request.input_spec_mut().seed = n as u64
-        }),
-        on: &[CliRun, CliTune, WireRun, WireTune],
+        kind: Kind::Int(0, i64::MAX, |r, n| r.input_spec_mut().seed = n as u64),
+        on: &[CliRun, WireRun],
         help: "input data seed (default 1)",
     },
     Field {
         key: "schedule",
         flag: "--schedule",
         kind: Kind::Choice(&[
-            ("auto", |s| s.request.schedule = ScheduleChoice::Auto),
-            ("static", |s| s.request.schedule = ScheduleChoice::Static),
-            ("dynamic", |s| s.request.schedule = ScheduleChoice::Dynamic),
+            ("auto", |r| r.schedule = ScheduleChoice::Auto),
+            ("static", |r| r.schedule = ScheduleChoice::Static),
+            ("dynamic", |r| r.schedule = ScheduleChoice::Dynamic),
         ]),
         on: &[CliRun],
         help: "scheduling of parallel loops (default auto)",
     },
     Field {
-        key: "policy",
-        flag: "--policy",
-        kind: Kind::Choice(&[
-            ("default", |s| s.request.policy = RunPolicy::Default),
-            ("tuned", |s| s.request.policy = RunPolicy::Tuned),
-        ]),
-        on: &[CliRun, WireRun],
-        help: "tuned: search-or-reapply the persisted best policy of (program, input shape)",
-    },
-    Field {
         key: "mode",
         flag: "--mode",
         kind: Kind::Choice(&[
-            ("both", |s| s.request.mode = ExecutionMode::Both),
-            ("serial", |s| s.request.mode = ExecutionMode::Serial),
-            ("parallel", |s| s.request.mode = ExecutionMode::Parallel),
+            ("both", |r| r.mode = ExecutionMode::Both),
+            ("serial", |r| r.mode = ExecutionMode::Serial),
+            ("parallel", |r| r.mode = ExecutionMode::Parallel),
         ]),
         on: &[WireRun],
         help: "which legs a non-validating run executes (default both)",
@@ -337,15 +297,15 @@ pub const FIELDS: &[Field] = &[
     Field {
         key: "baseline_inspector",
         flag: "--baseline",
-        kind: Kind::Choice(&[("inspector", |s| s.request.baseline_inspector = true)]),
+        kind: Kind::Choice(&[("inspector", |r| r.baseline_inspector = true)]),
         on: &[CliRun],
         help: "run the runtime-inspector baseline on serial loops",
     },
     Field {
         key: "validate",
         flag: "--validate",
-        kind: Kind::Flag(|s, on| {
-            s.request.validation = if on {
+        kind: Kind::Flag(|r, on| {
+            r.validation = if on {
                 ValidationMode::Differential
             } else {
                 ValidationMode::None
@@ -354,27 +314,6 @@ pub const FIELDS: &[Field] = &[
         on: &[CliRun, WireRun],
         help: "diff the reference's final heap against every row x opt level, serial and \
                parallel, plus an inspector leg (16 executions); here, a mismatch exits nonzero",
-    },
-    Field {
-        key: "budget_trials",
-        flag: "--budget-trials",
-        kind: Kind::Int(1, i64::MAX, |s, n| s.tuner.budget_trials = Some(n as usize)),
-        on: &[CliTune, WireTune],
-        help: "cap on measured trials (default: the full pruned space)",
-    },
-    Field {
-        key: "repeats",
-        flag: "--repeats",
-        kind: Kind::Int(1, i64::MAX, |s, n| s.tuner.repeats = n as usize),
-        on: &[CliTune],
-        help: "timed repeats per candidate, median kept (default 3)",
-    },
-    Field {
-        key: "trial_seed",
-        flag: "--trial-seed",
-        kind: Kind::Int(0, i64::MAX, |s, n| s.tuner.seed = n as u64),
-        on: &[CliTune],
-        help: "deterministic trial-order seed (default 0)",
     },
 ];
 
@@ -386,7 +325,7 @@ pub fn fields(surface: Surface) -> impl Iterator<Item = &'static Field> {
 /// The row `surface` spells as `name` (a flag on command-line surfaces, a
 /// key on wire surfaces), if it carries one.
 pub fn lookup(surface: Surface, name: &str) -> Option<&'static Field> {
-    let wire = matches!(surface, WireRun | WireTune);
+    let wire = surface == WireRun;
     fields(surface).find(|f| name == if wire { f.key } else { f.flag })
 }
 
@@ -397,8 +336,8 @@ mod tests {
     use crate::session::InputSource;
 
     #[test]
-    fn every_row_lands_on_the_spec() {
-        let mut spec = RunSpec::default();
+    fn every_row_lands_on_the_request() {
+        let mut r = RunRequest::new("", "");
         for (key, raw) in [
             ("engine", Raw::Str("threaded")),
             ("opt_level", Raw::Int(0)),
@@ -406,18 +345,13 @@ mod tests {
             ("scale", Raw::Int(96)),
             ("seed", Raw::Int(7)),
             ("schedule", Raw::Arg("dynamic")),
-            ("policy", Raw::Str("tuned")),
             ("mode", Raw::Str("serial")),
             ("baseline_inspector", Raw::Arg("inspector")),
             ("validate", Raw::Bool(true)),
-            ("budget_trials", Raw::Int(5)),
-            ("repeats", Raw::Arg("2")),
-            ("trial_seed", Raw::Arg("9")),
         ] {
             let field = FIELDS.iter().find(|f| f.key == key).expect(key);
-            field.apply(&mut spec, raw).expect(key);
+            field.apply(&mut r, raw).expect(key);
         }
-        let r = &spec.request;
         assert_eq!(r.engine.as_deref(), Some("threaded"));
         assert_eq!(r.opt_level, OptLevel::O0);
         assert_eq!(r.threads, Some(3));
@@ -426,15 +360,12 @@ mod tests {
             InputSource::Synthesized(InputSpec { scale: 96, seed: 7 })
         ));
         assert_eq!(r.schedule, ScheduleChoice::Dynamic);
-        assert_eq!(r.policy, RunPolicy::Tuned);
         assert_eq!(r.mode, ExecutionMode::Serial);
         assert!(r.baseline_inspector);
         assert_eq!(r.validation, ValidationMode::Differential);
-        assert_eq!(spec.tuner.budget_trials, Some(5));
-        assert_eq!((spec.tuner.repeats, spec.tuner.seed), (2, 9));
         // Every row was exercised: adding one without extending this test
         // fails here.
-        assert_eq!(FIELDS.len(), 13);
+        assert_eq!(FIELDS.len(), 9);
     }
 
     #[test]
@@ -445,24 +376,23 @@ mod tests {
             ("opt_level", Raw::Str("1"), "0 or 1"),
             ("threads", Raw::Int(0), "positive"),
             ("threads", Raw::Int(MAX_THREADS + 1), "no larger than 1024"),
-            ("repeats", Raw::Arg("0"), "a positive integer,"),
             ("scale", Raw::Arg("-5"), "positive"),
             ("scale", Raw::Arg("x"), "got 'x'"),
             ("scale", Raw::Other, "another type"),
             ("seed", Raw::Int(-1), "no smaller than 0"),
-            ("policy", Raw::Str("fastest"), "default|tuned"),
-            ("policy", Raw::Int(1), "default|tuned"),
+            ("schedule", Raw::Str("guided"), "auto|static|dynamic"),
+            ("schedule", Raw::Int(1), "auto|static|dynamic"),
             ("baseline_inspector", Raw::Arg("lrpd"), "inspector"),
             ("validate", Raw::Str("yes"), "a boolean"),
             ("engine", Raw::Int(5), "a string"),
         ] {
-            let mut spec = RunSpec::default();
-            let err = row(key).apply(&mut spec, raw).unwrap_err();
+            let mut r = RunRequest::new("", "");
+            let err = row(key).apply(&mut r, raw).unwrap_err();
             assert_eq!(err.key, key);
             assert!(err.reason.contains(needle), "{key}: {}", err.reason);
             assert_eq!(
-                spec,
-                RunSpec::default(),
+                r,
+                RunRequest::new("", ""),
                 "{key}: a rejected value is not stored"
             );
         }
@@ -471,7 +401,6 @@ mod tests {
     #[test]
     fn rows_are_visible_only_on_their_surfaces_and_spelled_once() {
         assert!(lookup(Surface::CliRun, "--schedule").is_some());
-        assert!(lookup(Surface::CliTune, "--schedule").is_none());
         assert!(lookup(Surface::WireRun, "schedule").is_none());
         assert!(lookup(Surface::WireRun, "mode").is_some());
         assert!(lookup(Surface::CliRun, "--mode").is_none());
@@ -500,6 +429,6 @@ mod tests {
         assert!(line("schedule").contains("--schedule <auto|static|dynamic>"));
         assert!(line("baseline_inspector").contains("--baseline inspector "));
         assert!(line("validate").contains("--validate "));
-        assert!(line("repeats").contains("--repeats <1..> "));
+        assert!(line("seed").contains("--seed <0..> "));
     }
 }

@@ -56,7 +56,6 @@ use crate::heap::Heap;
 use crate::inputs::{synthesize_for, InputSpec};
 use crate::json;
 use crate::matrix::{LegKind, Matrix};
-use crate::tuner::{self, PolicyPoint, TunedPolicy, TunerConfig};
 use ss_ir::opt::OptLevel;
 use ss_ir::LoopId;
 use ss_parallelizer::{Artifacts, ParallelizationReport, StageTiming, VerdictKind};
@@ -91,22 +90,6 @@ pub enum ValidationMode {
     /// registry) — and diff all final heaps bit for bit
     /// ([`RunOutcome::validation`]).
     Differential,
-}
-
-/// How a run picks its execution policy (engine, opt level, schedule,
-/// chunk, threads).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub enum RunPolicy {
-    /// The request's own knobs, verbatim (engine default, `O1`, auto
-    /// schedule unless overridden).
-    #[default]
-    Default,
-    /// Apply the tuned policy persisted for `(program, input shape)` —
-    /// searching once (see [`Session::tune`]) if none is persisted yet.
-    /// Overrides the request's engine/threads/schedule/opt-level knobs.
-    Tuned,
-    /// Apply this exact policy point (no search, no cache).
-    Explicit(PolicyPoint),
 }
 
 /// Which executions a non-validating run performs.
@@ -157,12 +140,6 @@ pub struct RunRequest {
     /// Persistent-team group dispatched loops run in (see
     /// [`ExecOptions::team_group`]); servers map one group per shard.
     pub team_group: usize,
-    /// How the run picks its execution policy ([`RunPolicy::Tuned`]
-    /// applies — searching once if needed — the persisted winner for this
-    /// program and input shape).
-    pub policy: RunPolicy,
-    /// Fixed dynamic-schedule chunk size (`None` = auto-derived).
-    pub chunk: Option<usize>,
 }
 
 impl RunRequest {
@@ -183,8 +160,6 @@ impl RunRequest {
             baseline_inspector: false,
             while_cap: None,
             team_group: 0,
-            policy: RunPolicy::Default,
-            chunk: None,
         }
     }
 
@@ -276,28 +251,16 @@ impl RunRequest {
         self
     }
 
-    /// Sets how the run picks its execution policy.
-    pub fn policy(mut self, policy: RunPolicy) -> RunRequest {
-        self.policy = policy;
-        self
-    }
-
-    /// Fixed dynamic-schedule chunk size for dispatched loops.
-    pub fn chunk(mut self, chunk: usize) -> RunRequest {
-        self.chunk = Some(chunk);
-        self
-    }
-
     fn exec_options(&self) -> ExecOptions {
         let defaults = ExecOptions::default();
         ExecOptions {
             threads: self.threads.unwrap_or(defaults.threads),
             schedule: self.schedule,
-            chunk: self.chunk,
             opt_level: self.opt_level,
             baseline_inspector: self.baseline_inspector,
             while_cap: self.while_cap.unwrap_or(defaults.while_cap),
             team_group: self.team_group,
+            ..defaults
         }
     }
 }
@@ -401,13 +364,6 @@ pub struct RunOutcome {
     pub heap: Heap,
     /// The cross-engine comparison, for differential runs.
     pub validation: Option<ValidationSummary>,
-    /// Which policy class selected the engine/opt/schedule/threads:
-    /// `"default"`, `"tuned"` or `"explicit"`.
-    pub policy: String,
-    /// Where a non-default policy came from: `"tuned-cache"` (persisted
-    /// winner applied with zero re-search), `"tuned-search"` (searched on
-    /// this run) or `"explicit"`; `None` for default-policy runs.
-    pub policy_provenance: Option<String>,
 }
 
 impl RunOutcome {
@@ -478,14 +434,6 @@ impl RunOutcome {
             ),
             ("opt_level", json::string(&self.opt_level.to_string())),
             ("threads", self.threads.to_string()),
-            ("policy", json::string(&self.policy)),
-            (
-                "policy_provenance",
-                match &self.policy_provenance {
-                    Some(p) => json::string(p),
-                    None => "null".to_string(),
-                },
-            ),
             ("cache_hit", self.cache_hit.to_string()),
             ("stages", stages_json(&self.stages)),
             ("verdicts", verdicts_json(&self.verdicts)),
@@ -688,18 +636,6 @@ pub struct Session {
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-    tuned_searches: AtomicU64,
-    tuned_hits: AtomicU64,
-}
-
-/// Counters of the session's tuned-policy activity (see
-/// [`Session::tuner_stats`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TunerStats {
-    /// Policy searches this session ran (each persisted one winner).
-    pub searches: u64,
-    /// Runs/tunes that applied a persisted policy with zero re-search.
-    pub hits: u64,
 }
 
 impl Default for Session {
@@ -728,8 +664,6 @@ impl Session {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            tuned_searches: AtomicU64::new(0),
-            tuned_hits: AtomicU64::new(0),
         }
     }
 
@@ -758,15 +692,6 @@ impl Session {
     /// The engine registry backing this session.
     pub fn registry(&self) -> &EngineRegistry {
         &self.registry
-    }
-
-    /// Tuned-policy counters: searches run vs persisted policies applied
-    /// with zero re-search.
-    pub fn tuner_stats(&self) -> TunerStats {
-        TunerStats {
-            searches: self.tuned_searches.load(Ordering::Relaxed),
-            hits: self.tuned_hits.load(Ordering::Relaxed),
-        }
     }
 
     /// Cache counters.
@@ -875,87 +800,15 @@ impl Session {
         })
     }
 
-    /// The tuned policy for `(artifacts, initial)`: the persisted winner
-    /// when one exists (zero re-search — `true` in the result), else a
-    /// fresh [`tuner::search`] whose winner is persisted on the artifacts
-    /// (and thereby charged to the cache byte bound on the next hit's
-    /// recharge, like every lazily attached engine lowering).
-    fn tuned_policy(
-        &self,
-        artifacts: &Artifacts,
-        initial: &Heap,
-        base: &ExecOptions,
-        config: &TunerConfig,
-    ) -> Result<(Arc<TunedPolicy>, bool), SsError> {
-        let signature = tuner::input_signature(initial);
-        if let Some(policy) = tuner::cached_policy(artifacts, signature) {
-            self.tuned_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((policy, true));
-        }
-        let policy = Arc::new(tuner::search(
-            &self.registry,
-            artifacts,
-            initial,
-            base,
-            config,
-        )?);
-        tuner::store_policy(artifacts, signature, Arc::clone(&policy));
-        self.tuned_searches.fetch_add(1, Ordering::Relaxed);
-        Ok((policy, false))
-    }
-
-    /// Tunes one program + input shape: compile (or fetch from cache),
-    /// synthesize or adopt inputs, then return the persisted tuned policy
-    /// — searching the policy space only when none is persisted yet for
-    /// `(program hash, input-shape signature)`.  See [`crate::tuner`] for
-    /// the search itself.
-    pub fn tune(&self, request: &RunRequest, config: &TunerConfig) -> Result<TuneOutcome, SsError> {
-        let (artifacts, _) = self.artifacts_traced(&request.name, &request.source)?;
-        let initial = self.initial_heap(request, &artifacts)?;
-        let signature = tuner::input_signature(&initial);
-        let (policy, cache_hit) =
-            self.tuned_policy(&artifacts, &initial, &request.exec_options(), config)?;
-        Ok(TuneOutcome {
-            program: artifacts.report.name.clone(),
-            policy,
-            signature,
-            cache_hit,
-        })
-    }
-
     /// Runs one [`RunRequest`] end to end: compile (or fetch from cache),
-    /// resolve the policy and engine, synthesize or adopt inputs, execute
+    /// resolve the engine, synthesize or adopt inputs, execute
     /// per the request's [`ExecutionMode`]/[`ValidationMode`], and
     /// assemble the structured [`RunOutcome`].
     pub fn run(&self, request: &RunRequest) -> Result<RunOutcome, SsError> {
         let (artifacts, cache_hit) = self.artifacts_traced(&request.name, &request.source)?;
         let initial = self.initial_heap(request, &artifacts)?;
-        let (engine_name, opts, policy_label, policy_provenance) = match &request.policy {
-            RunPolicy::Default => (
-                request.engine.clone(),
-                request.exec_options(),
-                "default",
-                None,
-            ),
-            RunPolicy::Explicit(point) => (
-                Some(point.engine.clone()),
-                point.apply(request.exec_options()),
-                "explicit",
-                Some("explicit".to_string()),
-            ),
-            RunPolicy::Tuned => {
-                let base = request.exec_options();
-                let (policy, hit) =
-                    self.tuned_policy(&artifacts, &initial, &base, &TunerConfig::default())?;
-                (
-                    Some(policy.point.engine.clone()),
-                    policy.point.apply(base),
-                    "tuned",
-                    Some(if hit { "tuned-cache" } else { "tuned-search" }.to_string()),
-                )
-            }
-        };
-        let engine = match &engine_name {
+        let opts = request.exec_options();
+        let engine = match &request.engine {
             Some(name) => self.registry.get(name)?,
             None => self.registry.default_engine(),
         };
@@ -1029,94 +882,7 @@ impl Session {
             parallel,
             heap,
             validation,
-            policy: policy_label.to_string(),
-            policy_provenance,
         })
-    }
-}
-
-/// Everything one [`Session::tune`] produces: the (possibly
-/// freshly-searched) tuned policy, the input-shape signature it is keyed
-/// by, and whether it came from the persisted cache.
-#[derive(Debug, Clone)]
-pub struct TuneOutcome {
-    /// Program name.
-    pub program: String,
-    /// The tuned policy (winner + full search table).
-    pub policy: Arc<TunedPolicy>,
-    /// The input-shape signature half of the persistence key.
-    pub signature: u64,
-    /// True when the policy was already persisted (zero re-search).
-    pub cache_hit: bool,
-}
-
-impl TuneOutcome {
-    /// The outcome as one stable JSON object: program, provenance, the
-    /// winner (engine/opt/schedule/chunk/threads + its median), the
-    /// default policy's median, the speedup, the full search table and
-    /// the pruner's notes — the body `sspar tune --format json` and the
-    /// daemon `tune` op return.
-    pub fn to_json(&self) -> String {
-        let point_fields = |p: &PolicyPoint| {
-            vec![
-                ("engine", json::string(&p.engine)),
-                ("opt_level", json::string(&p.opt_level.to_string())),
-                (
-                    "schedule",
-                    json::string(match p.schedule {
-                        ScheduleChoice::Auto => "auto",
-                        ScheduleChoice::Static => "static",
-                        ScheduleChoice::Dynamic => "dynamic",
-                    }),
-                ),
-                (
-                    "chunk",
-                    p.chunk
-                        .map(|c| c.to_string())
-                        .unwrap_or_else(|| "null".to_string()),
-                ),
-                ("threads", p.threads.to_string()),
-                ("label", json::string(&p.label())),
-            ]
-        };
-        let mut winner = point_fields(&self.policy.point);
-        winner.push(("median_seconds", json::number(self.policy.median_seconds)));
-        json::object([
-            ("program", json::string(&self.program)),
-            (
-                "signature",
-                json::string(&format!("{:016x}", self.signature)),
-            ),
-            (
-                "provenance",
-                json::string(if self.cache_hit {
-                    "tuned-cache"
-                } else {
-                    "tuned-search"
-                }),
-            ),
-            ("winner", json::object(winner)),
-            (
-                "default_median_seconds",
-                json::number(self.policy.default_median_seconds),
-            ),
-            (
-                "speedup_vs_default",
-                json::number(self.policy.speedup_vs_default()),
-            ),
-            (
-                "trials",
-                json::array(self.policy.trials.iter().map(|t| {
-                    let mut fields = point_fields(&t.point);
-                    fields.push(("median_seconds", json::number(t.median_seconds)));
-                    json::object(fields)
-                })),
-            ),
-            (
-                "pruned",
-                json::string_array(self.policy.pruned.iter().map(String::as_str)),
-            ),
-        ])
     }
 }
 
@@ -1148,7 +914,7 @@ mod tests {
         assert!(outcome.ensure_validated().is_ok());
         assert_eq!(outcome.proven_parallel, vec![LoopId(0), LoopId(1)]);
         assert_eq!(outcome.dispatched, vec![LoopId(0), LoopId(1)]);
-        assert_eq!(outcome.engine, "bytecode");
+        assert_eq!(outcome.engine, "wavefront");
         assert!(outcome.serial.is_some() && outcome.parallel.is_some());
         assert!(outcome.speedup().unwrap() > 0.0);
         let v = outcome.validation.as_ref().unwrap();
@@ -1164,7 +930,7 @@ mod tests {
             "parallel threaded@O1",
             "parallel wavefront@O0",
             "parallel compiled",
-            "parallel bytecode@O1 + inspector",
+            "parallel wavefront@O1 + inspector",
         ] {
             assert!(v.compared.iter().any(|c| c == label), "{label}");
         }
@@ -1383,15 +1149,15 @@ mod tests {
             )
             .unwrap();
         assert!(outcome.heaps_match());
-        assert_eq!(outcome.engine, "bytecode");
+        assert_eq!(outcome.engine, "wavefront");
         let v = outcome.validation.as_ref().unwrap();
         assert_eq!(
             v.compared.last().unwrap(),
-            "parallel bytecode@O1 + inspector"
+            "parallel wavefront@O1 + inspector"
         );
         assert!(outcome
             .to_json()
-            .contains("\"parallel_engine\":\"bytecode\""));
+            .contains("\"parallel_engine\":\"wavefront\""));
         // 64 writes through indices below 64 drawn at random: some slot is
         // hit twice, so a run-time inspector refuses the loop.
         let stats = outcome.parallel.as_ref().unwrap();
@@ -1412,7 +1178,7 @@ mod tests {
         let j = outcome.to_json();
         for key in [
             "\"program\":\"fig2\"",
-            "\"engine\":\"bytecode\"",
+            "\"engine\":\"wavefront\"",
             "\"opt_level\":\"O1\"",
             "\"cache_hit\":false",
             "\"stages\":[{\"stage\":\"analyze\"",
@@ -1424,6 +1190,7 @@ mod tests {
         ] {
             assert!(j.contains(key), "missing {key} in {j}");
         }
+        assert!(!j.contains("\"policy"), "{j}");
     }
 
     #[test]

@@ -39,8 +39,8 @@
 //! [`Instr::reads`], [`Instr::write`], [`Instr::target`], a loop's
 //! [`BcFor::blocks`], the recursive [`walk`], [`jump_targets`],
 //! [`reg_writes`] and the header-shape rule [`BcExpr::shape_fast`].  The
-//! optimizer, the threaded lowering and the tuner walk the stream through
-//! them rather than matching on every variant themselves.
+//! optimizer and the threaded lowering walk the stream through them
+//! rather than matching on every variant themselves.
 //!
 //! [`BytecodeProgram::disassemble`] renders the whole stream as a readable
 //! listing (scalar registers shown by name), which the golden snapshot

@@ -123,7 +123,9 @@ fn some_kernel_shows_parallel_speedup_on_multicore() {
 
 /// Regression: a loop the analysis must *not* parallelize (a histogram — the
 /// write index is an arbitrary input, massively non-injective) is never
-/// scheduled parallel, and still executes correctly.
+/// scheduled as one parallel loop, and still executes correctly.  The
+/// default row runs it on the team only as dependence level sets, which
+/// order its conflicting writes.
 #[test]
 fn non_parallel_histogram_is_not_scheduled_parallel() {
     let src = "for (i = 0; i < n; i++) { hist[idx[i]] = i; }";
@@ -138,7 +140,12 @@ fn non_parallel_histogram_is_not_scheduled_parallel() {
                 .seed(5),
         )
         .unwrap();
-    assert!(outcome.dispatched.is_empty(), "histogram must stay serial");
+    let stats = &outcome.parallel.as_ref().unwrap().loops[&LoopId(0)];
+    assert!(
+        stats.wavefront.is_some_and(|(levels, _)| levels > 1),
+        "histogram must run level by level: {stats:?}"
+    );
+    assert_eq!(outcome.dispatched, vec![LoopId(0)]);
     assert!(outcome.heaps_match());
 }
 
@@ -300,15 +307,18 @@ fn inspector_baseline_three_way_comparison() {
                 .mode(ExecutionMode::Parallel),
         )
         .unwrap();
-    // The requested (default) engine ran the parallel leg itself: it kept
-    // the compile-time-serial loop on the spine and judged it there.
+    // The requested (default) engine ran the parallel leg itself: its
+    // level-set inspection judged the compile-time-serial loop, found it
+    // one level wide, and ran that level on the team.
     assert_eq!(out.engine, session().registry().default_engine().name());
-    assert!(out.dispatched.is_empty());
+    let stats = &out.parallel.as_ref().unwrap().loops[&LoopId(0)];
     assert_eq!(
-        out.parallel.as_ref().unwrap().loops[&LoopId(0)].inspector_conflict_free,
+        stats.inspector_conflict_free,
         Some(true),
         "inspector sees the permutation is injective"
     );
+    assert_eq!(stats.wavefront.map(|(levels, _)| levels), Some(1));
+    assert_eq!(out.dispatched, vec![LoopId(0)]);
 
     let hist_src = "for (i = 0; i < n; i++) { h[k[i]] = i; }";
     let out = session()

@@ -145,8 +145,9 @@ proptest! {
 }
 
 /// Regression: a histogram loop's `hist[a[i]] += 1` is a compound *array*
-/// update, not a scalar reduction — the loop stays serial in every engine
-/// and still computes the right histogram.
+/// update, not a scalar reduction — no engine runs it as one parallel loop
+/// (the default row only level by level, ordering its conflicting
+/// updates), and every one computes the right histogram.
 #[test]
 fn histogram_compound_update_is_not_a_scalar_reduction() {
     let src = "for (i = 0; i < n; i++) { hist[a[i]] += 1; }";
@@ -164,7 +165,12 @@ fn histogram_compound_update_is_not_a_scalar_reduction() {
         )
         .unwrap();
     assert!(outcome.heaps_match(), "{:?}", outcome.mismatches());
-    assert!(outcome.dispatched.is_empty(), "histogram must stay serial");
+    let stats = &outcome.parallel.as_ref().unwrap().loops[&LoopId(0)];
+    assert!(
+        stats.wavefront.is_some_and(|(levels, _)| levels > 1),
+        "histogram must run level by level: {stats:?}"
+    );
+    assert_eq!(outcome.dispatched, vec![LoopId(0)]);
 }
 
 /// Regression: reading the accumulator outside its update disqualifies the

@@ -8,9 +8,10 @@
 //! and the stability of the JSON output.
 
 use ss_interp::{
-    Engine, EngineRegistry, ExecError, ExecOptions, ExecOutcome, ExecutionMode, Heap, OptLevel,
-    RunRequest, Session, SsError, ValidationMode,
+    synthesize_inputs, Engine, EngineRegistry, ExecError, ExecOptions, ExecOutcome, ExecutionMode,
+    Heap, InputSpec, Matrix, OptLevel, RunRequest, Session, SsError, ValidationMode,
 };
+use ss_ir::LoopId;
 use ss_parallelizer::{Artifacts, VerdictKind};
 use std::sync::Arc;
 
@@ -94,6 +95,80 @@ fn differential_mode_compares_the_whole_registry() {
     );
 }
 
+fn catalogue_kernel(name: &str) -> ss_npb::StudyKernel {
+    ss_npb::study_kernels()
+        .into_iter()
+        .find(|k| k.name == name)
+        .expect("catalogue kernel")
+}
+
+/// The default row makes the one choice a measured policy search made
+/// reliably: a request that names no engine runs the carried-wavefront
+/// kernels' target loops as level sets, and runs level sets only on loops
+/// the compile-time gate approved.
+#[test]
+fn the_default_row_runs_gated_carried_loops_as_level_sets() {
+    let session = Session::new();
+    for name in ["sptrsv_levels", "gauss_seidel_sweep"] {
+        let kernel = catalogue_kernel(name);
+        let outcome = session
+            .run(&RunRequest::new(kernel.name, kernel.source).threads(2))
+            .unwrap();
+        assert_eq!(outcome.engine, "wavefront", "{name}");
+        let artifacts = session.artifacts(kernel.name, kernel.source).unwrap();
+        let gated = |id: &LoopId| {
+            artifacts
+                .report
+                .loop_report(*id)
+                .unwrap()
+                .wavefront
+                .is_some()
+        };
+        let loops = &outcome.parallel.as_ref().unwrap().loops;
+        let target = LoopId(kernel.target_loop);
+        assert!(gated(&target), "{name}");
+        assert!(loops[&target].wavefront.is_some(), "{name}: {loops:?}");
+        for (id, stats) in loops {
+            assert!(
+                stats.wavefront.is_none() || gated(id),
+                "{name}: loop {}",
+                id.0
+            );
+        }
+    }
+}
+
+/// The default's serial and parallel legs run one executor: on a kernel
+/// with no carried loop, the matrix legs a default run reports are the
+/// same row's.
+#[test]
+fn the_default_rows_serial_and_parallel_legs_name_one_row() {
+    let session = Session::new();
+    let kernel = catalogue_kernel("fig9_csr_product");
+    let artifacts = session.artifacts(kernel.name, kernel.source).unwrap();
+    let heap = synthesize_inputs(&artifacts.program, &InputSpec::default()).unwrap();
+    let registry = session.registry();
+    let default = registry.default_engine();
+    let opts = ExecOptions {
+        threads: 2,
+        ..ExecOptions::default()
+    };
+    let matrix = Matrix::run(registry, default.as_ref(), &artifacts, &heap, &opts).unwrap();
+    assert!(matrix.mismatches.is_empty(), "{:?}", matrix.mismatches);
+    let requested: Vec<&str> = (matrix.legs.iter())
+        .filter(|l| l.requested)
+        .map(|l| l.label.as_str())
+        .collect();
+    assert_eq!(
+        requested,
+        [
+            "wavefront@O1",
+            "parallel wavefront@O1",
+            "parallel wavefront@O1 + inspector"
+        ]
+    );
+}
+
 /// A row the request did not ask for is still on trial: `threaded`'s
 /// parallel runs corrupt one element, and a differential run of the
 /// default row must name those legs — and only those.
@@ -141,7 +216,7 @@ fn a_corrupt_non_requested_row_fails_the_default_rows_validation() {
                 .validation(ValidationMode::Differential),
         )
         .unwrap();
-    assert_eq!(outcome.engine, "bytecode");
+    assert_eq!(outcome.engine, "wavefront");
     assert!(!outcome.heaps_match());
     let mismatches = outcome.mismatches();
     for leg in ["parallel threaded@O0", "parallel threaded@O1"] {
