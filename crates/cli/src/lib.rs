@@ -581,7 +581,7 @@ mod tests {
                 "--seed must be an integer no smaller than 0",
             ),
             (vec!["run", "k.c", "--seed", "x"], "got 'x'"),
-            // The policy search and its verb are gone.
+            // No verb searches execution policies.
             (
                 vec!["tune", "--kernel", "sptrsv_levels"],
                 "unknown command 'tune'",
@@ -754,7 +754,7 @@ mod tests {
             vec!["run", "k.c", "--opt-level", "2"],
             vec!["run", "k.c", "--opt-level"],
             vec!["run", "k.c", "--format", "xml"],
-            // Flags of the deleted policy search, and the wire's.
+            // Flags no command-line surface carries.
             vec!["run", "k.c", "--policy", "tuned"],
             vec!["run", "k.c", "--repeats", "2"],
             vec!["run", "k.c", "--mode", "serial"],

@@ -348,9 +348,8 @@ mod tests {
         assert_eq!(r.id.as_deref(), Some("\"abc\""));
 
         // Keys outside the wire surface are unknown keys, and unknown keys
-        // are ignored: `schedule` is command-line only, `policy` and
-        // `budget_trials` belonged to the deleted policy search,
-        // `frobnicate` to nobody.
+        // are ignored: `schedule` is command-line only; `policy`,
+        // `budget_trials` and `frobnicate` belong to no surface.
         let r = parse_request(
             r#"{"op":"run","kernel":"k","schedule":"dynamic","budget_trials":3,
                "policy":"tuned","frobnicate":[1],"threads":null}"#,
@@ -365,7 +364,7 @@ mod tests {
             ("not json", "bad JSON"),
             ("[1,2]", "must be a JSON object"),
             (r#"{"op":"dance"}"#, "unknown op"),
-            // The policy search is gone with its op.
+            // No op searches execution policies.
             (r#"{"op":"tune","kernel":"k"}"#, "unknown op 'tune'"),
             (r#"{"kernel":"k"}"#, "missing string field 'op'"),
             (r#"{"op":"run"}"#, "needs a program"),

@@ -7,9 +7,10 @@
 //! its own.  This module is the one declaration: [`FIELDS`] is a table
 //! with one row per knob — its wire key, its CLI flag, its [`Kind`] (type,
 //! bounds, and how it lands on a [`RunRequest`]), the [`Surface`]s that
-//! carry it and its help line.  The surfaces walk the table ([`lookup`] → [`Field::apply`]);
-//! they keep only what is theirs (program selection, `--format`, `op`,
-//! `id`, `tenant`, …).  Adding or bounding a knob is a one-row change.
+//! carry it and its help line.  The surfaces walk the table
+//! ([`lookup`] → [`Field::apply`]); they keep only what is theirs
+//! (program selection, `--format`, `op`, `id`, `tenant`, …).  Adding or
+//! bounding a knob is a one-row change.
 //!
 //! ```
 //! use ss_interp::request::{lookup, Raw, Surface};
