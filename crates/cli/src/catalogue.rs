@@ -9,9 +9,13 @@ pub(crate) fn engines_text(format: OutputFormat) -> String {
     if format == OutputFormat::Json {
         return registry_json(registry) + "\n";
     }
+    let width = (registry.iter())
+        .map(|e| e.description().chars().count())
+        .max()
+        .unwrap_or(0);
     let mut out = String::new();
     out.push_str(&format!(
-        "{:<10} {:<8} {:<55} capabilities\n",
+        "{:<10} {:<8} {:<width$} capabilities\n",
         "engine", "default", "description"
     ));
     for (i, e) in registry.iter().enumerate() {
@@ -38,7 +42,7 @@ pub(crate) fn engines_text(format: OutputFormat) -> String {
                 .join("/")
         ));
         out.push_str(&format!(
-            "{:<10} {:<8} {:<55} {}\n",
+            "{:<10} {:<8} {:<width$} {}\n",
             e.name(),
             if i == 0 { "*" } else { "" },
             e.description(),
@@ -93,6 +97,22 @@ mod tests {
         assert!(json.contains("\"engines\":["), "{json}");
         assert!(json.contains("\"default\":true"), "{json}");
         assert!(json.contains("\"opt_levels\":[\"O0\",\"O1\"]"), "{json}");
+    }
+
+    #[test]
+    fn engines_capability_column_starts_at_one_offset() {
+        let reader = MapReader(HashMap::new());
+        let out = run(&args(&["engines"]), &reader).unwrap();
+        let mut lines = out.lines();
+        let header = lines.next().expect("a header row");
+        let offset = header.find("capabilities").expect("a capabilities column");
+        for line in lines {
+            let chars: Vec<char> = line.chars().collect();
+            assert!(
+                chars[offset - 1] == ' ' && chars[offset] != ' ',
+                "a capability column off offset {offset}:\n{out}"
+            );
+        }
     }
 
     #[test]

@@ -31,6 +31,17 @@
 //! * **Superinstructions** — the O1 fused forms (`LoadLoad`,
 //!   `CmpBranch`, `Load2`/`Store2`, `Accum`) each get dedicated handlers;
 //!   rank-1 loads and stores skip the general subscript-buffer path.
+//! * **Division by constants** — a `/` or `%` whose divisor is a fused
+//!   constant `d`, `2 ≤ |d| ≤ u32::MAX`, multiplies instead of dividing,
+//!   as compiled code does (Granlund & Montgomery, "Division by invariant
+//!   integers using multiplication", PLDI 1994): the multiplier
+//!   `⌈2^64 / |d|⌉` is computed once, at lowering, and serves any dividend
+//!   of at most 32 bits; wider ones take the hardware divide.  The O1
+//!   divisibility test `x % d ==/!= 0` ahead of a branch, its temps dead
+//!   after it, becomes one branch on `m·|x| mod 2^64 < m` (Lemire, Kaser &
+//!   Kurz, "Faster remainder by direct computation", SPE 2019).  Divisors
+//!   0 and ±1 keep the checked handlers, and with them every
+//!   division-by-zero and `i64::MIN / −1` error point.
 //!
 //! Semantics stay bit-identical to the bytecode engines: wrapping
 //! arithmetic, division/remainder error points, undefined-array and
@@ -748,6 +759,90 @@ fn th_store2<K: StoreKind>(op: &ThOp<K>, cx: &mut ThCtx<'_, K>) -> Result<u32, E
     Ok(op.next)
 }
 
+// Division by a constant `d`, `2 ≤ |d| ≤ u32::MAX`: the op carries `|d|`
+// in `c`, its multiplier `m = ⌈2^64 / |d|⌉` in `imm` and, for a quotient,
+// `d < 0` in `ext`.  With a dividend of at most 32 bits, `|x| / |d|` is
+// the high word of `m·|x|`, `|x| % |d|` the high word of `|d|` times its
+// low word, and `|d|` divides `|x|` exactly when that low word is below
+// `m` (Lemire, Kaser & Kurz 2019).  Wider dividends take the hardware
+// divide.  Signs follow C truncation: the quotient's is the product of
+// both signs, the remainder's the dividend's.
+
+/// `|d|` and `⌈2^64 / |d|⌉`, for the divisors the multiply forms serve:
+/// `None` for 0 and ±1 (whose error points and `i64::MIN / −1` stay with
+/// the checked handlers) and beyond `u32::MAX`.
+fn magic_divisor(d: i64) -> Option<(u32, u64)> {
+    let ud = u32::try_from(d.unsigned_abs()).ok().filter(|&u| u >= 2)?;
+    Some((ud, u64::MAX / u64::from(ud) + 1))
+}
+
+#[inline(always)]
+fn mul_hi(a: u64, b: u64) -> u64 {
+    ((u128::from(a) * u128::from(b)) >> 64) as u64
+}
+
+/// `x / d` truncated, `neg` the sign of `d`.
+#[inline(always)]
+fn div_magic(x: i64, ud: u32, m: u64, neg: bool) -> i64 {
+    let ux = x.unsigned_abs();
+    let q = if ux <= u64::from(u32::MAX) {
+        mul_hi(m, ux)
+    } else {
+        ux / u64::from(ud)
+    } as i64;
+    let s = (x >> 63) ^ -(neg as i64);
+    (q ^ s) - s
+}
+
+/// `x % d`, truncated: `d`'s sign plays no part.
+#[inline(always)]
+fn rem_magic(x: i64, ud: u32, m: u64) -> i64 {
+    let ux = x.unsigned_abs();
+    let r = if ux <= u64::from(u32::MAX) {
+        mul_hi(m.wrapping_mul(ux), u64::from(ud))
+    } else {
+        ux % u64::from(ud)
+    } as i64;
+    let s = x >> 63;
+    (r ^ s) - s
+}
+
+/// `x % d == 0`.
+#[inline(always)]
+fn divisible_magic(x: i64, ud: u32, m: u64) -> bool {
+    let ux = x.unsigned_abs();
+    if ux <= u64::from(u32::MAX) {
+        m.wrapping_mul(ux) < m
+    } else {
+        ux.is_multiple_of(u64::from(ud))
+    }
+}
+
+fn th_div_magic<K: StoreKind>(op: &ThOp<K>, cx: &mut ThCtx<'_, K>) -> Result<u32, ExecError> {
+    let v = div_magic(cx.regs[op.b as usize], op.c, op.imm as u64, op.ext != 0);
+    cx.set(op.a, v);
+    Ok(op.next)
+}
+
+fn th_mod_magic<K: StoreKind>(op: &ThOp<K>, cx: &mut ThCtx<'_, K>) -> Result<u32, ExecError> {
+    let v = rem_magic(cx.regs[op.b as usize], op.c, op.imm as u64);
+    cx.set(op.a, v);
+    Ok(op.next)
+}
+
+/// The fused `x % d == 0` branch: divisible takes `ext`, like a true
+/// comparison of [`cmpbr_handlers`].
+fn th_bdvd<K: StoreKind>(op: &ThOp<K>, cx: &mut ThCtx<'_, K>) -> Result<u32, ExecError> {
+    let divisible = divisible_magic(cx.regs[op.b as usize], op.c, op.imm as u64);
+    Ok(if divisible { op.ext } else { op.next })
+}
+
+/// The fused `x % d != 0` branch.
+fn th_bndvd<K: StoreKind>(op: &ThOp<K>, cx: &mut ThCtx<'_, K>) -> Result<u32, ExecError> {
+    let divisible = divisible_magic(cx.regs[op.b as usize], op.c, op.imm as u64);
+    Ok(if divisible { op.next } else { op.ext })
+}
+
 /// Operand shape of a lowered binary operation.
 #[derive(Clone, Copy)]
 enum Shape {
@@ -849,6 +944,24 @@ struct Lower<'b, K: StoreKind> {
     while_ids: Vec<LoopId>,
 }
 
+/// Aims the branch op `o`, lowered at `pos`, at bytecode index `target`:
+/// a true test takes `ext`, so a branch on false keeps its target in
+/// `next` and its fall-through in `ext`.
+fn branch_to<K: StoreKind>(
+    o: &mut ThOp<K>,
+    pos: usize,
+    target: u32,
+    jump_if: bool,
+    patches: &mut Vec<(usize, u32, PatchField)>,
+) {
+    if jump_if {
+        patches.push((pos, target, PatchField::Ext));
+    } else {
+        o.ext = pos as u32 + 1;
+        patches.push((pos, target, PatchField::Next));
+    }
+}
+
 fn push<K: StoreKind>(out: &mut Vec<ThOp<K>>, run: Handler<K>) -> &mut ThOp<K> {
     let next = out.len() as u32 + 1;
     out.push(ThOp {
@@ -875,6 +988,11 @@ impl<K: StoreKind> Lower<'_, K> {
             let pos = out.len() as u32;
             map[i] = pos;
             if let Instr::Const { dst: t, pool } = &code[i] {
+                if self.try_fuse_divisibility(code, i, &targets, &live, &mut out, &mut patches) {
+                    map[i + 1..i + 4].fill(pos);
+                    i += 4;
+                    continue;
+                }
                 // Constant fusion: a temp constant directly above its
                 // consumer (no branch landing between the two) and dead
                 // after it becomes the consumer's immediate.
@@ -902,6 +1020,62 @@ impl<K: StoreKind> Lower<'_, K> {
             ops: out,
             result: result.map_or(0, |r| r.0),
         }
+    }
+
+    /// Lowers the O1 divisibility test `const d; t ← x % d; const 0; cmpbr
+    /// t ==/!= 0` at `i` to one branch when `d` has a multiplier, no jump
+    /// lands inside the window and every temp it writes is dead after the
+    /// branch; returns `false` to leave the window to the other rules.
+    fn try_fuse_divisibility(
+        &self,
+        code: &[Instr],
+        i: usize,
+        targets: &[bool],
+        live: &Liveness,
+        out: &mut Vec<ThOp<K>>,
+        patches: &mut Vec<(usize, u32, PatchField)>,
+    ) -> bool {
+        let Some(
+            [Instr::Const { dst: td, pool: pd }, Instr::Bin {
+                op: BinOp::Mod,
+                dst: t,
+                a: x,
+                b,
+            }, Instr::Const { dst: tz, pool: pz }, Instr::CmpBranch {
+                op: cmp @ (BinOp::Eq | BinOp::Ne),
+                a: ca,
+                b: cb,
+                target,
+                jump_if,
+            }],
+        ) = code.get(i..i + 4)
+        else {
+            return false;
+        };
+        let consts = &self.bc.consts;
+        let Some((ud, m)) = magic_divisor(consts[*pd as usize]) else {
+            return false;
+        };
+        let shaped = b == td
+            && x != td
+            && consts[*pz as usize] == 0
+            && t != tz
+            && ((ca, cb) == (t, tz) || (ca, cb) == (tz, t));
+        if !shaped
+            || targets[i + 1..i + 4].contains(&true)
+            || !live.dead_after(code, i + 1, *td)
+            || !live.dead_after(code, i + 3, *t)
+            || !live.dead_after(code, i + 3, *tz)
+        {
+            return false;
+        }
+        let pos = out.len();
+        let o = push(out, if *cmp == BinOp::Eq { th_bdvd } else { th_bndvd });
+        o.b = x.0;
+        o.c = ud;
+        o.imm = m as i64;
+        branch_to(o, pos, *target, *jump_if, patches);
+        true
     }
 
     fn emit(
@@ -1033,12 +1207,7 @@ impl<K: StoreKind> Lower<'_, K> {
                 let o = push(out, cmpbr_handler(*op, Shape::Rr));
                 o.b = a.0;
                 o.c = b.0;
-                if *jump_if {
-                    patches.push((pos, *target, PatchField::Ext));
-                } else {
-                    o.ext = pos as u32 + 1;
-                    patches.push((pos, *target, PatchField::Next));
-                }
+                branch_to(o, pos, *target, *jump_if, patches);
             }
             Instr::Load2 { dst, array, i0, i1 } => {
                 let o = push(out, th_load2);
@@ -1121,6 +1290,23 @@ fn try_fuse<K: StoreKind>(
     out: &mut Vec<ThOp<K>>,
     patches: &mut Vec<(usize, u32, PatchField)>,
 ) -> bool {
+    // Division by a constant with a multiplier takes the multiply forms.
+    if let (Instr::Bin { op, dst, a, b }, Some((ud, m))) = (next, magic_divisor(imm)) {
+        if matches!(op, BinOp::Div | BinOp::Mod) && *b == t && *a != t {
+            let h: Handler<K> = if *op == BinOp::Div {
+                th_div_magic
+            } else {
+                th_mod_magic
+            };
+            let o = push(out, h);
+            o.a = dst.0;
+            o.b = a.0;
+            o.c = ud;
+            o.imm = m as i64;
+            o.ext = (imm < 0) as u32;
+            return true;
+        }
+    }
     match next {
         Instr::Bin { op, dst, a, b }
             if (*a == t) != (*b == t) && !matches!(op, BinOp::And | BinOp::Or) =>
@@ -1152,12 +1338,7 @@ fn try_fuse<K: StoreKind>(
             let o = push(out, h);
             o.b = reg;
             o.imm = imm;
-            if *jump_if {
-                patches.push((pos, *target, PatchField::Ext));
-            } else {
-                o.ext = pos as u32 + 1;
-                patches.push((pos, *target, PatchField::Next));
-            }
+            branch_to(o, pos, *target, *jump_if, patches);
             true
         }
         Instr::Accum { op, dst, src } if *src == t && *dst != t => {
@@ -1378,6 +1559,104 @@ mod tests {
                 "a constant stayed a separate op at {level}"
             );
             assert_eq!(body.len(), f.body.len() - 2, "two fusions at {level}");
+        }
+    }
+
+    /// Dividends for the multiply forms: both sides of the 32-bit fast
+    /// path's edge, the extremes, and a seeded sample at three magnitudes.
+    fn dividends() -> Vec<i64> {
+        let edge = 1i64 << 32;
+        let mut xs = vec![0, i64::MIN, i64::MAX];
+        for v in [1, edge - 1, edge, edge + 1] {
+            xs.extend([v, -v]);
+        }
+        let mut s: u64 = 0x9e37_79b9_7f4a_7c15;
+        for k in 0..480 {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            xs.push((s as i64) >> [0, 30, 52][k % 3]);
+        }
+        xs
+    }
+
+    /// Divisors that have a multiplier, each with its negation.
+    fn divisors() -> Vec<i64> {
+        (2..=64)
+            .chain([17, 1_000_003, 1 << 31, u32::MAX as i64])
+            .flat_map(|d| [d, -d])
+            .collect()
+    }
+
+    #[test]
+    fn multiply_forms_match_checked_division() {
+        for d in divisors() {
+            let (ud, m) = magic_divisor(d).expect("2 ≤ |d| ≤ u32::MAX has a multiplier");
+            for x in dividends() {
+                let q = x.checked_div(d).expect("|d| ≥ 2 never traps");
+                let r = x.checked_rem(d).expect("|d| ≥ 2 never traps");
+                assert_eq!(div_magic(x, ud, m, d < 0), q, "{x} / {d}");
+                assert_eq!(rem_magic(x, ud, m), r, "{x} % {d}");
+                assert_eq!(divisible_magic(x, ud, m), r == 0, "{x} % {d} == 0");
+            }
+        }
+        for d in [0, 1, -1, 1 << 32, -(1 << 32), i64::MIN, i64::MAX] {
+            assert!(
+                magic_divisor(d).is_none(),
+                "{d} stays with the checked handlers"
+            );
+        }
+    }
+
+    #[test]
+    fn constant_division_handlers_match_checked_division() {
+        // One loop per divisor: a quotient, a remainder and both fused
+        // divisibility branches over every dividend.
+        let (xs, ds) = (dividends(), divisors());
+        let (n, k) = (xs.len(), ds.len());
+        let mut src = format!("int q[{k}][{n}]; int r[{k}][{n}]; int z[{k}][{n}];\n");
+        for (j, d) in ds.iter().enumerate() {
+            src += &format!(
+                "for (i = 0; i < n; i++) {{ q[{j}][i] = x[i] / {d}; r[{j}][i] = x[i] % {d}; \
+                 if (x[i] % {d} == 0) {{ z[{j}][i] = 1; }} \
+                 if (x[i] % {d} != 0) {{ z[{j}][i] = z[{j}][i] + 2; }} }}\n"
+            );
+        }
+        let heap = Heap::new()
+            .with_scalar("n", n as i64)
+            .with_array("x", xs.clone());
+        let art = artifacts(&src);
+        // At O1 each loop holds four ops carrying its divisor's multiplier,
+        // and four distinct handlers among them means both tests fused (an
+        // unfused test would repeat the remainder's handler).  Handlers
+        // are told apart within the one lowering: a generic handler's
+        // address may differ between codegen units.
+        let prog = lower::<SpineKind>(art.bytecode_at(OptLevel::O1));
+        assert_eq!(prog.loops.len(), k);
+        for (lp, &d) in prog.loops.iter().zip(&ds) {
+            let (_, m) = magic_divisor(d).expect("every divisor has one");
+            let runs: Vec<_> = (lp.body.ops.iter())
+                .filter(|op| op.imm == m as i64)
+                .map(|op| op.run)
+                .collect();
+            assert_eq!(runs.len(), 4, "`/`, `%` and both tests by {d} multiply");
+            for (a, &ra) in runs.iter().enumerate() {
+                let same = runs[a + 1..].iter().any(|&rb| std::ptr::fn_addr_eq(ra, rb));
+                assert!(!same, "both tests by {d} fuse into their own handlers");
+            }
+        }
+        for level in [OptLevel::O0, OptLevel::O1] {
+            let (bc, th) = run_both(&src, &heap, level);
+            assert_eq!(bc, th, "heaps diverge at {level:?}");
+            for (j, &d) in ds.iter().enumerate() {
+                for (i, &x) in xs.iter().enumerate() {
+                    let at = |a: &str| th.arrays[a].data[j * n + i];
+                    let rem = x.checked_rem(d).expect("|d| ≥ 2 never traps");
+                    assert_eq!(at("q"), x.checked_div(d).unwrap(), "{x} / {d} at {level:?}");
+                    assert_eq!(at("r"), rem, "{x} % {d} at {level:?}");
+                    assert_eq!(at("z"), if rem == 0 { 1 } else { 2 }, "{x} % {d} == 0");
+                }
+            }
         }
     }
 

@@ -37,8 +37,10 @@
 //! above the floor the hunt must also have *reached* every dispatch
 //! strategy: it fails if no parallel leg ran a loop as level sets, if no
 //! run-time-inspector-baseline leg produced a verdict, if no leg found
-//! a level-set schedule by array generation, or if no loop reached the
-//! monotonicity check.
+//! a level-set schedule by array generation, if no loop reached the
+//! monotonicity check, or if no case divides by a literal the threaded
+//! chain multiplies by (`|d| ≥ 2`) or none by one it keeps on the checked
+//! handlers (0, ±1).
 
 mod fuzzgen;
 
@@ -46,6 +48,9 @@ use fuzzgen::{GProgram, GStmt};
 use ss_aggregation::analyze_program;
 use ss_deptest::{test_loop, RangeTestConfig};
 use ss_interp::{ExecOptions, Heap, LegKind, Matrix, ScheduleSource, Session};
+use ss_ir::ast::BinOp;
+use ss_ir::bytecode::Instr;
+use ss_ir::opt::OptLevel;
 use ss_ir::LoopTree;
 use std::sync::OnceLock;
 
@@ -74,6 +79,42 @@ struct Reach {
     generation_hits: usize,
     /// Loops both Range Test configurations judged.
     monotone_loops: usize,
+    /// Cases whose O1 stream divides by a literal the threaded chain
+    /// multiplies by (`2 ≤ |d| ≤ u32::MAX`) ...
+    reduced_divisions: usize,
+    /// ... and by a literal its checked handlers keep (0, ±1).
+    generic_divisions: usize,
+}
+
+/// Whether `code` (loop blocks included) divides by a literal operand
+/// with and without a multiplier: a `Const` directly above the `/` or `%`
+/// that reads it as its divisor, the pair the threaded lowering fuses.
+fn literal_divisors(code: &[Instr], consts: &[i64], seen: &mut (bool, bool)) {
+    for pair in code.windows(2) {
+        if let [Instr::Const { dst, pool }, Instr::Bin {
+            op: BinOp::Div | BinOp::Mod,
+            a,
+            b,
+            ..
+        }] = pair
+        {
+            if b == dst && a != dst {
+                let d = consts[*pool as usize].unsigned_abs();
+                if (2..=u64::from(u32::MAX)).contains(&d) {
+                    seen.0 = true;
+                } else {
+                    seen.1 = true;
+                }
+            }
+        }
+    }
+    for ins in code {
+        if let Instr::For(f) = ins {
+            f.blocks()
+                .into_iter()
+                .for_each(|b| literal_divisors(b, consts, seen));
+        }
+    }
 }
 
 /// The initial heap of every case: the index arrays of the `input`
@@ -98,6 +139,11 @@ fn check_source(src: &str, threads: usize, reach: &mut Reach) -> Option<String> 
         Ok(a) => a,
         Err(e) => return Some(format!("generated program failed to parse: {e}")),
     };
+    let bc = artifacts.bytecode_at(OptLevel::O1);
+    let mut seen = (false, false);
+    literal_divisors(&bc.main, &bc.consts, &mut seen);
+    reach.reduced_divisions += seen.0 as usize;
+    reach.generic_divisions += seen.1 as usize;
     // Fuzz the analysis itself: index-array properties only ever *add*
     // facts, so a loop the property-free baseline proves parallel must
     // stay parallel under the extended test.
@@ -302,8 +348,14 @@ fn all_engines_agree_on_generated_programs() {
     }
     eprintln!(
         "engine_fuzz: {cases} cases, {} level-set leg(s), {} inspector-verdict leg(s), \
-         {} generation-hit leg(s), {} loop(s) checked for monotonicity",
-        reach.level_set_legs, reach.inspector_legs, reach.generation_hits, reach.monotone_loops
+         {} generation-hit leg(s), {} loop(s) checked for monotonicity; {} case(s) divide \
+         by a multiplied literal, {} by 0 or ±1",
+        reach.level_set_legs,
+        reach.inspector_legs,
+        reach.generation_hits,
+        reach.monotone_loops,
+        reach.reduced_divisions,
+        reach.generic_divisions
     );
     // Short local runs (below the CI floor) are exempt.
     assert!(
@@ -320,6 +372,14 @@ fn all_engines_agree_on_generated_programs() {
         cases < 256 || reach.generation_hits > 0,
         "no leg of {cases} cases found a schedule by generation: the \
          generator no longer reaches the generation-keyed cache"
+    );
+    assert!(
+        cases < 256 || (reach.reduced_divisions > 0 && reach.generic_divisions > 0),
+        "of {cases} cases, {} divide by a literal with a multiplier and {} by \
+         0 or ±1: the generator no longer reaches both division paths of the \
+         threaded chain",
+        reach.reduced_divisions,
+        reach.generic_divisions
     );
     assert!(
         cases < 256 || reach.monotone_loops > 0,

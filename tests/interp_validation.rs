@@ -337,3 +337,69 @@ fn inspector_baseline_three_way_comparison() {
         "inspector observes write conflicts on the histogram"
     );
 }
+
+/// Division and remainder by constants, whose multiply forms serve
+/// dividends up to 32 bits and fall back to the hardware divide beyond:
+/// negative dividends and divisors, dividends on both sides of ±2^32 and
+/// the `i64` extremes, through a quotient, a remainder, both fused
+/// divisibility branches and a `+` reduction.  Every leg of the matrix
+/// must match the reference bit for bit.
+#[test]
+fn division_by_constants_agrees_across_the_matrix() {
+    let src = r#"
+        for (i = 0; i < n; i++) {
+            q[i] = x[i] / 17;
+            r[i] = x[i] % -17;
+            big[i] = x[i] / -1000003 + x[i] % 4294967295;
+            if (x[i] % 16 == 0) { hits += 1; }
+            if (x[i] % 3 != 0) { w[i] = x[i] / -3; }
+        }
+        for (i = 0; i < n; i++) {
+            cnt = 0;
+            for (t = 0; t < i; t++) {
+                if (x[t] % 17 == 0) { cnt = cnt + 1; }
+            }
+            rc[i] = cnt;
+        }
+    "#;
+    let edge = 1i64 << 32;
+    let mut xs: Vec<i64> = (-40..40).collect();
+    for base in [edge - 1, edge, edge + 1, edge * 17, 1_000_003 * 5] {
+        xs.extend([base, -base, base + 34, -base - 34]);
+    }
+    xs.extend([i64::MIN, i64::MAX, i64::MIN + 1]);
+    let n = xs.len();
+    let zeros = || vec![0; n];
+    let heap = Heap::new()
+        .with_scalar("n", n as i64)
+        .with_scalar("hits", 0)
+        .with_array("x", xs.clone())
+        .with_array("q", zeros())
+        .with_array("r", zeros())
+        .with_array("big", zeros())
+        .with_array("w", zeros())
+        .with_array("rc", zeros());
+    let outcome = session()
+        .run(&differential("div_const", src, 2, ScheduleChoice::Auto).initial_heap(heap))
+        .unwrap();
+    assert!(outcome.heaps_match(), "{:?}", outcome.mismatches());
+    let compared = &outcome.validation.as_ref().unwrap().compared;
+    for row in [
+        "threaded@O1",
+        "parallel threaded@O1",
+        "parallel wavefront@O1",
+    ] {
+        assert!(
+            compared.iter().any(|l| l == row),
+            "no {row} leg in {compared:?}"
+        );
+    }
+    let (q, r) = (
+        &outcome.heap.arrays["q"].data,
+        &outcome.heap.arrays["r"].data,
+    );
+    for (i, &x) in xs.iter().enumerate() {
+        assert_eq!(q[i], x / 17, "{x} / 17");
+        assert_eq!(r[i], x % -17, "{x} % -17");
+    }
+}
