@@ -18,7 +18,7 @@ use ss_ir::ast::written_arrays;
 use ss_ir::bytecode::{compile_bytecode, BytecodeProgram};
 use ss_ir::loops::LoopTree;
 use ss_ir::opt::{optimize, OptLevel};
-use ss_ir::slots::{compile_program as compile_slots, CompiledProgram, SlotMap};
+use ss_ir::slots::{compile_program as compile_slots, CompiledProgram};
 use ss_ir::{parse_program, print_program_with, IrError, LoopId, PrintOptions, Program, Stmt};
 use ss_properties::PropertyDatabase;
 use std::time::Instant;
@@ -225,7 +225,6 @@ pub fn parallelize_source(name: &str, src: &str) -> Result<ParallelizationReport
 pub fn parallelize(program: &Program) -> ParallelizationReport {
     let analysis: ProgramAnalysis = analyze_program(program);
     let tree = LoopTree::build(program);
-    let slots = SlotMap::build(program);
     let extended_cfg = RangeTestConfig::default();
     let baseline_cfg = RangeTestConfig::baseline();
     let mut loops = Vec::new();
@@ -242,7 +241,7 @@ pub fn parallelize(program: &Program) -> ParallelizationReport {
             && !extended.carried_scalars.is_empty()
             && extended.blockers.len() == extended.carried_scalars.len()
         {
-            let recognized = recognize_reductions(program, info.id, &slots);
+            let recognized = recognize_reductions(program, info.id);
             if extended
                 .carried_scalars
                 .iter()

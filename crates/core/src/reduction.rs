@@ -26,7 +26,6 @@
 //! evaluates them once, up front).
 
 use ss_ir::ast::{assigned_scalars, AExpr, AssignOp, BinOp, LoopId, Program, Stmt};
-use ss_ir::slots::{ScalarSlot, SlotMap};
 
 /// The combiner of a recognized reduction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,10 +76,9 @@ impl ReductionOp {
 /// One recognized reduction accumulator of a loop.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReductionInfo {
-    /// The accumulator's slot in the program's [`SlotMap`] (what the
-    /// compiled executor indexes its dense frame with).
-    pub slot: ScalarSlot,
-    /// The accumulator's name (for reports and the AST reference engine).
+    /// The accumulator's name.  Reports print it; a dispatcher resolves
+    /// the frame slot it combines into from it, in the slot map of the
+    /// compile it runs.
     pub var: String,
     /// The combiner.
     pub op: ReductionOp,
@@ -91,7 +89,7 @@ pub struct ReductionInfo {
 /// well-formed update of a single operator; scalars that fail the shape
 /// test are simply absent (the caller decides whether the remaining
 /// blockers still forbid parallel execution).
-pub fn recognize_reductions(program: &Program, id: LoopId, slots: &SlotMap) -> Vec<ReductionInfo> {
+pub fn recognize_reductions(program: &Program, id: LoopId) -> Vec<ReductionInfo> {
     let Some(Stmt::For {
         var,
         init,
@@ -114,14 +112,7 @@ pub fn recognize_reductions(program: &Program, id: LoopId, slots: &SlotMap) -> V
             continue;
         }
         if let Some(op) = classify(body, &name) {
-            let Some(slot) = slots.scalar_slot(&name) else {
-                continue;
-            };
-            accumulators.push(ReductionInfo {
-                slot,
-                var: name,
-                op,
-            });
+            accumulators.push(ReductionInfo { var: name, op });
         }
     }
     accumulators
@@ -253,8 +244,7 @@ mod tests {
 
     fn recognize(src: &str, loop_id: u32) -> Vec<ReductionInfo> {
         let p = parse_program("t", src).unwrap();
-        let slots = SlotMap::build(&p);
-        recognize_reductions(&p, LoopId(loop_id), &slots)
+        recognize_reductions(&p, LoopId(loop_id))
     }
 
     #[test]

@@ -10,9 +10,13 @@
 //! compilation, from the code that fills the index arrays; at run time the
 //! parallel loop simply runs.  Here that regime's whole run-time cost is one
 //! team region: its workers store straight into the caller's buffer through
-//! a relaxed-atomic view of it, with no allocation, copy-in or copy-back
-//! (the licensed branch of the inspector/executor regime runs the same
-//! way).  The [`ExecutionProfile`] returned by the drivers here records the
+//! [`ss_runtime::atomic_cells`], a relaxed-atomic view of it, with no
+//! allocation, copy-in or copy-back (the licensed branch of the
+//! inspector/executor regime runs the same way, and so do `ss-interp`'s
+//! dispatched loops).  A compile-time assertion that is false for the
+//! input makes the workers race on values, never into undefined
+//! behaviour; this crate has no `unsafe` code.  The [`ExecutionProfile`]
+//! returned by the drivers here records the
 //! inspection and execution times separately so the ablation benchmark can
 //! chart exactly how much of each invocation the inspector consumes.
 //!
@@ -29,9 +33,8 @@
 
 use crate::inspect::{inspect_index_array, inspect_write_conflicts, InspectorConfig};
 use ss_properties::ArrayProperty;
-use ss_runtime::{parallel_for, time_it};
-use std::mem::{align_of, size_of};
-use std::sync::atomic::{AtomicU64, Ordering};
+use ss_runtime::{atomic_cells, parallel_for, time_it};
+use std::sync::atomic::Ordering;
 
 /// How the executor ended up running the loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -234,33 +237,6 @@ pub enum Mode {
     /// Always execute serially (what a conventional compiler emits for these
     /// loops today).
     Serial,
-}
-
-/// The element types a licensed parallel branch stores into: eight bytes
-/// for which every bit pattern is a valid value, so a `u64` store through
-/// [`atomic_cells`] always leaves a valid element behind.
-trait Word {}
-
-impl Word for f64 {}
-
-impl Word for i64 {}
-
-/// `data`'s own cells as relaxed atomics, for as long as `data` is
-/// borrowed: the licensed parallel branches store through this view, so a
-/// call allocates and copies nothing.  If the property licensing the
-/// branch is false after all (a compile-time assertion about an input it
-/// does not hold for), workers race on values, never into undefined
-/// behaviour.
-fn atomic_cells<T: Word>(data: &mut [T]) -> &[AtomicU64] {
-    assert_eq!(size_of::<T>(), size_of::<AtomicU64>());
-    assert_eq!(data.as_ptr() as usize % align_of::<AtomicU64>(), 0);
-    // SAFETY: `AtomicU64::from_ptr`'s contract, for every cell at once:
-    // each is 8 bytes and aligned for `AtomicU64` (asserted above), valid
-    // for reads and writes, and — since `data`'s exclusive borrow lives
-    // as long as the view — accessed only atomically while the view
-    // exists.  `AtomicU64` has `u64`'s in-memory representation, and any
-    // `u64` is a valid `T` (`Word`).
-    unsafe { std::slice::from_raw_parts(data.as_mut_ptr().cast::<AtomicU64>(), data.len()) }
 }
 
 #[cfg(test)]

@@ -48,6 +48,7 @@
 //! assert!(!report.properties.has(ArrayProperty::Injective));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod executor;

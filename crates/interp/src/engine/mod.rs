@@ -38,8 +38,9 @@
 //! stores, worker-private storage and the dispatch recipe itself (gates,
 //! iteration space, one phased region on the persistent team, fold,
 //! last-writer / combiner / local-array merge-back), written once: it is the only file
-//! of this crate that enters a team region and the only one with
-//! `unsafe`.  A registered [`Engine`] is a *row*: an executor plus the
+//! of this crate that enters a team region.  Its members store through
+//! relaxed-atomic views of the spine's arrays, and the crate forbids
+//! `unsafe` code.  A registered [`Engine`] is a *row*: an executor plus the
 //! strategies its parallel runs may use ([`registry`]): `bytecode`,
 //! `threaded` and `compiled` are their executors with proof dispatch;
 //! `wavefront` is the threaded executor with level sets as well; `ast` is
@@ -1080,6 +1081,48 @@ mod tests {
                     ExecMode::Serial
                 };
                 assert_eq!(par.stats.loops[&LoopId(0)].mode, expected);
+            }
+        }
+    }
+
+    #[test]
+    fn a_false_parallel_verdict_races_only_on_values() {
+        // ROADMAP's ov9: over ℤ the subscript `i * 2^62` is disjoint across
+        // iterations, but in wrapping i64 iterations 0 and 4 both
+        // read-modify-write `y[0]`, and the delay loop makes the two
+        // overlap.  Whether the loop is dispatched or kept serial, `y[0]`
+        // ends as the serial run leaves it (y0 + 6) or as one of the racing
+        // stores does (y0 + 1, y0 + 5), and every other cell is the
+        // serial run's: the members race on values, not into undefined
+        // behaviour.
+        let art = compile(
+            "ov9",
+            r#"
+            for (i = 0; i < 5; i++) {
+                if (i == 0 || i == 4) {
+                    v = y[i * 4611686018427387904];
+                    s = 0; for (t = 0; t < 200000; t++) { s = s + t; }
+                    y[i * 4611686018427387904] = v + i + 1;
+                }
+            }
+        "#,
+        );
+        let y0 = 7;
+        let heap = Heap::new().with_array("y", vec![y0, 20, 30, 40]);
+        let serial = (reference_engine().run_serial(&art, heap.clone(), &opts(1)))
+            .unwrap()
+            .heap;
+        assert_eq!(serial.arrays["y"].data[0], y0 + 6);
+        let threaded = EngineRegistry::builtin().get("threaded").unwrap();
+        for threads in [2, 3] {
+            for opts in schedule_legs(threads) {
+                for _ in 0..4 {
+                    let raced = threaded.run_parallel(&art, heap.clone(), &opts).unwrap();
+                    let (y, want) = (&raced.heap.arrays["y"].data, &serial.arrays["y"].data);
+                    assert!([y0 + 1, y0 + 5, y0 + 6].contains(&y[0]), "{y:?} {opts:?}");
+                    assert_eq!(y[1..], want[1..], "{opts:?}");
+                    assert_eq!(raced.heap.arrays.len(), serial.arrays.len());
+                }
             }
         }
     }

@@ -34,8 +34,17 @@
 //! first dispatched region of the first run in the group and reused by
 //! every later region of every later run, so repeated runs in one process
 //! pay exactly one spawn per thread count, ever.  [`run_region`] is the
-//! only place in this crate that enters a team region, and this file the
-//! only one with `unsafe` (CI greps for both).
+//! only place in this crate that enters a team region (CI greps for it);
+//! each phase's iterations reach the members through
+//! [`ss_runtime::Member::share`].
+//!
+//! The members store into the spine's own arrays, through the
+//! relaxed-atomic views [`SharedSlots`] takes with
+//! [`ss_runtime::atomic_cells`] — on x86-64 the same plain loads and
+//! stores as a `&mut` access.  The crate has no `unsafe` code: a verdict
+//! that is wrong about the input (two iterations of one level that touch
+//! the same element) makes the members race on values, never into
+//! undefined behaviour, and the differential matrix sees the values.
 
 use super::threaded::ThBody;
 use super::wavefront::{Gated, InspectArrays, InspectKind, LevelSets, MIN_AVG_WIDTH};
@@ -44,11 +53,10 @@ use crate::heap::{row_major_flat, ArrayVal, Heap};
 use ss_inspector::levelset::LevelSchedule;
 use ss_ir::ast::{BinOp, LoopId};
 use ss_ir::slots::{ArraySlot, SlotMap};
-use ss_parallelizer::{Artifacts, ReductionInfo};
-use ss_runtime::{chunk_range, with_shared_team_in, Schedule};
+use ss_parallelizer::{Artifacts, ReductionOp};
+use ss_runtime::{atomic_cells, with_shared_team_in, Schedule};
 use std::collections::HashMap;
-use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
 // ---------------------------------------------------------------------------
@@ -317,38 +325,36 @@ impl ArrayStore for SpineArrays<'_> {
     }
 }
 
-/// Raw views of the spine's shared arrays, one per array slot (`None` for
-/// worker-private or absent slots).
-struct SharedSlots {
-    arrs: Vec<Option<SharedSlotArray>>,
+/// The spine's shared arrays as relaxed-atomic views of their own cells,
+/// one per array slot (`None` for worker-private or absent slots).
+///
+/// Between two team barriers the members of a correct verdict's region
+/// touch disjoint elements (the dispatched loop's proven property, or one
+/// level of a dependence level set), and an element one level writes is
+/// read or rewritten by another member only in a later level, after a
+/// [`Member::barrier`](ss_runtime::Member::barrier) whose
+/// Release-on-arrive / Acquire-on-leave ordering makes that write
+/// happen-before the access; so `Relaxed` loads and stores see what the
+/// serial run sees.  A wrong verdict leaves a race on the values of the
+/// elements it shares, nothing worse.
+struct SharedSlots<'a> {
+    arrs: Vec<Option<SharedSlotArray<'a>>>,
 }
 
-struct SharedSlotArray {
-    /// `*mut i64` smuggled as usize for `Send`.
-    ptr: usize,
+struct SharedSlotArray<'a> {
     dims: Vec<usize>,
-    len: usize,
+    cells: &'a [AtomicU64],
 }
 
-// SAFETY: between two team barriers, workers only access disjoint
-// elements (the dispatched loop's proven property, or one level of a
-// dependence level set), and an element one level writes is read or
-// rewritten by another worker only in a later level, i.e. after a
-// `Member::barrier` — whose Release-on-arrive / Acquire-on-leave ordering
-// makes that write happen-before the access.  The Vec storage is neither
-// grown nor freed while workers run.
-unsafe impl Sync for SharedSlots {}
-
-impl SharedSlots {
-    fn capture(arrays: &mut [Option<ArrayVal>], local: &[bool]) -> SharedSlots {
+impl<'a> SharedSlots<'a> {
+    fn capture(arrays: &'a mut [Option<ArrayVal>], local: &[bool]) -> SharedSlots<'a> {
         let arrs = arrays
             .iter_mut()
             .enumerate()
             .map(|(i, a)| match a {
                 Some(arr) if !local[i] => Some(SharedSlotArray {
                     dims: arr.dims.clone(),
-                    len: arr.data.len(),
-                    ptr: arr.data_mut_unstamped().as_mut_ptr() as usize,
+                    cells: atomic_cells(arr.data_mut_unstamped()),
                 }),
                 _ => None,
             })
@@ -356,15 +362,15 @@ impl SharedSlots {
         SharedSlots { arrs }
     }
 
-    /// Bounds-checked flat offset into the shared view of `a`, plus the raw
-    /// storage pointer (as usize).  Same error points as the heap path.
+    /// The bounds-checked cell of `a[indices]` in the shared view.  Same
+    /// error points as the heap path.
     #[inline]
     fn flat(
         &self,
         slots: &SlotMap,
         a: ArraySlot,
         indices: &[i64],
-    ) -> Result<(usize, usize), ExecError> {
+    ) -> Result<&AtomicU64, ExecError> {
         let name = || slots.array_name(a).to_string();
         let Some(arr) = &self.arrs[a.index()] else {
             return Err(ExecError::UndefinedArray(name()));
@@ -376,44 +382,42 @@ impl SharedSlots {
                 got: indices.len(),
             });
         }
-        let flat = row_major_flat(&arr.dims, indices)
-            .filter(|&flat| flat < arr.len)
+        row_major_flat(&arr.dims, indices)
+            .and_then(|flat| arr.cells.get(flat))
             .ok_or_else(|| ExecError::OutOfBounds {
                 array: name(),
                 indices: indices.to_vec(),
                 dims: arr.dims.clone(),
-            })?;
-        Ok((arr.ptr, flat))
+            })
     }
 
-    /// The flat offset of an in-range rank-1 (`j = None`) or rank-2 access
-    /// to shared array `a`, with its storage pointer; `None` sends the
-    /// access down the checked path (local or absent slot, other rank, out
-    /// of bounds).
+    /// The cell of an in-range rank-1 (`j = None`) or rank-2 access to
+    /// shared array `a`; `None` sends the access down the checked path
+    /// (local or absent slot, other rank, out of bounds).
     #[inline(always)]
-    fn fast(&self, a: ArraySlot, i: i64, j: Option<i64>) -> Option<(usize, usize)> {
+    fn fast(&self, a: ArraySlot, i: i64, j: Option<i64>) -> Option<&AtomicU64> {
         let arr = self.arrs[a.index()].as_ref()?;
         let flat = match (j, &arr.dims[..]) {
-            (None, [_]) => usize::try_from(i).ok().filter(|&i| i < arr.len)?,
+            (None, [_]) => usize::try_from(i).ok()?,
             (Some(j), &[d0, d1]) => {
                 let i = usize::try_from(i).ok().filter(|&i| i < d0)?;
                 let j = usize::try_from(j).ok().filter(|&j| j < d1)?;
-                Some(i * d1 + j).filter(|&flat| flat < arr.len)?
+                i * d1 + j
             }
             _ => return None,
         };
-        Some((arr.ptr, flat))
+        arr.cells.get(flat)
     }
 }
 
 pub(super) const NOT_WRITTEN: usize = usize::MAX;
 
-/// A worker's array store: shared raw views for the heap arrays, private
-/// storage for the dispatched loop's local arrays, and the last-writing
-/// iteration of every scalar slot and local array.
+/// A worker's array store: shared relaxed-atomic views of the heap arrays,
+/// private storage for the dispatched loop's local arrays, and the
+/// last-writing iteration of every scalar slot and local array.
 pub(super) struct WorkerArrays<'s> {
     slots: &'s SlotMap,
-    shared: &'s SharedSlots,
+    shared: &'s SharedSlots<'s>,
     local: &'s [bool],
     locals: Vec<Option<ArrayVal>>,
     local_write_iter: Vec<usize>,
@@ -428,10 +432,8 @@ impl ArrayStore for WorkerArrays<'_> {
         if self.local[a.index()] {
             return private_read(self.slots, &self.locals, a, indices);
         }
-        let (ptr, flat) = self.shared.flat(self.slots, a, indices)?;
-        // SAFETY: flat is bounds-checked; disjointness across workers is
-        // the dispatched region's property (see `SharedSlots`).
-        Ok(unsafe { *(ptr as *const i64).add(flat) })
+        let cell = self.shared.flat(self.slots, a, indices)?;
+        Ok(cell.load(Ordering::Relaxed) as i64)
     }
 
     #[inline]
@@ -441,11 +443,8 @@ impl ArrayStore for WorkerArrays<'_> {
             self.local_write_iter[a.index()] = self.current_iter;
             return Ok(());
         }
-        let (ptr, flat) = self.shared.flat(self.slots, a, indices)?;
-        // SAFETY: as above.
-        unsafe {
-            *(ptr as *mut i64).add(flat) = v;
-        }
+        let cell = self.shared.flat(self.slots, a, indices)?;
+        cell.store(v as u64, Ordering::Relaxed);
         Ok(())
     }
 
@@ -490,9 +489,7 @@ impl WorkerArrays<'_> {
     #[inline(always)]
     fn read_small(&mut self, a: ArraySlot, i: i64, j: Option<i64>) -> Result<i64, ExecError> {
         match (self.shared.fast(a, i, j), j) {
-            // SAFETY: `fast` bounds-checked the offset; disjointness as in
-            // `read`.
-            (Some((ptr, flat)), _) => Ok(unsafe { *(ptr as *const i64).add(flat) }),
+            (Some(cell), _) => Ok(cell.load(Ordering::Relaxed) as i64),
             (None, None) => self.read(a, &[i]),
             (None, Some(j)) => self.read(a, &[i, j]),
         }
@@ -508,9 +505,8 @@ impl WorkerArrays<'_> {
         v: i64,
     ) -> Result<(), ExecError> {
         match (self.shared.fast(a, i, j), j) {
-            (Some((ptr, flat)), _) => {
-                // SAFETY: as in `read_small`.
-                unsafe { *(ptr as *mut i64).add(flat) = v };
+            (Some(cell), _) => {
+                cell.store(v as u64, Ordering::Relaxed);
                 Ok(())
             }
             (None, None) => self.write(a, &[i], v),
@@ -553,7 +549,7 @@ struct ChunkAcc {
     err: Option<ExecError>,
     /// Last write per scalar slot: `(iteration, value)`.
     scalar_writes: Vec<Option<(usize, i64)>>,
-    /// Reduction partials, aligned with the loop's `ReductionInfo` list.
+    /// Reduction partials, aligned with the loop's [`Reduction`] list.
     partials: Vec<i64>,
     /// Loop-local array state of the latest iteration seen, aligned with
     /// the loop's local arrays.
@@ -569,7 +565,7 @@ fn keep_latest<T>(mine: &mut Option<(usize, T)>, iter: usize, theirs: impl FnOnc
 }
 
 impl ChunkAcc {
-    fn identity(nscalars: usize, reductions: &[ReductionInfo], nlocals: usize) -> ChunkAcc {
+    fn identity(nscalars: usize, reductions: &[Reduction], nlocals: usize) -> ChunkAcc {
         ChunkAcc {
             err: None,
             scalar_writes: vec![None; nscalars],
@@ -588,7 +584,7 @@ impl ChunkAcc {
         &mut self,
         (regs, arrays): (&mut [i64], &mut WorkerArrays<'_>),
         is_reduction: &[bool],
-        reductions: &[ReductionInfo],
+        reductions: &[Reduction],
         local_arrays: &[ArraySlot],
     ) {
         for (slot, iter) in arrays.scalar_write_iter.iter_mut().enumerate() {
@@ -598,7 +594,7 @@ impl ChunkAcc {
             }
         }
         for (partial, r) in self.partials.iter_mut().zip(reductions) {
-            let reg = &mut regs[r.slot.index()];
+            let reg = &mut regs[r.slot];
             *partial =
                 r.op.combine(*partial, std::mem::replace(reg, r.op.identity()));
         }
@@ -613,7 +609,7 @@ impl ChunkAcc {
         }
     }
 
-    fn combine(mut self, other: ChunkAcc, reductions: &[ReductionInfo]) -> ChunkAcc {
+    fn combine(mut self, other: ChunkAcc, reductions: &[Reduction]) -> ChunkAcc {
         if self.err.is_none() {
             self.err = other.err;
         }
@@ -638,13 +634,20 @@ impl ChunkAcc {
 // The dispatcher.
 // ---------------------------------------------------------------------------
 
+/// A recognized reduction accumulator of a dispatched loop: its scalar
+/// slot, resolved once per run from the verdict's name, and its combiner.
+pub(super) struct Reduction {
+    slot: usize,
+    op: ReductionOp,
+}
+
 /// The one dispatch policy: which loops leave the spine, and how.  Built
 /// per run from the artifacts' report; `None` in an executor's runner
 /// means serial.
 pub(super) struct Dispatcher<'r> {
     /// Outermost proven-parallel loops, keyed for O(1) lookup at each
     /// `for`, with their (possibly empty) reductions.
-    dispatchable: HashMap<LoopId, Vec<ReductionInfo>>,
+    dispatchable: HashMap<LoopId, Vec<Reduction>>,
     /// The level-set inspection: present when the registry row runs
     /// level sets or the run records the inspector baseline.
     level_sets: Option<LevelSets<'r>>,
@@ -663,7 +666,7 @@ const MIN_PARALLEL_TRIP: usize = 2;
 pub(super) enum Strategy<'d> {
     /// Proven independent up to the listed reductions: a region of one
     /// phase over `0..n`.
-    Proof(&'d [ReductionInfo]),
+    Proof(&'d [Reduction]),
     /// Serial-proven but gate-approved: inspected into dependence level
     /// sets — the inspector baseline's verdict — and, on rows with
     /// [`EngineCaps::level_sets`](super::EngineCaps::level_sets), run as
@@ -689,8 +692,14 @@ impl<'r> Dispatcher<'r> {
             .outermost_parallel_loops()
             .into_iter()
             .map(|id| {
-                let reductions = report.loop_report(id).map(|l| l.reductions.clone());
-                (id, reductions.unwrap_or_default())
+                let reductions = report.loop_report(id).map_or(&[][..], |l| &l.reductions);
+                let reductions = reductions.iter().map(|r| Reduction {
+                    slot: (artifacts.compiled.slots.scalar_slot(&r.var))
+                        .expect("an accumulator is a scalar of its program")
+                        .index(),
+                    op: r.op,
+                });
+                (id, reductions.collect())
             })
             .collect();
         Dispatcher {
@@ -712,7 +721,7 @@ impl<'r> Dispatcher<'r> {
         }
         let body = |inspected| ThBody::new(self.artifacts, self.opts, id, inspected);
         if let Some(reductions) = self.dispatchable.get(&id) {
-            if reductions.iter().any(|r| !defined[r.slot.index()]) {
+            if reductions.iter().any(|r| !defined[r.slot]) {
                 // An accumulator nobody initialized: the serial run may
                 // never write it at all (a guarded min/max whose guard
                 // never fires against the implicit 0), so its name must
@@ -913,7 +922,7 @@ fn choose_schedule(
 
 struct RegionPlan<'a> {
     space: IterationSpace,
-    reductions: &'a [ReductionInfo],
+    reductions: &'a [Reduction],
     /// `None` runs `0..n` as the region's only phase; a schedule runs its
     /// levels in order, one phase each, with the team's barrier between.
     levels: Option<&'a LevelSchedule>,
@@ -956,8 +965,8 @@ fn run_region(
     let mut snapshot = spine.regs.to_vec();
     let mut is_reduction = vec![false; nscalars];
     for r in reductions {
-        snapshot[r.slot.index()] = r.op.identity();
-        is_reduction[r.slot.index()] = true;
+        snapshot[r.slot] = r.op.identity();
+        is_reduction[r.slot] = true;
     }
     let shared = SharedSlots::capture(spine.arrays, &local);
     let slots = spine.slots;
@@ -1000,26 +1009,14 @@ fn run_region(
                 if level > 0 && m.barrier().is_err() {
                     break;
                 }
-                let mut run = |positions: Range<usize>| {
+                let outcome = m.share(phase.n, phase.schedule, &phase.next, |positions| {
                     for pos in positions {
                         let k = phase.order.map_or(pos, |o| o[pos] as usize);
                         w.frame().1.current_iter = k;
                         w.run_iteration(space.value(k))?;
                     }
                     Ok(())
-                };
-                let outcome = match phase.schedule {
-                    Schedule::Static => run(chunk_range(phase.n, m.size(), m.index())),
-                    Schedule::Dynamic { chunk } => loop {
-                        let start = phase.next.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= phase.n {
-                            break Ok(());
-                        }
-                        if let Err(e) = run(start..(start + chunk).min(phase.n)) {
-                            break Err(e);
-                        }
-                    },
-                };
+                });
                 acc.absorb(w.frame(), &is_reduction, reductions, &lp.local_arrays);
                 if let Err(e) = outcome {
                     // The others finish their share of this level and
@@ -1049,8 +1046,7 @@ fn run_region(
         }
     }
     for (r, partial) in reductions.iter().zip(acc.partials) {
-        let slot = r.slot.index();
-        spine.set(slot, r.op.combine(spine.regs[slot], partial));
+        spine.set(r.slot, r.op.combine(spine.regs[r.slot], partial));
     }
     spine.set(lp.var as usize, space.exit_value);
     for (a, entry) in lp.local_arrays.iter().zip(acc.locals) {
@@ -1187,16 +1183,17 @@ mod tests {
     #[test]
     fn a_rewritten_extent_cannot_reach_past_the_buffer() {
         // `dims` is a public field, so a caller can make it promise more
-        // cells than the buffer holds; the raw views check the flat
+        // cells than the buffer holds; the shared views check the flat
         // offset against the buffer itself.
         let art = Artifacts::compile_source("rewritten", "x = a[1][0];").unwrap();
-        let mut arr = ArrayVal::zeros(vec![2, 2]);
+        let mut arr = ArrayVal::new(vec![2, 2], vec![10, 11, 12, 13]);
         arr.dims = vec![4, 4];
         let mut arrays = vec![Some(arr)];
         let shared = SharedSlots::capture(&mut arrays, &[false]);
         let a = ArraySlot(0);
-        assert_eq!(shared.fast(a, 0, Some(3)).map(|(_, flat)| flat), Some(3));
-        assert_eq!(shared.fast(a, 1, Some(0)), None);
+        let load = |cell: &AtomicU64| cell.load(Ordering::Relaxed);
+        assert_eq!(shared.fast(a, 0, Some(3)).map(load), Some(13));
+        assert!(shared.fast(a, 1, Some(0)).is_none());
         assert!(matches!(
             shared.flat(&art.compiled.slots, a, &[1, 0]),
             Err(ExecError::OutOfBounds { .. })

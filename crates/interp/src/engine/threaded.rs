@@ -1544,21 +1544,39 @@ mod tests {
     fn both_subscript_constants_of_a_prefix_sum_fuse_at_either_level() {
         // Each `i - 1` is a constant temp read once by the subtraction and
         // dead after it, so both lower to immediate forms: no standalone
-        // constant op is left in the loop body.
-        let art = artifacts("for (i = 1; i < n; i++) { s[i] = s[i-1] + t[i-1]; }");
-        for level in [OptLevel::O0, OptLevel::O1] {
+        // constant op is left in the loop body.  The constant handler's
+        // address is taken from a chain that keeps one — `x[3]`'s constant
+        // temp is read by the load and the store, so it cannot fuse — not
+        // from this test's own instance of the generic handler, whose
+        // address may differ and would match nothing.
+        // The lowered loop and the length of its bytecode body.
+        let lower_loop = |src: &str, level| {
+            let art = artifacts(src);
             let bc = art.bytecode_at(level);
             let Some(Instr::For(f)) = bc.main.iter().find(|i| matches!(i, Instr::For(_))) else {
-                panic!("the prefix sum is a structured loop");
+                panic!("{src} is a structured loop");
             };
-            let prog = lower::<SpineKind>(bc);
-            let body = &prog.loops[0].body.ops;
-            let th_const: Handler<SpineKind> = th_const::<SpineKind>;
+            (lower::<SpineKind>(bc), f.body.len())
+        };
+        for level in [OptLevel::O0, OptLevel::O1] {
+            let (kept, kept_n) = lower_loop("for (i = 1; i < n; i++) { x[3] += i; }", level);
+            let kept = &kept.loops[0].body.ops;
+            // Nothing fused, so the first op is the constant's own.
+            let constant = &kept[0];
             assert!(
-                !body.iter().any(|op| std::ptr::fn_addr_eq(op.run, th_const)),
+                kept.len() == kept_n && constant.imm == 3,
+                "the subscript constant is the kept chain's first op at {level}"
+            );
+            let (prefix_sum, n) =
+                lower_loop("for (i = 1; i < n; i++) { s[i] = s[i-1] + t[i-1]; }", level);
+            let body = &prefix_sum.loops[0].body.ops;
+            assert!(
+                !body
+                    .iter()
+                    .any(|op| std::ptr::fn_addr_eq(op.run, constant.run)),
                 "a constant stayed a separate op at {level}"
             );
-            assert_eq!(body.len(), f.body.len() - 2, "two fusions at {level}");
+            assert_eq!(body.len(), n - 2, "two fusions at {level}");
         }
     }
 

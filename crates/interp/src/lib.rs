@@ -69,6 +69,7 @@
 //! assert_eq!(session.cache_stats().misses, 1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod engine;

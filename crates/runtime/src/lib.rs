@@ -2,9 +2,15 @@
 //!
 //! The execution substrate for the paper's evaluation: one persistent
 //! worker-thread team per size ([`team`]) — the only code that creates
-//! compute threads, with an in-region barrier for phased work — the
-//! OpenMP-style `parallel for` entry points that run on it ([`pool`]), CSR sparse matrices with the subscripted-subscript
-//! kernels ([`sparse`]), and wall clock timing helpers ([`timer`]).
+//! compute threads, with an in-region barrier for phased work and the one
+//! loop that deals a region's iterations to its members
+//! ([`Member::share`]) — the OpenMP-style `parallel for` entry points that
+//! run on it ([`pool`]), CSR sparse matrices with the
+//! subscripted-subscript kernels and the views a region's members share
+//! an array through ([`sparse`]: [`atomic_cells`], [`BlockedVec`]), and
+//! wall clock timing helpers ([`timer`]).  The `unsafe` code of the
+//! parallel path lives in this crate; `ss-interp` and `ss-inspector`
+//! forbid it.
 
 pub mod pool;
 pub mod sparse;
@@ -14,7 +20,7 @@ pub mod timer;
 pub use pool::{
     chunk_range, chunk_ranges, hardware_threads, parallel_for, parallel_for_mut, Schedule,
 };
-pub use sparse::{BlockedVec, CsrMatrix};
+pub use sparse::{atomic_cells, BlockedVec, CsrMatrix, Word};
 pub use team::{
     shared_team_count, team_parallel_for_schedule, team_parallel_reduce, team_threads_spawned,
     with_shared_team, with_shared_team_in, Member, RegionAborted, ThreadTeam,

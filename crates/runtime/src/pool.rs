@@ -19,8 +19,12 @@
 //! A region requested from inside a team worker runs inline on that worker
 //! (OpenMP's default for nested regions).  Work that is a *sequence* of
 //! dependent loops over the same data should not call these once per step:
-//! it enters the team once ([`ThreadTeam::region`](crate::ThreadTeam::region))
-//! and separates the steps with [`Member::barrier`](crate::Member::barrier).
+//! it enters the team once ([`ThreadTeam::region`](crate::ThreadTeam::region),
+//! the team's one entry, which these functions use as well), deals each
+//! step's iterations with [`Member::share`](crate::Member::share) and
+//! separates the steps with [`Member::barrier`](crate::Member::barrier).
+//! Members that store into one shared buffer do so through
+//! [`atomic_cells`](crate::atomic_cells).
 
 use crate::team::{team_parallel_for_schedule, with_shared_team};
 use std::sync::Mutex;
@@ -108,8 +112,8 @@ where
                 Mutex::new(Some((r.start, head)))
             })
             .collect();
-        team.run(&|w| {
-            let taken = slots[w]
+        team.region(|m| {
+            let taken = slots[m.index()]
                 .lock()
                 .expect("no holder of a slot lock panics")
                 .take();

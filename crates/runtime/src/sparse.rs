@@ -5,10 +5,17 @@
 //! paper's motivating example (Figure 9) constructs: `rowptr` is monotone
 //! non-decreasing, `colidx`/`values` hold the per-row entries in
 //! `rowptr[i] .. rowptr[i+1]`.
+//!
+//! The two ways a team region's members share an array live here as well:
+//! [`BlockedVec`], the phase-disciplined view native CG's hand-written
+//! loops vectorize through, and [`atomic_cells`], the relaxed-atomic view
+//! every loop licensed by a verdict stores through.
 
 use crate::pool::parallel_for_mut;
 use std::marker::PhantomData;
+use std::mem::{align_of, size_of};
 use std::ops::Range;
+use std::sync::atomic::AtomicU64;
 
 /// A CSR matrix with `f64` values.
 #[derive(Debug, Clone, PartialEq)]
@@ -189,9 +196,50 @@ impl<'a> BlockedVec<'a> {
     }
 }
 
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for f64 {}
+    impl Sealed for i64 {}
+}
+
+/// The element types [`atomic_cells`] views: eight bytes for which every
+/// bit pattern is a valid value, so a `u64` stored through the view always
+/// leaves a valid element behind.  Sealed, because the view's soundness
+/// rests on exactly that.
+pub trait Word: sealed::Sealed {}
+
+impl Word for f64 {}
+
+impl Word for i64 {}
+
+/// `data`'s own cells as relaxed atomics, for as long as `data` is
+/// borrowed.  The parallel loops a verdict licenses store through this
+/// view, so taking it allocates and copies nothing, and on x86-64 a
+/// `Relaxed` load or store is the plain `mov` a `&mut` access would be.
+/// If the verdict licensing the loop is wrong after all, its members race
+/// on values, never into undefined behaviour.  What orders one phase's
+/// stores before the next phase's loads is the team's barrier (or the
+/// region's end), not the view.
+///
+/// # Panics
+/// If `T` is not eight bytes or `data` is not aligned for `AtomicU64`
+/// (neither happens for `f64` and `i64` on a 64-bit target).
+pub fn atomic_cells<T: Word>(data: &mut [T]) -> &[AtomicU64] {
+    assert_eq!(size_of::<T>(), size_of::<AtomicU64>());
+    assert_eq!(data.as_ptr() as usize % align_of::<AtomicU64>(), 0);
+    // SAFETY: `AtomicU64::from_ptr`'s contract, for every cell at once:
+    // each is 8 bytes and aligned for `AtomicU64` (asserted above), valid
+    // for reads and writes, and — since `data`'s exclusive borrow lives
+    // as long as the view — accessed only atomically while the view
+    // exists.  `AtomicU64` has `u64`'s in-memory representation, and any
+    // `u64` is a valid `T` (`Word`).
+    unsafe { std::slice::from_raw_parts(data.as_mut_ptr().cast::<AtomicU64>(), data.len()) }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::Ordering;
 
     fn small_dense() -> Vec<Vec<f64>> {
         vec![
@@ -244,5 +292,33 @@ mod tests {
             a.spmv(threads, &x, &mut y);
             assert_eq!(y, expected, "threads = {threads}");
         }
+    }
+
+    #[test]
+    fn atomic_cells_view_every_cell_at_every_offset() {
+        // The size and alignment assertions hold for both words, for a
+        // view that starts at any element and for an empty one.
+        let mut ints: Vec<i64> = (0..9).map(|i| -i).collect();
+        let mut floats: Vec<f64> = (0..9).map(|i| i as f64 / 4.0).collect();
+        for start in 0..=9 {
+            let cells = atomic_cells(&mut ints[start..]);
+            assert_eq!(cells.len(), 9 - start);
+            if let Some(c) = cells.first() {
+                assert_eq!(c.load(Ordering::Relaxed) as i64, -(start as i64));
+                c.store(start as u64 * 10, Ordering::Relaxed);
+            }
+            let cells = atomic_cells(&mut floats[start..]);
+            assert_eq!(cells.len(), 9 - start);
+            if let Some(c) = cells.first() {
+                assert_eq!(
+                    f64::from_bits(c.load(Ordering::Relaxed)),
+                    start as f64 / 4.0
+                );
+                c.store((-1.5f64).to_bits(), Ordering::Relaxed);
+            }
+        }
+        // Every store landed in the caller's own buffer.
+        assert_eq!(ints, (0..9).map(|i| i * 10).collect::<Vec<_>>());
+        assert_eq!(floats, vec![-1.5; 9]);
     }
 }

@@ -10,19 +10,21 @@
 //! a `barrier` per level, for the same reasons).
 //!
 //! **Regions.**  [`ThreadTeam`] spawns its workers once and parks them on a
-//! condition variable between regions.  [`ThreadTeam::region`] hands every
-//! worker the same borrowed closure, runs worker 0's share on the
-//! requesting thread itself (OpenMP's master thread: it is already running
-//! on a CPU, so only `size - 1` wake-ups stand between a region and full
-//! width) and blocks until all of them have returned, so the closure may
-//! freely borrow stack data — the borrow provably outlives the workers' use
-//! of it.  It hands back one result per member, in worker order.
-//! [`ThreadTeam::run`] is the same entry for closures that want only their
-//! worker index.
+//! condition variable between regions.  [`ThreadTeam::region`] — the one
+//! entry — hands every worker the same borrowed closure, runs worker 0's
+//! share on the requesting thread itself (OpenMP's master thread: it is
+//! already running on a CPU, so only `size - 1` wake-ups stand between a
+//! region and full width) and blocks until all of them have returned, so
+//! the closure may freely borrow stack data — the borrow provably outlives
+//! the workers' use of it.  It hands back one result per member, in worker
+//! order.
 //!
 //! **Members.**  The closure receives a [`Member`]: its worker index, the
-//! team size and [`Member::barrier`].  State a member carries from phase to
-//! phase is just locals on its stack.
+//! team size, [`Member::barrier`] and [`Member::share`], which deals the
+//! member its part of a loop — its static [`chunk_range`], or chunks it
+//! claims off a cursor the members share — and is the one work-sharing
+//! loop of the workspace.  State a member carries from phase to phase is
+//! just locals on its stack.
 //!
 //! **The barrier** is sense-reversing over atomics: arriving is a `Release`
 //! decrement of the phase's pending count, the last arrival re-arms the
@@ -52,18 +54,19 @@
 //! entry once the region has drained; the team is reusable afterwards.
 //!
 //! [`team_parallel_for_schedule`] and [`team_parallel_reduce`] run a loop
-//! or a reduction as a one-phase region, including chunk-stealing dynamic
-//! scheduling; [`with_shared_team`] lends out the process-wide team of a
-//! given size, which is what the `threads: usize` entry points in
+//! or a reduction as a one-phase region whose members [`share`](Member::share)
+//! it; [`with_shared_team`] lends out the process-wide team of a given
+//! size, which is what the `threads: usize` entry points in
 //! [`crate::pool`] run on.
 //!
 //! [`team_threads_spawned`] counts every worker ever spawned process-wide,
 //! so tests can assert that back-to-back regions reuse one team instead of
 //! respawning.
 
-use crate::pool::{chunk_ranges, Schedule};
+use crate::pool::{chunk_range, Schedule};
 use std::cell::Cell;
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -259,6 +262,39 @@ impl Member<'_> {
         Ok(())
     }
 
+    /// Deals this member its share of `0..n` under `schedule` and calls `f`
+    /// on each range it gets: its static [`chunk_range`] (skipped when
+    /// empty), or — dynamic — chunks it claims off `cursor`, which every
+    /// member of the phase passes and which starts at 0.  The first `Err`
+    /// stops this member and is returned; the others carry on with theirs.
+    pub fn share<E>(
+        &self,
+        n: usize,
+        schedule: Schedule,
+        cursor: &AtomicUsize,
+        mut f: impl FnMut(Range<usize>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        match schedule {
+            Schedule::Static => {
+                let range = chunk_range(n, self.size, self.index);
+                if range.is_empty() {
+                    return Ok(());
+                }
+                f(range)
+            }
+            Schedule::Dynamic { chunk } => {
+                let chunk = chunk.max(1);
+                loop {
+                    let start = cursor.fetch_add(chunk, Ordering::Relaxed);
+                    if start >= n {
+                        return Ok(());
+                    }
+                    f(start..(start + chunk).min(n))?;
+                }
+            }
+        }
+    }
+
     /// Aborts the region: the barrier ending the phase this member is in,
     /// and every later one, returns [`RegionAborted`] to all its members.
     /// The caller should return right after.
@@ -369,12 +405,6 @@ impl ThreadTeam {
         filled
             .map(|r| r.expect("every member of a drained region returned"))
             .collect()
-    }
-
-    /// Runs a region whose members need only their worker index: the
-    /// caller executes `f(0)`, every spawned worker `f(worker_index)`.
-    pub fn run(&self, f: &(dyn Fn(usize) + Sync)) {
-        self.enter(&|m| f(m.index()));
     }
 
     /// The one region entry: publishes `f` as the team's job, runs member
@@ -562,28 +592,13 @@ where
         body(0..n);
         return;
     }
-    match schedule {
-        Schedule::Static => {
-            let ranges = chunk_ranges(n, team.size());
-            team.run(&|w| {
-                let r = ranges[w].clone();
-                if !r.is_empty() {
-                    body(r);
-                }
-            });
-        }
-        Schedule::Dynamic { chunk } => {
-            let chunk = chunk.max(1);
-            let next = AtomicUsize::new(0);
-            team.run(&|_| loop {
-                let start = next.fetch_add(chunk, Ordering::Relaxed);
-                if start >= n {
-                    break;
-                }
-                body(start..(start + chunk).min(n));
-            });
-        }
-    }
+    let cursor = AtomicUsize::new(0);
+    team.region(|m| {
+        let Ok(()) = m.share(n, schedule, &cursor, |r| {
+            body(r);
+            Ok::<_, Infallible>(())
+        });
+    });
 }
 
 /// A general parallel reduction over `0..n` on `team` under `schedule`:
@@ -614,26 +629,15 @@ where
     if team.size() <= 1 || n == 0 {
         return body(0..n, identity);
     }
-    let partials = match schedule {
-        Schedule::Static => {
-            let ranges = chunk_ranges(n, team.size());
-            team.region(|m| body(ranges[m.index()].clone(), identity.clone()))
-        }
-        Schedule::Dynamic { chunk } => {
-            let chunk = chunk.max(1);
-            let next = AtomicUsize::new(0);
-            team.region(|_| {
-                let mut acc = identity.clone();
-                loop {
-                    let start = next.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= n {
-                        break acc;
-                    }
-                    acc = body(start..(start + chunk).min(n), acc);
-                }
-            })
-        }
-    };
+    let cursor = AtomicUsize::new(0);
+    let partials = team.region(|m| {
+        let mut acc = Some(identity.clone());
+        let Ok(()) = m.share(n, schedule, &cursor, |r| {
+            acc = acc.take().map(|a| body(r, a));
+            Ok::<_, Infallible>(())
+        });
+        acc.expect("the fold puts the accumulator back")
+    });
     partials
         .into_iter()
         .reduce(combine)
@@ -652,7 +656,7 @@ mod tests {
     /// never on a diff of the process-wide [`team_threads_spawned`].
     fn worker_ids(team: &ThreadTeam) -> HashSet<ThreadId> {
         let ids = Mutex::new(HashSet::new());
-        team.run(&|_| {
+        team.region(|_| {
             ids.lock().unwrap().insert(std::thread::current().id());
         });
         ids.into_inner().unwrap()
@@ -924,6 +928,40 @@ mod tests {
     }
 
     #[test]
+    fn share_deals_each_iteration_once_and_stops_a_member_at_its_first_error() {
+        let n = 1000usize;
+        for schedule in [Schedule::Static, Schedule::Dynamic { chunk: 7 }] {
+            let team = ThreadTeam::new(3);
+            let hits: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
+            let cursor = AtomicUsize::new(0);
+            // Whichever member is dealt iteration 500 fails on that range.
+            let outcomes = team.region(|m| {
+                let mut calls = 0;
+                let outcome = m.share(n, schedule, &cursor, |r| {
+                    calls += 1;
+                    if r.contains(&500) {
+                        return Err((r, calls));
+                    }
+                    for i in r {
+                        hits[i].fetch_add(1, Ordering::Relaxed);
+                    }
+                    Ok(())
+                });
+                (outcome, calls)
+            });
+            let failed: Vec<_> = outcomes.iter().filter(|(o, _)| o.is_err()).collect();
+            let [(Err((range, at)), calls)] = failed[..] else {
+                panic!("{schedule:?}: {outcomes:?}");
+            };
+            assert_eq!(at, calls, "{schedule:?}: no range is dealt after the error");
+            for (i, h) in hits.iter().enumerate() {
+                let want = u32::from(!range.contains(&i));
+                assert_eq!(h.load(Ordering::Relaxed), want, "{schedule:?} i={i}");
+            }
+        }
+    }
+
+    #[test]
     fn chunk_stealing_and_static_agree_under_adversarial_skew() {
         // One iteration (the last) carries ~all the work; every other
         // iteration is trivial.  Whatever the schedule and whoever steals
@@ -983,7 +1021,7 @@ mod tests {
         }
         // A panicked region must not wedge the registry or the team.
         let r = std::panic::catch_unwind(|| {
-            with_shared_team(size, |t| t.run(&|_| panic!("boom")));
+            with_shared_team(size, |t| t.region(|_| panic!("boom")));
         });
         assert!(r.is_err());
         assert_eq!(
@@ -1012,8 +1050,8 @@ mod tests {
     #[should_panic(expected = "worker thread panicked")]
     fn worker_panics_propagate_to_the_caller() {
         let team = ThreadTeam::new(2);
-        team.run(&|w| {
-            if w == 1 {
+        team.region(|m| {
+            if m.index() == 1 {
                 panic!("boom");
             }
         });
@@ -1023,7 +1061,7 @@ mod tests {
     fn a_team_still_works_after_a_panicked_region() {
         let team = ThreadTeam::new(2);
         let r = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            team.run(&|_| panic!("boom"));
+            team.region(|_| panic!("boom"));
         }));
         assert!(r.is_err());
         assert_eq!(worker_ids(&team).len(), 2);

@@ -62,14 +62,6 @@ pub struct SlotMap {
 }
 
 impl SlotMap {
-    /// Builds the slot table of a program without compiling it (the verdict
-    /// layer uses this to name reduction accumulators by slot; the numbering
-    /// is identical to [`compile_program`]'s because both walk the program
-    /// in the same order).
-    pub fn build(program: &Program) -> SlotMap {
-        compile_program(program).slots
-    }
-
     fn intern_scalar(&mut self, name: &str) -> ScalarSlot {
         if let Some(&id) = self.scalar_ids.get(name) {
             return ScalarSlot(id);
@@ -510,10 +502,6 @@ mod tests {
         assert_eq!(c.slots.scalar_names()[2], "x");
         assert_eq!(c.slots.array_name(ArraySlot(1)), "b");
         assert_eq!(c.slots.scalar_slot("zzz"), None);
-        // SlotMap::build numbers identically.
-        let m = SlotMap::build(&p);
-        assert_eq!(m.scalar_names(), c.slots.scalar_names());
-        assert_eq!(m.array_names(), c.slots.array_names());
     }
 
     #[test]
