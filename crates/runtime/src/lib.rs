@@ -17,9 +17,7 @@ pub mod sparse;
 pub mod team;
 pub mod timer;
 
-pub use pool::{
-    chunk_range, chunk_ranges, hardware_threads, parallel_for, parallel_for_mut, Schedule,
-};
+pub use pool::{chunk_range, hardware_threads, parallel_for, parallel_for_mut, Schedule};
 pub use sparse::{atomic_cells, BlockedVec, CsrMatrix, Word};
 pub use team::{
     shared_team_count, team_parallel_for_schedule, team_parallel_reduce, team_threads_spawned,

@@ -65,12 +65,6 @@ pub fn chunk_range(n: usize, chunks: usize, c: usize) -> std::ops::Range<usize> 
     start..start + base + usize::from(c < rem)
 }
 
-/// Splits `0..n` into `chunks` contiguous, nearly equal ranges.
-pub fn chunk_ranges(n: usize, chunks: usize) -> Vec<std::ops::Range<usize>> {
-    let chunks = chunks.max(1);
-    (0..chunks).map(|c| chunk_range(n, chunks, c)).collect()
-}
-
 /// Runs `body(range)` for a static partition of `0..n` over `threads`
 /// workers. With `threads <= 1` the body runs inline (the serial baseline).
 pub fn parallel_for<F>(threads: usize, n: usize, body: F)
@@ -104,9 +98,9 @@ where
     with_shared_team(threads, |team| {
         // One slot per worker holding its block, taken by that worker alone.
         let mut rest = data;
-        let slots: Vec<_> = chunk_ranges(n, team.size())
-            .into_iter()
-            .map(|r| {
+        let slots: Vec<_> = (0..team.size())
+            .map(|w| {
+                let r = chunk_range(n, team.size(), w);
                 let (head, tail) = std::mem::take(&mut rest).split_at_mut(r.len());
                 rest = tail;
                 Mutex::new(Some((r.start, head)))
@@ -139,7 +133,7 @@ mod tests {
     fn chunks_cover_the_range_exactly() {
         for n in [0usize, 1, 7, 100, 101, 1024] {
             for c in [1usize, 2, 3, 8, 16] {
-                let ranges = chunk_ranges(n, c);
+                let ranges: Vec<_> = (0..c).map(|k| chunk_range(n, c, k)).collect();
                 assert_eq!(ranges.len(), c);
                 let mut next = 0;
                 for r in &ranges {
