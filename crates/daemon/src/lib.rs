@@ -19,7 +19,8 @@
 //!   workspace builds offline and std-only);
 //! * [`service`] — multi-tenant dispatch: one [`Session`] per tenant,
 //!   requests hashed onto persistent thread-team **shards**
-//!   (`ss_runtime::with_shared_team_in` groups);
+//!   (`ss_runtime::with_shared_team_in` groups, one team each, respawned
+//!   when a request names another thread count);
 //! * [`server`] — the std-thread TCP server: nonblocking acceptor,
 //!   per-connection readers with byte-capped framing and idle timeouts,
 //!   a bounded worker queue whose overflow answers a structured

@@ -12,7 +12,9 @@
 //! (see `ss_runtime::with_shared_team_in`).  Group 0 is left alone — it
 //! belongs to in-process/CLI callers — so daemon shards use groups
 //! `1..=shards`.  Same program, same tenant → same team: warm threads,
-//! no team churn under concurrency.
+//! no team churn under concurrency.  Each group holds one team, respawned
+//! when a request asks its shard for another thread count, so the daemon
+//! holds at most `shards + 1` teams whatever thread counts requests name.
 
 use crate::protocol::{Op, Request, WireError};
 use crate::stats::StatsRegistry;

@@ -321,10 +321,11 @@ pub struct ExecOptions {
     /// Iteration cap per loop invocation, against runaway `while` loops.
     pub while_cap: u64,
     /// Which process-wide persistent-team group dispatched loops run in
-    /// (see `ss_runtime::with_shared_team_in`).  Group 0 — the default —
-    /// is the team every one-shot consumer shares; a server that shards
-    /// requests across independent teams assigns one group per shard so
-    /// concurrent runs never serialize on a single team's region mutex.
+    /// (see `ss_runtime::with_shared_team_in`).  A group holds one team,
+    /// respawned when a run asks it for another thread count.  Group 0 —
+    /// the default — is the team every one-shot consumer shares; a server
+    /// that shards requests across independent teams assigns one group per
+    /// shard so concurrent runs never serialize on a single team's mutex.
     pub team_group: usize,
 }
 

@@ -30,10 +30,11 @@
 //!
 //! Every region of every executor runs on the persistent process-wide
 //! [`ss_runtime::ThreadTeam`] of the run's
-//! [`team_group`](ExecOptions::team_group): the team is spawned by the
-//! first dispatched region of the first run in the group and reused by
-//! every later region of every later run, so repeated runs in one process
-//! pay exactly one spawn per thread count, ever.  [`run_region`] is the
+//! [`team_group`](ExecOptions::team_group): the group holds one team,
+//! spawned by the first dispatched region of the first run in the group
+//! and reused by every later region of every later run at the same thread
+//! count, so repeated runs in one process pay one spawn; a run at another
+//! count respawns the group's team at that count.  [`run_region`] is the
 //! only place in this crate that enters a team region (CI greps for it);
 //! each phase's iterations reach the members through
 //! [`ss_runtime::Member::share`].

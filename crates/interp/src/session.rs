@@ -138,7 +138,8 @@ pub struct RunRequest {
     /// Iteration cap per loop invocation (`None` = engine default).
     pub while_cap: Option<u64>,
     /// Persistent-team group dispatched loops run in (see
-    /// [`ExecOptions::team_group`]); servers map one group per shard.
+    /// [`ExecOptions::team_group`]): one team per group, respawned when
+    /// the thread count changes; servers map one group per shard.
     pub team_group: usize,
 }
 
@@ -244,8 +245,8 @@ impl RunRequest {
     }
 
     /// Persistent-team group dispatched loops run in.  Distinct groups
-    /// hold independent thread teams, so a server can execute concurrent
-    /// requests on per-shard teams instead of serializing on one.
+    /// hold independent thread teams, one each, so a server can execute
+    /// concurrent requests on per-shard teams instead of serializing on one.
     pub fn team_group(mut self, group: usize) -> RunRequest {
         self.team_group = group;
         self

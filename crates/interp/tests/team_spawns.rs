@@ -1,7 +1,7 @@
 //! One process-wide thread team serves every parallel region of every
-//! run.  The team's spawn counter (`ss_runtime::team_threads_spawned`) is
-//! process-wide, so this binary holds this one test and nothing runs
-//! beside it.
+//! run, and a run at another thread count replaces it.  The team's spawn
+//! counter (`ss_runtime::team_threads_spawned`) is process-wide, so this
+//! binary holds this one test and nothing runs beside it.
 
 use ss_interp::{EngineRegistry, ExecOptions, Heap};
 use ss_parallelizer::Artifacts;
@@ -68,5 +68,20 @@ fn one_team_serves_every_region_of_every_run() {
         team_threads_spawned(),
         after_first,
         "runs after the first must not spawn a single worker"
+    );
+
+    // The group holds one team: a run at 2 threads replaces it with a team
+    // of one worker, and a run back at 3 with a team of two.
+    for threads in [2, 3] {
+        let again = registry
+            .default_engine()
+            .run_parallel(&artifacts, heap(30), &opts(threads))
+            .unwrap();
+        assert_eq!(again.heap, first.heap, "{threads} threads");
+    }
+    assert_eq!(
+        team_threads_spawned() - after_first,
+        1 + 2,
+        "each change of thread count respawns the group's one team"
     );
 }

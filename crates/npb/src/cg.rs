@@ -32,7 +32,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ss_runtime::{
     chunk_range, time_it, with_shared_team, BlockedVec, CsrMatrix, Member, RegionAborted,
-    ThreadTeam,
 };
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -273,16 +272,11 @@ impl Dots<'_> {
 fn solve(a: &CsrMatrix, x: &[f64], z: &mut [f64], threads: usize) -> Solve {
     let mut p = x.to_vec();
     let (p, z) = (BlockedVec::new(&mut p), BlockedVec::new(z));
-    let region = |team: &ThreadTeam| {
+    with_shared_team(threads, |team| {
         let slots: Vec<[AtomicU64; 2]> = (0..team.size()).map(|_| Default::default()).collect();
         let solves = team.region(|m| solve_member(a, x, &p, &z, &slots, m));
         solves[0].expect("no member of a CG region aborts")
-    };
-    if threads <= 1 {
-        region(&ThreadTeam::new(1))
-    } else {
-        with_shared_team(threads, region)
-    }
+    })
 }
 
 /// One member's share of [`solve`]: rows `chunk_range(n, size)[index]` of

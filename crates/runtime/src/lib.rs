@@ -1,7 +1,7 @@
 //! # ss-runtime — parallel loop runtime and sparse-matrix substrate
 //!
 //! The execution substrate for the paper's evaluation: one persistent
-//! worker-thread team per size ([`team`]) — the only code that creates
+//! worker-thread team per group ([`team`]) — the only code that creates
 //! compute threads, with an in-region barrier for phased work and the one
 //! loop that deals a region's iterations to its members
 //! ([`Member::share`]) — the OpenMP-style `parallel for` entry points that
@@ -20,7 +20,7 @@ pub mod timer;
 pub use pool::{chunk_range, hardware_threads, parallel_for, parallel_for_mut, Schedule};
 pub use sparse::{atomic_cells, BlockedVec, CsrMatrix, Word};
 pub use team::{
-    shared_team_count, team_parallel_for_schedule, team_parallel_reduce, team_threads_spawned,
-    with_shared_team, with_shared_team_in, Member, RegionAborted, ThreadTeam,
+    team_parallel_for_schedule, team_parallel_reduce, team_threads_spawned, with_shared_team,
+    with_shared_team_in, Member, RegionAborted, ThreadTeam,
 };
 pub use timer::{time_it, Timer};

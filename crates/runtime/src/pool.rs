@@ -6,9 +6,9 @@
 //! splits an iteration space into contiguous chunks and
 //! [`parallel_for_mut`] does the same while handing each worker a disjoint
 //! slice of the output vector.  Both take a plain thread count and run on
-//! the process-wide persistent team of that size ([`with_shared_team`]) —
-//! no region spawns a thread — and with `threads <= 1` they run inline
-//! without touching the team registry.
+//! group 0's persistent team ([`with_shared_team`]) — respawned only when
+//! the group's last region ran at another count — and with `threads <= 1`
+//! they run inline without touching the team registry.
 //!
 //! [`Schedule`] names OpenMP's two assignments: `schedule(static)` and
 //! `schedule(dynamic, chunk)`, where workers steal fixed-size chunks off a

@@ -55,9 +55,9 @@
 //!
 //! [`team_parallel_for_schedule`] and [`team_parallel_reduce`] run a loop
 //! or a reduction as a one-phase region whose members [`share`](Member::share)
-//! it; [`with_shared_team`] lends out the process-wide team of a given
-//! size, which is what the `threads: usize` entry points in
-//! [`crate::pool`] run on.
+//! it; [`with_shared_team_in`] lends out a group's one process-wide team,
+//! respawned whenever a caller asks it for another size, which is what the
+//! `threads: usize` entry points in [`crate::pool`] run on.
 //!
 //! [`team_threads_spawned`] counts every worker ever spawned process-wide,
 //! so tests can assert that back-to-back regions reuse one team instead of
@@ -86,9 +86,20 @@ const BARRIER_SPINS: u32 = 200;
 const BARRIER_YIELDS: u32 = 50;
 
 thread_local! {
-    /// Set while this thread executes its share of a team region (always,
-    /// on a spawned worker); see [`with_shared_team_in`].
+    /// Set while this thread executes its share of a team region or holds
+    /// a shared team (always, on a spawned worker); see
+    /// [`with_shared_team_in`].
     static ON_TEAM: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Holds this thread's previous [`ON_TEAM`] mark and puts it back when
+/// dropped, unwinding included.
+struct OnTeam(bool);
+
+impl Drop for OnTeam {
+    fn drop(&mut self) {
+        ON_TEAM.set(self.0);
+    }
 }
 
 /// Process-wide count of worker threads ever spawned by [`ThreadTeam`]s.
@@ -442,9 +453,10 @@ impl ThreadTeam {
         }
         // The caller's share.  A panic in it must not unwind past the wait
         // below — the workers still hold the borrow of `f`.
-        let was_on_team = ON_TEAM.replace(true);
-        let own = run_member(shared, 0, self.size, f);
-        ON_TEAM.set(was_on_team);
+        let own = {
+            let _on_team = OnTeam(ON_TEAM.replace(true));
+            run_member(shared, 0, self.size, f)
+        };
         let mut st = shared.lock();
         while st.remaining > 0 {
             st = shared
@@ -512,72 +524,62 @@ fn worker_loop(shared: &TeamShared, index: usize, size: usize) {
 }
 
 /// The process-wide team registry behind [`with_shared_team`] and
-/// [`with_shared_team_in`]: one persistent team per `(group, size)` key.
-type TeamRegistry = Mutex<HashMap<(usize, usize), Arc<Mutex<ThreadTeam>>>>;
+/// [`with_shared_team_in`]: one persistent team per group.
+type TeamRegistry = Mutex<HashMap<usize, Arc<Mutex<ThreadTeam>>>>;
 static SHARED_TEAMS: OnceLock<TeamRegistry> = OnceLock::new();
 
-/// Runs `f` against a **process-wide** persistent team of `size` workers.
+/// Runs `f` against group 0's process-wide persistent team, sized `size`:
+/// the team the CLI, the tests, the benchmark and embedders share.
 ///
-/// The first caller for a given size spawns the team; every later caller —
-/// including later *runs* in the same process, e.g. repeated `sspar run`
-/// invocations through the library — reuses it, so no parallel region
-/// after the first pays a spawn/join cycle ([`team_threads_spawned`] stays
-/// flat).  Teams park between regions and live for the process lifetime.
-///
-/// Each team is guarded by its own mutex for the duration of `f`
-/// (a [`ThreadTeam`] runs one region at a time): concurrent callers
-/// wanting the same size serialize on that team, while callers of
-/// different sizes proceed in parallel.  A panic inside `f` (e.g. a
-/// propagated worker panic) poisons neither invariant: the team survives
-/// panicked regions by construction, so the lock is simply recovered.
-///
-/// This is [`with_shared_team_in`] for group 0 — callers that want
-/// several *independent* teams of the same size (one per shard of a
-/// server, say) pass distinct group keys there instead of serializing on
-/// this one.
+/// This is [`with_shared_team_in`] for group 0 — callers that want several
+/// *independent* teams (one per shard of a server, say) pass distinct
+/// group keys there instead of serializing on this one.
 pub fn with_shared_team<R>(size: usize, f: impl FnOnce(&ThreadTeam) -> R) -> R {
     with_shared_team_in(0, size, f)
 }
 
-/// Runs `f` against the process-wide persistent team keyed by
-/// `(group, size)`.
+/// Runs `f` against `group`'s process-wide persistent team, sized `size`.
 ///
-/// Distinct groups hold distinct teams even at equal sizes, so concurrent
-/// callers mapped to different groups never serialize on one team's
-/// region mutex — this is the sharding primitive `sspard` builds on (one
-/// team per shard, requests hashed to shards).  Within one group the
-/// semantics are exactly [`with_shared_team`]: spawn on first use, park
-/// between regions, survive panicked regions, live for the process
-/// lifetime.
+/// Each group holds one team.  The first caller spawns it; every later
+/// caller asking for the same size — including later *runs* in the same
+/// process — reuses it, so no region after the first pays a spawn/join
+/// cycle ([`team_threads_spawned`] stays flat).  A caller asking for
+/// another size replaces the team in place: the old team's workers are
+/// joined and `size - 1` new ones spawned.  So a process holds at most one
+/// team per group, whatever sizes its callers ask for, and a group whose
+/// regions alternate sizes respawns on each change.
 ///
-/// Called from inside a team worker, `f` gets an inline team of one
-/// instead: the team a nested region asks for may be the very one whose
-/// region the caller is part of, and waiting for it would never end.
-/// Nested regions serialise, as under OpenMP's default.
+/// The team is guarded by its mutex for the duration of `f` (a
+/// [`ThreadTeam`] runs one region at a time): concurrent callers of one
+/// group serialize, while distinct groups proceed in parallel — this is
+/// the sharding primitive `sspard` builds on (one group per shard).  A
+/// panic inside `f` (e.g. a propagated worker panic) poisons no
+/// invariant: the team survives panicked regions, so the lock is simply
+/// recovered.
+///
+/// With `size <= 1`, or called while this thread is on a team — a member
+/// of a region, or inside the `f` of an outer call — `f` gets an inline
+/// team of one instead, with no lock taken: the team a nested request asks
+/// for may be the very one the caller holds, and waiting for it would never
+/// end.  Nested regions serialise, as under OpenMP's default.
 pub fn with_shared_team_in<R>(group: usize, size: usize, f: impl FnOnce(&ThreadTeam) -> R) -> R {
-    if ON_TEAM.get() {
+    if size <= 1 || ON_TEAM.get() {
         return f(&ThreadTeam::new(1));
     }
-    let registry = SHARED_TEAMS.get_or_init(|| Mutex::new(HashMap::new()));
     let team = {
+        let registry = SHARED_TEAMS.get_or_init(Default::default);
         let mut map = registry.lock().unwrap_or_else(|e| e.into_inner());
-        Arc::clone(
-            map.entry((group, size.max(1)))
-                .or_insert_with(|| Arc::new(Mutex::new(ThreadTeam::new(size)))),
-        )
+        let slot = map.entry(group);
+        Arc::clone(slot.or_insert_with(|| Arc::new(Mutex::new(ThreadTeam::new(size)))))
     };
-    let guard = team.lock().unwrap_or_else(|e| e.into_inner());
+    let mut guard = team.lock().unwrap_or_else(|e| e.into_inner());
+    if guard.size() != size {
+        // Joins the old workers before the new ones are spawned.
+        *guard = ThreadTeam::new(1);
+        *guard = ThreadTeam::new(size);
+    }
+    let _on_team = OnTeam(ON_TEAM.replace(true));
     f(&guard)
-}
-
-/// Number of distinct persistent teams the process-wide registry holds
-/// (across all groups and sizes) — surfaced by long-running services'
-/// stats endpoints.
-pub fn shared_team_count() -> usize {
-    SHARED_TEAMS
-        .get()
-        .map(|m| m.lock().unwrap_or_else(|e| e.into_inner()).len())
-        .unwrap_or(0)
 }
 
 /// Runs `body(range)` over `0..n` on `team` under `schedule`, splitting the
@@ -1043,7 +1045,20 @@ mod tests {
         // Both are reused thereafter.
         assert_eq!(with_shared_team_in(100, size, worker_ids), first);
         assert_eq!(with_shared_team_in(101, size, worker_ids), second);
-        assert!(shared_team_count() >= 2);
+    }
+
+    #[test]
+    fn a_group_asked_for_another_size_replaces_its_team_and_its_holder_nests_inline() {
+        let first = with_shared_team_in(102, 3, worker_ids);
+        let second = with_shared_team_in(102, 2, worker_ids);
+        assert_eq!((first.len(), second.len()), (3, 2));
+        let me = HashSet::from([std::thread::current().id()]);
+        assert_eq!(&first & &second, me, "the team of 2 is a new one");
+        // The thread holding the group's team asks the group again: inline,
+        // instead of waiting on the team it holds.
+        let nested = with_shared_team_in(102, 2, |_| with_shared_team_in(102, 4, |t| t.size()));
+        assert_eq!(nested, 1);
+        assert_eq!(with_shared_team_in(102, 2, worker_ids), second);
     }
 
     #[test]

@@ -47,7 +47,7 @@ mod fuzzgen;
 use fuzzgen::{GProgram, GStmt};
 use ss_aggregation::analyze_program;
 use ss_deptest::{test_loop, RangeTestConfig};
-use ss_interp::{ExecOptions, Heap, LegKind, Matrix, ScheduleSource, Session};
+use ss_interp::{ExecOptions, Heap, LegKind, Matrix, ScheduleChoice, ScheduleSource, Session};
 use ss_ir::ast::BinOp;
 use ss_ir::bytecode::Instr;
 use ss_ir::opt::OptLevel;
@@ -65,7 +65,12 @@ fn session() -> &'static Session {
 /// Runs the full differential matrix on `program`; `Some(description)`
 /// on the first divergence.
 fn check(program: &GProgram, reach: &mut Reach) -> Option<String> {
-    check_source(&program.source(), program.threads, reach)
+    check_source(
+        &program.source(),
+        program.threads,
+        ScheduleChoice::Auto,
+        reach,
+    )
 }
 
 /// How far into the dispatcher a hunt got.
@@ -133,7 +138,12 @@ fn input_heap() -> Heap {
 /// analysis verdicts must be monotone (baseline ⊆ extended).  On top of
 /// the matrix: the inspector leg's verdicts must be the level counts the
 /// level-set legs ran.  `reach` counts the legs that got that far.
-fn check_source(src: &str, threads: usize, reach: &mut Reach) -> Option<String> {
+fn check_source(
+    src: &str,
+    threads: usize,
+    schedule: ScheduleChoice,
+    reach: &mut Reach,
+) -> Option<String> {
     let registry = session().registry();
     let artifacts = match session().artifacts("fuzz", src) {
         Ok(a) => a,
@@ -165,6 +175,7 @@ fn check_source(src: &str, threads: usize, reach: &mut Reach) -> Option<String> 
     }
     let opts = ExecOptions {
         threads,
+        schedule,
         // Small cap so generated runaway loops fail fast — and all engines
         // must agree on the NonTerminating verdict.
         while_cap: 5_000,
@@ -177,7 +188,7 @@ fn check_source(src: &str, threads: usize, reach: &mut Reach) -> Option<String> 
     };
     if !matrix.mismatches.is_empty() {
         return Some(format!(
-            "(threads={threads})\n  {}",
+            "(threads={threads}, {schedule:?})\n  {}",
             matrix.mismatches.join("\n  ")
         ));
     }
@@ -391,7 +402,8 @@ fn all_engines_agree_on_generated_programs() {
 /// Regression seeds: shapes the generator has produced that exercise the
 /// trickiest agreed-upon semantics (undefined scalars feeding stores,
 /// loop-local shadowing, runaway-loop caps).  Kept as plain sources so a
-/// generator change cannot silently retire them.
+/// generator change cannot silently retire them, and run under every
+/// schedule, since some diverged only under one.
 #[test]
 fn regression_shapes_stay_in_agreement() {
     let cases = [
@@ -435,9 +447,16 @@ fn regression_shapes_stay_in_agreement() {
         // A declared extent reads the scalar the previous iteration set.
         "int y[8];\nm = 1;\nfor (i = 0; i < 8; i++) { int t[m]; if (i > 0) { t[3] = i; } y[i] = i; m = 4; }\n",
     ];
+    let schedules = [
+        ScheduleChoice::Auto,
+        ScheduleChoice::Static,
+        ScheduleChoice::Dynamic,
+    ];
     for (k, src) in cases.iter().enumerate() {
-        if let Some(msg) = check_source(src, 3, &mut Reach::default()) {
-            panic!("regression case {k} diverged:\n{msg}\nsource:\n{src}");
+        for schedule in schedules {
+            if let Some(msg) = check_source(src, 3, schedule, &mut Reach::default()) {
+                panic!("regression case {k} diverged:\n{msg}\nsource:\n{src}");
+            }
         }
     }
 }
