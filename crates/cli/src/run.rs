@@ -178,6 +178,7 @@ mod tests {
                 vec!["--engine", "threaded", "--opt-level", "0"],
                 "threaded (O0) engine",
             ),
+            // The threaded chain at O1, shown under its row name.
             (vec!["--engine", "compiled"], "compiled engine"),
             (vec!["--engine", "ast"], "ast engine"),
         ] {

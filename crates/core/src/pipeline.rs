@@ -3,13 +3,13 @@
 //!
 //! The first half of this module is the *analysis* pipeline (aggregate →
 //! dependence-test → annotate, producing a [`ParallelizationReport`]); the
-//! second half is the [`Artifacts`] store that runs the analysis **and**
-//! both compilation passes exactly once and hands every downstream
-//! consumer — all execution engines, the CLI, the benches, the fuzz
-//! harness — the same compiled products.  Engines never compile
-//! independently: the compile-once counters of `ss_ir::slots` and
-//! `ss_ir::bytecode` are pipeline invariants, asserted in
-//! `crates/interp/tests/compile_once.rs`.
+//! second half is the [`Artifacts`] store that runs the analysis, name
+//! resolution and the one lowering (AST → bytecode → O1) exactly once and
+//! hands every downstream consumer — all execution engines, the CLI, the
+//! benches, the fuzz harness — the same compiled products.  Engines never
+//! compile independently: this is the only compile site (CI's "One
+//! compile site" guard), and `crates/interp/tests/compile_once.rs` checks
+//! that a session compiles each program once.
 
 use crate::reduction::{recognize_reductions, ReductionInfo};
 use ss_aggregation::{analyze_program, ProgramAnalysis};
@@ -18,7 +18,7 @@ use ss_ir::ast::written_arrays;
 use ss_ir::bytecode::{compile_bytecode, BytecodeProgram};
 use ss_ir::loops::LoopTree;
 use ss_ir::opt::{optimize, OptLevel};
-use ss_ir::slots::{compile_program as compile_slots, CompiledProgram};
+use ss_ir::slots::{compile_program as compile_slots, SlotMap};
 use ss_ir::{parse_program, print_program_with, IrError, LoopId, PrintOptions, Program, Stmt};
 use ss_properties::PropertyDatabase;
 use std::time::Instant;
@@ -354,8 +354,8 @@ pub struct StageTiming {
 /// | stage      | artifact                                      |
 /// |------------|-----------------------------------------------|
 /// | `analyze`  | [`Artifacts::report`] (dependence, privatization and reduction facts) |
-/// | `slots`    | [`Artifacts::compiled`] (slot-resolved `CompiledBody`s) |
-/// | `bytecode` | [`Artifacts::bytecode`] (the O0 register-machine stream) |
+/// | `slots`    | [`Artifacts::slots`] (every name interned into a dense slot) |
+/// | `bytecode` | [`Artifacts::bytecode`] (the O0 register-machine stream, lowered from the AST through the slots) |
 /// | `opt`      | [`Artifacts::optimized`] (the O1 stream)      |
 ///
 /// Compilation happens **once** here, for the whole run: every engine (and
@@ -371,8 +371,9 @@ pub struct Artifacts {
     pub program: Program,
     /// Per-loop verdicts, reductions and index-array facts.
     pub report: ParallelizationReport,
-    /// Slot-resolved op sequences (what the compiled engine executes).
-    pub compiled: CompiledProgram,
+    /// The program's name table: the slot of every scalar and array, the
+    /// numbering every bytecode stream and dispatcher shares.
+    pub slots: SlotMap,
     /// The unoptimized (`O0`) register-machine stream.
     pub bytecode: BytecodeProgram,
     /// The optimized (`O1`) stream: constant folding, superinstruction
@@ -484,10 +485,10 @@ impl Artifacts {
         let report = parallelize(program);
         timed("analyze", t);
         let t = Instant::now();
-        let compiled = compile_slots(program);
+        let resolved = compile_slots(program);
         timed("slots", t);
         let t = Instant::now();
-        let bytecode = compile_bytecode(&compiled);
+        let bytecode = compile_bytecode(&resolved);
         timed("bytecode", t);
         let t = Instant::now();
         let optimized = optimize(&bytecode, OptLevel::O1);
@@ -495,7 +496,7 @@ impl Artifacts {
         Artifacts {
             program: program.clone(),
             report,
-            compiled,
+            slots: resolved.slots,
             bytecode,
             optimized,
             written_arrays: written_arrays(&program.body),
@@ -538,13 +539,13 @@ impl Artifacts {
     /// Approximate in-memory footprint of these artifacts in bytes: both
     /// bytecode streams (instructions, constant pools, interned names),
     /// the annotated source, and a fixed allowance per analyzed loop for
-    /// the report and the compiled op trees.  This is the per-entry
+    /// the report.  This is the per-entry
     /// accounting a byte-bounded artifact cache
     /// (`Session::with_cache_capacity_bytes`) charges — deliberately an
     /// estimate: it only has to be monotone in program size, not exact.
     pub fn approx_bytes(&self) -> usize {
         /// Per-loop allowance covering the `LoopReport` (reasons, blockers,
-        /// facts) and the slot-compiled op trees, which are not walked.
+        /// facts), which is not walked.
         const PER_LOOP_OVERHEAD: usize = 4096;
         std::mem::size_of::<Artifacts>()
             + self.bytecode.approx_bytes()
@@ -734,10 +735,7 @@ mod tests {
         let names: Vec<&str> = art.stages.iter().map(|s| s.stage).collect();
         assert_eq!(names, Artifacts::STAGES);
         assert!(art.report.loop_report(LoopId(1)).unwrap().parallel);
-        assert_eq!(
-            art.compiled.slots.scalar_count(),
-            art.bytecode.slots.scalar_count()
-        );
+        assert_eq!(art.slots.scalar_count(), art.bytecode.slots.scalar_count());
         assert_eq!(
             art.optimized.slots.scalar_count(),
             art.bytecode.slots.scalar_count()

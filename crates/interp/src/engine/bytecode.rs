@@ -1,7 +1,7 @@
-//! The bytecode executor: flat register-machine execution (the default).
+//! The bytecode executor: flat register-machine execution.
 //!
-//! [`ss_ir::bytecode`] flattens the slot pass's expression trees into a
-//! linear instruction stream; this executor runs that stream over a dense
+//! [`ss_ir::bytecode`] lowers the name-resolved AST into a linear
+//! instruction stream; this executor runs that stream over a dense
 //! register file whose low registers alias the scalar slots — per
 //! iteration the hot path is one `match` per *instruction*, with no
 //! recursion and no `Box` chasing per expression node.

@@ -9,18 +9,15 @@
 //!     ([`EngineCaps::reference`]): serial only — it never dispatches, so
 //!     every other row, leg and strategy is diffed against code that
 //!     shares nothing with the dispatcher;
-//!   * **compiled** ([`compiled`]): the slot-resolved
-//!     [`ss_ir::CompiledProgram`] over dense frames — names resolved once,
-//!     expressions still walked as (slot-addressed) trees.  The mid-level
-//!     differential stage; spine only;
 //!   * **bytecode** ([`bytecode`]): the flat register-machine stream of
-//!     [`ss_ir::bytecode`], O0 or O1 — no per-expression tree walking at
-//!     all.  The default; spine only;
+//!     [`ss_ir::bytecode`], O0 or O1 — names resolved once, no
+//!     per-expression tree walking at all.  Spine only;
 //!   * **threaded** ([`threaded`]): that stream lowered once more into a
 //!     direct-threaded chain of monomorphized handler pointers with
 //!     pre-decoded operands — no opcode decode per instruction, native
-//!     counted loops for invariant headers.  Also the one body of every
-//!     dispatched loop, whichever spine reached it;
+//!     counted loops for invariant headers.  The default row's executor,
+//!     and the one body of every dispatched loop, whichever spine reached
+//!     it;
 //! * **how a loop's iterations reach the thread team** — the *dispatch
 //!   strategy*, chosen per loop by the one `Dispatcher` in `shared`:
 //!   * **proof-based parallel-for**: loops the compile-time analysis
@@ -41,13 +38,15 @@
 //! of this crate that enters a team region.  Its members store through
 //! relaxed-atomic views of the spine's arrays, and the crate forbids
 //! `unsafe` code.  A registered [`Engine`] is a *row*: an executor plus the
-//! strategies its parallel runs may use ([`registry`]): `bytecode`,
-//! `threaded` and `compiled` are their executors with proof dispatch;
-//! `wavefront` is the threaded executor with level sets as well; `ast` is
-//! the reference and runs serially whichever leg asks.  The executor is
-//! the *spine*'s: every dispatching row dispatches the same region body,
-//! the loop's lowered threaded chain, so the bytecode interpreter and the
-//! compiled executor run spines only.  Consumers resolve
+//! strategies its parallel runs may use ([`registry`]): `bytecode` and
+//! `threaded` are their executors with proof dispatch; `compiled` is a
+//! second name for the threaded row at O1, kept while the benchmark still
+//! reports it; `wavefront` is the threaded executor with level sets as
+//! well; `ast` is the reference and runs serially whichever leg asks.
+//! Three executors, five rows.  The executor is the *spine*'s: every
+//! dispatching row dispatches the same region body, the loop's lowered
+//! threaded chain, so the bytecode interpreter runs spines only.
+//! Consumers resolve
 //! engines by name or capability through the [`EngineRegistry`], never by
 //! pattern-matching, and branch on [`EngineCaps`] flags.
 //!
@@ -58,7 +57,6 @@
 //! generated programs.
 
 pub mod bytecode;
-pub mod compiled;
 pub mod registry;
 pub mod serial;
 mod shared;
@@ -304,11 +302,12 @@ pub struct ExecOptions {
     /// is dynamic; tests set it to force chunks smaller than the derived
     /// ones.
     pub chunk: Option<usize>,
-    /// Which bytecode stream the bytecode engine executes: the base
-    /// compiler's (`O0`) or the optimized one (`O1`, the default).  Both
-    /// are produced by the one pipeline invocation and are bit-identical
-    /// in observable behavior — differential validation asserts it.
-    /// Engines that do not consume the bytecode stream ignore this.
+    /// Which bytecode stream the executor runs, directly or as its
+    /// threaded chain: the base compiler's (`O0`) or the optimized one
+    /// (`O1`, the default).  Both are produced by the one pipeline
+    /// invocation and are bit-identical in observable behavior —
+    /// differential validation asserts it.  Only the `ast` reference,
+    /// which walks the tree, ignores this.
     pub opt_level: OptLevel,
     /// Run the runtime-inspector baseline on loops the compile-time analysis
     /// left serial, recording whether an inspector/executor scheme would

@@ -1,8 +1,8 @@
 //! What every dispatching executor shares: the array stores, the
 //! worker-private storage, and **the** dispatch recipe.
 //!
-//! An executor decides how the *spine* runs (slot-addressed op trees,
-//! the register-machine stream, the direct-threaded chain); a *dispatch
+//! An executor decides how the *spine* runs (the register-machine
+//! stream or the direct-threaded chain); a *dispatch
 //! strategy* decides how a loop's iterations reach the thread team.  The
 //! two meet here and nowhere else:
 //!
@@ -695,9 +695,8 @@ impl<'r> Dispatcher<'r> {
             .map(|id| {
                 let reductions = report.loop_report(id).map_or(&[][..], |l| &l.reductions);
                 let reductions = reductions.iter().map(|r| Reduction {
-                    slot: (artifacts.compiled.slots.scalar_slot(&r.var))
-                        .expect("an accumulator is a scalar of its program")
-                        .index(),
+                    slot: (artifacts.slots.scalar_slot(&r.var))
+                        .expect("an accumulator is a scalar of its program"),
                     op: r.op,
                 });
                 (id, reductions.collect())
@@ -1196,7 +1195,7 @@ mod tests {
         assert_eq!(shared.fast(a, 0, Some(3)).map(load), Some(13));
         assert!(shared.fast(a, 1, Some(0)).is_none());
         assert!(matches!(
-            shared.flat(&art.compiled.slots, a, &[1, 0]),
+            shared.flat(&art.slots, a, &[1, 0]),
             Err(ExecError::OutOfBounds { .. })
         ));
     }
@@ -1210,7 +1209,7 @@ mod tests {
         // schedule, so the recipe is driven directly, with the real chain.
         let src = "for (i = 0; i < n; i++) { ran[i] = 1; x = 100 / (i - 11); }";
         let art = Artifacts::compile_source("fault", src).unwrap();
-        let slots = &art.compiled.slots;
+        let slots = &art.slots;
         let ran_slot = slots.array_names().iter().position(|a| a == "ran");
         let schedule = LevelSchedule {
             levels: (0..24).map(|k| k / 8).collect(),

@@ -53,8 +53,8 @@
 //! lowered `For` the spine asks the run's `Dispatcher` for a strategy,
 //! evaluates its lowered header once and lends its frame to the recipe.
 //! The recipe's body is this chain too — `ThBody`, the body of every
-//! dispatching row, whichever spine (this one, the bytecode
-//! interpreter's or the compiled executor's) reached the loop: the
+//! dispatching row, whichever spine (this one or the bytecode
+//! interpreter's) reached the loop: the
 //! register numbering *is* the bytecode numbering and the slot numbering
 //! is shared by every stream, so a spine's frame is handed over without
 //! translation (a worker pads a frame that holds only the scalar slots up

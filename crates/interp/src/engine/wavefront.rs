@@ -255,7 +255,12 @@ fn entry_state(
         v.hash(&mut h);
         d.hash(&mut h);
     }
-    let array = |name: &str| array_slot(spine.slots, name).and_then(|i| spine.arrays[i].as_ref());
+    let array = |name: &str| {
+        spine
+            .slots
+            .array_slot(name)
+            .and_then(|a| spine.arrays[a.index()].as_ref())
+    };
     let mut schedule_array_lens = Vec::with_capacity(fact.schedule_arrays.len());
     for (k, name) in fact.schedule_arrays.iter().enumerate() {
         name.hash(&mut h);
@@ -287,10 +292,6 @@ fn entry_state(
         fnv: h.fnv,
     };
     (h.finish(), check)
-}
-
-fn array_slot(slots: &SlotMap, name: &str) -> Option<usize> {
-    slots.array_names().iter().position(|n| n == name)
 }
 
 // ---------------------------------------------------------------------------
@@ -393,7 +394,7 @@ fn inspect_schedule(
 ) -> Option<LevelSchedule> {
     let mut watched = vec![false; spine.arrays.len()];
     for name in &fact.watched {
-        watched[array_slot(spine.slots, name)?] = true;
+        watched[spine.slots.array_slot(name)?.index()] = true;
     }
     let shadows = spine
         .arrays

@@ -374,7 +374,7 @@ pub(crate) fn synthesize_for(artifacts: &Artifacts, spec: &InputSpec) -> Result<
     let mut scalars = vec![0; bc.slots.scalar_count()];
     for name in &free {
         if let Some(slot) = bc.slots.scalar_slot(name) {
-            scalars[slot.index()] = spec.scale;
+            scalars[slot] = spec.scale;
         }
     }
     let names = bc.slots.array_names();

@@ -22,8 +22,9 @@
 //!   handler chain lowered from `ss_ir::bytecode`, plus level sets on the
 //!   carried loops the compile-time wavefront gate approves; the same
 //!   chain without level sets (**threaded**); the flat register-machine
-//!   stream itself (**bytecode**); slot-resolved op sequences over dense
-//!   frames (**compiled**); and the **tree-walking** reference engine.
+//!   stream itself (**bytecode**); the threaded chain at O1 again under
+//!   the row name **compiled**, which the benchmark still reports; and the
+//!   **tree-walking** reference engine — three executors, five rows.
 //!   All consume precompiled [`Artifacts`](ss_parallelizer::Artifacts);
 //!   all but the reference (serial on every leg) dispatch every
 //!   proven-parallel loop onto `ss_runtime` worker threads;

@@ -80,13 +80,14 @@ fn session_compiles_each_program_once() {
 
 /// The bytecode stream is lowered into its threaded handler chain at most
 /// once per (artifacts, opt level, store kind), whichever row asks: the
-/// `compiled` row's proof regions lower the worker chain at its one level
-/// (O1), the `bytecode` row's add it at O0, the `threaded` row's spine
-/// adds the spine chain at both levels and reuses the worker one, and the
-/// `wavefront` row's level-set strategy for the carried outer loop adds
-/// the inspection chain at both levels (resolved with the loop's body,
-/// whether or not the schedule cache already answers).  Every later run,
-/// serial or parallel, of any row reuses the cached lowerings.
+/// `compiled` row — the threaded executor at its one level, O1 — lowers
+/// the spine and worker chains at O1, the `bytecode` row's proof regions
+/// add the worker chain at O0, the `threaded` row adds the spine chain at
+/// O0 and reuses the rest, and the `wavefront` row's level-set strategy
+/// for the carried outer loop adds the inspection chain at both levels
+/// (resolved with the loop's body, whether or not the schedule cache
+/// already answers).  Every later run, serial or parallel, of any row
+/// reuses the cached lowerings.
 fn engines_lower_once_per_artifacts_and_level() {
     let registry = EngineRegistry::builtin();
     let artifacts = Artifacts::compile_source("lower-once", SRC).unwrap();
@@ -94,9 +95,9 @@ fn engines_lower_once_per_artifacts_and_level() {
     let mut heaps = Vec::new();
     for round in 0..3 {
         let rows = [
-            ("compiled", 1),
+            ("compiled", 2),
             ("bytecode", 1),
-            ("threaded", 2),
+            ("threaded", 1),
             ("wavefront", 2),
         ];
         for (row, first_round) in rows {
@@ -229,10 +230,11 @@ fn wavefront_inspects_once_per_input() {
 
 #[test]
 fn compiled_engine_runs_do_not_recompile_per_loop_entry() {
-    // The dispatched loop is entered `reps` times with many iterations
-    // each; the slot table the pipeline resolved up front serves every
-    // entry (engines have no compile site to reach), and each entry's
-    // iterations are counted once.
+    // The `compiled` row runs the threaded chain at O1.  The dispatched
+    // loop is entered `reps` times with many iterations each; the chains
+    // lowered on the first entry serve every later one (engines have no
+    // compile site to reach), and each entry's iterations are counted
+    // once.
     let registry = EngineRegistry::builtin();
     let artifacts = Artifacts::compile_source("reuse", SRC).unwrap();
     assert!(!artifacts.report.outermost_parallel_loops().is_empty());
@@ -240,6 +242,11 @@ fn compiled_engine_runs_do_not_recompile_per_loop_entry() {
     let par = compiled
         .run_parallel(&artifacts, heap(20), &opts(4))
         .unwrap();
+    assert_eq!(
+        lowerings(&artifacts).len(),
+        2,
+        "one spine and one worker chain, at O1, for all 20 entries"
+    );
     let id = ss_ir::LoopId(1);
     assert_eq!(par.stats.loops[&id].invocations, 20);
     assert_eq!(par.stats.loops[&id].iterations, 20 * 500);

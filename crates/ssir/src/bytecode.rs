@@ -1,10 +1,9 @@
-//! Expression-level bytecode: from slot-addressed op trees to a flat
+//! Expression-level bytecode: from the name-resolved AST to a flat
 //! register-machine instruction stream.
 //!
-//! The slot pass ([`crate::slots`]) eliminated name hashing, but its
-//! executors still *tree-walk* a [`CExpr`] per expression per iteration —
-//! one `match` plus one `Box` pointer chase per node.  This pass flattens
-//! those trees away entirely:
+//! [`compile_bytecode`] walks the AST once, reading every name through the
+//! program's [`SlotMap`] (the `slots` stage, [`crate::slots`]), so no
+//! executor hashes a name or walks an expression tree at run time:
 //!
 //! * expressions become straight-line [`Instr`] sequences over **numbered
 //!   virtual registers**.  Registers `0..scalar_count` permanently alias the
@@ -26,13 +25,15 @@
 //!   accumulate instruction ([`Instr::Accum`]) — one fused
 //!   read-modify-write, which is also the shape of every recognized
 //!   reduction's update;
-//! * counted `for` loops stay structured ([`Instr::For`]) for the same
-//!   reason they do in the slot pass: executors attach per-loop behavior to
-//!   them (iteration caps, statistics, parallel dispatch).  Their header
-//!   expressions (init/bound/step) are themselves flat [`BcExpr`] blocks.
+//! * counted `for` loops stay structured ([`Instr::For`]) because executors
+//!   attach per-loop behavior to them (iteration caps, statistics,
+//!   parallel dispatch).  Their header expressions (init/bound/step) are
+//!   themselves flat [`BcExpr`] blocks, and each [`BcFor`] carries the
+//!   dispatch facts read off its AST: the arrays its body declares,
+//!   whether those are privatizable, and whether its work is skewed.
 //!
-//! Compilation happens **once per program**, alongside the slot pass, in
-//! the `ss_parallelizer` pipeline; no executor recompiles per run or per
+//! Compilation happens **once per program**, right after name resolution,
+//! in the `ss_parallelizer` pipeline; no executor recompiles per run or per
 //! loop entry.
 //!
 //! This module is also the one place that knows an instruction's operands:
@@ -46,8 +47,8 @@
 //! listing (scalar registers shown by name), which the golden snapshot
 //! tests diff so instruction-selection regressions are visible in review.
 
-use crate::ast::{AssignOp, BinOp, LoopId, UnOp};
-use crate::slots::{ArraySlot, CExpr, CompiledBody, CompiledFor, CompiledProgram, Op, SlotMap};
+use crate::ast::{for_each_stmt, private_arrays, AExpr, AssignOp, BinOp, LoopId, Stmt, UnOp};
+use crate::slots::{ArraySlot, CompiledProgram, SlotMap};
 use std::collections::{HashMap, HashSet};
 
 /// A virtual register.  Registers `0..scalar_count` alias the scalar slots
@@ -283,7 +284,7 @@ pub enum HeaderFast {
 }
 
 /// A compiled counted loop: flat header expressions, flat body, and the
-/// dispatch facts carried over from the slot pass.
+/// dispatch facts the lowering reads off the loop's AST.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BcFor {
     /// Loop id (verdicts are keyed by it).
@@ -306,12 +307,20 @@ pub struct BcFor {
     pub step_fast: HeaderFast,
     /// Loop body.
     pub body: Vec<Instr>,
-    /// Arrays declared (transitively) inside the body — dispatched workers
-    /// give these private storage.
+    /// Arrays declared anywhere inside the body (transitively, in
+    /// pre-order): dispatched workers give these per-iteration private
+    /// storage instead of sharing the heap allocation.
     pub local_arrays: Vec<ArraySlot>,
-    /// See [`CompiledFor::locals_dominated`].
+    /// True when every array in `local_arrays` is one of the body's
+    /// [`private_arrays`] — the same function the dependence test
+    /// privatizes them with.  When false, a worker could observe
+    /// pre-declaration storage the serial execution would not;
+    /// dispatchers must run such loops serially (the analysis will not have
+    /// proven them parallel anyway unless the array is never written).
     pub locals_dominated: bool,
-    /// See [`CompiledFor::skewed`].
+    /// True when a nested loop's init or bound reads an array (the CSR row
+    /// shape) or this loop's own index (a triangular nest): per-iteration
+    /// work varies, so `Auto` scheduling picks chunk stealing.
     pub skewed: bool,
 }
 
@@ -326,8 +335,7 @@ pub struct BytecodeProgram {
     /// Total registers any block needs (`scalar_count()` scalars plus the
     /// deepest temporary run).
     pub nregs: usize,
-    /// The interned name table (identical numbering to the slot pass it
-    /// was compiled from).
+    /// The interned name table the program was lowered through.
     pub slots: SlotMap,
 }
 
@@ -501,25 +509,30 @@ pub fn reg_writes(code: &[Instr], out: &mut HashSet<u32>) {
     });
 }
 
-/// Compiles a slot-resolved program down to bytecode.
-pub fn compile_bytecode(compiled: &CompiledProgram) -> BytecodeProgram {
+/// Lowers a name-resolved program to bytecode: the AST is walked once,
+/// every name read through the program's [`SlotMap`].
+pub fn compile_bytecode(compiled: &CompiledProgram<'_>) -> BytecodeProgram {
+    let slots = &compiled.slots;
+    let nscalars = slots.scalar_count() as u32;
     let mut cx = Cx {
+        slots,
         consts: Vec::new(),
         const_ids: HashMap::new(),
-        nscalars: compiled.slots.scalar_count() as u32,
-        next_temp: compiled.slots.scalar_count() as u32,
-        max_regs: compiled.slots.scalar_count() as u32,
+        nscalars,
+        next_temp: nscalars,
+        max_regs: nscalars,
     };
-    let main = compile_body(&compiled.body, &mut cx);
+    let main = compile_block(&compiled.program.body, &mut cx);
     BytecodeProgram {
         main,
         consts: cx.consts,
         nregs: cx.max_regs as usize,
-        slots: compiled.slots.clone(),
+        slots: slots.clone(),
     }
 }
 
-struct Cx {
+struct Cx<'s> {
+    slots: &'s SlotMap,
     consts: Vec<i64>,
     const_ids: HashMap<i64, u32>,
     nscalars: u32,
@@ -527,7 +540,7 @@ struct Cx {
     max_regs: u32,
 }
 
-impl Cx {
+impl Cx<'_> {
     fn pool(&mut self, v: i64) -> u32 {
         if let Some(&id) = self.const_ids.get(&v) {
             return id;
@@ -557,30 +570,49 @@ impl Cx {
     fn reset_temps(&mut self) {
         self.next_temp = self.nscalars;
     }
+
+    /// The register aliasing a scalar's slot.
+    fn scalar(&self, name: &str) -> Reg {
+        Reg(self
+            .slots
+            .scalar_slot(name)
+            .expect("every scalar is resolved") as u32)
+    }
+
+    fn array(&self, name: &str) -> ArraySlot {
+        self.slots
+            .array_slot(name)
+            .expect("every array is resolved")
+    }
 }
 
-fn compile_body(body: &CompiledBody, cx: &mut Cx) -> Vec<Instr> {
+/// Lowers a block into its own instruction stream (jump targets are
+/// indices into it).
+fn compile_block(stmts: &[Stmt], cx: &mut Cx) -> Vec<Instr> {
     let mut code = Vec::new();
-    // The slot pass's branch targets are op indices; record where each op
-    // starts so they can be translated to instruction indices.
-    let mut op_starts = vec![0u32; body.ops.len() + 1];
-    let mut patches: Vec<(usize, usize)> = Vec::new(); // (instr index, op target)
-    for (k, op) in body.ops.iter().enumerate() {
-        op_starts[k] = code.len() as u32;
-        cx.reset_temps();
-        compile_op(op, cx, &mut code, &mut patches);
-    }
-    op_starts[body.ops.len()] = code.len() as u32;
-    for (at, op_target) in patches {
-        patch_jump(&mut code, at, op_starts[op_target]);
+    for s in stmts {
+        compile_stmt(s, cx, &mut code);
     }
     code
 }
 
-fn compile_op(op: &Op, cx: &mut Cx, code: &mut Vec<Instr>, patches: &mut Vec<(usize, usize)>) {
-    match op {
-        Op::SetScalar { slot, op, value } => {
-            let dst = Reg(slot.0);
+fn compile_stmt(s: &Stmt, cx: &mut Cx, code: &mut Vec<Instr>) {
+    cx.reset_temps();
+    match s {
+        Stmt::Decl { name, dims, init } if dims.is_empty() => {
+            let dst = cx.scalar(name);
+            compile_expr_to(init.as_ref().unwrap_or(&AExpr::IntLit(0)), dst, cx, code);
+        }
+        Stmt::Decl { name, dims, .. } => {
+            let (dims_reg, rank) = compile_index_block(dims, cx, code);
+            code.push(Instr::DeclArray {
+                array: cx.array(name),
+                dims: dims_reg,
+                rank,
+            });
+        }
+        Stmt::Assign { target, op, value } if target.is_scalar() => {
+            let dst = cx.scalar(&target.name);
             match op {
                 AssignOp::Assign => compile_expr_to(value, dst, cx, code),
                 _ => {
@@ -589,19 +621,15 @@ fn compile_op(op: &Op, cx: &mut Cx, code: &mut Vec<Instr>, patches: &mut Vec<(us
                 }
             }
         }
-        Op::StoreElem {
-            array,
-            indices,
-            op,
-            value,
-        } => {
+        Stmt::Assign { target, op, value } => {
             // Tree-walker order: value, then subscripts, then (for compound
             // ops) the element read.
             let src = compile_expr(value, cx, code);
-            let (idx, rank) = compile_index_block(indices, cx, code);
+            let (idx, rank) = compile_index_block(&target.indices, cx, code);
+            let array = cx.array(&target.name);
             match op {
                 AssignOp::Assign => code.push(Instr::Store {
-                    array: *array,
+                    array,
                     idx,
                     rank,
                     src,
@@ -610,7 +638,7 @@ fn compile_op(op: &Op, cx: &mut Cx, code: &mut Vec<Instr>, patches: &mut Vec<(us
                     let old = cx.temp();
                     code.push(Instr::Load {
                         dst: old,
-                        array: *array,
+                        array,
                         idx,
                         rank,
                     });
@@ -620,7 +648,7 @@ fn compile_op(op: &Op, cx: &mut Cx, code: &mut Vec<Instr>, patches: &mut Vec<(us
                         src,
                     });
                     code.push(Instr::Store {
-                        array: *array,
+                        array,
                         idx,
                         rank,
                         src: old,
@@ -628,38 +656,62 @@ fn compile_op(op: &Op, cx: &mut Cx, code: &mut Vec<Instr>, patches: &mut Vec<(us
                 }
             }
         }
-        Op::DeclArray { array, dims } => {
-            let (dims_reg, rank) = compile_index_block(dims, cx, code);
-            code.push(Instr::DeclArray {
-                array: *array,
-                dims: dims_reg,
-                rank,
-            });
-        }
-        Op::BranchIfZero { cond, target } => {
+        Stmt::If {
+            cond,
+            then_branch,
+            else_branch,
+        } => {
             let rc = compile_expr(cond, cx, code);
-            patches.push((code.len(), *target));
+            let jz_at = code.len();
             code.push(Instr::Jz {
                 cond: rc,
                 target: u32::MAX,
             });
+            then_branch.iter().for_each(|t| compile_stmt(t, cx, code));
+            if else_branch.is_empty() {
+                patch_here(code, jz_at);
+            } else {
+                let jump_at = code.len();
+                code.push(Instr::Jump { target: u32::MAX });
+                patch_here(code, jz_at);
+                else_branch.iter().for_each(|e| compile_stmt(e, cx, code));
+                patch_here(code, jump_at);
+            }
         }
-        Op::Jump { target } => {
-            patches.push((code.len(), *target));
-            code.push(Instr::Jump { target: u32::MAX });
+        Stmt::For {
+            id,
+            var,
+            init,
+            cond_op,
+            bound,
+            step,
+            body,
+            ..
+        } => {
+            let (local_arrays, locals_dominated) = local_arrays(body, cx);
+            code.push(Instr::For(Box::new(BcFor {
+                id: *id,
+                var: cx.scalar(var),
+                init: compile_expr_block(init, cx),
+                cond_op: *cond_op,
+                bound: compile_expr_block(bound, cx),
+                step: compile_expr_block(step, cx),
+                init_fast: HeaderFast::Eval,
+                bound_fast: HeaderFast::Eval,
+                step_fast: HeaderFast::Eval,
+                body: compile_block(body, cx),
+                local_arrays,
+                locals_dominated,
+                skewed: body_is_skewed(var, body),
+            })));
         }
-        Op::For(f) => {
-            let bc = compile_for(f, cx);
-            code.push(Instr::For(Box::new(bc)));
-        }
-        Op::While { id, cond, body } => {
+        Stmt::While { id, cond, body } => {
             // WhileEnter
             // head: <cond> rc; Jz rc, exit
             //       WhileIter; <body>; Jump head
             // exit: WhileExit
             code.push(Instr::WhileEnter { id: *id });
             let head = code.len() as u32;
-            cx.reset_temps();
             let rc = compile_expr(cond, cx, code);
             let jz_at = code.len();
             code.push(Instr::Jz {
@@ -667,51 +719,57 @@ fn compile_op(op: &Op, cx: &mut Cx, code: &mut Vec<Instr>, patches: &mut Vec<(us
                 target: u32::MAX,
             });
             code.push(Instr::WhileIter { id: *id });
-            let body_code = compile_body(body, cx);
-            append_rebased(code, body_code);
+            body.iter().for_each(|b| compile_stmt(b, cx, code));
             code.push(Instr::Jump { target: head });
-            let exit = code.len() as u32;
-            patch_jump(code, jz_at, exit);
+            patch_here(code, jz_at);
             code.push(Instr::WhileExit { id: *id });
         }
     }
 }
 
-/// Appends an independently compiled block, rebasing its (block-relative)
-/// jump targets onto the enclosing stream.
-fn append_rebased(code: &mut Vec<Instr>, block: Vec<Instr>) {
-    let base = code.len() as u32;
-    for mut i in block {
-        if let Some(target) = i.target_mut() {
-            *target += base;
+/// The arrays `body` declares (transitively, in pre-order, each once),
+/// and whether every one of them is one of the body's [`private_arrays`].
+fn local_arrays(body: &[Stmt], cx: &Cx) -> (Vec<ArraySlot>, bool) {
+    let mut names: Vec<&str> = Vec::new();
+    for_each_stmt(body, &mut |s| match s {
+        Stmt::Decl { name, dims, .. } if !dims.is_empty() && !names.contains(&name.as_str()) => {
+            names.push(name)
         }
-        code.push(i);
-    }
+        _ => {}
+    });
+    let private = private_arrays(body);
+    let dominated = (names.iter()).all(|n| private.iter().any(|p| p == n));
+    (names.iter().map(|n| cx.array(n)).collect(), dominated)
 }
 
-fn compile_for(f: &CompiledFor, cx: &mut Cx) -> BcFor {
-    let init = compile_expr_block(&f.init, cx);
-    let bound = compile_expr_block(&f.bound, cx);
-    let step = compile_expr_block(&f.step, cx);
-    let body = compile_body(&f.body, cx);
-    BcFor {
-        id: f.id,
-        var: Reg(f.var.0),
-        init,
-        cond_op: f.cond_op,
-        bound,
-        step,
-        init_fast: HeaderFast::Eval,
-        bound_fast: HeaderFast::Eval,
-        step_fast: HeaderFast::Eval,
-        body,
-        local_arrays: f.local_arrays.clone(),
-        locals_dominated: f.locals_dominated,
-        skewed: f.skewed,
-    }
+/// Skew heuristic for the dispatchers: per-iteration work of the loop
+/// over `var` varies when a nested loop's init or bound reads an array
+/// (`for (k = rowstr[j]; k < rowstr[j+1]; …)`: work proportional to data,
+/// not code) or mentions `var` itself (`for (t = 0; t < i; t++)`: a
+/// triangular nest, where a static split hands the last worker most of the
+/// work).
+fn body_is_skewed(var: &str, body: &[Stmt]) -> bool {
+    let varies = |e: &AExpr| {
+        let mut found = false;
+        e.for_each(&mut |x| match x {
+            AExpr::Index(_, _) => found = true,
+            AExpr::Var(name) if name == var => found = true,
+            _ => {}
+        });
+        found
+    };
+    let mut skewed = false;
+    for_each_stmt(body, &mut |s| {
+        if let Stmt::For { init, bound, .. } = s {
+            if varies(init) || varies(bound) {
+                skewed = true;
+            }
+        }
+    });
+    skewed
 }
 
-fn compile_expr_block(e: &CExpr, cx: &mut Cx) -> BcExpr {
+fn compile_expr_block(e: &AExpr, cx: &mut Cx) -> BcExpr {
     cx.reset_temps();
     let mut code = Vec::new();
     let result = compile_expr(e, cx, &mut code);
@@ -720,7 +778,7 @@ fn compile_expr_block(e: &CExpr, cx: &mut Cx) -> BcExpr {
 
 /// Compiles the subscript (or extent) expressions of an array access into a
 /// run of consecutive registers; rank-1 accesses skip the copy.
-fn compile_index_block(indices: &[CExpr], cx: &mut Cx, code: &mut Vec<Instr>) -> (Reg, u8) {
+fn compile_index_block(indices: &[AExpr], cx: &mut Cx, code: &mut Vec<Instr>) -> (Reg, u8) {
     let rank = indices.len() as u8;
     if let [only] = indices {
         return (compile_expr(only, cx, code), rank);
@@ -734,9 +792,9 @@ fn compile_index_block(indices: &[CExpr], cx: &mut Cx, code: &mut Vec<Instr>) ->
 
 /// Compiles `e`, returning the register holding its value.  Scalar reads
 /// return the scalar's own register without emitting anything.
-fn compile_expr(e: &CExpr, cx: &mut Cx, code: &mut Vec<Instr>) -> Reg {
-    if let CExpr::Scalar(s) = e {
-        return Reg(s.0);
+fn compile_expr(e: &AExpr, cx: &mut Cx, code: &mut Vec<Instr>) -> Reg {
+    if let AExpr::Var(name) = e {
+        return cx.scalar(name);
     }
     let dst = cx.temp();
     compile_expr_to(e, dst, cx, code);
@@ -746,28 +804,31 @@ fn compile_expr(e: &CExpr, cx: &mut Cx, code: &mut Vec<Instr>) -> Reg {
 /// Compiles `e` so its value lands in `dst`.  `dst` is written only by the
 /// final instruction of the sequence, so an evaluation error leaves it
 /// untouched — the same guarantee the tree walker gives assignment targets.
-fn compile_expr_to(e: &CExpr, dst: Reg, cx: &mut Cx, code: &mut Vec<Instr>) {
+fn compile_expr_to(e: &AExpr, dst: Reg, cx: &mut Cx, code: &mut Vec<Instr>) {
     match e {
-        CExpr::Int(v) => {
+        AExpr::IntLit(v) => {
             let pool = cx.pool(*v);
             code.push(Instr::Const { dst, pool });
         }
-        CExpr::Scalar(s) => {
+        AExpr::Var(name) => {
             // Emitted even when src == dst: a self-assignment (`x = x;`)
             // must still execute a write, because the engines key their
             // defined-slot tracking (and so heap write-back) off it.
-            code.push(Instr::Copy { dst, src: Reg(s.0) });
+            code.push(Instr::Copy {
+                dst,
+                src: cx.scalar(name),
+            });
         }
-        CExpr::Load { array, indices } => {
+        AExpr::Index(array, indices) => {
             let (idx, rank) = compile_index_block(indices, cx, code);
             code.push(Instr::Load {
                 dst,
-                array: *array,
+                array: cx.array(array),
                 idx,
                 rank,
             });
         }
-        CExpr::Binary(op, a, b) => match op {
+        AExpr::Binary(op, a, b) => match op {
             BinOp::And => {
                 // ra == 0 → false; else rb == 0 → false; else true.
                 let ra = compile_expr(a, cx, code);
@@ -832,7 +893,7 @@ fn compile_expr_to(e: &CExpr, dst: Reg, cx: &mut Cx, code: &mut Vec<Instr>) {
                 });
             }
         },
-        CExpr::Unary(op, a) => {
+        AExpr::Unary(op, a) => {
             let src = compile_expr(a, cx, code);
             code.push(match op {
                 UnOp::Neg => Instr::Neg { dst, src },
@@ -844,6 +905,11 @@ fn compile_expr_to(e: &CExpr, dst: Reg, cx: &mut Cx, code: &mut Vec<Instr>) {
 
 fn patch_jump(code: &mut [Instr], at: usize, to: u32) {
     *code[at].target_mut().expect("patching a jump") = to;
+}
+
+/// Points the jump at `at` to the end of `code` so far.
+fn patch_here(code: &mut [Instr], at: usize) {
+    patch_jump(code, at, code.len() as u32);
 }
 
 // ---------------------------------------------------------------------------
@@ -1239,6 +1305,124 @@ mod tests {
         assert!(fors[1].local_arrays.is_empty());
         // The nested loop lives inside the second for's body.
         assert!(fors[1].body.iter().any(|i| matches!(i, Instr::For(_))));
+    }
+
+    /// The lowered loop with id `id`, nested ones included.
+    fn find_for(p: &BytecodeProgram, id: u32) -> Option<&BcFor> {
+        let mut found = None;
+        walk(&p.main, &mut |i| match i {
+            Instr::For(f) if f.id == LoopId(id) => found = Some(f.as_ref()),
+            _ => {}
+        });
+        found
+    }
+
+    #[test]
+    fn loops_record_local_arrays_and_skew() {
+        let p = bc(r#"
+            for (i = 0; i < n; i++) {
+                int scratch[8];
+                for (t = 0; t < 8; t++) { scratch[t] = i + t; }
+                out[i] = scratch[0];
+            }
+            for (j = 0; j < n; j++) {
+                for (k = r[j]; k < r[j+1]; k++) { v[k] = j; }
+            }
+            for (a = 0; a < n; a++) {
+                for (b = 0; b < a; b++) { tri[a * n + b] = 1; }
+            }
+            for (c = 0; c < n; c++) {
+                for (d = 0; d < n; d++) {
+                    for (e = d; e < n; e++) { cube[c * n + d] = e; }
+                }
+            }
+        "#);
+        let scratch = p.slots.array_slot("scratch").unwrap();
+        let outer = find_for(&p, 0).unwrap();
+        assert_eq!(outer.local_arrays, vec![scratch]);
+        assert!(outer.locals_dominated);
+        assert!(!outer.skewed);
+        let inner = find_for(&p, 1).unwrap();
+        assert!(inner.local_arrays.is_empty());
+        let csr = find_for(&p, 2).unwrap();
+        assert!(csr.skewed, "index-array bounds in a nested loop mean skew");
+        let triangular = find_for(&p, 4).unwrap();
+        assert!(triangular.skewed, "a bound on the loop's own index is skew");
+        // Every `c` iteration does the same work: the triangle is over `d`.
+        assert!(!find_for(&p, 6).unwrap().skewed);
+        assert!(find_for(&p, 7).unwrap().skewed);
+        assert!(find_for(&p, 9).is_none());
+    }
+
+    #[test]
+    fn undominated_local_declarations_are_flagged() {
+        // Array touched before its declaration: a worker must not privatize.
+        let p = bc(r#"
+            for (i = 0; i < n; i++) {
+                out[i] = g[0];
+                int g[4];
+                g[0] = i;
+            }
+        "#);
+        assert!(!find_for(&p, 0).unwrap().locals_dominated);
+        // Declaration only inside a branch: not unconditional.
+        let p = bc(r#"
+            for (i = 0; i < n; i++) {
+                if (i > 0) { int g[4]; g[0] = i; }
+                out[i] = i;
+            }
+        "#);
+        let f = find_for(&p, 0).unwrap();
+        assert_eq!(f.local_arrays, vec![p.slots.array_slot("g").unwrap()]);
+        assert!(!f.locals_dominated);
+    }
+
+    #[test]
+    fn conditionals_lower_to_branches_with_correct_targets() {
+        // jz, then-store, jump, else-store, tail-store
+        let p = bc("if (x > 0) { y = 1; } else { y = 2; } z = 3;");
+        let at = |k: usize| p.main.iter().position(|i| i.target().is_some()).unwrap() + k;
+        let jz = at(0);
+        assert!(
+            matches!(p.main[jz], Instr::Jz { .. }),
+            "{}",
+            p.disassemble()
+        );
+        // The false edge lands on the else block, right after the jump
+        // that closes the then block; that jump lands on the tail.
+        let jump = jz + 2;
+        assert_eq!(
+            p.main[jump],
+            Instr::Jump {
+                target: jump as u32 + 2
+            }
+        );
+        assert_eq!(p.main[jz].target(), Some(jump as u32 + 1));
+        // An `if` without `else` branches past the then-block.
+        let p = bc("if (x) { y = 1; } z = 2;");
+        assert_eq!(p.main[0].target(), Some(2));
+        // Inside a `while`, targets are absolute in the enclosing stream.
+        let p = bc("w = 0; while (w < 3) { if (w) { v = 1; } w = w + 1; }");
+        let jzs: Vec<u32> = (p.main.iter())
+            .filter_map(|i| match i {
+                Instr::Jz { target, .. } => Some(*target),
+                _ => None,
+            })
+            .collect();
+        let inner_jz = p.main.iter().rposition(|i| matches!(i, Instr::Jz { .. }));
+        assert_eq!(jzs[1], inner_jz.unwrap() as u32 + 2, "{}", p.disassemble());
+    }
+
+    #[test]
+    fn compound_stores_keep_their_operator() {
+        let p = bc("h[k[i]] += 1; s -= 2;");
+        let ops: Vec<AssignOp> = (p.main.iter())
+            .filter_map(|i| match i {
+                Instr::Accum { op, .. } => Some(*op),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(ops, [AssignOp::AddAssign, AssignOp::SubAssign]);
     }
 
     #[test]

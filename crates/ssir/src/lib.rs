@@ -15,12 +15,12 @@
 //!   for` annotations added by the parallelizer;
 //! * [`loops`] — normalized loop descriptions and the loop tree;
 //! * [`convert`] — lowering of AST arithmetic to [`ss_symbolic::Expr`];
-//! * [`slots`] — name interning and compilation to flat, slot-addressed op
-//!   sequences (what the `ss-interp` compiled engines execute);
-//! * [`bytecode`] — a second lowering from slot-resolved ops to a flat
-//!   register-machine instruction stream (what the `ss-interp` bytecode
-//!   engines, the default, execute), and the one operand walker every
-//!   pass over that stream uses;
+//! * [`slots`] — name resolution: every scalar and array name interned
+//!   once into a dense [`SlotMap`];
+//! * [`bytecode`] — the one lowering, from the AST through that map to a
+//!   flat register-machine instruction stream (what every `ss-interp`
+//!   executor but the tree walker runs, directly or as its threaded
+//!   chain), and the one operand walker every pass over that stream uses;
 //! * [`opt`] — the optimizing bytecode pass behind `--opt-level`: constant
 //!   folding, superinstruction fusion (fused subscripted-subscript loads,
 //!   compare-and-branch, copy-free rank-2 accesses) and dead-store
@@ -63,7 +63,4 @@ pub use loops::{LoopInfo, LoopTree};
 pub use opt::{optimize, OptLevel};
 pub use parser::{parse_expr, parse_program};
 pub use printer::{print_expr, print_program, print_program_with, PrintOptions};
-pub use slots::{
-    compile_program, ArraySlot, CExpr, CompiledBody, CompiledFor, CompiledProgram, Op, ScalarSlot,
-    SlotMap,
-};
+pub use slots::{compile_program, ArraySlot, CompiledProgram, SlotMap};

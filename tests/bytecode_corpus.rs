@@ -21,8 +21,9 @@
 mod fuzzgen;
 
 use fuzzgen::GProgram;
+use ss_ir::bytecode::walk;
 use ss_ir::opt::OptLevel;
-use ss_ir::{parse_program, LoopId};
+use ss_ir::{parse_program, Instr, LoopId};
 use ss_parallelizer::Artifacts;
 use std::fmt::Write;
 use std::path::Path;
@@ -61,12 +62,17 @@ fn corpus() -> Vec<(String, String, String)> {
     out
 }
 
-/// The loop facts of every counted loop, keyed by id, as the lowering
-/// recorded them.
+/// The dispatch facts the lowering recorded on counted loop `id`, if it
+/// is one.
 fn loop_facts(art: &Artifacts, id: LoopId) -> Option<String> {
-    let f = art.compiled.find_loop(id)?;
+    let mut found = None;
+    walk(&art.bytecode.main, &mut |i| match i {
+        Instr::For(f) if f.id == id => found = Some(f),
+        _ => {}
+    });
+    let f = found?;
     let locals: Vec<String> = (f.local_arrays.iter())
-        .map(|a| format!("{}:{}", a.0, art.compiled.slots.array_name(*a)))
+        .map(|a| format!("{}:{}", a.0, art.slots.array_name(*a)))
         .collect();
     Some(format!(
         "locals=[{}] dominated={} skewed={}",
@@ -80,7 +86,7 @@ fn loop_facts(art: &Artifacts, id: LoopId) -> Option<String> {
 fn dump(name: &str, source: &str) -> (String, usize) {
     let program = parse_program(name, source).expect("corpus program parses");
     let art = Artifacts::compile(&program);
-    let slots = &art.compiled.slots;
+    let slots = &art.slots;
     let mut text = String::new();
     writeln!(text, "scalars {}", slots.scalar_names().join(",")).unwrap();
     writeln!(text, "arrays {}", slots.array_names().join(",")).unwrap();
