@@ -539,10 +539,10 @@ impl Artifacts {
     /// Approximate in-memory footprint of these artifacts in bytes: both
     /// bytecode streams (instructions, constant pools, interned names),
     /// the annotated source, and a fixed allowance per analyzed loop for
-    /// the report.  This is the per-entry
-    /// accounting a byte-bounded artifact cache
-    /// (`Session::with_cache_capacity_bytes`) charges — deliberately an
-    /// estimate: it only has to be monotone in program size, not exact.
+    /// the report.  This is the per-entry accounting a byte-bounded
+    /// artifact cache (`Session::with_cache_capacity_bytes`) charges —
+    /// deliberately an estimate: it only has to be monotone in program
+    /// size, not exact.
     pub fn approx_bytes(&self) -> usize {
         /// Per-loop allowance covering the `LoopReport` (reasons, blockers,
         /// facts), which is not walked.

@@ -46,9 +46,9 @@
 //! Three executors, five rows.  The executor is the *spine*'s: every
 //! dispatching row dispatches the same region body, the loop's lowered
 //! threaded chain, so the bytecode interpreter runs spines only.
-//! Consumers resolve
-//! engines by name or capability through the [`EngineRegistry`], never by
-//! pattern-matching, and branch on [`EngineCaps`] flags.
+//! Consumers resolve engines by name or capability through the
+//! [`EngineRegistry`], never by pattern-matching, and branch on
+//! [`EngineCaps`] flags.
 //!
 //! Cross-engine agreement is itself a validation axis, on top of
 //! serial-vs-parallel: the [`Session`](crate::Session) differential mode

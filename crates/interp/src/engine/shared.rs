@@ -2,9 +2,9 @@
 //! worker-private storage, and **the** dispatch recipe.
 //!
 //! An executor decides how the *spine* runs (the register-machine
-//! stream or the direct-threaded chain); a *dispatch
-//! strategy* decides how a loop's iterations reach the thread team.  The
-//! two meet here and nowhere else:
+//! stream or the direct-threaded chain); a *dispatch strategy* decides
+//! how a loop's iterations reach the thread team.  The two meet here and
+//! nowhere else:
 //!
 //! * the spine offers a loop by its [`LoopId`] and `defined` flags,
 //!   then its once-evaluated header and its state as a [`Spine`] (scalar
